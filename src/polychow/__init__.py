@@ -3,9 +3,8 @@
 from .building import (BuildingSet, BuildingSetError, is_geometric_building_set,
                        is_nested, lifted_building_set, maximal_building_set,
                        nested_complex)
-from .chow import (ChowPair, nested_basis, degree_functional, dp_ring, fy_ring,
-                   hilbert_function, normal_form, pairing_matrix, phi_iso_check,
-                   zring_hilbert)
+from .chow import (ChowPair, nested_basis, dp_ring, fy_ring, pairing_matrix,
+                   phi_iso_check, zring_hilbert)
 from .fan import (Fan, balancing_check, bergman_fan, boolean_bergman_fan,
                   cone_contains, cone_coordinates, find_cone, in_support,
                   is_complete, is_face_closed, is_unimodular,
@@ -32,9 +31,9 @@ __all__ = [
     "PolymatroidError", "Polypermutohedron", "ProjectionMap",
     "ambient_complete_fan", "balancing_check", "bergman_fan", "beta_class",
     "beta_class_corank_form", "boolean_bergman_fan", "boolean_polymatroid",
-    "cone_contains", "cone_coordinates", "nested_basis", "degree_functional",
+    "cone_contains", "cone_coordinates", "nested_basis",
     "dp_ring", "find_cone", "fy_ring",
-    "geometric_flat_lattice", "hard_lefschetz_check", "hilbert_function",
+    "geometric_flat_lattice", "hard_lefschetz_check",
     "hodge_riemann_check", "in_support", "is_complete", "is_face_closed",
     "is_geometric_building_set", "is_nested",
     "is_strictly_convex", "is_unimodular", "kahler_package_report",
@@ -42,7 +41,7 @@ __all__ = [
     "lifted_building_set", "lowest_poset", "maximal_bergman_fan_direct",
     "maximal_building_set", "minimizing_vertices", "nested_complex",
     "nested_set_fan", "nestohedron_class", "nestohedron_support",
-    "normal_fan_equals", "normal_form", "pairing_matrix",
+    "normal_fan_equals", "pairing_matrix",
     "pairwise_intersections_are_faces", "phi_iso_check",
     "polypermutohedron", "refines", "same_support", "sigma_cone_class",
     "validate_fan", "validate_polymatroid", "zring_hilbert",

@@ -5,6 +5,11 @@ performed: the engine only reduces against them and verifies structural
 consequences (standard-monomial bases, Hilbert functions, the variable
 substitution between the two presentations, Poincare duality).
 
+The standard monomials are grown degree by degree as an order ideal (the
+monomials no leading term divides are closed under division), and a normal
+form is computed in one pass over a sorted worklist of the polynomial's
+terms, largest first.
+
 Monomial order: lexicographic.  Variables are indexed by flats sorted by
 (size, numeric value), so smaller flats come first and are *larger* in the
 order; whenever F1 strictly contains F2 the variable of F1 is smaller.
@@ -13,6 +18,7 @@ x_G, and every Groebner generator has leading coefficient 1, which keeps
 all reductions integral.
 """
 
+from bisect import insort
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -83,30 +89,37 @@ def leading_monomial(p):
 def reduce_poly(p, groebner):
     """Normal form against a list of (leading_monomial, polynomial) pairs.
 
-    All leading coefficients are 1, so integer inputs stay integral.
+    All leading coefficients are 1, so integer inputs stay integral.  The
+    terms of p are sorted once into a worklist and taken largest first; each
+    is reduced by the first generator whose leading monomial divides it.
+    Reducing a term adds only smaller terms, which are inserted in order, so
+    a term found irreducible is final and the reductions happen in the same
+    order as rescanning p for its largest reducible term after every step.
     """
     p = dict(p)
-    while True:
-        target = None
-        for m in sorted(p, reverse=True):
-            for lt, g in groebner:
-                if mono_divides(lt, m):
-                    target = (m, lt, g)
-                    break
-            if target:
+    work = sorted(p)
+    while work:
+        m = work.pop()
+        c = p.get(m)
+        if c is None:            # cancelled after it was queued
+            continue
+        for lt, g in groebner:
+            if mono_divides(lt, m):
                 break
-        if target is None:
-            return p
-        m, lt, g = target
-        c = p[m]
+        else:
+            continue
         shift = mono_quotient(m, lt)
         for gm, gc in g.items():
             key = mono_mul(gm, shift)
-            v = p.get(key, 0) - c * gc
+            old = p.get(key)
+            v = (old or 0) - c * gc
             if v:
                 p[key] = v
+                if old is None:
+                    insort(work, key)
             else:
                 p.pop(key, None)
+    return p
 
 
 def _minimalize(candidates):
@@ -126,28 +139,37 @@ def _minimalize(candidates):
     return [(m, chosen[m]) for m in keep]
 
 
-def _standard_monomials(nvars, degree, leading_terms):
-    """Monomials of the given degree divisible by no leading term."""
-    out = []
+def _standard_monomials(nvars, leading_terms, stop):
+    """Monomials of degree < stop that no leading term divides, as one tuple
+    per degree, each sorted largest first.
 
-    def rec(idx, remaining, exps):
-        if remaining == 0:
-            m = tuple(exps + [0] * (nvars - len(exps)))
-            if not any(mono_divides(lt, m) for lt in leading_terms):
-                out.append(m)
-            return
-        if idx == nvars:
-            return
-        for e in range(remaining + 1):
-            rec(idx + 1, remaining - e, exps + [e])
-
-    rec(0, degree, [])
-    out.sort(reverse=True)
-    return out
+    They form an order ideal (closed under division), so degree d+1 is grown
+    from degree d: each monomial times every variable from its last nonzero
+    exponent on, which reaches every monomial of degree d+1 exactly once.
+    """
+    layers = []
+    layer = [((0,) * nvars, 0)]      # (monomial, first variable to multiply)
+    for d in range(stop):
+        layers.append(tuple(sorted((m for m, _ in layer), reverse=True)))
+        if d + 1 == stop:
+            break
+        grown = []
+        for m, first in layer:
+            for i in range(first, nvars):
+                n = m[:i] + (m[i] + 1,) + m[i + 1:]
+                if not any(mono_divides(lt, n) for lt in leading_terms):
+                    grown.append((n, i))
+        layer = grown
+    return layers
 
 
 class GradedRing:
-    """A graded quotient presented by a known Groebner basis."""
+    """A graded quotient presented by a known Groebner basis.
+
+    `basis[d]` lists the degree-d standard monomials, largest first, grown
+    as an order ideal up to degree r, which must be empty.  `nf` is the
+    single-pass normal form of the module-level `reduce_poly`.
+    """
 
     def __init__(self, kind, var_flats, r, groebner, context=None):
         self.kind = kind
@@ -158,15 +180,16 @@ class GradedRing:
         self.top = r - 1
         self.groebner = groebner
         self.context = context or {}
-        lts = [lt for lt, _ in groebner]
-        self.basis = tuple(
-            tuple(_standard_monomials(self.nvars, d, lts)) for d in range(r))
-        # Everything in degree r and above must vanish for the truncated
-        # generator set to be safe in the degrees we compute in.
-        for d in range(r, 2 * r - 1):
-            if _standard_monomials(self.nvars, d, lts):
-                raise AssertionError(
-                    "truncated Groebner basis leaves standard monomials in degree %d" % d)
+        # Everything in degrees r..2r-2 must vanish for the truncated
+        # generator set to be safe in the degrees we compute in.  Standard
+        # monomials are closed under division, so that holds iff degree r
+        # has none; for r = 1 the range is empty and nothing is checked.
+        layers = _standard_monomials(
+            self.nvars, [lt for lt, _ in groebner], r + 1 if r > 1 else r)
+        self.basis = tuple(layers[:r])
+        if len(layers) > r and layers[r]:
+            raise AssertionError(
+                "truncated Groebner basis leaves standard monomials in degree %d" % r)
 
     def one(self):
         return {(0,) * self.nvars: 1}
@@ -203,14 +226,6 @@ class GradedRing:
     def __repr__(self):
         return "GradedRing(%s, %d vars, hilbert=%r)" % (
             self.kind, self.nvars, self.hilbert())
-
-
-def hilbert_function(ring):
-    return ring.hilbert()
-
-
-def normal_form(ring, poly):
-    return ring.nf(poly)
 
 
 # --- the DP presentation -----------------------------------------------------
@@ -453,13 +468,6 @@ class ChowPair:
         return self.deg_fy(self.phi(poly))
 
 
-def degree_functional(pair):
-    """Returns (normalizer, per-cone report); deg(mu) = 1 / normalizer."""
-    c = pair.degree_normalizer()
-    report = [(tuple(N), 1) for N in pair.maximal_nested_monomials()]
-    return c, report
-
-
 def phi_iso_check(pair):
     """Verify that x_F -> y_{preimage(F)} is a graded ring isomorphism.
 
@@ -573,30 +581,17 @@ def zring_hilbert(P):
         gens.append({var_exps(i): lin[0][i] - lin[j][i]
                      for i in range(nvars) if lin[0][i] != lin[j][i]})
 
-    def monomials(degree):
-        out = []
-
-        def rec(idx, remaining, exps):
-            if idx == nvars:
-                if remaining == 0:
-                    out.append(tuple(exps))
-                return
-            for e in range(remaining + 1):
-                rec(idx + 1, remaining - e, exps + [e])
-
-        rec(0, degree, [])
-        return out
-
+    layers = _standard_monomials(nvars, (), r)
     hilbert = []
     for d in range(r):
-        monos = monomials(d)
+        monos = layers[d]
         index = {mn: i for i, mn in enumerate(monos)}
         rows = []
         for g in gens:
             gdeg = mono_degree(next(iter(g)))
             if gdeg > d:
                 continue
-            for shift in monomials(d - gdeg):
+            for shift in layers[d - gdeg]:
                 row = [0] * len(monos)
                 for gm, gc in g.items():
                     row[index[mono_mul(gm, shift)]] = gc

@@ -266,8 +266,6 @@ def main(argv=None):
                         help="verify the presentation isomorphism (chow)")
     parser.add_argument("--verify-fan", action="store_true",
                         help="verify the inner normal fan (polyperm)")
-    parser.add_argument("--all", action="store_true",
-                        help="run every admissible degree (kahler; the default)")
     args = parser.parse_args(argv)
 
     try:

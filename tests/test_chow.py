@@ -1,10 +1,12 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 import polychow as pc
 from polychow import linalg
-from polychow.chow import leading_monomial, poly_mul, reduce_poly
+from polychow.chow import (GradedRing, leading_monomial, mono_divides, mono_mul,
+                           mono_quotient, poly_add, poly_mul, poly_scale, reduce_poly)
 from conftest import P1, P2, P3, U34, U34_MIN_BUILDING, boolean_table
 
 
@@ -147,33 +149,116 @@ def test_phi_preserves_degrees():
             assert any(coords)
 
 
+def s_polynomials(ring):
+    """S-polynomials of generator pairs whose lcm lies below degree 2r-1."""
+    gb = ring.groebner
+    for i, (lt1, g1) in enumerate(gb):
+        for lt2, g2 in gb[i + 1:]:
+            lcm = tuple(max(a, b) for a, b in zip(lt1, lt2))
+            if sum(lcm) < 2 * ring.r - 1:
+                yield poly_add(
+                    poly_mul({mono_quotient(lcm, lt1): 1}, g1),
+                    poly_scale(poly_mul({mono_quotient(lcm, lt2): 1}, g2), -1))
+
+
 def test_spair_confluence_spot_check():
     # pairs of Groebner generators with overlapping leading terms reduce
     # their S-polynomial to zero
-    from polychow.chow import mono_divides, mono_quotient, poly_add, poly_scale
     for table in (P1, P2, P3):
         ring = pc.dp_ring(pc.Polymatroid(table))
-        gb = ring.groebner
-        for i, (lt1, g1) in enumerate(gb):
-            for lt2, g2 in gb[i + 1:]:
-                lcm = tuple(max(a, b) for a, b in zip(lt1, lt2))
-                if sum(lcm) >= 2 * ring.r - 1:
-                    continue
-                s = poly_add(
-                    poly_mul({mono_quotient(lcm, lt1): 1}, g1),
-                    poly_scale(poly_mul({mono_quotient(lcm, lt2): 1}, g2), -1))
-                assert reduce_poly(s, gb) == {}
+        for s in s_polynomials(ring):
+            assert reduce_poly(s, ring.groebner) == {}
 
 
 def test_truncation_guard_trips_on_missing_relations():
     # feeding a ring an empty generator list leaves standard monomials in
     # high degrees and must raise
-    from polychow.chow import GradedRing
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match="degree 2"):
         GradedRing("dp", [1, 3], 2, [])
+
+
+def test_truncation_guard_checks_nothing_in_rank_one():
+    # for r = 1 no product of basis elements leaves degree 0
+    assert GradedRing("dp", [1], 1, []).hilbert() == (1,)
 
 
 def test_coords_requires_homogeneous_basis_element():
     pair = pair_of(P3)
     with pytest.raises(ValueError):
         pair.dp.coords(pair.dp.one(), 1)
+
+
+KERNEL_FIXTURES = ((P1, None), (P2, None), (P3, None), (U34, None),
+                   (U34, U34_MIN_BUILDING), (boolean_table((1, 1, 2)), None))
+
+
+def rescan_reduce_poly(p, groebner):
+    """Reference normal form: rescan p for its largest reducible term after
+    every reduction step."""
+    p = dict(p)
+    while True:
+        target = None
+        for m in sorted(p, reverse=True):
+            for lt, g in groebner:
+                if mono_divides(lt, m):
+                    target = (m, lt, g)
+                    break
+            if target:
+                break
+        if target is None:
+            return p
+        m, lt, g = target
+        c = p[m]
+        shift = mono_quotient(m, lt)
+        for gm, gc in g.items():
+            key = mono_mul(gm, shift)
+            v = p.get(key, 0) - c * gc
+            if v:
+                p[key] = v
+            else:
+                p.pop(key, None)
+
+
+def kernel_rings():
+    for table, members in KERNEL_FIXTURES:
+        pair = pair_of(table, members)
+        yield pair.dp
+        yield pair.fy
+
+
+def test_reduce_poly_matches_rescan_reference():
+    # identical dicts down to insertion order, also against a generator
+    # subset that is not a Groebner basis
+    for ring in kernel_rings():
+        gb = ring.groebner
+        inputs = [poly_mul({m1: 1}, {m2: 1})
+                  for d1 in range(ring.r) for d2 in range(d1, ring.r - d1)
+                  for m1 in ring.basis[d1] for m2 in ring.basis[d2]]
+        for p in inputs + list(s_polynomials(ring)):
+            for basis in (gb, gb[::2]):
+                assert list(reduce_poly(p, basis).items()) \
+                    == list(rescan_reduce_poly(p, basis).items())
+
+
+def test_standard_monomials_match_brute_force_filter():
+    for ring in kernel_rings():
+        lts = [lt for lt, _ in ring.groebner]
+        for d in range(ring.r + 1):
+            brute = []
+            for combo in combinations_with_replacement(range(ring.nvars), d):
+                m = [0] * ring.nvars
+                for i in combo:
+                    m[i] += 1
+                if not any(mono_divides(lt, tuple(m)) for lt in lts):
+                    brute.append(tuple(m))
+            expected = tuple(sorted(brute, reverse=True))
+            assert expected == (ring.basis[d] if d < ring.r else ())
+
+
+def test_rank_six_b222_maximal_building_set():
+    pair = pair_of(boolean_table((2, 2, 2)))
+    assert pair.dp.hilbert() == pair.fy.hilbert() == (1, 7, 16, 16, 7, 1)
+    assert pair.dp.basis == pc.nested_basis(pair.P, pair.G)
+    assert pc.phi_iso_check(pair)
+    report = pc.kahler_package_report(pair)
+    assert report and all(v is True for v in report.values())

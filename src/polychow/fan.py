@@ -6,19 +6,20 @@ drops the last coordinate, so the indicator vector of a subset S is
     v_i = [i in S] - [m-1 in S]      (i = 0, ..., m-2).
 
 Rays are stored primitive and deduplicated; a cone is the sorted set of
-its ray indices (all cones here are simplicial).
+its ray indices (all cones here are simplicial).  Cone membership and the
+pairwise-faces check use integer arithmetic only.
 """
 
 from fractions import Fraction
-from itertools import combinations
-from math import gcd
+from itertools import combinations, product
+from math import gcd, lcm
 from random import Random
 
 from . import linalg
-from .bitsets import canonical_key, elements, mask_of, nonempty_subsets, popcount
-from .building import BuildingSet, lifted_building_set, maximal_building_set, nested_complex
+from .bitsets import canonical_key, elements, nonempty_subsets, popcount
+from .building import lifted_building_set, nested_complex
 from .lift import lift
-from .polymatroid import ProjectionMap, boolean_polymatroid
+from .polymatroid import ProjectionMap
 
 
 def subset_vector(S_mask, m):
@@ -37,15 +38,20 @@ def primitive(v):
 
 
 class Fan:
-    """A simplicial fan given by a ray table and cones as ray-index sets."""
+    """A simplicial fan given by a ray table and cones as ray-index sets.
 
-    __slots__ = ("ambient_dim", "rays", "ray_index", "cones")
+    `locators` caches, per cone, the integer data `cone_contains` and
+    `cone_coordinates` use; it is filled the first time a cone is tested.
+    """
+
+    __slots__ = ("ambient_dim", "rays", "ray_index", "cones", "locators")
 
     def __init__(self, ambient_dim, rays, cones):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rays", tuple(tuple(r) for r in rays))
         object.__setattr__(self, "ray_index", {r: i for i, r in enumerate(self.rays)})
         object.__setattr__(self, "cones", frozenset(frozenset(c) for c in cones))
+        object.__setattr__(self, "locators", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Fan is immutable")
@@ -103,7 +109,7 @@ def bergman_fan(P, G=None):
     return nested_set_fan(lifted, M.full_mask, M.m)
 
 
-def _chains(items_leq, items):
+def _chains(items):
     """All chains (as tuples, increasing) in a poset of masks under inclusion."""
     out = [()]
     items = sorted(items, key=canonical_key)
@@ -134,7 +140,7 @@ def maximal_bergman_fan_direct(P):
     full = P.full_mask
     proper_flats = [f for f in P.flats() if f != 0 and f != full]
     ray_sets = set()
-    for chain in _chains(None, proper_flats):
+    for chain in _chains(proper_flats):
         flats_with_empty = (0,) + chain
         for S in range(1 << m):
             ok = True
@@ -165,7 +171,7 @@ def boolean_bergman_fan(proj):
     fiber_free = [S for S in range(1 << m)
                   if not any(S & fm == fm for fm in proj.fiber_masks)]
     ray_sets = set()
-    for chain in _chains(None, proper):
+    for chain in _chains(proper):
         for S in fiber_free:
             rays = {primitive(subset_vector(proj.preimage(F), m)) for F in chain}
             rays.update(primitive(subset_vector(1 << e, m)) for e in elements(S))
@@ -173,23 +179,80 @@ def boolean_bergman_fan(proj):
     return _fan_from_ray_sets(m - 1, ray_sets)
 
 
-def cone_coordinates(fan, cone, w):
-    """Exact coordinates of w in the ray basis of a simplicial cone, or
-    None if w is outside the cone's span."""
+def integral(w):
+    """(W, q) with q > 0 the least common denominator of the entries of w
+    and W = q*w as a tuple of ints.  A positive scaling moves no point
+    across a cone boundary and changes no argmin over w."""
+    q = lcm(*(x.denominator for x in w))
+    return tuple(x.numerator * (q // x.denominator) for x in w), q
+
+
+def _locator(fan, cone):
+    """Integer data that locate points in a simplicial cone, cached on the fan.
+
+    Returns (rows, adj, det, rest).  The k x k submatrix B of the ray
+    matrix (rays as columns) on the coordinates `rows` is invertible,
+    det = |det B| > 0, and adj = det * B^-1 is an integer matrix (the sign
+    of det B folded in).  `rest` pairs every other coordinate i with the
+    i-th entries of the rays.  Raises ValueError if the rays are dependent.
+    """
+    loc = fan.locators.get(cone)
+    if loc is not None:
+        return loc
     rays = fan.cone_rays(cone)
-    if not rays:
-        return [] if all(x == 0 for x in w) else None
-    cols = [[Fraction(r[i]) for r in rays] for i in range(fan.ambient_dim)]
-    return linalg.solve(cols, [Fraction(x) for x in w])
+    k, d = len(rays), fan.ambient_dim
+    # Eliminating [R^T | I] leaves E in the identity block with
+    # E B^T = det I, so E^T = det B^-1.
+    aug = [list(r) + [int(s == t) for s in range(k)] for t, r in enumerate(rays)]
+    M, rows, det = linalg.integer_rref(aug, width=d)
+    if len(rows) < k:
+        raise ValueError("the rays of cone %s are linearly dependent" % sorted(cone))
+    sign = -1 if det < 0 else 1
+    adj = tuple(tuple(sign * M[s][d + t] for s in range(k)) for t in range(k))
+    rest = tuple((i, tuple(r[i] for r in rays)) for i in range(d) if i not in rows)
+    loc = (tuple(rows), adj, sign * det, rest)
+    fan.locators[cone] = loc
+    return loc
+
+
+def _numerators(loc, W):
+    """det * (coordinates of W in the ray basis), if W is in the span."""
+    rows, adj, _, _ = loc
+    Wr = [W[i] for i in rows]
+    return [sum(a * x for a, x in zip(row, Wr)) for row in adj]
+
+
+def _in_span(loc, num, W):
+    """Exact test that rays . num == det * W.  The coordinates in `rows`
+    hold by construction, so only the others are compared."""
+    _, _, det, rest = loc
+    return all(sum(n * r for n, r in zip(num, col)) == det * W[i] for i, col in rest)
+
+
+def cone_coordinates(fan, cone, w):
+    """Exact coordinates (Fractions) of w in the ray basis of a simplicial
+    cone, or None if w is outside the cone's span.  Uses the cone's cached
+    integer locator; raises ValueError if the rays are dependent."""
+    W, q = integral(w)
+    loc = _locator(fan, cone)
+    num = _numerators(loc, W)
+    if not _in_span(loc, num, W):
+        return None
+    return [Fraction(x, loc[2] * q) for x in num]
 
 
 def cone_contains(fan, cone, w, strict=False):
-    coords = cone_coordinates(fan, cone, w)
-    if coords is None:
-        return False
+    """Whether w lies in the cone (its relative interior if `strict`): an
+    integer sign test on adj * W followed by the exact span test."""
+    W, _ = integral(w)
+    loc = _locator(fan, cone)
+    num = _numerators(loc, W)
     if strict:
-        return all(c > 0 for c in coords)
-    return all(c >= 0 for c in coords)
+        if any(x <= 0 for x in num):
+            return False
+    elif any(x < 0 for x in num):
+        return False
+    return _in_span(loc, num, W)
 
 
 def find_cone(fan, w):
@@ -197,8 +260,9 @@ def find_cone(fan, w):
     if all(x == 0 for x in w):
         zero = frozenset()
         return zero if zero in fan.cones else None
+    W, _ = integral(w)
     for cone in fan.cones:
-        if cone and cone_contains(fan, cone, w, strict=True):
+        if cone and cone_contains(fan, cone, W, strict=True):
             return cone
     return None
 
@@ -217,7 +281,8 @@ def refines(fine, coarse):
 
 
 def in_support(fan, w):
-    return any(cone_contains(fan, cone, w) for cone in fan.cones)
+    W, _ = integral(w)
+    return any(cone_contains(fan, cone, W) for cone in fan.cones)
 
 
 def random_point(rng, dim, spread=10_000):
@@ -277,55 +342,49 @@ def is_face_closed(fan):
                for sub in combinations(sorted(c), k))
 
 
-def _extreme_rays_nonneg_kernel(A):
-    """Extreme rays of {z >= 0 : A z = 0}, by minimal-support enumeration.
+def _has_positive_circuit(A, split):
+    """True iff A z = 0 for some z >= 0, z != 0, where the columns before
+    `split` are independent and so are those from `split` on.
 
-    The cone is pointed, so it is generated by vectors whose support J
-    makes the columns of A restricted to J have a one-dimensional kernel.
+    Such a z exists exactly when A has a circuit (a kernel vector of
+    minimal support) with all entries of one sign.  Neither side alone
+    holds a circuit, so each support tried takes columns from both.
     """
-    ncols = len(A[0]) if A else 0
-    nrows = len(A)
-    out = []
-    max_support = min(ncols, linalg.rank(A) + 1) if A else 1
-    for size in range(1, max_support + 1):
-        for J in combinations(range(ncols), size):
-            sub = [[row[j] for j in J] for row in A]
-            basis = linalg.kernel_basis(sub)
-            if len(basis) != 1:
-                continue
-            v = basis[0]
-            if all(x >= 0 for x in v) or all(x <= 0 for x in v):
-                if any(x < 0 for x in v):
-                    v = [-x for x in v]
-                if all(x > 0 for x in v):
-                    z = [Fraction(0)] * ncols
-                    for j, x in zip(J, v):
-                        z[j] = x
-                    out.append(z)
-    return out
+    ncols = len(A[0])
+    rank = len(linalg.integer_rref(A)[1])
+    if rank == ncols:
+        return False
+    left, right = range(split), range(split, ncols)
+    for size in range(2, rank + 2):
+        for i in range(1, size):
+            for I, J in product(combinations(left, i), combinations(right, size - i)):
+                kernel = linalg.integer_kernel([[row[j] for j in I + J] for row in A], size)
+                if len(kernel) == 1 and (all(x > 0 for x in kernel[0])
+                                         or all(x < 0 for x in kernel[0])):
+                    return True
+    return False
 
 
 def pairwise_intersections_are_faces(fan):
     """Exact check that any two maximal cones meet in the cone over their
     common rays.  For a face-closed simplicial collection this implies the
-    property for all pairs of cones."""
+    property for all pairs of cones.
+
+    Write sigma = cone(C + U) and tau = cone(C + V) with C the shared rays,
+    and let N be an integer basis of the annihilator of span(C) (the
+    identity when C is empty).  Then sigma and tau meet in cone(C) exactly
+    when [N U | -N V] has no circuit with all entries positive.
+    """
     maxes = fan.maximal_cones()
     d = fan.ambient_dim
     for a, b in combinations(maxes, 2):
-        common = a & b
-        ra = fan.cone_rays(a)
-        rb = fan.cone_rays(b)
-        if not ra or not rb:
-            continue
-        # {(lam, mu) >= 0 : U lam - V mu = 0}; every extreme ray must be
-        # supported on the shared rays.
-        A = [[Fraction(r[i]) for r in ra] + [Fraction(-r[i]) for r in rb]
-             for i in range(d)]
-        for z in _extreme_rays_nonneg_kernel(A):
-            point = tuple(sum(z[k] * ra[k][i] for k in range(len(ra)))
-                          for i in range(d))
-            if not cone_contains(fan, frozenset(common), point):
-                return False
+        U = fan.cone_rays(a - b)
+        V = fan.cone_rays(b - a)
+        N = linalg.integer_kernel(fan.cone_rays(a & b), d)
+        A = [[sum(n * x for n, x in zip(row, r)) for r in U]
+             + [-sum(n * x for n, x in zip(row, r)) for r in V] for row in N]
+        if _has_positive_circuit(A, len(U)):
+            return False
     return True
 
 
@@ -362,7 +421,7 @@ def is_complete(fan, trials=200, seed=0):
     interior of exactly one cone."""
     rng = Random(seed)
     for _ in range(trials):
-        w = random_point(rng, fan.ambient_dim)
+        w, _ = integral(random_point(rng, fan.ambient_dim))
         hits = sum(1 for cone in fan.cones
                    if (cone and cone_contains(fan, cone, w, strict=True))
                    or (not cone and all(x == 0 for x in w)))

@@ -73,6 +73,59 @@ def kernel_basis(rows):
     return basis
 
 
+def integer_rref(rows, width=None):
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Pivots are sought in the first `width` columns (all of them by
+    default); later columns are carried along, so an identity block
+    appended to the rows records the row operations.  Every entry stays a
+    minor of the input, so each division is exact (Bareiss).
+
+    Returns (M, pivots, d).  M is row-equivalent to `rows` over Q; row s of
+    M has the same nonzero d in column pivots[s] and zeros in the other
+    pivot columns, and rows past len(pivots) are zero in the first `width`
+    columns.  With no pivot, d is 1.
+    """
+    M = [list(row) for row in rows]
+    nrows = len(M)
+    width = (len(M[0]) if M else 0) if width is None else width
+    pivots = []
+    prev = 1
+    for c in range(width):
+        r = len(pivots)
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if M[i][c]), None)
+        if p is None:
+            continue
+        M[r], M[p] = M[p], M[r]
+        pivot_row = M[r]
+        a = pivot_row[c]
+        for i in range(nrows):
+            if i != r:
+                b = M[i][c]
+                M[i] = [(a * x - b * y) // prev for x, y in zip(M[i], pivot_row)]
+        pivots.append(c)
+        prev = a
+    return M, pivots, prev
+
+
+def integer_kernel(rows, ncols):
+    """Integer basis of the right kernel {v : A v = 0} of an integer matrix
+    with `ncols` columns; the identity when A has no rows."""
+    M, pivots, d = integer_rref(rows)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = [0] * ncols
+        v[f] = d
+        for s, p in enumerate(pivots):
+            v[p] = -M[s][f]
+        basis.append(v)
+    return basis
+
+
 def solve(rows, b):
     """One exact solution of A x = b, or None if inconsistent.
 

@@ -16,7 +16,7 @@ from itertools import permutations, product
 from random import Random
 
 from .bitsets import elements
-from .fan import random_point
+from .fan import integral, random_point
 from .polymatroid import ProjectionMap
 
 
@@ -180,7 +180,9 @@ def normal_fan_equals(Q, fan, trials=1000, seed=0):
     part: random rational points must land in the classification (so the
     fan is complete), and points share a relative interior if and only if
     they minimize at the same vertex set; the transversal predicate is
-    validated against the brute-force vertex oracle on every sample.
+    validated against the brute-force vertex oracle on every sample.  Each
+    sample is scaled to integers once, which keeps its Lowest poset and
+    its argmin, so the comparisons need no Fractions.
     """
     proj = Q.proj
     if fan.ambient_dim != proj.m - 1:
@@ -201,8 +203,7 @@ def normal_fan_equals(Q, fan, trials=1000, seed=0):
         return False
     rng = Random(seed)
     for _ in range(trials):
-        w_q = random_point(rng, fan.ambient_dim)
-        w = embed(w_q)
+        w = embed(integral(random_point(rng, fan.ambient_dim))[0])
         lo = lowest_poset(proj, w)
         cone = by_lowest.get(lo)
         if cone is None:

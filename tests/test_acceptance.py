@@ -183,16 +183,13 @@ def test_criterion_05_fan_structure():
     ok = True
     for P in fixture_polymatroids():
         fan = pc.bergman_fan(P)
-        m = sum(P.rank(1 << i) for i in range(P.n))
         if fan.max_dim != P.r - 1:
             ok = False
         if not pc.is_unimodular(fan) or not pc.is_face_closed(fan):
             ok = False
         if not pc.balancing_check(fan):
             ok = False
-        # the quadratic pairwise check is exact but slow; run it on the
-        # small lifts and rely on the shared-construction path above
-        if m <= 4 and not pc.pairwise_intersections_are_faces(fan):
+        if not pc.pairwise_intersections_are_faces(fan):
             ok = False
     verdict(5, "fans are unimodular, face-closed, pure, and balanced", ok)
 

@@ -1,7 +1,14 @@
+from fractions import Fraction
+from itertools import combinations
+from random import Random
+
 import pytest
 
 import polychow as pc
-from conftest import P1, P2, P3, U34, U34_MIN_BUILDING, boolean_table
+from polychow import linalg
+from polychow.fan import primitive
+from conftest import (BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING,
+                      boolean_table)
 
 
 def fan_of(table, members=None):
@@ -135,3 +142,157 @@ def test_nested_set_fan_matches_bergman():
     M, Gt = pc.lifted_building_set(P)
     fan = pc.nested_set_fan(Gt, M.full_mask, M.m)
     assert fan == pc.bergman_fan(P)
+
+
+# --- references: Fraction solves and extreme-ray enumeration ------------------
+
+
+def reference_cone_coordinates(fan, cone, w):
+    """Coordinates of w in the cone's ray basis by one Fraction solve."""
+    rays = fan.cone_rays(cone)
+    if not rays:
+        return [] if all(x == 0 for x in w) else None
+    cols = [[Fraction(r[i]) for r in rays] for i in range(fan.ambient_dim)]
+    return linalg.solve(cols, [Fraction(x) for x in w])
+
+
+def reference_cone_contains(fan, cone, w, strict=False):
+    coords = reference_cone_coordinates(fan, cone, w)
+    if coords is None:
+        return False
+    return all(c > 0 for c in coords) if strict else all(c >= 0 for c in coords)
+
+
+def extreme_rays_nonneg_kernel(A):
+    """Extreme rays of {z >= 0 : A z = 0}, by minimal-support enumeration."""
+    ncols = len(A[0])
+    out = []
+    for size in range(1, min(ncols, linalg.rank(A) + 1) + 1):
+        for J in combinations(range(ncols), size):
+            basis = linalg.kernel_basis([[row[j] for j in J] for row in A])
+            if len(basis) != 1:
+                continue
+            v = basis[0]
+            if all(x < 0 for x in v):
+                v = [-x for x in v]
+            if all(x > 0 for x in v):
+                z = [Fraction(0)] * ncols
+                for j, x in zip(J, v):
+                    z[j] = x
+                out.append(z)
+    return out
+
+
+def reference_pairwise_faces(fan):
+    """Every extreme ray of {(lam, mu) >= 0 : U lam = V mu} for two maximal
+    cones must give a point of the cone over their common rays."""
+    d = fan.ambient_dim
+    for a, b in combinations(fan.maximal_cones(), 2):
+        ra, rb = fan.cone_rays(a), fan.cone_rays(b)
+        if not ra or not rb:
+            continue
+        A = [[r[i] for r in ra] + [-r[i] for r in rb] for i in range(d)]
+        for z in extreme_rays_nonneg_kernel(A):
+            point = tuple(sum(z[k] * ra[k][i] for k in range(len(ra)))
+                          for i in range(d))
+            if not reference_cone_contains(fan, a & b, point):
+                return False
+    return True
+
+
+def fixture_fans():
+    fans = [pc.bergman_fan(pc.Polymatroid(t)) for t in (P1, P2, P3, P4, U34)]
+    fans.append(fan_of(U34, U34_MIN_BUILDING)[1])
+    fans += [pc.bergman_fan(pc.Polymatroid(boolean_table(f))) for f in BOOLEAN_FIBERS]
+    return fans
+
+
+def face_closure(cones):
+    return {frozenset(sub) for c in cones for k in range(len(c) + 1)
+            for sub in combinations(sorted(c), k)}
+
+
+def random_collection(rng, d):
+    """A face-closed collection of two to four simplicial cones on a few
+    random primitive rays in dimension d; the cones often overlap."""
+    rays = set()
+    while len(rays) < rng.randint(d + 1, d + 4):
+        v = tuple(rng.randint(-2, 2) for _ in range(d))
+        if any(v):
+            rays.add(primitive(v))
+    rays = sorted(rays)
+    cones = []
+    while len(cones) < rng.randint(2, 4):
+        cone = rng.sample(range(len(rays)), rng.randint(1, d))
+        if linalg.rank([rays[i] for i in cone]) == len(cone):
+            cones.append(cone)
+    return pc.Fan(d, rays, face_closure(cones))
+
+
+def random_collections():
+    rng = Random(2024)
+    return [random_collection(rng, d) for d in (2, 3, 3, 4) for _ in range(60)]
+
+
+def test_pairwise_faces_matches_extreme_ray_reference():
+    verdicts = []
+    for fan in fixture_fans() + random_collections():
+        new = pc.pairwise_intersections_are_faces(fan)
+        assert new == reference_pairwise_faces(fan), fan.cones
+        verdicts.append(new)
+    assert verdicts.count(False) >= 40 and verdicts.count(True) >= 40
+
+
+def test_overlapping_cones_fail_the_pairwise_check():
+    # cone((1,0),(0,1)) and cone((1,1),(-1,0)) share no ray but both hold (1,2)
+    disjoint_rays = pc.Fan(2, [(1, 0), (0, 1), (1, 1), (-1, 0)],
+                           face_closure([{0, 1}, {2, 3}]))
+    # cone((1,0),(1,1)) lies inside cone((1,0),(0,1)) but shares only (1,0)
+    shared_ray = pc.Fan(2, [(1, 0), (0, 1), (1, 1)], face_closure([{0, 1}, {0, 2}]))
+    for fan in (disjoint_rays, shared_ray):
+        assert pc.is_face_closed(fan)
+        assert not pc.pairwise_intersections_are_faces(fan)
+        assert not reference_pairwise_faces(fan)
+
+
+def probe_points(rng, fan, cone):
+    """Interior, boundary, negative-coordinate and out-of-span points."""
+    rays = fan.cone_rays(cone)
+    d = fan.ambient_dim
+
+    def combo(coeffs):
+        return tuple(sum(c * r[i] for c, r in zip(coeffs, rays)) for i in range(d))
+
+    yield combo([Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in rays])
+    for k in range(len(rays)):
+        coeffs = [Fraction(rng.randint(1, 9), rng.randint(1, 5)) for _ in rays]
+        coeffs[k] = 0
+        yield combo(coeffs)
+        coeffs[k] = -1
+        yield combo(coeffs)
+    yield tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(d))
+    yield tuple(rng.randint(-3, 3) for _ in range(d))
+    yield (0,) * d
+
+
+def test_cone_contains_matches_fraction_solve():
+    rng = Random(7)
+    outcomes = set()
+    for fan in fixture_fans() + random_collections()[::4]:
+        for cone in fan.cones:
+            for w in probe_points(rng, fan, cone):
+                coords = pc.cone_coordinates(fan, cone, w)
+                assert coords == reference_cone_coordinates(fan, cone, w)
+                for strict in (False, True):
+                    got = pc.cone_contains(fan, cone, w, strict=strict)
+                    assert got == reference_cone_contains(fan, cone, w, strict=strict)
+                    outcomes.add((strict, got, coords is None))
+    # both verdicts occur, strict and not, in span and out of it
+    assert outcomes == {(s, g, n) for s in (False, True) for g in (False, True)
+                        for n in (False, True) if not (g and n)}
+
+
+def test_cone_with_dependent_rays_is_rejected():
+    fan = pc.Fan(2, [(1, 0), (0, 1), (1, 1)], [{0, 1, 2}])
+    with pytest.raises(ValueError):
+        pc.cone_contains(fan, frozenset({0, 1, 2}), (1, 1))

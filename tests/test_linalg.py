@@ -1,4 +1,5 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -88,3 +89,26 @@ def test_positive_definite():
 def test_positive_definite_requires_symmetry():
     with pytest.raises(ValueError):
         linalg.is_positive_definite([[1, 2], [0, 1]])
+
+
+def test_integer_rref_and_kernel_match_fraction_rref():
+    rng = Random(5)
+    for _ in range(400):
+        n, m = rng.randint(1, 4), rng.randint(1, 6)
+        k = rng.randint(0, min(n, m))
+        L = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+        R = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(k)]
+        A = [[sum(L[i][t] * R[t][j] for t in range(k)) for j in range(m)]
+             for i in range(n)]
+        M, pivots, d = linalg.integer_rref(A)
+        ref, ref_pivots = linalg.rref(A)
+        assert pivots == ref_pivots
+        assert [[Fraction(x, d) for x in row] for row in M[:len(pivots)]] \
+            == ref[:len(pivots)]
+        assert all(x == 0 for row in M[len(pivots):] for x in row)
+        kernel = linalg.integer_kernel(A, m)
+        assert len(kernel) == m - len(pivots)
+        assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A for v in kernel)
+        if kernel:
+            assert linalg.rank(kernel) == len(kernel)
+    assert linalg.integer_kernel([], 2) == [[1, 0], [0, 1]]

@@ -15,13 +15,12 @@ from .kahler import (PLFunction, ambient_complete_fan, beta_class,
                      beta_class_corank_form, hard_lefschetz_check,
                      hodge_riemann_check, is_strictly_convex,
                      kahler_package_report, nestohedron_class, sigma_cone_class)
-from .lift import MultisymMatroid, geometric_flat_lattice, lift, lift_rank
+from .lift import MultisymMatroid, geometric_flat_lattice, lift
 from .polymatroid import (FlatLattice, Polymatroid, PolymatroidError,
-                          ProjectionMap, boolean_polymatroid,
-                          validate_polymatroid)
+                          ProjectionMap, boolean_polymatroid)
 from .polytope import (LowestPoset, Polypermutohedron, lowest_poset,
                        minimizing_vertices, nestohedron_support,
-                       normal_fan_equals, polypermutohedron)
+                       normal_fan_equals)
 
 __version__ = "0.1.0"
 
@@ -37,12 +36,11 @@ __all__ = [
     "hodge_riemann_check", "in_support", "is_complete", "is_face_closed",
     "is_geometric_building_set", "is_nested",
     "is_strictly_convex", "is_unimodular", "kahler_package_report",
-    "lift", "lift_rank",
-    "lifted_building_set", "lowest_poset", "maximal_bergman_fan_direct",
+    "lift", "lifted_building_set", "lowest_poset", "maximal_bergman_fan_direct",
     "maximal_building_set", "minimizing_vertices", "nested_complex",
     "nested_set_fan", "nestohedron_class", "nestohedron_support",
     "normal_fan_equals", "pairing_matrix",
-    "pairwise_intersections_are_faces", "phi_iso_check",
-    "polypermutohedron", "refines", "same_support", "sigma_cone_class",
-    "validate_fan", "validate_polymatroid", "zring_hilbert",
+    "pairwise_intersections_are_faces", "phi_iso_check", "refines",
+    "same_support", "sigma_cone_class",
+    "validate_fan", "zring_hilbert",
 ]

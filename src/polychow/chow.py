@@ -1,7 +1,9 @@
 """Chow rings of polymatroids in two presentations, with Groebner reduction.
 
-The generator sets below are known Groebner bases, so no completion is
-performed: the engine only reduces against them and verifies structural
+One generator, `_groebner`, builds the Feichtner-Yuzvinsky Groebner basis
+for both presentations: on (P, G) for DP and on the lift (M, lifted G) for
+FY.  No completion is performed; the tests reduce every S-pair below degree
+2r-1 to zero on both presentations, and the engine verifies structural
 consequences (standard-monomial bases, Hilbert functions, the variable
 substitution between the two presentations, Poincare duality).
 
@@ -24,7 +26,8 @@ from itertools import combinations, product
 
 from . import linalg
 from .bitsets import canonical_key
-from .building import is_nested, lifted_building_set, maximal_building_set, nested_complex
+from .building import (_is_antichain, is_nested, lifted_building_set, maximal_building_set,
+                       nested_complex)
 
 # --- polynomial helpers (exponent tuples -> coefficients) --------------------
 
@@ -79,7 +82,7 @@ def poly_pow(p, e):
     out = None
     for _ in range(e):
         out = dict(p) if out is None else poly_mul(out, p)
-    return out if out is not None else None
+    return out
 
 
 def leading_monomial(p):
@@ -128,15 +131,11 @@ def _minimalize(candidates):
     Dropping a Groebner-basis element whose leading monomial is divisible
     by another's preserves the Groebner property.
     """
-    chosen = {}
-    for lt, make in candidates.items():
-        chosen[lt] = make
-    lts = sorted(chosen, key=lambda m: (mono_degree(m), m))
     keep = []
-    for m in lts:
+    for m in sorted(candidates, key=lambda m: (mono_degree(m), m)):
         if not any(mono_divides(other, m) for other in keep):
             keep.append(m)
-    return [(m, chosen[m]) for m in keep]
+    return [(m, candidates[m]) for m in keep]
 
 
 def _standard_monomials(nvars, leading_terms, stop):
@@ -164,7 +163,7 @@ def _standard_monomials(nvars, leading_terms, stop):
 
 
 class GradedRing:
-    """A graded quotient presented by a known Groebner basis.
+    """A graded quotient presented by a Groebner basis.
 
     `basis[d]` lists the degree-d standard monomials, largest first, grown
     as an order ideal up to degree r, which must be empty.  `nf` is the
@@ -228,25 +227,30 @@ class GradedRing:
             self.kind, self.nvars, self.hilbert())
 
 
-# --- the DP presentation -----------------------------------------------------
+# --- the Groebner generator of both presentations ----------------------------
 
 
-def dp_ring(P, G=None):
-    """DP(P, G): variables x_F for F in G, relations
+def _groebner(ground, building, r):
+    """Sorted members of a building set on `ground` (P or its lift M) and
+    the minimalized Groebner generators of its Chow ring, after
+    Feichtner-Yuzvinsky, "Chow rings of toric varieties defined by atomic
+    lattices": the square-free monomials of non-nested antichains (the
+    closure of the union is again a member) together with
 
-        x_{G_1} ... x_{G_k} (sum over H >= G of x_H)^b
+        prod(x_F for F in N) * (sum over H >= G of x_H)^d
 
-    with the minimal admissible exponent b = max(0, rk(G) - rk(union of
-    members of S strictly below G)).  Generators whose total degree would
-    exceed 2r-1 are omitted; the constructor asserts nothing survives in
-    degrees >= r.
+    for nested antichains N strictly below a member G, with
+    d = rk(G) - rk(union N) >= 1.  Generators whose total degree would
+    exceed 2r-1 are omitted; `GradedRing` asserts nothing survives in
+    degrees >= r, and the tests reduce every S-pair in that range to 0.
+
+    Candidates are grown from the nested antichains only, one member at a
+    time, so the work follows the nested complex rather than all subsets
+    of members; only generators with a minimal leading monomial are kept.
     """
-    if G is None:
-        G = maximal_building_set(P)
-    members = sorted(G.members, key=canonical_key)
+    members = sorted(building.members, key=canonical_key)
     index = {f: i for i, f in enumerate(members)}
     nvars = len(members)
-    r = P.r
     limit = 2 * r - 1
 
     def mono_of(flats, extra=None, power=0):
@@ -257,34 +261,73 @@ def dp_ring(P, G=None):
             exps[index[extra]] += power
         return tuple(exps)
 
-    upper = {g: [h for h in members if h & g == g] for g in members}
     candidates = {}
-    for g in members:
-        rk_g = P.rank(g)
-        for size in range(0, limit + 1):
-            if size > nvars:
-                break
-            for S in combinations(members, size):
-                union_below = 0
-                for f in S:
-                    if f & g == f and f != g:
-                        union_below |= f
-                b = max(0, rk_g - P.rank(union_below))
-                if size + b > limit or size + b == 0:
-                    continue
-                lt = mono_of(S, g, b)
-                if lt not in candidates:
-                    candidates[lt] = (S, g, b)
+
+    def extend(N, union, start):
+        """Add the candidates of the nested antichain N, then extend it."""
+        # Power relations over N strictly below a member g.
+        for g in members:
+            if all(f & g == f and f != g for f in N):
+                d = ground.rank(g) - ground.rank(union)
+                if d >= 1 and len(N) + d <= limit:
+                    candidates.setdefault(mono_of(N, g, d), (N, g, d))
+        # A minimal non-nested antichain less its last member is nested,
+        # so non-nested antichains are only sought one member past N.
+        for i in range(start, nvars):
+            h = members[i]
+            A = N + (h,)
+            if not _is_antichain(A):
+                continue
+            if N and ground.closure(union | h) in building.members:
+                candidates.setdefault(mono_of(A), (A, None, 0))
+            elif len(A) < limit and is_nested(building, A):
+                extend(A, union | h, i + 1)
+
+    extend((), 0, 0)
     generators = []
-    for lt, (S, g, b) in _minimalize(candidates):
-        poly = {mono_of(S): 1}
-        if b:
-            upper_sum = {mono_of((h,)): 1 for h in upper[g]}
-            poly = poly_mul(poly, poly_pow(upper_sum, b))
+    for lt, (flats, g, d) in _minimalize(candidates):
+        poly = {mono_of(flats): 1}
+        if d:
+            upper_sum = {mono_of((h,)): 1 for h in members if h & g == g}
+            poly = poly_mul(poly, poly_pow(upper_sum, d))
         assert leading_monomial(poly) == lt and poly[lt] == 1
         generators.append((lt, poly))
-    return GradedRing("dp", members, r,
-                      generators, context={"P": P, "G": G})
+    return members, generators
+
+
+# --- the two presentations ---------------------------------------------------
+
+
+def dp_ring(P, G=None):
+    """DP(P, G): variables x_F for F in G.  The one Groebner generator
+    `_groebner`, which also serves `fy_ring`, runs on (P, G) itself; its
+    power relations read
+
+        x_{G_1} ... x_{G_k} (sum over H >= G of x_H)^b
+
+    for nested antichains {G_i} strictly below G, with b = rk(G) -
+    rk(union of the G_i) >= 1.  The tests reduce its S-pairs to zero.
+    """
+    if G is None:
+        G = maximal_building_set(P)
+    members, generators = _groebner(P, G, P.r)
+    return GradedRing("dp", members, P.r, generators, context={"P": P, "G": G})
+
+
+def fy_ring(P, G=None):
+    """A(Sigma_{P,G}) in the presentation with variables y_G for G in the
+    lifted building set, with the Groebner basis of the same `_groebner`
+    as `dp_ring`, run on the lift M and the lifted building set; the tests
+    reduce its S-pairs to zero.  The linear relations are the d = 1 power
+    relations at the atoms, so normal forms automatically eliminate atom
+    variables.
+    """
+    if G is None:
+        G = maximal_building_set(P)
+    M, lifted = lifted_building_set(P, G)
+    members, generators = _groebner(M, lifted, P.r)
+    return GradedRing("fy", members, P.r, generators,
+                      context={"P": P, "G": G, "M": M, "lifted": lifted})
 
 
 def nested_basis(P, G=None):
@@ -319,80 +362,6 @@ def nested_basis(P, G=None):
             if degree < r:
                 per_degree[degree].add(tuple(exps))
     return tuple(tuple(sorted(s, reverse=True)) for s in per_degree)
-
-
-# --- the FY presentation -----------------------------------------------------
-
-
-def fy_ring(P, G=None):
-    """A(Sigma_{P,G}) in the presentation with variables y_G for G in the
-    lifted building set.  The Groebner basis consists of the square-free
-    monomials of non-nested antichains together with
-
-        prod(y_F for F in N) * (sum over H >= G of y_H)^d
-
-    for nested antichains N strictly below G with d = rk(G) - rk(union N).
-    The linear relations are the d = 1 instances at the atoms, so normal
-    forms automatically eliminate atom variables.
-    """
-    if G is None:
-        G = maximal_building_set(P)
-    M, lifted = lifted_building_set(P, G)
-    members = sorted(lifted.members, key=canonical_key)
-    index = {f: i for i, f in enumerate(members)}
-    nvars = len(members)
-    r = P.r
-    limit = 2 * r - 1
-
-    def mono_of(flats, extra=None, power=0):
-        exps = [0] * nvars
-        for f in flats:
-            exps[index[f]] += 1
-        if extra is not None:
-            exps[index[extra]] += power
-        return tuple(exps)
-
-    candidates = {}
-    # Non-nested antichains: closure of the union is again a member.
-    for size in range(2, min(limit, nvars) + 1):
-        for A in combinations(members, size):
-            if any(a != b and a & b == a for a in A for b in A):
-                continue
-            union = 0
-            for a in A:
-                union |= a
-            if M.closure(union) in lifted.members:
-                lt = mono_of(A)
-                candidates.setdefault(lt, ("mono", A, None, 0))
-    # Power relations over nested antichains strictly below a member.
-    for g in members:
-        below = [f for f in members if f & g == f and f != g]
-        rk_g = M.rank(g)
-        for size in range(0, min(limit - 1, len(below)) + 1):
-            for N in combinations(below, size):
-                if any(a != b and a & b == a for a in N for b in N):
-                    continue
-                union = 0
-                for f in N:
-                    union |= f
-                d = rk_g - M.rank(union)
-                if d < 1 or size + d > limit:
-                    continue
-                if size >= 2 and not is_nested(lifted, N):
-                    continue
-                lt = mono_of(N, g, d)
-                candidates.setdefault(lt, ("power", N, g, d))
-    upper = {g: [h for h in members if h & g == g] for g in members}
-    generators = []
-    for lt, (tag, flats, g, d) in _minimalize(candidates):
-        poly = {mono_of(flats): 1}
-        if tag == "power":
-            upper_sum = {mono_of((h,)): 1 for h in upper[g]}
-            poly = poly_mul(poly, poly_pow(upper_sum, d))
-        assert leading_monomial(poly) == lt and poly[lt] == 1
-        generators.append((lt, poly))
-    return GradedRing("fy", members, r, generators,
-                      context={"P": P, "G": G, "M": M, "lifted": lifted})
 
 
 # --- the isomorphism and degree data -----------------------------------------

@@ -284,6 +284,9 @@ def main(argv=None):
         print(json.dumps({"error": str(exc), "axiom": exc.axiom,
                           "witness": exc.witness}, sort_keys=True), file=sys.stderr)
         return 1
+    except BuildingSetError as exc:
+        print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
+        return 2
     output = {"command": args.command, "seed": args.seed, "report": report,
               "pass": bool(ok)}
     print(json.dumps(output, indent=args.json_indent, sort_keys=True))

@@ -10,8 +10,6 @@ larger.  The product of fiber symmetric groups is never materialized:
 orbits of subsets depend only on per-fiber counts.
 """
 
-from threading import Lock
-
 from .bitsets import canonical_key, popcount
 from .polymatroid import FlatLattice, Polymatroid, PolymatroidError, ProjectionMap
 
@@ -25,7 +23,7 @@ class MultisymMatroid:
     building-set and fan machinery can treat both uniformly.
     """
 
-    __slots__ = ("base", "proj", "_memo", "_lock", "_flats")
+    __slots__ = ("base", "proj", "_memo", "_flats")
 
     def __init__(self, base):
         object.__setattr__(self, "base", base)
@@ -35,7 +33,6 @@ class MultisymMatroid:
             raise PolymatroidError("size", None,
                                    "lift ground set larger than %d" % MAX_LIFT_GROUND)
         object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_lock", Lock())
         object.__setattr__(self, "_flats", None)
 
     def __setattr__(self, name, value):
@@ -69,8 +66,7 @@ class MultisymMatroid:
             value = base.rank_table[A] + popcount(S_mask & ~preimage(A))
             if value < best:
                 best = value
-        with self._lock:
-            memo[S_mask] = best
+        memo[S_mask] = best
         return best
 
     def closure(self, S_mask):
@@ -134,10 +130,6 @@ class MultisymMatroid:
 def lift(P):
     """The unique minimal multisymmetric lift of a loopless polymatroid."""
     return MultisymMatroid(P)
-
-
-def lift_rank(M, S_mask):
-    return M.rank(S_mask)
 
 
 def geometric_flat_lattice(M):

@@ -144,11 +144,6 @@ class Polymatroid:
         return "Polymatroid(n=%d, r=%d)" % (self.n, self.r)
 
 
-def validate_polymatroid(rank_table):
-    """Build a polymatroid, reporting the first violated axiom."""
-    return Polymatroid(rank_table)
-
-
 class ProjectionMap:
     """A surjection pi: E~ -> E with fibers of prescribed sizes.
 
@@ -254,14 +249,3 @@ class FlatLattice:
 
     def interval_below(self, f):
         return tuple(g for g in self.flats if g & f == g)
-
-    def isomorphic_via(self, other, phi):
-        """Check that flat map `phi` is an order isomorphism onto `other`."""
-        images = [phi(f) for f in self.flats]
-        if sorted(images) != sorted(other.flats):
-            return False
-        for f in self.flats:
-            for g in self.flats:
-                if (f & g == f) != (phi(f) & phi(g) == phi(f)):
-                    return False
-        return True

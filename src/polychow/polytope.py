@@ -60,10 +60,6 @@ class Polypermutohedron:
             self.proj.fiber_sizes, self.c, len(self.vertices))
 
 
-def polypermutohedron(proj, c=None):
-    return Polypermutohedron(proj, c)
-
-
 class LowestPoset:
     """Per-fiber weight minimizers of a vector, preordered by weight."""
 

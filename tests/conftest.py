@@ -5,6 +5,8 @@ characteristic mask S.
 """
 
 import sys
+from functools import lru_cache
+from itertools import product
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -23,3 +25,34 @@ BOOLEAN_FIBERS = [(1, 1), (2,), (1, 2), (1, 1, 1), (2, 2), (1, 1, 2)]
 def boolean_table(fibers):
     import polychow as pc
     return list(pc.boolean_polymatroid(pc.ProjectionMap(fibers)).rank_table)
+
+
+@lru_cache(maxsize=None)
+def small_family():
+    """All loopless polymatroids with n <= 3, singleton ranks <= 2, total
+    rank <= 4, so the lift has at most 6 elements (the family of criteria
+    1 and 2)."""
+    import polychow as pc
+    out = []
+    for n in (1, 2, 3):
+        singles = [1 << i for i in range(n)]
+        masks = sorted(range(1, 1 << n), key=lambda S: (bin(S).count("1"), S))
+        ranges = []
+        for S in masks:
+            if S in singles:
+                ranges.append(range(1, 3))
+            else:
+                ranges.append(range(0, 5))
+        for values in product(*ranges):
+            table = [0] * (1 << n)
+            for S, v in zip(masks, values):
+                table[S] = v
+            if table[-1] > 4:
+                continue
+            try:
+                P = pc.Polymatroid(table)
+            except pc.PolymatroidError:
+                continue
+            if sum(P.rank(1 << i) for i in range(n)) <= 6:
+                out.append(P)
+    return tuple(out)

@@ -7,7 +7,6 @@ visible) and fails the suite if the verdict is FAIL.
 
 import json
 import sys
-from itertools import product
 
 import pytest
 
@@ -17,7 +16,7 @@ from polychow.chow import poly_mul, poly_pow
 from polychow.cli import main as cli_main
 from polychow.kahler import nestohedron_class
 from conftest import (P1, P2, P3, P4, U34, U34_MIN_BUILDING,
-                      B111_MIN_BUILDING, boolean_table)
+                      B111_MIN_BUILDING, boolean_table, small_family)
 
 
 _CAPMAN = None
@@ -38,43 +37,6 @@ def verdict(number, name, ok):
     else:
         print(line, file=sys.stderr, flush=True)
     assert ok, line
-
-
-# --- the exhaustive desk-scale family ----------------------------------------
-# All loopless polymatroids with n <= 3, singleton ranks <= 2, total rank
-# <= 4, so the lift has at most 6 elements.
-
-_FAMILY = None
-
-
-def small_family():
-    global _FAMILY
-    if _FAMILY is not None:
-        return _FAMILY
-    out = []
-    for n in (1, 2, 3):
-        singles = [1 << i for i in range(n)]
-        masks = sorted(range(1, 1 << n), key=lambda S: (bin(S).count("1"), S))
-        ranges = []
-        for S in masks:
-            if S in singles:
-                ranges.append(range(1, 3))
-            else:
-                ranges.append(range(0, 5))
-        for values in product(*ranges):
-            table = [0] * (1 << n)
-            for S, v in zip(masks, values):
-                table[S] = v
-            if table[-1] > 4:
-                continue
-            try:
-                P = pc.Polymatroid(table)
-            except pc.PolymatroidError:
-                continue
-            if sum(P.rank(1 << i) for i in range(n)) <= 6:
-                out.append(P)
-    _FAMILY = out
-    return out
 
 
 FIXTURES = [P1, P2, P3, P4, U34]

@@ -1,13 +1,15 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
 import polychow as pc
 from polychow import linalg
+from polychow.bitsets import canonical_key
 from polychow.chow import (GradedRing, leading_monomial, mono_divides, mono_mul,
-                           mono_quotient, poly_add, poly_mul, poly_scale, reduce_poly)
-from conftest import P1, P2, P3, U34, U34_MIN_BUILDING, boolean_table
+                           mono_quotient, poly_add, poly_mul, poly_pow, poly_scale,
+                           reduce_poly)
+from conftest import P1, P2, P3, U34, U34_MIN_BUILDING, boolean_table, small_family
 
 
 def pair_of(table, members=None):
@@ -161,15 +163,6 @@ def s_polynomials(ring):
                     poly_scale(poly_mul({mono_quotient(lcm, lt2): 1}, g2), -1))
 
 
-def test_spair_confluence_spot_check():
-    # pairs of Groebner generators with overlapping leading terms reduce
-    # their S-polynomial to zero
-    for table in (P1, P2, P3):
-        ring = pc.dp_ring(pc.Polymatroid(table))
-        for s in s_polynomials(ring):
-            assert reduce_poly(s, ring.groebner) == {}
-
-
 def test_truncation_guard_trips_on_missing_relations():
     # feeding a ring an empty generator list leaves standard monomials in
     # high degrees and must raise
@@ -189,7 +182,8 @@ def test_coords_requires_homogeneous_basis_element():
 
 
 KERNEL_FIXTURES = ((P1, None), (P2, None), (P3, None), (U34, None),
-                   (U34, U34_MIN_BUILDING), (boolean_table((1, 1, 2)), None))
+                   (U34, U34_MIN_BUILDING), (boolean_table((1, 1, 2)), None),
+                   (boolean_table((2, 2, 2, 2)), [1, 2, 4, 8, 15]))
 
 
 def rescan_reduce_poly(p, groebner):
@@ -238,6 +232,86 @@ def test_reduce_poly_matches_rescan_reference():
             for basis in (gb, gb[::2]):
                 assert list(reduce_poly(p, basis).items()) \
                     == list(rescan_reduce_poly(p, basis).items())
+
+
+def test_spair_confluence_spot_check():
+    # pairs of Groebner generators of either presentation reduce their
+    # S-polynomial to zero below degree 2r-1 (the Buchberger criterion in
+    # the degrees the rings compute in)
+    for ring in kernel_rings():
+        for s in s_polynomials(ring):
+            assert reduce_poly(s, ring.groebner) == {}
+
+
+def scan_dp_groebner(P, G):
+    """Reference DP generators: for every member g, every subset S of the
+    members of size at most 2r-1 gives x_S x_g^b with b = max(0, rk(g) -
+    rk(union of the members of S strictly below g)); keep one generator per
+    minimal leading monomial, ordered by (degree, monomial)."""
+    members = sorted(G.members, key=canonical_key)
+    index = {f: i for i, f in enumerate(members)}
+    limit = 2 * P.r - 1
+
+    def mono_of(flats, extra=None, power=0):
+        exps = [0] * len(members)
+        for f in flats:
+            exps[index[f]] += 1
+        if extra is not None:
+            exps[index[extra]] += power
+        return tuple(exps)
+
+    candidates = {}
+    for g in members:
+        for size in range(min(limit, len(members)) + 1):
+            for S in combinations(members, size):
+                union_below = 0
+                for f in S:
+                    if f & g == f and f != g:
+                        union_below |= f
+                b = max(0, P.rank(g) - P.rank(union_below))
+                if 0 < size + b <= limit:
+                    candidates.setdefault(mono_of(S, g, b), (S, g, b))
+    keep = []
+    for lt in sorted(candidates, key=lambda m: (sum(m), m)):
+        if not any(mono_divides(k, lt) for k in keep):
+            keep.append(lt)
+    out = []
+    for lt in keep:
+        S, g, b = candidates[lt]
+        poly = {mono_of(S): 1}
+        if b:
+            upper_sum = {mono_of((h,)): 1 for h in members if h & g == g}
+            poly = poly_mul(poly, poly_pow(upper_sum, b))
+        out.append((lt, poly))
+    return out
+
+
+def geometric_building_sets(P):
+    flats = [f for f in P.flats() if f and f != P.full_mask]
+    for size in range(len(flats) + 1):
+        for chosen in combinations(flats, size):
+            members = list(chosen) + [P.full_mask]
+            if pc.is_geometric_building_set(P, members)[0]:
+                yield pc.BuildingSet(P, members, validate=False)
+
+
+def as_lists(groebner):
+    return [(lt, list(g.items())) for lt, g in groebner]
+
+
+def test_dp_generators_match_subset_scan_reference():
+    cases = [(P, G) for P in small_family() for G in geometric_building_sets(P)]
+    assert len(cases) == 145
+    U35 = [min(bin(S).count("1"), 3) for S in range(32)]
+    for table in (boolean_table((1, 1, 1, 1)), U35):
+        P = pc.Polymatroid(table)
+        cases.append((P, pc.maximal_building_set(P)))
+    # rank 8 with singletons and E: the leading term x_1 x_2 x_4 x_E^2
+    # needs a nested antichain of three members
+    P = pc.Polymatroid(boolean_table((2, 2, 2, 2)))
+    cases.append((P, pc.BuildingSet(P, [1, 2, 4, 8, 15])))
+    for P, G in cases:
+        assert as_lists(pc.dp_ring(P, G).groebner) == as_lists(scan_dp_groebner(P, G))
 
 
 def test_standard_monomials_match_brute_force_filter():

@@ -159,3 +159,14 @@ def test_kahler_command(tmp_path, capsys):
     assert code == 0
     verdicts = json.loads(out)["report"]["verdicts"]
     assert verdicts and all(verdicts.values())
+
+
+def test_kahler_without_ambient_fan_exits_2(tmp_path, capsys):
+    # the lifted members of U(3,4)'s maximal building set are no building
+    # set of the Boolean lattice, so no ambient fan is built: a JSON error
+    # and exit code 2, not a traceback
+    path = write_instance(tmp_path, {"n": 4, "rank": U34})
+    code, out, err = run(capsys, ["kahler", "--instance", path])
+    assert code == 2
+    assert out == ""
+    assert "building set condition fails" in json.loads(err)["error"]

@@ -28,7 +28,7 @@ def test_lift_rank_examples():
     M = pc.lift(pc.Polymatroid(P2))
     assert M.rank(0) == 0
     assert M.rank(0b110) == 2    # both elements of the size-2 fiber
-    assert pc.lift_rank(M, M.full_mask) == 2
+    assert M.rank(M.full_mask) == 2
 
 
 def test_gamma_stable_rank_identity():

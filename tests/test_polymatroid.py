@@ -6,12 +6,12 @@ from conftest import P1, P2, P3, P4, U34, boolean_table
 
 def test_valid_tables():
     for table in (P1, P2, P3, P4, U34):
-        pc.validate_polymatroid(table)
+        pc.Polymatroid(table)
 
 
 def test_boolean_12_is_valid():
     assert boolean_table((1, 2)) == [0, 1, 2, 3]
-    pc.validate_polymatroid([0, 1, 2, 3])
+    pc.Polymatroid([0, 1, 2, 3])
 
 
 def test_submodularity_witness():

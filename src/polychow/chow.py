@@ -89,7 +89,16 @@ def leading_monomial(p):
     return max(p)
 
 
-def reduce_poly(p, groebner):
+def support_mask(m):
+    """Bitmask of the variables that occur in the monomial m."""
+    mask = 0
+    for i, e in enumerate(m):
+        if e:
+            mask |= 1 << i
+    return mask
+
+
+def reduce_poly(p, groebner, masks=None):
     """Normal form against a list of (leading_monomial, polynomial) pairs.
 
     All leading coefficients are 1, so integer inputs stay integral.  The
@@ -98,7 +107,13 @@ def reduce_poly(p, groebner):
     Reducing a term adds only smaller terms, which are inserted in order, so
     a term found irreducible is final and the reductions happen in the same
     order as rescanning p for its largest reducible term after every step.
+
+    `masks` holds each leading monomial's `support_mask` (computed when not
+    given); a generator using a variable outside the term's support is
+    skipped before the exponent comparison.
     """
+    if masks is None:
+        masks = [support_mask(lt) for lt, _ in groebner]
     p = dict(p)
     work = sorted(p)
     while work:
@@ -106,8 +121,9 @@ def reduce_poly(p, groebner):
         c = p.get(m)
         if c is None:            # cancelled after it was queued
             continue
-        for lt, g in groebner:
-            if mono_divides(lt, m):
+        outside = ~support_mask(m)
+        for mask, (lt, g) in zip(masks, groebner):
+            if not mask & outside and mono_divides(lt, m):
                 break
         else:
             continue
@@ -166,8 +182,9 @@ class GradedRing:
     """A graded quotient presented by a Groebner basis.
 
     `basis[d]` lists the degree-d standard monomials, largest first, grown
-    as an order ideal up to degree r, which must be empty.  `nf` is the
-    single-pass normal form of the module-level `reduce_poly`.
+    as an order ideal up to degree r, which must be empty; `basis_index[d]`
+    maps each to its position.  `nf` is the single-pass normal form of the
+    module-level `reduce_poly`, given the leading terms' support masks.
     """
 
     def __init__(self, kind, var_flats, r, groebner, context=None):
@@ -178,6 +195,7 @@ class GradedRing:
         self.r = r
         self.top = r - 1
         self.groebner = groebner
+        self.lt_masks = [support_mask(lt) for lt, _ in groebner]
         self.context = context or {}
         # Everything in degrees r..2r-2 must vanish for the truncated
         # generator set to be safe in the degrees we compute in.  Standard
@@ -186,6 +204,7 @@ class GradedRing:
         layers = _standard_monomials(
             self.nvars, [lt for lt, _ in groebner], r + 1 if r > 1 else r)
         self.basis = tuple(layers[:r])
+        self.basis_index = tuple({m: i for i, m in enumerate(b)} for b in self.basis)
         if len(layers) > r and layers[r]:
             raise AssertionError(
                 "truncated Groebner basis leaves standard monomials in degree %d" % r)
@@ -199,7 +218,7 @@ class GradedRing:
         return {tuple(exps): 1}
 
     def nf(self, poly):
-        return reduce_poly(poly, self.groebner)
+        return reduce_poly(poly, self.groebner, self.lt_masks)
 
     def mul(self, *polys):
         out = self.one()
@@ -208,15 +227,14 @@ class GradedRing:
         return out
 
     def coords(self, poly, degree):
-        """Coefficient vector of a normal form over the degree basis."""
-        nf = self.nf(poly)
-        basis = self.basis[degree] if 0 <= degree < self.r else ()
-        index = {m: i for i, m in enumerate(basis)}
-        vec = [Fraction(0)] * len(basis)
-        for m, c in nf.items():
-            if mono_degree(m) != degree or m not in index:
+        """Coefficient vector of a normal form over the degree basis, with
+        the normal form's own coefficients (integers for integral input)."""
+        index = self.basis_index[degree] if 0 <= degree < self.r else {}
+        vec = [0] * len(index)
+        for m, c in self.nf(poly).items():
+            if m not in index:
                 raise ValueError("element is not homogeneous of degree %d" % degree)
-            vec[index[m]] = Fraction(c)
+            vec[index[m]] = c
         return vec
 
     def hilbert(self):
@@ -379,17 +397,17 @@ class ChowPair:
         self.M = self.fy.context["M"]
         self.lifted = self.fy.context["lifted"]
         self.proj = self.M.proj
+        self._translate = [self.fy.var_index[self.proj.preimage(f)]
+                           for f in self.dp.var_flats]
         self._deg_norm = None
 
     def phi(self, poly):
         """Transport a DP polynomial to the FY variables."""
-        translate = [self.fy.var_index[self.proj.preimage(f)]
-                     for f in self.dp.var_flats]
         out = {}
         for m, c in poly.items():
             exps = [0] * self.fy.nvars
             for i, e in enumerate(m):
-                exps[translate[i]] += e
+                exps[self._translate[i]] += e
             key = tuple(exps)
             out[key] = out.get(key, 0) + c
         return out
@@ -431,7 +449,7 @@ class ChowPair:
     def deg_fy(self, poly):
         """Degree of a top-degree FY element, exact rational."""
         c = self.degree_normalizer()
-        return self.fy.coords(poly, self.fy.top)[0] / c
+        return Fraction(self.fy.coords(poly, self.fy.top)[0], c)
 
     def deg_dp(self, poly):
         return self.deg_fy(self.phi(poly))

@@ -6,16 +6,21 @@ members contained in G.  Strict convexity is certified on the complete
 ambient fan (the nested-set fan of the lifted building set over the
 Boolean ground), and inherited by the Bergman fan, which is a subfan.
 
-Hard Lefschetz and Hodge-Riemann are then verified by exact rational
-linear algebra in the standard-monomial bases of the Chow ring.
+Hard Lefschetz and Hodge-Riemann are then verified by exact linear algebra
+over the standard-monomial bases of the FY presentation, from the one-step
+Lefschetz matrices L_d of multiplication by ell from degree d to d + 1
+(columns nf(ell * b) for the degree-d basis monomials b; integral when ell
+is, as every Groebner generator is monic).  Their products are the matrices
+of powers of ell because normal forms are linear, which holds because the
+generator set is a Groebner basis (the tests reduce every S-pair to zero).
 """
 
 from fractions import Fraction
 from itertools import combinations
 
 from . import linalg
-from .building import BuildingSet, BuildingSetError
-from .chow import ChowPair, poly_mul, poly_pow
+from .building import BuildingSet
+from .chow import pairing_matrix, poly_mul
 from .fan import nested_set_fan, primitive, subset_vector
 from .polymatroid import ProjectionMap, boolean_polymatroid
 
@@ -99,7 +104,6 @@ def nestohedron_class(pair):
     fy = pair.fy
     poly = {}
     for g, v in values_by_member.items():
-        poly = {**poly}
         for mono, c in fy.var(g).items():
             poly[mono] = poly.get(mono, 0) + v * c
     return ell, poly
@@ -137,75 +141,69 @@ def is_strictly_convex(fan, pl):
     return True
 
 
-def _multiplication_matrix(pair, factor_nf, src_degree, dst_degree):
-    """Matrix of multiplication by a fixed element between graded pieces."""
-    fy = pair.fy
-    cols = [fy.coords(poly_mul(factor_nf, {m: 1}), dst_degree)
-            for m in fy.basis[src_degree]]
-    rows = len(fy.basis[dst_degree])
-    return [[cols[j][i] for j in range(len(cols))] for i in range(rows)]
+def _lefschetz_step(fy, ell, d):
+    """The one-step Lefschetz matrix L_d of multiplication by ell from degree
+    d to degree d + 1: column j holds the coordinates of nf(ell * b_j) for
+    the j-th degree-d standard monomial b_j."""
+    cols = [fy.coords(poly_mul(ell, {b: 1}), d + 1) for b in fy.basis[d]]
+    return [list(row) for row in zip(*cols)]
+
+
+def _lefschetz_power(fy, ell, k, p):
+    """Matrix of multiplication by ell^p from degree k to degree k + p, as
+    the product L_{k+p-1} ... L_k of one-step matrices."""
+    power = linalg.identity(len(fy.basis[k]))
+    for d in range(k, k + p):
+        power = linalg.mat_mul(_lefschetz_step(fy, ell, d), power)
+    return power
 
 
 def hard_lefschetz_check(pair, ell, k):
-    """Multiplication by ell^(r-2k-1) from degree k to degree r-1-k must
-    be a square invertible rational matrix."""
+    """Multiplication by ell^(r-2k-1) from degree k to degree r-1-k, the
+    product L_{r-2-k} ... L_k of one-step Lefschetz matrices, must be a
+    square invertible rational matrix."""
     fy = pair.fy
     r = fy.r
     if not 0 <= 2 * k < r:
         raise ValueError("k out of range")
-    power = r - 2 * k - 1
-    factor = fy.nf(poly_pow(ell, power)) if power else fy.one()
-    matrix = _multiplication_matrix(pair, factor, k, r - 1 - k)
     if len(fy.basis[k]) != len(fy.basis[r - 1 - k]):
         return False
-    if not matrix:
-        return True
-    return linalg.det(matrix) != 0
+    matrix = _lefschetz_power(fy, ell, k, r - 2 * k - 1)
+    return not matrix or linalg.det(matrix) != 0
 
 
-def _primitive_kernel(pair, ell, k):
-    """Basis (as coefficient vectors over the degree-k monomial basis) of
-    the kernel of multiplication by ell^(r-2k) into degree r-k."""
+def _hodge_riemann_form(pair, ell, k):
+    """The degree-k Hodge-Riemann form, a basis of the primitive classes
+    (one vector per row) and the form's Gram matrix on them.
+
+    With P the Lefschetz product L_{r-2-k} ... L_k and Q the degree-k
+    Poincare pairing matrix, the form is (-1)^k (Q P)^T, and the primitive
+    classes are the kernel of L_{r-1-k} P; for k = 0 the target degree r
+    vanishes and every class is primitive.
+    """
     fy = pair.fy
     r = fy.r
-    dim = len(fy.basis[k])
-    if r - k > r - 1:
-        # target degree r vanishes, so the kernel is everything
-        return [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    factor = fy.nf(poly_pow(ell, r - 2 * k))
-    matrix = _multiplication_matrix(pair, factor, k, r - k)
-    if not matrix:
-        return [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
-    return linalg.kernel_basis(matrix)
+    power = _lefschetz_power(fy, ell, k, r - 2 * k - 1)
+    sign = -1 if k % 2 else 1
+    form = [[sign * x for x in col]
+            for col in zip(*linalg.mat_mul(pairing_matrix(pair, k, ring="fy"), power))]
+    matrix = linalg.mat_mul(_lefschetz_step(fy, ell, r - 1 - k), power) if k else []
+    kernel = linalg.kernel_basis(matrix) if matrix else linalg.identity(len(fy.basis[k]))
+    columns = [list(col) for col in zip(*kernel)]
+    return form, kernel, linalg.mat_mul(kernel, linalg.mat_mul(form, columns))
 
 
 def hodge_riemann_check(pair, ell, k):
     """(-1)^k deg(ell^(r-2k-1) a b) must be positive definite on the
-    kernel of multiplication by ell^(r-2k)."""
-    fy = pair.fy
-    r = fy.r
-    if not 0 <= 2 * k < r:
+    kernel of multiplication by ell^(r-2k); see `_hodge_riemann_form`."""
+    if not 0 <= 2 * k < pair.fy.r:
         raise ValueError("k out of range")
-    basis = fy.basis[k]
-    power = r - 2 * k - 1
-    factor = fy.nf(poly_pow(ell, power)) if power else fy.one()
-    sign = -1 if k % 2 else 1
-    form = [[sign * pair.deg_fy(poly_mul(factor, poly_mul({m1: 1}, {m2: 1})))
-             for m2 in basis] for m1 in basis]
-    kernel = _primitive_kernel(pair, ell, k)
-    if not kernel:
-        return True
-    gram = [[sum(u[i] * form[i][j] * v[j]
-                 for i in range(len(basis)) for j in range(len(basis)))
-             for v in kernel] for u in kernel]
-    return linalg.is_positive_definite(gram)
+    return linalg.is_positive_definite(_hodge_riemann_form(pair, ell, k)[2])
 
 
 def kahler_package_report(pair, ell=None):
     """Poincare pairing, Hard Lefschetz, and Hodge-Riemann for every
     admissible k, as a dict of named verdicts."""
-    from .chow import pairing_matrix
-
     if ell is None:
         _, ell = nestohedron_class(pair)
     r = pair.fy.r

@@ -8,7 +8,7 @@ from polychow import linalg
 from polychow.bitsets import canonical_key
 from polychow.chow import (GradedRing, leading_monomial, mono_divides, mono_mul,
                            mono_quotient, poly_add, poly_mul, poly_pow, poly_scale,
-                           reduce_poly)
+                           reduce_poly, support_mask)
 from conftest import P1, P2, P3, U34, U34_MIN_BUILDING, boolean_table, small_family
 
 
@@ -220,18 +220,43 @@ def kernel_rings():
         yield pair.fy
 
 
+def power_relation_probes(ring):
+    """For each leading term x_N x_g^d with d >= 2, the monomial with one x_g
+    fewer, alone and times each variable outside x_g: the leading term's
+    support lies inside the monomial's, so the support-mask test passes,
+    but the exponent of x_g is below d, so the leading term does not divide
+    it."""
+    for lt, _ in ring.groebner:
+        for g, d in enumerate(lt):
+            if d < 2:
+                continue
+            m = lt[:g] + (d - 1,) + lt[g + 1:]
+            grown = [m[:i] + (m[i] + 1,) + m[i + 1:] for i in range(ring.nvars) if i != g]
+            for probe in [m] + grown:
+                assert support_mask(lt) & ~support_mask(probe) == 0
+                assert not mono_divides(lt, probe)
+                yield {probe: 1}
+
+
 def test_reduce_poly_matches_rescan_reference():
     # identical dicts down to insertion order, also against a generator
-    # subset that is not a Groebner basis
+    # subset that is not a Groebner basis, and through the ring's own
+    # precomputed leading-term masks
+    probes = 0
     for ring in kernel_rings():
         gb = ring.groebner
         inputs = [poly_mul({m1: 1}, {m2: 1})
                   for d1 in range(ring.r) for d2 in range(d1, ring.r - d1)
                   for m1 in ring.basis[d1] for m2 in ring.basis[d2]]
-        for p in inputs + list(s_polynomials(ring)):
+        edge = list(power_relation_probes(ring))
+        probes += len(edge)
+        for p in inputs + list(s_polynomials(ring)) + edge:
             for basis in (gb, gb[::2]):
-                assert list(reduce_poly(p, basis).items()) \
-                    == list(rescan_reduce_poly(p, basis).items())
+                expected = list(rescan_reduce_poly(p, basis).items())
+                assert list(reduce_poly(p, basis).items()) == expected
+                if basis is gb:
+                    assert list(ring.nf(p).items()) == expected
+    assert probes
 
 
 def test_spair_confluence_spot_check():

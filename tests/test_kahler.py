@@ -4,10 +4,12 @@ from random import Random
 import pytest
 
 import polychow as pc
+from polychow import linalg
 from polychow.chow import poly_add, poly_mul, poly_pow, poly_scale
-from polychow.kahler import (PLFunction, ambient_complete_fan, nestohedron_class,
-                             nestohedron_values)
-from conftest import P1, P2, P3, P4, U34, U34_MIN_BUILDING
+from polychow.fan import primitive, subset_vector
+from polychow.kahler import (PLFunction, _hodge_riemann_form, _lefschetz_power,
+                             ambient_complete_fan, nestohedron_class, nestohedron_values)
+from conftest import P1, P2, P3, P4, U34, U34_MIN_BUILDING, boolean_table
 
 
 def pair_of(table, members=None):
@@ -144,15 +146,14 @@ def test_beta_identity_matroids():
             assert fy.nf(pc.beta_class(pair, i)) == corank
 
 
-def test_perturbed_classes_remain_kahler():
-    # small positive rational perturbations of the ray values keep the
-    # function strictly convex, and HL/HR continue to hold
+def perturbed_classes():
+    """Small positive rational perturbations of the nestohedron ray values
+    on P3: (pair, PL function on the ambient fan, degree-1 class)."""
     rng = Random(5)
     pair = pair_of(P3)
     ell_pl, _ = nestohedron_class(pair)
     ambient = ell_pl.fan
     m = pair.proj.m
-    from polychow.fan import primitive, subset_vector
     for _ in range(5):
         values_by_member = {
             g: v + Fraction(rng.randrange(0, 10), 1000)
@@ -160,15 +161,88 @@ def test_perturbed_classes_remain_kahler():
         values = [None] * len(ambient.rays)
         for g, v in values_by_member.items():
             values[ambient.ray_index[primitive(subset_vector(g, m))]] = v
-        pl = PLFunction(ambient, values)
-        assert pc.is_strictly_convex(ambient, pl)
         ell = {}
         for g, v in values_by_member.items():
             for mono, c in pair.fy.var(g).items():
                 ell[mono] = ell.get(mono, 0) + v * c
+        yield pair, PLFunction(ambient, values), ell
+
+
+def test_perturbed_classes_remain_kahler():
+    # small positive rational perturbations of the ray values keep the
+    # function strictly convex, and HL/HR continue to hold
+    for pair, pl, ell in perturbed_classes():
+        assert pc.is_strictly_convex(pl.fan, pl)
         for k in range((pair.P.r + 1) // 2):
             assert pc.hard_lefschetz_check(pair, ell, k)
             assert pc.hodge_riemann_check(pair, ell, k)
+
+
+def reference_multiplication_matrix(pair, factor_nf, src_degree, dst_degree):
+    """Matrix of multiplication by a fixed element between graded pieces."""
+    fy = pair.fy
+    cols = [fy.coords(poly_mul(factor_nf, {m: 1}), dst_degree)
+            for m in fy.basis[src_degree]]
+    rows = len(fy.basis[dst_degree])
+    return [[cols[j][i] for j in range(len(cols))] for i in range(rows)]
+
+
+def reference_lefschetz_matrix(pair, ell, k):
+    """Multiplication by nf(ell^(r-2k-1)) from degree k to degree r-1-k."""
+    fy = pair.fy
+    power = fy.r - 2 * k - 1
+    factor = fy.nf(poly_pow(ell, power)) if power else fy.one()
+    return reference_multiplication_matrix(pair, factor, k, fy.r - 1 - k)
+
+
+def reference_hodge_riemann_form(pair, ell, k):
+    """The form deg(ell^(r-2k-1) m_i m_j) reduced monomial pair by monomial
+    pair, the kernel of multiplication by nf(ell^(r-2k)), and the Gram
+    matrix as a double sum."""
+    fy = pair.fy
+    r = fy.r
+    basis = fy.basis[k]
+    dim = len(basis)
+    power = r - 2 * k - 1
+    factor = fy.nf(poly_pow(ell, power)) if power else fy.one()
+    sign = -1 if k % 2 else 1
+    form = [[sign * pair.deg_fy(poly_mul(factor, poly_mul({m1: 1}, {m2: 1})))
+             for m2 in basis] for m1 in basis]
+    identity = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    if k == 0:
+        kernel = identity    # the target degree r vanishes
+    else:
+        matrix = reference_multiplication_matrix(
+            pair, fy.nf(poly_pow(ell, r - 2 * k)), k, r - k)
+        kernel = linalg.kernel_basis(matrix) if matrix else identity
+    gram = [[sum(u[i] * form[i][j] * v[j] for i in range(dim) for j in range(dim))
+             for v in kernel] for u in kernel]
+    return form, kernel, gram
+
+
+def test_lefschetz_matrices_match_power_reference():
+    # the products of one-step Lefschetz matrices equal the matrices of the
+    # reduced powers of ell, entry by entry, for every admissible k
+    cases = []
+    for table, members in FIXTURES + ((boolean_table((1, 1, 2)), None),
+                                      (boolean_table((2, 2, 2)), None)):
+        pair = pair_of(table, members)
+        cases.append((pair, nestohedron_class(pair)[1]))
+    cases += [(pair, ell) for pair, _, ell in perturbed_classes()]
+    for pair, ell in cases:
+        r = pair.fy.r
+        for k in range((r + 1) // 2):
+            assert _lefschetz_power(pair.fy, ell, k, r - 2 * k - 1) \
+                == reference_lefschetz_matrix(pair, ell, k)
+            assert _hodge_riemann_form(pair, ell, k) \
+                == reference_hodge_riemann_form(pair, ell, k)
+
+
+def test_hard_lefschetz_fails_for_zero_class():
+    # a positive power of the zero class is the zero map; at the middle
+    # degree of P3 the power is ell^0 = 1
+    assert [pc.hard_lefschetz_check(pair_of(P3), {}, k) for k in (0, 1)] == [False, True]
+    assert [pc.hard_lefschetz_check(pair_of(P4), {}, k) for k in (0, 1)] == [False, False]
 
 
 def test_hodge_riemann_fails_for_negated_class():

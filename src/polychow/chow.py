@@ -400,6 +400,7 @@ class ChowPair:
         self._translate = [self.fy.var_index[self.proj.preimage(f)]
                            for f in self.dp.var_flats]
         self._deg_norm = None
+        self._pairings = {}
 
     def phi(self, poly):
         """Transport a DP polynomial to the FY variables."""
@@ -490,7 +491,15 @@ def phi_iso_check(pair):
 
 
 def pairing_matrix(pair, k, ring="dp"):
-    """Integer matrix of (a, b) -> deg(ab) between degrees k and r-1-k."""
+    """Integer matrix of (a, b) -> deg(ab) between degrees k and r-1-k.
+
+    It is computed once per (k, ring) and memoized on the pair, like the
+    degree normalizer; rows are tuples, so no caller can change the shared
+    matrix.
+    """
+    matrix = pair._pairings.get((k, ring))
+    if matrix is not None:
+        return matrix
     R = pair.dp if ring == "dp" else pair.fy
     deg = pair.deg_dp if ring == "dp" else pair.deg_fy
     top = R.top
@@ -504,8 +513,9 @@ def pairing_matrix(pair, k, ring="dp"):
             if value.denominator != 1:
                 raise AssertionError("non-integral pairing value")
             row.append(int(value))
-        out.append(row)
-    return out
+        out.append(tuple(row))
+    matrix = pair._pairings[(k, ring)] = tuple(out)
+    return matrix
 
 
 # --- the z-presentation of the introduction ----------------------------------

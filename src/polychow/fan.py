@@ -28,6 +28,17 @@ def subset_vector(S_mask, m):
     return tuple((1 if S_mask >> i & 1 else 0) - drop for i in range(m - 1))
 
 
+def subset_mask(ray):
+    """The subset S with subset_vector(S, len(ray) + 1) == ray, or None when
+    the ray is not an indicator vector in the quotient."""
+    values = set(ray)
+    if values <= {0, 1} and 1 in values:
+        return sum(1 << i for i, x in enumerate(ray) if x)
+    if values <= {0, -1} and -1 in values:
+        return sum(1 << i for i, x in enumerate(ray) if not x) | 1 << len(ray)
+    return None
+
+
 def primitive(v):
     g = 0
     for x in v:
@@ -42,9 +53,12 @@ class Fan:
 
     `locators` caches, per cone, the integer data `cone_contains` and
     `cone_coordinates` use; it is filled the first time a cone is tested.
+    `subset_index` lists (subset mask, ray index) for every ray, largest
+    subsets first, when every ray is a `subset_vector`, and is None
+    otherwise; `locate` reads cones from it.
     """
 
-    __slots__ = ("ambient_dim", "rays", "ray_index", "cones", "locators")
+    __slots__ = ("ambient_dim", "rays", "ray_index", "cones", "locators", "subset_index")
 
     def __init__(self, ambient_dim, rays, cones):
         object.__setattr__(self, "ambient_dim", ambient_dim)
@@ -52,15 +66,16 @@ class Fan:
         object.__setattr__(self, "ray_index", {r: i for i, r in enumerate(self.rays)})
         object.__setattr__(self, "cones", frozenset(frozenset(c) for c in cones))
         object.__setattr__(self, "locators", {})
+        masks = [subset_mask(r) for r in self.rays]
+        index = None if None in masks else tuple(sorted(
+            ((S, i) for i, S in enumerate(masks)), key=lambda t: -popcount(t[0])))
+        object.__setattr__(self, "subset_index", index)
 
     def __setattr__(self, name, value):
         raise AttributeError("Fan is immutable")
 
     def cone_rays(self, cone):
         return [self.rays[i] for i in sorted(cone)]
-
-    def dim(self, cone):
-        return len(cone)
 
     @property
     def max_dim(self):
@@ -255,12 +270,49 @@ def cone_contains(fan, cone, w, strict=False):
     return _in_span(loc, num, W)
 
 
+def locate(fan, W):
+    """The cone read off the level sets of the integer point W, or None when
+    the fan has no `subset_index` or the candidate is not one of its cones.
+    Callers confirm it with `cone_contains` and scan when that fails.
+
+    Lift W to R^E~ with last coordinate 0.  If W is in the relative interior
+    of the cone of a nested set N, it is sum(c_G e_G) over G in N with all
+    c_G > 0, up to the all-ones vector.  Each proper upper level set S is a
+    union of members of N; its maximal members in N are the maximal ray
+    subsets inside S, and each member of N is maximal in the level set cut
+    at its smallest coordinate.  So the union of those ray subsets over the
+    level sets is N (Feichtner-Sturmfels, "Matroid polytopes, nested sets
+    and Bergman fans", 2005).
+    """
+    index = fan.subset_index
+    if index is None:
+        return None
+    x = tuple(W) + (0,)
+    order = sorted(range(len(x)), key=x.__getitem__, reverse=True)
+    cone, S = set(), 0
+    for j in range(len(x) - 1):
+        S |= 1 << order[j]
+        if x[order[j + 1]] == x[order[j]]:
+            continue                 # S is not a whole level set yet
+        picked = []
+        for T, i in index:
+            if T & S == T and not any(T & U == T for U in picked):
+                picked.append(T)
+                cone.add(i)
+    cone = frozenset(cone)
+    return cone if cone in fan.cones else None
+
+
 def find_cone(fan, w):
-    """The unique cone whose relative interior contains w, or None."""
+    """The unique cone whose relative interior contains w, or None.  The
+    located cone is tried first, then every cone."""
     if all(x == 0 for x in w):
         zero = frozenset()
         return zero if zero in fan.cones else None
     W, _ = integral(w)
+    cone = locate(fan, W)
+    if cone and cone_contains(fan, cone, W, strict=True):
+        return cone
     for cone in fan.cones:
         if cone and cone_contains(fan, cone, W, strict=True):
             return cone
@@ -268,12 +320,18 @@ def find_cone(fan, w):
 
 
 def refines(fine, coarse):
-    """True iff every cone of `fine` lies inside some cone of `coarse`."""
+    """True iff every cone of `fine` lies inside some cone of `coarse`.  The
+    coarse cone located at a fine cone's ray sum is tried first, then every
+    coarse cone."""
     if fine.ambient_dim != coarse.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     coarse_cones = sorted(coarse.cones, key=len, reverse=True)
     for cone in fine.cones:
         rays = fine.cone_rays(cone)
+        centre = tuple(map(sum, zip(*rays))) if rays else (0,) * fine.ambient_dim
+        located = locate(coarse, centre)
+        if located is not None and all(cone_contains(coarse, located, r) for r in rays):
+            continue
         if not any(all(cone_contains(coarse, c, r) for r in rays)
                    for c in coarse_cones):
             return False
@@ -281,7 +339,12 @@ def refines(fine, coarse):
 
 
 def in_support(fan, w):
+    """Whether w lies in some cone: the located cone is tried first, then
+    every cone."""
     W, _ = integral(w)
+    cone = locate(fan, W)
+    if cone is not None and cone_contains(fan, cone, W):
+        return True
     return any(cone_contains(fan, cone, W) for cone in fan.cones)
 
 
@@ -365,10 +428,65 @@ def _has_positive_circuit(A, split):
     return False
 
 
-def pairwise_intersections_are_faces(fan):
+def complete_fan_certificate(fan):
+    """True when the maximal cones are certified to form a complete fan, so
+    that any two meet in the cone over their common rays; False decides
+    nothing.
+
+    Theorem (covering degree: De Loera-Rambau-Santos, "Triangulations",
+    2010, ch. 4, carried to the sphere).  Let the maximal cones be
+    full-dimensional simplicial cones in R^d such that (i) every wall, a
+    maximal cone less one ray, lies in exactly two maximal cones, (ii)
+    whose rays opposite the wall lie strictly on opposite sides of it, and
+    (iii) one point off the walls lies in exactly one maximal cone.  The
+    number of maximal cones holding a point off the walls is locally
+    constant, and by (i) and (ii) a path avoiding the (d-2)-faces keeps it
+    where it crosses a wall; so by (iii) it is 1 everywhere, and the cones
+    cover R^d with disjoint interiors.  The same count in the link of a
+    face F shows that the cones containing F cover a neighbourhood of its
+    relative interior, so every maximal cone meeting that relative interior
+    contains F, and any two maximal cones meet in a common face.
+
+    (ii) is the sign of the other cone's opposite ray in one cone's
+    locator, at that cone's opposite ray.  For (iii) the ray sum of each
+    maximal cone is tried until one lies on no maximal cone's boundary.
+    """
+    d = fan.ambient_dim
+    if d == 0 or fan.max_dim != d:
+        return False
+    maxes = sorted(fan.maximal_cones(), key=sorted)
+    if any(len(c) != d for c in maxes):
+        return False
+    try:
+        locators = [_locator(fan, c) for c in maxes]
+    except ValueError:
+        return False
+    walls = {}
+    for loc, c in zip(locators, maxes):
+        for position, u in enumerate(sorted(c)):
+            walls.setdefault(c - {u}, []).append((loc, position, u))
+    for sides in walls.values():
+        if len(sides) != 2:
+            return False
+        (loc, position, _), (_, _, v) = sides
+        if _numerators(loc, fan.rays[v])[position] >= 0:
+            return False
+    for c in maxes:
+        point = tuple(map(sum, zip(*fan.cone_rays(c))))
+        inside = 0
+        for loc in locators:
+            lowest = min(_numerators(loc, point))
+            if lowest == 0:
+                break                # on this cone's boundary: next point
+            inside += lowest > 0
+        else:
+            return inside == 1
+    return False
+
+
+def pairwise_faces_by_circuits(fan):
     """Exact check that any two maximal cones meet in the cone over their
-    common rays.  For a face-closed simplicial collection this implies the
-    property for all pairs of cones.
+    common rays, by a search over cone pairs.
 
     Write sigma = cone(C + U) and tau = cone(C + V) with C the shared rays,
     and let N be an integer basis of the annihilator of span(C) (the
@@ -386,6 +504,18 @@ def pairwise_intersections_are_faces(fan):
         if _has_positive_circuit(A, len(U)):
             return False
     return True
+
+
+def pairwise_intersections_are_faces(fan):
+    """Exact check that any two maximal cones meet in the cone over their
+    common rays.  For a face-closed simplicial collection this implies the
+    property for all pairs of cones.
+
+    A True verdict comes from `complete_fan_certificate` when it holds,
+    otherwise from the search of `pairwise_faces_by_circuits`, which also
+    gives every False verdict.
+    """
+    return complete_fan_certificate(fan) or pairwise_faces_by_circuits(fan)
 
 
 def balancing_check(fan):

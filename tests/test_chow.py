@@ -361,3 +361,38 @@ def test_rank_six_b222_maximal_building_set():
     assert pc.phi_iso_check(pair)
     report = pc.kahler_package_report(pair)
     assert report and all(v is True for v in report.values())
+
+
+def monomials_of_degree(nvars, d):
+    out = []
+    for combo in combinations_with_replacement(range(nvars), d):
+        exps = [0] * nvars
+        for i in combo:
+            exps[i] += 1
+        out.append(tuple(exps))
+    return out
+
+
+def test_standard_monomials_match_sympy_groebner():
+    """An independent Groebner oracle: sympy's reduced Groebner basis of the
+    ideal our generators span, in the ring's order (lex with variable 0
+    largest), leaves the same standard monomials in every degree 0..r.
+    Generators above degree 2r-1 are omitted, which leaves the ideal
+    unchanged in these degrees.  Its leading terms are also exactly ours,
+    so our generators are a Groebner basis of the ideal they span."""
+    sympy = pytest.importorskip("sympy")
+    cases = [(P1, None), (P2, None), (P3, None), (U34, None), (U34, U34_MIN_BUILDING)]
+    for table, members in cases:
+        pair = pair_of(table, members)
+        for ring in (pair.dp, pair.fy):
+            xs = sympy.symbols("x0:%d" % ring.nvars)
+            polys = [sum(c * sympy.prod(x ** e for x, e in zip(xs, m))
+                         for m, c in g.items()) for _, g in ring.groebner]
+            reduced = sympy.groebner(polys, *xs, order="lex")
+            leading = {sympy.Poly(g, *xs).monoms(order="lex")[0] for g in reduced.exprs}
+            assert leading == {lt for lt, _ in ring.groebner}
+            for d in range(ring.r + 1):
+                standard = {m for m in monomials_of_degree(ring.nvars, d)
+                            if not any(mono_divides(lt, m) for lt in leading)}
+                assert standard == set(ring.basis[d] if d < ring.r else ()), (
+                    table, members, ring.kind, d)

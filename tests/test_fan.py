@@ -6,7 +6,8 @@ import pytest
 
 import polychow as pc
 from polychow import linalg
-from polychow.fan import primitive
+from polychow.fan import (complete_fan_certificate, integral, locate,
+                          pairwise_faces_by_circuits, primitive)
 from conftest import (BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING,
                       boolean_table)
 
@@ -239,6 +240,7 @@ def test_pairwise_faces_matches_extreme_ray_reference():
     for fan in fixture_fans() + random_collections():
         new = pc.pairwise_intersections_are_faces(fan)
         assert new == reference_pairwise_faces(fan), fan.cones
+        assert new == pairwise_faces_by_circuits(fan), fan.cones
         verdicts.append(new)
     assert verdicts.count(False) >= 40 and verdicts.count(True) >= 40
 
@@ -296,3 +298,192 @@ def test_cone_with_dependent_rays_is_rejected():
     fan = pc.Fan(2, [(1, 0), (0, 1), (1, 1)], [{0, 1, 2}])
     with pytest.raises(ValueError):
         pc.cone_contains(fan, frozenset({0, 1, 2}), (1, 1))
+
+
+# --- the complete-fan certificate ---------------------------------------------
+
+
+def cycle_collection(rays):
+    """The 2-d collection of cones on consecutive rays of a closed cycle:
+    every wall (a ray) lies in exactly two maximal cones."""
+    k = len(rays)
+    return pc.Fan(2, rays, face_closure([{i, (i + 1) % k} for i in range(k)]))
+
+
+SQUARE = [(1, 0), (0, 1), (-1, 0), (0, -1)]
+
+
+def refused_complete_collections():
+    """Complete collections of full-dimensional cones that are not fans,
+    each violating one condition of the certificate."""
+    # the four quadrants plus cone((1,0),(1,1)): the wall (1,0) lies in three
+    three_cones = pc.Fan(2, SQUARE + [(1, 1)],
+                         face_closure([{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 4}]))
+    # (1,0) -> (0,1) -> (1,1) turns back: the two cones at the wall (0,1),
+    # and those at (1,1), lie on the same side of it.  The first ray sum off
+    # the walls, (1,-1), lies in one cone only, so only the side test refuses
+    same_side = cycle_collection([(1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)])
+    # five cones of 135-162 degrees winding twice around the origin
+    pentagram = cycle_collection([(1, 0), (-1, 1), (1, -2), (1, 3), (-1, -1)])
+    return {"three_cones": three_cones, "same_side": same_side, "pentagram": pentagram}
+
+
+def test_certificate_refuses_complete_collections_that_are_not_fans():
+    for name, fan in refused_complete_collections().items():
+        assert pc.is_face_closed(fan), name
+        assert all(len(c) == 2 for c in fan.maximal_cones()), name
+        rng = Random(3)
+        assert all(scan_in_support(fan, pc.fan.random_point(rng, 2)) for _ in range(50)), name
+        assert not complete_fan_certificate(fan), name
+        assert not pc.pairwise_intersections_are_faces(fan), name
+        assert not pairwise_faces_by_circuits(fan), name
+        assert not reference_pairwise_faces(fan), name
+
+
+def test_certificate_holds_on_complete_fans():
+    fans = [f for f in fixture_fans() if f.max_dim == f.ambient_dim]
+    fans += [pc.boolean_bergman_fan(pc.ProjectionMap(f))
+             for f in ((2, 2, 1), (1, 1, 1, 1), (2, 2, 2))]
+    fans.append(cycle_collection(SQUARE))
+    assert len(fans) == 12
+    for fan in fans:
+        assert complete_fan_certificate(fan), fan
+    # the Bergman fans that are not complete are left to the search
+    for table in (P2, P3, U34):
+        assert not complete_fan_certificate(fan_of(table)[1])
+
+
+def random_cycles(rng, count):
+    """Closed cycles of three to seven random primitive rays in the plane,
+    consecutive rays independent: fans when they wind once without turning
+    back, otherwise not."""
+    out = []
+    while len(out) < count:
+        rays = []
+        for _ in range(rng.randint(3, 7)):
+            v = primitive((rng.randint(-3, 3), rng.randint(-3, 3)))
+            if any(v) and v not in rays:
+                rays.append(v)
+        if len(rays) >= 3 and all(
+                a[0] * b[1] - a[1] * b[0] for a, b in zip(rays, rays[1:] + rays[:1])):
+            out.append(cycle_collection(rays))
+    return out
+
+
+def test_certificate_agrees_with_the_search_on_random_cycles():
+    """A certified cycle is a fan; a cycle the search accepts is complete
+    and certified."""
+    rng = Random(11)
+    certified = 0
+    for fan in random_cycles(rng, 150):
+        cert = complete_fan_certificate(fan)
+        assert cert == pairwise_faces_by_circuits(fan), fan.rays
+        assert cert == pc.pairwise_intersections_are_faces(fan)
+        certified += cert
+    assert 10 <= certified <= 140
+
+
+# --- locating cones from level sets -------------------------------------------
+
+
+def scan_in_support(fan, w):
+    return any(reference_cone_contains(fan, c, w) for c in fan.cones)
+
+
+def scan_find_cone(fan, w):
+    if all(x == 0 for x in w):
+        return frozenset() if frozenset() in fan.cones else None
+    return next((c for c in fan.cones
+                 if c and reference_cone_contains(fan, c, w, strict=True)), None)
+
+
+def scan_refines(fine, coarse):
+    return all(any(all(reference_cone_contains(coarse, c, r) for r in fine.cone_rays(cone))
+                   for c in coarse.cones)
+               for cone in fine.cones)
+
+
+def nested_set_fixture_fans():
+    """Fans whose rays are subset vectors and whose cones are nested sets."""
+    fans = [pc.bergman_fan(pc.Polymatroid(t)) for t in (P1, P2, P3, P4, U34)]
+    fans.append(fan_of(U34, U34_MIN_BUILDING)[1])
+    fans += [pc.maximal_bergman_fan_direct(pc.Polymatroid(t)) for t in (P2, P3, U34)]
+    fans += [pc.boolean_bergman_fan(pc.ProjectionMap(f)) for f in ((1, 2), (2, 2), (1, 1, 2))]
+    return fans
+
+
+def scan_only_fans():
+    """Fans and collections with a ray that is not a subset vector."""
+    fans = [pc.Fan(2, [(1, 0), (1, 1), (-1, 2)], face_closure([{0, 1}, {1, 2}]))]
+    return fans + random_collections()[::16]
+
+
+def subset_vector_fans_missing_rays():
+    """Fans on subset vectors that lack rays a nested-set fan would have,
+    so some out-of-support points locate to a cone that does not hold them."""
+    quadrant = pc.Fan(2, [(1, 0), (0, 1)], face_closure([{0, 1}]))
+    octant = pc.Fan(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)], face_closure([{0, 1, 2}]))
+    two_cones = pc.Fan(3, [(1, 0, 0), (1, 1, 0), (0, 0, -1), (-1, -1, -1)],
+                       face_closure([{0, 1, 2}, {1, 3}]))
+    return [quadrant, octant, two_cones]
+
+
+def test_locate_matches_scans_on_fixture_fans():
+    rng = Random(5)
+    for fan in nested_set_fixture_fans():
+        assert fan.subset_index is not None
+        for cone in sorted(fan.cones, key=sorted):
+            for w in probe_points(rng, fan, cone):
+                found = scan_find_cone(fan, w)
+                # on a nested-set fan the level sets give the cone exactly,
+                # and no cone outside the support
+                assert locate(fan, integral(w)[0]) == found
+                assert pc.find_cone(fan, w) == found
+                assert pc.in_support(fan, w) == scan_in_support(fan, w)
+
+
+def test_unconfirmed_candidates_fall_back_to_the_scan():
+    rng = Random(8)
+    unconfirmed = 0
+    for fan in subset_vector_fans_missing_rays():
+        assert fan.subset_index is not None
+        points = [w for cone in fan.cones for w in probe_points(rng, fan, cone)]
+        points += [pc.fan.random_point(rng, fan.ambient_dim, spread=5) for _ in range(40)]
+        for w in points:
+            located = locate(fan, integral(w)[0])
+            if located is not None and not reference_cone_contains(fan, located, w):
+                unconfirmed += 1
+            assert pc.find_cone(fan, w) == scan_find_cone(fan, w)
+            assert pc.in_support(fan, w) == scan_in_support(fan, w)
+    # a candidate that is a cone not holding the point must not decide
+    assert unconfirmed >= 10
+
+
+def test_scan_path_without_a_subset_index():
+    rng = Random(6)
+    fans = scan_only_fans()
+    assert len(fans) >= 10
+    verdicts = set()
+    for fan in fans:
+        assert fan.subset_index is None
+        for cone in fan.cones:
+            for w in probe_points(rng, fan, cone):
+                assert locate(fan, integral(w)[0]) is None
+                got = pc.in_support(fan, w)
+                assert got == scan_in_support(fan, w)
+                found = pc.find_cone(fan, w)
+                assert (found is None) == (scan_find_cone(fan, w) is None)
+                verdicts.add(got)
+    assert verdicts == {False, True}
+
+
+def test_refines_matches_scan():
+    fans = nested_set_fixture_fans() + scan_only_fans() + subset_vector_fans_missing_rays()
+    verdicts = []
+    for fine in fans:
+        for coarse in fans:
+            if fine.ambient_dim == coarse.ambient_dim:
+                got = pc.refines(fine, coarse)
+                assert got == scan_refines(fine, coarse), (fine, coarse)
+                verdicts.append(got)
+    assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20

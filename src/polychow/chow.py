@@ -8,9 +8,10 @@ consequences (standard-monomial bases, Hilbert functions, the variable
 substitution between the two presentations, Poincare duality).
 
 The standard monomials are grown degree by degree as an order ideal (the
-monomials no leading term divides are closed under division), and a normal
-form is computed in one pass over a sorted worklist of the polynomial's
-terms, largest first.
+monomials no leading term divides are closed under division).  `nf`
+computes a normal form in one pass over a sorted worklist of the
+polynomial's terms, largest first; basis coordinates (`coords`) are summed
+from a per-ring table of monomial normal forms, each reduced once.
 
 Monomial order: lexicographic.  Variables are indexed by flats sorted by
 (size, numeric value), so smaller flats come first and are *larger* in the
@@ -98,22 +99,31 @@ def support_mask(m):
     return mask
 
 
+def _first_divisor(m, masks, leads):
+    """Index of the first of `leads` dividing m, or None; a lead whose
+    `support_mask` in `masks` leaves m's support is skipped unexamined."""
+    outside = ~support_mask(m)
+    for i, (mask, lt) in enumerate(zip(masks, leads)):
+        if not mask & outside and mono_divides(lt, m):
+            return i
+    return None
+
+
 def reduce_poly(p, groebner, masks=None):
     """Normal form against a list of (leading_monomial, polynomial) pairs.
 
     All leading coefficients are 1, so integer inputs stay integral.  The
     terms of p are sorted once into a worklist and taken largest first; each
-    is reduced by the first generator whose leading monomial divides it.
-    Reducing a term adds only smaller terms, which are inserted in order, so
-    a term found irreducible is final and the reductions happen in the same
-    order as rescanning p for its largest reducible term after every step.
-
-    `masks` holds each leading monomial's `support_mask` (computed when not
-    given); a generator using a variable outside the term's support is
-    skipped before the exponent comparison.
+    is reduced by the first generator whose leading monomial divides it
+    (`_first_divisor`, given the leading monomials' support masks, which are
+    computed when not given).  Reducing a term adds only smaller terms,
+    which are inserted in order, so a term found irreducible is final and
+    the reductions happen in the same order as rescanning p for its largest
+    reducible term after every step.
     """
+    leads = [lt for lt, _ in groebner]
     if masks is None:
-        masks = [support_mask(lt) for lt, _ in groebner]
+        masks = [support_mask(lt) for lt in leads]
     p = dict(p)
     work = sorted(p)
     while work:
@@ -121,12 +131,10 @@ def reduce_poly(p, groebner, masks=None):
         c = p.get(m)
         if c is None:            # cancelled after it was queued
             continue
-        outside = ~support_mask(m)
-        for mask, (lt, g) in zip(masks, groebner):
-            if not mask & outside and mono_divides(lt, m):
-                break
-        else:
+        i = _first_divisor(m, masks, leads)
+        if i is None:
             continue
+        lt, g = groebner[i]
         shift = mono_quotient(m, lt)
         for gm, gc in g.items():
             key = mono_mul(gm, shift)
@@ -147,10 +155,11 @@ def _minimalize(candidates):
     Dropping a Groebner-basis element whose leading monomial is divisible
     by another's preserves the Groebner property.
     """
-    keep = []
+    keep, masks = [], []
     for m in sorted(candidates, key=lambda m: (mono_degree(m), m)):
-        if not any(mono_divides(other, m) for other in keep):
+        if _first_divisor(m, masks, keep) is None:
             keep.append(m)
+            masks.append(support_mask(m))
     return [(m, candidates[m]) for m in keep]
 
 
@@ -162,6 +171,7 @@ def _standard_monomials(nvars, leading_terms, stop):
     from degree d: each monomial times every variable from its last nonzero
     exponent on, which reaches every monomial of degree d+1 exactly once.
     """
+    masks = [support_mask(lt) for lt in leading_terms]
     layers = []
     layer = [((0,) * nvars, 0)]      # (monomial, first variable to multiply)
     for d in range(stop):
@@ -172,7 +182,7 @@ def _standard_monomials(nvars, leading_terms, stop):
         for m, first in layer:
             for i in range(first, nvars):
                 n = m[:i] + (m[i] + 1,) + m[i + 1:]
-                if not any(mono_divides(lt, n) for lt in leading_terms):
+                if _first_divisor(n, masks, leading_terms) is None:
                     grown.append((n, i))
         layer = grown
     return layers
@@ -183,8 +193,10 @@ class GradedRing:
 
     `basis[d]` lists the degree-d standard monomials, largest first, grown
     as an order ideal up to degree r, which must be empty; `basis_index[d]`
-    maps each to its position.  `nf` is the single-pass normal form of the
+    maps each to its position.  `nf` is the worklist reduction of the
     module-level `reduce_poly`, given the leading terms' support masks.
+    `coords` reads each monomial's normal form from a table private to the
+    ring, filled on first use and kept for the ring's lifetime.
     """
 
     def __init__(self, kind, var_flats, r, groebner, context=None):
@@ -195,14 +207,15 @@ class GradedRing:
         self.r = r
         self.top = r - 1
         self.groebner = groebner
-        self.lt_masks = [support_mask(lt) for lt, _ in groebner]
+        self.leads = [lt for lt, _ in groebner]
+        self.lt_masks = [support_mask(lt) for lt in self.leads]
         self.context = context or {}
+        self._table = {}
         # Everything in degrees r..2r-2 must vanish for the truncated
         # generator set to be safe in the degrees we compute in.  Standard
         # monomials are closed under division, so that holds iff degree r
         # has none; for r = 1 the range is empty and nothing is checked.
-        layers = _standard_monomials(
-            self.nvars, [lt for lt, _ in groebner], r + 1 if r > 1 else r)
+        layers = _standard_monomials(self.nvars, self.leads, r + 1 if r > 1 else r)
         self.basis = tuple(layers[:r])
         self.basis_index = tuple({m: i for i, m in enumerate(b)} for b in self.basis)
         if len(layers) > r and layers[r]:
@@ -220,21 +233,44 @@ class GradedRing:
     def nf(self, poly):
         return reduce_poly(poly, self.groebner, self.lt_masks)
 
-    def mul(self, *polys):
-        out = self.one()
-        for p in polys:
-            out = poly_mul(out, p)
-        return out
+    def _monomial_nf(self, m):
+        """Table entry of m: {m: 1} if m is standard, else -sum(c * entry(t * m / lt))
+        over the terms c * t != lt of the first generator whose leading term lt
+        divides m.  Reduction by a fixed generator per monomial is linear, so
+        summed entries equal `reduce_poly`'s normal form as dicts."""
+        entry = self._table.get(m)
+        if entry is None:
+            i = _first_divisor(m, self.lt_masks, self.leads)
+            if i is None:
+                entry = {m: 1}
+            else:
+                lt, g = self.groebner[i]
+                shift = mono_quotient(m, lt)
+                entry = {}
+                for gm, gc in g.items():
+                    if gm != lt:
+                        for k, v in self._monomial_nf(mono_mul(gm, shift)).items():
+                            entry[k] = entry.get(k, 0) - gc * v
+                entry = {k: v for k, v in entry.items() if v}
+            self._table[m] = entry
+        return entry
 
     def coords(self, poly, degree):
         """Coefficient vector of a normal form over the degree basis, with
-        the normal form's own coefficients (integers for integral input)."""
+        the normal form's own coefficients (integers for integral input),
+        summed from the table entries of poly's monomials."""
         index = self.basis_index[degree] if 0 <= degree < self.r else {}
         vec = [0] * len(index)
-        for m, c in self.nf(poly).items():
-            if m not in index:
-                raise ValueError("element is not homogeneous of degree %d" % degree)
-            vec[index[m]] = c
+        stray = {}
+        for m, c in poly.items():
+            for k, v in self._monomial_nf(m).items():
+                i = index.get(k)
+                if i is None:
+                    stray[k] = stray.get(k, 0) + c * v
+                else:
+                    vec[i] += c * v
+        if any(stray.values()):
+            raise ValueError("element is not homogeneous of degree %d" % degree)
         return vec
 
     def hilbert(self):
@@ -461,7 +497,9 @@ def phi_iso_check(pair):
 
     Checks: every DP Groebner generator maps into the FY ideal; the DP
     basis maps to a basis degree by degree; products of basis elements
-    have matching structure constants on both sides.
+    have matching structure constants on both sides, compared as
+    coordinates: the degree-d matrix times the DP coordinates of m1 m2
+    against the FY coordinates of phi(m1) phi(m2).
     """
     dp, fy = pair.dp, pair.fy
     for _, g in dp.groebner:
@@ -480,11 +518,12 @@ def phi_iso_check(pair):
             matrices[d] = matrix
     for d1 in range(dp.r):
         for d2 in range(d1, dp.r - d1):
+            d = d1 + d2
             for m1 in dp.basis[d1]:
                 for m2 in dp.basis[d2]:
-                    prod_dp = dp.nf(poly_mul({m1: 1}, {m2: 1}))
-                    image = fy.nf(pair.phi(prod_dp))
-                    direct = fy.nf(poly_mul(pair.phi({m1: 1}), pair.phi({m2: 1})))
+                    a = dp.coords({mono_mul(m1, m2): 1}, d)
+                    image = [sum(x * y for x, y in zip(row, a)) for row in matrices.get(d, [])]
+                    direct = fy.coords(poly_mul(pair.phi({m1: 1}), pair.phi({m2: 1})), d)
                     if image != direct:
                         return False
     return True

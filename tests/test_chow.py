@@ -268,6 +268,110 @@ def test_spair_confluence_spot_check():
             assert reduce_poly(s, ring.groebner) == {}
 
 
+def table_nf(ring, p):
+    """Normal form summed from the ring's table entries."""
+    out = {}
+    for m, c in p.items():
+        for k, v in ring._monomial_nf(m).items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
+
+
+def nf_coords(ring, p, degree):
+    """Reference coordinates: the worklist normal form read off the basis."""
+    index = ring.basis_index[degree] if degree < ring.r else {}
+    vec = [0] * len(index)
+    for m, c in ring.nf(p).items():
+        vec[index[m]] = c
+    return vec
+
+
+def test_table_matches_reduce_poly():
+    # table-built normal forms and coordinates against the worklist
+    # reduction, on products of basis elements, Lefschetz inputs ell * b
+    # (degrees 1..r) and power-relation probes below degree r
+    for ring in kernel_rings():
+        ell = {tuple(int(j == i) for j in range(ring.nvars)): i + 1 for i in range(ring.nvars)}
+        inputs = [poly_mul({m1: 1}, {m2: 1})
+                  for d1 in range(ring.r) for d2 in range(d1, ring.r - d1)
+                  for m1 in ring.basis[d1] for m2 in ring.basis[d2]]
+        inputs += [poly_mul(ell, {b: 1}) for d in range(ring.r) for b in ring.basis[d]]
+        inputs += [p for p in power_relation_probes(ring) if sum(next(iter(p))) < ring.r]
+        for p in inputs:
+            degree = sum(next(iter(p)))
+            assert table_nf(ring, p) == ring.nf(p)
+            assert ring.coords(p, degree) == nf_coords(ring, p, degree)
+        # a non-homogeneous input whose normal form is homogeneous: terms of
+        # degree 2 that cancel only after reduction, and a degree-r
+        # monomial, which reduces to zero
+        if ring.r >= 3:
+            b = ring.basis[1][0]
+            lb = poly_mul(ell, {b: 1})
+            p = poly_add(poly_add({b: 1}, lb), poly_scale(ring.nf(lb), -1))
+            p[(ring.r,) + (0,) * (ring.nvars - 1)] = 5
+            assert ring.nf(p) == {b: 1} == table_nf(ring, p)
+            assert ring.coords(p, 1) == nf_coords(ring, p, 1)
+
+
+def nf_phi_iso_check(pair):
+    """Reference isomorphism check: the product stage compares worklist
+    normal forms as dicts, phi of the DP product against the product of
+    the images."""
+    dp, fy = pair.dp, pair.fy
+    for _, g in dp.groebner:
+        if fy.nf(pair.phi(g)):
+            return False
+    for d in range(dp.r):
+        if len(dp.basis[d]) != len(fy.basis[d]):
+            return False
+        cols = [nf_coords(fy, pair.phi({m: 1}), d) for m in dp.basis[d]]
+        if cols and (len(cols[0]) != len(cols) or linalg.det(cols) == 0):
+            return False
+    for d1 in range(dp.r):
+        for d2 in range(d1, dp.r - d1):
+            for m1 in dp.basis[d1]:
+                for m2 in dp.basis[d2]:
+                    image = fy.nf(pair.phi(dp.nf(poly_mul({m1: 1}, {m2: 1}))))
+                    direct = fy.nf(poly_mul(pair.phi({m1: 1}), pair.phi({m2: 1})))
+                    if image != direct:
+                        return False
+    return True
+
+
+def degree_scaled(pair, scale):
+    """The pair with phi multiplied by scale(d) on degree-d monomials."""
+    phi = pair.phi
+    pair.phi = lambda poly: {m: scale(sum(m)) * c for m, c in phi(poly).items()
+                             if scale(sum(m))}
+    return pair
+
+
+def variables_swapped(pair, i, j):
+    """The pair with the images of DP variables i and j exchanged."""
+    t = pair._translate
+    t[i], t[j] = t[j], t[i]
+    return pair
+
+
+def test_phi_iso_check_matches_nf_reference():
+    cases = KERNEL_FIXTURES + ((boolean_table((2, 2, 2)), None),)
+    for table, members in cases:
+        pair = pair_of(table, members)
+        assert pc.phi_iso_check(pair) is nf_phi_iso_check(pair) is True
+    rejected = [
+        # images of two variables exchanged: a generator leaves the FY ideal
+        variables_swapped(pair_of(P3), 0, 2),
+        # degree one sent to zero: the DP basis no longer maps to a basis
+        degree_scaled(pair_of(P3), lambda d: 0 if d == 1 else 1),
+        # the top degree doubled: phi is linear and bijective in each degree
+        # and sends the ideal into the ideal, but is not multiplicative
+        degree_scaled(pair_of(P3), lambda d: 2 if d == 2 else 1),
+        degree_scaled(pair_of(boolean_table((2, 2, 2))), lambda d: 2 if d == 5 else 1),
+    ]
+    for pair in rejected:
+        assert pc.phi_iso_check(pair) is nf_phi_iso_check(pair) is False
+
+
 def scan_dp_groebner(P, G):
     """Reference DP generators: for every member g, every subset S of the
     members of size at most 2r-1 gives x_S x_g^b with b = max(0, rk(g) -

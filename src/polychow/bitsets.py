@@ -9,16 +9,6 @@ def elements(mask):
         mask ^= low
 
 
-def subsets(mask):
-    """Yield all submasks of `mask`, including 0 and `mask` itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
-
-
 def nonempty_subsets(mask):
     sub = mask
     while sub:
@@ -33,10 +23,3 @@ def popcount(mask):
 def canonical_key(mask):
     """Sort key putting small sets first, ties broken by numeric value."""
     return (mask.bit_count(), mask)
-
-
-def mask_of(iterable):
-    m = 0
-    for i in iterable:
-        m |= 1 << i
-    return m

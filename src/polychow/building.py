@@ -4,18 +4,12 @@ Everything here is generic over a "ground" object exposing `full_mask`,
 `rank`, `closure` and `flats` (either a `Polymatroid` or a lift).
 """
 
-import os
 from itertools import product
 
 from .bitsets import canonical_key
 from .lift import lift
 
 DEFAULT_NESTED_CAP = 200_000
-
-
-def nested_cap():
-    value = os.environ.get("POLYCHOW_MAX_CELLS")
-    return int(value) if value else DEFAULT_NESTED_CAP
 
 
 class BuildingSetError(ValueError):
@@ -173,7 +167,7 @@ def nested_complex(building, exclude=None, cap=None):
     """
     base = building.base
     members = [m for m in building.sorted_members() if m != exclude]
-    cap = cap or nested_cap()
+    cap = cap or DEFAULT_NESTED_CAP
     closure_memo = {}
 
     def closure(mask):

@@ -72,14 +72,20 @@ def resolve_building_set(P, data, flag):
     if source == "maximal":
         return maximal_building_set(P)
     if isinstance(source, str):
-        with open(source) as fh:
-            try:
+        try:
+            with open(source) as fh:
                 source = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CliError("malformed JSON at line %d column %d: %s"
-                               % (exc.lineno, exc.colno, exc.msg))
+        except OSError as exc:
+            raise CliError("cannot read building set: %s" % exc)
+        except json.JSONDecodeError as exc:
+            raise CliError("malformed JSON at line %d column %d: %s"
+                           % (exc.lineno, exc.colno, exc.msg))
     if not isinstance(source, list):
         raise CliError("building set must be a list of masks or 'maximal'")
+    try:
+        source = [int(m) for m in source]
+    except (TypeError, ValueError):
+        raise CliError("building set masks must be integers")
     try:
         return BuildingSet(P, source)
     except BuildingSetError as exc:
@@ -147,7 +153,7 @@ def cmd_fan(P, G, args):
               "maximal_cones": len(fan.maximal_cones())}
     ok = True
     if args.check:
-        checks = validate_fan(fan, expected_max_dim=P.r - 1, seed=args.seed)
+        checks = validate_fan(fan, expected_max_dim=P.r - 1)
         report["checks"] = checks
         ok = all(checks.values())
     return report, ok
@@ -155,8 +161,10 @@ def cmd_fan(P, G, args):
 
 def cmd_polyperm(P, G, args):
     proj = ProjectionMap([P.rank(1 << i) for i in range(P.n)])
-    c = args.instance_data.get("c")
-    Q = Polypermutohedron(proj, c)
+    try:
+        Q = Polypermutohedron(proj, args.instance_data.get("c"))
+    except (TypeError, ValueError) as exc:
+        raise CliError("invalid c: %s" % exc)
     report = {"fiber_sizes": list(proj.fiber_sizes),
               "c": list(Q.c),
               "vertices": [list(v) for v in Q.vertices]}
@@ -274,7 +282,10 @@ def main(argv=None):
         guard(P, args.command)
         G = resolve_building_set(P, data, args.building_set)
         if args.seed is None:
-            args.seed = int(data.get("seed", 0))
+            try:
+                args.seed = int(data.get("seed", 0))
+            except (TypeError, ValueError):
+                raise CliError("seed must be an integer")
         args.instance_data = data
         report, ok = HANDLERS[args.command](P, G, args)
     except CliError as exc:

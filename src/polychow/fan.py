@@ -12,10 +12,11 @@ pairwise-faces check use integer arithmetic only.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd
 from random import Random
 
 from . import linalg
+from .linalg import integral
 from .bitsets import canonical_key, elements, nonempty_subsets, popcount
 from .building import lifted_building_set, nested_complex
 from .lift import lift
@@ -192,14 +193,6 @@ def boolean_bergman_fan(proj):
             rays.update(primitive(subset_vector(1 << e, m)) for e in elements(S))
             ray_sets.add(frozenset(rays))
     return _fan_from_ray_sets(m - 1, ray_sets)
-
-
-def integral(w):
-    """(W, q) with q > 0 the least common denominator of the entries of w
-    and W = q*w as a tuple of ints.  A positive scaling moves no point
-    across a cone boundary and changes no argmin over w."""
-    q = lcm(*(x.denominator for x in w))
-    return tuple(x.numerator * (q // x.denominator) for x in w), q
 
 
 def _locator(fan, cone):
@@ -388,7 +381,7 @@ def is_unimodular(fan):
         rays = fan.cone_rays(cone)
         if not rays:
             continue
-        diag, *_ = linalg.smith_normal_form(rays)
+        diag = linalg.smith_normal_form(rays)
         if any(d != 1 for d in diag[:len(rays)]):
             return False
         if linalg.rank(rays) != len(rays):
@@ -560,7 +553,7 @@ def is_complete(fan, trials=200, seed=0):
     return True
 
 
-def validate_fan(fan, expected_max_dim=None, complete=None, seed=0):
+def validate_fan(fan, expected_max_dim=None):
     """Run the structural validators; returns a dict of named booleans."""
     report = {
         "unimodular": is_unimodular(fan),
@@ -570,6 +563,4 @@ def validate_fan(fan, expected_max_dim=None, complete=None, seed=0):
     }
     if expected_max_dim is not None:
         report["max_dim"] = fan.max_dim == expected_max_dim
-    if complete is not None:
-        report["complete"] = is_complete(fan, seed=seed) == complete
     return report

@@ -129,8 +129,8 @@ def is_strictly_convex(fan, pl):
         u = fan.rays[next(iter(adjacent[0] - facet))]
         u2 = fan.rays[next(iter(adjacent[1] - facet))]
         tau_rays = fan.cone_rays(facet)
-        target = [Fraction(a + b) for a, b in zip(u, u2)]
-        cols = [[Fraction(r[i]) for r in tau_rays] for i in range(d)]
+        target = [a + b for a, b in zip(u, u2)]
+        cols = [[r[i] for r in tau_rays] for i in range(d)]
         coeffs = linalg.solve(cols, target) if tau_rays else []
         if coeffs is None:
             raise ValueError("wall relation is not supported on the wall; fan is not unimodular")

@@ -1,17 +1,34 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything here works on plain lists of lists whose entries are ints or
-`fractions.Fraction`.  No floating point is used anywhere; intermediate
-growth is controlled with fraction-free (Bareiss-style) elimination where
-the input is integral.
+`fractions.Fraction`.  No floating point is used anywhere.  There is one
+row reduction, the fraction-free (Bareiss) `integer_rref`; rational input
+is first scaled row by row to integers with `integral_rows`, which changes
+no rank, kernel or solution set.  `rank`, `kernel_basis` and `solve` run
+on it, and `det` runs Bareiss' triangular form of the same elimination.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 
-def _as_fraction_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+def integral(w):
+    """(W, q) with q > 0 the least common denominator of the entries of w
+    and W = q*w as a tuple of ints.  A positive scaling moves no point
+    across a cone boundary and changes no argmin over w."""
+    q = lcm(*(x.denominator for x in w))
+    return tuple(x.numerator * (q // x.denominator) for x in w), q
+
+
+def integral_rows(rows):
+    """(M, q): each row scaled to integers by `integral`, and q the product
+    of the scales, so that det(rows) = det(M) / q."""
+    M, q = [], 1
+    for row in rows:
+        W, s = integral(row)
+        M.append(list(W))
+        q *= s
+    return M, q
 
 
 def mat_mul(A, B):
@@ -21,54 +38,6 @@ def mat_mul(A, B):
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def rref(rows):
-    """Reduced row echelon form. Returns (R, pivot_columns)."""
-    A = _as_fraction_rows(rows)
-    nrows = len(A)
-    ncols = len(A[0]) if A else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if A[i][c] != 0), None)
-        if pivot is None:
-            continue
-        A[r], A[pivot] = A[pivot], A[r]
-        inv = A[r][c]
-        A[r] = [x / inv for x in A[r]]
-        for i in range(nrows):
-            if i != r and A[i][c] != 0:
-                f = A[i][c]
-                A[i] = [a - f * b for a, b in zip(A[i], A[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return A, pivots
-
-
-def rank(rows):
-    if not rows or not rows[0]:
-        return 0
-    return len(rref(rows)[1])
-
-
-def kernel_basis(rows):
-    """Basis of the right kernel {v : A v = 0}, exact rationals."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    R, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            v[p] = -R[r][f]
-        basis.append(v)
-    return basis
 
 
 def integer_rref(rows, width=None):
@@ -124,49 +93,55 @@ def integer_kernel(rows, ncols):
     return basis
 
 
+def rank(rows):
+    return len(integer_rref(integral_rows(rows)[0])[1])
+
+
+def kernel_basis(rows):
+    """Basis of the right kernel {v : A v = 0}: one integer vector per free
+    column f, with d != 0 at f, zero at the other free columns and the
+    pivot entries that make it a kernel vector."""
+    if not rows:
+        return []
+    return integer_kernel(integral_rows(rows)[0], len(rows[0]))
+
+
 def solve(rows, b):
-    """One exact solution of A x = b, or None if inconsistent.
+    """One exact solution of A x = b (Fractions, zero at the free columns),
+    or None if inconsistent.
 
     When the columns of A are linearly independent the solution is unique.
     """
     if not rows:
         return [] if all(x == 0 for x in b) else None
     ncols = len(rows[0])
-    aug = [list(row) + [bb] for row, bb in zip(rows, b)]
-    R, pivots = rref(aug)
+    aug = integral_rows([list(row) + [bb] for row, bb in zip(rows, b)])[0]
+    M, pivots, d = integer_rref(aug)
     if ncols in pivots:
         return None
     x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = R[r][ncols]
+    for s, p in enumerate(pivots):
+        x[p] = Fraction(M[s][ncols], d)
     return x
 
 
 def det(rows):
     """Determinant of a square matrix, exact.
 
-    Integer input goes through fraction-free Bareiss elimination; rational
-    input is scaled to integers first.
+    Rational input is scaled to integers by `integral_rows`; the integer
+    matrix goes through fraction-free Bareiss elimination.
     """
     n = len(rows)
     if n == 0:
         return 1
-    scale = Fraction(1)
-    A = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        denom = 1
-        for x in row:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        scale /= denom
-        A.append([int(x * denom) for x in row])
+    A, scale = integral_rows(rows)
     sign = 1
     prev = 1
     for k in range(n - 1):
         if A[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
             if pivot is None:
-                return Fraction(0) if scale != 1 else 0
+                return 0
             A[k], A[pivot] = A[pivot], A[k]
             sign = -sign
         for i in range(k + 1, n):
@@ -174,50 +149,16 @@ def det(rows):
                 A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
             A[i][k] = 0
         prev = A[k][k]
-    result = sign * A[n - 1][n - 1] * scale
+    result = Fraction(sign * A[n - 1][n - 1], scale)
     return int(result) if result.denominator == 1 else result
 
 
 def smith_normal_form(rows):
-    """Smith normal form of an integer matrix.
-
-    Returns (diag, U, V, D) with A = U @ D @ V, U and V unimodular, D the
-    full diagonalized matrix and diag its diagonal with d_1 | d_2 | ...
-    nonnegative.
-    """
+    """Diagonal d_1 | d_2 | ... (nonnegative) of the Smith normal form of an
+    integer matrix, found by unimodular row and column operations."""
     D = [list(map(int, row)) for row in rows]
     n = len(D)
     m = len(D[0]) if D else 0
-    U = identity(n)
-    V = identity(m)
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        for r in U:  # U <- U * swap(i,j)
-            r[i], r[j] = r[j], r[i]
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-        V[i], V[j] = V[j], V[i]
-
-    def add_row(src, dst, k):
-        # D[dst] += k * D[src]; compensate in U.
-        for c in range(m):
-            D[dst][c] += k * D[src][c]
-        for r in U:
-            r[src] -= k * r[dst]
-
-    def add_col(src, dst, k):
-        for row in D:
-            row[dst] += k * row[src]
-        V[src] = [a - k * b for a, b in zip(V[src], V[dst])]
-
-    def negate_row(i):
-        D[i] = [-x for x in D[i]]
-        for r in U:
-            r[i] = -r[i]
-
     t = 0
     while t < min(n, m):
         # Bring a nonzero entry of minimal magnitude to (t, t).
@@ -229,38 +170,33 @@ def smith_normal_form(rows):
         if best is None:
             break
         i, j = best
-        if i != t:
-            swap_rows(t, i)
-        if j != t:
-            swap_cols(t, j)
+        D[t], D[i] = D[i], D[t]
+        for row in D:
+            row[t], row[j] = row[j], row[t]
         dirty = False
         for i in range(t + 1, n):
-            if D[i][t] != 0:
-                add_row(t, i, -(D[i][t] // D[t][t]))
+            if D[i][t]:
+                k = D[i][t] // D[t][t]
+                D[i] = [a - k * b for a, b in zip(D[i], D[t])]
                 dirty = dirty or D[i][t] != 0
         for j in range(t + 1, m):
-            if D[t][j] != 0:
-                add_col(t, j, -(D[t][j] // D[t][t]))
+            if D[t][j]:
+                k = D[t][j] // D[t][t]
+                for row in D:
+                    row[j] -= k * row[t]
                 dirty = dirty or D[t][j] != 0
         if dirty:
             continue
         # Enforce divisibility of the remaining block by D[t][t].
-        offender = None
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if D[i][j] % D[t][t] != 0:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(t + 1, n)
+                         if any(D[i][j] % D[t][t] for j in range(t + 1, m))), None)
         if offender is not None:
-            add_row(offender, t, 1)
+            D[t] = [a + b for a, b in zip(D[t], D[offender])]
             continue
         if D[t][t] < 0:
-            negate_row(t)
+            D[t] = [-x for x in D[t]]
         t += 1
-    diag = [D[i][i] for i in range(min(n, m))]
-    return diag, U, V, D
+    return [D[i][i] for i in range(min(n, m))]
 
 
 def is_positive_definite(G):

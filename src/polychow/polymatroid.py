@@ -204,8 +204,7 @@ class FlatLattice:
     """The lattice of flats of a rank structure, ordered by inclusion.
 
     Works for any object exposing `n`/`full_mask`-style ground data plus
-    `flats()` and `closure()`; meet is intersection, join is closure of
-    the union.
+    `flats()` and `closure()`; join is closure of the union.
     """
 
     __slots__ = ("base", "flats", "index")
@@ -224,14 +223,8 @@ class FlatLattice:
     def __contains__(self, mask):
         return mask in self.index
 
-    def leq(self, f, g):
-        return f & g == f
-
     def join(self, f, g):
         return self.base.closure(f | g)
-
-    def meet(self, f, g):
-        return f & g
 
     @property
     def bottom(self):

@@ -16,7 +16,8 @@ from itertools import permutations, product
 from random import Random
 
 from .bitsets import elements
-from .fan import integral, random_point
+from .fan import random_point
+from .linalg import integral
 from .polymatroid import ProjectionMap
 
 

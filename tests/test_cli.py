@@ -103,6 +103,21 @@ def test_heavy_guard(tmp_path, capsys):
     assert "exceeds" in err
 
 
+@pytest.mark.parametrize("command, fields, flags", [
+    ("chow", {}, ["--building-set", "missing.json"]),
+    ("chow", {"building_set": ["a", 3]}, []),
+    ("validate", {"seed": "x"}, []),
+    ("polyperm", {"c": [2, 1]}, []),
+])
+def test_unusable_input_exits_2(tmp_path, capsys, command, fields, flags):
+    # input the CLI cannot use is reported as JSON with exit 2, not raised
+    path = write_instance(tmp_path, dict({"n": 2, "rank": P2}, **fields))
+    flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
+    code, out, err = run(capsys, [command, "--instance", path] + flags)
+    assert code == 2 and out == ""
+    assert set(json.loads(err)) == {"error"}
+
+
 def test_lift_size_guard(tmp_path, capsys):
     path = write_instance(tmp_path, {"n": 2, "rank": [0, 9, 9, 18]})
     code, out, err = run(capsys, ["validate", "--instance", path])

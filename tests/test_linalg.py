@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 from random import Random
 
 import pytest
@@ -10,10 +12,58 @@ def F(x):
     return Fraction(x)
 
 
-def test_rref_identity():
-    R, pivots = linalg.rref([[1, 0], [0, 1]])
-    assert R == [[1, 0], [0, 1]]
-    assert pivots == [0, 1]
+def rref(rows):
+    """Reference reduced row echelon form over the rationals, by textbook
+    Gauss-Jordan elimination.  Returns (R, pivot_columns)."""
+    A = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(A[0]) if A else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
+        if pivot is None:
+            continue
+        A[r], A[pivot] = A[pivot], A[r]
+        A[r] = [x / A[r][c] for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c] != 0:
+                A[i] = [a - A[i][c] * b for a, b in zip(A[i], A[r])]
+        pivots.append(c)
+    return A, pivots
+
+
+def reference_kernel(rows):
+    """One rational kernel vector per free column f of `rref`, with 1 at f."""
+    R, pivots = rref(rows)
+    ncols = len(rows[0])
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(int(c == f)) for c in range(ncols)]
+        for r, p in enumerate(pivots):
+            v[p] = -R[r][f]
+        basis.append(v)
+    return basis
+
+
+def reference_solve(rows, b):
+    R, pivots = rref([list(row) + [x] for row, x in zip(rows, b)])
+    ncols = len(rows[0])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, p in enumerate(pivots):
+        x[p] = R[r][ncols]
+    return x
+
+
+def random_low_rank(rng, entry):
+    """An n x m product L R of random factors with inner size k <= min(n, m),
+    so that kernels and inconsistent systems are common."""
+    n, m = rng.randint(1, 4), rng.randint(1, 6)
+    k = rng.randint(0, min(n, m))
+    L = [[entry() for _ in range(k)] for _ in range(n)]
+    R = [[entry() for _ in range(m)] for _ in range(k)]
+    return [[sum((L[i][t] * R[t][j] for t in range(k)), 0) for j in range(m)]
+            for i in range(n)]
 
 
 def test_rank():
@@ -59,24 +109,32 @@ def test_det():
 
 
 def test_smith_normal_form_identity():
-    diag, U, V, D = linalg.smith_normal_form([[1, 0], [0, 1]])
-    assert diag == [1, 1]
+    assert linalg.smith_normal_form([[1, 0], [0, 1]]) == [1, 1]
 
 
 def test_smith_normal_form_divisibility():
-    diag, U, V, D = linalg.smith_normal_form([[2, 0], [0, 3]])
-    assert diag == [1, 6]
+    assert linalg.smith_normal_form([[2, 0], [0, 3]]) == [1, 6]
 
 
-def test_smith_normal_form_factorization():
-    A = [[4, 6, 2], [2, 8, 10]]
-    diag, U, V, D = linalg.smith_normal_form(A)
-    assert linalg.mat_mul(linalg.mat_mul(U, D), V) == [[F(x) for x in row] for row in A]
-    assert linalg.det(U) in (1, -1)
-    assert linalg.det(V) in (1, -1)
-    for a, b in zip(diag, diag[1:]):
-        if b:
-            assert a == 0 or b % a == 0
+def test_smith_normal_form_matches_minor_gcds():
+    # d_1 ... d_i is the gcd of the i x i minors (the determinantal divisors)
+    rng = Random(8)
+    cases = [[[4, 6, 2], [2, 8, 10]]]
+    for _ in range(150):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        cases.append([[rng.randint(-6, 6) for _ in range(m)] for _ in range(n)])
+    for A in cases:
+        diag = linalg.smith_normal_form(A)
+        n, m = len(A), len(A[0])
+        assert len(diag) == min(n, m) and all(x >= 0 for x in diag)
+        for a, b in zip(diag, diag[1:]):
+            assert b % a == 0 if a else b == 0
+        product = 1
+        for i in range(1, min(n, m) + 1):
+            product *= diag[i - 1]
+            assert product == gcd(*(linalg.det([[A[r][c] for c in cols] for r in rows])
+                                    for rows in combinations(range(n), i)
+                                    for cols in combinations(range(m), i)))
 
 
 def test_positive_definite():
@@ -94,14 +152,10 @@ def test_positive_definite_requires_symmetry():
 def test_integer_rref_and_kernel_match_fraction_rref():
     rng = Random(5)
     for _ in range(400):
-        n, m = rng.randint(1, 4), rng.randint(1, 6)
-        k = rng.randint(0, min(n, m))
-        L = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
-        R = [[rng.randint(-2, 2) for _ in range(m)] for _ in range(k)]
-        A = [[sum(L[i][t] * R[t][j] for t in range(k)) for j in range(m)]
-             for i in range(n)]
+        A = random_low_rank(rng, lambda: rng.randint(-2, 2))
+        m = len(A[0])
         M, pivots, d = linalg.integer_rref(A)
-        ref, ref_pivots = linalg.rref(A)
+        ref, ref_pivots = rref(A)
         assert pivots == ref_pivots
         assert [[Fraction(x, d) for x in row] for row in M[:len(pivots)]] \
             == ref[:len(pivots)]
@@ -112,3 +166,41 @@ def test_integer_rref_and_kernel_match_fraction_rref():
         if kernel:
             assert linalg.rank(kernel) == len(kernel)
     assert linalg.integer_kernel([], 2) == [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("entry", ["int", "fraction"])
+def test_rank_kernel_solve_match_fraction_reference(entry):
+    rng = Random(13)
+    if entry == "int":
+        def draw():
+            return rng.randint(-3, 3)
+    else:
+        def draw():
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+    inconsistent = underdetermined = 0
+    for _ in range(300):
+        A = random_low_rank(rng, draw)
+        n, m = len(A), len(A[0])
+        _, pivots = rref(A)
+        assert linalg.rank(A) == len(pivots)
+        # each kernel vector is a nonzero multiple of the reference vector
+        kernel = linalg.kernel_basis(A)
+        reference = reference_kernel(A)
+        assert len(kernel) == len(reference)
+        for v, u in zip(kernel, reference):
+            f = u.index(1)
+            assert v[f] != 0 and all(isinstance(x, int) for x in v)
+            assert v == [v[f] * x for x in u]
+        # a consistent right-hand side, and an arbitrary one
+        x0 = [draw() for _ in range(m)]
+        for b in ([sum((a * x for a, x in zip(row, x0)), 0) for row in A],
+                  [draw() for _ in range(n)]):
+            x = linalg.solve(A, b)
+            assert x == reference_solve(A, b)
+            if x is None:
+                inconsistent += 1
+            else:
+                assert all(isinstance(c, Fraction) for c in x)
+                assert [sum(a * c for a, c in zip(row, x)) for row in A] == b
+                underdetermined += len(pivots) < m
+    assert inconsistent and underdetermined

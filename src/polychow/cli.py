@@ -54,10 +54,20 @@ def load_instance(path):
     return data
 
 
+def is_integer(x):
+    """True for a JSON integer; JSON true and false load as bools, which
+    Python counts as ints."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def integer_list(value, what):
+    if not isinstance(value, list) or not all(map(is_integer, value)):
+        raise CliError("%s must be a list of integers" % what)
+    return value
+
+
 def build_polymatroid(data):
-    table = data.get("rank", data.get("rank_table"))
-    if not isinstance(table, list) or any(not isinstance(x, int) for x in table):
-        raise CliError("rank must be a list of integers")
+    table = integer_list(data.get("rank", data.get("rank_table")), "rank")
     try:
         return Polymatroid(table)
     except PolymatroidError as exc:
@@ -80,12 +90,7 @@ def resolve_building_set(P, data, flag):
         except json.JSONDecodeError as exc:
             raise CliError("malformed JSON at line %d column %d: %s"
                            % (exc.lineno, exc.colno, exc.msg))
-    if not isinstance(source, list):
-        raise CliError("building set must be a list of masks or 'maximal'")
-    try:
-        source = [int(m) for m in source]
-    except (TypeError, ValueError):
-        raise CliError("building set masks must be integers")
+    integer_list(source, "building set masks")
     try:
         return BuildingSet(P, source)
     except BuildingSetError as exc:
@@ -161,9 +166,10 @@ def cmd_fan(P, G, args):
 
 def cmd_polyperm(P, G, args):
     proj = ProjectionMap([P.rank(1 << i) for i in range(P.n)])
+    c = args.instance_data.get("c")
     try:
-        Q = Polypermutohedron(proj, args.instance_data.get("c"))
-    except (TypeError, ValueError) as exc:
+        Q = Polypermutohedron(proj, None if c is None else integer_list(c, "c"))
+    except ValueError as exc:
         raise CliError("invalid c: %s" % exc)
     report = {"fiber_sizes": list(proj.fiber_sizes),
               "c": list(Q.c),
@@ -277,14 +283,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     try:
+        if args.trials < 1:
+            raise CliError("--trials must be at least 1")
         data = load_instance(args.instance)
         P = build_polymatroid(data)
         guard(P, args.command)
         G = resolve_building_set(P, data, args.building_set)
         if args.seed is None:
-            try:
-                args.seed = int(data.get("seed", 0))
-            except (TypeError, ValueError):
+            args.seed = data.get("seed", 0)
+            if not is_integer(args.seed):
                 raise CliError("seed must be an integer")
         args.instance_data = data
         report, ok = HANDLERS[args.command](P, G, args)

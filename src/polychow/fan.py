@@ -12,7 +12,7 @@ pairwise-faces check use integer arithmetic only.
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd
+from math import gcd, lcm
 from random import Random
 
 from . import linalg
@@ -341,14 +341,29 @@ def in_support(fan, w):
     return any(cone_contains(fan, cone, W) for cone in fan.cones)
 
 
-def random_point(rng, dim, spread=10_000):
-    return tuple(Fraction(rng.randint(-spread, spread), rng.randint(1, 97))
-                 for _ in range(dim))
+def random_integral_point(rng, dim, spread=10_000):
+    """A random rational point, coordinate i being a_i / b_i with
+    a_i = randint(-spread, spread) and b_i = randint(1, 97) drawn in that
+    order, returned as `integral` returns it: scaled by the least common
+    denominator of the reduced fractions."""
+    numerators, denominators = [], []
+    for _ in range(dim):
+        a, b = rng.randint(-spread, spread), rng.randint(1, 97)
+        g = gcd(a, b)
+        numerators.append(a // g)
+        denominators.append(b // g)
+    q = lcm(*denominators)
+    return tuple(a * (q // b) for a, b in zip(numerators, denominators))
 
 
 def same_support(f1, f2, trials=400, seed=0):
     """Exact containment in the refining direction when available, plus
-    randomized point-membership agreement."""
+    randomized point-membership agreement, on integer points.
+
+    A sample inside a cone of f2 is the sum of (a/b) r over its rays r,
+    with a = randint(1, 50) and b = randint(1, 7).  It is drawn as 420
+    times that point (420 = lcm(1, ..., 7)), a positive multiple that
+    `in_support` cannot tell apart from it."""
     if f1.ambient_dim != f2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     rng = Random(seed)
@@ -358,15 +373,15 @@ def same_support(f1, f2, trials=400, seed=0):
         for cone in f2.maximal_cones():
             rays = f2.cone_rays(cone)
             for _ in range(max(1, trials // max(1, len(f2.cones)))):
-                coeffs = [Fraction(rng.randint(1, 50), rng.randint(1, 7))
-                          for _ in rays]
-                w = tuple(sum(c * r[i] for c, r in zip(coeffs, rays))
-                          for i in range(f2.ambient_dim))
+                w = [0] * f2.ambient_dim
+                for r in rays:
+                    a, b = rng.randint(1, 50), rng.randint(1, 7)
+                    w = [x + a * (420 // b) * y for x, y in zip(w, r)]
                 if not in_support(f1, w):
                     return False
         return True
     for _ in range(trials):
-        w = random_point(rng, f1.ambient_dim)
+        w = random_integral_point(rng, f1.ambient_dim)
         if in_support(f1, w) != in_support(f2, w):
             return False
     return True
@@ -540,11 +555,12 @@ def balancing_check(fan):
 
 
 def is_complete(fan, trials=200, seed=0):
-    """Sampling check: every random rational point lies in the relative
-    interior of exactly one cone."""
+    """Sampling check: every random rational point, drawn as integers by
+    `random_integral_point`, lies in the relative interior of exactly one
+    cone."""
     rng = Random(seed)
     for _ in range(trials):
-        w, _ = integral(random_point(rng, fan.ambient_dim))
+        w = random_integral_point(rng, fan.ambient_dim)
         hits = sum(1 for cone in fan.cones
                    if (cone and cone_contains(fan, cone, w, strict=True))
                    or (not cone and all(x == 0 for x in w)))

@@ -16,15 +16,20 @@ from itertools import permutations, product
 from random import Random
 
 from .bitsets import elements
-from .fan import random_point
-from .linalg import integral
+from .fan import random_integral_point
 from .polymatroid import ProjectionMap
 
 
 class Polypermutohedron:
-    """Vertex set of Q(pi; c_1, ..., c_n) together with its transversals."""
+    """Vertex set of Q(pi; c_1, ..., c_n) together with its transversals.
 
-    __slots__ = ("proj", "c", "vertices", "transversals")
+    `columns` holds the vertex coordinates column by column, and
+    `selectors` holds, per transversal (seq, v), the mask of seq, the mask
+    of its consecutive pairs (bit a*m + b for each a, b adjacent in seq),
+    and v; `minimizing_vertices` reads both.
+    """
+
+    __slots__ = ("proj", "c", "vertices", "transversals", "columns", "selectors")
 
     def __init__(self, proj, c=None):
         if not isinstance(proj, ProjectionMap):
@@ -52,6 +57,12 @@ class Polypermutohedron:
                 seen[v] = None
         object.__setattr__(self, "transversals", tuple(transversals))
         object.__setattr__(self, "vertices", tuple(sorted(seen)))
+        object.__setattr__(self, "columns", tuple(zip(*self.vertices)))
+        object.__setattr__(self, "selectors", tuple(
+            (sum(1 << s for s in seq),
+             sum(1 << (a * proj.m + b) for a, b in zip(seq, seq[1:])),
+             v)
+            for seq, v in transversals))
 
     def __setattr__(self, name, value):
         raise AttributeError("Polypermutohedron is immutable")
@@ -107,29 +118,35 @@ def embed(w_quotient):
 
 def minimizing_vertices(Q, w):
     """Brute-force argmin of <w, .> over the vertices, plus the transversal
-    predicate's selection.  Returns (brute_set, predicate_set) of vertices."""
-    best = None
-    brute = set()
-    for v in Q.vertices:
-        value = sum(a * b for a, b in zip(w, v))
-        if best is None or value < best:
-            best = value
-            brute = {v}
-        elif value == best:
-            brute.add(v)
-    fiber_of = Q.proj.fiber_of
-    start_mins = {}
-    offset = 0
-    for i, s in enumerate(Q.proj.fiber_sizes):
-        block = range(offset, offset + s)
-        start_mins[i] = min(w[e] for e in block)
-        offset += s
-    predicate = set()
-    for seq, v in Q.transversals:
-        if any(w[s] != start_mins[fiber_of[s]] for s in seq):
-            continue
-        if all(w[a] >= w[b] for a, b in zip(seq, seq[1:])):
-            predicate.add(v)
+    predicate's selection.  Returns (brute_set, predicate_set) of vertices.
+
+    The values <w, v> are summed one vertex column at a time.  A
+    transversal is selected when its mask lies inside the positions that
+    attain their fiber's minimum weight, and its weights weakly decrease:
+    none of its consecutive pairs (a, b) is a rise, w[a] < w[b].
+    """
+    values = [0] * len(Q.vertices)
+    for x, column in zip(w, Q.columns):
+        if x:
+            values = [s + x * a for s, a in zip(values, column)]
+    best = min(values)
+    brute = {v for v, value in zip(Q.vertices, values) if value == best}
+    lows = start = 0
+    for size in Q.proj.fiber_sizes:
+        block = w[start:start + size]
+        low = min(block)
+        for i, x in enumerate(block, start):
+            if x == low:
+                lows |= 1 << i
+        start += size
+    m = Q.proj.m
+    rises = 0
+    for a, x in enumerate(w):
+        for b, y in enumerate(w):
+            if x < y:
+                rises |= 1 << (a * m + b)
+    predicate = {v for mask, pairs, v in Q.selectors
+                 if mask & lows == mask and not pairs & rises}
     return brute, predicate
 
 
@@ -178,8 +195,9 @@ def normal_fan_equals(Q, fan, trials=1000, seed=0):
     fan is complete), and points share a relative interior if and only if
     they minimize at the same vertex set; the transversal predicate is
     validated against the brute-force vertex oracle on every sample.  Each
-    sample is scaled to integers once, which keeps its Lowest poset and
-    its argmin, so the comparisons need no Fractions.
+    sample is drawn as integers by `random_integral_point`, a positive
+    multiple of the rational point with the same Lowest poset and argmin,
+    so the comparisons need no Fractions.
     """
     proj = Q.proj
     if fan.ambient_dim != proj.m - 1:
@@ -200,7 +218,7 @@ def normal_fan_equals(Q, fan, trials=1000, seed=0):
         return False
     rng = Random(seed)
     for _ in range(trials):
-        w = embed(integral(random_point(rng, fan.ambient_dim))[0])
+        w = embed(random_integral_point(rng, fan.ambient_dim))
         lo = lowest_poset(proj, w)
         cone = by_lowest.get(lo)
         if cone is None:

@@ -22,6 +22,21 @@ B111_MIN_BUILDING = [1, 2, 4, 7]
 BOOLEAN_FIBERS = [(1, 1), (2,), (1, 2), (1, 1, 1), (2, 2), (1, 1, 2)]
 
 
+def all_partitions_m6():
+    """The fibre shapes with m <= 6: every partition of 1, ..., 6."""
+    out = []
+    for m in range(1, 7):
+        def parts(remaining, maximum):
+            if remaining == 0:
+                yield ()
+                return
+            for first in range(min(remaining, maximum), 0, -1):
+                for rest in parts(remaining - first, first):
+                    yield (first,) + rest
+        out.extend(parts(m, m))
+    return out
+
+
 def boolean_table(fibers):
     import polychow as pc
     return list(pc.boolean_polymatroid(pc.ProjectionMap(fibers)).rank_table)

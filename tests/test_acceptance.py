@@ -16,7 +16,8 @@ from polychow.chow import poly_mul, poly_pow
 from polychow.cli import main as cli_main
 from polychow.kahler import nestohedron_class
 from conftest import (P1, P2, P3, P4, U34, U34_MIN_BUILDING,
-                      B111_MIN_BUILDING, boolean_table, small_family)
+                      B111_MIN_BUILDING, all_partitions_m6, boolean_table,
+                      small_family)
 
 
 _CAPMAN = None
@@ -112,20 +113,6 @@ def test_criterion_03_fan_cross_construction():
         if pc.bergman_fan(B) != pc.boolean_bergman_fan(proj):
             ok = False
     verdict(3, "Bergman fan constructions agree cone for cone", ok)
-
-
-def all_partitions_m6():
-    out = []
-    for m in range(1, 7):
-        def parts(remaining, maximum):
-            if remaining == 0:
-                yield ()
-                return
-            for first in range(min(remaining, maximum), 0, -1):
-                for rest in parts(remaining - first, first):
-                    yield (first,) + rest
-        out.extend(parts(m, m))
-    return out
 
 
 def test_criterion_04_polytope_duality():

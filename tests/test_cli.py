@@ -108,6 +108,16 @@ def test_heavy_guard(tmp_path, capsys):
     ("chow", {"building_set": ["a", 3]}, []),
     ("validate", {"seed": "x"}, []),
     ("polyperm", {"c": [2, 1]}, []),
+    # non-integers were truncated or coerced and then passed
+    ("polyperm", {"c": [1.5, 2.5]}, []),
+    ("polyperm", {"c": ["1", "2"]}, []),
+    ("polyperm", {"c": [True, 2]}, []),
+    ("validate", {"seed": 3.9}, []),
+    ("chow", {"building_set": [1.7, 3]}, []),
+    ("validate", {"rank": [0, 1, True, 2]}, []),
+    # a trial count below 1 skipped the sampled check
+    ("polyperm", {}, ["--verify-fan", "--trials", "0"]),
+    ("polyperm", {}, ["--verify-fan", "--trials", "-3"]),
 ])
 def test_unusable_input_exits_2(tmp_path, capsys, command, fields, flags):
     # input the CLI cannot use is reported as JSON with exit 2, not raised

@@ -12,6 +12,13 @@ from conftest import (BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING,
                       boolean_table)
 
 
+def random_point(rng, dim, spread=10_000):
+    """The rational sampler the fan checks drew from before they drew in
+    integers."""
+    return tuple(Fraction(rng.randint(-spread, spread), rng.randint(1, 97))
+                 for _ in range(dim))
+
+
 def fan_of(table, members=None):
     P = pc.Polymatroid(table)
     G = None if members is None else pc.BuildingSet(P, members)
@@ -333,7 +340,7 @@ def test_certificate_refuses_complete_collections_that_are_not_fans():
         assert pc.is_face_closed(fan), name
         assert all(len(c) == 2 for c in fan.maximal_cones()), name
         rng = Random(3)
-        assert all(scan_in_support(fan, pc.fan.random_point(rng, 2)) for _ in range(50)), name
+        assert all(scan_in_support(fan, random_point(rng, 2)) for _ in range(50)), name
         assert not complete_fan_certificate(fan), name
         assert not pc.pairwise_intersections_are_faces(fan), name
         assert not pairwise_faces_by_circuits(fan), name
@@ -448,7 +455,7 @@ def test_unconfirmed_candidates_fall_back_to_the_scan():
     for fan in subset_vector_fans_missing_rays():
         assert fan.subset_index is not None
         points = [w for cone in fan.cones for w in probe_points(rng, fan, cone)]
-        points += [pc.fan.random_point(rng, fan.ambient_dim, spread=5) for _ in range(40)]
+        points += [random_point(rng, fan.ambient_dim, spread=5) for _ in range(40)]
         for w in points:
             located = locate(fan, integral(w)[0])
             if located is not None and not reference_cone_contains(fan, located, w):
@@ -487,3 +494,107 @@ def test_refines_matches_scan():
                 assert got == scan_refines(fine, coarse), (fine, coarse)
                 verdicts.append(got)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
+
+
+# --- integer sampling ----------------------------------------------------------
+
+
+def test_random_integral_point_is_the_scaled_fraction_point():
+    for seed in range(300):
+        for dim in range(1, 7):
+            for spread in (10_000, 3):
+                ours, theirs = Random(seed), Random(seed)
+                got = pc.fan.random_integral_point(ours, dim, spread)
+                assert got == integral(random_point(theirs, dim, spread))[0]
+                assert all(type(x) is int for x in got)
+                assert ours.getstate() == theirs.getstate()
+
+
+def reference_same_support(f1, f2, trials, seed, seen):
+    """same_support with Fraction samples, as it was before it drew in
+    integers; appends every point it tests to `seen`."""
+
+    def member(fan, w):
+        seen.append(w)
+        return pc.in_support(fan, w)
+
+    rng = Random(seed)
+    if pc.refines(f1, f2):
+        for cone in f2.maximal_cones():
+            rays = f2.cone_rays(cone)
+            for _ in range(max(1, trials // max(1, len(f2.cones)))):
+                coeffs = [Fraction(rng.randint(1, 50), rng.randint(1, 7))
+                          for _ in rays]
+                w = tuple(sum(c * r[i] for c, r in zip(coeffs, rays))
+                          for i in range(f2.ambient_dim))
+                if not member(f1, w):
+                    return False
+        return True
+    for _ in range(trials):
+        w = random_point(rng, f1.ambient_dim)
+        if member(f1, w) != member(f2, w):
+            return False
+    return True
+
+
+def support_pairs():
+    """Criterion 6's (fine, coarse) pairs, U(3,4) with its maximal and its
+    minimal building set, and a pair whose first fan does not refine the
+    second."""
+    pairs = []
+    for table, members in [(t, None) for t in (P1, P2, P3, P4, U34)] + [(U34, U34_MIN_BUILDING)]:
+        P, coarse = fan_of(table, members)
+        pairs.append((pc.maximal_bergman_fan_direct(pc.lift(P).as_polymatroid()), coarse))
+    pairs.append((fan_of(U34)[1], fan_of(U34, U34_MIN_BUILDING)[1]))
+    pairs.append((pc.boolean_bergman_fan(pc.ProjectionMap((2, 2))), fan_of(P3)[1]))
+    return pairs
+
+
+def without_a_maximal_cone(fans):
+    """Each fan less one of its maximal cones (first, middle, last): it
+    still refines the fan, but misses the interior of that cone."""
+    out = []
+    for fan in fans:
+        maxes = sorted(fan.maximal_cones(), key=sorted)
+        for cone in {maxes[0], maxes[len(maxes) // 2], maxes[-1]}:
+            out.append((pc.Fan(fan.ambient_dim, fan.rays, fan.cones - {cone}), fan))
+    return out
+
+
+def assert_positive_multiples(points, references):
+    assert len(points) == len(references)
+    for w, ref in zip(points, references):
+        assert all(type(x) is int for x in w)
+        k = next((Fraction(x) / y for x, y in zip(w, ref) if y), 1)
+        assert k > 0 and all(x == k * y for x, y in zip(w, ref))
+
+
+def test_same_support_matches_the_fraction_sampler(monkeypatch):
+    pairs = support_pairs()
+    pairs += without_a_maximal_cone({coarse for _, coarse in pairs})
+    recorded = []
+    shipped = pc.fan.in_support
+
+    def recording(fan, w):
+        recorded.append(tuple(w))
+        return shipped(fan, w)
+
+    monkeypatch.setattr(pc.fan, "in_support", recording)
+    verdicts = []
+    for f1, f2 in pairs:
+        recorded.clear()
+        expected_points = []
+        got = pc.same_support(f1, f2, trials=1000, seed=0)
+        assert got == reference_same_support(f1, f2, trials=1000, seed=0,
+                                             seen=expected_points)
+        assert_positive_multiples(recorded, expected_points)
+        verdicts.append((pc.refines(f1, f2), got))
+    # both branches run, and the refining branch gives both verdicts
+    assert set(verdicts) == {(True, True), (True, False), (False, False)}
+
+
+def test_same_support_refining_branch_rejects_a_missing_cone():
+    for f1, f2 in without_a_maximal_cone([fan_of(P3)[1], fan_of(U34, U34_MIN_BUILDING)[1]]):
+        assert pc.refines(f1, f2)
+        assert not pc.same_support(f1, f2)
+        assert pc.same_support(f2, f2)

@@ -5,7 +5,7 @@ import pytest
 
 import polychow as pc
 from polychow.polytope import embed, minimizing_vertices, _minimizers_from_lowest
-from conftest import BOOLEAN_FIBERS
+from conftest import BOOLEAN_FIBERS, all_partitions_m6
 
 
 def test_vertices_two_singleton_fibers():
@@ -70,6 +70,58 @@ def test_minimizer_predicate_matches_brute_force():
             brute, predicate = minimizing_vertices(Q, w)
             assert brute == predicate
             assert _minimizers_from_lowest(Q, w) == brute
+
+
+def reference_minimizing_vertices(Q, w):
+    """minimizing_vertices as it was before it read the vertex columns and
+    the transversal masks: one sum per vertex, one scan per transversal."""
+    best = None
+    brute = set()
+    for v in Q.vertices:
+        value = sum(a * b for a, b in zip(w, v))
+        if best is None or value < best:
+            best = value
+            brute = {v}
+        elif value == best:
+            brute.add(v)
+    fiber_of = Q.proj.fiber_of
+    start_mins = {}
+    offset = 0
+    for i, s in enumerate(Q.proj.fiber_sizes):
+        start_mins[i] = min(w[e] for e in range(offset, offset + s))
+        offset += s
+    predicate = set()
+    for seq, v in Q.transversals:
+        if any(w[s] != start_mins[fiber_of[s]] for s in seq):
+            continue
+        if all(w[a] >= w[b] for a, b in zip(seq, seq[1:])):
+            predicate.add(v)
+    return brute, predicate
+
+
+def test_minimizing_vertices_matches_the_reference_scan():
+    partitions = all_partitions_m6()
+    assert len(partitions) == 29
+    rng = Random(13)
+    sizes = set()
+    shared = 0
+    for fibers in partitions:
+        n, m = len(fibers), sum(fibers)
+        # c starting at 0 makes transversals share vertices
+        for c in (None, tuple(range(0, 3 * n, 3))):
+            Q = pc.Polypermutohedron(fibers, c=c)
+            shared += len(Q.vertices) < len(Q.transversals)
+            points = [tuple(Fraction(rng.randrange(-30, 31), rng.randrange(1, 5))
+                            for _ in range(m)) for _ in range(10)]
+            points += [tuple(rng.randrange(-1, 2) for _ in range(m)) for _ in range(10)]
+            points += [(0,) * m, (2,) * m]
+            for w in points:
+                got = minimizing_vertices(Q, w)
+                assert got == reference_minimizing_vertices(Q, w), (fibers, c, w)
+                sizes.add(len(got[0]) > 1)
+    # ties give several minimizers, generic points one
+    assert sizes == {False, True}
+    assert shared > 0
 
 
 def test_normal_fan_equality():

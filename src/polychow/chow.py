@@ -19,6 +19,16 @@ order; whenever F1 strictly contains F2 the variable of F1 is smaller.
 With this order the leading monomial of sum(x_H for H containing G) is
 x_G, and every Groebner generator has leading coefficient 1, which keeps
 all reductions integral.
+
+Monomials are packed ints (`Codec`): variable i's exponent fills a field
+of w bits, variable 0 the most significant one, and each field's top bit
+is a guard bit, 0 in every monomial; the w - 1 value bits hold any
+exponent up to 2r (generators stop at degree 2r-1).  So the int order is
+the lexicographic order of the exponent tuples, a product is a sum, and
+d divides m exactly when (m | guard) - d keeps every guard bit.  A sum
+of two monomials cannot carry out of a field: an overflow sets a guard
+bit, and the rings raise OverflowError on any monomial with one set.
+`GradedRing.exponents` unpacks a monomial into its exponent tuple.
 """
 
 from bisect import insort
@@ -30,23 +40,39 @@ from .bitsets import canonical_key
 from .building import (_is_antichain, is_nested, lifted_building_set, maximal_building_set,
                        nested_complex)
 
-# --- polynomial helpers (exponent tuples -> coefficients) --------------------
+# --- packed monomials and polynomials (monomial -> coefficient) -------------
 
 
-def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+class Codec:
+    """Exponent vectors of `nvars` variables as packed ints, with fields
+    wide enough for every exponent up to 2r (see the module docstring)."""
 
+    def __init__(self, nvars, r):
+        width = (2 * r).bit_length() + 1
+        self.nvars = nvars
+        self.cap = (1 << (width - 1)) - 1          # the largest exponent
+        self.shifts = tuple(width * (nvars - 1 - i) for i in range(nvars))
+        self.units = tuple(1 << s for s in self.shifts)
+        self.guard = sum(u << (width - 1) for u in self.units)
+        self._field = (1 << width) - 1
 
-def mono_divides(d, m):
-    return all(x <= y for x, y in zip(d, m))
+    def pack(self, exps):
+        if len(exps) != self.nvars or exps and not 0 <= min(exps) <= max(exps) <= self.cap:
+            raise OverflowError("exponents %r do not fit %d fields of at most %d"
+                                % (tuple(exps), self.nvars, self.cap))
+        return sum(e << s for e, s in zip(exps, self.shifts))
 
+    def exponents(self, m):
+        self.check(m)
+        return tuple(m >> s & self._field for s in self.shifts)
 
-def mono_quotient(m, d):
-    return tuple(y - x for x, y in zip(d, m))
+    def check(self, m):
+        if m & self.guard:
+            raise OverflowError("a monomial exponent exceeds %d" % self.cap)
+        return m
 
-
-def mono_degree(m):
-    return sum(m)
+    def degree(self, m):
+        return sum(self.exponents(m))
 
 
 def poly_add(p, q):
@@ -67,10 +93,12 @@ def poly_scale(p, c):
 
 
 def poly_mul(p, q):
+    """Product over packed monomials: keys add, and a ring raises on an
+    overflowed key when it reads it (`nf`, `coords`, `exponents`)."""
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
-            m = mono_mul(m1, m2)
+            m = m1 + m2
             c = out.get(m, 0) + c1 * c2
             if c:
                 out[m] = c
@@ -90,54 +118,46 @@ def leading_monomial(p):
     return max(p)
 
 
-def support_mask(m):
-    """Bitmask of the variables that occur in the monomial m."""
-    mask = 0
-    for i, e in enumerate(m):
-        if e:
-            mask |= 1 << i
-    return mask
-
-
-def _first_divisor(m, masks, leads):
-    """Index of the first of `leads` dividing m, or None; a lead whose
-    `support_mask` in `masks` leaves m's support is skipped unexamined."""
-    outside = ~support_mask(m)
-    for i, (mask, lt) in enumerate(zip(masks, leads)):
-        if not mask & outside and mono_divides(lt, m):
+def _first_divisor(m, leads, guard):
+    """Index of the first of `leads` dividing m, or None."""
+    m |= guard
+    for i, lt in enumerate(leads):
+        if (m - lt) & guard == guard:
             return i
     return None
 
 
-def reduce_poly(p, groebner, masks=None):
-    """Normal form against a list of (leading_monomial, polynomial) pairs.
+def reduce_poly(p, groebner, guard):
+    """Normal form against a list of (leading_monomial, polynomial) pairs,
+    for monomials whose guard bits are `guard`.
 
     All leading coefficients are 1, so integer inputs stay integral.  The
     terms of p are sorted once into a worklist and taken largest first; each
     is reduced by the first generator whose leading monomial divides it
-    (`_first_divisor`, given the leading monomials' support masks, which are
-    computed when not given).  Reducing a term adds only smaller terms,
-    which are inserted in order, so a term found irreducible is final and
-    the reductions happen in the same order as rescanning p for its largest
+    (`_first_divisor`).  Reducing a term adds only smaller terms, which are
+    inserted in order, so a term found irreducible is final and the
+    reductions happen in the same order as rescanning p for its largest
     reducible term after every step.
     """
     leads = [lt for lt, _ in groebner]
-    if masks is None:
-        masks = [support_mask(lt) for lt in leads]
     p = dict(p)
     work = sorted(p)
+    if any(m & guard for m in work):
+        raise OverflowError("a monomial has a guard bit set")
     while work:
         m = work.pop()
         c = p.get(m)
         if c is None:            # cancelled after it was queued
             continue
-        i = _first_divisor(m, masks, leads)
+        i = _first_divisor(m, leads, guard)
         if i is None:
             continue
         lt, g = groebner[i]
-        shift = mono_quotient(m, lt)
+        shift = m - lt
         for gm, gc in g.items():
-            key = mono_mul(gm, shift)
+            key = gm + shift
+            if key & guard:
+                raise OverflowError("a monomial exponent overflows its field")
             old = p.get(key)
             v = (old or 0) - c * gc
             if v:
@@ -149,40 +169,40 @@ def reduce_poly(p, groebner, masks=None):
     return p
 
 
-def _minimalize(candidates):
+def _minimalize(candidates, codec):
     """Keep one generator per minimal leading monomial.
 
     Dropping a Groebner-basis element whose leading monomial is divisible
     by another's preserves the Groebner property.
     """
-    keep, masks = [], []
-    for m in sorted(candidates, key=lambda m: (mono_degree(m), m)):
-        if _first_divisor(m, masks, keep) is None:
+    keep = []
+    for m in sorted(candidates, key=lambda m: (codec.degree(m), m)):
+        if _first_divisor(m, keep, codec.guard) is None:
             keep.append(m)
-            masks.append(support_mask(m))
     return [(m, candidates[m]) for m in keep]
 
 
-def _standard_monomials(nvars, leading_terms, stop):
+def _standard_monomials(codec, leading_terms, stop):
     """Monomials of degree < stop that no leading term divides, as one tuple
     per degree, each sorted largest first.
 
     They form an order ideal (closed under division), so degree d+1 is grown
     from degree d: each monomial times every variable from its last nonzero
     exponent on, which reaches every monomial of degree d+1 exactly once.
+    Every exponent stays below stop, at most r + 1, so no field overflows.
     """
-    masks = [support_mask(lt) for lt in leading_terms]
+    units, guard = codec.units, codec.guard
     layers = []
-    layer = [((0,) * nvars, 0)]      # (monomial, first variable to multiply)
+    layer = [(0, 0)]                 # (monomial, first variable to multiply)
     for d in range(stop):
         layers.append(tuple(sorted((m for m, _ in layer), reverse=True)))
         if d + 1 == stop:
             break
         grown = []
         for m, first in layer:
-            for i in range(first, nvars):
-                n = m[:i] + (m[i] + 1,) + m[i + 1:]
-                if _first_divisor(n, masks, leading_terms) is None:
+            for i in range(first, codec.nvars):
+                n = m + units[i]
+                if _first_divisor(n, leading_terms, guard) is None:
                     grown.append((n, i))
         layer = grown
     return layers
@@ -193,8 +213,9 @@ class GradedRing:
 
     `basis[d]` lists the degree-d standard monomials, largest first, grown
     as an order ideal up to degree r, which must be empty; `basis_index[d]`
-    maps each to its position.  `nf` is the worklist reduction of the
-    module-level `reduce_poly`, given the leading terms' support masks.
+    maps each to its position.  Monomials are packed by `codec` (a `Codec`
+    for nvars variables and rank r); `exponents` unpacks one.  `nf` is the
+    worklist reduction of the module-level `reduce_poly`.
     `coords` reads each monomial's normal form from a table private to the
     ring, filled on first use and kept for the ring's lifetime.
     """
@@ -208,14 +229,15 @@ class GradedRing:
         self.top = r - 1
         self.groebner = groebner
         self.leads = [lt for lt, _ in groebner]
-        self.lt_masks = [support_mask(lt) for lt in self.leads]
+        self.codec = Codec(self.nvars, r)
+        self.guard = self.codec.guard
         self.context = context or {}
         self._table = {}
         # Everything in degrees r..2r-2 must vanish for the truncated
         # generator set to be safe in the degrees we compute in.  Standard
         # monomials are closed under division, so that holds iff degree r
         # has none; for r = 1 the range is empty and nothing is checked.
-        layers = _standard_monomials(self.nvars, self.leads, r + 1 if r > 1 else r)
+        layers = _standard_monomials(self.codec, self.leads, r + 1 if r > 1 else r)
         self.basis = tuple(layers[:r])
         self.basis_index = tuple({m: i for i, m in enumerate(b)} for b in self.basis)
         if len(layers) > r and layers[r]:
@@ -223,15 +245,17 @@ class GradedRing:
                 "truncated Groebner basis leaves standard monomials in degree %d" % r)
 
     def one(self):
-        return {(0,) * self.nvars: 1}
+        return {0: 1}
 
     def var(self, flat):
-        exps = [0] * self.nvars
-        exps[self.var_index[flat]] = 1
-        return {tuple(exps): 1}
+        return {self.codec.units[self.var_index[flat]]: 1}
+
+    def exponents(self, m):
+        """The exponent tuple of the packed monomial m."""
+        return self.codec.exponents(m)
 
     def nf(self, poly):
-        return reduce_poly(poly, self.groebner, self.lt_masks)
+        return reduce_poly(poly, self.groebner, self.guard)
 
     def _monomial_nf(self, m):
         """Table entry of m: {m: 1} if m is standard, else -sum(c * entry(t * m / lt))
@@ -240,16 +264,16 @@ class GradedRing:
         summed entries equal `reduce_poly`'s normal form as dicts."""
         entry = self._table.get(m)
         if entry is None:
-            i = _first_divisor(m, self.lt_masks, self.leads)
+            i = _first_divisor(self.codec.check(m), self.leads, self.guard)
             if i is None:
                 entry = {m: 1}
             else:
                 lt, g = self.groebner[i]
-                shift = mono_quotient(m, lt)
+                shift = m - lt
                 entry = {}
                 for gm, gc in g.items():
                     if gm != lt:
-                        for k, v in self._monomial_nf(mono_mul(gm, shift)).items():
+                        for k, v in self._monomial_nf(gm + shift).items():
                             entry[k] = entry.get(k, 0) - gc * v
                 entry = {k: v for k, v in entry.items() if v}
             self._table[m] = entry
@@ -306,6 +330,7 @@ def _groebner(ground, building, r):
     index = {f: i for i, f in enumerate(members)}
     nvars = len(members)
     limit = 2 * r - 1
+    codec = Codec(nvars, r)
 
     def mono_of(flats, extra=None, power=0):
         exps = [0] * nvars
@@ -313,7 +338,7 @@ def _groebner(ground, building, r):
             exps[index[f]] += 1
         if extra is not None:
             exps[index[extra]] += power
-        return tuple(exps)
+        return codec.pack(exps)
 
     candidates = {}
 
@@ -339,7 +364,7 @@ def _groebner(ground, building, r):
 
     extend((), 0, 0)
     generators = []
-    for lt, (flats, g, d) in _minimalize(candidates):
+    for lt, (flats, g, d) in _minimalize(candidates, codec):
         poly = {mono_of(flats): 1}
         if d:
             upper_sum = {mono_of((h,)): 1 for h in members if h & g == g}
@@ -437,15 +462,19 @@ class ChowPair:
                            for f in self.dp.var_flats]
         self._deg_norm = None
         self._pairings = {}
+        self._images = {}
 
     def phi(self, poly):
-        """Transport a DP polynomial to the FY variables."""
+        """Transport a DP polynomial to the FY variables; each monomial's
+        image is computed once per pair."""
         out = {}
         for m, c in poly.items():
-            exps = [0] * self.fy.nvars
-            for i, e in enumerate(m):
-                exps[self._translate[i]] += e
-            key = tuple(exps)
+            key = self._images.get(m)
+            if key is None:
+                exps = [0] * self.fy.nvars
+                for t, e in zip(self._translate, self.dp.exponents(m)):
+                    exps[t] += e
+                key = self._images[m] = self.fy.codec.pack(exps)
             out[key] = out.get(key, 0) + c
         return out
 
@@ -521,7 +550,7 @@ def phi_iso_check(pair):
             d = d1 + d2
             for m1 in dp.basis[d1]:
                 for m2 in dp.basis[d2]:
-                    a = dp.coords({mono_mul(m1, m2): 1}, d)
+                    a = dp.coords({m1 + m2: 1}, d)
                     image = [sum(x * y for x, y in zip(row, a)) for row in matrices.get(d, [])]
                     direct = fy.coords(poly_mul(pair.phi({m1: 1}), pair.phi({m2: 1})), d)
                     if image != direct:
@@ -548,7 +577,7 @@ def pairing_matrix(pair, k, ring="dp"):
     for m1 in rows:
         row = []
         for m2 in cols:
-            value = deg(poly_mul({m1: 1}, {m2: 1}))
+            value = deg({m1 + m2: 1})
             if value.denominator != 1:
                 raise AssertionError("non-integral pairing value")
             row.append(int(value))
@@ -578,17 +607,14 @@ def zring_hilbert(P):
     m = proj.m
     nvars = len(proper) + m
     r = P.r
-
-    def var_exps(i):
-        e = [0] * nvars
-        e[i] = 1
-        return tuple(e)
+    codec = Codec(nvars, r)
+    units = codec.units
 
     gens = []
     for a, b in combinations(range(len(proper)), 2):
         f1, f2 = proper[a], proper[b]
         if f1 & f2 != f1 and f1 & f2 != f2:
-            gens.append({mono_mul(var_exps(a), var_exps(b)): 1})
+            gens.append({units[a] + units[b]: 1})
     flats_with_empty = [0] + proper
     for F in flats_with_empty:
         pre = proj.preimage(F)
@@ -604,7 +630,7 @@ def zring_hilbert(P):
                         exps[proper.index(F)] += 1
                     for i in T:
                         exps[len(proper) + i] += 1
-                    gens.append({tuple(exps): 1})
+                    gens.append({codec.pack(exps): 1})
     lin = []
     for i in range(m):
         e = [0] * nvars
@@ -614,23 +640,23 @@ def zring_hilbert(P):
         e[len(proper) + i] += 1
         lin.append(e)
     for j in range(1, m):
-        gens.append({var_exps(i): lin[0][i] - lin[j][i]
+        gens.append({units[i]: lin[0][i] - lin[j][i]
                      for i in range(nvars) if lin[0][i] != lin[j][i]})
 
-    layers = _standard_monomials(nvars, (), r)
+    layers = _standard_monomials(codec, (), r)
     hilbert = []
     for d in range(r):
         monos = layers[d]
         index = {mn: i for i, mn in enumerate(monos)}
         rows = []
         for g in gens:
-            gdeg = mono_degree(next(iter(g)))
+            gdeg = codec.degree(next(iter(g)))
             if gdeg > d:
                 continue
             for shift in layers[d - gdeg]:
                 row = [0] * len(monos)
                 for gm, gc in g.items():
-                    row[index[mono_mul(gm, shift)]] = gc
+                    row[index[codec.check(gm + shift)]] = gc
                 rows.append(row)
         hilbert.append(len(monos) - (linalg.rank(rows) if rows else 0))
     return tuple(hilbert)

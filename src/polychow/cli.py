@@ -38,6 +38,14 @@ class CliError(Exception):
         self.code = code
 
 
+class ArgumentParser(argparse.ArgumentParser):
+    """Reports a malformed command line as a CliError (exit 2 with a JSON
+    reason) instead of argparse's usage text; --help is unchanged."""
+
+    def error(self, message):
+        raise CliError(message)
+
+
 def load_instance(path):
     try:
         with open(path) as fh:
@@ -186,7 +194,8 @@ def cmd_chow(P, G, args):
     pair = ChowPair(P, G)
     hilbert_dp = pair.dp.hilbert()
     hilbert_fy = pair.fy.hilbert()
-    basis_matches = tuple(tuple(b) for b in pair.dp.basis) == nested_basis(P, G)
+    basis = tuple(tuple(map(pair.dp.exponents, b)) for b in pair.dp.basis)
+    basis_matches = basis == nested_basis(P, G)
     dets = []
     pairing_ok = True
     for k in range(P.r):
@@ -203,7 +212,7 @@ def cmd_chow(P, G, args):
         if d not in (1, -1):
             pairing_ok = False
     report = {"hilbert": list(hilbert_dp), "hilbert_fy": list(hilbert_fy),
-              "basis": [[list(mono) for mono in degree] for degree in pair.dp.basis],
+              "basis": [[list(mono) for mono in degree] for degree in basis],
               "basis_matches": basis_matches,
               "pairing_det": dets,
               "pairing_unimodular": pairing_ok}
@@ -264,7 +273,7 @@ HANDLERS = {
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = ArgumentParser(
         prog="polychow",
         description="Bergman fans and Chow rings of polymatroids, exactly.")
     parser.add_argument("command", choices=COMMANDS)
@@ -280,9 +289,8 @@ def main(argv=None):
                         help="verify the presentation isomorphism (chow)")
     parser.add_argument("--verify-fan", action="store_true",
                         help="verify the inner normal fan (polyperm)")
-    args = parser.parse_args(argv)
-
     try:
+        args = parser.parse_args(argv)
         if args.trials < 1:
             raise CliError("--trials must be at least 1")
         data = load_instance(args.instance)

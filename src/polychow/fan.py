@@ -54,9 +54,10 @@ class Fan:
 
     `locators` caches, per cone, the integer data `cone_contains` and
     `cone_coordinates` use; it is filled the first time a cone is tested.
-    `subset_index` lists (subset mask, ray index) for every ray, largest
-    subsets first, when every ray is a `subset_vector`, and is None
-    otherwise; `locate` reads cones from it.
+    `subset_index` is None unless every ray is a `subset_vector`; then it
+    holds two tuples of bitsets over ray indices, for `locate`: per element
+    of E~ the rays whose subsets contain it, and per ray the rays whose
+    subsets strictly contain its subset.
     """
 
     __slots__ = ("ambient_dim", "rays", "ray_index", "cones", "locators", "subset_index")
@@ -68,8 +69,11 @@ class Fan:
         object.__setattr__(self, "cones", frozenset(frozenset(c) for c in cones))
         object.__setattr__(self, "locators", {})
         masks = [subset_mask(r) for r in self.rays]
-        index = None if None in masks else tuple(sorted(
-            ((S, i) for i, S in enumerate(masks)), key=lambda t: -popcount(t[0])))
+        index = None if None in masks else (
+            tuple(sum(1 << j for j, T in enumerate(masks) if T >> e & 1)
+                  for e in range(ambient_dim + 1)),
+            tuple(sum(1 << j for j, U in enumerate(masks) if U != T and U & T == T)
+                  for T in masks))
         object.__setattr__(self, "subset_index", index)
 
     def __setattr__(self, name, value):
@@ -276,22 +280,27 @@ def locate(fan, W):
     at its smallest coordinate.  So the union of those ray subsets over the
     level sets is N (Feichtner-Sturmfels, "Matroid polytopes, nested sets
     and Bergman fans", 2005).
+
+    A ray subset T lies in a proper level set exactly when its minimum t
+    exceeds the global minimum, and is maximal in one exactly when it is
+    maximal in the level set cut at t, that is, when no ray subset strictly
+    containing T lies in that level set.  Taking the coordinates in
+    increasing order, the rays that meet one first at a level are those
+    whose minimum is that level's value.
     """
     index = fan.subset_index
     if index is None:
         return None
+    contain, supersets = index
     x = tuple(W) + (0,)
-    order = sorted(range(len(x)), key=x.__getitem__, reverse=True)
-    cone, S = set(), 0
-    for j in range(len(x) - 1):
-        S |= 1 << order[j]
-        if x[order[j + 1]] == x[order[j]]:
-            continue                 # S is not a whole level set yet
-        picked = []
-        for T, i in index:
-            if T & S == T and not any(T & U == T for U in picked):
-                picked.append(T)
-                cone.add(i)
+    order = sorted(range(len(x)), key=x.__getitem__)
+    cone, outside, inside = set(), 0, 0      # bitsets of rays; inside: in the level set
+    for k, e in enumerate(order):
+        outside |= contain[e]
+        if k + 1 < len(x) and x[order[k + 1]] == x[e]:
+            continue                 # the level is not complete yet
+        cone.update(j for j in elements(inside & outside) if not supersets[j] & inside)
+        inside = ~outside
     cone = frozenset(cone)
     return cone if cone in fan.cones else None
 

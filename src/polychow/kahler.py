@@ -101,12 +101,7 @@ def nestohedron_class(pair):
     if not is_strictly_convex(ambient, ell):
         raise AssertionError("nestohedron class failed strict convexity")
     object.__setattr__(ell, "strictly_convex", True)
-    fy = pair.fy
-    poly = {}
-    for g, v in values_by_member.items():
-        for mono, c in fy.var(g).items():
-            poly[mono] = poly.get(mono, 0) + v * c
-    return ell, poly
+    return ell, {m: v for g, v in values_by_member.items() for m in pair.fy.var(g)}
 
 
 def is_strictly_convex(fan, pl):
@@ -224,37 +219,19 @@ def sigma_cone_class(pair, F):
     if F not in pair.G.members:
         raise ValueError("flat is not a building set member")
     dp = pair.dp
-    poly = {}
-    for g in dp.var_flats:
-        if g & F == F:
-            for mono, c in dp.var(g).items():
-                poly[mono] = poly.get(mono, 0) - c
+    poly = {m: -1 for g in dp.var_flats if g & F == F for m in dp.var(g)}
     return poly, pair.phi(poly)
 
 
 def beta_class(pair, i):
     """For a matroid with its maximal building set: the class
     sum(y_F for proper flats F not containing i)."""
-    fy = pair.fy
-    full = pair.M.full_mask
-    poly = {}
-    for g in fy.var_flats:
-        if g == full or g >> i & 1:
-            continue
-        for mono, c in fy.var(g).items():
-            poly[mono] = poly.get(mono, 0) + c
-    return poly
+    fy, full = pair.fy, pair.M.full_mask
+    return {m: 1 for g in fy.var_flats if g != full and not g >> i & 1 for m in fy.var(g)}
 
 
 def beta_class_corank_form(pair):
     """The same class written as -sum((|G| - 1) y_G over members with at
     least two elements), including the full ground set."""
     fy = pair.fy
-    poly = {}
-    for g in fy.var_flats:
-        size = g.bit_count()
-        if size <= 1:
-            continue
-        for mono, c in fy.var(g).items():
-            poly[mono] = poly.get(mono, 0) - (size - 1) * c
-    return poly
+    return {m: 1 - g.bit_count() for g in fy.var_flats if g.bit_count() > 1 for m in fy.var(g)}

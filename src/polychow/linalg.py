@@ -16,6 +16,8 @@ def integral(w):
     """(W, q) with q > 0 the least common denominator of the entries of w
     and W = q*w as a tuple of ints.  A positive scaling moves no point
     across a cone boundary and changes no argmin over w."""
+    if all(type(x) is int for x in w):
+        return tuple(w), 1
     q = lcm(*(x.denominator for x in w))
     return tuple(x.numerator * (q // x.denominator) for x in w), q
 

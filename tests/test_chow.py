@@ -1,15 +1,108 @@
+from bisect import insort
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from random import Random
 
 import pytest
 
 import polychow as pc
 from polychow import linalg
 from polychow.bitsets import canonical_key
-from polychow.chow import (GradedRing, leading_monomial, mono_divides, mono_mul,
-                           mono_quotient, poly_add, poly_mul, poly_pow, poly_scale,
-                           reduce_poly, support_mask)
+from polychow.chow import (Codec, GradedRing, _first_divisor, _standard_monomials,
+                           leading_monomial, poly_add, poly_mul, poly_pow, poly_scale,
+                           reduce_poly)
 from conftest import P1, P2, P3, U34, U34_MIN_BUILDING, boolean_table, small_family
+
+
+# --- references over exponent tuples, the monomials before packing ----------
+
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_divides(d, m):
+    return all(x <= y for x, y in zip(d, m))
+
+
+def mono_quotient(m, d):
+    return tuple(y - x for x, y in zip(d, m))
+
+
+def tuple_poly_mul(p, q):
+    out = {}
+    for m1, c1 in p.items():
+        for m2, c2 in q.items():
+            m = mono_mul(m1, m2)
+            c = out.get(m, 0) + c1 * c2
+            if c:
+                out[m] = c
+            else:
+                out.pop(m, None)
+    return out
+
+
+def tuple_first_divisor(m, leads):
+    return next((i for i, lt in enumerate(leads) if mono_divides(lt, m)), None)
+
+
+def tuple_reduce_poly(p, groebner):
+    """The worklist normal form over exponent tuples (less the support-mask
+    prefilter, which only skipped leading terms that cannot divide)."""
+    leads = [lt for lt, _ in groebner]
+    p = dict(p)
+    work = sorted(p)
+    while work:
+        m = work.pop()
+        c = p.get(m)
+        if c is None:
+            continue
+        i = tuple_first_divisor(m, leads)
+        if i is None:
+            continue
+        lt, g = groebner[i]
+        shift = mono_quotient(m, lt)
+        for gm, gc in g.items():
+            key = mono_mul(gm, shift)
+            old = p.get(key)
+            v = (old or 0) - c * gc
+            if v:
+                p[key] = v
+                if old is None:
+                    insort(work, key)
+            else:
+                p.pop(key, None)
+    return p
+
+
+def tuple_standard_monomials(nvars, leading_terms, stop):
+    """Standard monomials over exponent tuples, grown as an order ideal."""
+    layers = []
+    layer = [((0,) * nvars, 0)]
+    for d in range(stop):
+        layers.append(tuple(sorted((m for m, _ in layer), reverse=True)))
+        if d + 1 == stop:
+            break
+        grown = []
+        for m, first in layer:
+            for i in range(first, nvars):
+                n = m[:i] + (m[i] + 1,) + m[i + 1:]
+                if tuple_first_divisor(n, leading_terms) is None:
+                    grown.append((n, i))
+        layer = grown
+    return layers
+
+
+def unpacked(ring, p):
+    return {ring.exponents(m): c for m, c in p.items()}
+
+
+def unpacked_groebner(ring, groebner):
+    return [(ring.exponents(lt), unpacked(ring, g)) for lt, g in groebner]
+
+
+def unpacked_basis(ring):
+    return tuple(tuple(map(ring.exponents, b)) for b in ring.basis)
 
 
 def pair_of(table, members=None):
@@ -78,7 +171,7 @@ def test_nested_basis_matches_standard_monomials():
         P = pc.Polymatroid(table)
         G = None if members is None else pc.BuildingSet(P, members)
         ring = pc.dp_ring(P, G)
-        assert tuple(tuple(sorted(b, reverse=True)) for b in ring.basis) \
+        assert tuple(tuple(sorted(b, reverse=True)) for b in unpacked_basis(ring)) \
             == pc.nested_basis(P, G)
 
 
@@ -156,11 +249,12 @@ def s_polynomials(ring):
     gb = ring.groebner
     for i, (lt1, g1) in enumerate(gb):
         for lt2, g2 in gb[i + 1:]:
-            lcm = tuple(max(a, b) for a, b in zip(lt1, lt2))
+            lcm = tuple(map(max, ring.exponents(lt1), ring.exponents(lt2)))
             if sum(lcm) < 2 * ring.r - 1:
+                lcm = ring.codec.pack(lcm)
                 yield poly_add(
-                    poly_mul({mono_quotient(lcm, lt1): 1}, g1),
-                    poly_scale(poly_mul({mono_quotient(lcm, lt2): 1}, g2), -1))
+                    poly_mul({lcm - lt1: 1}, g1),
+                    poly_scale(poly_mul({lcm - lt2: 1}, g2), -1))
 
 
 def test_truncation_guard_trips_on_missing_relations():
@@ -223,25 +317,26 @@ def kernel_rings():
 def power_relation_probes(ring):
     """For each leading term x_N x_g^d with d >= 2, the monomial with one x_g
     fewer, alone and times each variable outside x_g: the leading term's
-    support lies inside the monomial's, so the support-mask test passes,
+    support lies inside the monomial's, so a test of supports alone passes,
     but the exponent of x_g is below d, so the leading term does not divide
     it."""
     for lt, _ in ring.groebner:
+        lt = ring.exponents(lt)
         for g, d in enumerate(lt):
             if d < 2:
                 continue
             m = lt[:g] + (d - 1,) + lt[g + 1:]
             grown = [m[:i] + (m[i] + 1,) + m[i + 1:] for i in range(ring.nvars) if i != g]
             for probe in [m] + grown:
-                assert support_mask(lt) & ~support_mask(probe) == 0
+                assert all(y for x, y in zip(lt, probe) if x)
                 assert not mono_divides(lt, probe)
-                yield {probe: 1}
+                yield {ring.codec.pack(probe): 1}
 
 
 def test_reduce_poly_matches_rescan_reference():
     # identical dicts down to insertion order, also against a generator
-    # subset that is not a Groebner basis, and through the ring's own
-    # precomputed leading-term masks
+    # subset that is not a Groebner basis, and through the ring's own nf;
+    # the reference runs on exponent tuples
     probes = 0
     for ring in kernel_rings():
         gb = ring.groebner
@@ -252,11 +347,13 @@ def test_reduce_poly_matches_rescan_reference():
         probes += len(edge)
         for p in inputs + list(s_polynomials(ring)) + edge:
             for basis in (gb, gb[::2]):
-                expected = list(rescan_reduce_poly(p, basis).items())
-                assert list(reduce_poly(p, basis).items()) == expected
+                expected = list(rescan_reduce_poly(
+                    unpacked(ring, p), unpacked_groebner(ring, basis)).items())
+                got = reduce_poly(p, basis, ring.guard)
+                assert list(unpacked(ring, got).items()) == expected
                 if basis is gb:
-                    assert list(ring.nf(p).items()) == expected
-    assert probes
+                    assert list(unpacked(ring, ring.nf(p)).items()) == expected
+    assert probes == 658
 
 
 def test_spair_confluence_spot_check():
@@ -265,7 +362,7 @@ def test_spair_confluence_spot_check():
     # the degrees the rings compute in)
     for ring in kernel_rings():
         for s in s_polynomials(ring):
-            assert reduce_poly(s, ring.groebner) == {}
+            assert reduce_poly(s, ring.groebner, ring.guard) == {}
 
 
 def table_nf(ring, p):
@@ -291,14 +388,15 @@ def test_table_matches_reduce_poly():
     # reduction, on products of basis elements, Lefschetz inputs ell * b
     # (degrees 1..r) and power-relation probes below degree r
     for ring in kernel_rings():
-        ell = {tuple(int(j == i) for j in range(ring.nvars)): i + 1 for i in range(ring.nvars)}
+        ell = {ring.codec.units[i]: i + 1 for i in range(ring.nvars)}
         inputs = [poly_mul({m1: 1}, {m2: 1})
                   for d1 in range(ring.r) for d2 in range(d1, ring.r - d1)
                   for m1 in ring.basis[d1] for m2 in ring.basis[d2]]
         inputs += [poly_mul(ell, {b: 1}) for d in range(ring.r) for b in ring.basis[d]]
-        inputs += [p for p in power_relation_probes(ring) if sum(next(iter(p))) < ring.r]
+        inputs += [p for p in power_relation_probes(ring)
+                   if ring.codec.degree(next(iter(p))) < ring.r]
         for p in inputs:
-            degree = sum(next(iter(p)))
+            degree = ring.codec.degree(next(iter(p)))
             assert table_nf(ring, p) == ring.nf(p)
             assert ring.coords(p, degree) == nf_coords(ring, p, degree)
         # a non-homogeneous input whose normal form is homogeneous: terms of
@@ -308,7 +406,7 @@ def test_table_matches_reduce_poly():
             b = ring.basis[1][0]
             lb = poly_mul(ell, {b: 1})
             p = poly_add(poly_add({b: 1}, lb), poly_scale(ring.nf(lb), -1))
-            p[(ring.r,) + (0,) * (ring.nvars - 1)] = 5
+            p[ring.codec.pack((ring.r,) + (0,) * (ring.nvars - 1))] = 5
             assert ring.nf(p) == {b: 1} == table_nf(ring, p)
             assert ring.coords(p, 1) == nf_coords(ring, p, 1)
 
@@ -340,9 +438,9 @@ def nf_phi_iso_check(pair):
 
 def degree_scaled(pair, scale):
     """The pair with phi multiplied by scale(d) on degree-d monomials."""
-    phi = pair.phi
-    pair.phi = lambda poly: {m: scale(sum(m)) * c for m, c in phi(poly).items()
-                             if scale(sum(m))}
+    phi, degree = pair.phi, pair.fy.codec.degree
+    pair.phi = lambda poly: {m: scale(degree(m)) * c for m, c in phi(poly).items()
+                             if scale(degree(m))}
     return pair
 
 
@@ -408,9 +506,9 @@ def scan_dp_groebner(P, G):
     for lt in keep:
         S, g, b = candidates[lt]
         poly = {mono_of(S): 1}
-        if b:
-            upper_sum = {mono_of((h,)): 1 for h in members if h & g == g}
-            poly = poly_mul(poly, poly_pow(upper_sum, b))
+        upper_sum = {mono_of((h,)): 1 for h in members if h & g == g}
+        for _ in range(b):
+            poly = tuple_poly_mul(poly, upper_sum)
         out.append((lt, poly))
     return out
 
@@ -428,6 +526,10 @@ def as_lists(groebner):
     return [(lt, list(g.items())) for lt, g in groebner]
 
 
+def packed_ring_lists(ring):
+    return as_lists(unpacked_groebner(ring, ring.groebner))
+
+
 def test_dp_generators_match_subset_scan_reference():
     cases = [(P, G) for P in small_family() for G in geometric_building_sets(P)]
     assert len(cases) == 145
@@ -440,12 +542,12 @@ def test_dp_generators_match_subset_scan_reference():
     P = pc.Polymatroid(boolean_table((2, 2, 2, 2)))
     cases.append((P, pc.BuildingSet(P, [1, 2, 4, 8, 15])))
     for P, G in cases:
-        assert as_lists(pc.dp_ring(P, G).groebner) == as_lists(scan_dp_groebner(P, G))
+        assert packed_ring_lists(pc.dp_ring(P, G)) == as_lists(scan_dp_groebner(P, G))
 
 
 def test_standard_monomials_match_brute_force_filter():
     for ring in kernel_rings():
-        lts = [lt for lt, _ in ring.groebner]
+        lts = [ring.exponents(lt) for lt, _ in ring.groebner]
         for d in range(ring.r + 1):
             brute = []
             for combo in combinations_with_replacement(range(ring.nvars), d):
@@ -455,13 +557,13 @@ def test_standard_monomials_match_brute_force_filter():
                 if not any(mono_divides(lt, tuple(m)) for lt in lts):
                     brute.append(tuple(m))
             expected = tuple(sorted(brute, reverse=True))
-            assert expected == (ring.basis[d] if d < ring.r else ())
+            assert expected == (unpacked_basis(ring)[d] if d < ring.r else ())
 
 
 def test_rank_six_b222_maximal_building_set():
     pair = pair_of(boolean_table((2, 2, 2)))
     assert pair.dp.hilbert() == pair.fy.hilbert() == (1, 7, 16, 16, 7, 1)
-    assert pair.dp.basis == pc.nested_basis(pair.P, pair.G)
+    assert unpacked_basis(pair.dp) == pc.nested_basis(pair.P, pair.G)
     assert pc.phi_iso_check(pair)
     report = pc.kahler_package_report(pair)
     assert report and all(v is True for v in report.values())
@@ -491,12 +593,134 @@ def test_standard_monomials_match_sympy_groebner():
         for ring in (pair.dp, pair.fy):
             xs = sympy.symbols("x0:%d" % ring.nvars)
             polys = [sum(c * sympy.prod(x ** e for x, e in zip(xs, m))
-                         for m, c in g.items()) for _, g in ring.groebner]
+                         for m, c in g.items())
+                     for _, g in unpacked_groebner(ring, ring.groebner)]
             reduced = sympy.groebner(polys, *xs, order="lex")
             leading = {sympy.Poly(g, *xs).monoms(order="lex")[0] for g in reduced.exprs}
-            assert leading == {lt for lt, _ in ring.groebner}
+            assert leading == {ring.exponents(lt) for lt, _ in ring.groebner}
             for d in range(ring.r + 1):
                 standard = {m for m in monomials_of_degree(ring.nvars, d)
                             if not any(mono_divides(lt, m) for lt in leading)}
-                assert standard == set(ring.basis[d] if d < ring.r else ()), (
+                assert standard == set(unpacked_basis(ring)[d] if d < ring.r else ()), (
                     table, members, ring.kind, d)
+
+
+# --- packed monomials against the tuple references ---------------------------
+
+
+def reference_rings():
+    yield from kernel_rings()
+    for table in ([0, 2, 2, 4], boolean_table((2, 2, 2))):
+        pair = pair_of(table)
+        yield pair.dp
+        yield pair.fy
+
+
+def test_packed_kernels_match_tuple_references():
+    # standard monomials, first divisors and normal forms (down to insertion
+    # order) of the packed kernels unpack to those of the tuple references,
+    # on products of basis elements, S-polynomials and power-relation probes
+    probes = 0
+    for ring in reference_rings():
+        leads = [ring.exponents(lt) for lt in ring.leads]
+        layers = _standard_monomials(ring.codec, ring.leads, ring.r + 1)
+        assert [tuple(map(ring.exponents, layer)) for layer in layers] \
+            == tuple_standard_monomials(ring.nvars, leads, ring.r + 1)
+        gb = unpacked_groebner(ring, ring.groebner)
+        edge = list(power_relation_probes(ring))
+        probes += len(edge)
+        for p in edge:
+            (m,) = p
+            assert _first_divisor(m, ring.leads, ring.guard) \
+                == tuple_first_divisor(ring.exponents(m), leads)
+        inputs = [poly_mul({m1: 1}, {m2: 1})
+                  for d1 in range(ring.r) for d2 in range(d1, ring.r - d1)
+                  for m1 in ring.basis[d1] for m2 in ring.basis[d2]]
+        for p in inputs + list(s_polynomials(ring)) + edge:
+            expected = tuple_reduce_poly(unpacked(ring, p), gb)
+            assert list(unpacked(ring, ring.nf(p)).items()) == list(expected.items())
+    # 658 on the kernel fixtures, 430 on P4 and B(2,2,2)
+    assert probes == 658 + 430
+
+
+CODEC_SHAPES = ((1, 1), (2, 1), (3, 2), (7, 6), (13, 6), (20, 9), (5, 33))
+
+
+def random_exponents(rng, codec, n):
+    """Exponent vectors with entries up to the field capacity, mostly small
+    so that leading entries often tie."""
+    out = []
+    for _ in range(n):
+        top = rng.choice((1, 2, codec.cap))
+        out.append(tuple(rng.randint(0, top) for _ in range(codec.nvars)))
+    return out
+
+
+def test_codec_round_trips():
+    rng = Random(1)
+    for nvars, r in CODEC_SHAPES:
+        codec = Codec(nvars, r)
+        for exps in random_exponents(rng, codec, 300):
+            m = codec.pack(exps)
+            assert m & codec.guard == 0
+            assert codec.exponents(m) == exps
+            assert codec.degree(m) == sum(exps)
+        for i, unit in enumerate(codec.units):
+            assert codec.exponents(unit) == tuple(int(j == i) for j in range(nvars))
+
+
+def test_codec_int_order_is_tuple_order():
+    rng = Random(2)
+    for nvars, r in CODEC_SHAPES:
+        codec = Codec(nvars, r)
+        vectors = random_exponents(rng, codec, 300)
+        assert [codec.exponents(m) for m in sorted(map(codec.pack, vectors))] == sorted(vectors)
+        for a, b in zip(vectors, vectors[1:]):
+            assert (codec.pack(a) < codec.pack(b)) == (a < b)
+
+
+def test_guard_divisibility_is_componentwise():
+    rng = Random(3)
+    for nvars, r in CODEC_SHAPES:
+        codec = Codec(nvars, r)
+        vectors = random_exponents(rng, codec, 200)
+        # pairs that differ in one entry, one up or one down
+        vectors += [v[:i] + (min(v[i] + s, codec.cap) if s > 0 else max(v[i] + s, 0),) + v[i + 1:]
+                    for v in vectors[:50] for i in range(nvars) for s in (1, -1)]
+        rng.shuffle(vectors)
+        for a, b in zip(vectors, vectors[1:] + vectors[:1]):
+            for d, m in ((a, b), (a, a), (min(a, b), max(a, b))):
+                got = _first_divisor(codec.pack(m), [codec.pack(d)], codec.guard) == 0
+                assert got == mono_divides(d, m), (d, m)
+
+
+def test_codec_holds_every_exponent_up_to_2r():
+    for r in range(1, 40):
+        codec = Codec(3, r)
+        x = codec.units[1]
+        assert codec.exponents(codec.check(r * x + r * x)) == (0, 2 * r, 0)
+        assert codec.exponents(codec.pack((2 * r,) * 3)) == (2 * r,) * 3
+
+
+def test_overflowing_product_raises():
+    for nvars, r in CODEC_SHAPES:
+        codec = Codec(nvars, r)
+        for i, unit in enumerate(codec.units):
+            full = codec.pack(tuple(codec.cap if j == i else 0 for j in range(nvars)))
+            with pytest.raises(OverflowError):
+                codec.check(full + unit)
+            with pytest.raises(OverflowError):
+                codec.pack(tuple(codec.cap + 1 if j == i else 0 for j in range(nvars)))
+            assert codec.exponents(codec.check((full - unit) + unit))[i] == codec.cap
+    # the rings raise on a monomial past the capacity instead of reading a
+    # wrong one: nf, coords and exponents, and a reduction step that
+    # overflows a field
+    ring = pair_of(P3).dp
+    x = ring.var(ring.var_flats[1])
+    big = poly_mul(poly_pow(x, ring.codec.cap), x)
+    for read in (ring.nf, lambda p: ring.coords(p, 2), lambda p: ring.exponents(*p)):
+        with pytest.raises(OverflowError):
+            read(big)
+    x0, x1 = ring.codec.units[:2]
+    with pytest.raises(OverflowError):
+        reduce_poly({x0 + ring.codec.cap * x1: 1}, [(x0, {x0: 1, x1: 1})], ring.guard)

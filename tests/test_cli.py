@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -118,14 +119,30 @@ def test_heavy_guard(tmp_path, capsys):
     # a trial count below 1 skipped the sampled check
     ("polyperm", {}, ["--verify-fan", "--trials", "0"]),
     ("polyperm", {}, ["--verify-fan", "--trials", "-3"]),
+    # command lines argparse rejects (fields None: no --instance given)
+    ("validate", {}, ["--trials", "abc"]),
+    ("validate", {}, ["--seed", "1.5"]),
+    ("validate", None, []),
+    ("bogus", {}, []),
+    ("validate", {}, ["--no-such-flag"]),
 ])
 def test_unusable_input_exits_2(tmp_path, capsys, command, fields, flags):
     # input the CLI cannot use is reported as JSON with exit 2, not raised
-    path = write_instance(tmp_path, dict({"n": 2, "rank": P2}, **fields))
     flags = [str(tmp_path / f) if f.endswith(".json") else f for f in flags]
-    code, out, err = run(capsys, [command, "--instance", path] + flags)
+    argv = [command] + flags
+    if fields is not None:
+        path = write_instance(tmp_path, dict({"n": 2, "rank": P2}, **fields))
+        argv[1:1] = ["--instance", path]
+    code, out, err = run(capsys, argv)
     assert code == 2 and out == ""
     assert set(json.loads(err)) == {"error"}
+
+
+def test_help_is_plain_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: polychow")
 
 
 def test_lift_size_guard(tmp_path, capsys):
@@ -195,3 +212,22 @@ def test_kahler_without_ambient_fan_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "building set condition fails" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("argv, data, digest", [
+    (["chow", "--iso-check"], {"rank": boolean_table((2, 2, 2))},
+     "88750d3e240229372f0b130434b25d16bc5e65c2c77f3df3270f7626fda6b7ce"),
+    (["kahler"], {"rank": boolean_table((2, 2, 2))},
+     "aba02d649f55490f0aad732451cfb309652879f98f0056e58264e9085b058693"),
+    (["chow", "--iso-check"], {"rank": U34, "building_set": U34_MIN_BUILDING},
+     "7156037e2824844a315b1cb4c5b100a711d89cfa4b3acf5ab07f2d46c3e4f71c"),
+    (["kahler"], {"rank": boolean_table((1, 1, 2))},
+     "0f516dfa0204ff0d3881294080d866318bf64035ee4ed1818063e7ee8ca1ba5f"),
+])
+def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
+    # SHA-256 of stdout (default seed and indent), recorded before monomials
+    # were packed into ints; the chow report prints the basis exponents
+    path = write_instance(tmp_path, data)
+    code, out, _ = run(capsys, argv[:1] + ["--instance", path] + argv[1:])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

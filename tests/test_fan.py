@@ -449,6 +449,60 @@ def test_locate_matches_scans_on_fixture_fans():
                 assert pc.in_support(fan, w) == scan_in_support(fan, w)
 
 
+def level_set_locate(fan, W):
+    """The located cone as it was read before the superset lists: for each
+    proper upper level set of W, the maximal ray subsets inside it."""
+    masks = [pc.fan.subset_mask(r) for r in fan.rays]
+    if None in masks:
+        return None
+    index = sorted(((S, i) for i, S in enumerate(masks)), key=lambda t: -bin(t[0]).count("1"))
+    x = tuple(W) + (0,)
+    order = sorted(range(len(x)), key=x.__getitem__, reverse=True)
+    cone, S = set(), 0
+    for j in range(len(x) - 1):
+        S |= 1 << order[j]
+        if x[order[j + 1]] == x[order[j]]:
+            continue
+        picked = []
+        for T, i in index:
+            if T & S == T and not any(T & U == T for U in picked):
+                picked.append(T)
+                cone.add(i)
+    cone = frozenset(cone)
+    return cone if cone in fan.cones else None
+
+
+def test_locate_matches_the_level_set_reference():
+    rng = Random(11)
+    fans = nested_set_fixture_fans() + subset_vector_fans_missing_rays()
+    fans += [pc.boolean_bergman_fan(pc.ProjectionMap(f)) for f in ((2, 2, 1), (1, 1, 1, 1))]
+    checked = located = 0
+    for fan in fans:
+        d = fan.ambient_dim
+        points = [integral(w)[0] for cone in fan.cones for w in probe_points(rng, fan, cone)]
+        # tie-heavy points, and points tied with the appended coordinate 0
+        points += [tuple(rng.randint(-1, 1) for _ in range(d)) for _ in range(200)]
+        points += [tuple(rng.choice((0, 0, 5, -5, 9)) for _ in range(d)) for _ in range(100)]
+        points += [tuple(rng.randint(-50, 50) for _ in range(d)) for _ in range(100)]
+        for W in points:
+            expected = level_set_locate(fan, W)
+            assert locate(fan, W) == expected, (fan, W)
+            checked += 1
+            located += expected is not None
+    assert checked > 5000 and located > checked // 2
+
+
+def test_integral_returns_integer_points_unscaled():
+    for w in ((0,), (3, -2, 7), tuple(range(-5, 6))):
+        assert integral(w) == (w, 1)
+        assert integral(list(w)) == (w, 1)
+    # bools and Fractions take the lcm path; bools come back as ints
+    W, q = integral((True, False, 2))
+    assert (W, q) == ((1, 0, 2), 1) and all(type(x) is int for x in W)
+    assert integral((Fraction(1, 2), 3)) == ((1, 6), 2)
+    assert integral((Fraction(4, 2), -3)) == ((2, -3), 1)
+
+
 def test_unconfirmed_candidates_fall_back_to_the_scan():
     rng = Random(8)
     unconfirmed = 0

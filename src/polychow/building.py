@@ -4,7 +4,10 @@ Everything here is generic over a "ground" object exposing `full_mask`,
 `rank`, `closure` and `flats` (either a `Polymatroid` or a lift).
 """
 
+from functools import cache, reduce
 from itertools import product
+from math import prod
+from operator import or_
 
 from .bitsets import canonical_key
 from .lift import lift
@@ -66,11 +69,14 @@ def _max_members_below(members, flat):
 def is_geometric_building_set(base, members):
     """Decide the building-set condition, returning (ok, failing_flat).
 
-    At every nonempty flat F both the rank-sum identity and the
-    interval-product isomorphism must hold for the maximal members below
-    F.  The isomorphism is checked literally: tuples of flats below the
-    maximal members map to their join, and the map must be a bijection
-    onto the interval below F that preserves and reflects order.
+    At every nonempty flat F the ranks of the maximal members g_i below F
+    must sum to rk(F), and the join map from the product of the intervals
+    [0, g_i] to [0, F] must be an order isomorphism: a bijection with as
+    many comparable pairs h <= k on both sides.  That suffices because the
+    join (closure of the union) is monotone for every submodular rank, and
+    a monotone bijection between finite posets maps comparable pairs
+    injectively into comparable pairs, so it is an order isomorphism iff
+    both posets have the same number of them.
     """
     members = frozenset(members)
     full = base.full_mask
@@ -81,33 +87,29 @@ def is_geometric_building_set(base, members):
     for g in members:
         if g == 0 or g not in flat_set:
             return False, g
+
+    @cache
+    def interval(g):
+        return [h for h in flats if h & g == h]
+
+    @cache
+    def comparable_pairs(g):
+        return sum(len(interval(k)) for k in interval(g))
+
     for F in flats:
         if F == 0:
             continue
         maxima = _max_members_below(members, F)
         if sum(base.rank(g) for g in maxima) != base.rank(F):
             return False, F
-        intervals = [[h for h in flats if h & g == h] for g in maxima]
-        interval_F = [h for h in flats if h & F == h]
-        size = 1
-        for iv in intervals:
-            size *= len(iv)
-        if size != len(interval_F):
+        intervals = [interval(g) for g in maxima]
+        if prod(map(len, intervals)) != len(interval(F)):
             return False, F
-        tuples = list(product(*intervals)) if intervals else [()]
-        joins = []
-        for tup in tuples:
-            union = 0
-            for h in tup:
-                union |= h
-            joins.append(base.closure(union))
-        if len(set(joins)) != len(joins) or set(joins) != set(interval_F):
+        joins = {base.closure(reduce(or_, tup, 0)) for tup in product(*intervals)}
+        if joins != set(interval(F)):
             return False, F
-        for a, ta in zip(joins, tuples):
-            for b, tb in zip(joins, tuples):
-                comp = all(x & y == x for x, y in zip(ta, tb))
-                if comp != (a & b == a):
-                    return False, F
+        if prod(map(comparable_pairs, maxima)) != comparable_pairs(F):
+            return False, F
     return True, None
 
 

@@ -527,31 +527,32 @@ def phi_iso_check(pair):
     Checks: every DP Groebner generator maps into the FY ideal; the DP
     basis maps to a basis degree by degree; products of basis elements
     have matching structure constants on both sides, compared as
-    coordinates: the degree-d matrix times the DP coordinates of m1 m2
-    against the FY coordinates of phi(m1) phi(m2).
+    coordinates: the sum of the FY columns over the nonzero DP
+    coordinates of m1 m2 against the FY coordinates of phi(m1) phi(m2).
     """
     dp, fy = pair.dp, pair.fy
     for _, g in dp.groebner:
         if fy.nf(pair.phi(g)):
             return False
-    matrices = {}
+    columns = {}
     for d in range(dp.r):
         if len(dp.basis[d]) != len(fy.basis[d]):
             return False
         cols = [fy.coords(pair.phi({m: 1}), d) for m in dp.basis[d]]
-        if cols:
-            matrix = [[cols[j][i] for j in range(len(cols))]
-                      for i in range(len(cols[0]))] if cols[0] else []
-            if len(cols[0]) != len(cols) or linalg.det(matrix) == 0:
-                return False
-            matrices[d] = matrix
+        if cols and (len(cols[0]) != len(cols) or linalg.det(cols) == 0):
+            return False
+        columns[d] = cols
     for d1 in range(dp.r):
         for d2 in range(d1, dp.r - d1):
             d = d1 + d2
+            cols = columns[d]
             for m1 in dp.basis[d1]:
                 for m2 in dp.basis[d2]:
-                    a = dp.coords({m1 + m2: 1}, d)
-                    image = [sum(x * y for x, y in zip(row, a)) for row in matrices.get(d, [])]
+                    image = [0] * len(cols)
+                    for x, col in zip(dp.coords({m1 + m2: 1}, d), cols):
+                        if x:
+                            for i, y in enumerate(col):
+                                image[i] += x * y
                     direct = fy.coords(poly_mul(pair.phi({m1: 1}), pair.phi({m2: 1})), d)
                     if image != direct:
                         return False

@@ -14,6 +14,7 @@ requested check passed.
 import argparse
 import json
 import sys
+from math import comb, factorial, prod
 
 from . import linalg
 from .building import BuildingSet, BuildingSetError, maximal_building_set, nested_complex
@@ -27,6 +28,8 @@ from .polytope import Polypermutohedron, normal_fan_equals
 
 MAX_GROUND_OVERALL = 16
 MAX_GROUND_HEAVY = 8  # fan, chow, kahler, verify-all
+MAX_POLYPERM_VERTICES = 362_880  # 9!: `polyperm` takes 5 s on a 2-vCPU VM
+MAX_FAN_LOOPS = 47_293  # Fubini(7): `polyperm --verify-fan` takes 7-11 s there
 
 COMMANDS = ("validate", "flats", "lift-rank", "geometric-flats", "nested-complex",
             "fan", "polyperm", "chow", "kahler", "verify-all")
@@ -105,8 +108,20 @@ def resolve_building_set(P, data, flag):
         raise CliError("invalid building set: %s" % exc, code=1)
 
 
-def guard(P, command):
-    m = sum(P.rank(1 << i) for i in range(P.n))
+def polyperm_costs(sizes):
+    """(n! * prod s_i, Fubini(n) * prod (2^s_i - 1)) for fiber sizes s_i:
+    the transversals Polypermutohedron enumerates and the loops of
+    boolean_bergman_fan, whose chains of proper nonempty subsets are the
+    Fubini(n) ordered set partitions."""
+    n = len(sizes)
+    fubini = sum((-1) ** (k - j) * comb(k, j) * j ** n
+                 for k in range(n + 1) for j in range(k + 1))
+    return factorial(n) * prod(sizes), fubini * prod((1 << s) - 1 for s in sizes)
+
+
+def guard(P, command, verify_fan):
+    sizes = [P.rank(1 << i) for i in range(P.n)]
+    m = sum(sizes)
     if m > MAX_GROUND_OVERALL:
         raise CliError("lifted ground set size %d exceeds the limit %d"
                        % (m, MAX_GROUND_OVERALL))
@@ -114,6 +129,14 @@ def guard(P, command):
             and P.n > MAX_GROUND_HEAVY:
         raise CliError("ground set size %d exceeds the limit %d for %s"
                        % (P.n, MAX_GROUND_HEAVY, command))
+    if command in ("polyperm", "verify-all"):
+        vertices, loops = polyperm_costs(sizes)
+        if vertices > MAX_POLYPERM_VERTICES:
+            raise CliError("polypermutohedron vertex count %d exceeds the limit %d"
+                           % (vertices, MAX_POLYPERM_VERTICES))
+        if (verify_fan or command == "verify-all") and loops > MAX_FAN_LOOPS:
+            raise CliError("Boolean fan loop count %d exceeds the limit %d for %s"
+                           % (loops, MAX_FAN_LOOPS, command))
 
 
 def cmd_validate(P, G, args):
@@ -295,7 +318,7 @@ def main(argv=None):
             raise CliError("--trials must be at least 1")
         data = load_instance(args.instance)
         P = build_polymatroid(data)
-        guard(P, args.command)
+        guard(P, args.command, args.verify_fan)
         G = resolve_building_set(P, data, args.building_set)
         if args.seed is None:
             args.seed = data.get("seed", 0)

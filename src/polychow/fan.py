@@ -116,10 +116,9 @@ def _fan_from_ray_sets(ambient_dim, ray_sets):
 
 def nested_set_fan(building, full_mask, m):
     """Cones spanned by indicator vectors of nested sets not containing E~."""
-    complexes = nested_complex(building, exclude=full_mask)
-    ray_sets = []
-    for N in complexes:
-        ray_sets.append(frozenset(primitive(subset_vector(g, m)) for g in N))
+    ray = {g: primitive(subset_vector(g, m)) for g in building.members}
+    ray_sets = [frozenset(ray[g] for g in N)
+                for N in nested_complex(building, exclude=full_mask)]
     return _fan_from_ray_sets(m - 1, ray_sets)
 
 

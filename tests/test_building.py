@@ -1,7 +1,12 @@
+from itertools import product
+from random import Random
+
 import pytest
 
 import polychow as pc
-from conftest import P1, P2, P3, U34, U34_MIN_BUILDING, B111_MIN_BUILDING, boolean_table
+from polychow.building import _max_members_below
+from conftest import (P1, P2, P3, P4, U34, U34_MIN_BUILDING, B111_MIN_BUILDING,
+                      boolean_table)
 
 
 def test_maximal_building_set_is_geometric():
@@ -139,3 +144,108 @@ def test_nested_sets_have_nested_subsets():
     M, Gt = pc.lifted_building_set(P)
     for N in pc.nested_complex(Gt):
         assert pc.is_nested(Gt, N)
+
+
+def pairwise_building_check(base, members):
+    """Reference: the interval-product isomorphism checked literally, pair by
+    pair of tuples, order preserved and reflected."""
+    members = frozenset(members)
+    full = base.full_mask
+    if full not in members:
+        return False, full
+    flats = base.flats()
+    for g in members:
+        if g == 0 or g not in flats:
+            return False, g
+    for F in flats:
+        if F == 0:
+            continue
+        maxima = _max_members_below(members, F)
+        if sum(base.rank(g) for g in maxima) != base.rank(F):
+            return False, F
+        intervals = [[h for h in flats if h & g == h] for g in maxima]
+        interval_F = [h for h in flats if h & F == h]
+        tuples = list(product(*intervals))
+        if len(tuples) != len(interval_F):
+            return False, F
+        joins = []
+        for tup in tuples:
+            union = 0
+            for h in tup:
+                union |= h
+            joins.append(base.closure(union))
+        if len(set(joins)) != len(joins) or set(joins) != set(interval_F):
+            return False, F
+        for a, ta in zip(joins, tuples):
+            for b, tb in zip(joins, tuples):
+                comp = all(x & y == x for x, y in zip(ta, tb))
+                if comp != (a & b == a):
+                    return False, F
+    return True, None
+
+
+def union_rule(n, members):
+    """Boolean building sets: every singleton is a member, and so is G | H
+    whenever G and H are members that meet."""
+    return (all(1 << i in members for i in range(n))
+            and all(g | h in members for g in members for h in members if g & h))
+
+
+def test_counting_check_matches_pairwise_on_every_boolean_family():
+    P = pc.Polymatroid(boolean_table((1, 1, 1, 1)))
+    full = P.full_mask
+    proper = range(1, full)
+    accepted = 0
+    for choice in range(1 << len(proper)):
+        members = {full} | {g for i, g in enumerate(proper) if choice >> i & 1}
+        got = pc.is_geometric_building_set(P, members)
+        assert got == pairwise_building_check(P, members), sorted(members)
+        assert got[0] is union_rule(4, members), sorted(members)
+        accepted += got[0]
+    assert accepted == 378
+
+
+@pytest.mark.parametrize("table", [P1, P2, P3, P4, U34, boolean_table((1, 1, 2)),
+                                   boolean_table((2, 2))])
+def test_counting_check_matches_pairwise_on_random_families(table):
+    rng = Random(11)
+    P = pc.Polymatroid(table)
+    for base in (P, pc.lift(P)):
+        flats = [f for f in base.flats() if f != 0]
+        atoms = [f for f in flats if not any(g != f and g & f == g for g in flats)]
+        for trial in range(150):
+            members = {f for f in flats if rng.random() < 0.5}
+            if trial % 2:
+                members.update(atoms)
+            members.add(base.full_mask)
+            assert pc.is_geometric_building_set(base, members) \
+                == pairwise_building_check(base, members), (table, sorted(members))
+
+
+class OrderOnlyGround:
+    """A ground on five elements whose join map at F = {0,1,2,3} is a
+    bijection from [0, {0,1,3}] x [0, {2}] onto [0, F] but no order
+    isomorphism: {0} v {2} lies below {1} v {2}.  Its closure is monotone
+    but no closure operator (a polymatroid's bijective join map is always
+    an isomorphism, so only such a ground reaches the order stage).  F
+    comes first among the flats, so it is the first flat checked."""
+
+    full_mask = 31
+    _closure = {0: 0, 1: 1, 2: 2, 4: 4, 5: 5, 6: 7, 11: 11, 15: 15}
+    _rank = {4: 1, 11: 2, 15: 3}
+
+    def flats(self):
+        return [0, 15, 1, 2, 4, 5, 7, 11, 31]
+
+    def closure(self, mask):
+        return self._closure[mask]
+
+    def rank(self, mask):
+        return self._rank[mask]
+
+
+def test_counting_check_rejects_where_only_the_order_fails():
+    ground = OrderOnlyGround()
+    members = {4, 11, 31}
+    assert pc.is_geometric_building_set(ground, members) \
+        == pairwise_building_check(ground, members) == (False, 15)

@@ -465,6 +465,8 @@ def test_phi_iso_check_matches_nf_reference():
         # and sends the ideal into the ideal, but is not multiplicative
         degree_scaled(pair_of(P3), lambda d: 2 if d == 2 else 1),
         degree_scaled(pair_of(boolean_table((2, 2, 2))), lambda d: 2 if d == 5 else 1),
+        # a middle degree doubled, where the FY columns are dense
+        degree_scaled(pair_of(boolean_table((2, 2, 2))), lambda d: 2 if d == 3 else 1),
     ]
     for pair in rejected:
         assert pc.phi_iso_check(pair) is nf_phi_iso_check(pair) is False

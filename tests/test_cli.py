@@ -1,10 +1,18 @@
 import hashlib
 import json
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from polychow.cli import main
-from conftest import P2, P3, U34, U34_MIN_BUILDING, boolean_table
+import polychow as pc
+from polychow.cli import main, polyperm_costs
+from polychow.fan import _chains
+from conftest import BOOLEAN_FIBERS, P2, P3, U34, U34_MIN_BUILDING, boolean_table
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def write_instance(tmp_path, data, name="instance.json"):
@@ -143,6 +151,38 @@ def test_help_is_plain_text(capsys):
         main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: polychow")
+
+
+@pytest.mark.parametrize("fibers", BOOLEAN_FIBERS + [(1,), (3,), (1, 1, 1, 1)])
+def test_polyperm_costs_count_the_loops(fibers):
+    proj = pc.ProjectionMap(fibers)
+    Q = pc.Polypermutohedron(proj)
+    fiber_free = [S for S in range(1 << proj.m)
+                  if not any(S & fm == fm for fm in proj.fiber_masks)]
+    chains = _chains(range(1, (1 << proj.n) - 1))
+    assert polyperm_costs(list(fibers)) == (len(Q.transversals),
+                                            len(chains) * len(fiber_free))
+
+
+def cap_address_space():
+    cap = 512 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+
+@pytest.mark.parametrize("n, flags", [(11, []), (8, ["--verify-fan"])])
+def test_polyperm_guard_refuses_before_allocating(tmp_path, n, flags):
+    # U(1,11) has 11! vertices and U(1,8) Fubini(8) fan loops: both ran for
+    # a minute and raised MemoryError; a child process keeps a regression
+    # from allocating in the test process
+    table = [min(S, 1) for S in range(1 << n)]
+    path = write_instance(tmp_path, {"n": n, "rank": table})
+    out = subprocess.run([sys.executable, "-m", "polychow.cli", "polyperm",
+                          "--instance", path] + flags,
+                         capture_output=True, text=True, timeout=10,
+                         env={"PYTHONPATH": SRC}, preexec_fn=cap_address_space)
+    assert out.returncode == 2 and out.stdout == ""
+    assert set(json.loads(out.stderr)) == {"error"}
+    assert "exceeds the limit" in out.stderr
 
 
 def test_lift_size_guard(tmp_path, capsys):

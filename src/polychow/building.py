@@ -11,6 +11,7 @@ from operator import or_
 
 from .bitsets import canonical_key
 from .lift import lift
+from .polymatroid import memoized
 
 DEFAULT_NESTED_CAP = 200_000
 
@@ -20,14 +21,17 @@ class BuildingSetError(ValueError):
 
 
 class BuildingSet:
-    """A geometric building set: a set of nonempty flats containing E."""
+    """A geometric building set: a set of nonempty flats containing E.
+    `_memo` holds its nested complexes and, for a base P, its lifted
+    building set, Bergman fan and both Chow-ring presentations."""
 
-    __slots__ = ("base", "members")
+    __slots__ = ("base", "members", "_memo")
 
     def __init__(self, base, members, validate=True):
         members = frozenset(int(m) for m in members)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_memo", {})
         if base.full_mask not in members:
             raise BuildingSetError("building set must contain the full ground set")
         for m in members:
@@ -57,8 +61,9 @@ class BuildingSet:
 
 
 def maximal_building_set(base):
-    """All nonempty flats."""
-    return BuildingSet(base, [f for f in base.flats() if f != 0], validate=False)
+    """All nonempty flats, built once and memoized on the base."""
+    return memoized(base, "maximal", lambda: BuildingSet(
+        base, [f for f in base.flats() if f != 0], validate=False))
 
 
 def _max_members_below(members, flat):
@@ -113,18 +118,27 @@ def is_geometric_building_set(base, members):
     return True, None
 
 
+def memoized_on(P, G, key, build):
+    """build(G), with G None read as P's maximal building set, memoized on
+    G under `key` when G's base is P and built afresh otherwise."""
+    G = maximal_building_set(P) if G is None else G
+    return memoized(G if G.base is P else None, key, lambda: build(G))
+
+
 def lifted_building_set(P, G=None):
     """The induced building set on the minimal lift.
 
     Members are the preimages of the members of G together with the atoms
-    of the lift's flat lattice.  Returns (lift, BuildingSet on the lift).
+    of the lift's flat lattice.  Returns (lift, BuildingSet on the lift),
+    memoized on G when G's base is P.
     """
-    M = lift(P)
-    if G is None:
-        G = maximal_building_set(P)
-    members = {M.proj.preimage(g) for g in G.members}
-    members.update(M.flat_lattice().atoms())
-    return M, BuildingSet(M, members, validate=False)
+    def build(G):
+        M = lift(P)
+        members = {M.proj.preimage(g) for g in G.members}
+        members.update(M.flat_lattice().atoms())
+        return M, BuildingSet(M, members, validate=False)
+
+    return memoized_on(P, G, "lifted", build)
 
 
 def _is_antichain(masks):
@@ -160,13 +174,19 @@ def is_nested(building, N):
 
 
 def nested_complex(building, exclude=None, cap=None):
-    """All nested sets, as frozensets of member masks, in a deterministic
-    order (by size, then by sorted members).
+    """All nested sets, as a tuple of frozensets of member masks, in a
+    deterministic order (by size, then by sorted members).
 
     `exclude` drops one member (used to omit the full ground set when
     building fans).  Enumeration extends antichain-compatible members
-    incrementally; the closure-of-union lookups are memoized.
+    incrementally; the closure-of-union lookups are memoized.  Without a
+    `cap` the tuple is memoized on the building set, one per `exclude`.
     """
+    return memoized(building if cap is None else None, ("nested", exclude),
+                    lambda: _nested_sets(building, exclude, cap))
+
+
+def _nested_sets(building, exclude, cap):
     base = building.base
     members = [m for m in building.sorted_members() if m != exclude]
     cap = cap or DEFAULT_NESTED_CAP
@@ -208,4 +228,4 @@ def nested_complex(building, exclude=None, cap=None):
 
     extend([], 0)
     out.sort(key=lambda s: (len(s), sorted(s, key=canonical_key)))
-    return out
+    return tuple(out)

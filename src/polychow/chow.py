@@ -38,7 +38,7 @@ from itertools import combinations, product
 from . import linalg
 from .bitsets import canonical_key
 from .building import (_is_antichain, is_nested, lifted_building_set, maximal_building_set,
-                       nested_complex)
+                       memoized_on, nested_complex)
 
 # --- packed monomials and polynomials (monomial -> coefficient) -------------
 
@@ -386,11 +386,14 @@ def dp_ring(P, G=None):
 
     for nested antichains {G_i} strictly below G, with b = rk(G) -
     rk(union of the G_i) >= 1.  The tests reduce its S-pairs to zero.
+    The ring, with its normal-form table, is memoized on G when G's base
+    is P.
     """
-    if G is None:
-        G = maximal_building_set(P)
-    members, generators = _groebner(P, G, P.r)
-    return GradedRing("dp", members, P.r, generators, context={"P": P, "G": G})
+    def build(G):
+        members, generators = _groebner(P, G, P.r)
+        return GradedRing("dp", members, P.r, generators, context={"P": P, "G": G})
+
+    return memoized_on(P, G, "dp", build)
 
 
 def fy_ring(P, G=None):
@@ -399,14 +402,15 @@ def fy_ring(P, G=None):
     as `dp_ring`, run on the lift M and the lifted building set; the tests
     reduce its S-pairs to zero.  The linear relations are the d = 1 power
     relations at the atoms, so normal forms automatically eliminate atom
-    variables.
+    variables.  Like `dp_ring`, it is memoized on G when G's base is P.
     """
-    if G is None:
-        G = maximal_building_set(P)
-    M, lifted = lifted_building_set(P, G)
-    members, generators = _groebner(M, lifted, P.r)
-    return GradedRing("fy", members, P.r, generators,
-                      context={"P": P, "G": G, "M": M, "lifted": lifted})
+    def build(G):
+        M, lifted = lifted_building_set(P, G)
+        members, generators = _groebner(M, lifted, P.r)
+        return GradedRing("fy", members, P.r, generators,
+                          context={"P": P, "G": G, "M": M, "lifted": lifted})
+
+    return memoized_on(P, G, "fy", build)
 
 
 def nested_basis(P, G=None):

@@ -13,12 +13,13 @@ pairwise-faces check use integer arithmetic only.
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+from operator import mul
 from random import Random
 
 from . import linalg
 from .linalg import integral
 from .bitsets import canonical_key, elements, nonempty_subsets, popcount
-from .building import lifted_building_set, nested_complex
+from .building import lifted_building_set, memoized_on, nested_complex
 from .lift import lift
 from .polymatroid import ProjectionMap
 
@@ -123,9 +124,14 @@ def nested_set_fan(building, full_mask, m):
 
 
 def bergman_fan(P, G=None):
-    """The Bergman fan of (P, G) via nested sets of the lifted building set."""
-    M, lifted = lifted_building_set(P, G)
-    return nested_set_fan(lifted, M.full_mask, M.m)
+    """The Bergman fan of (P, G) via nested sets of the lifted building set,
+    memoized on G when G's base is P, so its callers share the cone
+    locators cached on it."""
+    def build(G):
+        M, lifted = lifted_building_set(P, G)
+        return nested_set_fan(lifted, M.full_mask, M.m)
+
+    return memoized_on(P, G, "fan", build)
 
 
 def _chains(items):
@@ -189,11 +195,13 @@ def boolean_bergman_fan(proj):
     proper = [a for a in range(1, full)]
     fiber_free = [S for S in range(1 << m)
                   if not any(S & fm == fm for fm in proj.fiber_masks)]
+    fiber_rays = {F: primitive(subset_vector(proj.preimage(F), m)) for F in proper}
+    element_rays = [primitive(subset_vector(1 << e, m)) for e in range(m)]
     ray_sets = set()
     for chain in _chains(proper):
         for S in fiber_free:
-            rays = {primitive(subset_vector(proj.preimage(F), m)) for F in chain}
-            rays.update(primitive(subset_vector(1 << e, m)) for e in elements(S))
+            rays = {fiber_rays[F] for F in chain}
+            rays.update(element_rays[e] for e in elements(S))
             ray_sets.add(frozenset(rays))
     return _fan_from_ray_sets(m - 1, ray_sets)
 
@@ -230,14 +238,14 @@ def _numerators(loc, W):
     """det * (coordinates of W in the ray basis), if W is in the span."""
     rows, adj, _, _ = loc
     Wr = [W[i] for i in rows]
-    return [sum(a * x for a, x in zip(row, Wr)) for row in adj]
+    return [sum(map(mul, row, Wr)) for row in adj]
 
 
 def _in_span(loc, num, W):
     """Exact test that rays . num == det * W.  The coordinates in `rows`
     hold by construction, so only the others are compared."""
     _, _, det, rest = loc
-    return all(sum(n * r for n, r in zip(num, col)) == det * W[i] for i, col in rest)
+    return all(sum(map(mul, num, col)) == det * W[i] for i, col in rest)
 
 
 def cone_coordinates(fan, cone, w):

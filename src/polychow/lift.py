@@ -11,7 +11,7 @@ orbits of subsets depend only on per-fiber counts.
 """
 
 from .bitsets import canonical_key, popcount
-from .polymatroid import FlatLattice, Polymatroid, PolymatroidError, ProjectionMap
+from .polymatroid import FlatLattice, Polymatroid, PolymatroidError, ProjectionMap, memoized
 
 MAX_LIFT_GROUND = 16
 
@@ -20,10 +20,12 @@ class MultisymMatroid:
     """The minimal multisymmetric lift of a polymatroid.
 
     Exposes the same rank/closure/flats surface as `Polymatroid`, so the
-    building-set and fan machinery can treat both uniformly.
+    building-set and fan machinery can treat both uniformly.  `_memo` maps
+    each mask met so far to its rank, and string keys to derived structures
+    (its flats and maximal building set).
     """
 
-    __slots__ = ("base", "proj", "_memo", "_flats")
+    __slots__ = ("base", "proj", "_memo")
 
     def __init__(self, base):
         object.__setattr__(self, "base", base)
@@ -33,7 +35,6 @@ class MultisymMatroid:
             raise PolymatroidError("size", None,
                                    "lift ground set larger than %d" % MAX_LIFT_GROUND)
         object.__setattr__(self, "_memo", {})
-        object.__setattr__(self, "_flats", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("MultisymMatroid is immutable")
@@ -82,8 +83,8 @@ class MultisymMatroid:
         return self.closure(S_mask) == S_mask
 
     def flats(self):
-        """All flats of the lift, enumerated by closure BFS."""
-        if self._flats is None:
+        """All flats of the lift, enumerated by closure BFS; memoized."""
+        if "flats" not in self._memo:
             bottom = self.closure(0)
             seen = {bottom}
             frontier = [bottom]
@@ -98,8 +99,8 @@ class MultisymMatroid:
                                 seen.add(g)
                                 nxt.append(g)
                 frontier = nxt
-            object.__setattr__(self, "_flats", tuple(sorted(seen, key=canonical_key)))
-        return self._flats
+            self._memo["flats"] = tuple(sorted(seen, key=canonical_key))
+        return self._memo["flats"]
 
     def flat_lattice(self):
         return FlatLattice(self)
@@ -128,8 +129,10 @@ class MultisymMatroid:
 
 
 def lift(P):
-    """The unique minimal multisymmetric lift of a loopless polymatroid."""
-    return MultisymMatroid(P)
+    """The unique minimal multisymmetric lift of a loopless polymatroid,
+    built once per P and memoized on it, so every caller shares its rank
+    memo and flats."""
+    return memoized(P, "lift", lambda: MultisymMatroid(P))
 
 
 def geometric_flat_lattice(M):

@@ -19,10 +19,23 @@ class PolymatroidError(ValueError):
         self.witness = witness
 
 
-class Polymatroid:
-    """Immutable rank table on the subsets of {0, ..., n-1}."""
+def memoized(owner, key, build):
+    """owner._memo[key], set to build() on first use; with owner None,
+    build() afresh.  Memos hang off objects one CLI invocation builds, so
+    they live exactly as long as that invocation's P and G."""
+    if owner is None:
+        return build()
+    memo = owner._memo
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
-    __slots__ = ("n", "rank_table", "_flats")
+
+class Polymatroid:
+    """Immutable rank table on the subsets of {0, ..., n-1}.  `_memo` holds
+    what derives from P alone: its flats, lift and maximal building set."""
+
+    __slots__ = ("n", "rank_table", "_memo")
 
     def __init__(self, rank_table, validate=True):
         rank_table = tuple(int(x) for x in rank_table)
@@ -32,7 +45,7 @@ class Polymatroid:
                                    "rank table length %d is not a power of two" % size)
         object.__setattr__(self, "n", size.bit_length() - 1)
         object.__setattr__(self, "rank_table", rank_table)
-        object.__setattr__(self, "_flats", None)
+        object.__setattr__(self, "_memo", {})
         if self.n > MAX_GROUND:
             raise PolymatroidError("size", None, "ground set larger than %d" % MAX_GROUND)
         if validate:
@@ -60,6 +73,14 @@ class Polymatroid:
             if tab[1 << i] < 1:
                 raise PolymatroidError("looplessness", (1 << i,),
                                        "element %d is a loop" % i)
+        # r(A+i) + r(A+j) >= r(A+i+j) + r(A) for i != j outside A is equivalent
+        # to submodularity and costs O(2^n n^2); the O(4^n) pairwise scan
+        # only runs to name the first failing pair.
+        bits = [1 << i for i in range(n)]
+        if all(tab[a | i | j] - tab[a | j] <= tab[a | i] - tab[a]
+               for a in range(1 << n) for i in bits if not a & i
+               for j in bits if j > i and not a & j):
+            return
         for a in range(1 << n):
             for b in range(a + 1, 1 << n):
                 if tab[a | b] + tab[a & b] > tab[a] + tab[b]:
@@ -97,12 +118,9 @@ class Polymatroid:
         return self.closure(mask) == mask
 
     def flats(self):
-        """All flats, sorted by (size, numeric value)."""
-        if self._flats is None:
-            found = sorted((m for m in range(1 << self.n) if self.is_flat(m)),
-                           key=canonical_key)
-            object.__setattr__(self, "_flats", tuple(found))
-        return self._flats
+        """All flats, sorted by (size, numeric value); memoized on P."""
+        return memoized(self, "flats", lambda: tuple(sorted(
+            (m for m in range(1 << self.n) if self.is_flat(m)), key=canonical_key)))
 
     def flat_lattice(self):
         return FlatLattice(self)

@@ -12,7 +12,8 @@ follows the oracle.
 """
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import groupby, permutations, product
+from operator import itemgetter
 from random import Random
 
 from .bitsets import elements
@@ -26,10 +27,12 @@ class Polypermutohedron:
     `columns` holds the vertex coordinates column by column, and
     `selectors` holds, per transversal (seq, v), the mask of seq, the mask
     of its consecutive pairs (bit a*m + b for each a, b adjacent in seq),
-    and v; `minimizing_vertices` reads both.
+    and v; `minimizing_vertices` reads both.  `vertex_of` maps each
+    transversal seq to its vertex v, for `_minimizers_from_lowest`.
     """
 
-    __slots__ = ("proj", "c", "vertices", "transversals", "columns", "selectors")
+    __slots__ = ("proj", "c", "vertices", "transversals", "columns", "selectors",
+                 "vertex_of")
 
     def __init__(self, proj, c=None):
         if not isinstance(proj, ProjectionMap):
@@ -56,6 +59,7 @@ class Polypermutohedron:
                 transversals.append((seq, v))
                 seen[v] = None
         object.__setattr__(self, "transversals", tuple(transversals))
+        object.__setattr__(self, "vertex_of", dict(transversals))
         object.__setattr__(self, "vertices", tuple(sorted(seen)))
         object.__setattr__(self, "columns", tuple(zip(*self.vertices)))
         object.__setattr__(self, "selectors", tuple(
@@ -73,42 +77,63 @@ class Polypermutohedron:
 
 
 class LowestPoset:
-    """Per-fiber weight minimizers of a vector, preordered by weight."""
+    """Per-fiber weight minimizers of a vector, preordered by weight.
 
-    __slots__ = ("elements", "relation")
+    `ranks` pairs each minimizer, in increasing order, with its dense
+    weight rank: how many distinct weights of minimizers lie below its own.
+    The weight preorder is total, and a total preorder on a finite set and
+    its dense rank function determine each other: i <= j iff rank(i) <=
+    rank(j), and rank(i) counts the classes strictly below that of i.  So
+    equality and hashing compare `ranks`, and `elements` and `relation`
+    (the pairs (i, j) with i <= j) are read from it.
+    """
 
-    def __init__(self, elements_, relation):
-        object.__setattr__(self, "elements", frozenset(elements_))
-        object.__setattr__(self, "relation", frozenset(relation))
+    __slots__ = ("ranks",)
+
+    def __init__(self, ranks):
+        object.__setattr__(self, "ranks", tuple(ranks))
 
     def __setattr__(self, name, value):
         raise AttributeError("LowestPoset is immutable")
 
+    @property
+    def elements(self):
+        return frozenset(i for i, _ in self.ranks)
+
+    @property
+    def relation(self):
+        return frozenset((i, j) for i, a in self.ranks for j, b in self.ranks if a <= b)
+
     def __eq__(self, other):
-        return (isinstance(other, LowestPoset)
-                and self.elements == other.elements
-                and self.relation == other.relation)
+        return isinstance(other, LowestPoset) and self.ranks == other.ranks
 
     def __hash__(self):
-        return hash((self.elements, self.relation))
+        return hash(self.ranks)
 
     def __repr__(self):
         return "LowestPoset(%r)" % (sorted(self.elements),)
+
+
+def _fiber_argmins(sizes, w):
+    """Per fiber, in order: its minimum weight and the positions attaining it."""
+    out = []
+    start = 0
+    for s in sizes:
+        block = w[start:start + s]
+        lo = min(block)
+        out.append((lo, [i for i, x in enumerate(block, start) if x == lo] if s > 1
+                    else [start]))
+        start += s
+    return out
 
 
 def lowest_poset(proj, w):
     """Invariant under adding multiples of the all-ones vector to w."""
     if not isinstance(proj, ProjectionMap):
         proj = ProjectionMap(proj)
-    mins = []
-    start = 0
-    for s in proj.fiber_sizes:
-        block = range(start, start + s)
-        lo = min(w[i] for i in block)
-        mins.extend(i for i in block if w[i] == lo)
-        start += s
-    relation = frozenset((i, j) for i in mins for j in mins if w[i] <= w[j])
-    return LowestPoset(mins, relation)
+    argmins = _fiber_argmins(proj.fiber_sizes, w)
+    rank = {x: k for k, x in enumerate(sorted({lo for lo, _ in argmins}))}
+    return LowestPoset([(i, rank[lo]) for lo, block in argmins for i in block])
 
 
 def embed(w_quotient):
@@ -123,7 +148,8 @@ def minimizing_vertices(Q, w):
     The values <w, v> are summed one vertex column at a time.  A
     transversal is selected when its mask lies inside the positions that
     attain their fiber's minimum weight, and its weights weakly decrease:
-    none of its consecutive pairs (a, b) is a rise, w[a] < w[b].
+    none of its consecutive pairs (a, b) is a rise, w[a] < w[b]; the rises
+    are read off one sort of the positions by decreasing weight.
     """
     values = [0] * len(Q.vertices)
     for x, column in zip(w, Q.columns):
@@ -140,11 +166,13 @@ def minimizing_vertices(Q, w):
                 lows |= 1 << i
         start += size
     m = Q.proj.m
-    rises = 0
-    for a, x in enumerate(w):
-        for b, y in enumerate(w):
-            if x < y:
-                rises |= 1 << (a * m + b)
+    rises = above = level = 0        # positions of larger weight, and of this one
+    last = None
+    for a in sorted(range(m), key=w.__getitem__, reverse=True):
+        if w[a] != last:
+            above, level, last = above | level, 0, w[a]
+        level |= 1 << a
+        rises |= above << (a * m)
     predicate = {v for mask, pairs, v in Q.selectors
                  if mask & lows == mask and not pairs & rises}
     return brute, predicate
@@ -154,34 +182,14 @@ def _minimizers_from_lowest(Q, w):
     """Minimizing vertex set computed combinatorially (output-sensitive).
 
     Enumerates exactly the minimizing transversals: per-fiber minima,
-    fibers arranged in weakly decreasing weight with all tie orders.
+    fibers arranged in weakly decreasing weight with all tie orders; their
+    vertices are read from `Q.vertex_of`.
     """
-    proj = Q.proj
-    offset = 0
-    argmins = []
-    keys = []
-    for s in proj.fiber_sizes:
-        block = range(offset, offset + s)
-        lo = min(w[i] for i in block)
-        argmins.append([i for i in block if w[i] == lo])
-        keys.append(lo)
-        offset += s
-    order = sorted(range(proj.n), key=lambda i: keys[i], reverse=True)
-    groups = []
-    for i in order:
-        if groups and keys[groups[-1][0]] == keys[i]:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
+    fibers = sorted(_fiber_argmins(Q.proj.fiber_sizes, w), key=itemgetter(0), reverse=True)
     out = set()
-    group_orders = [permutations(g) for g in groups]
-    for arrangement in product(*group_orders):
-        fibers_in_order = [i for g in arrangement for i in g]
-        for choice in product(*(argmins[i] for i in fibers_in_order)):
-            v = [0] * proj.m
-            for cj, s in zip(Q.c, choice):
-                v[s] = cj
-            out.add(tuple(v))
+    for arrangement in product(*(permutations(g) for _, g in groupby(fibers, itemgetter(0)))):
+        out.update(map(Q.vertex_of.__getitem__,
+                       product(*(block for group in arrangement for _, block in group))))
     return out
 
 
@@ -206,8 +214,7 @@ def normal_fan_equals(Q, fan, trials=1000, seed=0):
     minimizer_sets = {}
     for cone in fan.cones:
         rays = fan.cone_rays(cone)
-        rep = tuple(sum(r[i] for r in rays) for i in range(fan.ambient_dim))
-        w = embed(rep)
+        w = embed(map(sum, zip(*rays)) if rays else (0,) * fan.ambient_dim)
         lo = lowest_poset(proj, w)
         if lo in by_lowest:
             return False

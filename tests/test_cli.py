@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 import resource
 import subprocess
 import sys
@@ -8,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import polychow as pc
+from polychow import chow as chow_module, fan as fan_module, kahler as kahler_module
 from polychow.cli import main, polyperm_costs
+from polychow.lift import MultisymMatroid
 from polychow.fan import _chains
 from conftest import BOOLEAN_FIBERS, P2, P3, U34, U34_MIN_BUILDING, boolean_table
 
@@ -271,3 +274,63 @@ def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
     code, out, _ = run(capsys, argv[:1] + ["--instance", path] + argv[1:])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_validate_is_fast_at_the_largest_accepted_ground_sets(tmp_path):
+    # the pairwise submodularity scan took 18 s on U(1,14); the local form
+    # r(A+i) + r(A+j) >= r(A+i+j) + r(A) takes well under a second
+    table = [min(S, 1) for S in range(1 << 14)]
+    path = write_instance(tmp_path, {"rank": table})
+    out = subprocess.run([sys.executable, "-m", "polychow.cli", "validate",
+                          "--instance", path],
+                         capture_output=True, text=True, timeout=8,
+                         env={"PYTHONPATH": SRC}, preexec_fn=cap_address_space)
+    assert out.returncode == 0 and json.loads(out.stdout)["report"]["valid"] is True
+
+
+# The seven instances of the benchmark's verify_ladder workload.
+LADDER = [{"rank": boolean_table((2, 2))}, {"rank": [0, 2, 2, 4]},
+          {"rank": boolean_table((1, 1, 2))},
+          {"rank": U34, "building_set": U34_MIN_BUILDING},
+          {"rank": boolean_table((1, 1, 1, 1))}, {"rank": boolean_table((2, 2, 1))},
+          {"rank": [min(bin(S).count("1"), 3) for S in range(32)]}]
+
+
+def test_memos_never_outlive_an_invocation(tmp_path, capsys):
+    # memos hang off the P and G each invocation builds, so one process that
+    # runs the ladder forward, then backward, then both ring ops must print
+    # what a fresh process prints for each op
+    b222 = {"rank": boolean_table((2, 2, 2))}
+    ops = [(["verify-all", "--trials", "200"], data) for data in LADDER]
+    ops += [(["chow", "--iso-check"], b222), (["kahler"], b222)]
+    paths = [write_instance(tmp_path, data, "%d.json" % i) for i, (_, data) in enumerate(ops)]
+    fresh = [subprocess.run([sys.executable, "-m", "polychow.cli"] + argv + ["--instance", path],
+                            capture_output=True, text=True, timeout=60,
+                            env={"PYTHONPATH": SRC}).stdout
+             for (argv, _), path in zip(ops, paths)]
+    order = list(range(len(LADDER)))
+    for i in order + order[::-1] + [len(LADDER), len(LADDER) + 1]:
+        _, out, _ = run(capsys, ops[i][0] + ["--instance", paths[i]])
+        assert out == fresh[i], ops[i]
+
+
+def test_verify_all_builds_each_structure_once(tmp_path, capsys, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(MultisymMatroid, "__init__",
+                        counted("lift", MultisymMatroid.__init__))
+    nested_set_fan = counted("nested_set_fan", fan_module.nested_set_fan)
+    monkeypatch.setattr(fan_module, "nested_set_fan", nested_set_fan)
+    monkeypatch.setattr(kahler_module, "nested_set_fan", nested_set_fan)
+    monkeypatch.setattr(chow_module, "_groebner", counted("groebner", chow_module._groebner))
+    path = write_instance(tmp_path, {"rank": boolean_table((1, 1, 2))})
+    code, _, _ = run(capsys, ["verify-all", "--instance", path, "--trials", "50"])
+    assert code == 0
+    # one lift; the Bergman fan and kahler's ambient fan; DP and FY once each
+    assert calls == {"lift": 1, "nested_set_fan": 2, "groebner": 2}

@@ -1,3 +1,6 @@
+from collections import Counter
+from random import Random
+
 import pytest
 
 import polychow as pc
@@ -145,3 +148,56 @@ def test_immutability():
     P = pc.Polymatroid(P1)
     with pytest.raises(AttributeError):
         P.n = 5
+
+
+def reference_validation_error(table):
+    """Polymatroid._validate as it was, with the O(4^n) pairwise scan for
+    submodularity always run: (axiom, witness, message) of the first
+    failure, or None."""
+    n = len(table).bit_length() - 1
+    if table[0] != 0:
+        return "normalization", (0,), "rank of the empty set is %d, expected 0" % table[0]
+    for a in range(1 << n):
+        if table[a] < 0:
+            return "nonnegativity", (a,), "rank[%d] < 0" % a
+        for i in range(n):
+            b = a | (1 << i)
+            if b != a and table[a] > table[b]:
+                return "monotonicity", (a, b), "monotonicity fails at A=%d, B=%d" % (a, b)
+    for i in range(n):
+        if table[1 << i] < 1:
+            return "looplessness", (1 << i,), "element %d is a loop" % i
+    for a in range(1 << n):
+        for b in range(a + 1, 1 << n):
+            if table[a | b] + table[a & b] > table[a] + table[b]:
+                return "submodularity", (a, b), "submodularity fails at A=%d, B=%d" % (a, b)
+    return None
+
+
+def random_monotone_table(rng, n):
+    """Normalized, monotone and loopless, and often not submodular: each
+    rank adds a random step to the largest rank one element below."""
+    table = [0]
+    for a in range(1, 1 << n):
+        below = max(table[a & ~(1 << i)] for i in range(n) if a >> i & 1)
+        table.append(below + rng.randrange(1 if below == 0 else 0, 3))
+    return table
+
+
+def test_validation_matches_the_pairwise_reference():
+    rng = Random(23)
+    tables = [random_monotone_table(rng, rng.randint(1, 5)) for _ in range(400)]
+    tables += [[0] + [rng.randrange(-1, 4) for _ in range((1 << n) - 1)]
+               for n in (1, 2, 3, 4) for _ in range(25)]
+    tables += [[min(bin(S).count("1"), r) for S in range(1 << n)]
+               for n in range(1, 6) for r in range(1, n + 1)]
+    outcomes = Counter()
+    for table in tables:
+        try:
+            pc.Polymatroid(table)
+            got = None
+        except pc.PolymatroidError as exc:
+            got = (exc.axiom, exc.witness, str(exc))
+        assert got == reference_validation_error(table), table
+        outcomes[got and got[0]] += 1
+    assert outcomes["submodularity"] > 100 and outcomes[None] > 20, outcomes

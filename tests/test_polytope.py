@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations, product
 from random import Random
 
 import pytest
@@ -164,3 +165,72 @@ def test_nestohedron_support_additive_in_members():
 
 def test_embed():
     assert embed((1, 2)) == (1, 2, 0)
+
+
+def reference_lowest_poset(proj, w):
+    """lowest_poset as it was before it stored dense weight ranks: the
+    minimizers and the pairs (i, j) with w[i] <= w[j], as frozensets."""
+    mins = []
+    start = 0
+    for s in proj.fiber_sizes:
+        block = range(start, start + s)
+        lo = min(w[i] for i in block)
+        mins.extend(i for i in block if w[i] == lo)
+        start += s
+    return frozenset(mins), frozenset((i, j) for i in mins for j in mins if w[i] <= w[j])
+
+
+def reference_minimizers_from_lowest(Q, w):
+    """_minimizers_from_lowest as it was before it read `Q.vertex_of`: each
+    minimizing transversal's vertex is built from its coefficients."""
+    proj = Q.proj
+    offset = 0
+    argmins, keys = [], []
+    for s in proj.fiber_sizes:
+        block = range(offset, offset + s)
+        lo = min(w[i] for i in block)
+        argmins.append([i for i in block if w[i] == lo])
+        keys.append(lo)
+        offset += s
+    order = sorted(range(proj.n), key=lambda i: keys[i], reverse=True)
+    groups = []
+    for i in order:
+        if groups and keys[groups[-1][0]] == keys[i]:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    out = set()
+    for arrangement in product(*(permutations(g) for g in groups)):
+        fibers_in_order = [i for g in arrangement for i in g]
+        for choice in product(*(argmins[i] for i in fibers_in_order)):
+            v = [0] * proj.m
+            for cj, s in zip(Q.c, choice):
+                v[s] = cj
+            out.add(tuple(v))
+    return out
+
+
+def test_rank_form_lowest_poset_and_vertex_table_match_the_references():
+    rng = Random(19)
+    equal_pairs = unequal_pairs = 0
+    for fibers in BOOLEAN_FIBERS + [(1, 1, 1, 1, 1)]:
+        Q = pc.Polypermutohedron(fibers)
+        m = Q.proj.m
+        # few distinct values, so ties within and across fibers are common
+        points = [tuple(rng.randrange(-2, 3) for _ in range(m)) for _ in range(40)]
+        points += [tuple(Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(m))
+                   for _ in range(40)]
+        points += [(0,) * m, (Fraction(1, 2),) * m]
+        posets = [pc.lowest_poset(Q.proj, w) for w in points]
+        references = [reference_lowest_poset(Q.proj, w) for w in points]
+        for w, lo, ref in zip(points, posets, references):
+            assert (lo.elements, lo.relation) == ref, (fibers, w)
+            assert _minimizers_from_lowest(Q, w) == reference_minimizers_from_lowest(Q, w)
+        for i, (lo1, ref1) in enumerate(zip(posets, references)):
+            for lo2, ref2 in zip(posets[:i], references):
+                assert (lo1 == lo2) == (ref1 == ref2)
+                assert lo1 != lo2 or hash(lo1) == hash(lo2)
+                equal_pairs += ref1 == ref2
+                unequal_pairs += ref1 != ref2
+    # distinct points with equal posets occur, so equality is not identity
+    assert equal_pairs > 0 and unequal_pairs > 0

@@ -16,10 +16,6 @@ def nonempty_subsets(mask):
         sub = (sub - 1) & mask
 
 
-def popcount(mask):
-    return mask.bit_count()
-
-
 def canonical_key(mask):
     """Sort key putting small sets first, ties broken by numeric value."""
     return (mask.bit_count(), mask)

@@ -1,7 +1,7 @@
 """Geometric building sets and nested-set complexes.
 
-Everything here is generic over a "ground" object exposing `full_mask`,
-`rank`, `closure` and `flats` (either a `Polymatroid` or a lift).
+Everything here is generic over a `Ground`: a `Polymatroid` or its lift,
+each exposing `full_mask`, `rank`, `closure` and `flats`.
 """
 
 from functools import cache, reduce
@@ -11,7 +11,7 @@ from operator import or_
 
 from .bitsets import canonical_key
 from .lift import lift
-from .polymatroid import memoized
+from .polymatroid import Immutable, memoized
 
 DEFAULT_NESTED_CAP = 200_000
 
@@ -20,7 +20,7 @@ class BuildingSetError(ValueError):
     pass
 
 
-class BuildingSet:
+class BuildingSet(Immutable):
     """A geometric building set: a set of nonempty flats containing E.
     `_memo` holds its nested complexes and, for a base P, its lifted
     building set, Bergman fan and both Chow-ring presentations."""
@@ -29,9 +29,9 @@ class BuildingSet:
 
     def __init__(self, base, members, validate=True):
         members = frozenset(int(m) for m in members)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "_memo", {})
+        self.base = base
+        self.members = members
+        self._memo = {}
         if base.full_mask not in members:
             raise BuildingSetError("building set must contain the full ground set")
         for m in members:
@@ -43,9 +43,6 @@ class BuildingSet:
             ok, cert = is_geometric_building_set(base, members)
             if not ok:
                 raise BuildingSetError("building set condition fails at flat %d" % cert)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("BuildingSet is immutable")
 
     def sorted_members(self):
         return sorted(self.members, key=canonical_key)
@@ -173,32 +170,36 @@ def is_nested(building, N):
     return True
 
 
-def nested_complex(building, exclude=None, cap=None):
+def extends_nested(building, N, g, closure):
+    """Whether the nested set N stays nested when the member g joins it.
+    Only antichain subcollections involving g can newly fail, so only the
+    antichains among the members of N incomparable to g are tried, each
+    joined by g; `closure` is the base's closure or a memo of it."""
+    incomparable = [h for h in N if h & g != h and h & g != g]
+    for sub in range(1, 1 << len(incomparable)):
+        chosen = [h for i, h in enumerate(incomparable) if sub >> i & 1]
+        if _is_antichain(chosen) and closure(reduce(or_, chosen, g)) in building.members:
+            return False
+    return True
+
+
+def nested_complex(building, exclude=None):
     """All nested sets, as a tuple of frozensets of member masks, in a
     deterministic order (by size, then by sorted members).
 
     `exclude` drops one member (used to omit the full ground set when
-    building fans).  Enumeration extends antichain-compatible members
-    incrementally; the closure-of-union lookups are memoized.  Without a
-    `cap` the tuple is memoized on the building set, one per `exclude`.
+    building fans).  Enumeration extends nested sets one member at a time
+    (`extends_nested`); the closure-of-union lookups are memoized.  The
+    tuple is memoized on the building set, one per `exclude`; more than
+    DEFAULT_NESTED_CAP nested sets raise BuildingSetError.
     """
-    return memoized(building if cap is None else None, ("nested", exclude),
-                    lambda: _nested_sets(building, exclude, cap))
+    return memoized(building, ("nested", exclude), lambda: _nested_sets(building, exclude))
 
 
-def _nested_sets(building, exclude, cap):
-    base = building.base
+def _nested_sets(building, exclude):
     members = [m for m in building.sorted_members() if m != exclude]
-    cap = cap or DEFAULT_NESTED_CAP
-    closure_memo = {}
-
-    def closure(mask):
-        result = closure_memo.get(mask)
-        if result is None:
-            result = base.closure(mask)
-            closure_memo[mask] = result
-        return result
-
+    closure = cache(building.base.closure)
+    cap = DEFAULT_NESTED_CAP
     out = []
 
     def extend(current, start):
@@ -207,21 +208,7 @@ def _nested_sets(building, exclude, cap):
         out.append(frozenset(current))
         for idx in range(start, len(members)):
             g = members[idx]
-            incomparable = [h for h in current if h & g != h and h & g != g]
-            ok = True
-            # Only antichain subcollections involving g can newly fail.
-            for sub in range(1 << len(incomparable)):
-                chosen = [incomparable[i] for i in range(len(incomparable))
-                          if sub >> i & 1]
-                if not chosen or not _is_antichain(chosen):
-                    continue
-                union = g
-                for c in chosen:
-                    union |= c
-                if closure(union) in building.members:
-                    ok = False
-                    break
-            if ok:
+            if extends_nested(building, current, g, closure):
                 current.append(g)
                 extend(current, idx + 1)
                 current.pop()

@@ -37,8 +37,8 @@ from itertools import combinations, product
 
 from . import linalg
 from .bitsets import canonical_key
-from .building import (_is_antichain, is_nested, lifted_building_set, maximal_building_set,
-                       memoized_on, nested_complex)
+from .building import (_is_antichain, extends_nested, lifted_building_set,
+                       maximal_building_set, memoized_on, nested_complex)
 
 # --- packed monomials and polynomials (monomial -> coefficient) -------------
 
@@ -220,7 +220,7 @@ class GradedRing:
     ring, filled on first use and kept for the ring's lifetime.
     """
 
-    def __init__(self, kind, var_flats, r, groebner, context=None):
+    def __init__(self, kind, var_flats, r, groebner):
         self.kind = kind
         self.var_flats = tuple(var_flats)
         self.var_index = {f: i for i, f in enumerate(self.var_flats)}
@@ -231,7 +231,6 @@ class GradedRing:
         self.leads = [lt for lt, _ in groebner]
         self.codec = Codec(self.nvars, r)
         self.guard = self.codec.guard
-        self.context = context or {}
         self._table = {}
         # Everything in degrees r..2r-2 must vanish for the truncated
         # generator set to be safe in the degrees we compute in.  Standard
@@ -359,7 +358,7 @@ def _groebner(ground, building, r):
                 continue
             if N and ground.closure(union | h) in building.members:
                 candidates.setdefault(mono_of(A), (A, None, 0))
-            elif len(A) < limit and is_nested(building, A):
+            elif len(A) < limit and extends_nested(building, N, h, ground.closure):
                 extend(A, union | h, i + 1)
 
     extend((), 0, 0)
@@ -391,7 +390,7 @@ def dp_ring(P, G=None):
     """
     def build(G):
         members, generators = _groebner(P, G, P.r)
-        return GradedRing("dp", members, P.r, generators, context={"P": P, "G": G})
+        return GradedRing("dp", members, P.r, generators)
 
     return memoized_on(P, G, "dp", build)
 
@@ -407,8 +406,7 @@ def fy_ring(P, G=None):
     def build(G):
         M, lifted = lifted_building_set(P, G)
         members, generators = _groebner(M, lifted, P.r)
-        return GradedRing("fy", members, P.r, generators,
-                          context={"P": P, "G": G, "M": M, "lifted": lifted})
+        return GradedRing("fy", members, P.r, generators)
 
     return memoized_on(P, G, "fy", build)
 
@@ -459,8 +457,7 @@ class ChowPair:
         self.G = G if G is not None else maximal_building_set(P)
         self.dp = dp_ring(P, self.G)
         self.fy = fy_ring(P, self.G)
-        self.M = self.fy.context["M"]
-        self.lifted = self.fy.context["lifted"]
+        self.M, self.lifted = lifted_building_set(P, self.G)
         self.proj = self.M.proj
         self._translate = [self.fy.var_index[self.proj.preimage(f)]
                            for f in self.dp.var_flats]

@@ -18,10 +18,10 @@ from random import Random
 
 from . import linalg
 from .linalg import integral
-from .bitsets import canonical_key, elements, nonempty_subsets, popcount
+from .bitsets import canonical_key, elements, nonempty_subsets
 from .building import lifted_building_set, memoized_on, nested_complex
 from .lift import lift
-from .polymatroid import ProjectionMap
+from .polymatroid import Immutable, ProjectionMap
 
 
 def subset_vector(S_mask, m):
@@ -50,7 +50,7 @@ def primitive(v):
     return tuple(x // g for x in v)
 
 
-class Fan:
+class Fan(Immutable):
     """A simplicial fan given by a ray table and cones as ray-index sets.
 
     `locators` caches, per cone, the integer data `cone_contains` and
@@ -64,21 +64,18 @@ class Fan:
     __slots__ = ("ambient_dim", "rays", "ray_index", "cones", "locators", "subset_index")
 
     def __init__(self, ambient_dim, rays, cones):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rays", tuple(tuple(r) for r in rays))
-        object.__setattr__(self, "ray_index", {r: i for i, r in enumerate(self.rays)})
-        object.__setattr__(self, "cones", frozenset(frozenset(c) for c in cones))
-        object.__setattr__(self, "locators", {})
+        self.ambient_dim = ambient_dim
+        self.rays = tuple(tuple(r) for r in rays)
+        self.ray_index = {r: i for i, r in enumerate(self.rays)}
+        self.cones = frozenset(frozenset(c) for c in cones)
+        self.locators = {}
         masks = [subset_mask(r) for r in self.rays]
         index = None if None in masks else (
             tuple(sum(1 << j for j, T in enumerate(masks) if T >> e & 1)
                   for e in range(ambient_dim + 1)),
             tuple(sum(1 << j for j, U in enumerate(masks) if U != T and U & T == T)
                   for T in masks))
-        object.__setattr__(self, "subset_index", index)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Fan is immutable")
+        self.subset_index = index
 
     def cone_rays(self, cone):
         return [self.rays[i] for i in sorted(cone)]
@@ -172,7 +169,7 @@ def maximal_bergman_fan_direct(P):
             for F in flats_with_empty:
                 outside = S & ~proj.preimage(F)
                 for T in nonempty_subsets(outside):
-                    if P.rank(F | proj.image(T)) <= P.rank(F) + popcount(T):
+                    if P.rank(F | proj.image(T)) <= P.rank(F) + T.bit_count():
                         ok = False
                         break
                 if not ok:
@@ -452,6 +449,16 @@ def _has_positive_circuit(A, split):
     return False
 
 
+def walls(maxes):
+    """Each wall, a cone of `maxes` less one ray u, mapped to its (cone, u)
+    pairs in the order of `maxes`."""
+    table = {}
+    for c in maxes:
+        for u in c:
+            table.setdefault(c - {u}, []).append((c, u))
+    return table
+
+
 def complete_fan_certificate(fan):
     """True when the maximal cones are certified to form a complete fan, so
     that any two meet in the cone over their common rays; False decides
@@ -485,15 +492,11 @@ def complete_fan_certificate(fan):
         locators = [_locator(fan, c) for c in maxes]
     except ValueError:
         return False
-    walls = {}
-    for loc, c in zip(locators, maxes):
-        for position, u in enumerate(sorted(c)):
-            walls.setdefault(c - {u}, []).append((loc, position, u))
-    for sides in walls.values():
+    for sides in walls(maxes).values():
         if len(sides) != 2:
             return False
-        (loc, position, _), (_, _, v) = sides
-        if _numerators(loc, fan.rays[v])[position] >= 0:
+        (c, u), (_, v) = sides
+        if _numerators(_locator(fan, c), fan.rays[v])[sorted(c).index(u)] >= 0:
             return False
     for c in maxes:
         point = tuple(map(sum, zip(*fan.cone_rays(c))))
@@ -543,24 +546,20 @@ def pairwise_intersections_are_faces(fan):
 
 
 def balancing_check(fan):
-    """Weight-one balancing: at every wall the sum of the opposite primitive
-    generators lies in the span of the wall."""
+    """Weight-one balancing: at every wall (a cone of the fan) the sum of
+    the opposite primitive generators lies in the span of the wall."""
     maxes = fan.maximal_cones()
     if not maxes:
         return True
     d = len(next(iter(maxes)))
     if any(len(c) != d for c in maxes):
         raise ValueError("fan is not pure")
-    walls = {c for c in fan.cones if len(c) == d - 1}
-    for tau in walls:
-        adjacent = [c for c in maxes if tau < c]
-        if not adjacent:
+    for tau, sides in walls(maxes).items():
+        if tau not in fan.cones:
             continue
         total = [0] * fan.ambient_dim
-        for sigma in adjacent:
-            extra = next(iter(sigma - tau))
-            ray = fan.rays[extra]
-            total = [t + x for t, x in zip(total, ray)]
+        for _, u in sides:
+            total = [t + x for t, x in zip(total, fan.rays[u])]
         span = fan.cone_rays(tau)
         if not span:
             if any(x != 0 for x in total):

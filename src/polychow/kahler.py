@@ -16,17 +16,17 @@ generator set is a Groebner basis (the tests reduce every S-pair to zero).
 """
 
 from fractions import Fraction
-from itertools import combinations
 
 from . import linalg
 from .building import BuildingSet
 from .chow import pairing_matrix, poly_mul
-from .fan import nested_set_fan, primitive, subset_vector
-from .polymatroid import ProjectionMap, boolean_polymatroid
+from .fan import nested_set_fan, primitive, subset_vector, walls
+from .polymatroid import Immutable, ProjectionMap, boolean_polymatroid
 
 
-class PLFunction:
-    """A piecewise linear function on a fan, given by its ray values."""
+class PLFunction(Immutable):
+    """A piecewise linear function on a fan, given by its ray values.
+    `strictly_convex` is None until `nestohedron_class` certifies it."""
 
     __slots__ = ("fan", "values", "strictly_convex")
 
@@ -34,15 +34,9 @@ class PLFunction:
         values = tuple(Fraction(v) for v in values)
         if len(values) != len(fan.rays):
             raise ValueError("one value per ray required")
-        object.__setattr__(self, "fan", fan)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "strictly_convex", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PLFunction is immutable")
-
-    def value_on_ray(self, ray):
-        return self.values[self.fan.ray_index[tuple(ray)]]
+        self.fan = fan
+        self.values = values
+        self.strictly_convex = None
 
     def __repr__(self):
         return "PLFunction(%d rays, strictly_convex=%r)" % (
@@ -100,6 +94,7 @@ def nestohedron_class(pair):
     ell = PLFunction(ambient, values)
     if not is_strictly_convex(ambient, ell):
         raise AssertionError("nestohedron class failed strict convexity")
+    # The one write after construction: the certificate just obtained.
     object.__setattr__(ell, "strictly_convex", True)
     return ell, {m: v for g, v in values_by_member.items() for m in pair.fy.var(g)}
 
@@ -114,24 +109,18 @@ def is_strictly_convex(fan, pl):
     maxes = fan.maximal_cones()
     if any(len(c) != d for c in maxes):
         raise ValueError("fan is not complete (a maximal cone is not full-dimensional)")
-    walls = {}
-    for c in maxes:
-        for facet in combinations(sorted(c), d - 1):
-            walls.setdefault(frozenset(facet), []).append(c)
-    for facet, adjacent in walls.items():
-        if len(adjacent) != 2:
+    values = pl.values
+    for tau, sides in walls(maxes).items():
+        if len(sides) != 2:
             raise ValueError("fan is not complete (wall not shared by two cones)")
-        u = fan.rays[next(iter(adjacent[0] - facet))]
-        u2 = fan.rays[next(iter(adjacent[1] - facet))]
-        tau_rays = fan.cone_rays(facet)
-        target = [a + b for a, b in zip(u, u2)]
-        cols = [[r[i] for r in tau_rays] for i in range(d)]
-        coeffs = linalg.solve(cols, target) if tau_rays else []
+        (_, u), (_, u2) = sides
+        tau = sorted(tau)
+        target = [a + b for a, b in zip(fan.rays[u], fan.rays[u2])]
+        cols = [[fan.rays[v][i] for v in tau] for i in range(d)]
+        coeffs = linalg.solve(cols, target) if tau else []
         if coeffs is None:
             raise ValueError("wall relation is not supported on the wall; fan is not unimodular")
-        lhs = pl.value_on_ray(u) + pl.value_on_ray(u2)
-        rhs = sum(a * pl.value_on_ray(r) for a, r in zip(coeffs, tau_rays))
-        if lhs <= rhs:
+        if values[u] + values[u2] <= sum(a * values[v] for a, v in zip(coeffs, tau)):
             return False
     return True
 

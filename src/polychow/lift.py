@@ -10,34 +10,31 @@ larger.  The product of fiber symmetric groups is never materialized:
 orbits of subsets depend only on per-fiber counts.
 """
 
-from .bitsets import canonical_key, popcount
-from .polymatroid import FlatLattice, Polymatroid, PolymatroidError, ProjectionMap, memoized
+from .bitsets import canonical_key
+from .polymatroid import Ground, Polymatroid, PolymatroidError, ProjectionMap, memoized
 
 MAX_LIFT_GROUND = 16
 
 
-class MultisymMatroid:
+class MultisymMatroid(Ground):
     """The minimal multisymmetric lift of a polymatroid.
 
-    Exposes the same rank/closure/flats surface as `Polymatroid`, so the
-    building-set and fan machinery can treat both uniformly.  `_memo` maps
-    each mask met so far to its rank, and string keys to derived structures
-    (its flats and maximal building set).
+    A `Ground` like `Polymatroid`, so the building-set and fan machinery
+    can treat both uniformly.  `_memo` maps each mask met so far to its
+    rank, and string keys to derived structures (its flats and maximal
+    building set).
     """
 
     __slots__ = ("base", "proj", "_memo")
 
     def __init__(self, base):
-        object.__setattr__(self, "base", base)
+        self.base = base
         sizes = [base.rank(1 << i) for i in range(base.n)]
-        object.__setattr__(self, "proj", ProjectionMap(sizes))
+        self.proj = ProjectionMap(sizes)
         if self.proj.m > MAX_LIFT_GROUND:
             raise PolymatroidError("size", None,
                                    "lift ground set larger than %d" % MAX_LIFT_GROUND)
-        object.__setattr__(self, "_memo", {})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MultisymMatroid is immutable")
+        self._memo = {}
 
     @property
     def n(self):
@@ -47,14 +44,6 @@ class MultisymMatroid:
     def m(self):
         return self.proj.m
 
-    @property
-    def full_mask(self):
-        return (1 << self.proj.m) - 1
-
-    @property
-    def r(self):
-        return self.rank(self.full_mask)
-
     def rank(self, S_mask):
         memo = self._memo
         cached = memo.get(S_mask)
@@ -62,29 +51,17 @@ class MultisymMatroid:
             return cached
         base = self.base
         preimage = self.proj.preimage
-        best = popcount(S_mask)  # A = empty
+        best = S_mask.bit_count()  # A = empty
         for A in range(1, 1 << base.n):
-            value = base.rank_table[A] + popcount(S_mask & ~preimage(A))
+            value = base.rank_table[A] + (S_mask & ~preimage(A)).bit_count()
             if value < best:
                 best = value
         memo[S_mask] = best
         return best
 
-    def closure(self, S_mask):
-        rk = self.rank(S_mask)
-        out = S_mask
-        for e in range(self.m):
-            bit = 1 << e
-            if not S_mask & bit and self.rank(S_mask | bit) == rk:
-                out |= bit
-        return out
-
-    def is_flat(self, S_mask):
-        return self.closure(S_mask) == S_mask
-
     def flats(self):
         """All flats of the lift, enumerated by closure BFS; memoized."""
-        if "flats" not in self._memo:
+        def bfs():
             bottom = self.closure(0)
             seen = {bottom}
             frontier = [bottom]
@@ -99,11 +76,9 @@ class MultisymMatroid:
                                 seen.add(g)
                                 nxt.append(g)
                 frontier = nxt
-            self._memo["flats"] = tuple(sorted(seen, key=canonical_key))
-        return self._memo["flats"]
+            return tuple(sorted(seen, key=canonical_key))
 
-    def flat_lattice(self):
-        return FlatLattice(self)
+        return memoized(self, "flats", bfs)
 
     def geometric_part(self, S_mask):
         """Union of the fibers entirely contained in S."""

@@ -5,7 +5,7 @@ integer function on subsets.  We additionally require looplessness (every
 singleton has positive rank) throughout.
 """
 
-from .bitsets import canonical_key, elements, popcount
+from .bitsets import canonical_key, elements
 
 MAX_GROUND = 16
 
@@ -31,7 +31,56 @@ def memoized(owner, key, build):
     return memo[key]
 
 
-class Polymatroid:
+class Immutable:
+    """Slotted value: each slot is set once, by plain assignment in
+    `__init__`, and any later assignment raises AttributeError."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        if hasattr(self, name):
+            raise AttributeError("%s is immutable" % type(self).__name__)
+        object.__setattr__(self, name, value)
+
+
+class Ground(Immutable):
+    """The rank, closure and flats surface shared by a polymatroid and its
+    lift: a subclass supplies `n`, `rank(mask)` and `flats()`."""
+
+    __slots__ = ()
+
+    @property
+    def full_mask(self):
+        return (1 << self.n) - 1
+
+    @property
+    def r(self):
+        """Rank of the whole ground set."""
+        return self.rank(self.full_mask)
+
+    def closure(self, mask):
+        """Smallest flat containing `mask`.
+
+        For a submodular rank function one sweep suffices: every element
+        that does not raise the rank belongs to the closure.
+        """
+        rank = self.rank
+        rk = rank(mask)
+        out = mask
+        for i in range(self.n):
+            bit = 1 << i
+            if not mask & bit and rank(mask | bit) == rk:
+                out |= bit
+        return out
+
+    def is_flat(self, mask):
+        return self.closure(mask) == mask
+
+    def flat_lattice(self):
+        return FlatLattice(self)
+
+
+class Polymatroid(Ground):
     """Immutable rank table on the subsets of {0, ..., n-1}.  `_memo` holds
     what derives from P alone: its flats, lift and maximal building set."""
 
@@ -43,16 +92,13 @@ class Polymatroid:
         if size == 0 or size & (size - 1):
             raise PolymatroidError("table", None,
                                    "rank table length %d is not a power of two" % size)
-        object.__setattr__(self, "n", size.bit_length() - 1)
-        object.__setattr__(self, "rank_table", rank_table)
-        object.__setattr__(self, "_memo", {})
+        self.n = size.bit_length() - 1
+        self.rank_table = rank_table
+        self._memo = {}
         if self.n > MAX_GROUND:
             raise PolymatroidError("size", None, "ground set larger than %d" % MAX_GROUND)
         if validate:
             self._validate()
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polymatroid is immutable")
 
     def _validate(self):
         tab = self.rank_table
@@ -88,42 +134,13 @@ class Polymatroid:
                         "submodularity", (a, b),
                         "submodularity fails at A=%d, B=%d" % (a, b))
 
-    @property
-    def full_mask(self):
-        return (1 << self.n) - 1
-
-    @property
-    def r(self):
-        """Rank of the whole ground set."""
-        return self.rank_table[self.full_mask]
-
     def rank(self, mask):
         return self.rank_table[mask]
-
-    def closure(self, mask):
-        """Smallest flat containing `mask`.
-
-        For a submodular rank function one sweep suffices: every element
-        that does not raise the rank belongs to the closure.
-        """
-        rk = self.rank_table[mask]
-        out = mask
-        for i in range(self.n):
-            bit = 1 << i
-            if not mask & bit and self.rank_table[mask | bit] == rk:
-                out |= bit
-        return out
-
-    def is_flat(self, mask):
-        return self.closure(mask) == mask
 
     def flats(self):
         """All flats, sorted by (size, numeric value); memoized on P."""
         return memoized(self, "flats", lambda: tuple(sorted(
             (m for m in range(1 << self.n) if self.is_flat(m)), key=canonical_key)))
-
-    def flat_lattice(self):
-        return FlatLattice(self)
 
     def restriction(self, flat_mask):
         """Restriction to a flat, with elements reindexed in increasing order."""
@@ -162,7 +179,7 @@ class Polymatroid:
         return "Polymatroid(n=%d, r=%d)" % (self.n, self.r)
 
 
-class ProjectionMap:
+class ProjectionMap(Immutable):
     """A surjection pi: E~ -> E with fibers of prescribed sizes.
 
     Elements of E~ = {0, ..., m-1} are grouped so that fiber i occupies a
@@ -175,9 +192,9 @@ class ProjectionMap:
         sizes = tuple(int(s) for s in fiber_sizes)
         if any(s < 1 for s in sizes):
             raise ValueError("fiber sizes must be positive")
-        object.__setattr__(self, "fiber_sizes", sizes)
-        object.__setattr__(self, "n", len(sizes))
-        object.__setattr__(self, "m", sum(sizes))
+        self.fiber_sizes = sizes
+        self.n = len(sizes)
+        self.m = sum(sizes)
         masks = []
         owner = []
         start = 0
@@ -185,11 +202,8 @@ class ProjectionMap:
             masks.append(((1 << s) - 1) << start)
             owner.extend([i] * s)
             start += s
-        object.__setattr__(self, "fiber_masks", tuple(masks))
-        object.__setattr__(self, "fiber_of", tuple(owner))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjectionMap is immutable")
+        self.fiber_masks = tuple(masks)
+        self.fiber_of = tuple(owner)
 
     def preimage(self, A_mask):
         """Mask in E~ of pi^{-1}(A)."""
@@ -214,26 +228,21 @@ def boolean_polymatroid(proj):
     """The Boolean polymatroid B(pi): rank of A is the size of its preimage."""
     if not isinstance(proj, ProjectionMap):
         proj = ProjectionMap(proj)
-    table = [popcount(proj.preimage(a)) for a in range(1 << proj.n)]
+    table = [proj.preimage(a).bit_count() for a in range(1 << proj.n)]
     return Polymatroid(table, validate=False)
 
 
-class FlatLattice:
-    """The lattice of flats of a rank structure, ordered by inclusion.
-
-    Works for any object exposing `n`/`full_mask`-style ground data plus
-    `flats()` and `closure()`; join is closure of the union.
+class FlatLattice(Immutable):
+    """The lattice of flats of a `Ground`, ordered by inclusion; join is
+    closure of the union.
     """
 
     __slots__ = ("base", "flats", "index")
 
     def __init__(self, base):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "flats", tuple(base.flats()))
-        object.__setattr__(self, "index", {f: i for i, f in enumerate(self.flats)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FlatLattice is immutable")
+        self.base = base
+        self.flats = tuple(base.flats())
+        self.index = {f: i for i, f in enumerate(self.flats)}
 
     def __len__(self):
         return len(self.flats)

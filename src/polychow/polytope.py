@@ -18,10 +18,10 @@ from random import Random
 
 from .bitsets import elements
 from .fan import random_integral_point
-from .polymatroid import ProjectionMap
+from .polymatroid import Immutable, ProjectionMap
 
 
-class Polypermutohedron:
+class Polypermutohedron(Immutable):
     """Vertex set of Q(pi; c_1, ..., c_n) together with its transversals.
 
     `columns` holds the vertex coordinates column by column, and
@@ -42,8 +42,8 @@ class Polypermutohedron:
         c = tuple(int(x) for x in c)
         if len(c) != proj.n or any(a >= b for a, b in zip(c, c[1:])) or (c and c[0] < 0):
             raise ValueError("c must be a strictly increasing nonnegative sequence of length n")
-        object.__setattr__(self, "proj", proj)
-        object.__setattr__(self, "c", c)
+        self.proj = proj
+        self.c = c
         fibers = [tuple(range(sum(proj.fiber_sizes[:i]),
                               sum(proj.fiber_sizes[:i + 1])))
                   for i in range(proj.n)]
@@ -58,25 +58,22 @@ class Polypermutohedron:
                 v = tuple(v)
                 transversals.append((seq, v))
                 seen[v] = None
-        object.__setattr__(self, "transversals", tuple(transversals))
-        object.__setattr__(self, "vertex_of", dict(transversals))
-        object.__setattr__(self, "vertices", tuple(sorted(seen)))
-        object.__setattr__(self, "columns", tuple(zip(*self.vertices)))
-        object.__setattr__(self, "selectors", tuple(
+        self.transversals = tuple(transversals)
+        self.vertex_of = dict(transversals)
+        self.vertices = tuple(sorted(seen))
+        self.columns = tuple(zip(*self.vertices))
+        self.selectors = tuple(
             (sum(1 << s for s in seq),
              sum(1 << (a * proj.m + b) for a, b in zip(seq, seq[1:])),
              v)
-            for seq, v in transversals))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polypermutohedron is immutable")
+            for seq, v in transversals)
 
     def __repr__(self):
         return "Polypermutohedron(fibers=%r, c=%r, %d vertices)" % (
             self.proj.fiber_sizes, self.c, len(self.vertices))
 
 
-class LowestPoset:
+class LowestPoset(Immutable):
     """Per-fiber weight minimizers of a vector, preordered by weight.
 
     `ranks` pairs each minimizer, in increasing order, with its dense
@@ -91,10 +88,7 @@ class LowestPoset:
     __slots__ = ("ranks",)
 
     def __init__(self, ranks):
-        object.__setattr__(self, "ranks", tuple(ranks))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LowestPoset is immutable")
+        self.ranks = tuple(ranks)
 
     @property
     def elements(self):

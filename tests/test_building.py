@@ -122,11 +122,12 @@ def test_nested_complex_exclude():
     assert len(complexes) == 3
 
 
-def test_nested_complex_cap():
+def test_nested_complex_cap(monkeypatch):
+    monkeypatch.setattr("polychow.building.DEFAULT_NESTED_CAP", 3)
     P = pc.Polymatroid(U34)
     G = pc.maximal_building_set(P)
     with pytest.raises(pc.BuildingSetError):
-        pc.nested_complex(G, cap=3)
+        pc.nested_complex(G)
 
 
 def test_geometric_flats_of_unions_round_trip():

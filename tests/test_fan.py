@@ -347,6 +347,15 @@ def test_certificate_refuses_complete_collections_that_are_not_fans():
         assert not reference_pairwise_faces(fan), name
 
 
+def test_balancing_refuses_unbalanced_walls():
+    # the rays (1,0) and (0,1) in R^2 share one wall, the zero cone, and
+    # their sum (1,1) is not 0
+    two_rays = pc.Fan(2, [(1, 0), (0, 1)], [set(), {0}, {1}])
+    assert not pc.balancing_check(two_rays)
+    # the opposite rays at the wall (1,0) of three_cones sum to (1,1)
+    assert not pc.balancing_check(refused_complete_collections()["three_cones"])
+
+
 def test_certificate_holds_on_complete_fans():
     fans = [f for f in fixture_fans() if f.max_dim == f.ambient_dim]
     fans += [pc.boolean_bergman_fan(pc.ProjectionMap(f))

@@ -10,6 +10,7 @@ from polychow.fan import primitive, subset_vector
 from polychow.kahler import (PLFunction, _hodge_riemann_form, _lefschetz_power,
                              ambient_complete_fan, nestohedron_class, nestohedron_values)
 from conftest import P1, P2, P3, P4, U34, U34_MIN_BUILDING, boolean_table
+from test_fan import refused_complete_collections
 
 
 def pair_of(table, members=None):
@@ -66,6 +67,24 @@ def test_strict_convexity_requires_complete_fan():
     fan = pc.bergman_fan(pair.P)   # not complete
     with pytest.raises(ValueError):
         pc.is_strictly_convex(fan, PLFunction(fan, [0] * len(fan.rays)))
+
+
+def test_strict_convexity_refuses_a_wall_in_three_cones():
+    fan = refused_complete_collections()["three_cones"]
+    # value 1 on every ray passes the walls that lie in two cones, so only
+    # the wall (1,0), in three, and (1,1), in one, can refuse
+    with pytest.raises(ValueError, match="wall not shared by two cones"):
+        pc.is_strictly_convex(fan, PLFunction(fan, [1] * len(fan.rays)))
+
+
+def test_rank_one_has_no_walls_and_passes():
+    # U(1,1): the ambient fan is the zero cone of R^0, which has no walls
+    pair = pair_of([0, 1])
+    ell_pl, _ = nestohedron_class(pair)
+    assert ell_pl.fan.ambient_dim == 0 and ell_pl.strictly_convex is True
+    report = pc.kahler_package_report(pair)
+    assert report == {"poincare_k0": True, "hard_lefschetz_k0": True,
+                      "hodge_riemann_k0": True}
 
 
 def test_top_self_intersection_is_positive():

@@ -144,10 +144,38 @@ def test_projection_map():
         pc.ProjectionMap((0, 1))
 
 
+def value_objects():
+    """One instance of each value class, with an attribute it sets."""
+    P = pc.Polymatroid(P3)
+    proj = pc.ProjectionMap((1, 2))
+    pair = pc.ChowPair(pc.Polymatroid(P1))
+    return [
+        (P, "n"), (proj, "m"), (P.flat_lattice(), "flats"), (pc.lift(P), "base"),
+        (pc.maximal_building_set(P), "members"), (pc.bergman_fan(P), "rays"),
+        (pc.nestohedron_class(pair)[0], "values"),
+        (pc.Polypermutohedron(proj), "vertices"), (pc.lowest_poset(proj, (0, 1, 2)), "ranks"),
+    ]
+
+
 def test_immutability():
-    P = pc.Polymatroid(P1)
-    with pytest.raises(AttributeError):
-        P.n = 5
+    objects = value_objects()
+    assert {type(obj).__name__ for obj, _ in objects} == {
+        "Polymatroid", "ProjectionMap", "FlatLattice", "MultisymMatroid", "BuildingSet",
+        "Fan", "PLFunction", "Polypermutohedron", "LowestPoset"}
+    for obj, attr in objects:
+        with pytest.raises(AttributeError, match="%s is immutable" % type(obj).__name__):
+            setattr(obj, attr, getattr(obj, attr))
+    # a fresh PL function reads None until certified, and cannot be marked
+    fan = pc.bergman_fan(pc.Polymatroid(P3))
+    fresh = pc.PLFunction(fan, [0] * len(fan.rays))
+    assert fresh.strictly_convex is None
+    with pytest.raises(AttributeError, match="PLFunction is immutable"):
+        fresh.strictly_convex = True
+    # memos still fill on the immutable objects
+    P = pc.Polymatroid(P3)
+    G = pc.maximal_building_set(P)
+    assert pc.lift(P) is pc.lift(P)
+    assert pc.bergman_fan(P, G) is pc.bergman_fan(P, G)
 
 
 def reference_validation_error(table):

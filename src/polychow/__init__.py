@@ -11,22 +11,20 @@ from .fan import (Fan, balancing_check, bergman_fan, boolean_bergman_fan,
                   maximal_bergman_fan_direct, nested_set_fan,
                   pairwise_intersections_are_faces, refines, same_support,
                   validate_fan)
-from .kahler import (PLFunction, ambient_complete_fan, beta_class,
-                     beta_class_corank_form, hard_lefschetz_check,
-                     hodge_riemann_check, is_strictly_convex,
+from .kahler import (ambient_complete_fan, beta_class, beta_class_corank_form,
+                     hard_lefschetz_check, hodge_riemann_check, is_strictly_convex,
                      kahler_package_report, nestohedron_class, sigma_cone_class)
 from .lift import MultisymMatroid, geometric_flat_lattice, lift
 from .polymatroid import (FlatLattice, Polymatroid, PolymatroidError,
                           ProjectionMap, boolean_polymatroid)
 from .polytope import (LowestPoset, Polypermutohedron, lowest_poset,
-                       minimizing_vertices, nestohedron_support,
-                       normal_fan_equals)
+                       minimizing_vertices, normal_fan_equals)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BuildingSet", "BuildingSetError", "ChowPair", "Fan", "FlatLattice",
-    "LowestPoset", "MultisymMatroid", "PLFunction", "Polymatroid",
+    "LowestPoset", "MultisymMatroid", "Polymatroid",
     "PolymatroidError", "Polypermutohedron", "ProjectionMap",
     "ambient_complete_fan", "balancing_check", "bergman_fan", "beta_class",
     "beta_class_corank_form", "boolean_bergman_fan", "boolean_polymatroid",
@@ -38,8 +36,8 @@ __all__ = [
     "is_strictly_convex", "is_unimodular", "kahler_package_report",
     "lift", "lifted_building_set", "lowest_poset", "maximal_bergman_fan_direct",
     "maximal_building_set", "minimizing_vertices", "nested_complex",
-    "nested_set_fan", "nestohedron_class", "nestohedron_support",
-    "normal_fan_equals", "pairing_matrix",
+    "nested_set_fan", "nestohedron_class", "normal_fan_equals",
+    "pairing_matrix",
     "pairwise_intersections_are_faces", "phi_iso_check", "refines",
     "same_support", "sigma_cone_class",
     "validate_fan", "zring_hilbert",

@@ -39,6 +39,7 @@ from . import linalg
 from .bitsets import canonical_key
 from .building import (_is_antichain, extends_nested, lifted_building_set,
                        maximal_building_set, memoized_on, nested_complex)
+from .polymatroid import memoized
 
 # --- packed monomials and polynomials (monomial -> coefficient) -------------
 
@@ -450,7 +451,9 @@ def nested_basis(P, G=None):
 
 class ChowPair:
     """DP and FY presentations of the same Chow ring, with the variable
-    substitution x_F -> y_{preimage(F)} and the degree normalization."""
+    substitution x_F -> y_{preimage(F)} and the degree normalization.
+    `_memo` holds the degree normalizer, the pairing matrices and the
+    Lefschetz matrices of `polychow.kahler`."""
 
     def __init__(self, P, G=None):
         self.P = P
@@ -461,8 +464,7 @@ class ChowPair:
         self.proj = self.M.proj
         self._translate = [self.fy.var_index[self.proj.preimage(f)]
                            for f in self.dp.var_flats]
-        self._deg_norm = None
-        self._pairings = {}
+        self._memo = {}
         self._images = {}
 
     def phi(self, poly):
@@ -494,7 +496,7 @@ class ChowPair:
         deg is fixed by giving every maximal cone's monomial degree one;
         inconsistency across cones raises.
         """
-        if self._deg_norm is None:
+        def build():
             fy = self.fy
             if len(fy.basis[fy.top]) != 1:
                 raise AssertionError("top graded piece does not have rank 1")
@@ -510,8 +512,8 @@ class ChowPair:
                 raise AssertionError("degree functional inconsistent across maximal cones")
             if values[0] == 0:
                 raise AssertionError("maximal cone monomial vanishes")
-            self._deg_norm = values[0]
-        return self._deg_norm
+            return values[0]
+        return memoized(self, "degree_normalizer", build)
 
     def deg_fy(self, poly):
         """Degree of a top-degree FY element, exact rational."""
@@ -563,29 +565,26 @@ def phi_iso_check(pair):
 def pairing_matrix(pair, k, ring="dp"):
     """Integer matrix of (a, b) -> deg(ab) between degrees k and r-1-k.
 
-    It is computed once per (k, ring) and memoized on the pair, like the
-    degree normalizer; rows are tuples, so no caller can change the shared
-    matrix.
+    It is computed once per (k, ring) and memoized on the pair; rows are
+    tuples, so no caller can change the shared matrix.
     """
-    matrix = pair._pairings.get((k, ring))
-    if matrix is not None:
-        return matrix
-    R = pair.dp if ring == "dp" else pair.fy
-    deg = pair.deg_dp if ring == "dp" else pair.deg_fy
-    top = R.top
-    rows = R.basis[k]
-    cols = R.basis[top - k]
-    out = []
-    for m1 in rows:
-        row = []
-        for m2 in cols:
-            value = deg({m1 + m2: 1})
-            if value.denominator != 1:
-                raise AssertionError("non-integral pairing value")
-            row.append(int(value))
-        out.append(tuple(row))
-    matrix = pair._pairings[(k, ring)] = tuple(out)
-    return matrix
+    def build():
+        R = pair.dp if ring == "dp" else pair.fy
+        deg = pair.deg_dp if ring == "dp" else pair.deg_fy
+        top = R.top
+        rows = R.basis[k]
+        cols = R.basis[top - k]
+        out = []
+        for m1 in rows:
+            row = []
+            for m2 in cols:
+                value = deg({m1 + m2: 1})
+                if value.denominator != 1:
+                    raise AssertionError("non-integral pairing value")
+                row.append(int(value))
+            out.append(tuple(row))
+        return tuple(out)
+    return memoized(pair, ("pairing", k, ring), build)
 
 
 # --- the z-presentation of the introduction ----------------------------------

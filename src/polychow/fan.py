@@ -404,15 +404,15 @@ def same_support(f1, f2, trials=400, seed=0):
 
 
 def is_unimodular(fan):
-    """Every cone's rays extend to a lattice basis (SNF all ones)."""
+    """Every cone's rays extend to a lattice basis: at most ambient_dim of
+    them, with Smith normal form diagonal all ones (which gives full rank)."""
     for cone in fan.cones:
         rays = fan.cone_rays(cone)
         if not rays:
             continue
-        diag = linalg.smith_normal_form(rays)
-        if any(d != 1 for d in diag[:len(rays)]):
+        if len(rays) > fan.ambient_dim:
             return False
-        if linalg.rank(rays) != len(rays):
+        if any(d != 1 for d in linalg.smith_normal_form(rays)):
             return False
     return True
 

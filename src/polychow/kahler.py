@@ -2,45 +2,24 @@
 
 The canonical ample class is the support function of the nestohedron of
 the lifted building set: its value on the ray of a member G counts the
-members contained in G.  Strict convexity is certified on the complete
-ambient fan (the nested-set fan of the lifted building set over the
-Boolean ground), and inherited by the Bergman fan, which is a subfan.
+members contained in G.  Strict convexity of these ray values is certified
+on the complete ambient fan (the nested-set fan of the lifted building set
+over the Boolean ground), and inherited by the Bergman fan, a subfan.
 
 Hard Lefschetz and Hodge-Riemann are then verified by exact linear algebra
 over the standard-monomial bases of the FY presentation, from the one-step
 Lefschetz matrices L_d of multiplication by ell from degree d to d + 1
 (columns nf(ell * b) for the degree-d basis monomials b; integral when ell
-is, as every Groebner generator is monic).  Their products are the matrices
-of powers of ell because normal forms are linear, which holds because the
-generator set is a Groebner basis (the tests reduce every S-pair to zero).
+is, as every Groebner generator is monic), memoized on the pair.  Their
+products are the matrices of powers of ell because normal forms are linear,
+as the generator set is a Groebner basis (the tests reduce every S-pair).
 """
-
-from fractions import Fraction
 
 from . import linalg
 from .building import BuildingSet
 from .chow import pairing_matrix, poly_mul
 from .fan import nested_set_fan, primitive, subset_vector, walls
-from .polymatroid import Immutable, ProjectionMap, boolean_polymatroid
-
-
-class PLFunction(Immutable):
-    """A piecewise linear function on a fan, given by its ray values.
-    `strictly_convex` is None until `nestohedron_class` certifies it."""
-
-    __slots__ = ("fan", "values", "strictly_convex")
-
-    def __init__(self, fan, values):
-        values = tuple(Fraction(v) for v in values)
-        if len(values) != len(fan.rays):
-            raise ValueError("one value per ray required")
-        self.fan = fan
-        self.values = values
-        self.strictly_convex = None
-
-    def __repr__(self):
-        return "PLFunction(%d rays, strictly_convex=%r)" % (
-            len(self.values), self.strictly_convex)
+from .polymatroid import ProjectionMap, boolean_polymatroid, memoized
 
 
 def ambient_complete_fan(pair):
@@ -79,9 +58,9 @@ def nestohedron_values(pair):
 
 
 def nestohedron_class(pair):
-    """Returns (PLFunction on the ambient fan, degree-1 element of the
-    Chow ring).  The PL function is validated strictly convex; failure
-    raises, since it would indicate a bug."""
+    """Returns (ambient fan, ray values indexed like its rays, degree-1
+    element of the Chow ring).  The values are certified strictly convex;
+    failure raises, since it would indicate a bug."""
     ambient = ambient_complete_fan(pair)
     values_by_member = nestohedron_values(pair)
     m = pair.proj.m
@@ -91,25 +70,23 @@ def nestohedron_class(pair):
         values[ambient.ray_index[ray]] = v
     if any(v is None for v in values):
         raise AssertionError("ambient fan has a ray outside the building set")
-    ell = PLFunction(ambient, values)
-    if not is_strictly_convex(ambient, ell):
+    if not is_strictly_convex(ambient, values):
         raise AssertionError("nestohedron class failed strict convexity")
-    # The one write after construction: the certificate just obtained.
-    object.__setattr__(ell, "strictly_convex", True)
-    return ell, {m: v for g, v in values_by_member.items() for m in pair.fy.var(g)}
+    return ambient, values, {m: v for g, v in values_by_member.items() for m in pair.fy.var(g)}
 
 
-def is_strictly_convex(fan, pl):
-    """Wall-by-wall strict convexity on a complete simplicial unimodular
-    fan: at a wall tau between maximal cones with opposite rays u, u' the
-    relation u + u' = sum(a_v * v) over rays v of tau must satisfy
-    pl(u) + pl(u') > sum(a_v * pl(v)).
+def is_strictly_convex(fan, values):
+    """Wall-by-wall strict convexity of ray values (indexed like fan.rays)
+    on a complete simplicial unimodular fan: at a wall tau between maximal
+    cones with opposite rays u, u' the relation u + u' = sum(a_v * v) over
+    rays v of tau must satisfy values[u] + values[u'] > sum(a_v * values[v]).
     """
+    if len(values) != len(fan.rays):
+        raise ValueError("one value per ray required")
     d = fan.ambient_dim
     maxes = fan.maximal_cones()
     if any(len(c) != d for c in maxes):
         raise ValueError("fan is not complete (a maximal cone is not full-dimensional)")
-    values = pl.values
     for tau, sides in walls(maxes).items():
         if len(sides) != 2:
             raise ValueError("fan is not complete (wall not shared by two cones)")
@@ -125,20 +102,23 @@ def is_strictly_convex(fan, pl):
     return True
 
 
-def _lefschetz_step(fy, ell, d):
+def _lefschetz_step(pair, ell, d):
     """The one-step Lefschetz matrix L_d of multiplication by ell from degree
-    d to degree d + 1: column j holds the coordinates of nf(ell * b_j) for
-    the j-th degree-d standard monomial b_j."""
-    cols = [fy.coords(poly_mul(ell, {b: 1}), d + 1) for b in fy.basis[d]]
-    return [list(row) for row in zip(*cols)]
+    d to degree d + 1, memoized on the pair: column j holds the coordinates
+    of nf(ell * b_j) for the j-th degree-d standard monomial b_j."""
+    def build():
+        fy = pair.fy
+        cols = [fy.coords(poly_mul(ell, {b: 1}), d + 1) for b in fy.basis[d]]
+        return tuple(zip(*cols))
+    return memoized(pair, ("lefschetz", tuple(sorted(ell.items())), d), build)
 
 
-def _lefschetz_power(fy, ell, k, p):
+def _lefschetz_power(pair, ell, k, p):
     """Matrix of multiplication by ell^p from degree k to degree k + p, as
     the product L_{k+p-1} ... L_k of one-step matrices."""
-    power = linalg.identity(len(fy.basis[k]))
+    power = linalg.identity(len(pair.fy.basis[k]))
     for d in range(k, k + p):
-        power = linalg.mat_mul(_lefschetz_step(fy, ell, d), power)
+        power = linalg.mat_mul(_lefschetz_step(pair, ell, d), power)
     return power
 
 
@@ -152,7 +132,7 @@ def hard_lefschetz_check(pair, ell, k):
         raise ValueError("k out of range")
     if len(fy.basis[k]) != len(fy.basis[r - 1 - k]):
         return False
-    matrix = _lefschetz_power(fy, ell, k, r - 2 * k - 1)
+    matrix = _lefschetz_power(pair, ell, k, r - 2 * k - 1)
     return not matrix or linalg.det(matrix) != 0
 
 
@@ -167,11 +147,11 @@ def _hodge_riemann_form(pair, ell, k):
     """
     fy = pair.fy
     r = fy.r
-    power = _lefschetz_power(fy, ell, k, r - 2 * k - 1)
+    power = _lefschetz_power(pair, ell, k, r - 2 * k - 1)
     sign = -1 if k % 2 else 1
     form = [[sign * x for x in col]
             for col in zip(*linalg.mat_mul(pairing_matrix(pair, k, ring="fy"), power))]
-    matrix = linalg.mat_mul(_lefschetz_step(fy, ell, r - 1 - k), power) if k else []
+    matrix = linalg.mat_mul(_lefschetz_step(pair, ell, r - 1 - k), power) if k else []
     kernel = linalg.kernel_basis(matrix) if matrix else linalg.identity(len(fy.basis[k]))
     columns = [list(col) for col in zip(*kernel)]
     return form, kernel, linalg.mat_mul(kernel, linalg.mat_mul(form, columns))
@@ -185,11 +165,10 @@ def hodge_riemann_check(pair, ell, k):
     return linalg.is_positive_definite(_hodge_riemann_form(pair, ell, k)[2])
 
 
-def kahler_package_report(pair, ell=None):
-    """Poincare pairing, Hard Lefschetz, and Hodge-Riemann for every
-    admissible k, as a dict of named verdicts."""
-    if ell is None:
-        _, ell = nestohedron_class(pair)
+def kahler_package_report(pair):
+    """Poincare pairing, Hard Lefschetz, and Hodge-Riemann for the
+    nestohedron class and every admissible k, as a dict of named verdicts."""
+    ell = nestohedron_class(pair)[2]
     r = pair.fy.r
     report = {}
     for k in range((r + 1) // 2):

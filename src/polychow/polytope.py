@@ -11,12 +11,10 @@ rearrangement inequality predicts.  The characterization predicate below
 follows the oracle.
 """
 
-from fractions import Fraction
 from itertools import groupby, permutations, product
 from operator import itemgetter
 from random import Random
 
-from .bitsets import elements
 from .fan import random_integral_point
 from .polymatroid import Immutable, ProjectionMap
 
@@ -231,12 +229,3 @@ def normal_fan_equals(Q, fan, trials=1000, seed=0):
             return False
     return True
 
-
-def nestohedron_support(members, w):
-    """Support function (min convention) of the Minkowski sum of the
-    simplices of a collection of subsets: sum over members of the minimum
-    weight inside the member."""
-    total = Fraction(0)
-    for mask in members:
-        total += min(w[i] for i in elements(mask))
-    return total

@@ -236,11 +236,11 @@ def test_criterion_10_kahler_package():
         G = None if members is None else pc.BuildingSet(P, members)
         pair = pc.ChowPair(P, G)
         try:
-            ell_pl, ell = nestohedron_class(pair)
+            ambient, values, ell = nestohedron_class(pair)
         except AssertionError:
             ok = False
             continue
-        if ell_pl.strictly_convex is not True:
+        if not pc.is_strictly_convex(ambient, values):
             ok = False
         for k in range((P.r + 1) // 2):
             if not pc.hard_lefschetz_check(pair, ell, k):

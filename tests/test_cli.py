@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 from collections import Counter
 import resource
 import subprocess
@@ -182,7 +183,7 @@ def test_polyperm_guard_refuses_before_allocating(tmp_path, n, flags):
     out = subprocess.run([sys.executable, "-m", "polychow.cli", "polyperm",
                           "--instance", path] + flags,
                          capture_output=True, text=True, timeout=10,
-                         env={"PYTHONPATH": SRC}, preexec_fn=cap_address_space)
+                         env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=cap_address_space)
     assert out.returncode == 2 and out.stdout == ""
     assert set(json.loads(out.stderr)) == {"error"}
     assert "exceeds the limit" in out.stderr
@@ -284,7 +285,7 @@ def test_validate_is_fast_at_the_largest_accepted_ground_sets(tmp_path):
     out = subprocess.run([sys.executable, "-m", "polychow.cli", "validate",
                           "--instance", path],
                          capture_output=True, text=True, timeout=8,
-                         env={"PYTHONPATH": SRC}, preexec_fn=cap_address_space)
+                         env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=cap_address_space)
     assert out.returncode == 0 and json.loads(out.stdout)["report"]["valid"] is True
 
 
@@ -306,7 +307,7 @@ def test_memos_never_outlive_an_invocation(tmp_path, capsys):
     paths = [write_instance(tmp_path, data, "%d.json" % i) for i, (_, data) in enumerate(ops)]
     fresh = [subprocess.run([sys.executable, "-m", "polychow.cli"] + argv + ["--instance", path],
                             capture_output=True, text=True, timeout=60,
-                            env={"PYTHONPATH": SRC}).stdout
+                            env=dict(os.environ, PYTHONPATH=SRC)).stdout
              for (argv, _), path in zip(ops, paths)]
     order = list(range(len(LADDER)))
     for i in order + order[::-1] + [len(LADDER), len(LADDER) + 1]:

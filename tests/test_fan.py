@@ -91,6 +91,17 @@ def test_unimodular_and_face_closed():
     assert pc.pairwise_intersections_are_faces(fan)
 
 
+def test_unimodular_refuses_index_two_and_too_many_rays():
+    # (1,0), (1,2) span a sublattice of index 2; three rays in R^2 cannot
+    # extend to a lattice basis although their Smith diagonal is all ones
+    index_two = pc.Fan(2, [(1, 0), (1, 2)], [set(), {0}, {1}, {0, 1}])
+    three_rays = pc.Fan(2, [(1, 0), (0, 1), (1, 1)],
+                        [set(), {0}, {1}, {2}, {0, 1}, {0, 2}, {1, 2}, {0, 1, 2}])
+    assert linalg.smith_normal_form([(1, 0), (0, 1), (1, 1)]) == [1, 1]
+    assert not pc.is_unimodular(index_two)
+    assert not pc.is_unimodular(three_rays)
+
+
 def test_find_cone_examples():
     P, fan = fan_of(P2)
     # e_0 + e_{1 in the 2-fiber} is not in the support of U_{2,3}

@@ -1,16 +1,18 @@
 from fractions import Fraction
 from random import Random
+from types import SimpleNamespace
 
 import pytest
 
 import polychow as pc
-from polychow import linalg
-from polychow.chow import poly_add, poly_mul, poly_pow, poly_scale
+from polychow import kahler as kahler_module, linalg
+from polychow.chow import GradedRing, poly_add, poly_mul, poly_pow, poly_scale
 from polychow.fan import primitive, subset_vector
-from polychow.kahler import (PLFunction, _hodge_riemann_form, _lefschetz_power,
-                             ambient_complete_fan, nestohedron_class, nestohedron_values)
+from polychow.kahler import (_hodge_riemann_form, _lefschetz_power, ambient_complete_fan,
+                             nestohedron_class, nestohedron_values)
 from conftest import P1, P2, P3, P4, U34, U34_MIN_BUILDING, boolean_table
 from test_fan import refused_complete_collections
+from test_polytope import nestohedron_support
 
 
 def pair_of(table, members=None):
@@ -42,31 +44,52 @@ def test_nestohedron_values_shift_by_total():
             assert v == (total if g >> drop & 1 else 0) - count
 
 
+def test_nestohedron_values_are_the_support_function():
+    # values[g] is the shift minus the support function of the lifted
+    # members at the indicator vector of g
+    for table, members in FIXTURES + ((boolean_table((2, 2, 2)), None),):
+        pair = pair_of(table, members)
+        lifted = pair.lifted.members
+        m = pair.proj.m
+        values = nestohedron_values(pair)
+        assert values
+        for g, v in values.items():
+            shift = len(lifted) if g >> (m - 1) & 1 else 0
+            indicator = tuple(g >> i & 1 for i in range(m))
+            assert v == shift - nestohedron_support(lifted, indicator)
+
+
 def test_nestohedron_class_is_strictly_convex():
     for table, members in FIXTURES:
-        ell_pl, ell = nestohedron_class(pair_of(table, members))
-        assert ell_pl.strictly_convex is True
+        fan, values, _ = nestohedron_class(pair_of(table, members))
+        assert len(values) == len(fan.rays)
+        assert pc.is_strictly_convex(fan, values)
 
 
 def test_zero_function_is_not_strictly_convex():
     pair = pair_of(P3)
     ambient = ambient_complete_fan(pair)
-    zero = PLFunction(ambient, [0] * len(ambient.rays))
-    assert not pc.is_strictly_convex(ambient, zero)
+    assert not pc.is_strictly_convex(ambient, [0] * len(ambient.rays))
 
 
 def test_negated_class_is_not_strictly_convex():
     pair = pair_of(P3)
-    ell_pl, _ = nestohedron_class(pair)
-    negated = PLFunction(ell_pl.fan, [-v for v in ell_pl.values])
-    assert not pc.is_strictly_convex(ell_pl.fan, negated)
+    fan, values, _ = nestohedron_class(pair)
+    assert not pc.is_strictly_convex(fan, [-v for v in values])
 
 
 def test_strict_convexity_requires_complete_fan():
     pair = pair_of(P3)
     fan = pc.bergman_fan(pair.P)   # not complete
     with pytest.raises(ValueError):
-        pc.is_strictly_convex(fan, PLFunction(fan, [0] * len(fan.rays)))
+        pc.is_strictly_convex(fan, [0] * len(fan.rays))
+
+
+def test_strict_convexity_requires_one_value_per_ray():
+    fan = nestohedron_class(pair_of(P3))[0]
+    for values in ([0] * (len(fan.rays) - 1), [0] * (len(fan.rays) + 1)):
+        with pytest.raises(ValueError, match="one value per ray required"):
+            pc.is_strictly_convex(fan, values)
 
 
 def test_strict_convexity_refuses_a_wall_in_three_cones():
@@ -74,14 +97,14 @@ def test_strict_convexity_refuses_a_wall_in_three_cones():
     # value 1 on every ray passes the walls that lie in two cones, so only
     # the wall (1,0), in three, and (1,1), in one, can refuse
     with pytest.raises(ValueError, match="wall not shared by two cones"):
-        pc.is_strictly_convex(fan, PLFunction(fan, [1] * len(fan.rays)))
+        pc.is_strictly_convex(fan, [1] * len(fan.rays))
 
 
 def test_rank_one_has_no_walls_and_passes():
     # U(1,1): the ambient fan is the zero cone of R^0, which has no walls
     pair = pair_of([0, 1])
-    ell_pl, _ = nestohedron_class(pair)
-    assert ell_pl.fan.ambient_dim == 0 and ell_pl.strictly_convex is True
+    fan, values, _ = nestohedron_class(pair)
+    assert fan.ambient_dim == 0 and pc.is_strictly_convex(fan, values)
     report = pc.kahler_package_report(pair)
     assert report == {"poincare_k0": True, "hard_lefschetz_k0": True,
                       "hodge_riemann_k0": True}
@@ -90,7 +113,7 @@ def test_rank_one_has_no_walls_and_passes():
 def test_top_self_intersection_is_positive():
     for table, members in FIXTURES:
         pair = pair_of(table, members)
-        _, ell = nestohedron_class(pair)
+        ell = nestohedron_class(pair)[2]
         r = pair.P.r
         assert pair.deg_fy(poly_pow(ell, r - 1)) > 0
 
@@ -98,7 +121,7 @@ def test_top_self_intersection_is_positive():
 def test_hard_lefschetz_fixtures():
     for table, members in FIXTURES:
         pair = pair_of(table, members)
-        _, ell = nestohedron_class(pair)
+        ell = nestohedron_class(pair)[2]
         for k in range((pair.P.r + 1) // 2):
             assert pc.hard_lefschetz_check(pair, ell, k)
 
@@ -106,14 +129,14 @@ def test_hard_lefschetz_fixtures():
 def test_hodge_riemann_fixtures():
     for table, members in FIXTURES:
         pair = pair_of(table, members)
-        _, ell = nestohedron_class(pair)
+        ell = nestohedron_class(pair)[2]
         for k in range((pair.P.r + 1) // 2):
             assert pc.hodge_riemann_check(pair, ell, k)
 
 
 def test_k_out_of_range():
     pair = pair_of(P3)
-    _, ell = nestohedron_class(pair)
+    ell = nestohedron_class(pair)[2]
     with pytest.raises(ValueError):
         pc.hard_lefschetz_check(pair, ell, 2)
     with pytest.raises(ValueError):
@@ -167,11 +190,10 @@ def test_beta_identity_matroids():
 
 def perturbed_classes():
     """Small positive rational perturbations of the nestohedron ray values
-    on P3: (pair, PL function on the ambient fan, degree-1 class)."""
+    on P3: (pair, ambient fan, ray values, degree-1 class)."""
     rng = Random(5)
     pair = pair_of(P3)
-    ell_pl, _ = nestohedron_class(pair)
-    ambient = ell_pl.fan
+    ambient = nestohedron_class(pair)[0]
     m = pair.proj.m
     for _ in range(5):
         values_by_member = {
@@ -184,14 +206,14 @@ def perturbed_classes():
         for g, v in values_by_member.items():
             for mono, c in pair.fy.var(g).items():
                 ell[mono] = ell.get(mono, 0) + v * c
-        yield pair, PLFunction(ambient, values), ell
+        yield pair, ambient, values, ell
 
 
 def test_perturbed_classes_remain_kahler():
     # small positive rational perturbations of the ray values keep the
     # function strictly convex, and HL/HR continue to hold
-    for pair, pl, ell in perturbed_classes():
-        assert pc.is_strictly_convex(pl.fan, pl)
+    for pair, fan, values, ell in perturbed_classes():
+        assert pc.is_strictly_convex(fan, values)
         for k in range((pair.P.r + 1) // 2):
             assert pc.hard_lefschetz_check(pair, ell, k)
             assert pc.hodge_riemann_check(pair, ell, k)
@@ -246,12 +268,12 @@ def test_lefschetz_matrices_match_power_reference():
     for table, members in FIXTURES + ((boolean_table((1, 1, 2)), None),
                                       (boolean_table((2, 2, 2)), None)):
         pair = pair_of(table, members)
-        cases.append((pair, nestohedron_class(pair)[1]))
-    cases += [(pair, ell) for pair, _, ell in perturbed_classes()]
+        cases.append((pair, nestohedron_class(pair)[2]))
+    cases += [(pair, ell) for pair, _, _, ell in perturbed_classes()]
     for pair, ell in cases:
         r = pair.fy.r
         for k in range((r + 1) // 2):
-            assert _lefschetz_power(pair.fy, ell, k, r - 2 * k - 1) \
+            assert _lefschetz_power(pair, ell, k, r - 2 * k - 1) \
                 == reference_lefschetz_matrix(pair, ell, k)
             assert _hodge_riemann_form(pair, ell, k) \
                 == reference_hodge_riemann_form(pair, ell, k)
@@ -267,6 +289,78 @@ def test_hard_lefschetz_fails_for_zero_class():
 def test_hodge_riemann_fails_for_negated_class():
     # with rank 2 the form at k = 0 is deg(-ell a b), which is negative
     pair = pair_of(P2)
-    _, ell = nestohedron_class(pair)
+    ell = nestohedron_class(pair)[2]
     neg = poly_scale(ell, -1)
     assert not pc.hodge_riemann_check(pair, neg, 0)
+
+
+def test_report_matches_per_degree_checks():
+    # the report's verdicts are the public per-k checks, each on a fresh pair
+    for table, members in FIXTURES + ((boolean_table((1, 1, 2)), None),
+                                      (boolean_table((2, 2, 2)), None)):
+        report = pc.kahler_package_report(pair_of(table, members))
+        pair = pair_of(table, members)
+        ell = nestohedron_class(pair)[2]
+        expected = {}
+        for k in range((pair.fy.r + 1) // 2):
+            matrix = pc.pairing_matrix(pair, k, ring="fy")
+            expected["poincare_k%d" % k] = linalg.det(matrix) in (1, -1)
+            expected["hard_lefschetz_k%d" % k] = pc.hard_lefschetz_check(pair, ell, k)
+            expected["hodge_riemann_k%d" % k] = pc.hodge_riemann_check(pair, ell, k)
+        assert report == expected
+
+
+def test_lefschetz_steps_are_built_once_per_pair_and_class(monkeypatch):
+    # the report on B(2,2,2) multiplies ell by each basis monomial of
+    # degrees 0..r-2 once: one build of each L_d, 5 in all
+    pair = pair_of(boolean_table((2, 2, 2)))
+    products = []
+    real_mul = kahler_module.poly_mul
+    monkeypatch.setattr(kahler_module, "poly_mul",
+                        lambda p, q: products.append(q) or real_mul(p, q))
+    assert all(pc.kahler_package_report(pair).values())
+    r = pair.fy.r
+    assert len(products) == sum(len(pair.fy.basis[d]) for d in range(r - 1))
+    assert len({key for key in pair._memo if key[0] == "lefschetz"}) == r - 1
+
+
+def test_second_check_reads_no_coordinates(monkeypatch):
+    calls = []
+    real_coords = GradedRing.coords
+    monkeypatch.setattr(GradedRing, "coords",
+                        lambda ring, poly, d: calls.append(d) or real_coords(ring, poly, d))
+    for table, members in FIXTURES:
+        pair = pair_of(table, members)
+        ell = nestohedron_class(pair)[2]
+        ks = range((pair.fy.r + 1) // 2)
+        first = [(pc.hard_lefschetz_check(pair, ell, k), pc.hodge_riemann_check(pair, ell, k))
+                 for k in ks]
+        assert calls
+        calls.clear()
+        # an equal class in a new dict finds the same memoized steps
+        second = [(pc.hard_lefschetz_check(pair, dict(ell), k),
+                   pc.hodge_riemann_check(pair, dict(ell), k)) for k in ks]
+        assert second == first and calls == []
+
+
+def test_hard_lefschetz_reads_no_pairing_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("hard Lefschetz read the pairing matrix")
+    monkeypatch.setattr(kahler_module, "pairing_matrix", refuse)
+    for table, members in FIXTURES:
+        pair = pair_of(table, members)
+        ell = nestohedron_class(pair)[2]
+        assert all(pc.hard_lefschetz_check(pair, ell, k)
+                   for k in range((pair.fy.r + 1) // 2))
+    assert [pc.hard_lefschetz_check(pair_of(P3), {}, k) for k in (0, 1)] == [False, True]
+
+
+def test_hard_lefschetz_refuses_unequal_degrees_without_a_product(monkeypatch):
+    # degrees 0 and 2 of this stand-in ring differ in size, so the verdict
+    # is False before any Lefschetz matrix or pairing is read
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a Lefschetz product")
+    monkeypatch.setattr(kahler_module, "_lefschetz_power", refuse)
+    monkeypatch.setattr(kahler_module, "pairing_matrix", refuse)
+    pair = SimpleNamespace(fy=SimpleNamespace(r=3, basis=[[0], [0, 1], [0, 1]]))
+    assert pc.hard_lefschetz_check(pair, {}, 0) is False

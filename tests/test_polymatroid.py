@@ -152,7 +152,7 @@ def value_objects():
     return [
         (P, "n"), (proj, "m"), (P.flat_lattice(), "flats"), (pc.lift(P), "base"),
         (pc.maximal_building_set(P), "members"), (pc.bergman_fan(P), "rays"),
-        (pc.nestohedron_class(pair)[0], "values"),
+        (pc.nestohedron_class(pair)[0], "rays"),
         (pc.Polypermutohedron(proj), "vertices"), (pc.lowest_poset(proj, (0, 1, 2)), "ranks"),
     ]
 
@@ -161,16 +161,10 @@ def test_immutability():
     objects = value_objects()
     assert {type(obj).__name__ for obj, _ in objects} == {
         "Polymatroid", "ProjectionMap", "FlatLattice", "MultisymMatroid", "BuildingSet",
-        "Fan", "PLFunction", "Polypermutohedron", "LowestPoset"}
+        "Fan", "Polypermutohedron", "LowestPoset"}
     for obj, attr in objects:
         with pytest.raises(AttributeError, match="%s is immutable" % type(obj).__name__):
             setattr(obj, attr, getattr(obj, attr))
-    # a fresh PL function reads None until certified, and cannot be marked
-    fan = pc.bergman_fan(pc.Polymatroid(P3))
-    fresh = pc.PLFunction(fan, [0] * len(fan.rays))
-    assert fresh.strictly_convex is None
-    with pytest.raises(AttributeError, match="PLFunction is immutable"):
-        fresh.strictly_convex = True
     # memos still fill on the immutable objects
     P = pc.Polymatroid(P3)
     G = pc.maximal_building_set(P)

@@ -11,9 +11,10 @@ pairwise-faces check use integer arithmetic only.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from functools import reduce
+from itertools import combinations
 from math import gcd, lcm
-from operator import mul
+from operator import and_, mul
 from random import Random
 
 from . import linalg
@@ -21,7 +22,7 @@ from .linalg import integral
 from .bitsets import canonical_key, elements, nonempty_subsets
 from .building import lifted_building_set, memoized_on, nested_complex
 from .lift import lift
-from .polymatroid import Immutable, ProjectionMap
+from .polymatroid import Immutable, ProjectionMap, memoized
 
 
 def subset_vector(S_mask, m):
@@ -58,10 +59,10 @@ class Fan(Immutable):
     `subset_index` is None unless every ray is a `subset_vector`; then it
     holds two tuples of bitsets over ray indices, for `locate`: per element
     of E~ the rays whose subsets contain it, and per ray the rays whose
-    subsets strictly contain its subset.
+    subsets strictly contain its subset.  `_memo` holds its maximal cones.
     """
 
-    __slots__ = ("ambient_dim", "rays", "ray_index", "cones", "locators", "subset_index")
+    __slots__ = ("ambient_dim", "rays", "ray_index", "cones", "locators", "subset_index", "_memo")
 
     def __init__(self, ambient_dim, rays, cones):
         self.ambient_dim = ambient_dim
@@ -76,6 +77,7 @@ class Fan(Immutable):
             tuple(sum(1 << j for j, U in enumerate(masks) if U != T and U & T == T)
                   for T in masks))
         self.subset_index = index
+        self._memo = {}
 
     def cone_rays(self, cone):
         return [self.rays[i] for i in sorted(cone)]
@@ -85,8 +87,19 @@ class Fan(Immutable):
         return max((len(c) for c in self.cones), default=0)
 
     def maximal_cones(self):
-        cones = self.cones
-        return [c for c in cones if not any(c < d for d in cones)]
+        """The cones in no other cone, in the order of `cones`; memoized.  A cone
+        is maximal iff the AND of its rays' bitsets of cone positions is its bit."""
+        def build():
+            cones = list(self.cones)
+            holders = [0] * len(self.rays)
+            for k, c in enumerate(cones):
+                for i in c:
+                    holders[i] |= 1 << k
+            everything = (1 << len(cones)) - 1
+            return tuple(c for k, c in enumerate(cones)
+                         if reduce(and_, map(holders.__getitem__, c), everything) == 1 << k)
+
+        return memoized(self, "maximal_cones", build)
 
     def cones_as_ray_sets(self):
         """Canonical form for cross-construction comparison."""
@@ -165,16 +178,8 @@ def maximal_bergman_fan_direct(P):
     for chain in _chains(proper_flats):
         flats_with_empty = (0,) + chain
         for S in range(1 << m):
-            ok = True
-            for F in flats_with_empty:
-                outside = S & ~proj.preimage(F)
-                for T in nonempty_subsets(outside):
-                    if P.rank(F | proj.image(T)) <= P.rank(F) + T.bit_count():
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
+            if any(P.rank(F | proj.image(T)) <= P.rank(F) + T.bit_count()
+                   for F in flats_with_empty for T in nonempty_subsets(S & ~proj.preimage(F))):
                 continue
             rays = {primitive(subset_vector(proj.preimage(F), m)) for F in chain}
             rays.update(primitive(subset_vector(1 << e, m)) for e in elements(S))
@@ -426,26 +431,24 @@ def is_face_closed(fan):
                for sub in combinations(sorted(c), k))
 
 
-def _has_positive_circuit(A, split):
-    """True iff A z = 0 for some z >= 0, z != 0, where the columns before
-    `split` are independent and so are those from `split` on.
-
-    Such a z exists exactly when A has a circuit (a kernel vector of
-    minimal support) with all entries of one sign.  Neither side alone
-    holds a circuit, so each support tried takes columns from both.
-    """
-    ncols = len(A[0])
-    rank = len(linalg.integer_rref(A)[1])
-    if rank == ncols:
+def _has_positive_circuit(A):
+    """True iff A z = 0 for some z >= 0, z != 0.  With the t columns of
+    K = integer_kernel(A) spanning the kernel, such a z is K lam, lam != 0,
+    so it exists iff the cone {lam : K lam >= 0}, pointed since K has full
+    column rank, has an extreme ray (Schrijver, "Theory of Linear and
+    Integer Programming", 8.8).  Each extreme ray is spanned by the kernel
+    L of some t - 1 rows K_S of rank t - 1, so K L >= 0 or K L <= 0.  At
+    t = 1, S is empty and K L is the one kernel vector."""
+    K = linalg.integer_kernel(A, len(A[0]))
+    if not K:
         return False
-    left, right = range(split), range(split, ncols)
-    for size in range(2, rank + 2):
-        for i in range(1, size):
-            for I, J in product(combinations(left, i), combinations(right, size - i)):
-                kernel = linalg.integer_kernel([[row[j] for j in I + J] for row in A], size)
-                if len(kernel) == 1 and (all(x > 0 for x in kernel[0])
-                                         or all(x < 0 for x in kernel[0])):
-                    return True
+    rows = list(zip(*K))
+    for S in combinations(rows, len(K) - 1):
+        line = linalg.integer_kernel(S, len(K))
+        if len(line) == 1:
+            z = [sum(map(mul, row, line[0])) for row in rows]
+            if min(z) >= 0 or max(z) <= 0:
+                return True
     return False
 
 
@@ -517,18 +520,19 @@ def pairwise_faces_by_circuits(fan):
 
     Write sigma = cone(C + U) and tau = cone(C + V) with C the shared rays,
     and let N be an integer basis of the annihilator of span(C) (the
-    identity when C is empty).  Then sigma and tau meet in cone(C) exactly
-    when [N U | -N V] has no circuit with all entries positive.
+    identity when C is empty), computed once per C.  Then sigma and tau
+    meet in cone(C) exactly when N U lam = N V mu has no solution with
+    (lam, mu) >= 0 nonzero, decided by `_has_positive_circuit`.
     """
-    maxes = fan.maximal_cones()
-    d = fan.ambient_dim
-    for a, b in combinations(maxes, 2):
-        U = fan.cone_rays(a - b)
-        V = fan.cone_rays(b - a)
-        N = linalg.integer_kernel(fan.cone_rays(a & b), d)
-        A = [[sum(n * x for n, x in zip(row, r)) for r in U]
-             + [-sum(n * x for n, x in zip(row, r)) for r in V] for row in N]
-        if _has_positive_circuit(A, len(U)):
+    annihilators = {}
+    for a, b in combinations(fan.maximal_cones(), 2):
+        C = a & b
+        if C not in annihilators:
+            annihilators[C] = linalg.integer_kernel(fan.cone_rays(C), fan.ambient_dim)
+        U, V = fan.cone_rays(a - b), fan.cone_rays(b - a)
+        A = [[sum(map(mul, row, r)) for r in U] + [-sum(map(mul, row, r)) for r in V]
+             for row in annihilators[C]]
+        if _has_positive_circuit(A):
             return False
     return True
 
@@ -557,9 +561,7 @@ def balancing_check(fan):
     for tau, sides in walls(maxes).items():
         if tau not in fan.cones:
             continue
-        total = [0] * fan.ambient_dim
-        for _, u in sides:
-            total = [t + x for t, x in zip(total, fan.rays[u])]
+        total = [sum(col) for col in zip(*(fan.rays[u] for _, u in sides))]
         span = fan.cone_rays(tau)
         if not span:
             if any(x != 0 for x in total):

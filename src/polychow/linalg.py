@@ -5,7 +5,7 @@ Everything here works on plain lists of lists whose entries are ints or
 row reduction, the fraction-free (Bareiss) `integer_rref`; rational input
 is first scaled row by row to integers with `integral_rows`, which changes
 no rank, kernel or solution set.  `rank`, `kernel_basis` and `solve` run
-on it, and `det` runs Bareiss' triangular form of the same elimination.
+on it; `det` and `is_positive_definite` run its triangular form.
 """
 
 from fractions import Fraction
@@ -202,17 +202,23 @@ def smith_normal_form(rows):
 
 
 def is_positive_definite(G):
-    """Sylvester's criterion with exact arithmetic.
-
-    Raises ValueError on a non-symmetric input.
-    """
+    """Sylvester's criterion, read off one Bareiss pass without pivoting:
+    the pivot at step k is the (k+1)-th leading principal minor, and the
+    pass stops at the first that is not positive.  Rows are scaled to
+    integers by `integral_rows`, which keeps the sign of every minor.
+    Raises ValueError on a non-symmetric input."""
     n = len(G)
     for i in range(n):
         for j in range(i + 1, n):
             if G[i][j] != G[j][i]:
                 raise ValueError("matrix is not symmetric")
-    for k in range(1, n + 1):
-        minor = det([row[:k] for row in G[:k]])
-        if minor <= 0:
+    A, prev = integral_rows(G)[0], 1
+    for k in range(n):
+        a = A[k][k]
+        if a <= 0:
             return False
+        for i in range(k + 1, n):
+            b = A[i][k]
+            A[i] = [(a * x - b * y) // prev for x, y in zip(A[i], A[k])]
+        prev = a
     return True

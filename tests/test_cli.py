@@ -289,6 +289,19 @@ def test_validate_is_fast_at_the_largest_accepted_ground_sets(tmp_path):
     assert out.returncode == 0 and json.loads(out.stdout)["report"]["valid"] is True
 
 
+def test_fan_check_is_fast_on_a_fan_that_is_not_complete(tmp_path):
+    # the pairwise-faces check on U(4,6) (7,140 cone pairs) enumerated
+    # circuit supports for 6.8 s; one kernel basis per pair takes under 1 s
+    table = [min(bin(S).count("1"), 4) for S in range(1 << 6)]
+    path = write_instance(tmp_path, {"rank": table})
+    out = subprocess.run([sys.executable, "-m", "polychow.cli", "fan", "--check",
+                          "--instance", path],
+                         capture_output=True, text=True, timeout=3,
+                         env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=cap_address_space)
+    checks = json.loads(out.stdout)["report"]["checks"]
+    assert out.returncode == 0 and checks and all(checks.values()), checks
+
+
 # The seven instances of the benchmark's verify_ladder workload.
 LADDER = [{"rank": boolean_table((2, 2))}, {"rank": [0, 2, 2, 4]},
           {"rank": boolean_table((1, 1, 2))},

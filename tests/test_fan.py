@@ -1,13 +1,13 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from random import Random
 
 import pytest
 
 import polychow as pc
 from polychow import linalg
-from polychow.fan import (complete_fan_certificate, integral, locate,
-                          pairwise_faces_by_circuits, primitive)
+from polychow.fan import (_has_positive_circuit, complete_fan_certificate, integral,
+                          locate, pairwise_faces_by_circuits, primitive)
 from conftest import (BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING,
                       boolean_table)
 
@@ -261,6 +261,85 @@ def test_pairwise_faces_matches_extreme_ray_reference():
         assert new == pairwise_faces_by_circuits(fan), fan.cones
         verdicts.append(new)
     assert verdicts.count(False) >= 40 and verdicts.count(True) >= 40
+
+
+def support_enumeration_has_positive_circuit(A, split):
+    """True iff A z = 0 for some z >= 0, z != 0, where the columns before
+    `split` are independent and so are those from `split` on.
+
+    Such a z exists exactly when A has a circuit (a kernel vector of
+    minimal support) with all entries of one sign.  Neither side alone
+    holds a circuit, so each support tried takes columns from both.
+    """
+    ncols = len(A[0])
+    rank = len(linalg.integer_rref(A)[1])
+    if rank == ncols:
+        return False
+    left, right = range(split), range(split, ncols)
+    for size in range(2, rank + 2):
+        for i in range(1, size):
+            for I, J in product(combinations(left, i), combinations(right, size - i)):
+                kernel = linalg.integer_kernel([[row[j] for j in I + J] for row in A], size)
+                if len(kernel) == 1 and (all(x > 0 for x in kernel[0])
+                                         or all(x < 0 for x in kernel[0])):
+                    return True
+    return False
+
+
+def independent_columns(rng, nrows, k):
+    while True:
+        cols = [[rng.randint(-2, 2) for _ in range(nrows)] for _ in range(k)]
+        if linalg.rank(cols) == k:
+            return cols
+
+
+def random_split_matrix(rng):
+    """(A, split): two sides of independent integer columns.  Rows are
+    sometimes repeated, so that some row subsets of a kernel basis are
+    dependent, and the columns are sometimes turned into one open
+    half-space, where no z >= 0 other than 0 has A z = 0."""
+    nrows = rng.randint(1, 4)
+    left = independent_columns(rng, nrows, rng.randint(1, nrows))
+    right = independent_columns(rng, nrows, rng.randint(1, nrows))
+    cols = left + right
+    if rng.random() < 0.4:
+        y = [rng.randint(-2, 2) for _ in range(nrows)]
+        signs = [sum(a * b for a, b in zip(y, c)) for c in cols]
+        if all(signs):
+            cols = [c if s > 0 else [-x for x in c] for c, s in zip(cols, signs)]
+    A = [list(row) for row in zip(*cols)]
+    if rng.random() < 0.3:
+        A.append(list(A[rng.randrange(nrows)]))
+    return A, len(left)
+
+
+def test_kernel_extreme_rays_match_the_support_enumeration():
+    rng = Random(15)
+    seen = set()
+    for _ in range(2500):
+        A, split = random_split_matrix(rng)
+        got = _has_positive_circuit(A)
+        assert got == support_enumeration_has_positive_circuit(A, split), (A, split)
+        t = len(A[0]) - linalg.rank(A)
+        seen.add((min(t, 3), got))
+    # kernel dimensions 0, 1, 2 and at least 3, each with both verdicts
+    # except t = 0, where only z = 0 solves A z = 0
+    assert seen == {(0, False)} | {(t, v) for t in (1, 2, 3) for v in (False, True)}
+
+
+def test_maximal_cones_match_the_pairwise_scan():
+    rng = Random(9)
+    fans = fixture_fans() + random_collections()[::8]
+    # collections that are not face-closed: each cone alone or with a few
+    # of its faces, and the empty cone alone
+    for fan in random_collections()[::8]:
+        cones = [c for c in fan.cones if rng.random() < 0.5]
+        fans.append(pc.Fan(fan.ambient_dim, fan.rays, cones))
+    fans.append(pc.Fan(2, [(1, 0)], [set()]))
+    for fan in fans:
+        scan = [c for c in fan.cones if not any(c < d for d in fan.cones)]
+        assert list(fan.maximal_cones()) == scan, fan.cones
+        assert fan.maximal_cones() is fan.maximal_cones()
 
 
 def test_overlapping_cones_fail_the_pairwise_check():

@@ -144,6 +144,26 @@ def test_positive_definite():
     assert linalg.is_positive_definite([])
 
 
+def test_positive_definite_matches_a_determinant_per_minor():
+    rng = Random(12)
+    verdicts = []
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        # B^T B is positive semidefinite; a random diagonal shift moves it
+        # across the boundary, and Fraction entries take the scaled path
+        G = [[sum(B[k][i] * B[k][j] for k in range(n)) + (rng.randint(-4, 2) if i == j else 0)
+              for j in range(n)] for i in range(n)]
+        if rng.random() < 0.5:
+            q = [[rng.randint(1, 7) for _ in range(n)] for _ in range(n)]
+            G = [[Fraction(G[i][j], q[min(i, j)][max(i, j)]) for j in range(n)]
+                 for i in range(n)]
+        expected = all(linalg.det([row[:k] for row in G[:k]]) > 0 for k in range(1, n + 1))
+        assert linalg.is_positive_definite(G) == expected, G
+        verdicts.append(expected)
+    assert verdicts.count(True) >= 50 and verdicts.count(False) >= 50
+
+
 def test_positive_definite_requires_symmetry():
     with pytest.raises(ValueError):
         linalg.is_positive_definite([[1, 2], [0, 1]])

@@ -587,6 +587,15 @@ def pairing_matrix(pair, k, ring="dp"):
     return memoized(pair, ("pairing", k, ring), build)
 
 
+def pairing_det(pair, k, ring="dp"):
+    """Determinant of `pairing_matrix(pair, k, ring)`, or 0 when the matrix
+    is not square; a matrix with no rows has determinant 1."""
+    matrix = pairing_matrix(pair, k, ring)
+    if matrix and len(matrix) != len(matrix[0]):
+        return 0
+    return int(linalg.det(matrix))
+
+
 # --- the z-presentation of the introduction ----------------------------------
 
 

@@ -16,23 +16,23 @@ import json
 import sys
 from math import comb, factorial, prod
 
-from . import linalg
 from .building import BuildingSet, BuildingSetError, maximal_building_set, nested_complex
-from .chow import ChowPair, nested_basis, pairing_matrix, phi_iso_check
-from .fan import (bergman_fan, boolean_bergman_fan, maximal_bergman_fan_direct,
-                  same_support, validate_fan)
+from .chow import ChowPair, nested_basis, pairing_det, phi_iso_check
+from .fan import bergman_fan, boolean_bergman_fan, same_support, validate_fan
 from .kahler import kahler_package_report
 from .lift import geometric_flat_lattice, lift
 from .polymatroid import Polymatroid, PolymatroidError, ProjectionMap
 from .polytope import Polypermutohedron, normal_fan_equals
 
 MAX_GROUND_OVERALL = 16
-MAX_GROUND_HEAVY = 8  # fan, chow, kahler, verify-all
+MAX_GROUND_HEAVY = 8  # bounds P.n for HEAVY_COMMANDS
 MAX_POLYPERM_VERTICES = 362_880  # 9!: `polyperm` takes 5 s on a 2-vCPU VM
 MAX_FAN_LOOPS = 47_293  # Fubini(7): `polyperm --verify-fan` takes 7-11 s there
 
 COMMANDS = ("validate", "flats", "lift-rank", "geometric-flats", "nested-complex",
             "fan", "polyperm", "chow", "kahler", "verify-all")
+# The commands that read the building set G; they enumerate nested sets.
+HEAVY_COMMANDS = ("nested-complex", "fan", "chow", "kahler", "verify-all")
 
 
 class CliError(Exception):
@@ -125,8 +125,7 @@ def guard(P, command, verify_fan):
     if m > MAX_GROUND_OVERALL:
         raise CliError("lifted ground set size %d exceeds the limit %d"
                        % (m, MAX_GROUND_OVERALL))
-    if command in ("fan", "chow", "kahler", "verify-all", "nested-complex") \
-            and P.n > MAX_GROUND_HEAVY:
+    if command in HEAVY_COMMANDS and P.n > MAX_GROUND_HEAVY:
         raise CliError("ground set size %d exceeds the limit %d for %s"
                        % (P.n, MAX_GROUND_HEAVY, command))
     if command in ("polyperm", "verify-all"):
@@ -219,21 +218,8 @@ def cmd_chow(P, G, args):
     hilbert_fy = pair.fy.hilbert()
     basis = tuple(tuple(map(pair.dp.exponents, b)) for b in pair.dp.basis)
     basis_matches = basis == nested_basis(P, G)
-    dets = []
-    pairing_ok = True
-    for k in range(P.r):
-        matrix = pairing_matrix(pair, k)
-        if not matrix:
-            dets.append(1)
-            continue
-        if len(matrix) != len(matrix[0]):
-            pairing_ok = False
-            dets.append(0)
-            continue
-        d = linalg.det(matrix)
-        dets.append(int(d))
-        if d not in (1, -1):
-            pairing_ok = False
+    dets = [pairing_det(pair, k) for k in range(P.r)]
+    pairing_ok = all(d in (1, -1) for d in dets)
     report = {"hilbert": list(hilbert_dp), "hilbert_fy": list(hilbert_fy),
               "basis": [[list(mono) for mono in degree] for degree in basis],
               "basis_matches": basis_matches,
@@ -319,7 +305,8 @@ def main(argv=None):
         data = load_instance(args.instance)
         P = build_polymatroid(data)
         guard(P, args.command, args.verify_fan)
-        G = resolve_building_set(P, data, args.building_set)
+        G = (resolve_building_set(P, data, args.building_set)
+             if args.command in HEAVY_COMMANDS else None)
         if args.seed is None:
             args.seed = data.get("seed", 0)
             if not is_integer(args.seed):

@@ -17,7 +17,7 @@ as the generator set is a Groebner basis (the tests reduce every S-pair).
 
 from . import linalg
 from .building import BuildingSet
-from .chow import pairing_matrix, poly_mul
+from .chow import pairing_det, pairing_matrix, poly_mul
 from .fan import nested_set_fan, primitive, subset_vector, walls
 from .polymatroid import ProjectionMap, boolean_polymatroid, memoized
 
@@ -172,10 +172,7 @@ def kahler_package_report(pair):
     r = pair.fy.r
     report = {}
     for k in range((r + 1) // 2):
-        matrix = pairing_matrix(pair, k, ring="fy")
-        square = len(matrix) == 0 or len(matrix) == len(matrix[0])
-        unimodular = square and (not matrix or linalg.det(matrix) in (1, -1))
-        report["poincare_k%d" % k] = unimodular
+        report["poincare_k%d" % k] = pairing_det(pair, k, ring="fy") in (1, -1)
         report["hard_lefschetz_k%d" % k] = hard_lefschetz_check(pair, ell, k)
         report["hodge_riemann_k%d" % k] = hodge_riemann_check(pair, ell, k)
     return report

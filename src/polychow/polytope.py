@@ -7,12 +7,13 @@ fiber, position j carrying weight c_j.
 A word on orientation: with 0 <= c_1 < ... < c_n and *minimization*, the
 brute-force oracle selects transversals whose weights are arranged in
 weakly DECREASING order (largest c paired with smallest weight), as the
-rearrangement inequality predicts.  The characterization predicate below
-follows the oracle.
+rearrangement inequality predicts.  One characterization,
+`_minimizers_from_lowest`, reads the minimizers off the Lowest poset:
+the per-fiber minima, fibers in weakly decreasing weight order;
+`normal_fan_equals` checks it against the oracle.
 """
 
-from itertools import groupby, permutations, product
-from operator import itemgetter
+from itertools import permutations, product
 from random import Random
 
 from .fan import random_integral_point
@@ -20,17 +21,14 @@ from .polymatroid import Immutable, ProjectionMap
 
 
 class Polypermutohedron(Immutable):
-    """Vertex set of Q(pi; c_1, ..., c_n) together with its transversals.
+    """Vertex set of Q(pi; c_1, ..., c_n) and the vertex of each transversal.
 
-    `columns` holds the vertex coordinates column by column, and
-    `selectors` holds, per transversal (seq, v), the mask of seq, the mask
-    of its consecutive pairs (bit a*m + b for each a, b adjacent in seq),
-    and v; `minimizing_vertices` reads both.  `vertex_of` maps each
-    transversal seq to its vertex v, for `_minimizers_from_lowest`.
+    `columns` holds the vertex coordinates column by column, for
+    `minimizing_vertices`.  `vertex_of` maps each transversal seq to its
+    vertex v, for `_minimizers_from_lowest`.
     """
 
-    __slots__ = ("proj", "c", "vertices", "transversals", "columns", "selectors",
-                 "vertex_of")
+    __slots__ = ("proj", "c", "vertices", "columns", "vertex_of")
 
     def __init__(self, proj, c=None):
         if not isinstance(proj, ProjectionMap):
@@ -45,26 +43,17 @@ class Polypermutohedron(Immutable):
         fibers = [tuple(range(sum(proj.fiber_sizes[:i]),
                               sum(proj.fiber_sizes[:i + 1])))
                   for i in range(proj.n)]
-        transversals = []
-        seen = {}
+        vertex_of = {}
         for choice in product(*fibers):
             for order in permutations(range(proj.n)):
                 seq = tuple(choice[i] for i in order)
                 v = [0] * proj.m
                 for cj, s in zip(c, seq):
                     v[s] = cj
-                v = tuple(v)
-                transversals.append((seq, v))
-                seen[v] = None
-        self.transversals = tuple(transversals)
-        self.vertex_of = dict(transversals)
-        self.vertices = tuple(sorted(seen))
+                vertex_of[seq] = tuple(v)
+        self.vertex_of = vertex_of
+        self.vertices = tuple(sorted(set(vertex_of.values())))
         self.columns = tuple(zip(*self.vertices))
-        self.selectors = tuple(
-            (sum(1 << s for s in seq),
-             sum(1 << (a * proj.m + b) for a, b in zip(seq, seq[1:])),
-             v)
-            for seq, v in transversals)
 
     def __repr__(self):
         return "Polypermutohedron(fibers=%r, c=%r, %d vertices)" % (
@@ -106,24 +95,18 @@ class LowestPoset(Immutable):
         return "LowestPoset(%r)" % (sorted(self.elements),)
 
 
-def _fiber_argmins(sizes, w):
-    """Per fiber, in order: its minimum weight and the positions attaining it."""
-    out = []
-    start = 0
-    for s in sizes:
-        block = w[start:start + s]
-        lo = min(block)
-        out.append((lo, [i for i, x in enumerate(block, start) if x == lo] if s > 1
-                    else [start]))
-        start += s
-    return out
-
-
 def lowest_poset(proj, w):
     """Invariant under adding multiples of the all-ones vector to w."""
     if not isinstance(proj, ProjectionMap):
         proj = ProjectionMap(proj)
-    argmins = _fiber_argmins(proj.fiber_sizes, w)
+    argmins = []
+    start = 0
+    for s in proj.fiber_sizes:
+        block = w[start:start + s]
+        lo = min(block)
+        argmins.append((lo, [i for i, x in enumerate(block, start) if x == lo] if s > 1
+                        else [start]))
+        start += s
     rank = {x: k for k, x in enumerate(sorted({lo for lo, _ in argmins}))}
     return LowestPoset([(i, rank[lo]) for lo, block in argmins for i in block])
 
@@ -134,54 +117,35 @@ def embed(w_quotient):
 
 
 def minimizing_vertices(Q, w):
-    """Brute-force argmin of <w, .> over the vertices, plus the transversal
-    predicate's selection.  Returns (brute_set, predicate_set) of vertices.
+    """Brute-force argmin of <w, .> over the vertices, as a set of vertices.
 
-    The values <w, v> are summed one vertex column at a time.  A
-    transversal is selected when its mask lies inside the positions that
-    attain their fiber's minimum weight, and its weights weakly decrease:
-    none of its consecutive pairs (a, b) is a rise, w[a] < w[b]; the rises
-    are read off one sort of the positions by decreasing weight.
+    The values <w, v> are summed one vertex column at a time.
     """
     values = [0] * len(Q.vertices)
     for x, column in zip(w, Q.columns):
         if x:
             values = [s + x * a for s, a in zip(values, column)]
     best = min(values)
-    brute = {v for v, value in zip(Q.vertices, values) if value == best}
-    lows = start = 0
-    for size in Q.proj.fiber_sizes:
-        block = w[start:start + size]
-        low = min(block)
-        for i, x in enumerate(block, start):
-            if x == low:
-                lows |= 1 << i
-        start += size
-    m = Q.proj.m
-    rises = above = level = 0        # positions of larger weight, and of this one
-    last = None
-    for a in sorted(range(m), key=w.__getitem__, reverse=True):
-        if w[a] != last:
-            above, level, last = above | level, 0, w[a]
-        level |= 1 << a
-        rises |= above << (a * m)
-    predicate = {v for mask, pairs, v in Q.selectors
-                 if mask & lows == mask and not pairs & rises}
-    return brute, predicate
+    return {v for v, value in zip(Q.vertices, values) if value == best}
 
 
-def _minimizers_from_lowest(Q, w):
-    """Minimizing vertex set computed combinatorially (output-sensitive).
+def _minimizers_from_lowest(Q, lo):
+    """Minimizing vertex set of every w whose Lowest poset is `lo`
+    (output-sensitive).
 
     Enumerates exactly the minimizing transversals: per-fiber minima,
-    fibers arranged in weakly decreasing weight with all tie orders; their
-    vertices are read from `Q.vertex_of`.
+    fibers arranged in weakly decreasing weight rank with all tie orders;
+    their vertices are read from `Q.vertex_of`.
     """
-    fibers = sorted(_fiber_argmins(Q.proj.fiber_sizes, w), key=itemgetter(0), reverse=True)
+    fiber_of = Q.proj.fiber_of
+    levels = {}                      # rank -> fiber -> its minimizers
+    for i, rank in lo.ranks:
+        levels.setdefault(rank, {}).setdefault(fiber_of[i], []).append(i)
     out = set()
-    for arrangement in product(*(permutations(g) for _, g in groupby(fibers, itemgetter(0)))):
+    for arrangement in product(*(permutations(levels[rank].values())
+                                 for rank in sorted(levels, reverse=True))):
         out.update(map(Q.vertex_of.__getitem__,
-                       product(*(block for group in arrangement for _, block in group))))
+                       product(*(block for level in arrangement for block in level))))
     return out
 
 
@@ -190,42 +154,35 @@ def normal_fan_equals(Q, fan, trials=1000, seed=0):
 
     Exhaustive part: each cone's interior representative is classified by
     its Lowest poset; representatives of distinct cones must disagree, and
-    distinct cones must select distinct minimizing vertex sets.  Sampling
-    part: random rational points must land in the classification (so the
-    fan is complete), and points share a relative interior if and only if
-    they minimize at the same vertex set; the transversal predicate is
-    validated against the brute-force vertex oracle on every sample.  Each
-    sample is drawn as integers by `random_integral_point`, a positive
-    multiple of the rational point with the same Lowest poset and argmin,
-    so the comparisons need no Fractions.
+    distinct cones must select distinct minimizing vertex sets, read off
+    their Lowest posets by `_minimizers_from_lowest`.  Sampling part:
+    random rational points must land in the classification (so the fan is
+    complete), and each one's brute-force argmin must be the set stored
+    for its Lowest poset, so points share a relative interior if and only
+    if they minimize at the same vertex set.  That set is, by
+    construction, the characterization at the sample, so every sample
+    tests brute(w) == characterization(lowest_poset(w)).  Each sample is
+    drawn as integers by `random_integral_point`, a positive multiple of
+    the rational point with the same Lowest poset and argmin, so the
+    comparisons need no Fractions.
     """
     proj = Q.proj
     if fan.ambient_dim != proj.m - 1:
         raise ValueError("ambient dimension mismatch")
-    by_lowest = {}
-    minimizer_sets = {}
+    minimizers = {}
     for cone in fan.cones:
         rays = fan.cone_rays(cone)
         w = embed(map(sum, zip(*rays)) if rays else (0,) * fan.ambient_dim)
         lo = lowest_poset(proj, w)
-        if lo in by_lowest:
+        if lo in minimizers:
             return False
-        by_lowest[lo] = cone
-        mins = frozenset(_minimizers_from_lowest(Q, w))
-        minimizer_sets[cone] = mins
-    if len(set(minimizer_sets.values())) != len(minimizer_sets):
+        minimizers[lo] = frozenset(_minimizers_from_lowest(Q, lo))
+    if len(set(minimizers.values())) != len(minimizers):
         return False
     rng = Random(seed)
     for _ in range(trials):
         w = embed(random_integral_point(rng, fan.ambient_dim))
-        lo = lowest_poset(proj, w)
-        cone = by_lowest.get(lo)
-        if cone is None:
-            return False
-        brute, predicate = minimizing_vertices(Q, w)
-        if brute != predicate:
-            return False
-        if frozenset(brute) != minimizer_sets[cone]:
+        mins = minimizers.get(lowest_poset(proj, w))
+        if mins is None or minimizing_vertices(Q, w) != mins:
             return False
     return True
-

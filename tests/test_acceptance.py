@@ -12,7 +12,7 @@ import pytest
 
 import polychow as pc
 from polychow import linalg
-from polychow.chow import poly_mul, poly_pow
+from polychow.chow import poly_mul
 from polychow.cli import main as cli_main
 from polychow.kahler import nestohedron_class
 from conftest import (P1, P2, P3, P4, U34, U34_MIN_BUILDING,

@@ -1,5 +1,4 @@
 from bisect import insort
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from random import Random
 

@@ -107,6 +107,16 @@ def test_invalid_building_set(tmp_path, capsys):
     assert "building set" in err
 
 
+def test_only_commands_that_read_g_resolve_it(tmp_path, capsys):
+    # rank 0 has no maximal building set; mask 1 alone is not one of P3
+    for data, code in (({"rank": [0]}, 2), ({"rank": P3, "building_set": [1]}, 1)):
+        inst = write_instance(tmp_path, data)
+        for command in ("validate", "flats", "lift-rank", "geometric-flats", "polyperm"):
+            assert run(capsys, [command, "--instance", inst])[0] == 0, (data, command)
+        got, out, err = run(capsys, ["nested-complex", "--instance", inst])
+        assert got == code and "building set" in err
+
+
 def test_heavy_guard(tmp_path, capsys):
     n = 9
     table = [min(bin(S).count("1"), 3) for S in range(1 << n)]
@@ -164,7 +174,7 @@ def test_polyperm_costs_count_the_loops(fibers):
     fiber_free = [S for S in range(1 << proj.m)
                   if not any(S & fm == fm for fm in proj.fiber_masks)]
     chains = _chains(range(1, (1 << proj.n) - 1))
-    assert polyperm_costs(list(fibers)) == (len(Q.transversals),
+    assert polyperm_costs(list(fibers)) == (len(Q.vertex_of),
                                             len(chains) * len(fiber_free))
 
 

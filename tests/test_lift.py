@@ -1,5 +1,3 @@
-from itertools import permutations
-
 import polychow as pc
 from conftest import P2, P3, P4, U34, boolean_table
 

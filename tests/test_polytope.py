@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 import polychow as pc
+from polychow import polytope
 from polychow.bitsets import elements
 from polychow.polytope import embed, minimizing_vertices, _minimizers_from_lowest
 from conftest import BOOLEAN_FIBERS, all_partitions_m6
@@ -57,8 +58,10 @@ def test_minimizer_decreasing_orientation():
     # weights (0, 1, 2) with c = (1, 2, 3): the largest coefficient goes
     # to the lowest weight, so the unique minimizer is (3, 2, 1)
     Q = pc.Polypermutohedron((1, 1, 1), c=(1, 2, 3))
-    brute, predicate = minimizing_vertices(Q, (0, 1, 2))
-    assert brute == predicate == {(3, 2, 1)}
+    w = (0, 1, 2)
+    assert minimizing_vertices(Q, w) == {(3, 2, 1)}
+    assert _minimizers_from_lowest(Q, pc.lowest_poset(Q.proj, w)) == {(3, 2, 1)}
+    assert reference_minimizing_vertices(Q, w) == ({(3, 2, 1)}, {(3, 2, 1)})
 
 
 def test_minimizer_predicate_matches_brute_force():
@@ -69,14 +72,16 @@ def test_minimizer_predicate_matches_brute_force():
         for _ in range(100):
             w = tuple(Fraction(rng.randrange(-30, 31), rng.randrange(1, 5))
                       for _ in range(m))
-            brute, predicate = minimizing_vertices(Q, w)
-            assert brute == predicate
-            assert _minimizers_from_lowest(Q, w) == brute
+            brute = minimizing_vertices(Q, w)
+            assert _minimizers_from_lowest(Q, pc.lowest_poset(Q.proj, w)) == brute
+            assert reference_minimizing_vertices(Q, w) == (brute, brute)
 
 
 def reference_minimizing_vertices(Q, w):
-    """minimizing_vertices as it was before it read the vertex columns and
-    the transversal masks: one sum per vertex, one scan per transversal."""
+    """The brute-force argmin, one sum per vertex, and the transversal
+    predicate, one scan per transversal: a transversal is selected when
+    each of its elements attains its fiber's minimum weight and its weights
+    weakly decrease.  Returns (brute_set, predicate_set) of vertices."""
     best = None
     brute = set()
     for v in Q.vertices:
@@ -93,7 +98,7 @@ def reference_minimizing_vertices(Q, w):
         start_mins[i] = min(w[e] for e in range(offset, offset + s))
         offset += s
     predicate = set()
-    for seq, v in Q.transversals:
+    for seq, v in Q.vertex_of.items():
         if any(w[s] != start_mins[fiber_of[s]] for s in seq):
             continue
         if all(w[a] >= w[b] for a, b in zip(seq, seq[1:])):
@@ -112,15 +117,17 @@ def test_minimizing_vertices_matches_the_reference_scan():
         # c starting at 0 makes transversals share vertices
         for c in (None, tuple(range(0, 3 * n, 3))):
             Q = pc.Polypermutohedron(fibers, c=c)
-            shared += len(Q.vertices) < len(Q.transversals)
+            shared += len(Q.vertices) < len(Q.vertex_of)
             points = [tuple(Fraction(rng.randrange(-30, 31), rng.randrange(1, 5))
                             for _ in range(m)) for _ in range(10)]
             points += [tuple(rng.randrange(-1, 2) for _ in range(m)) for _ in range(10)]
             points += [(0,) * m, (2,) * m]
             for w in points:
                 got = minimizing_vertices(Q, w)
-                assert got == reference_minimizing_vertices(Q, w), (fibers, c, w)
-                sizes.add(len(got[0]) > 1)
+                assert (got, got) == reference_minimizing_vertices(Q, w), (fibers, c, w)
+                assert got == _minimizers_from_lowest(Q, pc.lowest_poset(Q.proj, w)), \
+                    (fibers, c, w)
+                sizes.add(len(got) > 1)
     # ties give several minimizers, generic points one
     assert sizes == {False, True}
     assert shared > 0
@@ -131,6 +138,34 @@ def test_normal_fan_equality():
         Q = pc.Polypermutohedron(fibers)
         fan = pc.boolean_bergman_fan(pc.ProjectionMap(fibers))
         assert pc.normal_fan_equals(Q, fan, trials=200, seed=3)
+
+
+def increasing_weight_order(Q, lo):
+    """A wrong characterization: fibers in increasing weight order."""
+    top = max(rank for _, rank in lo.ranks)
+    return _minimizers_from_lowest(Q, pc.LowestPoset((i, top - rank) for i, rank in lo.ranks))
+
+
+def first_minimizer_per_fiber(Q, lo):
+    """A wrong characterization: only the first minimizer of each fiber."""
+    firsts = {}
+    for i, rank in lo.ranks:
+        firsts.setdefault(Q.proj.fiber_of[i], (i, rank))
+    return _minimizers_from_lowest(Q, pc.LowestPoset(firsts.values()))
+
+
+@pytest.mark.parametrize("wrong, fans", [
+    (increasing_weight_order, [(2, 2), (1, 1, 2), (2, 2, 1), (1, 1, 1, 1)]),
+    (first_minimizer_per_fiber, [(2,), (1, 2), (2, 2), (1, 1, 2), (2, 2, 1)]),
+])
+def test_normal_fan_rejects_a_wrong_characterization(monkeypatch, wrong, fans):
+    cases = [(pc.Polypermutohedron(fibers), pc.boolean_bergman_fan(pc.ProjectionMap(fibers)))
+             for fibers in fans]
+    for Q, fan in cases:
+        assert pc.normal_fan_equals(Q, fan, trials=50, seed=3)
+    monkeypatch.setattr(polytope, "_minimizers_from_lowest", wrong)
+    for Q, fan in cases:
+        assert not pc.normal_fan_equals(Q, fan, trials=50, seed=3), Q
 
 
 def test_normal_fan_differs_across_projections():
@@ -236,7 +271,7 @@ def test_rank_form_lowest_poset_and_vertex_table_match_the_references():
         references = [reference_lowest_poset(Q.proj, w) for w in points]
         for w, lo, ref in zip(points, posets, references):
             assert (lo.elements, lo.relation) == ref, (fibers, w)
-            assert _minimizers_from_lowest(Q, w) == reference_minimizers_from_lowest(Q, w)
+            assert _minimizers_from_lowest(Q, lo) == reference_minimizers_from_lowest(Q, w)
         for i, (lo1, ref1) in enumerate(zip(posets, references)):
             for lo2, ref2 in zip(posets[:i], references):
                 assert (lo1 == lo2) == (ref1 == ref2)

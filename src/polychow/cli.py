@@ -26,8 +26,8 @@ from .polytope import Polypermutohedron, normal_fan_equals
 
 MAX_GROUND_OVERALL = 16
 MAX_GROUND_HEAVY = 8  # bounds P.n for HEAVY_COMMANDS
-MAX_POLYPERM_VERTICES = 362_880  # 9!: `polyperm` takes 5 s on a 2-vCPU VM
-MAX_FAN_LOOPS = 47_293  # Fubini(7): `polyperm --verify-fan` takes 7-11 s there
+MAX_POLYPERM_VERTICES = 362_880  # 9!: `polyperm` takes 1.4 s on a 2-vCPU VM
+MAX_FAN_LOOPS = 47_293  # Fubini(7): B(1^7) `polyperm --verify-fan` takes 1.7 s there
 
 COMMANDS = ("validate", "flats", "lift-rank", "geometric-flats", "nested-complex",
             "fan", "polyperm", "chow", "kahler", "verify-all")

@@ -359,14 +359,22 @@ def in_support(fan, w):
     return any(cone_contains(fan, cone, W) for cone in fan.cones)
 
 
+def _below(rng, n):
+    """rng.randint(lo, hi) - lo, from the same bits by CPython's rule for
+    n = hi - lo + 1: take n.bit_length() bits, redraw while at least n."""
+    while (r := rng.getrandbits(n.bit_length())) >= n:
+        pass
+    return r
+
+
 def random_integral_point(rng, dim, spread=10_000):
     """A random rational point, coordinate i being a_i / b_i with
     a_i = randint(-spread, spread) and b_i = randint(1, 97) drawn in that
-    order, returned as `integral` returns it: scaled by the least common
-    denominator of the reduced fractions."""
+    order (by `_below`), returned as `integral` returns it: scaled by the
+    least common denominator of the reduced fractions."""
     numerators, denominators = [], []
     for _ in range(dim):
-        a, b = rng.randint(-spread, spread), rng.randint(1, 97)
+        a, b = _below(rng, 2 * spread + 1) - spread, _below(rng, 97) + 1
         g = gcd(a, b)
         numerators.append(a // g)
         denominators.append(b // g)
@@ -379,9 +387,9 @@ def same_support(f1, f2, trials=400, seed=0):
     randomized point-membership agreement, on integer points.
 
     A sample inside a cone of f2 is the sum of (a/b) r over its rays r,
-    with a = randint(1, 50) and b = randint(1, 7).  It is drawn as 420
-    times that point (420 = lcm(1, ..., 7)), a positive multiple that
-    `in_support` cannot tell apart from it."""
+    with a = randint(1, 50) and b = randint(1, 7) drawn by `_below`.  It
+    is drawn as 420 times that point (420 = lcm(1, ..., 7)), a positive
+    multiple that `in_support` cannot tell apart from it."""
     if f1.ambient_dim != f2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     rng = Random(seed)
@@ -393,7 +401,7 @@ def same_support(f1, f2, trials=400, seed=0):
             for _ in range(max(1, trials // max(1, len(f2.cones)))):
                 w = [0] * f2.ambient_dim
                 for r in rays:
-                    a, b = rng.randint(1, 50), rng.randint(1, 7)
+                    a, b = _below(rng, 50) + 1, _below(rng, 7) + 1
                     w = [x + a * (420 // b) * y for x, y in zip(w, r)]
                 if not in_support(f1, w):
                     return False
@@ -520,19 +528,19 @@ def pairwise_faces_by_circuits(fan):
 
     Write sigma = cone(C + U) and tau = cone(C + V) with C the shared rays,
     and let N be an integer basis of the annihilator of span(C) (the
-    identity when C is empty), computed once per C.  Then sigma and tau
-    meet in cone(C) exactly when N U lam = N V mu has no solution with
-    (lam, mu) >= 0 nonzero, decided by `_has_positive_circuit`.
+    identity when C is empty); N and each image N r of a ray r are computed
+    once per C.  Then sigma and tau meet in cone(C) exactly when N U lam =
+    N V mu has no solution (lam, mu) >= 0 nonzero (`_has_positive_circuit`).
     """
-    annihilators = {}
+    faces = {}                       # C -> N r for each ray r, by ray index
     for a, b in combinations(fan.maximal_cones(), 2):
         C = a & b
-        if C not in annihilators:
-            annihilators[C] = linalg.integer_kernel(fan.cone_rays(C), fan.ambient_dim)
-        U, V = fan.cone_rays(a - b), fan.cone_rays(b - a)
-        A = [[sum(map(mul, row, r)) for r in U] + [-sum(map(mul, row, r)) for r in V]
-             for row in annihilators[C]]
-        if _has_positive_circuit(A):
+        if C not in faces:
+            N = linalg.integer_kernel(fan.cone_rays(C), fan.ambient_dim)
+            faces[C] = [[sum(map(mul, row, r)) for row in N] for r in fan.rays]
+        U = [faces[C][i] for i in sorted(a - b)]
+        V = [[-x for x in faces[C][i]] for i in sorted(b - a)]
+        if _has_positive_circuit(list(zip(*U, *V))):
             return False
     return True
 

@@ -10,6 +10,7 @@ on it; `det` and `is_positive_definite` run its triangular form.
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 
 def integral(w):
@@ -35,7 +36,7 @@ def integral_rows(rows):
 
 def mat_mul(A, B):
     cols = list(zip(*B))
-    return [[sum(a * b for a, b in zip(row, col)) for col in cols] for row in A]
+    return [[sum(map(mul, row, col)) for col in cols] for row in A]
 
 
 def identity(n):

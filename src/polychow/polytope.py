@@ -13,22 +13,26 @@ the per-fiber minima, fibers in weakly decreasing weight order;
 `normal_fan_equals` checks it against the oracle.
 """
 
-from itertools import permutations, product
+import sys
+from itertools import chain, permutations, product
+from operator import mul
 from random import Random
 
+from .bitsets import elements
 from .fan import random_integral_point
-from .polymatroid import Immutable, ProjectionMap
+from .linalg import integral
+from .polymatroid import Immutable, ProjectionMap, memoized
 
 
 class Polypermutohedron(Immutable):
     """Vertex set of Q(pi; c_1, ..., c_n) and the vertex of each transversal.
 
-    `columns` holds the vertex coordinates column by column, for
-    `minimizing_vertices`.  `vertex_of` maps each transversal seq to its
-    vertex v, for `_minimizers_from_lowest`.
+    Vertex sets are bitsets over positions in `vertices`; `vertex_of` maps
+    each transversal seq to its vertex's position.  `columns` holds the
+    coordinates by column, packed once into 64-bit lanes in `_memo`.
     """
 
-    __slots__ = ("proj", "c", "vertices", "columns", "vertex_of")
+    __slots__ = ("proj", "c", "vertices", "columns", "vertex_of", "_memo")
 
     def __init__(self, proj, c=None):
         if not isinstance(proj, ProjectionMap):
@@ -40,9 +44,7 @@ class Polypermutohedron(Immutable):
             raise ValueError("c must be a strictly increasing nonnegative sequence of length n")
         self.proj = proj
         self.c = c
-        fibers = [tuple(range(sum(proj.fiber_sizes[:i]),
-                              sum(proj.fiber_sizes[:i + 1])))
-                  for i in range(proj.n)]
+        fibers = [tuple(elements(mask)) for mask in proj.fiber_masks]
         vertex_of = {}
         for choice in product(*fibers):
             for order in permutations(range(proj.n)):
@@ -51,9 +53,15 @@ class Polypermutohedron(Immutable):
                 for cj, s in zip(c, seq):
                     v[s] = cj
                 vertex_of[seq] = tuple(v)
+        vertices = []                # distinct and sorted; vertex_of then maps to positions
+        for seq in sorted(vertex_of, key=vertex_of.__getitem__):
+            if vertices[-1:] != [vertex_of[seq]]:
+                vertices.append(vertex_of[seq])
+            vertex_of[seq] = len(vertices) - 1
+        self.vertices = tuple(vertices)
         self.vertex_of = vertex_of
-        self.vertices = tuple(sorted(set(vertex_of.values())))
         self.columns = tuple(zip(*self.vertices))
+        self._memo = {}
 
     def __repr__(self):
         return "Polypermutohedron(fibers=%r, c=%r, %d vertices)" % (
@@ -117,16 +125,29 @@ def embed(w_quotient):
 
 
 def minimizing_vertices(Q, w):
-    """Brute-force argmin of <w, .> over the vertices, as a set of vertices.
+    """Brute-force argmin of <w, .> over the vertices, as a bitset over
+    positions in `Q.vertices`: <w, v> is computed for every vertex v.
 
-    The values <w, v> are summed one vertex column at a time.
+    Every vertex has coordinate sum s = c_1 + ... + c_n, so shifting
+    W = `integral(w)` to x = W - min(W) keeps the argmin and puts every
+    <x, v> in [0, max(x) s].  Packing each column into one int with a
+    64-bit lane per vertex, no lane carries into the next while
+    max(x) s < 2^64: sum(x_i * column_i) then holds every <x, v> exactly,
+    read back as machine words.  Otherwise <x, v> is summed vertex by vertex.
     """
-    values = [0] * len(Q.vertices)
-    for x, column in zip(w, Q.columns):
-        if x:
-            values = [s + x * a for s, a in zip(values, column)]
-    best = min(values)
-    return {v for v, value in zip(Q.vertices, values) if value == best}
+    W, _ = integral(w)
+    low = min(W, default=0)
+    x = [a - low for a in W]
+    if max([1, *x]) * sum(Q.c) < 2**64:    # the 1 keeps each c_j in a lane
+        lanes = memoized(Q, "lanes", lambda: [
+            int.from_bytes(b"".join(a.to_bytes(8, sys.byteorder) for a in column), sys.byteorder)
+            for column in Q.columns])
+        packed = sum(map(mul, x, lanes)).to_bytes(8 * len(Q.vertices), sys.byteorder)
+        values = memoryview(packed).cast("Q").tolist()
+    else:
+        values = [sum(map(mul, x, v)) for v in Q.vertices]
+    best, k = min(values), -1
+    return sum(1 << (k := values.index(best, k + 1)) for _ in range(values.count(best)))
 
 
 def _minimizers_from_lowest(Q, lo):
@@ -135,18 +156,18 @@ def _minimizers_from_lowest(Q, lo):
 
     Enumerates exactly the minimizing transversals: per-fiber minima,
     fibers arranged in weakly decreasing weight rank with all tie orders;
-    their vertices are read from `Q.vertex_of`.
+    their vertex positions, read from `Q.vertex_of`, form the bitset.
     """
     fiber_of = Q.proj.fiber_of
     levels = {}                      # rank -> fiber -> its minimizers
     for i, rank in lo.ranks:
         levels.setdefault(rank, {}).setdefault(fiber_of[i], []).append(i)
-    out = set()
+    bits = 0
     for arrangement in product(*(permutations(levels[rank].values())
                                  for rank in sorted(levels, reverse=True))):
-        out.update(map(Q.vertex_of.__getitem__,
-                       product(*(block for level in arrangement for block in level))))
-    return out
+        for k in map(Q.vertex_of.__getitem__, product(*chain.from_iterable(arrangement))):
+            bits |= 1 << k
+    return bits
 
 
 def normal_fan_equals(Q, fan, trials=1000, seed=0):
@@ -161,10 +182,10 @@ def normal_fan_equals(Q, fan, trials=1000, seed=0):
     for its Lowest poset, so points share a relative interior if and only
     if they minimize at the same vertex set.  That set is, by
     construction, the characterization at the sample, so every sample
-    tests brute(w) == characterization(lowest_poset(w)).  Each sample is
-    drawn as integers by `random_integral_point`, a positive multiple of
-    the rational point with the same Lowest poset and argmin, so the
-    comparisons need no Fractions.
+    tests brute(w) == characterization(lowest_poset(w)) as bitsets, by one
+    `minimizing_vertices` call.  Samples are drawn as integers by
+    `random_integral_point`: positive multiples of rational points, with
+    their Lowest posets and argmins, so the comparisons need no Fractions.
     """
     proj = Q.proj
     if fan.ambient_dim != proj.m - 1:
@@ -176,7 +197,7 @@ def normal_fan_equals(Q, fan, trials=1000, seed=0):
         lo = lowest_poset(proj, w)
         if lo in minimizers:
             return False
-        minimizers[lo] = frozenset(_minimizers_from_lowest(Q, lo))
+        minimizers[lo] = _minimizers_from_lowest(Q, lo)
     if len(set(minimizers.values())) != len(minimizers):
         return False
     rng = Random(seed)

@@ -54,13 +54,18 @@ def test_lowest_poset_all_ones_invariance():
         assert pc.lowest_poset(proj, w) == pc.lowest_poset(proj, shifted)
 
 
+def vertices_of(Q, bits):
+    """The vertices named by a bitset over positions in `Q.vertices`."""
+    return {Q.vertices[k] for k in elements(bits)}
+
+
 def test_minimizer_decreasing_orientation():
     # weights (0, 1, 2) with c = (1, 2, 3): the largest coefficient goes
     # to the lowest weight, so the unique minimizer is (3, 2, 1)
     Q = pc.Polypermutohedron((1, 1, 1), c=(1, 2, 3))
     w = (0, 1, 2)
-    assert minimizing_vertices(Q, w) == {(3, 2, 1)}
-    assert _minimizers_from_lowest(Q, pc.lowest_poset(Q.proj, w)) == {(3, 2, 1)}
+    assert vertices_of(Q, minimizing_vertices(Q, w)) == {(3, 2, 1)}
+    assert vertices_of(Q, _minimizers_from_lowest(Q, pc.lowest_poset(Q.proj, w))) == {(3, 2, 1)}
     assert reference_minimizing_vertices(Q, w) == ({(3, 2, 1)}, {(3, 2, 1)})
 
 
@@ -72,8 +77,9 @@ def test_minimizer_predicate_matches_brute_force():
         for _ in range(100):
             w = tuple(Fraction(rng.randrange(-30, 31), rng.randrange(1, 5))
                       for _ in range(m))
-            brute = minimizing_vertices(Q, w)
-            assert _minimizers_from_lowest(Q, pc.lowest_poset(Q.proj, w)) == brute
+            bits = minimizing_vertices(Q, w)
+            assert _minimizers_from_lowest(Q, pc.lowest_poset(Q.proj, w)) == bits
+            brute = vertices_of(Q, bits)
             assert reference_minimizing_vertices(Q, w) == (brute, brute)
 
 
@@ -98,12 +104,23 @@ def reference_minimizing_vertices(Q, w):
         start_mins[i] = min(w[e] for e in range(offset, offset + s))
         offset += s
     predicate = set()
-    for seq, v in Q.vertex_of.items():
+    for seq, k in Q.vertex_of.items():
         if any(w[s] != start_mins[fiber_of[s]] for s in seq):
             continue
         if all(w[a] >= w[b] for a, b in zip(seq, seq[1:])):
-            predicate.add(v)
+            predicate.add(Q.vertices[k])
     return brute, predicate
+
+
+def column_sum_minimizing_vertices(Q, w):
+    """minimizing_vertices as it was before it packed lanes: <w, v> summed
+    one vertex column at a time, returned as a set of vertices."""
+    values = [0] * len(Q.vertices)
+    for x, column in zip(w, Q.columns):
+        if x:
+            values = [s + x * a for s, a in zip(values, column)]
+    best = min(values)
+    return {v for v, value in zip(Q.vertices, values) if value == best}
 
 
 def test_minimizing_vertices_matches_the_reference_scan():
@@ -112,7 +129,7 @@ def test_minimizing_vertices_matches_the_reference_scan():
     rng = Random(13)
     sizes = set()
     shared = 0
-    for fibers in partitions:
+    for fibers in partitions + [()]:
         n, m = len(fibers), sum(fibers)
         # c starting at 0 makes transversals share vertices
         for c in (None, tuple(range(0, 3 * n, 3))):
@@ -121,16 +138,66 @@ def test_minimizing_vertices_matches_the_reference_scan():
             points = [tuple(Fraction(rng.randrange(-30, 31), rng.randrange(1, 5))
                             for _ in range(m)) for _ in range(10)]
             points += [tuple(rng.randrange(-1, 2) for _ in range(m)) for _ in range(10)]
-            points += [(0,) * m, (2,) * m]
+            points += [(0,) * m, (2,) * m, (-7,) * m, (Fraction(1, 3),) * m]
             for w in points:
-                got = minimizing_vertices(Q, w)
+                bits = minimizing_vertices(Q, w)
+                got = vertices_of(Q, bits)
                 assert (got, got) == reference_minimizing_vertices(Q, w), (fibers, c, w)
-                assert got == _minimizers_from_lowest(Q, pc.lowest_poset(Q.proj, w)), \
+                assert got == column_sum_minimizing_vertices(Q, w), (fibers, c, w)
+                assert bits == _minimizers_from_lowest(Q, pc.lowest_poset(Q.proj, w)), \
                     (fibers, c, w)
                 sizes.add(len(got) > 1)
     # ties give several minimizers, generic points one
     assert sizes == {False, True}
     assert shared > 0
+
+
+def test_packed_lanes_on_both_sides_of_the_lane_bound():
+    """max(x) * sum(c) = 2^64 - 1 takes the packed lanes, 2^64 the
+    per-vertex sums, where x is w shifted to minimum 0; both must give the
+    column-sum argmin.  A c entry of at least 2^64 fits no lane."""
+    rng = Random(23)
+    cases = []
+    # one fiber of size two: the vertex (0, 1) takes the value max(x) * 1
+    Q = pc.Polypermutohedron((2,), c=(1,))
+    cases += [(Q, (0, 2**64 - 1)), (Q, (0, 2**64)), (Q, (5, 2**64 + 4))]
+    for fibers, c in (((1, 1, 2), (1, 4, 10)), ((2, 2, 1), (0, 2, 3)), ((1, 1, 1, 1), (1, 2, 3, 9))):
+        Q = pc.Polypermutohedron(fibers, c=c)
+        total, m = sum(c), Q.proj.m
+        for top in ((2**64 - 1) // total, 2**64 // total + 1, 2**64 - 1):
+            for _ in range(20):
+                x = [rng.randrange(top + 1) for _ in range(m)]
+                x[rng.randrange(m)] = top
+                x[rng.randrange(m)] = 0
+                low = rng.randrange(-2**70, 2**70)
+                cases.append((Q, tuple(a + low for a in x)))
+    Q = pc.Polypermutohedron((1, 2, 1), c=(1, 2, 2**64))
+    cases += [(Q, w) for w in ((0,) * 4, (1, 0, 0, 0), (0, 3, 1, 2), (2, 2, 1, 1))]
+    for Q, w in cases:
+        assert vertices_of(Q, minimizing_vertices(Q, w)) == \
+            column_sum_minimizing_vertices(Q, w), (Q, w)
+    # the exact bound itself: the single lane at 2^64 - 1, then one past it
+    Q = pc.Polypermutohedron((2,), c=(1,))
+    assert vertices_of(Q, minimizing_vertices(Q, (2**64 - 1, 0))) == {(0, 1)}
+    assert vertices_of(Q, minimizing_vertices(Q, (0, 2**64))) == {(1, 0)}
+
+
+def test_every_sample_is_brute_forced(monkeypatch):
+    calls = []
+    shipped = polytope.minimizing_vertices
+
+    def counting(Q, w):
+        calls.append(w)
+        return shipped(Q, w)
+
+    monkeypatch.setattr(polytope, "minimizing_vertices", counting)
+    for fibers in ((1, 1), (1, 2), (2, 2), (1, 1, 2)):
+        Q = pc.Polypermutohedron(fibers)
+        fan = pc.boolean_bergman_fan(pc.ProjectionMap(fibers))
+        for trials in (1, 37, 200):
+            calls.clear()
+            assert pc.normal_fan_equals(Q, fan, trials=trials, seed=5)
+            assert len(calls) == trials, (fibers, trials)
 
 
 def test_normal_fan_equality():
@@ -271,7 +338,8 @@ def test_rank_form_lowest_poset_and_vertex_table_match_the_references():
         references = [reference_lowest_poset(Q.proj, w) for w in points]
         for w, lo, ref in zip(points, posets, references):
             assert (lo.elements, lo.relation) == ref, (fibers, w)
-            assert _minimizers_from_lowest(Q, lo) == reference_minimizers_from_lowest(Q, w)
+            assert vertices_of(Q, _minimizers_from_lowest(Q, lo)) == \
+                reference_minimizers_from_lowest(Q, w)
         for i, (lo1, ref1) in enumerate(zip(posets, references)):
             for lo2, ref2 in zip(posets[:i], references):
                 assert (lo1 == lo2) == (ref1 == ref2)

@@ -302,6 +302,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if args.trials < 1:
             raise CliError("--trials must be at least 1")
+        if args.json_indent is not None and args.json_indent < 0:
+            raise CliError("--json-indent must be at least 0")
         data = load_instance(args.instance)
         P = build_polymatroid(data)
         guard(P, args.command, args.verify_fan)

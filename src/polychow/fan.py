@@ -59,7 +59,8 @@ class Fan(Immutable):
     `subset_index` is None unless every ray is a `subset_vector`; then it
     holds two tuples of bitsets over ray indices, for `locate`: per element
     of E~ the rays whose subsets contain it, and per ray the rays whose
-    subsets strictly contain its subset.  `_memo` holds its maximal cones.
+    subsets strictly contain its subset.  `_memo` holds `maximal_cones`
+    and `cone_masks`.
     """
 
     __slots__ = ("ambient_dim", "rays", "ray_index", "cones", "locators", "subset_index", "_memo")
@@ -100,6 +101,11 @@ class Fan(Immutable):
                          if reduce(and_, map(holders.__getitem__, c), everything) == 1 << k)
 
         return memoized(self, "maximal_cones", build)
+
+    def cone_masks(self):
+        """Each cone keyed by its bitset of ray indices; memoized."""
+        return memoized(self, "cone_masks", lambda: {
+            sum(1 << i for i in c): c for c in self.cones})
 
     def cones_as_ray_sets(self):
         """Canonical form for cross-construction comparison."""
@@ -243,41 +249,36 @@ def _numerators(loc, W):
     return [sum(map(mul, row, Wr)) for row in adj]
 
 
-def _in_span(loc, num, W):
-    """Exact test that rays . num == det * W.  The coordinates in `rows`
-    hold by construction, so only the others are compared."""
-    _, _, det, rest = loc
-    return all(sum(map(mul, num, col)) == det * W[i] for i, col in rest)
-
-
 def cone_coordinates(fan, cone, w):
     """Exact coordinates (Fractions) of w in the ray basis of a simplicial
     cone, or None if w is outside the cone's span.  Uses the cone's cached
     integer locator; raises ValueError if the rays are dependent."""
     W, q = integral(w)
     loc = _locator(fan, cone)
+    _, _, det, rest = loc
     num = _numerators(loc, W)
-    if not _in_span(loc, num, W):
-        return None
-    return [Fraction(x, loc[2] * q) for x in num]
+    if any(sum(map(mul, num, col)) != det * W[i] for i, col in rest):
+        return None                  # the coordinates in rows hold by construction
+    return [Fraction(x, det * q) for x in num]
 
 
 def cone_contains(fan, cone, w, strict=False):
     """Whether w lies in the cone (its relative interior if `strict`): an
-    integer sign test on adj * W followed by the exact span test."""
+    integer sign test on adj * W followed by the exact span test, each
+    left at the first coordinate that fails."""
     W, _ = integral(w)
-    loc = _locator(fan, cone)
-    num = _numerators(loc, W)
-    if strict:
-        if any(x <= 0 for x in num):
+    rows, adj, det, rest = _locator(fan, cone)
+    Wr = [W[i] for i in rows]
+    num = []
+    for row in adj:
+        num.append(sum(map(mul, row, Wr)))
+        if num[-1] < strict:         # below 0, or not above 0 when strict
             return False
-    elif any(x < 0 for x in num):
-        return False
-    return _in_span(loc, num, W)
+    return all(sum(map(mul, num, col)) == det * W[i] for i, col in rest)
 
 
 def locate(fan, W):
-    """The cone read off the level sets of the integer point W, or None when
+    """The cone read off the level sets of the rational point W, or None when
     the fan has no `subset_index` or the candidate is not one of its cones.
     Callers confirm it with `cone_contains` and scan when that fails.
 
@@ -303,15 +304,19 @@ def locate(fan, W):
     contain, supersets = index
     x = tuple(W) + (0,)
     order = sorted(range(len(x)), key=x.__getitem__)
-    cone, outside, inside = set(), 0, 0      # bitsets of rays; inside: in the level set
+    cone = outside = inside = 0      # bitsets of rays; inside: in the level set
     for k, e in enumerate(order):
         outside |= contain[e]
         if k + 1 < len(x) and x[order[k + 1]] == x[e]:
             continue                 # the level is not complete yet
-        cone.update(j for j in elements(inside & outside) if not supersets[j] & inside)
+        fresh = inside & outside
+        while fresh:
+            low = fresh & -fresh
+            if not supersets[low.bit_length() - 1] & inside:
+                cone |= low
+            fresh ^= low
         inside = ~outside
-    cone = frozenset(cone)
-    return cone if cone in fan.cones else None
+    return fan.cone_masks().get(cone)
 
 
 def find_cone(fan, w):
@@ -351,35 +356,34 @@ def refines(fine, coarse):
 
 def in_support(fan, w):
     """Whether w lies in some cone: the located cone is tried first, then
-    every cone."""
-    W, _ = integral(w)
-    cone = locate(fan, W)
-    if cone is not None and cone_contains(fan, cone, W):
+    every cone.  `cone_contains` scales w to integers for the located
+    cone, and w is scaled once before the scan."""
+    cone = locate(fan, w)
+    if cone is not None and cone_contains(fan, cone, w):
         return True
+    W, _ = integral(w)
     return any(cone_contains(fan, cone, W) for cone in fan.cones)
-
-
-def _below(rng, n):
-    """rng.randint(lo, hi) - lo, from the same bits by CPython's rule for
-    n = hi - lo + 1: take n.bit_length() bits, redraw while at least n."""
-    while (r := rng.getrandbits(n.bit_length())) >= n:
-        pass
-    return r
 
 
 def random_integral_point(rng, dim, spread=10_000):
     """A random rational point, coordinate i being a_i / b_i with
     a_i = randint(-spread, spread) and b_i = randint(1, 97) drawn in that
-    order (by `_below`), returned as `integral` returns it: scaled by the
-    least common denominator of the reduced fractions."""
-    numerators, denominators = [], []
+    order, returned as `integral` returns it: scaled by the least common
+    denominator of the reduced fractions.
+
+    Here and in `same_support`, rng.randint(lo, hi) - lo is drawn from the
+    same bits by CPython's rule for n = hi - lo + 1: take n.bit_length()
+    bits, redraw while at least n."""
+    getrandbits, n = rng.getrandbits, 2 * spread + 1
+    pairs = []
     for _ in range(dim):
-        a, b = _below(rng, 2 * spread + 1) - spread, _below(rng, 97) + 1
-        g = gcd(a, b)
-        numerators.append(a // g)
-        denominators.append(b // g)
-    q = lcm(*denominators)
-    return tuple(a * (q // b) for a, b in zip(numerators, denominators))
+        while (a := getrandbits(n.bit_length())) >= n:
+            pass
+        while (b := getrandbits(7)) >= 97:      # 97 has 7 bits
+            pass
+        pairs.append((a - spread, b + 1))
+    q = lcm(*(b // gcd(a, b) for a, b in pairs))
+    return tuple(a * q // b for a, b in pairs)
 
 
 def same_support(f1, f2, trials=400, seed=0):
@@ -387,22 +391,28 @@ def same_support(f1, f2, trials=400, seed=0):
     randomized point-membership agreement, on integer points.
 
     A sample inside a cone of f2 is the sum of (a/b) r over its rays r,
-    with a = randint(1, 50) and b = randint(1, 7) drawn by `_below`.  It
-    is drawn as 420 times that point (420 = lcm(1, ..., 7)), a positive
-    multiple that `in_support` cannot tell apart from it."""
+    with a = randint(1, 50) and b = randint(1, 7) drawn ray by ray as in
+    `random_integral_point`.  It is drawn as 420 times that point
+    (420 = lcm(1, ..., 7)), a positive multiple that `in_support` cannot
+    tell apart from it."""
     if f1.ambient_dim != f2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     rng = Random(seed)
+    getrandbits = rng.getrandbits
     if refines(f1, f2):
         # support(f1) inside support(f2); test the reverse by sampling
         # inside the cones of f2.
         for cone in f2.maximal_cones():
-            rays = f2.cone_rays(cone)
+            columns = list(zip(*f2.cone_rays(cone))) or [()] * f2.ambient_dim
             for _ in range(max(1, trials // max(1, len(f2.cones)))):
-                w = [0] * f2.ambient_dim
-                for r in rays:
-                    a, b = _below(rng, 50) + 1, _below(rng, 7) + 1
-                    w = [x + a * (420 // b) * y for x, y in zip(w, r)]
+                coefficients = []
+                for _ in cone:
+                    while (a := getrandbits(6)) >= 50:      # 50 has 6 bits
+                        pass
+                    while (b := getrandbits(3)) >= 7:
+                        pass
+                    coefficients.append((a + 1) * (420 // (b + 1)))
+                w = [sum(map(mul, coefficients, col)) for col in columns]
                 if not in_support(f1, w):
                     return False
         return True

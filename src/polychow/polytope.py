@@ -14,8 +14,9 @@ the per-fiber minima, fibers in weakly decreasing weight order;
 """
 
 import sys
-from itertools import chain, permutations, product
-from operator import mul
+from functools import reduce
+from itertools import permutations, product
+from operator import and_, mul, or_
 from random import Random
 
 from .bitsets import elements
@@ -47,8 +48,7 @@ class Polypermutohedron(Immutable):
         fibers = [tuple(elements(mask)) for mask in proj.fiber_masks]
         vertex_of = {}
         for choice in product(*fibers):
-            for order in permutations(range(proj.n)):
-                seq = tuple(choice[i] for i in order)
+            for seq in permutations(choice):
                 v = [0] * proj.m
                 for cj, s in zip(c, seq):
                     v[s] = cj
@@ -107,16 +107,17 @@ def lowest_poset(proj, w):
     """Invariant under adding multiples of the all-ones vector to w."""
     if not isinstance(proj, ProjectionMap):
         proj = ProjectionMap(proj)
-    argmins = []
-    start = 0
+    return LowestPoset(_lowest_ranks(proj, w))
+
+
+def _lowest_ranks(proj, w):
+    """The `ranks` of w's Lowest poset; w is a sequence."""
+    lows, start = [], 0
     for s in proj.fiber_sizes:
-        block = w[start:start + s]
-        lo = min(block)
-        argmins.append((lo, [i for i, x in enumerate(block, start) if x == lo] if s > 1
-                        else [start]))
+        lows.append(min(w[start:start + s]))
         start += s
-    rank = {x: k for k, x in enumerate(sorted({lo for lo, _ in argmins}))}
-    return LowestPoset([(i, rank[lo]) for lo, block in argmins for i in block])
+    rank = {x: k for k, x in enumerate(sorted(set(lows)))}
+    return tuple((i, rank[lows[f]]) for i, f in enumerate(proj.fiber_of) if w[i] == lows[f])
 
 
 def embed(w_quotient):
@@ -150,24 +151,38 @@ def minimizing_vertices(Q, w):
     return sum(1 << (k := values.index(best, k + 1)) for _ in range(values.count(best)))
 
 
-def _minimizers_from_lowest(Q, lo):
-    """Minimizing vertex set of every w whose Lowest poset is `lo`
-    (output-sensitive).
+def _position_masks(Q):
+    """masks[i, a, b]: the vertices with a transversal that puts element i
+    at a position in [a, b), as a bitset."""
+    n = Q.proj.n
+    at = [[0] * n for _ in range(Q.proj.m)]
+    for seq, k in Q.vertex_of.items():
+        for j, i in enumerate(seq):
+            at[i][j] |= 1 << k
+    return {(i, a, b): reduce(or_, row[a:b]) for i, row in enumerate(at)
+            for a in range(n) for b in range(a + 1, n + 1)}
 
-    Enumerates exactly the minimizing transversals: per-fiber minima,
-    fibers arranged in weakly decreasing weight rank with all tie orders;
-    their vertex positions, read from `Q.vertex_of`, form the bitset.
+
+def _minimizers_from_lowest(Q, lo):
+    """Minimizing vertex set of every w whose Lowest poset is `lo`.
+
+    A transversal minimizes iff each fiber f puts one of its minimizers in
+    its rank block [a, b) of positions, where a fibers have higher rank than
+    f and b - a have its rank.  So a vertex minimizes iff, for every f, it
+    is in masks[i, a, b] (`_position_masks`, memoized on Q) for a minimizer
+    i of f: at c_1 = 0 a vertex's transversals differ only in the element
+    at position 1, which enters only its own fiber's condition.  The AND
+    starts from every vertex, so n = 0 gives the one empty vertex.
     """
+    masks = memoized(Q, "position_masks", lambda: _position_masks(Q))
     fiber_of = Q.proj.fiber_of
-    levels = {}                      # rank -> fiber -> its minimizers
+    fiber_rank = {fiber_of[i]: rank for i, rank in lo.ranks}
+    order = sorted(fiber_rank.values(), reverse=True)
+    either = dict.fromkeys(fiber_rank, 0)   # fiber -> OR over its minimizers
     for i, rank in lo.ranks:
-        levels.setdefault(rank, {}).setdefault(fiber_of[i], []).append(i)
-    bits = 0
-    for arrangement in product(*(permutations(levels[rank].values())
-                                 for rank in sorted(levels, reverse=True))):
-        for k in map(Q.vertex_of.__getitem__, product(*chain.from_iterable(arrangement))):
-            bits |= 1 << k
-    return bits
+        a = order.index(rank)
+        either[fiber_of[i]] |= masks[i, a, a + order.count(rank)]
+    return reduce(and_, either.values(), (1 << len(Q.vertices)) - 1)
 
 
 def normal_fan_equals(Q, fan, trials=1000, seed=0):
@@ -176,11 +191,13 @@ def normal_fan_equals(Q, fan, trials=1000, seed=0):
     Exhaustive part: each cone's interior representative is classified by
     its Lowest poset; representatives of distinct cones must disagree, and
     distinct cones must select distinct minimizing vertex sets, read off
-    their Lowest posets by `_minimizers_from_lowest`.  Sampling part:
-    random rational points must land in the classification (so the fan is
-    complete), and each one's brute-force argmin must be the set stored
-    for its Lowest poset, so points share a relative interior if and only
-    if they minimize at the same vertex set.  That set is, by
+    their Lowest posets by `_minimizers_from_lowest`.  With a
+    `fan.subset_index`, a cone's representative counts, per element, the
+    ray subsets holding it: its lifted ray sum plus a multiple of (1, ..., 1).
+    Sampling part: random rational points must land in the classification
+    (so the fan is complete), and each one's brute-force argmin must be the
+    set stored for its Lowest poset, so points share a relative interior if
+    and only if they minimize at the same vertex set.  That set is, by
     construction, the characterization at the sample, so every sample
     tests brute(w) == characterization(lowest_poset(w)) as bitsets, by one
     `minimizing_vertices` call.  Samples are drawn as integers by
@@ -190,20 +207,24 @@ def normal_fan_equals(Q, fan, trials=1000, seed=0):
     proj = Q.proj
     if fan.ambient_dim != proj.m - 1:
         raise ValueError("ambient dimension mismatch")
-    minimizers = {}
-    for cone in fan.cones:
-        rays = fan.cone_rays(cone)
-        w = embed(map(sum, zip(*rays)) if rays else (0,) * fan.ambient_dim)
-        lo = lowest_poset(proj, w)
-        if lo in minimizers:
+    contain = fan.subset_index and fan.subset_index[0]
+    minimizers = {}                  # Lowest poset's ranks -> vertex set
+    for bits, cone in fan.cone_masks().items():
+        if contain:
+            w = [(e & bits).bit_count() for e in contain]
+        else:
+            rays = fan.cone_rays(cone)
+            w = embed(map(sum, zip(*rays)) if rays else (0,) * fan.ambient_dim)
+        key = _lowest_ranks(proj, w)
+        if key in minimizers:
             return False
-        minimizers[lo] = _minimizers_from_lowest(Q, lo)
+        minimizers[key] = _minimizers_from_lowest(Q, LowestPoset(key))
     if len(set(minimizers.values())) != len(minimizers):
         return False
     rng = Random(seed)
     for _ in range(trials):
         w = embed(random_integral_point(rng, fan.ambient_dim))
-        mins = minimizers.get(lowest_poset(proj, w))
+        mins = minimizers.get(_lowest_ranks(proj, w))
         if mins is None or minimizing_vertices(Q, w) != mins:
             return False
     return True

@@ -147,6 +147,8 @@ def test_heavy_guard(tmp_path, capsys):
     ("validate", None, []),
     ("bogus", {}, []),
     ("validate", {}, ["--no-such-flag"]),
+    # a negative indent printed newline-separated JSON and exited 0
+    ("validate", {}, ["--json-indent", "-3"]),
 ])
 def test_unusable_input_exits_2(tmp_path, capsys, command, fields, flags):
     # input the CLI cannot use is reported as JSON with exit 2, not raised

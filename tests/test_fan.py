@@ -6,6 +6,7 @@ import pytest
 
 import polychow as pc
 from polychow import linalg
+from polychow.bitsets import elements
 from polychow.fan import (_has_positive_circuit, complete_fan_certificate, integral,
                           locate, pairwise_faces_by_circuits, primitive)
 from conftest import (BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING,
@@ -589,6 +590,45 @@ def test_locate_matches_the_level_set_reference():
             checked += 1
             located += expected is not None
     assert checked > 5000 and located > checked // 2
+
+
+def set_locate(fan, W):
+    """locate as it was before the ray bitmask: the cone gathered as a set
+    of ray indices, level by level, and looked up in `fan.cones`."""
+    index = fan.subset_index
+    if index is None:
+        return None
+    contain, supersets = index
+    x = tuple(W) + (0,)
+    order = sorted(range(len(x)), key=x.__getitem__)
+    cone, outside, inside = set(), 0, 0
+    for k, e in enumerate(order):
+        outside |= contain[e]
+        if k + 1 < len(x) and x[order[k + 1]] == x[e]:
+            continue
+        cone.update(j for j in elements(inside & outside) if not supersets[j] & inside)
+        inside = ~outside
+    cone = frozenset(cone)
+    return cone if cone in fan.cones else None
+
+
+def test_bitmask_locate_matches_the_set_reference():
+    rng = Random(12)
+    fans = fixture_fans() + nested_set_fixture_fans() + subset_vector_fans_missing_rays()
+    fans += random_collections()
+    indexed = checked = located = 0
+    for fan in fans:
+        indexed += fan.subset_index is not None
+        for cone in sorted(fan.cones, key=sorted):
+            for w in probe_points(rng, fan, cone):
+                W = integral(w)[0]
+                expected = set_locate(fan, W)
+                # in_support passes its point unscaled: a positive multiple
+                # has the same level sets
+                assert locate(fan, W) == locate(fan, w) == expected, (fan, w)
+                checked += 1
+                located += expected is not None
+    assert indexed >= 20 and located > 1000 and checked - located > 1000
 
 
 def test_integral_returns_integer_points_unscaled():

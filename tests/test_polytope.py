@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from random import Random
 
 import pytest
@@ -152,6 +152,48 @@ def test_minimizing_vertices_matches_the_reference_scan():
     assert shared > 0
 
 
+def enumerated_minimizers(Q, lo):
+    """_minimizers_from_lowest as it was before the position masks: every
+    minimizing transversal enumerated (per-fiber minima, fibers in weakly
+    decreasing weight rank with all tie orders), its vertex read from
+    `Q.vertex_of`."""
+    levels = {}                      # rank -> fiber -> its minimizers
+    for i, rank in lo.ranks:
+        levels.setdefault(rank, {}).setdefault(Q.proj.fiber_of[i], []).append(i)
+    bits = 0
+    for arrangement in product(*(permutations(levels[rank].values())
+                                 for rank in sorted(levels, reverse=True))):
+        for k in map(Q.vertex_of.__getitem__, product(*chain.from_iterable(arrangement))):
+            bits |= 1 << k
+    return bits
+
+
+def test_position_masks_match_the_enumeration():
+    rng = Random(31)
+    shared_blocks = several = 0
+    for fibers in all_partitions_m6() + [()]:
+        n, m = len(fibers), sum(fibers)
+        # c starting at 0 gives vertices several transversals
+        for c in (None, tuple(range(0, 3 * n, 3))):
+            Q = pc.Polypermutohedron(fibers, c=c)
+            # tie-heavy points first: ties within and across fibers
+            points = [tuple(rng.randrange(-1, 2) for _ in range(m)) for _ in range(16)]
+            points += [tuple(rng.randrange(-20, 21) for _ in range(m)) for _ in range(4)]
+            points += [(0,) * m, tuple(Fraction(rng.randrange(-9, 10), 2) for _ in range(m))]
+            for w in points:
+                lo = pc.lowest_poset(Q.proj, w)
+                bits = _minimizers_from_lowest(Q, lo)
+                assert bits == enumerated_minimizers(Q, lo) == minimizing_vertices(Q, w), \
+                    (fibers, c, w)
+                fiber_ranks = {(Q.proj.fiber_of[i], r) for i, r in lo.ranks}
+                shared_blocks += len(fiber_ranks) > len({r for _, r in fiber_ranks})
+                several += bits.bit_count() > 1
+    # n = 0 has its one empty vertex
+    assert _minimizers_from_lowest(pc.Polypermutohedron(()), pc.LowestPoset(())) == 1
+    # rank blocks held by several fibers, and several minimizers, are common
+    assert shared_blocks > 500 and several > 500
+
+
 def test_packed_lanes_on_both_sides_of_the_lane_bound():
     """max(x) * sum(c) = 2^64 - 1 takes the packed lanes, 2^64 the
     per-vertex sums, where x is w shifted to minimum 0; both must give the
@@ -205,6 +247,10 @@ def test_normal_fan_equality():
         Q = pc.Polypermutohedron(fibers)
         fan = pc.boolean_bergman_fan(pc.ProjectionMap(fibers))
         assert pc.normal_fan_equals(Q, fan, trials=200, seed=3)
+        # doubled rays are no indicator vectors: cones are read by ray sums
+        doubled = pc.Fan(fan.ambient_dim, [[2 * x for x in r] for r in fan.rays], fan.cones)
+        assert doubled.subset_index is None
+        assert pc.normal_fan_equals(Q, doubled, trials=200, seed=3)
 
 
 def increasing_weight_order(Q, lo):

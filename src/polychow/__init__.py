@@ -1,8 +1,7 @@
 """Exact-arithmetic Bergman fans and Chow rings of polymatroids."""
 
 from .building import (BuildingSet, BuildingSetError, is_geometric_building_set,
-                       is_nested, lifted_building_set, maximal_building_set,
-                       nested_complex)
+                       lifted_building_set, maximal_building_set, nested_complex)
 from .chow import (ChowPair, nested_basis, dp_ring, fy_ring, pairing_matrix,
                    phi_iso_check, zring_hilbert)
 from .fan import (Fan, balancing_check, bergman_fan, boolean_bergman_fan,
@@ -32,7 +31,7 @@ __all__ = [
     "dp_ring", "find_cone", "fy_ring",
     "geometric_flat_lattice", "hard_lefschetz_check",
     "hodge_riemann_check", "in_support", "is_complete", "is_face_closed",
-    "is_geometric_building_set", "is_nested",
+    "is_geometric_building_set",
     "is_strictly_convex", "is_unimodular", "kahler_package_report",
     "lift", "lifted_building_set", "lowest_poset", "maximal_bergman_fan_direct",
     "maximal_building_set", "minimizing_vertices", "nested_complex",

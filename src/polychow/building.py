@@ -79,6 +79,10 @@ def is_geometric_building_set(base, members):
     a monotone bijection between finite posets maps comparable pairs
     injectively into comparable pairs, so it is an order isomorphism iff
     both posets have the same number of them.
+
+    That count cannot reject for a real closure (a `Polymatroid` or a lift):
+    join(s) <= join(t) gives join(s v t) = join(t) with s v t >= t, so an
+    injective join map reflects the order; a non-idempotent closure can.
     """
     members = frozenset(members)
     full = base.full_mask
@@ -138,81 +142,55 @@ def lifted_building_set(P, G=None):
     return memoized_on(P, G, "lifted", build)
 
 
-def _is_antichain(masks):
-    for a in masks:
-        for b in masks:
-            if a != b and a & b == a:
-                return False
-    return True
-
-
-def is_nested(building, N):
-    """True iff every incomparable subcollection of size >= 2 in N has
-    closure of union outside the building set.  Chains are always nested."""
-    N = list(N)
-    base = building.base
-    members = building.members
-    for mask in N:
-        if mask not in members:
-            raise BuildingSetError("nested-set candidate %d is not a member" % mask)
-    k = len(N)
-    for sub in range(1, 1 << k):
-        if sub.bit_count() < 2:
-            continue
-        chosen = [N[i] for i in range(k) if sub >> i & 1]
-        if not _is_antichain(chosen):
-            continue
-        union = 0
-        for c in chosen:
-            union |= c
-        if base.closure(union) in members:
-            return False
-    return True
-
-
-def extends_nested(building, N, g, closure):
-    """Whether the nested set N stays nested when the member g joins it.
-    Only antichain subcollections involving g can newly fail, so only the
-    antichains among the members of N incomparable to g are tried, each
-    joined by g; `closure` is the base's closure or a memo of it."""
-    incomparable = [h for h in N if h & g != h and h & g != g]
-    for sub in range(1, 1 << len(incomparable)):
-        chosen = [h for i, h in enumerate(incomparable) if sub >> i & 1]
-        if _is_antichain(chosen) and closure(reduce(or_, chosen, g)) in building.members:
-            return False
-    return True
-
-
 def nested_complex(building, exclude=None):
     """All nested sets, as a tuple of frozensets of member masks, in a
     deterministic order (by size, then by sorted members).
 
     `exclude` drops one member (used to omit the full ground set when
-    building fans).  Enumeration extends nested sets one member at a time
-    (`extends_nested`); the closure-of-union lookups are memoized.  The
-    tuple is memoized on the building set, one per `exclude`; more than
-    DEFAULT_NESTED_CAP nested sets raise BuildingSetError.
+    building fans).  The tuple is memoized on the building set, one per
+    `exclude`; more than DEFAULT_NESTED_CAP nested sets raise
+    BuildingSetError.
     """
     return memoized(building, ("nested", exclude), lambda: _nested_sets(building, exclude))
 
 
+def comparability_masks(members):
+    """Per member, the bits of the members comparable to it (itself
+    included) and the bits of those strictly above it."""
+    return ([sum(1 << j for j, h in enumerate(members) if h & g in (g, h)) for g in members],
+            [sum(1 << j for j, h in enumerate(members) if h != g and h & g == g) for g in members])
+
+
 def _nested_sets(building, exclude):
+    """N is nested when no antichain A of N with two or more members has
+    closure(union A) in G.  The depth-first search in member order carries
+    the (member bits, union) of each nonempty antichain of N.  Lemma: adding
+    g to a nested N can break only the sets A + {g}, A an antichain of N
+    incomparable to g.  So g joins iff no such carried A has
+    closure(union A | g) in G; N + {g} has the old antichains, {g} and each tested A + {g}."""
     members = [m for m in building.sorted_members() if m != exclude]
+    comparable = comparability_masks(members)[0]
     closure = cache(building.base.closure)
-    cap = DEFAULT_NESTED_CAP
+    inside = building.members
     out = []
 
-    def extend(current, start):
-        if len(out) > cap:
-            raise BuildingSetError("nested complex larger than cap %d" % cap)
+    def extend(current, antichains, start):
+        if len(out) > DEFAULT_NESTED_CAP:
+            raise BuildingSetError("nested complex larger than cap %d" % DEFAULT_NESTED_CAP)
         out.append(frozenset(current))
-        for idx in range(start, len(members)):
-            g = members[idx]
-            if extends_nested(building, current, g, closure):
+        for i in range(start, len(members)):
+            g, comp = members[i], comparable[i]
+            grown = [(1 << i, g)]
+            for bits, union in antichains:
+                if not bits & comp:
+                    if closure(union | g) in inside:
+                        break
+                    grown.append((bits | 1 << i, union | g))
+            else:
                 current.append(g)
-                extend(current, idx + 1)
+                extend(current, antichains + grown, i + 1)
                 current.pop()
 
-    extend([], 0)
+    extend([], [], 0)
     out.sort(key=lambda s: (len(s), sorted(s, key=canonical_key)))
     return tuple(out)

@@ -33,11 +33,12 @@ bit, and the rings raise OverflowError on any monomial with one set.
 
 from bisect import insort
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 
 from . import linalg
-from .bitsets import canonical_key
-from .building import (_is_antichain, extends_nested, lifted_building_set,
+from .bitsets import canonical_key, elements
+from .building import (comparability_masks, lifted_building_set,
                        maximal_building_set, memoized_on, nested_complex)
 from .polymatroid import memoized
 
@@ -340,29 +341,34 @@ def _groebner(ground, building, r):
             exps[index[extra]] += power
         return codec.pack(exps)
 
+    comparable, above = comparability_masks(members)
+    closure = cache(ground.closure)
+    inside = building.members
     candidates = {}
 
-    def extend(N, union, start):
-        """Add the candidates of the nested antichain N, then extend it."""
+    def extend(N, bits, upper, union, unions, start):
+        """Add the candidates of the nested antichain N, then extend it; `bits`,
+        `upper` and `unions` hold N's members, those above all of N, and its subset unions."""
         # Power relations over N strictly below a member g.
-        for g in members:
-            if all(f & g == f and f != g for f in N):
-                d = ground.rank(g) - ground.rank(union)
-                if d >= 1 and len(N) + d <= limit:
-                    candidates.setdefault(mono_of(N, g, d), (N, g, d))
+        for j in elements(upper):
+            g = members[j]
+            d = ground.rank(g) - ground.rank(union)
+            if d >= 1 and len(N) + d <= limit:
+                candidates.setdefault(mono_of(N, g, d), (N, g, d))
         # A minimal non-nested antichain less its last member is nested,
         # so non-nested antichains are only sought one member past N.
         for i in range(start, nvars):
+            if bits & comparable[i]:
+                continue
             h = members[i]
             A = N + (h,)
-            if not _is_antichain(A):
-                continue
-            if N and ground.closure(union | h) in building.members:
+            if N and closure(union | h) in inside:
                 candidates.setdefault(mono_of(A), (A, None, 0))
-            elif len(A) < limit and extends_nested(building, N, h, ground.closure):
-                extend(A, union | h, i + 1)
+            elif len(A) < limit and not any(closure(u | h) in inside for u in unions):
+                extend(A, bits | 1 << i, upper & above[i], union | h,
+                       unions + [h] + [u | h for u in unions], i + 1)
 
-    extend((), 0, 0)
+    extend((), 0, (1 << nvars) - 1, 0, [], 0)
     generators = []
     for lt, (flats, g, d) in _minimalize(candidates, codec):
         poly = {mono_of(flats): 1}
@@ -483,29 +489,23 @@ class ChowPair:
 
     def maximal_nested_monomials(self):
         """Square-free FY monomials of the maximal cones of the fan."""
-        full = self.M.full_mask
-        out = []
-        for N in nested_complex(self.lifted, exclude=full):
-            if len(N) == self.P.r - 1:
-                out.append(sorted(N, key=canonical_key))
-        return out
+        return [sorted(N, key=canonical_key) for N in nested_complex(
+            self.lifted, exclude=self.M.full_mask) if len(N) == self.P.r - 1]
 
     def degree_normalizer(self):
         """The common coefficient c with NF(max-cone monomial) = c * mu.
 
         deg is fixed by giving every maximal cone's monomial degree one;
-        inconsistency across cones raises.
+        inconsistency across cones raises.  Memoized on G when G's base is
+        P, so the pairs of one invocation share it, and else on the pair.
         """
         def build():
             fy = self.fy
             if len(fy.basis[fy.top]) != 1:
                 raise AssertionError("top graded piece does not have rank 1")
-            values = []
-            for N in self.maximal_nested_monomials():
-                poly = fy.one()
-                for f in N:
-                    poly = poly_mul(poly, fy.var(f))
-                values.append(fy.coords(poly, fy.top)[0])
+            units, index = fy.codec.units, fy.var_index
+            values = [fy.coords({sum(units[index[f]] for f in N): 1}, fy.top)[0]
+                      for N in self.maximal_nested_monomials()]
             if not values:
                 raise AssertionError("no maximal nested sets")
             if any(v != values[0] for v in values):
@@ -513,7 +513,7 @@ class ChowPair:
             if values[0] == 0:
                 raise AssertionError("maximal cone monomial vanishes")
             return values[0]
-        return memoized(self, "degree_normalizer", build)
+        return memoized(self.G if self.G.base is self.P else self, "degree_normalizer", build)
 
     def deg_fy(self, poly):
         """Degree of a top-degree FY element, exact rational."""
@@ -566,22 +566,31 @@ def pairing_matrix(pair, k, ring="dp"):
     """Integer matrix of (a, b) -> deg(ab) between degrees k and r-1-k.
 
     It is computed once per (k, ring) and memoized on the pair; rows are
-    tuples, so no caller can change the shared matrix.
+    tuples, so no caller can change the shared matrix.  deg(m1 m2) depends
+    only on m1 + m2, so for 2k > r-1 it is the transpose of the matrix for
+    r-1-k, and each value is computed once per product monomial and ring.
     """
+    R = pair.dp if ring == "dp" else pair.fy
+    top = R.top
+    if 2 * k > top:
+        return memoized(pair, ("pairing", k, ring),
+                        lambda: tuple(zip(*pairing_matrix(pair, top - k, ring))))
+
     def build():
-        R = pair.dp if ring == "dp" else pair.fy
-        deg = pair.deg_dp if ring == "dp" else pair.deg_fy
-        top = R.top
-        rows = R.basis[k]
-        cols = R.basis[top - k]
+        values = memoized(pair, ("top values", ring), dict)
         out = []
-        for m1 in rows:
+        for m1 in R.basis[k]:
             row = []
-            for m2 in cols:
-                value = deg({m1 + m2: 1})
-                if value.denominator != 1:
-                    raise AssertionError("non-integral pairing value")
-                row.append(int(value))
+            for m2 in R.basis[top - k]:
+                m = m1 + m2
+                value = values.get(m)
+                if value is None:
+                    coord = pair.fy.coords(pair.phi({m: 1}) if ring == "dp" else {m: 1}, top)[0]
+                    value, rest = divmod(coord, pair.degree_normalizer())
+                    if rest:
+                        raise AssertionError("non-integral pairing value")
+                    values[m] = value
+                row.append(value)
             out.append(tuple(row))
         return tuple(out)
     return memoized(pair, ("pairing", k, ring), build)
@@ -589,11 +598,16 @@ def pairing_matrix(pair, k, ring="dp"):
 
 def pairing_det(pair, k, ring="dp"):
     """Determinant of `pairing_matrix(pair, k, ring)`, or 0 when the matrix
-    is not square; a matrix with no rows has determinant 1."""
+    is not square (1 with no rows); a square matrix and its mirror for
+    r-1-k share one determinant, memoized on the pair."""
     matrix = pairing_matrix(pair, k, ring)
-    if matrix and len(matrix) != len(matrix[0]):
+    if not matrix:
+        return 1
+    if len(matrix) != len(matrix[0]):
         return 0
-    return int(linalg.det(matrix))
+    k = min(k, pair.fy.top - k)
+    return memoized(pair, ("pairing det", k, ring),
+                    lambda: int(linalg.det(pairing_matrix(pair, k, ring))))
 
 
 # --- the z-presentation of the introduction ----------------------------------

@@ -15,10 +15,12 @@ products are the matrices of powers of ell because normal forms are linear,
 as the generator set is a Groebner basis (the tests reduce every S-pair).
 """
 
+from math import lcm
+
 from . import linalg
 from .building import BuildingSet
 from .chow import pairing_det, pairing_matrix, poly_mul
-from .fan import nested_set_fan, primitive, subset_vector, walls
+from .fan import bergman_fan, nested_set_fan, primitive, subset_vector, walls
 from .polymatroid import ProjectionMap, boolean_polymatroid, memoized
 
 
@@ -26,10 +28,14 @@ def ambient_complete_fan(pair):
     """The nested-set fan of the lifted building set over the Boolean
     ground set, which is complete and contains the Bergman fan as a
     subfan.  Requires the lifted members to form a building set of the
-    Boolean lattice (in particular the lift must be a simple matroid)."""
+    Boolean lattice (in particular the lift must be a simple matroid).
+    A free lift's closure is the identity, so its Bergman fan is complete
+    and is its own ambient fan, shared with `bergman_fan`'s memo."""
     m = pair.proj.m
     base = boolean_polymatroid(ProjectionMap((1,) * m))
     building = BuildingSet(base, pair.lifted.members, validate=True)
+    if pair.M.rank(pair.M.full_mask) == m:
+        return bergman_fan(pair.P, pair.G)
     return nested_set_fan(building, base.full_mask, m)
 
 
@@ -79,7 +85,8 @@ def is_strictly_convex(fan, values):
     """Wall-by-wall strict convexity of ray values (indexed like fan.rays)
     on a complete simplicial unimodular fan: at a wall tau between maximal
     cones with opposite rays u, u' the relation u + u' = sum(a_v * v) over
-    rays v of tau must satisfy values[u] + values[u'] > sum(a_v * values[v]).
+    rays v of tau must satisfy values[u] + values[u'] > sum(a_v * values[v]),
+    compared in integers scaled by the lcm of the denominators of the a_v.
     """
     if len(values) != len(fan.rays):
         raise ValueError("one value per ray required")
@@ -97,7 +104,9 @@ def is_strictly_convex(fan, values):
         coeffs = linalg.solve(cols, target) if tau else []
         if coeffs is None:
             raise ValueError("wall relation is not supported on the wall; fan is not unimodular")
-        if values[u] + values[u2] <= sum(a * values[v] for a, v in zip(coeffs, tau)):
+        scale = lcm(*(a.denominator for a in coeffs))
+        if scale * (values[u] + values[u2]) <= sum(
+                a.numerator * (scale // a.denominator) * values[v] for a, v in zip(coeffs, tau)):
             return False
     return True
 

@@ -1,12 +1,136 @@
+from functools import cache, reduce
 from itertools import product
+from operator import or_
 from random import Random
 
 import pytest
 
 import polychow as pc
-from polychow.building import _max_members_below
+from polychow.bitsets import canonical_key
+from polychow.building import _max_members_below, _nested_sets
+from polychow.chow import (Codec, _groebner, _minimalize, leading_monomial, poly_mul,
+                           poly_pow)
 from conftest import (P1, P2, P3, P4, U34, U34_MIN_BUILDING, B111_MIN_BUILDING,
                       boolean_table)
+
+
+# --- the subset-by-subset nested-set tests, kept as references --------------
+
+
+def _is_antichain(masks):
+    for a in masks:
+        for b in masks:
+            if a != b and a & b == a:
+                return False
+    return True
+
+
+def is_nested(building, N):
+    """True iff every incomparable subcollection of size >= 2 in N has
+    closure of union outside the building set.  Chains are always nested."""
+    N = list(N)
+    base = building.base
+    members = building.members
+    for mask in N:
+        if mask not in members:
+            raise pc.BuildingSetError("nested-set candidate %d is not a member" % mask)
+    k = len(N)
+    for sub in range(1, 1 << k):
+        if sub.bit_count() < 2:
+            continue
+        chosen = [N[i] for i in range(k) if sub >> i & 1]
+        if not _is_antichain(chosen):
+            continue
+        union = 0
+        for c in chosen:
+            union |= c
+        if base.closure(union) in members:
+            return False
+    return True
+
+
+def extends_nested(building, N, g, closure):
+    """Whether the nested set N stays nested when the member g joins it:
+    every antichain of the members of N incomparable to g, joined by g."""
+    incomparable = [h for h in N if h & g != h and h & g != g]
+    for sub in range(1, 1 << len(incomparable)):
+        chosen = [h for i, h in enumerate(incomparable) if sub >> i & 1]
+        if _is_antichain(chosen) and closure(reduce(or_, chosen, g)) in building.members:
+            return False
+    return True
+
+
+def reference_nested_sets(building, exclude=None):
+    """The nested-set walk by `extends_nested`, in the kernel's order."""
+    members = [m for m in building.sorted_members() if m != exclude]
+    closure = cache(building.base.closure)
+    out = []
+
+    def extend(current, start):
+        out.append(frozenset(current))
+        for idx in range(start, len(members)):
+            g = members[idx]
+            if extends_nested(building, current, g, closure):
+                current.append(g)
+                extend(current, idx + 1)
+                current.pop()
+
+    extend([], 0)
+    out.sort(key=lambda s: (len(s), sorted(s, key=canonical_key)))
+    return tuple(out)
+
+
+def reference_groebner(ground, building, r):
+    """`chow._groebner` with its candidates grown by `_is_antichain` and
+    `extends_nested`, one subset at a time."""
+    members = sorted(building.members, key=canonical_key)
+    index = {f: i for i, f in enumerate(members)}
+    nvars = len(members)
+    limit = 2 * r - 1
+    codec = Codec(nvars, r)
+
+    def mono_of(flats, extra=None, power=0):
+        exps = [0] * nvars
+        for f in flats:
+            exps[index[f]] += 1
+        if extra is not None:
+            exps[index[extra]] += power
+        return codec.pack(exps)
+
+    candidates = {}
+
+    def extend(N, union, start):
+        for g in members:
+            if all(f & g == f and f != g for f in N):
+                d = ground.rank(g) - ground.rank(union)
+                if d >= 1 and len(N) + d <= limit:
+                    candidates.setdefault(mono_of(N, g, d), (N, g, d))
+        for i in range(start, nvars):
+            h = members[i]
+            A = N + (h,)
+            if not _is_antichain(A):
+                continue
+            if N and ground.closure(union | h) in building.members:
+                candidates.setdefault(mono_of(A), (A, None, 0))
+            elif len(A) < limit and extends_nested(building, N, h, ground.closure):
+                extend(A, union | h, i + 1)
+
+    extend((), 0, 0)
+    generators = []
+    for lt, (flats, g, d) in _minimalize(candidates, codec):
+        poly = {mono_of(flats): 1}
+        if d:
+            upper_sum = {mono_of((h,)): 1 for h in members if h & g == g}
+            poly = poly_mul(poly, poly_pow(upper_sum, d))
+        assert leading_monomial(poly) == lt and poly[lt] == 1
+        generators.append((lt, poly))
+    return members, generators
+
+
+def assert_kernel_matches_reference(ground, building, r):
+    for exclude in (None, ground.full_mask):
+        assert _nested_sets(building, exclude) == reference_nested_sets(building, exclude)
+    assert _groebner(ground, building, r) == reference_groebner(ground, building, r)
 
 
 def test_maximal_building_set_is_geometric():
@@ -85,13 +209,13 @@ def test_lifted_building_set_is_geometric():
 def test_is_nested_chains_and_pairs():
     P = pc.Polymatroid(U34)
     G = pc.maximal_building_set(P)
-    assert pc.is_nested(G, [1, 3, 15])      # a chain
-    assert not pc.is_nested(G, [1, 2])      # join {0,1} is a flat, so a member
+    assert is_nested(G, [1, 3, 15])      # a chain
+    assert not is_nested(G, [1, 2])      # join {0,1} is a flat, so a member
     Gmin = pc.BuildingSet(P, U34_MIN_BUILDING)
-    assert pc.is_nested(Gmin, [1, 2])       # same pair, smaller building set
-    assert not pc.is_nested(Gmin, [1, 2, 4, 8])   # union closes to E
+    assert is_nested(Gmin, [1, 2])       # same pair, smaller building set
+    assert not is_nested(Gmin, [1, 2, 4, 8])   # union closes to E
     with pytest.raises(pc.BuildingSetError):
-        pc.is_nested(Gmin, [3])
+        is_nested(Gmin, [3])
 
 
 def test_nested_complex_counts():
@@ -144,7 +268,44 @@ def test_nested_sets_have_nested_subsets():
     P = pc.Polymatroid(P2)
     M, Gt = pc.lifted_building_set(P)
     for N in pc.nested_complex(Gt):
-        assert pc.is_nested(Gt, N)
+        assert is_nested(Gt, N)
+
+
+KERNEL_FIXTURES = [(P1, None), (P2, None), (P3, None), (P4, None), (U34, None),
+                   (U34, U34_MIN_BUILDING), (boolean_table((1, 1, 1)), B111_MIN_BUILDING),
+                   (boolean_table((1, 1, 2)), None), (boolean_table((2, 2)), None),
+                   (boolean_table((1, 1, 1, 1)), None)]
+
+
+def fixture_building_sets(table, members):
+    """(ground, building set, r) for G on P and for its lift on M."""
+    P = pc.Polymatroid(table)
+    G = pc.maximal_building_set(P) if members is None else pc.BuildingSet(P, members)
+    M, lifted = pc.lifted_building_set(P, G)
+    return [(P, G, P.r), (M, lifted, P.r)]
+
+
+@pytest.mark.parametrize("table,members", KERNEL_FIXTURES)
+def test_antichain_kernel_matches_reference_walk(table, members):
+    for ground, building, r in fixture_building_sets(table, members):
+        assert_kernel_matches_reference(ground, building, r)
+
+
+def test_antichain_kernel_matches_reference_walk_on_u46():
+    P = pc.Polymatroid([min(bin(S).count("1"), 4) for S in range(64)])
+    for ground, building, r in fixture_building_sets(P.rank_table, None):
+        assert_kernel_matches_reference(ground, building, r)
+
+
+@pytest.mark.parametrize("table,members", KERNEL_FIXTURES[:8])
+def test_nested_complex_is_complete(table, members):
+    # every member subset the reference accepts is enumerated, and no other
+    for _, building, _ in fixture_building_sets(table, members):
+        ordered = building.sorted_members()
+        accepted = {frozenset(g for i, g in enumerate(ordered) if sub >> i & 1)
+                    for sub in range(1 << len(ordered))}
+        accepted = {N for N in accepted if is_nested(building, N)}
+        assert set(pc.nested_complex(building)) == accepted
 
 
 def pairwise_building_check(base, members):
@@ -206,9 +367,12 @@ def test_counting_check_matches_pairwise_on_every_boolean_family():
     assert accepted == 378
 
 
-@pytest.mark.parametrize("table", [P1, P2, P3, P4, U34, boolean_table((1, 1, 2)),
-                                   boolean_table((2, 2))])
-def test_counting_check_matches_pairwise_on_random_families(table):
+RANDOM_FAMILY_TABLES = [P1, P2, P3, P4, U34, boolean_table((1, 1, 2)), boolean_table((2, 2))]
+
+
+def random_families(table):
+    """150 seeded random flat families on P and on its lift, each with E,
+    every other one with the atoms: (P, base, members)."""
     rng = Random(11)
     P = pc.Polymatroid(table)
     for base in (P, pc.lift(P)):
@@ -219,8 +383,20 @@ def test_counting_check_matches_pairwise_on_random_families(table):
             if trial % 2:
                 members.update(atoms)
             members.add(base.full_mask)
-            assert pc.is_geometric_building_set(base, members) \
-                == pairwise_building_check(base, members), (table, sorted(members))
+            yield P, base, members
+
+
+@pytest.mark.parametrize("table", RANDOM_FAMILY_TABLES)
+def test_counting_check_matches_pairwise_on_random_families(table):
+    for _, base, members in random_families(table):
+        assert pc.is_geometric_building_set(base, members) \
+            == pairwise_building_check(base, members), (table, sorted(members))
+
+
+@pytest.mark.parametrize("table", RANDOM_FAMILY_TABLES)
+def test_antichain_kernel_matches_reference_walk_on_random_families(table):
+    for P, base, members in random_families(table):
+        assert_kernel_matches_reference(base, pc.BuildingSet(base, members, validate=False), P.r)
 
 
 class OrderOnlyGround:

@@ -8,9 +8,9 @@ import polychow as pc
 from polychow import linalg
 from polychow.bitsets import canonical_key
 from polychow.chow import (Codec, GradedRing, _first_divisor, _standard_monomials,
-                           leading_monomial, poly_add, poly_mul, poly_pow, poly_scale,
-                           reduce_poly)
-from conftest import P1, P2, P3, U34, U34_MIN_BUILDING, boolean_table, small_family
+                           leading_monomial, pairing_det, poly_add, poly_mul, poly_pow,
+                           poly_scale, reduce_poly)
+from conftest import P1, P2, P3, P4, U34, U34_MIN_BUILDING, boolean_table, small_family
 
 
 # --- references over exponent tuples, the monomials before packing ----------
@@ -220,6 +220,79 @@ def test_pairing_matrices_unimodular():
                     continue
                 assert len(matrix) == len(matrix[0])
                 assert linalg.det(matrix) in (1, -1)
+
+
+PAIRING_FIXTURES = [(P1, None), (P2, None), (P3, None), (P4, None), (U34, None),
+                    (U34, U34_MIN_BUILDING), (boolean_table((1, 1, 2)), None),
+                    (boolean_table((2, 2, 1)), None)]
+
+
+def reference_pairing_matrix(pair, k, ring):
+    """deg(m1 m2) for every pair of basis monomials, from `deg_dp`/`deg_fy`."""
+    R = pair.dp if ring == "dp" else pair.fy
+    deg = pair.deg_dp if ring == "dp" else pair.deg_fy
+    return tuple(tuple(deg({m1 + m2: 1}) for m2 in R.basis[R.top - k]) for m1 in R.basis[k])
+
+
+@pytest.mark.parametrize("table,members", PAIRING_FIXTURES)
+def test_pairing_matrices_match_degrees_and_mirror(table, members):
+    pair = pair_of(table, members)
+    top = pair.fy.top
+    for ring in ("dp", "fy"):
+        for k in range(top + 1):
+            matrix = pc.pairing_matrix(pair, k, ring=ring)
+            assert matrix == reference_pairing_matrix(pair, k, ring)
+            assert all(type(x) is int for row in matrix for x in row)
+            assert matrix == tuple(zip(*pc.pairing_matrix(pair, top - k, ring=ring)))
+            square = len(matrix) == len(matrix[0])
+            assert pairing_det(pair, k, ring) == (linalg.det(matrix) if square else 0)
+
+
+def test_non_integral_pairing_value_raises(monkeypatch):
+    monkeypatch.setattr(pc.ChowPair, "degree_normalizer", lambda self: 2)
+    with pytest.raises(AssertionError, match="non-integral pairing value"):
+        pc.pairing_matrix(pair_of(P2), 0)
+
+
+def count_normalizer_builds(monkeypatch):
+    calls = []
+    build = pc.ChowPair.maximal_nested_monomials
+
+    def counted(self):
+        calls.append(self)
+        return build(self)
+
+    monkeypatch.setattr(pc.ChowPair, "maximal_nested_monomials", counted)
+    return calls
+
+
+def read_every_pairing(pair):
+    for ring in ("dp", "fy"):
+        for k in range(pair.P.r):
+            pairing_det(pair, k, ring)
+    pair.degree_normalizer()
+
+
+def test_degree_normalizer_is_shared_by_the_pairs_of_one_g(monkeypatch):
+    calls = count_normalizer_builds(monkeypatch)
+    P = pc.Polymatroid(P3)
+    G = pc.maximal_building_set(P)
+    first, second = pc.ChowPair(P, G), pc.ChowPair(P, G)
+    read_every_pairing(first)
+    read_every_pairing(second)
+    assert calls == [first]
+
+
+def test_degree_normalizer_of_a_foreign_g_is_built_once_per_pair(monkeypatch):
+    # G's base is another P, so nothing is memoized on G; each pair builds
+    # its normalizer once however often it is read
+    calls = count_normalizer_builds(monkeypatch)
+    P = pc.Polymatroid(P3)
+    G = pc.maximal_building_set(pc.Polymatroid(P3))
+    first, second = pc.ChowPair(P, G), pc.ChowPair(P, G)
+    read_every_pairing(first)
+    read_every_pairing(second)
+    assert calls == [first, second]
 
 
 def test_phi_iso_check_fixtures():

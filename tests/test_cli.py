@@ -340,7 +340,8 @@ def test_memos_never_outlive_an_invocation(tmp_path, capsys):
         assert out == fresh[i], ops[i]
 
 
-def test_verify_all_builds_each_structure_once(tmp_path, capsys, monkeypatch):
+def count_verify_all_builds(tmp_path, capsys, monkeypatch, data):
+    """verify-all on `data`, counting lifts, nested-set fans and Groebner runs."""
     calls = Counter()
 
     def counted(name, fn):
@@ -355,8 +356,25 @@ def test_verify_all_builds_each_structure_once(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(fan_module, "nested_set_fan", nested_set_fan)
     monkeypatch.setattr(kahler_module, "nested_set_fan", nested_set_fan)
     monkeypatch.setattr(chow_module, "_groebner", counted("groebner", chow_module._groebner))
-    path = write_instance(tmp_path, {"rank": boolean_table((1, 1, 2))})
+    path = write_instance(tmp_path, data)
     code, _, _ = run(capsys, ["verify-all", "--instance", path, "--trials", "50"])
     assert code == 0
-    # one lift; the Bergman fan and kahler's ambient fan; DP and FY once each
-    assert calls == {"lift": 1, "nested_set_fan": 2, "groebner": 2}
+    return calls
+
+
+def test_verify_all_builds_each_structure_once(tmp_path, capsys, monkeypatch):
+    calls = count_verify_all_builds(tmp_path, capsys, monkeypatch,
+                                    {"rank": boolean_table((1, 1, 2))})
+    # one lift; the lift is free, so the Bergman fan is kahler's ambient
+    # fan and is built once; DP and FY once each
+    assert calls == {"lift": 1, "nested_set_fan": 1, "groebner": 2}
+
+
+def test_verify_all_builds_the_ambient_fan_apart_when_the_lift_is_not_free(
+        tmp_path, capsys, monkeypatch):
+    calls = count_verify_all_builds(tmp_path, capsys, monkeypatch,
+                                    {"rank": U34, "building_set": U34_MIN_BUILDING})
+    # U(3,4) is its own lift, of rank 3 on 4 elements, so kahler's ambient
+    # fan is built apart from the Bergman fan of G; the support-refinement
+    # section adds the Bergman fan of the maximal building set
+    assert calls == {"lift": 1, "nested_set_fan": 3, "groebner": 2}

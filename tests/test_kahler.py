@@ -157,6 +157,33 @@ def test_ambient_fan_raises_for_nonboolean_lifted_set():
         ambient_complete_fan(pair)
 
 
+def boolean_base_ambient_fan(pair):
+    """The ambient fan by the Boolean-base route: the lifted members as a
+    validated building set of the Boolean lattice, and its nested-set fan."""
+    m = pair.proj.m
+    base = pc.boolean_polymatroid(pc.ProjectionMap((1,) * m))
+    return pc.nested_set_fan(pc.BuildingSet(base, pair.lifted.members), base.full_mask, m)
+
+
+@pytest.mark.parametrize("table", [boolean_table((2, 2)), P4, boolean_table((1, 1, 2)),
+                                   boolean_table((2, 2, 2)), boolean_table((1, 1, 1, 1, 1))])
+def test_free_lift_ambient_fan_is_the_bergman_fan(table):
+    pair = pair_of(table)
+    ambient = ambient_complete_fan(pair)
+    assert ambient is pc.bergman_fan(pair.P, pair.G)
+    reference = boolean_base_ambient_fan(pair)
+    assert (ambient.rays, ambient.cones) == (reference.rays, reference.cones)
+
+
+def test_ambient_fan_is_built_apart_when_the_lift_is_not_free():
+    pair = pair_of(U34, U34_MIN_BUILDING)
+    ambient = ambient_complete_fan(pair)
+    assert ambient is not pc.bergman_fan(pair.P, pair.G)
+    assert ambient != pc.bergman_fan(pair.P, pair.G)
+    reference = boolean_base_ambient_fan(pair)
+    assert (ambient.rays, ambient.cones) == (reference.rays, reference.cones)
+
+
 def test_sigma_cone_class_p1():
     pair = pair_of(P1)
     dp_poly, fy_poly = pc.sigma_cone_class(pair, 1)

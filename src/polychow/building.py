@@ -73,16 +73,12 @@ def is_geometric_building_set(base, members):
 
     At every nonempty flat F the ranks of the maximal members g_i below F
     must sum to rk(F), and the join map from the product of the intervals
-    [0, g_i] to [0, F] must be an order isomorphism: a bijection with as
-    many comparable pairs h <= k on both sides.  That suffices because the
-    join (closure of the union) is monotone for every submodular rank, and
-    a monotone bijection between finite posets maps comparable pairs
-    injectively into comparable pairs, so it is an order isomorphism iff
-    both posets have the same number of them.
-
-    That count cannot reject for a real closure (a `Polymatroid` or a lift):
-    join(s) <= join(t) gives join(s v t) = join(t) with s v t >= t, so an
-    injective join map reflects the order; a non-idempotent closure can.
+    [0, g_i] to [0, F] must be a bijection.  That bijection is an order
+    isomorphism for every real closure (a `Polymatroid` or a lift), so no
+    order test follows: the join (closure of the union) is monotone for
+    every submodular rank, and join(s) <= join(t) gives join(s v t) =
+    join(t) with s v t >= t, so an injective join map also reflects the
+    order.
     """
     members = frozenset(members)
     full = base.full_mask
@@ -98,10 +94,6 @@ def is_geometric_building_set(base, members):
     def interval(g):
         return [h for h in flats if h & g == h]
 
-    @cache
-    def comparable_pairs(g):
-        return sum(len(interval(k)) for k in interval(g))
-
     for F in flats:
         if F == 0:
             continue
@@ -113,8 +105,6 @@ def is_geometric_building_set(base, members):
             return False, F
         joins = {base.closure(reduce(or_, tup, 0)) for tup in product(*intervals)}
         if joins != set(interval(F)):
-            return False, F
-        if prod(map(comparable_pairs, maxima)) != comparable_pairs(F):
             return False, F
     return True, None
 
@@ -130,13 +120,14 @@ def lifted_building_set(P, G=None):
     """The induced building set on the minimal lift.
 
     Members are the preimages of the members of G together with the atoms
-    of the lift's flat lattice.  Returns (lift, BuildingSet on the lift),
+    of the lift, its rank-1 flats: the lift is loopless, so these are the
+    closures of its singletons.  Returns (lift, BuildingSet on the lift),
     memoized on G when G's base is P.
     """
     def build(G):
         M = lift(P)
         members = {M.proj.preimage(g) for g in G.members}
-        members.update(M.flat_lattice().atoms())
+        members.update(M.closure(1 << e) for e in range(M.m))
         return M, BuildingSet(M, members, validate=False)
 
     return memoized_on(P, G, "lifted", build)

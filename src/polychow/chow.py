@@ -32,9 +32,8 @@ bit, and the rings raise OverflowError on any monomial with one set.
 """
 
 from bisect import insort
-from fractions import Fraction
 from functools import cache
-from itertools import combinations, product
+from itertools import product
 
 from . import linalg
 from .bitsets import canonical_key, elements
@@ -75,23 +74,6 @@ class Codec:
 
     def degree(self, m):
         return sum(self.exponents(m))
-
-
-def poly_add(p, q):
-    out = dict(p)
-    for m, c in q.items():
-        c2 = out.get(m, 0) + c
-        if c2:
-            out[m] = c2
-        else:
-            out.pop(m, None)
-    return out
-
-
-def poly_scale(p, c):
-    if not c:
-        return {}
-    return {m: c * v for m, v in p.items()}
 
 
 def poly_mul(p, q):
@@ -244,9 +226,6 @@ class GradedRing:
         if len(layers) > r and layers[r]:
             raise AssertionError(
                 "truncated Groebner basis leaves standard monomials in degree %d" % r)
-
-    def one(self):
-        return {0: 1}
 
     def var(self, flat):
         return {self.codec.units[self.var_index[flat]]: 1}
@@ -515,14 +494,6 @@ class ChowPair:
             return values[0]
         return memoized(self.G if self.G.base is self.P else self, "degree_normalizer", build)
 
-    def deg_fy(self, poly):
-        """Degree of a top-degree FY element, exact rational."""
-        c = self.degree_normalizer()
-        return Fraction(self.fy.coords(poly, self.fy.top)[0], c)
-
-    def deg_dp(self, poly):
-        return self.deg_fy(self.phi(poly))
-
 
 def phi_iso_check(pair):
     """Verify that x_F -> y_{preimage(F)} is a graded ring isomorphism.
@@ -608,79 +579,3 @@ def pairing_det(pair, k, ring="dp"):
     k = min(k, pair.fy.top - k)
     return memoized(pair, ("pairing det", k, ring),
                     lambda: int(linalg.det(pairing_matrix(pair, k, ring))))
-
-
-# --- the z-presentation of the introduction ----------------------------------
-
-
-def zring_hilbert(P):
-    """Hilbert function of the ray presentation of A(Sigma_P) for the
-    maximal building set: variables z_F for proper nonempty flats and z_i
-    for lifted elements, with incomparability, rank-inequality, and linear
-    relations (z_empty read as 1).
-
-    No Groebner basis is supplied for this presentation, so dimensions are
-    computed degree by degree with exact linear algebra.
-    """
-    from .lift import lift as make_lift
-
-    M = make_lift(P)
-    proj = M.proj
-    full = P.full_mask
-    proper = [f for f in P.flats() if f != 0 and f != full]
-    m = proj.m
-    nvars = len(proper) + m
-    r = P.r
-    codec = Codec(nvars, r)
-    units = codec.units
-
-    gens = []
-    for a, b in combinations(range(len(proper)), 2):
-        f1, f2 = proper[a], proper[b]
-        if f1 & f2 != f1 and f1 & f2 != f2:
-            gens.append({units[a] + units[b]: 1})
-    flats_with_empty = [0] + proper
-    for F in flats_with_empty:
-        pre = proj.preimage(F)
-        outside = [i for i in range(m) if not pre >> i & 1]
-        for size in range(1, min(len(outside), 2 * r) + 1):
-            for T in combinations(outside, size):
-                T_mask = 0
-                for i in T:
-                    T_mask |= 1 << i
-                if P.rank(F | proj.image(T_mask)) <= P.rank(F) + size:
-                    exps = [0] * nvars
-                    if F:
-                        exps[proper.index(F)] += 1
-                    for i in T:
-                        exps[len(proper) + i] += 1
-                    gens.append({codec.pack(exps): 1})
-    lin = []
-    for i in range(m):
-        e = [0] * nvars
-        for idx, F in enumerate(proper):
-            if proj.preimage(F) >> i & 1:
-                e[idx] += 1
-        e[len(proper) + i] += 1
-        lin.append(e)
-    for j in range(1, m):
-        gens.append({units[i]: lin[0][i] - lin[j][i]
-                     for i in range(nvars) if lin[0][i] != lin[j][i]})
-
-    layers = _standard_monomials(codec, (), r)
-    hilbert = []
-    for d in range(r):
-        monos = layers[d]
-        index = {mn: i for i, mn in enumerate(monos)}
-        rows = []
-        for g in gens:
-            gdeg = codec.degree(next(iter(g)))
-            if gdeg > d:
-                continue
-            for shift in layers[d - gdeg]:
-                row = [0] * len(monos)
-                for gm, gc in g.items():
-                    row[index[codec.check(gm + shift)]] = gc
-                rows.append(row)
-        hilbert.append(len(monos) - (linalg.rank(rows) if rows else 0))
-    return tuple(hilbert)

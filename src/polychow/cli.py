@@ -29,8 +29,6 @@ MAX_GROUND_HEAVY = 8  # bounds P.n for HEAVY_COMMANDS
 MAX_POLYPERM_VERTICES = 362_880  # 9!: `polyperm` takes 1.4 s on a 2-vCPU VM
 MAX_FAN_LOOPS = 47_293  # Fubini(7): B(1^7) `polyperm --verify-fan` takes 1.7 s there
 
-COMMANDS = ("validate", "flats", "lift-rank", "geometric-flats", "nested-complex",
-            "fan", "polyperm", "chow", "kahler", "verify-all")
 # The commands that read the building set G; they enumerate nested sets.
 HEAVY_COMMANDS = ("nested-complex", "fan", "chow", "kahler", "verify-all")
 
@@ -159,15 +157,15 @@ def cmd_lift_rank(P, G, args):
 
 def cmd_geometric_flats(P, G, args):
     M = lift(P)
-    lattice, geo, mapping = geometric_flat_lattice(M)
+    flats, geo, mapping = geometric_flat_lattice(M)
     iso = True
-    for f in lattice.flats:
-        for g in lattice.flats:
+    for f in flats:
+        for g in flats:
             if (f & g == f) != (mapping[f] & mapping[g] == mapping[f]):
                 iso = False
-            if M.closure(mapping[f] | mapping[g]) != mapping[lattice.join(f, g)]:
+            if M.closure(mapping[f] | mapping[g]) != mapping[P.closure(f | g)]:
                 iso = False
-    return {"base_flats": len(lattice.flats), "geometric_flats": list(geo),
+    return {"base_flats": len(flats), "geometric_flats": list(geo),
             "isomorphic": iso}, iso
 
 
@@ -285,7 +283,7 @@ def main(argv=None):
     parser = ArgumentParser(
         prog="polychow",
         description="Bergman fans and Chow rings of polymatroids, exactly.")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=HANDLERS)
     parser.add_argument("--instance", required=True, help="path to instance JSON")
     parser.add_argument("--building-set", default=None,
                         help="path to a JSON list of flat masks, or 'maximal'")

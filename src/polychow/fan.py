@@ -10,7 +10,6 @@ its ray indices (all cones here are simplicial).  Cone membership and the
 pairwise-faces check use integer arithmetic only.
 """
 
-from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from math import gcd, lcm
@@ -55,7 +54,8 @@ class Fan(Immutable):
     """A simplicial fan given by a ray table and cones as ray-index sets.
 
     `locators` caches, per cone, the integer data `cone_contains` and
-    `cone_coordinates` use; it is filled the first time a cone is tested.
+    `complete_fan_certificate` use; it is filled the first time a cone is
+    tested.
     `subset_index` is None unless every ray is a `subset_vector`; then it
     holds two tuples of bitsets over ray indices, for `locate`: per element
     of E~ the rays whose subsets contain it, and per ray the rays whose
@@ -249,19 +249,6 @@ def _numerators(loc, W):
     return [sum(map(mul, row, Wr)) for row in adj]
 
 
-def cone_coordinates(fan, cone, w):
-    """Exact coordinates (Fractions) of w in the ray basis of a simplicial
-    cone, or None if w is outside the cone's span.  Uses the cone's cached
-    integer locator; raises ValueError if the rays are dependent."""
-    W, q = integral(w)
-    loc = _locator(fan, cone)
-    _, _, det, rest = loc
-    num = _numerators(loc, W)
-    if any(sum(map(mul, num, col)) != det * W[i] for i, col in rest):
-        return None                  # the coordinates in rows hold by construction
-    return [Fraction(x, det * q) for x in num]
-
-
 def cone_contains(fan, cone, w, strict=False):
     """Whether w lies in the cone (its relative interior if `strict`): an
     integer sign test on adj * W followed by the exact span test, each
@@ -317,22 +304,6 @@ def locate(fan, W):
             fresh ^= low
         inside = ~outside
     return fan.cone_masks().get(cone)
-
-
-def find_cone(fan, w):
-    """The unique cone whose relative interior contains w, or None.  The
-    located cone is tried first, then every cone."""
-    if all(x == 0 for x in w):
-        zero = frozenset()
-        return zero if zero in fan.cones else None
-    W, _ = integral(w)
-    cone = locate(fan, W)
-    if cone and cone_contains(fan, cone, W, strict=True):
-        return cone
-    for cone in fan.cones:
-        if cone and cone_contains(fan, cone, W, strict=True):
-            return cone
-    return None
 
 
 def refines(fine, coarse):
@@ -585,21 +556,6 @@ def balancing_check(fan):
             if any(x != 0 for x in total):
                 return False
         elif linalg.rank(span + [list(total)]) != linalg.rank(span):
-            return False
-    return True
-
-
-def is_complete(fan, trials=200, seed=0):
-    """Sampling check: every random rational point, drawn as integers by
-    `random_integral_point`, lies in the relative interior of exactly one
-    cone."""
-    rng = Random(seed)
-    for _ in range(trials):
-        w = random_integral_point(rng, fan.ambient_dim)
-        hits = sum(1 for cone in fan.cones
-                   if (cone and cone_contains(fan, cone, w, strict=True))
-                   or (not cone and all(x == 0 for x in w)))
-        if hits != 1:
             return False
     return True
 

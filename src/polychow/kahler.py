@@ -185,27 +185,3 @@ def kahler_package_report(pair):
         report["hard_lefschetz_k%d" % k] = hard_lefschetz_check(pair, ell, k)
         report["hodge_riemann_k%d" % k] = hodge_riemann_check(pair, ell, k)
     return report
-
-
-def sigma_cone_class(pair, F):
-    """The sigma-cone generator -sum(x_G for G containing F) as a DP
-    element, returned with its image in the FY presentation."""
-    if F not in pair.G.members:
-        raise ValueError("flat is not a building set member")
-    dp = pair.dp
-    poly = {m: -1 for g in dp.var_flats if g & F == F for m in dp.var(g)}
-    return poly, pair.phi(poly)
-
-
-def beta_class(pair, i):
-    """For a matroid with its maximal building set: the class
-    sum(y_F for proper flats F not containing i)."""
-    fy, full = pair.fy, pair.M.full_mask
-    return {m: 1 for g in fy.var_flats if g != full and not g >> i & 1 for m in fy.var(g)}
-
-
-def beta_class_corank_form(pair):
-    """The same class written as -sum((|G| - 1) y_G over members with at
-    least two elements), including the full ground set."""
-    fy = pair.fy
-    return {m: 1 - g.bit_count() for g in fy.var_flats if g.bit_count() > 1 for m in fy.var(g)}

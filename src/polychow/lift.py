@@ -11,7 +11,7 @@ orbits of subsets depend only on per-fiber counts.
 """
 
 from .bitsets import canonical_key
-from .polymatroid import Ground, Polymatroid, PolymatroidError, ProjectionMap, memoized
+from .polymatroid import Ground, PolymatroidError, ProjectionMap, memoized
 
 MAX_LIFT_GROUND = 16
 
@@ -94,11 +94,6 @@ class MultisymMatroid(Ground):
     def geometric_flats(self):
         return tuple(f for f in self.flats() if self.is_geometric(f))
 
-    def as_polymatroid(self):
-        """The lift as an explicit rank table (small ground sets only)."""
-        table = [self.rank(S) for S in range(1 << self.m)]
-        return Polymatroid(table, validate=False)
-
     def __repr__(self):
         return "MultisymMatroid(base=%r, fibers=%r)" % (self.base, self.proj.fiber_sizes)
 
@@ -113,13 +108,13 @@ def lift(P):
 def geometric_flat_lattice(M):
     """Geometric flats of the lift together with the base-lattice bijection.
 
-    Returns (lattice_of_P, geometric_flats_of_M, mapping F -> preimage(F)).
+    Returns (flats_of_P, geometric_flats_of_M, mapping F -> preimage(F)).
     Raises if some preimage of a base flat fails to be a flat of M, which
     would indicate an implementation bug.
     """
-    base_lattice = M.base.flat_lattice()
+    base_flats = M.base.flats()
     mapping = {}
-    for F in base_lattice.flats:
+    for F in base_flats:
         pre = M.proj.preimage(F)
         if not M.is_flat(pre):
             raise AssertionError(
@@ -128,4 +123,4 @@ def geometric_flat_lattice(M):
     geo = M.geometric_flats()
     if sorted(mapping.values()) != sorted(geo):
         raise AssertionError("geometric flats do not match base flat preimages")
-    return base_lattice, geo, mapping
+    return base_flats, geo, mapping

@@ -1,11 +1,13 @@
 """Exact linear algebra over the integers and rationals.
 
 Everything here works on plain lists of lists whose entries are ints or
-`fractions.Fraction`.  No floating point is used anywhere.  There is one
-row reduction, the fraction-free (Bareiss) `integer_rref`; rational input
-is first scaled row by row to integers with `integral_rows`, which changes
-no rank, kernel or solution set.  `rank`, `kernel_basis` and `solve` run
-on it; `det` and `is_positive_definite` run its triangular form.
+`fractions.Fraction`.  No floating point is used anywhere.  Elimination
+is fraction-free (Bareiss) on integers: rational input is first scaled
+row by row to integers with `integral_rows`, which changes no rank, kernel
+or solution set.  `rank`, `integer_kernel`, `kernel_basis` and `solve` run
+the Gauss-Jordan elimination `integer_rref`; `det` and
+`is_positive_definite` each run their own forward Bareiss pass, `det` with
+row swaps and `is_positive_definite` without pivoting.
 """
 
 from fractions import Fraction

@@ -76,9 +76,6 @@ class Ground(Immutable):
     def is_flat(self, mask):
         return self.closure(mask) == mask
 
-    def flat_lattice(self):
-        return FlatLattice(self)
-
 
 class Polymatroid(Ground):
     """Immutable rank table on the subsets of {0, ..., n-1}.  `_memo` holds
@@ -141,31 +138,6 @@ class Polymatroid(Ground):
         """All flats, sorted by (size, numeric value); memoized on P."""
         return memoized(self, "flats", lambda: tuple(sorted(
             (m for m in range(1 << self.n) if self.is_flat(m)), key=canonical_key)))
-
-    def restriction(self, flat_mask):
-        """Restriction to a flat, with elements reindexed in increasing order."""
-        if not self.is_flat(flat_mask):
-            raise PolymatroidError("restriction", (flat_mask,),
-                                   "restriction requires a flat")
-        elems = list(elements(flat_mask))
-        k = len(elems)
-        table = []
-        for sub in range(1 << k):
-            mask = 0
-            for j in range(k):
-                if sub >> j & 1:
-                    mask |= 1 << elems[j]
-            table.append(self.rank_table[mask])
-        return Polymatroid(table, validate=False)
-
-    def direct_sum(self, other):
-        n1, n2 = self.n, other.n
-        table = []
-        for mask in range(1 << (n1 + n2)):
-            a = mask & ((1 << n1) - 1)
-            b = mask >> n1
-            table.append(self.rank_table[a] + other.rank_table[b])
-        return Polymatroid(table, validate=False)
 
     def __eq__(self, other):
         return isinstance(other, Polymatroid) and self.rank_table == other.rank_table
@@ -230,42 +202,3 @@ def boolean_polymatroid(proj):
         proj = ProjectionMap(proj)
     table = [proj.preimage(a).bit_count() for a in range(1 << proj.n)]
     return Polymatroid(table, validate=False)
-
-
-class FlatLattice(Immutable):
-    """The lattice of flats of a `Ground`, ordered by inclusion; join is
-    closure of the union.
-    """
-
-    __slots__ = ("base", "flats", "index")
-
-    def __init__(self, base):
-        self.base = base
-        self.flats = tuple(base.flats())
-        self.index = {f: i for i, f in enumerate(self.flats)}
-
-    def __len__(self):
-        return len(self.flats)
-
-    def __contains__(self, mask):
-        return mask in self.index
-
-    def join(self, f, g):
-        return self.base.closure(f | g)
-
-    @property
-    def bottom(self):
-        return self.flats[0]
-
-    @property
-    def top(self):
-        return self.flats[-1]
-
-    def atoms(self):
-        """Minimal nonempty flats."""
-        nonbottom = [f for f in self.flats if f != self.bottom]
-        return tuple(f for f in nonbottom
-                     if not any(g != f and g & f == g for g in nonbottom))
-
-    def interval_below(self, f):
-        return tuple(g for g in self.flats if g & f == g)

@@ -68,50 +68,13 @@ class Polypermutohedron(Immutable):
             self.proj.fiber_sizes, self.c, len(self.vertices))
 
 
-class LowestPoset(Immutable):
-    """Per-fiber weight minimizers of a vector, preordered by weight.
-
-    `ranks` pairs each minimizer, in increasing order, with its dense
-    weight rank: how many distinct weights of minimizers lie below its own.
-    The weight preorder is total, and a total preorder on a finite set and
-    its dense rank function determine each other: i <= j iff rank(i) <=
-    rank(j), and rank(i) counts the classes strictly below that of i.  So
-    equality and hashing compare `ranks`, and `elements` and `relation`
-    (the pairs (i, j) with i <= j) are read from it.
-    """
-
-    __slots__ = ("ranks",)
-
-    def __init__(self, ranks):
-        self.ranks = tuple(ranks)
-
-    @property
-    def elements(self):
-        return frozenset(i for i, _ in self.ranks)
-
-    @property
-    def relation(self):
-        return frozenset((i, j) for i, a in self.ranks for j, b in self.ranks if a <= b)
-
-    def __eq__(self, other):
-        return isinstance(other, LowestPoset) and self.ranks == other.ranks
-
-    def __hash__(self):
-        return hash(self.ranks)
-
-    def __repr__(self):
-        return "LowestPoset(%r)" % (sorted(self.elements),)
-
-
-def lowest_poset(proj, w):
-    """Invariant under adding multiples of the all-ones vector to w."""
-    if not isinstance(proj, ProjectionMap):
-        proj = ProjectionMap(proj)
-    return LowestPoset(_lowest_ranks(proj, w))
-
-
 def _lowest_ranks(proj, w):
-    """The `ranks` of w's Lowest poset; w is a sequence."""
+    """w's Lowest poset: its per-fiber weight minimizers, in increasing
+    order, each paired with its dense weight rank, the number of distinct
+    minimizer weights below its own.  The weight preorder on the minimizers
+    is total, and a total preorder and its dense rank function determine
+    each other, so this tuple is the poset.  It is invariant under adding
+    multiples of the all-ones vector to the sequence w."""
     lows, start = [], 0
     for s in proj.fiber_sizes:
         lows.append(min(w[start:start + s]))
@@ -163,8 +126,9 @@ def _position_masks(Q):
             for a in range(n) for b in range(a + 1, n + 1)}
 
 
-def _minimizers_from_lowest(Q, lo):
-    """Minimizing vertex set of every w whose Lowest poset is `lo`.
+def _minimizers_from_lowest(Q, ranks):
+    """Minimizing vertex set of every w whose Lowest poset is `ranks`
+    (`_lowest_ranks`).
 
     A transversal minimizes iff each fiber f puts one of its minimizers in
     its rank block [a, b) of positions, where a fibers have higher rank than
@@ -176,10 +140,10 @@ def _minimizers_from_lowest(Q, lo):
     """
     masks = memoized(Q, "position_masks", lambda: _position_masks(Q))
     fiber_of = Q.proj.fiber_of
-    fiber_rank = {fiber_of[i]: rank for i, rank in lo.ranks}
+    fiber_rank = {fiber_of[i]: rank for i, rank in ranks}
     order = sorted(fiber_rank.values(), reverse=True)
     either = dict.fromkeys(fiber_rank, 0)   # fiber -> OR over its minimizers
-    for i, rank in lo.ranks:
+    for i, rank in ranks:
         a = order.index(rank)
         either[fiber_of[i]] |= masks[i, a, a + order.count(rank)]
     return reduce(and_, either.values(), (1 << len(Q.vertices)) - 1)
@@ -199,7 +163,7 @@ def normal_fan_equals(Q, fan, trials=1000, seed=0):
     set stored for its Lowest poset, so points share a relative interior if
     and only if they minimize at the same vertex set.  That set is, by
     construction, the characterization at the sample, so every sample
-    tests brute(w) == characterization(lowest_poset(w)) as bitsets, by one
+    tests brute(w) == characterization(_lowest_ranks(w)) as bitsets, by one
     `minimizing_vertices` call.  Samples are drawn as integers by
     `random_integral_point`: positive multiples of rational points, with
     their Lowest posets and argmins, so the comparisons need no Fractions.
@@ -218,7 +182,7 @@ def normal_fan_equals(Q, fan, trials=1000, seed=0):
         key = _lowest_ranks(proj, w)
         if key in minimizers:
             return False
-        minimizers[key] = _minimizers_from_lowest(Q, LowestPoset(key))
+        minimizers[key] = _minimizers_from_lowest(Q, key)
     if len(set(minimizers.values())) != len(minimizers):
         return False
     rng = Random(seed)

@@ -1,0 +1,229 @@
+"""Reference oracles that only the tests call.
+
+Each one gives an independent route to something `polychow` computes:
+polymatroid constructions, the minimal flats of a ground, Lowest posets
+as explicit relations, a sampled completeness test, cone queries by a scan
+and rational coordinates, exact rational degrees, the classes of the
+Kahler tests, and the ray-variable presentation of the Chow ring.
+"""
+
+from fractions import Fraction
+from itertools import combinations
+from operator import mul
+from random import Random
+
+import polychow as pc
+from polychow import linalg
+from polychow.bitsets import elements
+from polychow.chow import Codec, _standard_monomials
+from polychow.fan import _locator, _numerators, cone_contains, locate, random_integral_point
+from polychow.linalg import integral
+from polychow.polytope import _lowest_ranks
+
+# --- polymatroids and their flats ---------------------------------------------
+
+
+def restriction(P, flat_mask):
+    """Restriction to a flat, with elements reindexed in increasing order."""
+    if not P.is_flat(flat_mask):
+        raise pc.PolymatroidError("restriction", (flat_mask,), "restriction requires a flat")
+    elems = list(elements(flat_mask))
+    return pc.Polymatroid([P.rank(sum(1 << elems[j] for j in elements(sub)))
+                           for sub in range(1 << len(elems))], validate=False)
+
+
+def direct_sum(P, Q):
+    """P on the low elements, Q on the high ones."""
+    low = (1 << P.n) - 1
+    return pc.Polymatroid([P.rank(mask & low) + Q.rank(mask >> P.n)
+                           for mask in range(1 << (P.n + Q.n))], validate=False)
+
+
+def as_polymatroid(M):
+    """A lift as an explicit rank table (small ground sets only)."""
+    return pc.Polymatroid([M.rank(S) for S in range(1 << M.m)], validate=False)
+
+
+def flat_atoms(ground):
+    """The minimal nonempty flats of a `Polymatroid` or a lift."""
+    flats = [f for f in ground.flats() if f]
+    return {f for f in flats if not any(g != f and g & f == g for g in flats)}
+
+
+def lowest_poset(proj, w):
+    """w's Lowest poset as (elements, relation), read from the dense ranks
+    of `_lowest_ranks`: the per-fiber weight minimizers, and the pairs
+    (i, j) of them with rank(i) <= rank(j), that is, w[i] <= w[j]."""
+    ranks = _lowest_ranks(proj, w)
+    return (frozenset(i for i, _ in ranks),
+            frozenset((i, j) for i, a in ranks for j, b in ranks if a <= b))
+
+
+# --- fans ---------------------------------------------------------------------
+
+
+def cone_coordinates(fan, cone, w):
+    """Exact coordinates (Fractions) of w in the ray basis of a simplicial
+    cone, or None if w is outside the cone's span.  Uses the cone's cached
+    integer locator; raises ValueError if the rays are dependent."""
+    W, q = integral(w)
+    loc = _locator(fan, cone)
+    _, _, det, rest = loc
+    num = _numerators(loc, W)
+    if any(sum(map(mul, num, col)) != det * W[i] for i, col in rest):
+        return None                  # the coordinates in rows hold by construction
+    return [Fraction(x, det * q) for x in num]
+
+
+def find_cone(fan, w):
+    """The unique cone whose relative interior contains w, or None.  The
+    located cone is tried first, then every cone."""
+    if all(x == 0 for x in w):
+        zero = frozenset()
+        return zero if zero in fan.cones else None
+    W, _ = integral(w)
+    cone = locate(fan, W)
+    if cone and cone_contains(fan, cone, W, strict=True):
+        return cone
+    for cone in fan.cones:
+        if cone and cone_contains(fan, cone, W, strict=True):
+            return cone
+    return None
+
+
+def is_complete(fan, trials=200, seed=0):
+    """Sampling check: every random rational point, drawn as integers by
+    `random_integral_point`, lies in the relative interior of exactly one
+    cone."""
+    rng = Random(seed)
+    for _ in range(trials):
+        w = random_integral_point(rng, fan.ambient_dim)
+        hits = sum(1 for cone in fan.cones
+                   if (cone and cone_contains(fan, cone, w, strict=True))
+                   or (not cone and all(x == 0 for x in w)))
+        if hits != 1:
+            return False
+    return True
+
+
+# --- Chow rings ---------------------------------------------------------------
+
+
+def poly_add(p, q):
+    out = dict(p)
+    for m, c in q.items():
+        c2 = out.get(m, 0) + c
+        if c2:
+            out[m] = c2
+        else:
+            out.pop(m, None)
+    return out
+
+
+def poly_scale(p, c):
+    if not c:
+        return {}
+    return {m: c * v for m, v in p.items()}
+
+
+def deg_fy(pair, poly):
+    """Degree of a top-degree FY element, exact rational."""
+    return Fraction(pair.fy.coords(poly, pair.fy.top)[0], pair.degree_normalizer())
+
+
+def deg_dp(pair, poly):
+    return deg_fy(pair, pair.phi(poly))
+
+
+def sigma_cone_class(pair, F):
+    """The sigma-cone generator -sum(x_G for G containing F) as a DP
+    element, returned with its image in the FY presentation."""
+    if F not in pair.G.members:
+        raise ValueError("flat is not a building set member")
+    dp = pair.dp
+    poly = {m: -1 for g in dp.var_flats if g & F == F for m in dp.var(g)}
+    return poly, pair.phi(poly)
+
+
+def beta_class(pair, i):
+    """For a matroid with its maximal building set: the class
+    sum(y_F for proper flats F not containing i)."""
+    fy, full = pair.fy, pair.M.full_mask
+    return {m: 1 for g in fy.var_flats if g != full and not g >> i & 1 for m in fy.var(g)}
+
+
+def beta_class_corank_form(pair):
+    """The same class written as -sum((|G| - 1) y_G over members with at
+    least two elements), including the full ground set."""
+    fy = pair.fy
+    return {m: 1 - g.bit_count() for g in fy.var_flats if g.bit_count() > 1 for m in fy.var(g)}
+
+
+def zring_hilbert(P):
+    """Hilbert function of the ray presentation of A(Sigma_P) for the
+    maximal building set: variables z_F for proper nonempty flats and z_i
+    for lifted elements, with incomparability, rank-inequality, and linear
+    relations (z_empty read as 1).
+
+    No Groebner basis is supplied for this presentation, so dimensions are
+    computed degree by degree with exact linear algebra.
+    """
+    proj = pc.lift(P).proj
+    full = P.full_mask
+    proper = [f for f in P.flats() if f != 0 and f != full]
+    m = proj.m
+    nvars = len(proper) + m
+    r = P.r
+    codec = Codec(nvars, r)
+    units = codec.units
+
+    gens = []
+    for a, b in combinations(range(len(proper)), 2):
+        f1, f2 = proper[a], proper[b]
+        if f1 & f2 != f1 and f1 & f2 != f2:
+            gens.append({units[a] + units[b]: 1})
+    flats_with_empty = [0] + proper
+    for F in flats_with_empty:
+        pre = proj.preimage(F)
+        outside = [i for i in range(m) if not pre >> i & 1]
+        for size in range(1, min(len(outside), 2 * r) + 1):
+            for T in combinations(outside, size):
+                T_mask = 0
+                for i in T:
+                    T_mask |= 1 << i
+                if P.rank(F | proj.image(T_mask)) <= P.rank(F) + size:
+                    exps = [0] * nvars
+                    if F:
+                        exps[proper.index(F)] += 1
+                    for i in T:
+                        exps[len(proper) + i] += 1
+                    gens.append({codec.pack(exps): 1})
+    lin = []
+    for i in range(m):
+        e = [0] * nvars
+        for idx, F in enumerate(proper):
+            if proj.preimage(F) >> i & 1:
+                e[idx] += 1
+        e[len(proper) + i] += 1
+        lin.append(e)
+    for j in range(1, m):
+        gens.append({units[i]: lin[0][i] - lin[j][i]
+                     for i in range(nvars) if lin[0][i] != lin[j][i]})
+
+    layers = _standard_monomials(codec, (), r)
+    hilbert = []
+    for d in range(r):
+        monos = layers[d]
+        index = {mn: i for i, mn in enumerate(monos)}
+        rows = []
+        for g in gens:
+            gdeg = codec.degree(next(iter(g)))
+            if gdeg > d:
+                continue
+            for shift in layers[d - gdeg]:
+                row = [0] * len(monos)
+                for gm, gc in g.items():
+                    row[index[codec.check(gm + shift)]] = gc
+                rows.append(row)
+        hilbert.append(len(monos) - (linalg.rank(rows) if rows else 0))
+    return tuple(hilbert)

@@ -12,6 +12,7 @@ from polychow.chow import (Codec, _groebner, _minimalize, leading_monomial, poly
                            poly_pow)
 from conftest import (P1, P2, P3, P4, U34, U34_MIN_BUILDING, B111_MIN_BUILDING,
                       boolean_table)
+from oracles import flat_atoms
 
 
 # --- the subset-by-subset nested-set tests, kept as references --------------
@@ -199,9 +200,12 @@ def test_lifted_building_set_p1():
 
 
 def test_lifted_building_set_is_geometric():
-    for table in (P1, P2, P3, boolean_table((2, 2))):
-        P = pc.Polymatroid(table)
-        M, Gt = pc.lifted_building_set(P)
+    U12 = [0, 1, 1, 1]
+    U36 = [min(bin(S).count("1"), 3) for S in range(64)]
+    for table, members in KERNEL_FIXTURES + [(U12, None), (U36, None)]:
+        (_, G, _), (M, Gt, _) = fixture_building_sets(table, members)
+        # the atoms of the lift, closures of singletons, are its minimal nonempty flats
+        assert Gt.members == {M.proj.preimage(g) for g in G.members} | flat_atoms(M)
         ok, cert = pc.is_geometric_building_set(M, Gt.members)
         assert ok, table
 
@@ -377,7 +381,7 @@ def random_families(table):
     P = pc.Polymatroid(table)
     for base in (P, pc.lift(P)):
         flats = [f for f in base.flats() if f != 0]
-        atoms = [f for f in flats if not any(g != f and g & f == g for g in flats)]
+        atoms = flat_atoms(base)
         for trial in range(150):
             members = {f for f in flats if rng.random() < 0.5}
             if trial % 2:
@@ -397,32 +401,3 @@ def test_counting_check_matches_pairwise_on_random_families(table):
 def test_antichain_kernel_matches_reference_walk_on_random_families(table):
     for P, base, members in random_families(table):
         assert_kernel_matches_reference(base, pc.BuildingSet(base, members, validate=False), P.r)
-
-
-class OrderOnlyGround:
-    """A ground on five elements whose join map at F = {0,1,2,3} is a
-    bijection from [0, {0,1,3}] x [0, {2}] onto [0, F] but no order
-    isomorphism: {0} v {2} lies below {1} v {2}.  Its closure is monotone
-    but no closure operator (a polymatroid's bijective join map is always
-    an isomorphism, so only such a ground reaches the order stage).  F
-    comes first among the flats, so it is the first flat checked."""
-
-    full_mask = 31
-    _closure = {0: 0, 1: 1, 2: 2, 4: 4, 5: 5, 6: 7, 11: 11, 15: 15}
-    _rank = {4: 1, 11: 2, 15: 3}
-
-    def flats(self):
-        return [0, 15, 1, 2, 4, 5, 7, 11, 31]
-
-    def closure(self, mask):
-        return self._closure[mask]
-
-    def rank(self, mask):
-        return self._rank[mask]
-
-
-def test_counting_check_rejects_where_only_the_order_fails():
-    ground = OrderOnlyGround()
-    members = {4, 11, 31}
-    assert pc.is_geometric_building_set(ground, members) \
-        == pairwise_building_check(ground, members) == (False, 15)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 from collections import Counter
 import resource
 import subprocess
@@ -162,11 +163,23 @@ def test_unusable_input_exits_2(tmp_path, capsys, command, fields, flags):
     assert set(json.loads(err)) == {"error"}
 
 
+COMMANDS = ["validate", "flats", "lift-rank", "geometric-flats", "nested-complex",
+            "fan", "polyperm", "chow", "kahler", "verify-all"]
+
+
 def test_help_is_plain_text(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
-    assert capsys.readouterr().out.startswith("usage: polychow")
+    out = capsys.readouterr().out
+    assert out.startswith("usage: polychow")
+    # the handler table gives the choices, in this order, to the help text
+    # and to the invalid-choice message
+    assert "{%s}" % ",".join(COMMANDS) in out
+    code, _, err = run(capsys, ["bogus", "--instance", "x.json"])
+    message = json.loads(err)["error"]
+    assert code == 2 and message.startswith("argument command: invalid choice: 'bogus'")
+    assert re.findall(r"[a-z-]+", message.partition("(choose from ")[2]) == COMMANDS
 
 
 @pytest.mark.parametrize("fibers", BOOLEAN_FIBERS + [(1,), (3,), (1, 1, 1, 1)])

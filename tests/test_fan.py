@@ -11,6 +11,7 @@ from polychow.fan import (_has_positive_circuit, complete_fan_certificate, integ
                           locate, pairwise_faces_by_circuits, primitive)
 from conftest import (BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING,
                       boolean_table)
+from oracles import as_polymatroid, cone_coordinates, find_cone, is_complete
 
 
 def random_point(rng, dim, spread=10_000):
@@ -106,8 +107,8 @@ def test_unimodular_refuses_index_two_and_too_many_rays():
 def test_find_cone_examples():
     P, fan = fan_of(P2)
     # e_0 + e_{1 in the 2-fiber} is not in the support of U_{2,3}
-    assert pc.find_cone(fan, (1, 1)) is None or not pc.cone_contains(
-        fan, pc.find_cone(fan, (1, 1)), (1, 1))
+    assert find_cone(fan, (1, 1)) is None or not pc.cone_contains(
+        fan, find_cone(fan, (1, 1)), (1, 1))
     assert pc.in_support(fan, (1, 0))
     assert not pc.in_support(fan, (1, 1))
     assert pc.in_support(fan, (0, 0))
@@ -119,9 +120,9 @@ def test_cone_coordinates_roundtrip():
         rays = fan.cone_rays(cone)
         point = tuple(sum(2 * r[i] + 3 * rays[-1][i] for r in rays)
                       for i in range(fan.ambient_dim))
-        coords = pc.cone_coordinates(fan, cone, point)
+        coords = cone_coordinates(fan, cone, point)
         assert coords is not None and all(c >= 0 for c in coords)
-        found = pc.find_cone(fan, point)
+        found = find_cone(fan, point)
         assert found is not None and set(found) <= set(cone)
 
 
@@ -141,8 +142,8 @@ def test_lift_fan_refined_by_boolean_fan_support_differs():
     boolean = pc.boolean_bergman_fan(pc.ProjectionMap((2, 2)))
     # the boolean fan is complete; the lift fan is a proper subfan support
     assert not pc.same_support(boolean, lifted, trials=200)
-    assert pc.is_complete(boolean)
-    assert not pc.is_complete(lifted)
+    assert is_complete(boolean)
+    assert not is_complete(lifted)
 
 
 def test_sigma_p3_refines_u34_fan():
@@ -381,7 +382,7 @@ def test_cone_contains_matches_fraction_solve():
     for fan in fixture_fans() + random_collections()[::4]:
         for cone in fan.cones:
             for w in probe_points(rng, fan, cone):
-                coords = pc.cone_coordinates(fan, cone, w)
+                coords = cone_coordinates(fan, cone, w)
                 assert coords == reference_cone_coordinates(fan, cone, w)
                 for strict in (False, True):
                     got = pc.cone_contains(fan, cone, w, strict=strict)
@@ -545,7 +546,7 @@ def test_locate_matches_scans_on_fixture_fans():
                 # on a nested-set fan the level sets give the cone exactly,
                 # and no cone outside the support
                 assert locate(fan, integral(w)[0]) == found
-                assert pc.find_cone(fan, w) == found
+                assert find_cone(fan, w) == found
                 assert pc.in_support(fan, w) == scan_in_support(fan, w)
 
 
@@ -653,7 +654,7 @@ def test_unconfirmed_candidates_fall_back_to_the_scan():
             located = locate(fan, integral(w)[0])
             if located is not None and not reference_cone_contains(fan, located, w):
                 unconfirmed += 1
-            assert pc.find_cone(fan, w) == scan_find_cone(fan, w)
+            assert find_cone(fan, w) == scan_find_cone(fan, w)
             assert pc.in_support(fan, w) == scan_in_support(fan, w)
     # a candidate that is a cone not holding the point must not decide
     assert unconfirmed >= 10
@@ -671,7 +672,7 @@ def test_scan_path_without_a_subset_index():
                 assert locate(fan, integral(w)[0]) is None
                 got = pc.in_support(fan, w)
                 assert got == scan_in_support(fan, w)
-                found = pc.find_cone(fan, w)
+                found = find_cone(fan, w)
                 assert (found is None) == (scan_find_cone(fan, w) is None)
                 verdicts.add(got)
     assert verdicts == {False, True}
@@ -737,7 +738,7 @@ def support_pairs():
     pairs = []
     for table, members in [(t, None) for t in (P1, P2, P3, P4, U34)] + [(U34, U34_MIN_BUILDING)]:
         P, coarse = fan_of(table, members)
-        pairs.append((pc.maximal_bergman_fan_direct(pc.lift(P).as_polymatroid()), coarse))
+        pairs.append((pc.maximal_bergman_fan_direct(as_polymatroid(pc.lift(P))), coarse))
     pairs.append((fan_of(U34)[1], fan_of(U34, U34_MIN_BUILDING)[1]))
     pairs.append((pc.boolean_bergman_fan(pc.ProjectionMap((2, 2))), fan_of(P3)[1]))
     return pairs

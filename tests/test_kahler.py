@@ -6,11 +6,13 @@ import pytest
 
 import polychow as pc
 from polychow import kahler as kahler_module, linalg
-from polychow.chow import GradedRing, poly_add, poly_mul, poly_pow, poly_scale
+from polychow.chow import GradedRing, poly_mul, poly_pow
 from polychow.fan import primitive, subset_vector
 from polychow.kahler import (_hodge_riemann_form, _lefschetz_power, ambient_complete_fan,
                              nestohedron_class, nestohedron_values)
 from conftest import P1, P2, P3, P4, U34, U34_MIN_BUILDING, boolean_table
+from oracles import (beta_class, beta_class_corank_form, deg_fy, poly_add, poly_scale,
+                     sigma_cone_class)
 from test_fan import refused_complete_collections
 from test_polytope import nestohedron_support
 
@@ -115,7 +117,7 @@ def test_top_self_intersection_is_positive():
         pair = pair_of(table, members)
         ell = nestohedron_class(pair)[2]
         r = pair.P.r
-        assert pair.deg_fy(poly_pow(ell, r - 1)) > 0
+        assert deg_fy(pair, poly_pow(ell, r - 1)) > 0
 
 
 def test_hard_lefschetz_fixtures():
@@ -186,7 +188,7 @@ def test_ambient_fan_is_built_apart_when_the_lift_is_not_free():
 
 def test_sigma_cone_class_p1():
     pair = pair_of(P1)
-    dp_poly, fy_poly = pc.sigma_cone_class(pair, 1)
+    dp_poly, fy_poly = sigma_cone_class(pair, 1)
     assert {pair.dp.exponents(m): c for m, c in dp_poly.items()} == {(1,): -1}
     full_idx = pair.fy.var_index[pair.M.full_mask]
     key = tuple(1 if i == full_idx else 0 for i in range(pair.fy.nvars))
@@ -195,13 +197,13 @@ def test_sigma_cone_class_p1():
 
 def test_sigma_cone_class_p2():
     pair = pair_of(P2)
-    dp_poly, _ = pc.sigma_cone_class(pair, 1)
+    dp_poly, _ = sigma_cone_class(pair, 1)
     # members containing the flat {0}: {0} itself and E
     x0 = pair.dp.var(1)
     xE = pair.dp.var(3)
     assert dp_poly == poly_add(poly_scale(x0, -1), poly_scale(xE, -1))
     with pytest.raises(ValueError):
-        pc.sigma_cone_class(pair, 2)
+        sigma_cone_class(pair, 2)
 
 
 def test_beta_identity_matroids():
@@ -210,9 +212,9 @@ def test_beta_identity_matroids():
     for table in (U34, [0, 1, 1, 2], [0, 1, 1, 2, 1, 2, 2, 3]):
         pair = pair_of(table)
         fy = pair.fy
-        corank = fy.nf(pc.beta_class_corank_form(pair))
+        corank = fy.nf(beta_class_corank_form(pair))
         for i in range(pair.M.proj.m):
-            assert fy.nf(pc.beta_class(pair, i)) == corank
+            assert fy.nf(beta_class(pair, i)) == corank
 
 
 def perturbed_classes():
@@ -259,7 +261,7 @@ def reference_lefschetz_matrix(pair, ell, k):
     """Multiplication by nf(ell^(r-2k-1)) from degree k to degree r-1-k."""
     fy = pair.fy
     power = fy.r - 2 * k - 1
-    factor = fy.nf(poly_pow(ell, power)) if power else fy.one()
+    factor = fy.nf(poly_pow(ell, power)) if power else {0: 1}
     return reference_multiplication_matrix(pair, factor, k, fy.r - 1 - k)
 
 
@@ -272,9 +274,9 @@ def reference_hodge_riemann_form(pair, ell, k):
     basis = fy.basis[k]
     dim = len(basis)
     power = r - 2 * k - 1
-    factor = fy.nf(poly_pow(ell, power)) if power else fy.one()
+    factor = fy.nf(poly_pow(ell, power)) if power else {0: 1}
     sign = -1 if k % 2 else 1
-    form = [[sign * pair.deg_fy(poly_mul(factor, poly_mul({m1: 1}, {m2: 1})))
+    form = [[sign * deg_fy(pair, poly_mul(factor, poly_mul({m1: 1}, {m2: 1})))
              for m2 in basis] for m1 in basis]
     identity = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
     if k == 0:

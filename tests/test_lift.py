@@ -1,5 +1,6 @@
 import polychow as pc
 from conftest import P2, P3, P4, U34, boolean_table
+from oracles import as_polymatroid, direct_sum, restriction
 
 
 def lift_table(P):
@@ -102,12 +103,12 @@ def test_geometric_flat_lattice():
     for table in (P2, P3, P4, boolean_table((1, 2))):
         P = pc.Polymatroid(table)
         M = pc.lift(P)
-        lattice, geo, mapping = pc.geometric_flat_lattice(M)
-        assert sorted(mapping.values()) == sorted(geo)
-        for f in lattice.flats:
-            for g in lattice.flats:
+        flats, geo, mapping = pc.geometric_flat_lattice(M)
+        assert flats == P.flats() and sorted(mapping.values()) == sorted(geo)
+        for f in flats:
+            for g in flats:
                 assert (f & g == f) == (mapping[f] & mapping[g] == mapping[f])
-                assert M.closure(mapping[f] | mapping[g]) == mapping[lattice.join(f, g)]
+                assert M.closure(mapping[f] | mapping[g]) == mapping[P.closure(f | g)]
 
 
 def test_geometric_flats_of_p2():
@@ -125,17 +126,17 @@ def test_flat_rank_geometric_identity():
 def test_lift_commutes_with_direct_sum():
     P1a = pc.Polymatroid(P2)
     P1b = pc.Polymatroid([0, 2])
-    combined = lift_table(P1a.direct_sum(P1b))
-    Ma = pc.lift(P1a).as_polymatroid()
-    Mb = pc.lift(P1b).as_polymatroid()
-    assert combined == list(Ma.direct_sum(Mb).rank_table)
+    combined = lift_table(direct_sum(P1a, P1b))
+    Ma = as_polymatroid(pc.lift(P1a))
+    Mb = as_polymatroid(pc.lift(P1b))
+    assert combined == list(direct_sum(Ma, Mb).rank_table)
 
 
 def test_lift_commutes_with_restriction():
     P = pc.Polymatroid(P3)
     M = pc.lift(P)
     for F in P.flats():
-        sub_lift = pc.lift(P.restriction(F))
+        sub_lift = pc.lift(restriction(P, F))
         pre = M.proj.preimage(F)
         els = [i for i in range(M.m) if pre >> i & 1]
         for S in range(1 << len(els)):

@@ -7,8 +7,9 @@ import pytest
 import polychow as pc
 from polychow import polytope
 from polychow.bitsets import elements
-from polychow.polytope import embed, minimizing_vertices, _minimizers_from_lowest
+from polychow.polytope import embed, minimizing_vertices, _lowest_ranks, _minimizers_from_lowest
 from conftest import BOOLEAN_FIBERS, all_partitions_m6
+from oracles import lowest_poset
 
 
 def test_vertices_two_singleton_fibers():
@@ -37,12 +38,12 @@ def test_c_must_be_strictly_increasing():
 
 def test_lowest_poset_examples():
     proj = pc.ProjectionMap((2, 1))
-    lo = pc.lowest_poset(proj, (0, 1, 5))
-    assert lo.elements == {0, 2}
-    assert (0, 2) in lo.relation and (2, 0) not in lo.relation
-    tie = pc.lowest_poset(proj, (3, 3, 3))
-    assert tie.elements == {0, 1, 2}
-    assert (0, 1) in tie.relation and (1, 0) in tie.relation
+    elements, relation = lowest_poset(proj, (0, 1, 5))
+    assert elements == {0, 2}
+    assert (0, 2) in relation and (2, 0) not in relation
+    elements, relation = lowest_poset(proj, (3, 3, 3))
+    assert elements == {0, 1, 2}
+    assert (0, 1) in relation and (1, 0) in relation
 
 
 def test_lowest_poset_all_ones_invariance():
@@ -51,7 +52,7 @@ def test_lowest_poset_all_ones_invariance():
     for _ in range(50):
         w = tuple(rng.randrange(-5, 6) for _ in range(3))
         shifted = tuple(x + 4 for x in w)
-        assert pc.lowest_poset(proj, w) == pc.lowest_poset(proj, shifted)
+        assert _lowest_ranks(proj, w) == _lowest_ranks(proj, shifted)
 
 
 def vertices_of(Q, bits):
@@ -65,7 +66,7 @@ def test_minimizer_decreasing_orientation():
     Q = pc.Polypermutohedron((1, 1, 1), c=(1, 2, 3))
     w = (0, 1, 2)
     assert vertices_of(Q, minimizing_vertices(Q, w)) == {(3, 2, 1)}
-    assert vertices_of(Q, _minimizers_from_lowest(Q, pc.lowest_poset(Q.proj, w))) == {(3, 2, 1)}
+    assert vertices_of(Q, _minimizers_from_lowest(Q, _lowest_ranks(Q.proj, w))) == {(3, 2, 1)}
     assert reference_minimizing_vertices(Q, w) == ({(3, 2, 1)}, {(3, 2, 1)})
 
 
@@ -78,7 +79,7 @@ def test_minimizer_predicate_matches_brute_force():
             w = tuple(Fraction(rng.randrange(-30, 31), rng.randrange(1, 5))
                       for _ in range(m))
             bits = minimizing_vertices(Q, w)
-            assert _minimizers_from_lowest(Q, pc.lowest_poset(Q.proj, w)) == bits
+            assert _minimizers_from_lowest(Q, _lowest_ranks(Q.proj, w)) == bits
             brute = vertices_of(Q, bits)
             assert reference_minimizing_vertices(Q, w) == (brute, brute)
 
@@ -144,7 +145,7 @@ def test_minimizing_vertices_matches_the_reference_scan():
                 got = vertices_of(Q, bits)
                 assert (got, got) == reference_minimizing_vertices(Q, w), (fibers, c, w)
                 assert got == column_sum_minimizing_vertices(Q, w), (fibers, c, w)
-                assert bits == _minimizers_from_lowest(Q, pc.lowest_poset(Q.proj, w)), \
+                assert bits == _minimizers_from_lowest(Q, _lowest_ranks(Q.proj, w)), \
                     (fibers, c, w)
                 sizes.add(len(got) > 1)
     # ties give several minimizers, generic points one
@@ -152,13 +153,13 @@ def test_minimizing_vertices_matches_the_reference_scan():
     assert shared > 0
 
 
-def enumerated_minimizers(Q, lo):
+def enumerated_minimizers(Q, ranks):
     """_minimizers_from_lowest as it was before the position masks: every
     minimizing transversal enumerated (per-fiber minima, fibers in weakly
     decreasing weight rank with all tie orders), its vertex read from
     `Q.vertex_of`."""
     levels = {}                      # rank -> fiber -> its minimizers
-    for i, rank in lo.ranks:
+    for i, rank in ranks:
         levels.setdefault(rank, {}).setdefault(Q.proj.fiber_of[i], []).append(i)
     bits = 0
     for arrangement in product(*(permutations(levels[rank].values())
@@ -181,15 +182,15 @@ def test_position_masks_match_the_enumeration():
             points += [tuple(rng.randrange(-20, 21) for _ in range(m)) for _ in range(4)]
             points += [(0,) * m, tuple(Fraction(rng.randrange(-9, 10), 2) for _ in range(m))]
             for w in points:
-                lo = pc.lowest_poset(Q.proj, w)
-                bits = _minimizers_from_lowest(Q, lo)
-                assert bits == enumerated_minimizers(Q, lo) == minimizing_vertices(Q, w), \
+                ranks = _lowest_ranks(Q.proj, w)
+                bits = _minimizers_from_lowest(Q, ranks)
+                assert bits == enumerated_minimizers(Q, ranks) == minimizing_vertices(Q, w), \
                     (fibers, c, w)
-                fiber_ranks = {(Q.proj.fiber_of[i], r) for i, r in lo.ranks}
+                fiber_ranks = {(Q.proj.fiber_of[i], r) for i, r in ranks}
                 shared_blocks += len(fiber_ranks) > len({r for _, r in fiber_ranks})
                 several += bits.bit_count() > 1
     # n = 0 has its one empty vertex
-    assert _minimizers_from_lowest(pc.Polypermutohedron(()), pc.LowestPoset(())) == 1
+    assert _minimizers_from_lowest(pc.Polypermutohedron(()), ()) == 1
     # rank blocks held by several fibers, and several minimizers, are common
     assert shared_blocks > 500 and several > 500
 
@@ -253,18 +254,18 @@ def test_normal_fan_equality():
         assert pc.normal_fan_equals(Q, doubled, trials=200, seed=3)
 
 
-def increasing_weight_order(Q, lo):
+def increasing_weight_order(Q, ranks):
     """A wrong characterization: fibers in increasing weight order."""
-    top = max(rank for _, rank in lo.ranks)
-    return _minimizers_from_lowest(Q, pc.LowestPoset((i, top - rank) for i, rank in lo.ranks))
+    top = max(rank for _, rank in ranks)
+    return _minimizers_from_lowest(Q, tuple((i, top - rank) for i, rank in ranks))
 
 
-def first_minimizer_per_fiber(Q, lo):
+def first_minimizer_per_fiber(Q, ranks):
     """A wrong characterization: only the first minimizer of each fiber."""
     firsts = {}
-    for i, rank in lo.ranks:
+    for i, rank in ranks:
         firsts.setdefault(Q.proj.fiber_of[i], (i, rank))
-    return _minimizers_from_lowest(Q, pc.LowestPoset(firsts.values()))
+    return _minimizers_from_lowest(Q, tuple(firsts.values()))
 
 
 @pytest.mark.parametrize("wrong, fans", [
@@ -380,16 +381,16 @@ def test_rank_form_lowest_poset_and_vertex_table_match_the_references():
         points += [tuple(Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(m))
                    for _ in range(40)]
         points += [(0,) * m, (Fraction(1, 2),) * m]
-        posets = [pc.lowest_poset(Q.proj, w) for w in points]
+        posets = [_lowest_ranks(Q.proj, w) for w in points]
         references = [reference_lowest_poset(Q.proj, w) for w in points]
-        for w, lo, ref in zip(points, posets, references):
-            assert (lo.elements, lo.relation) == ref, (fibers, w)
-            assert vertices_of(Q, _minimizers_from_lowest(Q, lo)) == \
+        for w, ranks, ref in zip(points, posets, references):
+            assert lowest_poset(Q.proj, w) == ref, (fibers, w)
+            assert vertices_of(Q, _minimizers_from_lowest(Q, ranks)) == \
                 reference_minimizers_from_lowest(Q, w)
-        for i, (lo1, ref1) in enumerate(zip(posets, references)):
-            for lo2, ref2 in zip(posets[:i], references):
-                assert (lo1 == lo2) == (ref1 == ref2)
-                assert lo1 != lo2 or hash(lo1) == hash(lo2)
+        # the rank tuples are equal exactly when the posets are
+        for i, (ranks1, ref1) in enumerate(zip(posets, references)):
+            for ranks2, ref2 in zip(posets[:i], references):
+                assert (ranks1 == ranks2) == (ref1 == ref2)
                 equal_pairs += ref1 == ref2
                 unequal_pairs += ref1 != ref2
     # distinct points with equal posets occur, so equality is not identity

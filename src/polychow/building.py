@@ -4,10 +4,8 @@ Everything here is generic over a `Ground`: a `Polymatroid` or its lift,
 each exposing `full_mask`, `rank`, `closure` and `flats`.
 """
 
-from functools import cache, reduce
-from itertools import product
+from functools import cache
 from math import prod
-from operator import or_
 
 from .bitsets import canonical_key
 from .lift import lift
@@ -64,8 +62,14 @@ def maximal_building_set(base):
 
 
 def _max_members_below(members, flat):
-    below = [g for g in members if g & flat == g]
-    return [g for g in below if not any(h != g and h & g == g for h in below)]
+    """The maximal members inside `flat`.  Taken largest first, a member is
+    kept unless a kept one contains it: a member below another lies below
+    a maximal one, and every containing member is larger."""
+    maxima = []
+    for g in sorted((g for g in members if g & flat == g), key=int.bit_count, reverse=True):
+        if not any(g & h == g for h in maxima):
+            maxima.append(g)
+    return maxima
 
 
 def is_geometric_building_set(base, members):
@@ -94,6 +98,8 @@ def is_geometric_building_set(base, members):
     def interval(g):
         return [h for h in flats if h & g == h]
 
+    closure = cache(base.closure)
+
     for F in flats:
         if F == 0:
             continue
@@ -103,8 +109,10 @@ def is_geometric_building_set(base, members):
         intervals = [interval(g) for g in maxima]
         if prod(map(len, intervals)) != len(interval(F)):
             return False, F
-        joins = {base.closure(reduce(or_, tup, 0)) for tup in product(*intervals)}
-        if joins != set(interval(F)):
+        unions = {0}
+        for below in intervals:
+            unions = {u | h for u in unions for h in below}
+        if {closure(u) for u in unions} != set(interval(F)):
             return False, F
     return True, None
 

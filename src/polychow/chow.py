@@ -28,12 +28,14 @@ the lexicographic order of the exponent tuples, a product is a sum, and
 d divides m exactly when (m | guard) - d keeps every guard bit.  A sum
 of two monomials cannot carry out of a field: an overflow sets a guard
 bit, and the rings raise OverflowError on any monomial with one set.
-`GradedRing.exponents` unpacks a monomial into its exponent tuple.
+`GradedRing.exponents` unpacks a monomial into its exponent tuple, and
+a `DivisorIndex` finds the first leading term dividing a monomial.
 """
 
 from bisect import insort
-from functools import cache
+from functools import cache, cached_property
 from itertools import product
+from sys import maxsize
 
 from . import linalg
 from .bitsets import canonical_key, elements
@@ -46,34 +48,32 @@ from .polymatroid import memoized
 
 class Codec:
     """Exponent vectors of `nvars` variables as packed ints, with fields
-    wide enough for every exponent up to 2r (see the module docstring)."""
+    wide enough for every exponent up to 2r (see the module docstring).
+    A monomial's support is the guard bits of its nonzero fields; the guard
+    bit of the field at shift s has bit length s + width."""
 
     def __init__(self, nvars, r):
         width = (2 * r).bit_length() + 1
         self.nvars = nvars
+        self.width = width
         self.cap = (1 << (width - 1)) - 1          # the largest exponent
         self.shifts = tuple(width * (nvars - 1 - i) for i in range(nvars))
         self.units = tuple(1 << s for s in self.shifts)
-        self.guard = sum(u << (width - 1) for u in self.units)
-        self._field = (1 << width) - 1
-
-    def pack(self, exps):
-        if len(exps) != self.nvars or exps and not 0 <= min(exps) <= max(exps) <= self.cap:
-            raise OverflowError("exponents %r do not fit %d fields of at most %d"
-                                % (tuple(exps), self.nvars, self.cap))
-        return sum(e << s for e, s in zip(exps, self.shifts))
+        self.ones = sum(self.units)
+        self.guard = self.ones << (width - 1)
+        self.field = (1 << width) - 1
 
     def exponents(self, m):
         self.check(m)
-        return tuple(m >> s & self._field for s in self.shifts)
+        return tuple(m >> s & self.field for s in self.shifts)
 
     def check(self, m):
         if m & self.guard:
             raise OverflowError("a monomial exponent exceeds %d" % self.cap)
         return m
 
-    def degree(self, m):
-        return sum(self.exponents(m))
+    def support(self, m):
+        return ((m | self.guard) - self.ones) & self.guard
 
 
 def poly_mul(p, q):
@@ -102,28 +102,69 @@ def leading_monomial(p):
     return max(p)
 
 
-def _first_divisor(m, leads, guard):
-    """Index of the first of `leads` dividing m, or None."""
-    m |= guard
-    for i, lt in enumerate(leads):
-        if (m - lt) & guard == guard:
-            return i
-    return None
+class DivisorIndex:
+    """A list of monomials of one `Codec`, indexed for the query "the first
+    of them dividing m" (a divisor index, as in Roune-Stillman, "Practical
+    Groebner basis computation").
+
+    A monomial divides m only if its first (most significant) variable is in
+    m's support, so the monomials are bucketed by that variable's guard bit,
+    each bucket in list order.  `first(m)` visits the buckets of m's support
+    and stops each at its first divisor or past the best index found so far,
+    so it returns the index that a scan of the whole list returns.  The
+    constant monomial divides everything, so the first one listed bounds
+    every answer.
+    """
+
+    def __init__(self, codec, leads=()):
+        self.codec = codec
+        self.guard, self.ones = codec.guard, codec.ones
+        self.buckets = [[] for _ in range(self.guard.bit_length() + 1)]
+        self.size = 0
+        self.start = maxsize         # index of the first constant monomial
+        for lt in leads:
+            self.add(lt)
+
+    def add(self, lt):
+        """Append lt to the list."""
+        top = self.codec.support(lt).bit_length()
+        if top:
+            self.buckets[top].append((self.size, lt))
+        elif self.start == maxsize:
+            self.start = self.size
+        self.size += 1
+
+    def first(self, m):
+        """Index of the first listed term dividing m, or None."""
+        guard, buckets = self.guard, self.buckets
+        support = ((m | guard) - self.ones) & guard      # inlined codec.support
+        m |= guard
+        best = self.start
+        while support:
+            top = support.bit_length()
+            support ^= 1 << (top - 1)
+            for i, lt in buckets[top]:
+                if i > best:
+                    break
+                if (m - lt) & guard == guard:
+                    best = i
+                    break
+        return None if best == maxsize else best
 
 
-def reduce_poly(p, groebner, guard):
+def reduce_poly(p, groebner, divisors):
     """Normal form against a list of (leading_monomial, polynomial) pairs,
-    for monomials whose guard bits are `guard`.
+    whose leading monomials `divisors` (a `DivisorIndex`) indexes.
 
     All leading coefficients are 1, so integer inputs stay integral.  The
     terms of p are sorted once into a worklist and taken largest first; each
-    is reduced by the first generator whose leading monomial divides it
-    (`_first_divisor`).  Reducing a term adds only smaller terms, which are
-    inserted in order, so a term found irreducible is final and the
-    reductions happen in the same order as rescanning p for its largest
-    reducible term after every step.
+    is reduced by the first generator whose leading monomial divides it.
+    Reducing a term adds only smaller terms, which are inserted in order,
+    so a term found irreducible is final and the reductions happen in the
+    same order as rescanning p for its largest reducible term after every
+    step.
     """
-    leads = [lt for lt, _ in groebner]
+    guard = divisors.guard
     p = dict(p)
     work = sorted(p)
     if any(m & guard for m in work):
@@ -133,7 +174,7 @@ def reduce_poly(p, groebner, guard):
         c = p.get(m)
         if c is None:            # cancelled after it was queued
             continue
-        i = _first_divisor(m, leads, guard)
+        i = divisors.first(m)
         if i is None:
             continue
         lt, g = groebner[i]
@@ -154,28 +195,36 @@ def reduce_poly(p, groebner, guard):
 
 
 def _minimalize(candidates, codec):
-    """Keep one generator per minimal leading monomial.
+    """Keep one generator per minimal leading monomial, in (degree, monomial)
+    order; each candidate (flats, g, d) has degree len(flats) + d.
 
     Dropping a Groebner-basis element whose leading monomial is divisible
     by another's preserves the Groebner property.
     """
-    keep = []
-    for m in sorted(candidates, key=lambda m: (codec.degree(m), m)):
-        if _first_divisor(m, keep, codec.guard) is None:
-            keep.append(m)
-    return [(m, candidates[m]) for m in keep]
+    def order(item):
+        m, (flats, _, d) = item
+        return len(flats) + d, m
+
+    keep = DivisorIndex(codec)
+    out = []
+    for m, candidate in sorted(candidates.items(), key=order):
+        if keep.first(m) is None:
+            keep.add(m)
+            out.append((m, candidate))
+    return out
 
 
-def _standard_monomials(codec, leading_terms, stop):
-    """Monomials of degree < stop that no leading term divides, as one tuple
-    per degree, each sorted largest first.
+def _standard_monomials(codec, divisors, stop):
+    """Monomials of degree < stop that no leading term divides (none that
+    the `DivisorIndex` divisors holds), as one tuple per degree, each
+    sorted largest first.
 
     They form an order ideal (closed under division), so degree d+1 is grown
     from degree d: each monomial times every variable from its last nonzero
     exponent on, which reaches every monomial of degree d+1 exactly once.
     Every exponent stays below stop, at most r + 1, so no field overflows.
     """
-    units, guard = codec.units, codec.guard
+    units, first_divisor = codec.units, divisors.first
     layers = []
     layer = [(0, 0)]                 # (monomial, first variable to multiply)
     for d in range(stop):
@@ -186,7 +235,7 @@ def _standard_monomials(codec, leading_terms, stop):
         for m, first in layer:
             for i in range(first, codec.nvars):
                 n = m + units[i]
-                if _first_divisor(n, leading_terms, guard) is None:
+                if first_divisor(n) is None:
                     grown.append((n, i))
         layer = grown
     return layers
@@ -198,8 +247,9 @@ class GradedRing:
     `basis[d]` lists the degree-d standard monomials, largest first, grown
     as an order ideal up to degree r, which must be empty; `basis_index[d]`
     maps each to its position.  Monomials are packed by `codec` (a `Codec`
-    for nvars variables and rank r); `exponents` unpacks one.  `nf` is the
-    worklist reduction of the module-level `reduce_poly`.
+    for nvars variables and rank r); `exponents` unpacks one.  `divisors`
+    is the `DivisorIndex` of the leading terms.  `nf` is the worklist
+    reduction of the module-level `reduce_poly`.
     `coords` reads each monomial's normal form from a table private to the
     ring, filled on first use and kept for the ring's lifetime.
     """
@@ -212,15 +262,14 @@ class GradedRing:
         self.r = r
         self.top = r - 1
         self.groebner = groebner
-        self.leads = [lt for lt, _ in groebner]
         self.codec = Codec(self.nvars, r)
-        self.guard = self.codec.guard
+        self.divisors = DivisorIndex(self.codec, [lt for lt, _ in groebner])
         self._table = {}
         # Everything in degrees r..2r-2 must vanish for the truncated
         # generator set to be safe in the degrees we compute in.  Standard
         # monomials are closed under division, so that holds iff degree r
         # has none; for r = 1 the range is empty and nothing is checked.
-        layers = _standard_monomials(self.codec, self.leads, r + 1 if r > 1 else r)
+        layers = _standard_monomials(self.codec, self.divisors, r + 1 if r > 1 else r)
         self.basis = tuple(layers[:r])
         self.basis_index = tuple({m: i for i, m in enumerate(b)} for b in self.basis)
         if len(layers) > r and layers[r]:
@@ -235,16 +284,17 @@ class GradedRing:
         return self.codec.exponents(m)
 
     def nf(self, poly):
-        return reduce_poly(poly, self.groebner, self.guard)
+        return reduce_poly(poly, self.groebner, self.divisors)
 
     def _monomial_nf(self, m):
         """Table entry of m: {m: 1} if m is standard, else -sum(c * entry(t * m / lt))
         over the terms c * t != lt of the first generator whose leading term lt
         divides m.  Reduction by a fixed generator per monomial is linear, so
         summed entries equal `reduce_poly`'s normal form as dicts."""
-        entry = self._table.get(m)
+        table = self._table
+        entry = table.get(m)
         if entry is None:
-            i = _first_divisor(self.codec.check(m), self.leads, self.guard)
+            i = self.divisors.first(self.codec.check(m))
             if i is None:
                 entry = {m: 1}
             else:
@@ -253,10 +303,12 @@ class GradedRing:
                 entry = {}
                 for gm, gc in g.items():
                     if gm != lt:
-                        for k, v in self._monomial_nf(gm + shift).items():
+                        t = gm + shift
+                        sub = table.get(t)
+                        for k, v in (self._monomial_nf(t) if sub is None else sub).items():
                             entry[k] = entry.get(k, 0) - gc * v
                 entry = {k: v for k, v in entry.items() if v}
-            self._table[m] = entry
+            table[m] = entry
         return entry
 
     def coords(self, poly, degree):
@@ -266,8 +318,10 @@ class GradedRing:
         index = self.basis_index[degree] if 0 <= degree < self.r else {}
         vec = [0] * len(index)
         stray = {}
+        table = self._table
         for m, c in poly.items():
-            for k, v in self._monomial_nf(m).items():
+            entry = table.get(m)
+            for k, v in (self._monomial_nf(m) if entry is None else entry).items():
                 i = index.get(k)
                 if i is None:
                     stray[k] = stray.get(k, 0) + c * v
@@ -305,20 +359,20 @@ def _groebner(ground, building, r):
     Candidates are grown from the nested antichains only, one member at a
     time, so the work follows the nested complex rather than all subsets
     of members; only generators with a minimal leading monomial are kept.
+
+    A monomial is the sum of its variables' `Codec.units`, and no field can
+    overflow: each member of an antichain appears once, and g lies strictly
+    above N, so every exponent is at most max(1, d) <= 2r - 1 <= cap.
     """
     members = sorted(building.members, key=canonical_key)
-    index = {f: i for i, f in enumerate(members)}
     nvars = len(members)
     limit = 2 * r - 1
     codec = Codec(nvars, r)
+    unit = dict(zip(members, codec.units))
 
     def mono_of(flats, extra=None, power=0):
-        exps = [0] * nvars
-        for f in flats:
-            exps[index[f]] += 1
-        if extra is not None:
-            exps[index[extra]] += power
-        return codec.pack(exps)
+        m = sum(unit[f] for f in flats)
+        return m if extra is None else m + power * unit[extra]
 
     comparable, above = comparability_masks(members)
     closure = cache(ground.closure)
@@ -438,31 +492,52 @@ class ChowPair:
     """DP and FY presentations of the same Chow ring, with the variable
     substitution x_F -> y_{preimage(F)} and the degree normalization.
     `_memo` holds the degree normalizer, the pairing matrices and the
-    Lefschetz matrices of `polychow.kahler`."""
+    Lefschetz matrices of `polychow.kahler`.  The DP ring and the
+    substitution are built on first use, once per pair: the Kahler checks
+    read only the FY ring."""
 
     def __init__(self, P, G=None):
         self.P = P
         self.G = G if G is not None else maximal_building_set(P)
-        self.dp = dp_ring(P, self.G)
         self.fy = fy_ring(P, self.G)
         self.M, self.lifted = lifted_building_set(P, self.G)
         self.proj = self.M.proj
-        self._translate = [self.fy.var_index[self.proj.preimage(f)]
-                           for f in self.dp.var_flats]
         self._memo = {}
         self._images = {}
 
+    @cached_property
+    def dp(self):
+        return dp_ring(self.P, self.G)
+
+    @cached_property
+    def _translate(self):
+        return [self.fy.var_index[self.proj.preimage(f)] for f in self.dp.var_flats]
+
+    @cached_property
+    def _fields(self):
+        """Per DP variable, keyed by the bit length of its field's guard
+        bit: the field's shift and the FY unit of the variable's image."""
+        codec, units = self.dp.codec, self.fy.codec.units
+        return {s + codec.width: (s, units[t]) for s, t in zip(codec.shifts, self._translate)}
+
     def phi(self, poly):
-        """Transport a DP polynomial to the FY variables; each monomial's
-        image is computed once per pair."""
+        """Transport a DP polynomial to the FY variables.  A monomial's image
+        is the sum, over its support, of each exponent times the FY unit of
+        its variable's image; the substitution is injective, so no two
+        fields meet and no field overflows.  Each image is computed once per
+        pair."""
+        codec, images = self.dp.codec, self._images
         out = {}
         for m, c in poly.items():
-            key = self._images.get(m)
+            key = images.get(m)
             if key is None:
-                exps = [0] * self.fy.nvars
-                for t, e in zip(self._translate, self.dp.exponents(m)):
-                    exps[t] += e
-                key = self._images[m] = self.fy.codec.pack(exps)
+                support, key = codec.support(codec.check(m)), 0
+                while support:
+                    top = support.bit_length()
+                    support ^= 1 << (top - 1)
+                    shift, unit = self._fields[top]
+                    key += (m >> shift & codec.field) * unit
+                images[m] = key
             out[key] = out.get(key, 0) + c
         return out
 
@@ -503,32 +578,42 @@ def phi_iso_check(pair):
     have matching structure constants on both sides, compared as
     coordinates: the sum of the FY columns over the nonzero DP
     coordinates of m1 m2 against the FY coordinates of phi(m1) phi(m2).
+
+    Each DP basis monomial is transported once.  The DP side depends only
+    on m1 + m2 and the fixed columns, so it is computed once per product
+    monomial; the FY side is computed for every pair, since a phi that is
+    not multiplicative can send two pairs with one product to different
+    FY products.
     """
     dp, fy = pair.dp, pair.fy
     for _, g in dp.groebner:
         if fy.nf(pair.phi(g)):
             return False
-    columns = {}
+    images, columns = [], []
     for d in range(dp.r):
         if len(dp.basis[d]) != len(fy.basis[d]):
             return False
-        cols = [fy.coords(pair.phi({m: 1}), d) for m in dp.basis[d]]
+        images.append([pair.phi({m: 1}) for m in dp.basis[d]])
+        cols = [fy.coords(image, d) for image in images[d]]
         if cols and (len(cols[0]) != len(cols) or linalg.det(cols) == 0):
             return False
-        columns[d] = cols
+        columns.append(cols)
+    transported = {}
     for d1 in range(dp.r):
         for d2 in range(d1, dp.r - d1):
             d = d1 + d2
             cols = columns[d]
-            for m1 in dp.basis[d1]:
-                for m2 in dp.basis[d2]:
-                    image = [0] * len(cols)
-                    for x, col in zip(dp.coords({m1 + m2: 1}, d), cols):
-                        if x:
-                            for i, y in enumerate(col):
-                                image[i] += x * y
-                    direct = fy.coords(poly_mul(pair.phi({m1: 1}), pair.phi({m2: 1})), d)
-                    if image != direct:
+            for m1, image1 in zip(dp.basis[d1], images[d1]):
+                for m2, image2 in zip(dp.basis[d2], images[d2]):
+                    m = m1 + m2
+                    image = transported.get(m)
+                    if image is None:
+                        image = [0] * len(cols)
+                        for x, col in zip(dp.coords({m: 1}, d), cols):
+                            if x:
+                                image = [a + x * y for a, y in zip(image, col)]
+                        transported[m] = image
+                    if image != fy.coords(poly_mul(image1, image2), d):
                         return False
     return True
 
@@ -549,6 +634,7 @@ def pairing_matrix(pair, k, ring="dp"):
 
     def build():
         values = memoized(pair, ("top values", ring), dict)
+        normalizer = None
         out = []
         for m1 in R.basis[k]:
             row = []
@@ -557,7 +643,8 @@ def pairing_matrix(pair, k, ring="dp"):
                 value = values.get(m)
                 if value is None:
                     coord = pair.fy.coords(pair.phi({m: 1}) if ring == "dp" else {m: 1}, top)[0]
-                    value, rest = divmod(coord, pair.degree_normalizer())
+                    normalizer = normalizer or pair.degree_normalizer()
+                    value, rest = divmod(coord, normalizer)
                     if rest:
                         raise AssertionError("non-integral pairing value")
                     values[m] = value

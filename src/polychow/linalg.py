@@ -8,6 +8,13 @@ or solution set.  `rank`, `integer_kernel`, `kernel_basis` and `solve` run
 the Gauss-Jordan elimination `integer_rref`; `det` and
 `is_positive_definite` each run their own forward Bareiss pass, `det` with
 row swaps and `is_positive_definite` without pivoting.
+
+Every Bareiss step goes through `_bareiss_row`, which skips the work that
+zeros make trivial: a row whose entry b in the pivot column is 0 has
+(a*x - b*y) / prev = a*x / prev, so it is only rescaled, and left as it is
+when the pivot a equals the previous pivot prev.  The entries are the same
+minors either way, so every output is unchanged; on the sparse 0/+-1
+matrices of the Chow layer most rows take one of the two short cuts.
 """
 
 from fractions import Fraction
@@ -27,7 +34,10 @@ def integral(w):
 
 def integral_rows(rows):
     """(M, q): each row scaled to integers by `integral`, and q the product
-    of the scales, so that det(rows) = det(M) / q."""
+    of the scales, so that det(rows) = det(M) / q.  An integer matrix is
+    copied as it is."""
+    if all(type(x) is int for row in rows for x in row):
+        return [list(row) for row in rows], 1
     M, q = [], 1
     for row in rows:
         W, s = integral(row)
@@ -43,6 +53,17 @@ def mat_mul(A, B):
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def _bareiss_row(row, pivot_row, c, a, prev):
+    """`row` after one Bareiss step on the pivot a = pivot_row[c] (see the
+    module docstring)."""
+    b = row[c]
+    if b:
+        return [(a * x - b * y) // prev for x, y in zip(row, pivot_row)]
+    if a == prev:
+        return row
+    return [a * x // prev for x in row]
 
 
 def integer_rref(rows, width=None):
@@ -67,16 +88,17 @@ def integer_rref(rows, width=None):
         r = len(pivots)
         if r == nrows:
             break
-        p = next((i for i in range(r, nrows) if M[i][c]), None)
-        if p is None:
+        for p in range(r, nrows):
+            if M[p][c]:
+                break
+        else:
             continue
         M[r], M[p] = M[p], M[r]
         pivot_row = M[r]
         a = pivot_row[c]
         for i in range(nrows):
             if i != r:
-                b = M[i][c]
-                M[i] = [(a * x - b * y) // prev for x, y in zip(M[i], pivot_row)]
+                M[i] = _bareiss_row(M[i], pivot_row, c, a, prev)
         pivots.append(c)
         prev = a
     return M, pivots, prev
@@ -130,13 +152,20 @@ def solve(rows, b):
     return x
 
 
+def _require_square(rows):
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    return n
+
+
 def det(rows):
-    """Determinant of a square matrix, exact.
+    """Determinant of a square matrix, exact; ValueError if it is not square.
 
     Rational input is scaled to integers by `integral_rows`; the integer
-    matrix goes through fraction-free Bareiss elimination.
+    matrix goes through fraction-free Bareiss elimination with row swaps.
     """
-    n = len(rows)
+    n = _require_square(rows)
     if n == 0:
         return 1
     A, scale = integral_rows(rows)
@@ -149,11 +178,11 @@ def det(rows):
                 return 0
             A[k], A[pivot] = A[pivot], A[k]
             sign = -sign
+        pivot_row = A[k]
+        a = pivot_row[k]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
-            A[i][k] = 0
-        prev = A[k][k]
+            A[i] = _bareiss_row(A[i], pivot_row, k, a, prev)
+        prev = a
     result = Fraction(sign * A[n - 1][n - 1], scale)
     return int(result) if result.denominator == 1 else result
 
@@ -209,8 +238,8 @@ def is_positive_definite(G):
     the pivot at step k is the (k+1)-th leading principal minor, and the
     pass stops at the first that is not positive.  Rows are scaled to
     integers by `integral_rows`, which keeps the sign of every minor.
-    Raises ValueError on a non-symmetric input."""
-    n = len(G)
+    Raises ValueError on a non-square or non-symmetric input."""
+    n = _require_square(G)
     for i in range(n):
         for j in range(i + 1, n):
             if G[i][j] != G[j][i]:
@@ -221,7 +250,6 @@ def is_positive_definite(G):
         if a <= 0:
             return False
         for i in range(k + 1, n):
-            b = A[i][k]
-            A[i] = [(a * x - b * y) // prev for x, y in zip(A[i], A[k])]
+            A[i] = _bareiss_row(A[i], A[k], k, a, prev)
         prev = a
     return True

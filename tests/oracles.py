@@ -4,7 +4,8 @@ Each one gives an independent route to something `polychow` computes:
 polymatroid constructions, the minimal flats of a ground, Lowest posets
 as explicit relations, a sampled completeness test, cone queries by a scan
 and rational coordinates, exact rational degrees, the classes of the
-Kahler tests, and the ray-variable presentation of the Chow ring.
+Kahler tests, the ray-variable presentation of the Chow ring, and Bareiss
+elimination that updates every row at every step.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ from random import Random
 import polychow as pc
 from polychow import linalg
 from polychow.bitsets import elements
-from polychow.chow import Codec, _standard_monomials
+from polychow.chow import Codec, DivisorIndex, _standard_monomials
 from polychow.fan import _locator, _numerators, cone_contains, locate, random_integral_point
 from polychow.linalg import integral
 from polychow.polytope import _lowest_ranks
@@ -109,6 +110,20 @@ def is_complete(fan, trials=200, seed=0):
 # --- Chow rings ---------------------------------------------------------------
 
 
+def pack(codec, exps):
+    """The packed monomial of an exponent vector; OverflowError unless it
+    has one entry per variable, each in [0, codec.cap]."""
+    if len(exps) != codec.nvars or exps and not 0 <= min(exps) <= max(exps) <= codec.cap:
+        raise OverflowError("exponents %r do not fit %d fields of at most %d"
+                            % (tuple(exps), codec.nvars, codec.cap))
+    return sum(e << s for e, s in zip(exps, codec.shifts))
+
+
+def degree(codec, m):
+    """Total degree of the packed monomial m."""
+    return sum(codec.exponents(m))
+
+
 def poly_add(p, q):
     out = dict(p)
     for m, c in q.items():
@@ -197,7 +212,7 @@ def zring_hilbert(P):
                         exps[proper.index(F)] += 1
                     for i in T:
                         exps[len(proper) + i] += 1
-                    gens.append({codec.pack(exps): 1})
+                    gens.append({pack(codec, exps): 1})
     lin = []
     for i in range(m):
         e = [0] * nvars
@@ -210,14 +225,14 @@ def zring_hilbert(P):
         gens.append({units[i]: lin[0][i] - lin[j][i]
                      for i in range(nvars) if lin[0][i] != lin[j][i]})
 
-    layers = _standard_monomials(codec, (), r)
+    layers = _standard_monomials(codec, DivisorIndex(codec), r)
     hilbert = []
     for d in range(r):
         monos = layers[d]
         index = {mn: i for i, mn in enumerate(monos)}
         rows = []
         for g in gens:
-            gdeg = codec.degree(next(iter(g)))
+            gdeg = degree(codec, next(iter(g)))
             if gdeg > d:
                 continue
             for shift in layers[d - gdeg]:
@@ -227,3 +242,74 @@ def zring_hilbert(P):
                 rows.append(row)
         hilbert.append(len(monos) - (linalg.rank(rows) if rows else 0))
     return tuple(hilbert)
+
+
+# --- Bareiss elimination without zero-skipping ------------------------------
+
+
+def reference_integer_rref(rows, width=None):
+    """`linalg.integer_rref` as it was before rows with a zero in the pivot
+    column were skipped: every other row takes the full update."""
+    M = [list(row) for row in rows]
+    nrows = len(M)
+    width = (len(M[0]) if M else 0) if width is None else width
+    pivots = []
+    prev = 1
+    for c in range(width):
+        r = len(pivots)
+        if r == nrows:
+            break
+        p = next((i for i in range(r, nrows) if M[i][c]), None)
+        if p is None:
+            continue
+        M[r], M[p] = M[p], M[r]
+        pivot_row = M[r]
+        a = pivot_row[c]
+        for i in range(nrows):
+            if i != r:
+                b = M[i][c]
+                M[i] = [(a * x - b * y) // prev for x, y in zip(M[i], pivot_row)]
+        pivots.append(c)
+        prev = a
+    return M, pivots, prev
+
+
+def reference_det(rows):
+    """Determinant of a square matrix by entry-by-entry Bareiss elimination
+    with row swaps."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    A, scale = linalg.integral_rows(rows)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if A[k][k] == 0:
+            pivot = next((i for i in range(k + 1, n) if A[i][k] != 0), None)
+            if pivot is None:
+                return 0
+            A[k], A[pivot] = A[pivot], A[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                A[i][j] = (A[i][j] * A[k][k] - A[i][k] * A[k][j]) // prev
+            A[i][k] = 0
+        prev = A[k][k]
+    result = Fraction(sign * A[n - 1][n - 1], scale)
+    return int(result) if result.denominator == 1 else result
+
+
+def reference_is_positive_definite(G):
+    """Sylvester's criterion from one full Bareiss pass without pivoting,
+    for a square symmetric matrix."""
+    n = len(G)
+    A, prev = linalg.integral_rows(G)[0], 1
+    for k in range(n):
+        a = A[k][k]
+        if a <= 0:
+            return False
+        for i in range(k + 1, n):
+            b = A[i][k]
+            A[i] = [(a * x - b * y) // prev for x, y in zip(A[i], A[k])]
+        prev = a
+    return True

@@ -8,11 +8,10 @@ import pytest
 import polychow as pc
 from polychow.bitsets import canonical_key
 from polychow.building import _max_members_below, _nested_sets
-from polychow.chow import (Codec, _groebner, _minimalize, leading_monomial, poly_mul,
-                           poly_pow)
+from polychow.chow import Codec, _groebner, leading_monomial, poly_mul, poly_pow
 from conftest import (P1, P2, P3, P4, U34, U34_MIN_BUILDING, B111_MIN_BUILDING,
                       boolean_table)
-from oracles import flat_atoms
+from oracles import degree, flat_atoms, pack
 
 
 # --- the subset-by-subset nested-set tests, kept as references --------------
@@ -81,6 +80,18 @@ def reference_nested_sets(building, exclude=None):
     return tuple(out)
 
 
+def reference_minimalize(candidates, codec):
+    """The candidates whose leading monomial no earlier one divides, in
+    (degree, monomial) order, with degrees and divisibility read from the
+    unpacked exponents."""
+    keep = []
+    for m in sorted(candidates, key=lambda m: (degree(codec, m), m)):
+        exps = codec.exponents(m)
+        if not any(all(x <= y for x, y in zip(codec.exponents(k), exps)) for k in keep):
+            keep.append(m)
+    return [(m, candidates[m]) for m in keep]
+
+
 def reference_groebner(ground, building, r):
     """`chow._groebner` with its candidates grown by `_is_antichain` and
     `extends_nested`, one subset at a time."""
@@ -96,7 +107,7 @@ def reference_groebner(ground, building, r):
             exps[index[f]] += 1
         if extra is not None:
             exps[index[extra]] += power
-        return codec.pack(exps)
+        return pack(codec, exps)
 
     candidates = {}
 
@@ -118,7 +129,7 @@ def reference_groebner(ground, building, r):
 
     extend((), 0, 0)
     generators = []
-    for lt, (flats, g, d) in _minimalize(candidates, codec):
+    for lt, (flats, g, d) in reference_minimalize(candidates, codec):
         poly = {mono_of(flats): 1}
         if d:
             upper_sum = {mono_of((h,)): 1 for h in members if h & g == g}

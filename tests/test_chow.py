@@ -7,10 +7,10 @@ import pytest
 import polychow as pc
 from polychow import linalg
 from polychow.bitsets import canonical_key
-from polychow.chow import (Codec, GradedRing, _first_divisor, _standard_monomials,
+from polychow.chow import (Codec, DivisorIndex, GradedRing, _standard_monomials,
                            leading_monomial, pairing_det, poly_mul, poly_pow, reduce_poly)
 from conftest import P1, P2, P3, P4, U34, U34_MIN_BUILDING, boolean_table, small_family
-from oracles import deg_dp, deg_fy, poly_add, poly_scale, zring_hilbert
+from oracles import deg_dp, deg_fy, degree, pack, poly_add, poly_scale, zring_hilbert
 
 
 # --- references over exponent tuples, the monomials before packing ----------
@@ -323,7 +323,7 @@ def s_polynomials(ring):
         for lt2, g2 in gb[i + 1:]:
             lcm = tuple(map(max, ring.exponents(lt1), ring.exponents(lt2)))
             if sum(lcm) < 2 * ring.r - 1:
-                lcm = ring.codec.pack(lcm)
+                lcm = pack(ring.codec, lcm)
                 yield poly_add(
                     poly_mul({lcm - lt1: 1}, g1),
                     poly_scale(poly_mul({lcm - lt2: 1}, g2), -1))
@@ -402,7 +402,7 @@ def power_relation_probes(ring):
             for probe in [m] + grown:
                 assert all(y for x, y in zip(lt, probe) if x)
                 assert not mono_divides(lt, probe)
-                yield {ring.codec.pack(probe): 1}
+                yield {pack(ring.codec, probe): 1}
 
 
 def test_reduce_poly_matches_rescan_reference():
@@ -421,7 +421,7 @@ def test_reduce_poly_matches_rescan_reference():
             for basis in (gb, gb[::2]):
                 expected = list(rescan_reduce_poly(
                     unpacked(ring, p), unpacked_groebner(ring, basis)).items())
-                got = reduce_poly(p, basis, ring.guard)
+                got = reduce_poly(p, basis, DivisorIndex(ring.codec, [lt for lt, _ in basis]))
                 assert list(unpacked(ring, got).items()) == expected
                 if basis is gb:
                     assert list(unpacked(ring, ring.nf(p)).items()) == expected
@@ -434,7 +434,7 @@ def test_spair_confluence_spot_check():
     # the degrees the rings compute in)
     for ring in kernel_rings():
         for s in s_polynomials(ring):
-            assert reduce_poly(s, ring.groebner, ring.guard) == {}
+            assert reduce_poly(s, ring.groebner, ring.divisors) == {}
 
 
 def table_nf(ring, p):
@@ -466,11 +466,11 @@ def test_table_matches_reduce_poly():
                   for m1 in ring.basis[d1] for m2 in ring.basis[d2]]
         inputs += [poly_mul(ell, {b: 1}) for d in range(ring.r) for b in ring.basis[d]]
         inputs += [p for p in power_relation_probes(ring)
-                   if ring.codec.degree(next(iter(p))) < ring.r]
+                   if degree(ring.codec, next(iter(p))) < ring.r]
         for p in inputs:
-            degree = ring.codec.degree(next(iter(p)))
+            d = degree(ring.codec, next(iter(p)))
             assert table_nf(ring, p) == ring.nf(p)
-            assert ring.coords(p, degree) == nf_coords(ring, p, degree)
+            assert ring.coords(p, d) == nf_coords(ring, p, d)
         # a non-homogeneous input whose normal form is homogeneous: terms of
         # degree 2 that cancel only after reduction, and a degree-r
         # monomial, which reduces to zero
@@ -478,7 +478,7 @@ def test_table_matches_reduce_poly():
             b = ring.basis[1][0]
             lb = poly_mul(ell, {b: 1})
             p = poly_add(poly_add({b: 1}, lb), poly_scale(ring.nf(lb), -1))
-            p[ring.codec.pack((ring.r,) + (0,) * (ring.nvars - 1))] = 5
+            p[pack(ring.codec, (ring.r,) + (0,) * (ring.nvars - 1))] = 5
             assert ring.nf(p) == {b: 1} == table_nf(ring, p)
             assert ring.coords(p, 1) == nf_coords(ring, p, 1)
 
@@ -510,9 +510,18 @@ def nf_phi_iso_check(pair):
 
 def degree_scaled(pair, scale):
     """The pair with phi multiplied by scale(d) on degree-d monomials."""
-    phi, degree = pair.phi, pair.fy.codec.degree
-    pair.phi = lambda poly: {m: scale(degree(m)) * c for m, c in phi(poly).items()
-                             if scale(degree(m))}
+    phi, codec = pair.phi, pair.fy.codec
+    pair.phi = lambda poly: {m: scale(degree(codec, m)) * c for m, c in phi(poly).items()
+                             if scale(degree(codec, m))}
+    return pair
+
+
+def last_variable_doubled(pair):
+    """The pair with phi doubled on the DP monomial of the last variable
+    alone, so that phi is linear and bijective in each degree but not
+    multiplicative."""
+    phi, x = pair.phi, pair.dp.codec.units[-1]
+    pair.phi = lambda poly: poly_add(phi(poly), phi({x: poly[x]})) if x in poly else phi(poly)
     return pair
 
 
@@ -539,6 +548,12 @@ def test_phi_iso_check_matches_nf_reference():
         degree_scaled(pair_of(boolean_table((2, 2, 2))), lambda d: 2 if d == 5 else 1),
         # a middle degree doubled, where the FY columns are dense
         degree_scaled(pair_of(boolean_table((2, 2, 2))), lambda d: 2 if d == 3 else 1),
+        # x_E doubled in degree one only: the generators, the columns and
+        # the first pair of each product monomial all agree, so only a later
+        # pair with the same product shows it; a check that computed the FY
+        # side once per product monomial would accept these
+        last_variable_doubled(pair_of(P3)),
+        last_variable_doubled(pair_of(boolean_table((2, 2, 2)))),
     ]
     for pair in rejected:
         assert pc.phi_iso_check(pair) is nf_phi_iso_check(pair) is False
@@ -696,8 +711,8 @@ def test_packed_kernels_match_tuple_references():
     # on products of basis elements, S-polynomials and power-relation probes
     probes = 0
     for ring in reference_rings():
-        leads = [ring.exponents(lt) for lt in ring.leads]
-        layers = _standard_monomials(ring.codec, ring.leads, ring.r + 1)
+        leads = [ring.exponents(lt) for lt, _ in ring.groebner]
+        layers = _standard_monomials(ring.codec, ring.divisors, ring.r + 1)
         assert [tuple(map(ring.exponents, layer)) for layer in layers] \
             == tuple_standard_monomials(ring.nvars, leads, ring.r + 1)
         gb = unpacked_groebner(ring, ring.groebner)
@@ -705,8 +720,7 @@ def test_packed_kernels_match_tuple_references():
         probes += len(edge)
         for p in edge:
             (m,) = p
-            assert _first_divisor(m, ring.leads, ring.guard) \
-                == tuple_first_divisor(ring.exponents(m), leads)
+            assert ring.divisors.first(m) == tuple_first_divisor(ring.exponents(m), leads)
         inputs = [poly_mul({m1: 1}, {m2: 1})
                   for d1 in range(ring.r) for d2 in range(d1, ring.r - d1)
                   for m1 in ring.basis[d1] for m2 in ring.basis[d2]]
@@ -715,6 +729,56 @@ def test_packed_kernels_match_tuple_references():
             assert list(unpacked(ring, ring.nf(p)).items()) == list(expected.items())
     # 658 on the kernel fixtures, 430 on P4 and B(2,2,2)
     assert probes == 658 + 430
+
+
+def first_divisor_scan(m, leads, guard):
+    """Reference: index of the first of `leads` dividing m, by a scan of
+    the list in order."""
+    m |= guard
+    for i, lt in enumerate(leads):
+        if (m - lt) & guard == guard:
+            return i
+    return None
+
+
+def test_divisor_index_matches_scan(monkeypatch):
+    # every first-divisor query made while building the rings of the
+    # kernel fixtures and B(1,1,1,1,1) (generator minimalization, standard
+    # monomials) and while reducing in them (isomorphism check, pairings)
+    # gets the position that a scan of the leads listed so far returns
+    listed, queries = {}, []
+    add, first = DivisorIndex.add, DivisorIndex.first
+
+    def recording_add(index, lt):
+        listed.setdefault(id(index), (index, []))[1].append(lt)
+        add(index, lt)
+
+    def recording_first(index, m):
+        i = first(index, m)
+        queries.append((index, m, index.size, i))
+        return i
+
+    monkeypatch.setattr(DivisorIndex, "add", recording_add)
+    monkeypatch.setattr(DivisorIndex, "first", recording_first)
+    for table, members in KERNEL_FIXTURES + ((boolean_table((1, 1, 1, 1, 1)), None),):
+        pair = pair_of(table, members)
+        assert pc.phi_iso_check(pair)
+        assert all(pairing_det(pair, k, ring) in (1, -1)
+                   for k in range(pair.P.r) for ring in ("dp", "fy"))
+    monkeypatch.undo()
+    found = 0
+    for index, m, size, i in queries:
+        leads = listed.get(id(index), (index, []))[1][:size]
+        assert i == first_divisor_scan(m, leads, index.guard)
+        found += i is not None
+    assert found >= 10000 and len(queries) - found >= 1000
+    # a constant leading term divides every monomial, and bounds the answer
+    codec = Codec(3, 2)
+    x0, x1, x2 = codec.units
+    index = DivisorIndex(codec, [x0 + x1, 0, x1, 0])
+    assert [index.first(m) for m in (x0 + x1, x1, x2, 0)] == [0, 1, 1, 1]
+    assert DivisorIndex(codec, [x1]).first(x0 + x2) is None
+    assert DivisorIndex(codec).first(0) is None
 
 
 CODEC_SHAPES = ((1, 1), (2, 1), (3, 2), (7, 6), (13, 6), (20, 9), (5, 33))
@@ -735,10 +799,10 @@ def test_codec_round_trips():
     for nvars, r in CODEC_SHAPES:
         codec = Codec(nvars, r)
         for exps in random_exponents(rng, codec, 300):
-            m = codec.pack(exps)
+            m = pack(codec, exps)
             assert m & codec.guard == 0
             assert codec.exponents(m) == exps
-            assert codec.degree(m) == sum(exps)
+            assert degree(codec, m) == sum(exps)
         for i, unit in enumerate(codec.units):
             assert codec.exponents(unit) == tuple(int(j == i) for j in range(nvars))
 
@@ -748,9 +812,10 @@ def test_codec_int_order_is_tuple_order():
     for nvars, r in CODEC_SHAPES:
         codec = Codec(nvars, r)
         vectors = random_exponents(rng, codec, 300)
-        assert [codec.exponents(m) for m in sorted(map(codec.pack, vectors))] == sorted(vectors)
+        packed = sorted(pack(codec, v) for v in vectors)
+        assert [codec.exponents(m) for m in packed] == sorted(vectors)
         for a, b in zip(vectors, vectors[1:]):
-            assert (codec.pack(a) < codec.pack(b)) == (a < b)
+            assert (pack(codec, a) < pack(codec, b)) == (a < b)
 
 
 def test_guard_divisibility_is_componentwise():
@@ -764,7 +829,7 @@ def test_guard_divisibility_is_componentwise():
         rng.shuffle(vectors)
         for a, b in zip(vectors, vectors[1:] + vectors[:1]):
             for d, m in ((a, b), (a, a), (min(a, b), max(a, b))):
-                got = _first_divisor(codec.pack(m), [codec.pack(d)], codec.guard) == 0
+                got = DivisorIndex(codec, [pack(codec, d)]).first(pack(codec, m)) == 0
                 assert got == mono_divides(d, m), (d, m)
 
 
@@ -773,18 +838,18 @@ def test_codec_holds_every_exponent_up_to_2r():
         codec = Codec(3, r)
         x = codec.units[1]
         assert codec.exponents(codec.check(r * x + r * x)) == (0, 2 * r, 0)
-        assert codec.exponents(codec.pack((2 * r,) * 3)) == (2 * r,) * 3
+        assert codec.exponents(pack(codec, (2 * r,) * 3)) == (2 * r,) * 3
 
 
 def test_overflowing_product_raises():
     for nvars, r in CODEC_SHAPES:
         codec = Codec(nvars, r)
         for i, unit in enumerate(codec.units):
-            full = codec.pack(tuple(codec.cap if j == i else 0 for j in range(nvars)))
+            full = pack(codec, tuple(codec.cap if j == i else 0 for j in range(nvars)))
             with pytest.raises(OverflowError):
                 codec.check(full + unit)
             with pytest.raises(OverflowError):
-                codec.pack(tuple(codec.cap + 1 if j == i else 0 for j in range(nvars)))
+                pack(codec, tuple(codec.cap + 1 if j == i else 0 for j in range(nvars)))
             assert codec.exponents(codec.check((full - unit) + unit))[i] == codec.cap
     # the rings raise on a monomial past the capacity instead of reading a
     # wrong one: nf, coords and exponents, and a reduction step that
@@ -797,4 +862,5 @@ def test_overflowing_product_raises():
             read(big)
     x0, x1 = ring.codec.units[:2]
     with pytest.raises(OverflowError):
-        reduce_poly({x0 + ring.codec.cap * x1: 1}, [(x0, {x0: 1, x1: 1})], ring.guard)
+        reduce_poly({x0 + ring.codec.cap * x1: 1}, [(x0, {x0: 1, x1: 1})],
+                    DivisorIndex(ring.codec, [x0]))

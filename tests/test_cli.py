@@ -292,10 +292,16 @@ def test_kahler_without_ambient_fan_exits_2(tmp_path, capsys):
      "7156037e2824844a315b1cb4c5b100a711d89cfa4b3acf5ab07f2d46c3e4f71c"),
     (["kahler"], {"rank": boolean_table((1, 1, 2))},
      "0f516dfa0204ff0d3881294080d866318bf64035ee4ed1818063e7ee8ca1ba5f"),
+    (["chow", "--iso-check"], {"rank": [min(bin(S).count("1"), 4) for S in range(32)]},
+     "39b9525e99db280c36c770e080fd310023f5b576b464edd4e844895ead09891f"),
+    (["chow", "--iso-check"], {"rank": boolean_table((1, 1, 1, 1, 1))},
+     "da51e9454b9414e048a59ab5f189f638a0a004670739cdcf1360c256d6d64983"),
 ])
 def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
     # SHA-256 of stdout (default seed and indent), recorded before monomials
-    # were packed into ints; the chow report prints the basis exponents
+    # were packed into ints (U(4,5) and B(1,1,1,1,1) before the divisor
+    # index and the zero-skipping determinants); the chow report prints the
+    # basis exponents
     path = write_instance(tmp_path, data)
     code, out, _ = run(capsys, argv[:1] + ["--instance", path] + argv[1:])
     assert code == 0

@@ -5,7 +5,11 @@ from random import Random
 
 import pytest
 
+import polychow as pc
 from polychow import linalg
+from conftest import boolean_table
+from oracles import reference_det, reference_integer_rref, reference_is_positive_definite
+from test_kahler import FIXTURES as KAHLER_FIXTURES
 
 
 def F(x):
@@ -106,6 +110,9 @@ def test_det():
     assert linalg.det([[1, 2], [2, 4]]) == 0
     assert linalg.det([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == Fraction(1, 6)
     assert linalg.det([[0, 1], [1, 0]]) == -1
+    for rows in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]):
+        with pytest.raises(ValueError):
+            linalg.det(rows)
 
 
 def test_smith_normal_form_identity():
@@ -142,6 +149,9 @@ def test_positive_definite():
     assert not linalg.is_positive_definite([[1, 2], [2, 1]])
     assert not linalg.is_positive_definite([[0]])
     assert linalg.is_positive_definite([])
+    for rows in ([[1, 0, 0], [0, 1, 0]], [[1, 0], [0, 1], [0, 0]]):
+        with pytest.raises(ValueError):
+            linalg.is_positive_definite(rows)
 
 
 def test_positive_definite_matches_a_determinant_per_minor():
@@ -224,3 +234,71 @@ def test_rank_kernel_solve_match_fraction_reference(entry):
                 assert [sum(a * c for a, c in zip(row, x)) for row in A] == b
                 underdetermined += len(pivots) < m
     assert inconsistent and underdetermined
+
+
+def sparse_matrix(rng, n, m):
+    """Mostly 0 and +-1 entries, with a repeated or zero row at times, so
+    that singular matrices and zero pivots are common."""
+    A = [[rng.choice((0, 0, 0, 0, 1, -1, 1, -1, 2, -3)) for _ in range(m)] for _ in range(n)]
+    if n > 1 and rng.random() < 0.2:
+        A[rng.randrange(n)] = list(A[rng.randrange(n)])
+    if rng.random() < 0.1:
+        A[rng.randrange(n)] = [0] * m
+    return A
+
+
+def test_bareiss_kernels_match_references_on_sparse_matrices():
+    # the zero-skipping eliminations give the same (M, pivots, d), the same
+    # determinants and the same verdicts as the full Bareiss updates
+    rng = Random(23)
+    singular = zero_pivot = definite = indefinite = 0
+    for _ in range(800):
+        n = rng.randint(1, 7)
+        m = n if rng.random() < 0.5 else rng.randint(1, 8)
+        A = sparse_matrix(rng, n, m)
+        width = rng.randint(0, m)
+        assert linalg.integer_rref(A) == reference_integer_rref(A)
+        assert linalg.integer_rref(A, width) == reference_integer_rref(A, width)
+        if n == m:
+            d = linalg.det(A)
+            assert d == reference_det(A)
+            singular += d == 0
+            zero_pivot += d != 0 and A[0][0] == 0
+        # a symmetric matrix: the Gram matrix of A's columns, shifted on the
+        # diagonal across the boundary of positive definiteness
+        G = [[sum(row[i] * row[j] for row in A) + (rng.randint(-2, 1) if i == j else 0)
+              for j in range(m)] for i in range(m)]
+        verdict = linalg.is_positive_definite(G)
+        assert verdict == reference_is_positive_definite(G)
+        definite += verdict
+        indefinite += not verdict
+    assert min(singular, zero_pivot, definite, indefinite) >= 50
+
+
+def test_bareiss_kernels_match_references_on_chow_matrices(monkeypatch):
+    # every matrix that the isomorphism check, the pairings and the Kahler
+    # checks eliminate (pairing, iso-column, Lefschetz and Gram matrices)
+    seen = []
+
+    def recording(name, fn):
+        def record(rows, *args):
+            seen.append((name, [list(row) for row in rows], args))
+            return fn(rows, *args)
+        return record
+
+    for name in ("integer_rref", "det", "is_positive_definite"):
+        monkeypatch.setattr(linalg, name, recording(name, getattr(linalg, name)))
+    for table, members in KAHLER_FIXTURES + ((boolean_table((1, 1, 2)), None),
+                                             (boolean_table((2, 2, 2)), None)):
+        P = pc.Polymatroid(table)
+        pair = pc.ChowPair(P, None if members is None else pc.BuildingSet(P, members))
+        assert pc.phi_iso_check(pair)
+        assert all(pc.chow.pairing_det(pair, k) in (1, -1) for k in range(P.r))
+        assert all(pc.kahler_package_report(pair).values())
+    monkeypatch.undo()
+    references = {"integer_rref": reference_integer_rref, "det": reference_det,
+                  "is_positive_definite": reference_is_positive_definite}
+    for name, rows, args in seen:
+        assert getattr(linalg, name)(rows, *args) == references[name](rows, *args)
+    names = [name for name, _, _ in seen]
+    assert min(names.count(name) for name in references) >= 10

@@ -112,9 +112,9 @@ class Fan(Immutable):
         return {frozenset(self.rays[i] for i in c) for c in self.cones}
 
     def __eq__(self, other):
-        return (isinstance(other, Fan)
-                and self.ambient_dim == other.ambient_dim
-                and self.cones_as_ray_sets() == other.cones_as_ray_sets())
+        return other is self or (isinstance(other, Fan)
+                                 and self.ambient_dim == other.ambient_dim
+                                 and self.cones_as_ray_sets() == other.cones_as_ray_sets())
 
     def __hash__(self):
         return hash((self.ambient_dim, frozenset(self.cones_as_ray_sets())))
@@ -307,13 +307,17 @@ def locate(fan, W):
 
 
 def refines(fine, coarse):
-    """True iff every cone of `fine` lies inside some cone of `coarse`.  The
-    coarse cone located at a fine cone's ray sum is tried first, then every
-    coarse cone."""
+    """True iff every cone of `fine` lies inside some cone of `coarse`.
+
+    Every cone is a ray subset, so a face, of a maximal cone, and lies
+    inside it; so this holds exactly when every maximal cone of `fine`
+    lies inside a maximal cone of `coarse`.  The coarse cone located at a
+    fine cone's ray sum is tried first, then every maximal coarse cone,
+    largest first."""
     if fine.ambient_dim != coarse.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    coarse_cones = sorted(coarse.cones, key=len, reverse=True)
-    for cone in fine.cones:
+    coarse_cones = sorted(coarse.maximal_cones(), key=len, reverse=True)
+    for cone in fine.maximal_cones():
         rays = fine.cone_rays(cone)
         centre = tuple(map(sum, zip(*rays))) if rays else (0,) * fine.ambient_dim
         located = locate(coarse, centre)
@@ -361,16 +365,23 @@ def same_support(f1, f2, trials=400, seed=0):
     """Exact containment in the refining direction when available, plus
     randomized point-membership agreement, on integer points.
 
-    A sample inside a cone of f2 is the sum of (a/b) r over its rays r,
+    When f1 refines f2, equal fans (`Fan.__eq__`) have equal supports and
+    are accepted without sampling.  Otherwise the reverse containment is
+    sampled inside f2: max(1, trials // len(f2.cones)) points per maximal
+    cone, the count divided by all cones of f2, not its maximal ones.  A
+    sample inside a cone of f2 is the sum of (a/b) r over its rays r,
     with a = randint(1, 50) and b = randint(1, 7) drawn ray by ray as in
     `random_integral_point`.  It is drawn as 420 times that point
     (420 = lcm(1, ..., 7)), a positive multiple that `in_support` cannot
-    tell apart from it."""
+    tell apart from it.  When f1 does not refine f2, `trials` random
+    points must lie in both supports or in neither."""
     if f1.ambient_dim != f2.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     rng = Random(seed)
     getrandbits = rng.getrandbits
     if refines(f1, f2):
+        if f1 == f2:
+            return True
         # support(f1) inside support(f2); test the reverse by sampling
         # inside the cones of f2.
         for cone in f2.maximal_cones():
@@ -399,8 +410,15 @@ def same_support(f1, f2, trials=400, seed=0):
 
 def is_unimodular(fan):
     """Every cone's rays extend to a lattice basis: at most ambient_dim of
-    them, with Smith normal form diagonal all ones (which gives full rank)."""
-    for cone in fan.cones:
+    them, with Smith normal form diagonal all ones (which gives full rank).
+
+    Only maximal cones are checked.  Every cone is a ray subset of a
+    maximal cone, and a subset of vectors that extend to a lattice basis
+    extends to the same basis; a cone with more than ambient_dim rays lies
+    in a maximal cone with more.  `smith_normal_form` returns all
+    min(k, ambient_dim) invariants of k rays, zeros included, so a rank
+    drop also fails."""
+    for cone in fan.maximal_cones():
         rays = fan.cone_rays(cone)
         if not rays:
             continue

@@ -3,9 +3,10 @@
 Each one gives an independent route to something `polychow` computes:
 polymatroid constructions, the minimal flats of a ground, Lowest posets
 as explicit relations, a sampled completeness test, cone queries by a scan
-and rational coordinates, exact rational degrees, the classes of the
-Kahler tests, the ray-variable presentation of the Chow ring, and Bareiss
-elimination that updates every row at every step.
+and rational coordinates, refinement and unimodularity over all cones,
+exact rational degrees, the classes of the Kahler tests, the ray-variable
+presentation of the Chow ring, and Bareiss elimination that updates every
+row at every step.
 """
 
 from fractions import Fraction
@@ -103,6 +104,39 @@ def is_complete(fan, trials=200, seed=0):
                    if (cone and cone_contains(fan, cone, w, strict=True))
                    or (not cone and all(x == 0 for x in w)))
         if hits != 1:
+            return False
+    return True
+
+
+def reference_refines(fine, coarse):
+    """`refines` over all cones, as it was before it walked maximal cones
+    only: every cone of `fine` is tried, the located coarse cone first, then
+    every coarse cone, largest first."""
+    if fine.ambient_dim != coarse.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    coarse_cones = sorted(coarse.cones, key=len, reverse=True)
+    for cone in fine.cones:
+        rays = fine.cone_rays(cone)
+        centre = tuple(map(sum, zip(*rays))) if rays else (0,) * fine.ambient_dim
+        located = locate(coarse, centre)
+        if located is not None and all(cone_contains(coarse, located, r) for r in rays):
+            continue
+        if not any(all(cone_contains(coarse, c, r) for r in rays)
+                   for c in coarse_cones):
+            return False
+    return True
+
+
+def reference_is_unimodular(fan):
+    """`is_unimodular` over all cones, as it was before it checked maximal
+    cones only."""
+    for cone in fan.cones:
+        rays = fan.cone_rays(cone)
+        if not rays:
+            continue
+        if len(rays) > fan.ambient_dim:
+            return False
+        if any(d != 1 for d in linalg.smith_normal_form(rays)):
             return False
     return True
 

@@ -283,6 +283,14 @@ def test_kahler_without_ambient_fan_exits_2(tmp_path, capsys):
     assert "building set condition fails" in json.loads(err)["error"]
 
 
+# The seven instances of the benchmark's verify_ladder workload.
+LADDER = [{"rank": boolean_table((2, 2))}, {"rank": [0, 2, 2, 4]},
+          {"rank": boolean_table((1, 1, 2))},
+          {"rank": U34, "building_set": U34_MIN_BUILDING},
+          {"rank": boolean_table((1, 1, 1, 1))}, {"rank": boolean_table((2, 2, 1))},
+          {"rank": [min(bin(S).count("1"), 3) for S in range(32)]}]
+
+
 @pytest.mark.parametrize("argv, data, digest", [
     (["chow", "--iso-check"], {"rank": boolean_table((2, 2, 2))},
      "88750d3e240229372f0b130434b25d16bc5e65c2c77f3df3270f7626fda6b7ce"),
@@ -296,16 +304,45 @@ def test_kahler_without_ambient_fan_exits_2(tmp_path, capsys):
      "39b9525e99db280c36c770e080fd310023f5b576b464edd4e844895ead09891f"),
     (["chow", "--iso-check"], {"rank": boolean_table((1, 1, 1, 1, 1))},
      "da51e9454b9414e048a59ab5f189f638a0a004670739cdcf1360c256d6d64983"),
-])
+] + [(["verify-all", "--trials", "200", "--seed", "1"], data, digest) for data, digest in zip(LADDER, [
+    "cb5b436c111a0c2df1c66c98794fe0b3da4bc23c41668048e65c65341e349f05",
+    "cb5b436c111a0c2df1c66c98794fe0b3da4bc23c41668048e65c65341e349f05",
+    "19f3ce80b196bdf25a5283f794dd36f2a0b74cee4dfd3f8fd82a7a727ec9de9c",
+    "3e4faf8c59939a9d9d6d99b2bbe5c69b8c06081242758f10cf0df31194ad1516",
+    "b014b9dcb3cf60bcae494f716bac479eb72319930753296428c2c65d3f9a983a",
+    "01e6ef3a91b660ad5c8b0a48d05acb0638b4c5a635948b510255e9e273ee70cb",
+    "6e153ecf20cf5080fabfcf2f74d711624906a266db4c1e8bb3f418b024906e9d"])])
 def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
     # SHA-256 of stdout (default seed and indent), recorded before monomials
     # were packed into ints (U(4,5) and B(1,1,1,1,1) before the divisor
-    # index and the zero-skipping determinants); the chow report prints the
-    # basis exponents
+    # index and the zero-skipping determinants, the ladder's verify-all
+    # before equal fans were compared without sampling); the chow report
+    # prints the basis exponents.  U(3,5), the last rung, exits 1 for its
+    # known `kahler` failure (ROADMAP item 1).
     path = write_instance(tmp_path, data)
     code, out, _ = run(capsys, argv[:1] + ["--instance", path] + argv[1:])
-    assert code == 0
+    assert code == (1 if argv[0] == "verify-all" and data is LADDER[-1] else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_all_samples_support_only_for_a_coarser_building_set(
+        tmp_path, capsys, monkeypatch):
+    # with the maximal building set the support section compares the fan
+    # with itself, exactly and without a sample; U(3,4) with its minimal
+    # building set samples inside the coarser fan
+    calls = []
+    shipped = fan_module.in_support
+    monkeypatch.setattr(fan_module, "in_support",
+                        lambda fan, w: calls.append(w) or shipped(fan, w))
+    counts = []
+    for i, data in enumerate(LADDER):
+        calls.clear()
+        run(capsys, ["verify-all", "--instance", write_instance(tmp_path, data, "%d.json" % i),
+                     "--trials", "200", "--seed", "1"])
+        counts.append(len(calls))
+    coarser = LADDER.index({"rank": U34, "building_set": U34_MIN_BUILDING})
+    assert counts[coarser] > 0
+    assert counts[:coarser] + counts[coarser + 1:] == [0] * 6
 
 
 def test_validate_is_fast_at_the_largest_accepted_ground_sets(tmp_path):
@@ -331,14 +368,6 @@ def test_fan_check_is_fast_on_a_fan_that_is_not_complete(tmp_path):
                          env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=cap_address_space)
     checks = json.loads(out.stdout)["report"]["checks"]
     assert out.returncode == 0 and checks and all(checks.values()), checks
-
-
-# The seven instances of the benchmark's verify_ladder workload.
-LADDER = [{"rank": boolean_table((2, 2))}, {"rank": [0, 2, 2, 4]},
-          {"rank": boolean_table((1, 1, 2))},
-          {"rank": U34, "building_set": U34_MIN_BUILDING},
-          {"rank": boolean_table((1, 1, 1, 1))}, {"rank": boolean_table((2, 2, 1))},
-          {"rank": [min(bin(S).count("1"), 3) for S in range(32)]}]
 
 
 def test_memos_never_outlive_an_invocation(tmp_path, capsys):

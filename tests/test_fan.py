@@ -11,7 +11,8 @@ from polychow.fan import (_has_positive_circuit, complete_fan_certificate, integ
                           locate, pairwise_faces_by_circuits, primitive)
 from conftest import (BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING,
                       boolean_table)
-from oracles import as_polymatroid, cone_coordinates, find_cone, is_complete
+from oracles import (as_polymatroid, cone_coordinates, find_cone, is_complete,
+                     reference_is_unimodular, reference_refines)
 
 
 def random_point(rng, dim, spread=10_000):
@@ -102,6 +103,25 @@ def test_unimodular_refuses_index_two_and_too_many_rays():
     assert linalg.smith_normal_form([(1, 0), (0, 1), (1, 1)]) == [1, 1]
     assert not pc.is_unimodular(index_two)
     assert not pc.is_unimodular(three_rays)
+
+
+def test_unimodular_matches_the_all_cones_reference():
+    # the maximal cone (1,0),(1,2) has index 2 while each of its rays, and
+    # the other maximal cone (1,2),(-1,-1), extends to a lattice basis
+    index_two_beside_a_basis = pc.Fan(2, [(1, 0), (1, 2), (-1, -1)],
+                                      face_closure([{0, 1}, {1, 2}]))
+    assert all(pc.is_unimodular(pc.Fan(2, [r], [set(), {0}]))
+               for r in index_two_beside_a_basis.rays)
+    fans = [index_two_beside_a_basis] + fixture_fans() + nested_set_fixture_fans()
+    fans += subset_vector_fans_missing_rays() + random_collections()
+    fans += [f for pair in without_a_maximal_cone(fixture_fans()) for f in pair]
+    verdicts = []
+    for fan in fans:
+        got = pc.is_unimodular(fan)
+        assert got == reference_is_unimodular(fan), fan.cones
+        verdicts.append(got)
+    assert not verdicts[0]
+    assert verdicts.count(True) >= 40 and verdicts.count(False) >= 40
 
 
 def test_find_cone_examples():
@@ -679,14 +699,20 @@ def test_scan_path_without_a_subset_index():
 
 
 def test_refines_matches_scan():
-    fans = nested_set_fixture_fans() + scan_only_fans() + subset_vector_fans_missing_rays()
+    # also against the all-cones reference, on the support pairs and on
+    # fans less a maximal cone, both ways round
+    fans = fixture_fans() + nested_set_fixture_fans() + scan_only_fans()
+    fans += subset_vector_fans_missing_rays()
+    pairs = [(fine, coarse) for fine in fans for coarse in fans
+             if fine.ambient_dim == coarse.ambient_dim]
+    pairs += support_pairs()
+    for fine, coarse in without_a_maximal_cone(fixture_fans()):
+        pairs += [(fine, coarse), (coarse, fine)]
     verdicts = []
-    for fine in fans:
-        for coarse in fans:
-            if fine.ambient_dim == coarse.ambient_dim:
-                got = pc.refines(fine, coarse)
-                assert got == scan_refines(fine, coarse), (fine, coarse)
-                verdicts.append(got)
+    for fine, coarse in pairs:
+        got = pc.refines(fine, coarse)
+        assert got == scan_refines(fine, coarse) == reference_refines(fine, coarse), (fine, coarse)
+        verdicts.append(got)
     assert verdicts.count(True) >= 20 and verdicts.count(False) >= 20
 
 
@@ -714,6 +740,8 @@ def reference_same_support(f1, f2, trials, seed, seen):
 
     rng = Random(seed)
     if pc.refines(f1, f2):
+        if f1 == f2:
+            return True
         for cone in f2.maximal_cones():
             rays = f2.cone_rays(cone)
             for _ in range(max(1, trials // max(1, len(f2.cones)))):
@@ -763,9 +791,8 @@ def assert_positive_multiples(points, references):
         assert k > 0 and all(x == k * y for x, y in zip(w, ref))
 
 
-def test_same_support_matches_the_fraction_sampler(monkeypatch):
-    pairs = support_pairs()
-    pairs += without_a_maximal_cone({coarse for _, coarse in pairs})
+def recorded_in_support(monkeypatch):
+    """The points `same_support` passes to `in_support`, recorded in a list."""
     recorded = []
     shipped = pc.fan.in_support
 
@@ -774,6 +801,13 @@ def test_same_support_matches_the_fraction_sampler(monkeypatch):
         return shipped(fan, w)
 
     monkeypatch.setattr(pc.fan, "in_support", recording)
+    return recorded
+
+
+def test_same_support_matches_the_fraction_sampler(monkeypatch):
+    pairs = support_pairs()
+    pairs += without_a_maximal_cone({coarse for _, coarse in pairs})
+    recorded = recorded_in_support(monkeypatch)
     verdicts = []
     for f1, f2 in pairs:
         recorded.clear()
@@ -782,9 +816,27 @@ def test_same_support_matches_the_fraction_sampler(monkeypatch):
         assert got == reference_same_support(f1, f2, trials=1000, seed=0,
                                              seen=expected_points)
         assert_positive_multiples(recorded, expected_points)
+        # only equal fans are decided without a sample
+        assert bool(recorded) == (f1 != f2)
         verdicts.append((pc.refines(f1, f2), got))
     # both branches run, and the refining branch gives both verdicts
     assert set(verdicts) == {(True, True), (True, False), (False, False)}
+
+
+def test_same_support_of_equal_fans_samples_nothing(monkeypatch):
+    # every support-pair fan with itself, and the nested-set fan of the
+    # maximal building set with the equal fan built from chains of flats
+    pairs = [(f, f) for pair in support_pairs() for f in pair]
+    for table in (P1, P2, P3, P4, U34):
+        P = pc.Polymatroid(table)
+        pairs.append((pc.bergman_fan(P), pc.maximal_bergman_fan_direct(P)))
+    recorded = recorded_in_support(monkeypatch)
+    for f1, f2 in pairs:
+        assert f1 == f2
+        assert pc.same_support(f1, f2, trials=1000, seed=0)
+        assert pc.same_support(f2, f1, trials=1000, seed=0)
+    assert recorded == []
+    assert sum(f1 is not f2 for f1, f2 in pairs) == 5
 
 
 def test_same_support_refining_branch_rejects_a_missing_cone():

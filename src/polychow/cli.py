@@ -21,10 +21,9 @@ from .chow import ChowPair, nested_basis, pairing_det, phi_iso_check
 from .fan import bergman_fan, boolean_bergman_fan, same_support, validate_fan
 from .kahler import kahler_package_report
 from .lift import geometric_flat_lattice, lift
-from .polymatroid import Polymatroid, PolymatroidError, ProjectionMap
+from .polymatroid import MAX_GROUND, Polymatroid, PolymatroidError, ProjectionMap
 from .polytope import Polypermutohedron, normal_fan_equals
 
-MAX_GROUND_OVERALL = 16
 MAX_GROUND_HEAVY = 8  # bounds P.n for HEAVY_COMMANDS
 MAX_POLYPERM_VERTICES = 362_880  # 9!: `polyperm` takes 1.4 s on a 2-vCPU VM
 MAX_FAN_LOOPS = 47_293  # Fubini(7): B(1^7) `polyperm --verify-fan` takes 1.7 s there
@@ -120,9 +119,9 @@ def polyperm_costs(sizes):
 def guard(P, command, verify_fan):
     sizes = [P.rank(1 << i) for i in range(P.n)]
     m = sum(sizes)
-    if m > MAX_GROUND_OVERALL:
+    if m > MAX_GROUND:
         raise CliError("lifted ground set size %d exceeds the limit %d"
-                       % (m, MAX_GROUND_OVERALL))
+                       % (m, MAX_GROUND))
     if command in HEAVY_COMMANDS and P.n > MAX_GROUND_HEAVY:
         raise CliError("ground set size %d exceeds the limit %d for %s"
                        % (P.n, MAX_GROUND_HEAVY, command))
@@ -205,7 +204,7 @@ def cmd_polyperm(P, G, args):
     ok = True
     if args.verify_fan:
         fan = boolean_bergman_fan(proj)
-        ok = normal_fan_equals(Q, fan, trials=args.trials, seed=args.seed)
+        ok = normal_fan_equals(Q, fan)
         report["normal_fan_matches"] = ok
     return report, ok
 
@@ -287,8 +286,11 @@ def main(argv=None):
     parser.add_argument("--instance", required=True, help="path to instance JSON")
     parser.add_argument("--building-set", default=None,
                         help="path to a JSON list of flat masks, or 'maximal'")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--trials", type=int, default=1000)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="seed of verify-all's support-refinement samples")
+    parser.add_argument("--trials", type=int, default=1000,
+                        help="samples for verify-all's support-refinement section "
+                             "(values below 1000 count as 1000)")
     parser.add_argument("--json-indent", type=int, default=None)
     parser.add_argument("--check", action="store_true",
                         help="run structural validators (fan)")

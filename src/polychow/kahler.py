@@ -30,12 +30,18 @@ def ambient_complete_fan(pair):
     subfan.  Requires the lifted members to form a building set of the
     Boolean lattice (in particular the lift must be a simple matroid).
     A free lift's closure is the identity, so its Bergman fan is complete
-    and is its own ambient fan, shared with `bergman_fan`'s memo."""
+    and is its own ambient fan, shared with `bergman_fan`'s memo; its
+    lifted members need no validation.  Lemma: a free lift has rank
+    m = sum rk(i), so P is Boolean by submodularity and G, a building set
+    of the Boolean lattice on E, holds every singleton and the union of
+    any two intersecting members; preimages keep both, and a singleton of
+    E~ meeting a preimage lies inside it, so the preimages plus the
+    singletons of E~ form a building set of the Boolean lattice on E~."""
     m = pair.proj.m
-    base = boolean_polymatroid(ProjectionMap((1,) * m))
-    building = BuildingSet(base, pair.lifted.members, validate=True)
     if pair.M.rank(pair.M.full_mask) == m:
         return bergman_fan(pair.P, pair.G)
+    base = boolean_polymatroid(ProjectionMap((1,) * m))
+    building = BuildingSet(base, pair.lifted.members, validate=True)
     return nested_set_fan(building, base.full_mask, m)
 
 

@@ -11,9 +11,7 @@ orbits of subsets depend only on per-fiber counts.
 """
 
 from .bitsets import canonical_key
-from .polymatroid import Ground, PolymatroidError, ProjectionMap, memoized
-
-MAX_LIFT_GROUND = 16
+from .polymatroid import MAX_GROUND, Ground, PolymatroidError, ProjectionMap, memoized
 
 
 class MultisymMatroid(Ground):
@@ -31,9 +29,9 @@ class MultisymMatroid(Ground):
         self.base = base
         sizes = [base.rank(1 << i) for i in range(base.n)]
         self.proj = ProjectionMap(sizes)
-        if self.proj.m > MAX_LIFT_GROUND:
+        if self.proj.m > MAX_GROUND:
             raise PolymatroidError("size", None,
-                                   "lift ground set larger than %d" % MAX_LIFT_GROUND)
+                                   "lift ground set larger than %d" % MAX_GROUND)
         self._memo = {}
 
     @property

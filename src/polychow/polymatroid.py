@@ -7,7 +7,7 @@ singleton has positive rank) throughout.
 
 from .bitsets import canonical_key, elements
 
-MAX_GROUND = 16
+MAX_GROUND = 16  # bounds the base ground set here, the lifted one in lift and cli
 
 
 class PolymatroidError(ValueError):

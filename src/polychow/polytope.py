@@ -1,26 +1,22 @@
-"""Polypermutohedra and the combinatorics of their inner normal fans.
+"""Polypermutohedra and the check that a fan is their inner normal fan.
 
 A polypermutohedron vertex is c_1*e_{s_1} + ... + c_n*e_{s_n} over an
 ordered transversal (s_1, ..., s_n) of the projection: one element per
 fiber, position j carrying weight c_j.
 
 A word on orientation: with 0 <= c_1 < ... < c_n and *minimization*, the
-brute-force oracle selects transversals whose weights are arranged in
+brute-force argmin selects transversals whose weights are arranged in
 weakly DECREASING order (largest c paired with smallest weight), as the
-rearrangement inequality predicts.  One characterization,
-`_minimizers_from_lowest`, reads the minimizers off the Lowest poset:
-the per-fiber minima, fibers in weakly decreasing weight order;
-`normal_fan_equals` checks it against the oracle.
+rearrangement inequality predicts.
 """
 
 import sys
 from functools import reduce
 from itertools import permutations, product
-from operator import and_, mul, or_
-from random import Random
+from operator import and_, mul
 
 from .bitsets import elements
-from .fan import random_integral_point
+from .fan import complete_fan_certificate, walls
 from .linalg import integral
 from .polymatroid import Immutable, ProjectionMap, memoized
 
@@ -68,21 +64,6 @@ class Polypermutohedron(Immutable):
             self.proj.fiber_sizes, self.c, len(self.vertices))
 
 
-def _lowest_ranks(proj, w):
-    """w's Lowest poset: its per-fiber weight minimizers, in increasing
-    order, each paired with its dense weight rank, the number of distinct
-    minimizer weights below its own.  The weight preorder on the minimizers
-    is total, and a total preorder and its dense rank function determine
-    each other, so this tuple is the poset.  It is invariant under adding
-    multiples of the all-ones vector to the sequence w."""
-    lows, start = [], 0
-    for s in proj.fiber_sizes:
-        lows.append(min(w[start:start + s]))
-        start += s
-    rank = {x: k for k, x in enumerate(sorted(set(lows)))}
-    return tuple((i, rank[lows[f]]) for i, f in enumerate(proj.fiber_of) if w[i] == lows[f])
-
-
 def embed(w_quotient):
     """Lift a quotient representative (m-1 coordinates) to R^m, last = 0."""
     return tuple(w_quotient) + (0,)
@@ -114,81 +95,38 @@ def minimizing_vertices(Q, w):
     return sum(1 << (k := values.index(best, k + 1)) for _ in range(values.count(best)))
 
 
-def _position_masks(Q):
-    """masks[i, a, b]: the vertices with a transversal that puts element i
-    at a position in [a, b), as a bitset."""
-    n = Q.proj.n
-    at = [[0] * n for _ in range(Q.proj.m)]
-    for seq, k in Q.vertex_of.items():
-        for j, i in enumerate(seq):
-            at[i][j] |= 1 << k
-    return {(i, a, b): reduce(or_, row[a:b]) for i, row in enumerate(at)
-            for a in range(n) for b in range(a + 1, n + 1)}
-
-
-def _minimizers_from_lowest(Q, ranks):
-    """Minimizing vertex set of every w whose Lowest poset is `ranks`
-    (`_lowest_ranks`).
-
-    A transversal minimizes iff each fiber f puts one of its minimizers in
-    its rank block [a, b) of positions, where a fibers have higher rank than
-    f and b - a have its rank.  So a vertex minimizes iff, for every f, it
-    is in masks[i, a, b] (`_position_masks`, memoized on Q) for a minimizer
-    i of f: at c_1 = 0 a vertex's transversals differ only in the element
-    at position 1, which enters only its own fiber's condition.  The AND
-    starts from every vertex, so n = 0 gives the one empty vertex.
+def normal_fan_equals(Q, fan):
+    """Decide whether `fan` is the inner normal fan of Q (mod all-ones) by an
+    exact certificate.  For d = `fan.ambient_dim` >= 1 it requires
+      (a) `complete_fan_certificate(fan)`;
+      (b) for each maximal cone sigma, exactly one vertex v_sigma in the AND
+          over its rays r of face[r], the argmin of r (`minimizing_vertices`,
+          one call per ray);
+      (c) at each wall with opposite rays u of sigma and u' of sigma',
+          v_sigma & face[u'] == 0 and v_sigma' & face[u] == 0.
+    These decide it.  With h = min <v, .> over the vertices, concave, and
+    w = sum a_r r inside sigma, <v_sigma, w> = sum a_r h(r) <= h(w), so
+    v_sigma minimizes w, and only it, since any minimizer of w minimizes
+    every r; so h is linear on each sigma and both sides of a wall agree on
+    its rays.  (c) is the strict wall inequality <v_sigma, u'> > h(u'), so
+    h is strictly concave across every wall of the complete fan (a) and
+    the normal cone of v_sigma is exactly sigma (Cox-Little-Schenck,
+    "Toric varieties", 2011, ch. 6); every vertex's open normal cone meets
+    some sigma's interior, so every vertex is some v_sigma.  Conversely a
+    true normal fan is complete and simplicial, and its ray sums lie on no
+    other cone's boundary, so (a) holds; v_sigma alone has sigma in its
+    normal cone, so (b) holds; and a ray outside sigma is minimized by no
+    v_sigma, so (c) holds.  At d = 0 (B(1)) the fan must be the one cone
+    {} and Q one vertex.
     """
-    masks = memoized(Q, "position_masks", lambda: _position_masks(Q))
-    fiber_of = Q.proj.fiber_of
-    fiber_rank = {fiber_of[i]: rank for i, rank in ranks}
-    order = sorted(fiber_rank.values(), reverse=True)
-    either = dict.fromkeys(fiber_rank, 0)   # fiber -> OR over its minimizers
-    for i, rank in ranks:
-        a = order.index(rank)
-        either[fiber_of[i]] |= masks[i, a, a + order.count(rank)]
-    return reduce(and_, either.values(), (1 << len(Q.vertices)) - 1)
-
-
-def normal_fan_equals(Q, fan, trials=1000, seed=0):
-    """Decide whether `fan` is the inner normal fan of Q (mod all-ones).
-
-    Exhaustive part: each cone's interior representative is classified by
-    its Lowest poset; representatives of distinct cones must disagree, and
-    distinct cones must select distinct minimizing vertex sets, read off
-    their Lowest posets by `_minimizers_from_lowest`.  With a
-    `fan.subset_index`, a cone's representative counts, per element, the
-    ray subsets holding it: its lifted ray sum plus a multiple of (1, ..., 1).
-    Sampling part: random rational points must land in the classification
-    (so the fan is complete), and each one's brute-force argmin must be the
-    set stored for its Lowest poset, so points share a relative interior if
-    and only if they minimize at the same vertex set.  That set is, by
-    construction, the characterization at the sample, so every sample
-    tests brute(w) == characterization(_lowest_ranks(w)) as bitsets, by one
-    `minimizing_vertices` call.  Samples are drawn as integers by
-    `random_integral_point`: positive multiples of rational points, with
-    their Lowest posets and argmins, so the comparisons need no Fractions.
-    """
-    proj = Q.proj
-    if fan.ambient_dim != proj.m - 1:
+    if fan.ambient_dim != Q.proj.m - 1:
         raise ValueError("ambient dimension mismatch")
-    contain = fan.subset_index and fan.subset_index[0]
-    minimizers = {}                  # Lowest poset's ranks -> vertex set
-    for bits, cone in fan.cone_masks().items():
-        if contain:
-            w = [(e & bits).bit_count() for e in contain]
-        else:
-            rays = fan.cone_rays(cone)
-            w = embed(map(sum, zip(*rays)) if rays else (0,) * fan.ambient_dim)
-        key = _lowest_ranks(proj, w)
-        if key in minimizers:
-            return False
-        minimizers[key] = _minimizers_from_lowest(Q, key)
-    if len(set(minimizers.values())) != len(minimizers):
+    if fan.ambient_dim == 0:
+        return fan.cones == {frozenset()} and len(Q.vertices) == 1
+    if not complete_fan_certificate(fan):
         return False
-    rng = Random(seed)
-    for _ in range(trials):
-        w = embed(random_integral_point(rng, fan.ambient_dim))
-        mins = minimizers.get(_lowest_ranks(proj, w))
-        if mins is None or minimizing_vertices(Q, w) != mins:
-            return False
-    return True
+    face = [minimizing_vertices(Q, embed(r)) for r in fan.rays]
+    vertex = {c: reduce(and_, map(face.__getitem__, c)) for c in fan.maximal_cones()}
+    return all(v.bit_count() == 1 for v in vertex.values()) and not any(
+        vertex[c] & face[u2] or vertex[c2] & face[u]
+        for (c, u), (c2, u2) in walls(fan.maximal_cones()).values())

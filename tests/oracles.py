@@ -2,16 +2,18 @@
 
 Each one gives an independent route to something `polychow` computes:
 polymatroid constructions, the minimal flats of a ground, Lowest posets
-as explicit relations, a sampled completeness test, cone queries by a scan
-and rational coordinates, refinement and unimodularity over all cones,
+and the sampled normal-fan check built on them, a sampled completeness
+test, cone queries by a scan and rational coordinates, refinement and
+unimodularity over all cones,
 exact rational degrees, the classes of the Kahler tests, the ray-variable
 presentation of the Chow ring, and Bareiss elimination that updates every
 row at every step.
 """
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from operator import mul
+from operator import and_, mul, or_
 from random import Random
 
 import polychow as pc
@@ -20,7 +22,8 @@ from polychow.bitsets import elements
 from polychow.chow import Codec, DivisorIndex, _standard_monomials
 from polychow.fan import _locator, _numerators, cone_contains, locate, random_integral_point
 from polychow.linalg import integral
-from polychow.polytope import _lowest_ranks
+from polychow.polymatroid import memoized
+from polychow.polytope import embed, minimizing_vertices
 
 # --- polymatroids and their flats ---------------------------------------------
 
@@ -52,13 +55,107 @@ def flat_atoms(ground):
     return {f for f in flats if not any(g != f and g & f == g for g in flats)}
 
 
+def lowest_ranks(proj, w):
+    """w's Lowest poset: its per-fiber weight minimizers, in increasing
+    order, each paired with its dense weight rank, the number of distinct
+    minimizer weights below its own.  The weight preorder on the minimizers
+    is total, and a total preorder and its dense rank function determine
+    each other, so this tuple is the poset.  It is invariant under adding
+    multiples of the all-ones vector to the sequence w."""
+    lows, start = [], 0
+    for s in proj.fiber_sizes:
+        lows.append(min(w[start:start + s]))
+        start += s
+    rank = {x: k for k, x in enumerate(sorted(set(lows)))}
+    return tuple((i, rank[lows[f]]) for i, f in enumerate(proj.fiber_of) if w[i] == lows[f])
+
+
 def lowest_poset(proj, w):
     """w's Lowest poset as (elements, relation), read from the dense ranks
-    of `_lowest_ranks`: the per-fiber weight minimizers, and the pairs
+    of `lowest_ranks`: the per-fiber weight minimizers, and the pairs
     (i, j) of them with rank(i) <= rank(j), that is, w[i] <= w[j]."""
-    ranks = _lowest_ranks(proj, w)
+    ranks = lowest_ranks(proj, w)
     return (frozenset(i for i, _ in ranks),
             frozenset((i, j) for i, a in ranks for j, b in ranks if a <= b))
+
+
+# --- polypermutohedra -----------------------------------------------------------
+
+
+def position_masks(Q):
+    """masks[i, a, b]: the vertices with a transversal that puts element i
+    at a position in [a, b), as a bitset."""
+    n = Q.proj.n
+    at = [[0] * n for _ in range(Q.proj.m)]
+    for seq, k in Q.vertex_of.items():
+        for j, i in enumerate(seq):
+            at[i][j] |= 1 << k
+    return {(i, a, b): reduce(or_, row[a:b]) for i, row in enumerate(at)
+            for a in range(n) for b in range(a + 1, n + 1)}
+
+
+def minimizers_from_lowest(Q, ranks):
+    """Minimizing vertex set of every w whose Lowest poset is `ranks`
+    (`lowest_ranks`).
+
+    A transversal minimizes iff each fiber f puts one of its minimizers in
+    its rank block [a, b) of positions, where a fibers have higher rank than
+    f and b - a have its rank.  So a vertex minimizes iff, for every f, it
+    is in masks[i, a, b] (`position_masks`, memoized on Q) for a minimizer
+    i of f: at c_1 = 0 a vertex's transversals differ only in the element
+    at position 1, which enters only its own fiber's condition.  The AND
+    starts from every vertex, so n = 0 gives the one empty vertex.
+    """
+    masks = memoized(Q, "position_masks", lambda: position_masks(Q))
+    fiber_of = Q.proj.fiber_of
+    fiber_rank = {fiber_of[i]: rank for i, rank in ranks}
+    order = sorted(fiber_rank.values(), reverse=True)
+    either = dict.fromkeys(fiber_rank, 0)   # fiber -> OR over its minimizers
+    for i, rank in ranks:
+        a = order.index(rank)
+        either[fiber_of[i]] |= masks[i, a, a + order.count(rank)]
+    return reduce(and_, either.values(), (1 << len(Q.vertices)) - 1)
+
+
+def sampled_normal_fan_equals(Q, fan, trials=1000, seed=0):
+    """`normal_fan_equals` by Lowest-poset classification plus sampling, as
+    it was before the face-and-wall certificate.
+
+    Exhaustive part: each cone's interior representative is classified by
+    its Lowest poset; representatives of distinct cones must disagree, and
+    distinct cones must select distinct minimizing vertex sets, read off
+    their Lowest posets by `minimizers_from_lowest`.  With a
+    `fan.subset_index`, a cone's representative counts, per element, the
+    ray subsets holding it: its lifted ray sum plus a multiple of (1, ..., 1).
+    Sampling part: random rational points, drawn as integers by
+    `random_integral_point`, must land in the classification (so the fan
+    is complete), and each one's brute-force argmin must be the set stored
+    for its Lowest poset.
+    """
+    proj = Q.proj
+    if fan.ambient_dim != proj.m - 1:
+        raise ValueError("ambient dimension mismatch")
+    contain = fan.subset_index and fan.subset_index[0]
+    minimizers = {}                  # Lowest poset's ranks -> vertex set
+    for bits, cone in fan.cone_masks().items():
+        if contain:
+            w = [(e & bits).bit_count() for e in contain]
+        else:
+            rays = fan.cone_rays(cone)
+            w = embed(map(sum, zip(*rays)) if rays else (0,) * fan.ambient_dim)
+        key = lowest_ranks(proj, w)
+        if key in minimizers:
+            return False
+        minimizers[key] = minimizers_from_lowest(Q, key)
+    if len(set(minimizers.values())) != len(minimizers):
+        return False
+    rng = Random(seed)
+    for _ in range(trials):
+        w = embed(random_integral_point(rng, fan.ambient_dim))
+        mins = minimizers.get(lowest_ranks(proj, w))
+        if mins is None or minimizing_vertices(Q, w) != mins:
+            return False
+    return True
 
 
 # --- fans ---------------------------------------------------------------------

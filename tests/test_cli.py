@@ -311,18 +311,39 @@ LADDER = [{"rank": boolean_table((2, 2))}, {"rank": [0, 2, 2, 4]},
     "3e4faf8c59939a9d9d6d99b2bbe5c69b8c06081242758f10cf0df31194ad1516",
     "b014b9dcb3cf60bcae494f716bac479eb72319930753296428c2c65d3f9a983a",
     "01e6ef3a91b660ad5c8b0a48d05acb0638b4c5a635948b510255e9e273ee70cb",
-    "6e153ecf20cf5080fabfcf2f74d711624906a266db4c1e8bb3f418b024906e9d"])])
+    "6e153ecf20cf5080fabfcf2f74d711624906a266db4c1e8bb3f418b024906e9d"])] + [
+    (["polyperm", "--verify-fan"], {"rank": boolean_table((1,))},
+     "61bf1aa32289f0a52c2ac99196fbac40972667a340d84a8b923c8fe155ead7fb"),
+    (["polyperm", "--verify-fan"], {"rank": boolean_table((2, 2, 1))},
+     "82b33ef28427bb3a9b9ac0222b2acc3e9e80c71b1635fe5a4aa4ee23791369d1"),
+    (["polyperm", "--verify-fan"], {"rank": boolean_table((1, 1, 1, 1, 1))},
+     "89b4142547afb11be37c6f10b8f2479d8189be02a6e1b002b4bb1e0a4294f7ee")])
 def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
     # SHA-256 of stdout (default seed and indent), recorded before monomials
     # were packed into ints (U(4,5) and B(1,1,1,1,1) before the divisor
     # index and the zero-skipping determinants, the ladder's verify-all
-    # before equal fans were compared without sampling); the chow report
-    # prints the basis exponents.  U(3,5), the last rung, exits 1 for its
+    # before equal fans were compared without sampling, polyperm while the
+    # normal fan was still sampled); the chow report prints the basis
+    # exponents.  U(3,5), the last rung, exits 1 for its
     # known `kahler` failure (ROADMAP item 1).
     path = write_instance(tmp_path, data)
     code, out, _ = run(capsys, argv[:1] + ["--instance", path] + argv[1:])
     assert code == (1 if argv[0] == "verify-all" and data is LADDER[-1] else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("data", [LADDER[5], LADDER[-1]], ids=["B(2,2,1)", "U(3,5)"])
+def test_polyperm_verify_fan_reads_neither_trials_nor_seed(tmp_path, capsys, data):
+    # the normal fan is decided exactly, so --trials changes no byte and
+    # --seed only the echoed seed
+    path = write_instance(tmp_path, data)
+    outs = [run(capsys, ["polyperm", "--verify-fan", "--instance", path] + flags)[1]
+            for flags in (["--trials", "1"], ["--trials", "1000"], ["--seed", "3"], ["--seed", "11"])]
+    assert outs[0] == outs[1]
+    reports = [json.loads(out) for out in outs]
+    assert [report.pop("seed") for report in reports] == [0, 0, 3, 11]
+    assert reports[0] == reports[2] == reports[3]
+    assert reports[0]["report"]["normal_fan_matches"] is True
 
 
 def test_verify_all_samples_support_only_for_a_coarser_building_set(

@@ -10,7 +10,7 @@ from polychow.chow import GradedRing, poly_mul, poly_pow
 from polychow.fan import primitive, subset_vector
 from polychow.kahler import (_hodge_riemann_form, _lefschetz_power, ambient_complete_fan,
                              nestohedron_class, nestohedron_values)
-from conftest import P1, P2, P3, P4, U34, U34_MIN_BUILDING, boolean_table
+from conftest import BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING, boolean_table
 from oracles import (beta_class, beta_class_corank_form, deg_fy, poly_add, poly_scale,
                      sigma_cone_class)
 from test_fan import refused_complete_collections
@@ -175,6 +175,24 @@ def test_free_lift_ambient_fan_is_the_bergman_fan(table):
     assert ambient is pc.bergman_fan(pair.P, pair.G)
     reference = boolean_base_ambient_fan(pair)
     assert (ambient.rays, ambient.cones) == (reference.rays, reference.cones)
+
+
+@pytest.mark.parametrize("fibers", BOOLEAN_FIBERS + [(2, 2, 1), (2, 2, 2), (1, 1, 1, 1, 1)])
+def test_free_lift_lifted_sets_are_boolean_building_sets(fibers):
+    # the lemma that lets ambient_complete_fan return a free lift's Bergman
+    # fan without validating the lifted members, for the maximal G, the
+    # minimal G (singletons and E) and, for n >= 3, the minimal G with {0, 1}
+    proj = pc.ProjectionMap(fibers)
+    P = pc.boolean_polymatroid(proj)
+    minimal = [1 << i for i in range(P.n)] + [P.full_mask]
+    buildings = [None, pc.BuildingSet(P, minimal)]
+    if P.n >= 3:
+        buildings.append(pc.BuildingSet(P, minimal + [0b11]))
+    base = pc.boolean_polymatroid(pc.ProjectionMap((1,) * proj.m))
+    for G in buildings:
+        M, lifted = pc.lifted_building_set(P, G)
+        assert M.rank(M.full_mask) == M.m
+        assert pc.is_geometric_building_set(base, lifted.members) == (True, None)
 
 
 def test_ambient_fan_is_built_apart_when_the_lift_is_not_free():

@@ -1,5 +1,7 @@
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, permutations, product
+from operator import and_
 from random import Random
 
 import pytest
@@ -7,9 +9,10 @@ import pytest
 import polychow as pc
 from polychow import polytope
 from polychow.bitsets import elements
-from polychow.polytope import embed, minimizing_vertices, _lowest_ranks, _minimizers_from_lowest
+from polychow.polytope import embed, minimizing_vertices
+import oracles
 from conftest import BOOLEAN_FIBERS, all_partitions_m6
-from oracles import lowest_poset
+from oracles import lowest_poset, lowest_ranks, minimizers_from_lowest, sampled_normal_fan_equals
 
 
 def test_vertices_two_singleton_fibers():
@@ -52,7 +55,7 @@ def test_lowest_poset_all_ones_invariance():
     for _ in range(50):
         w = tuple(rng.randrange(-5, 6) for _ in range(3))
         shifted = tuple(x + 4 for x in w)
-        assert _lowest_ranks(proj, w) == _lowest_ranks(proj, shifted)
+        assert lowest_ranks(proj, w) == lowest_ranks(proj, shifted)
 
 
 def vertices_of(Q, bits):
@@ -66,7 +69,7 @@ def test_minimizer_decreasing_orientation():
     Q = pc.Polypermutohedron((1, 1, 1), c=(1, 2, 3))
     w = (0, 1, 2)
     assert vertices_of(Q, minimizing_vertices(Q, w)) == {(3, 2, 1)}
-    assert vertices_of(Q, _minimizers_from_lowest(Q, _lowest_ranks(Q.proj, w))) == {(3, 2, 1)}
+    assert vertices_of(Q, minimizers_from_lowest(Q, lowest_ranks(Q.proj, w))) == {(3, 2, 1)}
     assert reference_minimizing_vertices(Q, w) == ({(3, 2, 1)}, {(3, 2, 1)})
 
 
@@ -79,7 +82,7 @@ def test_minimizer_predicate_matches_brute_force():
             w = tuple(Fraction(rng.randrange(-30, 31), rng.randrange(1, 5))
                       for _ in range(m))
             bits = minimizing_vertices(Q, w)
-            assert _minimizers_from_lowest(Q, _lowest_ranks(Q.proj, w)) == bits
+            assert minimizers_from_lowest(Q, lowest_ranks(Q.proj, w)) == bits
             brute = vertices_of(Q, bits)
             assert reference_minimizing_vertices(Q, w) == (brute, brute)
 
@@ -145,7 +148,7 @@ def test_minimizing_vertices_matches_the_reference_scan():
                 got = vertices_of(Q, bits)
                 assert (got, got) == reference_minimizing_vertices(Q, w), (fibers, c, w)
                 assert got == column_sum_minimizing_vertices(Q, w), (fibers, c, w)
-                assert bits == _minimizers_from_lowest(Q, _lowest_ranks(Q.proj, w)), \
+                assert bits == minimizers_from_lowest(Q, lowest_ranks(Q.proj, w)), \
                     (fibers, c, w)
                 sizes.add(len(got) > 1)
     # ties give several minimizers, generic points one
@@ -154,7 +157,7 @@ def test_minimizing_vertices_matches_the_reference_scan():
 
 
 def enumerated_minimizers(Q, ranks):
-    """_minimizers_from_lowest as it was before the position masks: every
+    """minimizers_from_lowest as it was before the position masks: every
     minimizing transversal enumerated (per-fiber minima, fibers in weakly
     decreasing weight rank with all tie orders), its vertex read from
     `Q.vertex_of`."""
@@ -182,15 +185,15 @@ def test_position_masks_match_the_enumeration():
             points += [tuple(rng.randrange(-20, 21) for _ in range(m)) for _ in range(4)]
             points += [(0,) * m, tuple(Fraction(rng.randrange(-9, 10), 2) for _ in range(m))]
             for w in points:
-                ranks = _lowest_ranks(Q.proj, w)
-                bits = _minimizers_from_lowest(Q, ranks)
+                ranks = lowest_ranks(Q.proj, w)
+                bits = minimizers_from_lowest(Q, ranks)
                 assert bits == enumerated_minimizers(Q, ranks) == minimizing_vertices(Q, w), \
                     (fibers, c, w)
                 fiber_ranks = {(Q.proj.fiber_of[i], r) for i, r in ranks}
                 shared_blocks += len(fiber_ranks) > len({r for _, r in fiber_ranks})
                 several += bits.bit_count() > 1
     # n = 0 has its one empty vertex
-    assert _minimizers_from_lowest(pc.Polypermutohedron(()), ()) == 1
+    assert minimizers_from_lowest(pc.Polypermutohedron(()), ()) == 1
     # rank blocks held by several fibers, and several minimizers, are common
     assert shared_blocks > 500 and several > 500
 
@@ -225,7 +228,7 @@ def test_packed_lanes_on_both_sides_of_the_lane_bound():
     assert vertices_of(Q, minimizing_vertices(Q, (0, 2**64))) == {(1, 0)}
 
 
-def test_every_sample_is_brute_forced(monkeypatch):
+def test_one_argmin_per_ray(monkeypatch):
     calls = []
     shipped = polytope.minimizing_vertices
 
@@ -234,30 +237,92 @@ def test_every_sample_is_brute_forced(monkeypatch):
         return shipped(Q, w)
 
     monkeypatch.setattr(polytope, "minimizing_vertices", counting)
+    for fibers in ((1, 1), (1, 2), (2, 2), (1, 1, 2), (1, 1, 1, 1)):
+        Q = pc.Polypermutohedron(fibers)
+        fan = pc.boolean_bergman_fan(pc.ProjectionMap(fibers))
+        calls.clear()
+        assert pc.normal_fan_equals(Q, fan)
+        assert calls == [embed(r) for r in fan.rays], fibers
+
+
+def other_weights(n, rng):
+    """c = (0, 1, ..., n-1), whose transversals share vertices, and three
+    random strictly increasing c, the first starting at 0."""
+    out = [tuple(range(n))]
+    for first in (0, None, None):
+        c = sorted(rng.sample(range(1, 4 * n + 2), n))
+        if first is not None:
+            c[0] = first
+        out.append(tuple(c))
+    return out
+
+
+def drop_one_maximal_cone(fan):
+    maxes = sorted(fan.maximal_cones(), key=sorted)
+    return pc.Fan(fan.ambient_dim, fan.rays, fan.cones - {maxes[len(maxes) // 2]})
+
+
+def test_certificate_matches_the_sampled_oracle():
+    partitions = all_partitions_m6()
+    assert len(partitions) == 29
+    rng = Random(41)
+    cases = []
+    for fibers in partitions:
+        proj = pc.ProjectionMap(fibers)
+        fan = pc.boolean_bergman_fan(proj)
+        for c in [None] + other_weights(len(fibers), rng):
+            cases.append((pc.Polypermutohedron(proj, c=c), fan))
     for fibers in ((1, 1), (1, 2), (2, 2), (1, 1, 2)):
         Q = pc.Polypermutohedron(fibers)
         fan = pc.boolean_bergman_fan(pc.ProjectionMap(fibers))
-        for trials in (1, 37, 200):
-            calls.clear()
-            assert pc.normal_fan_equals(Q, fan, trials=trials, seed=5)
-            assert len(calls) == trials, (fibers, trials)
+        # doubled rays are no indicator vectors: the oracle reads ray sums
+        doubled = pc.Fan(fan.ambient_dim, [[2 * x for x in r] for r in fan.rays], fan.cones)
+        cases += [(Q, doubled), (Q, drop_one_maximal_cone(fan))]
+    # the fan of another fiber structure on the same ground set
+    shapes = [(1, 2), (2, 1)] + [f for f in partitions if sum(f) <= 4]
+    cases += [(pc.Polypermutohedron(a), pc.boolean_bergman_fan(pc.ProjectionMap(b)))
+              for a in shapes for b in shapes if a != b and sum(a) == sum(b)]
+    # B(1): d = 0, one vertex and the one empty cone
+    cases += [(pc.Polypermutohedron((1,)), pc.boolean_bergman_fan(pc.ProjectionMap((1,)))),
+              (pc.Polypermutohedron((1,)), pc.Fan(0, [], []))]
+    verdicts = []
+    for Q, fan in cases:
+        verdict = pc.normal_fan_equals(Q, fan)
+        assert verdict == sampled_normal_fan_equals(Q, fan, trials=200, seed=3), (Q, fan)
+        verdicts.append(verdict)
+    assert verdicts[-2:] == [True, False]
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 def test_normal_fan_equality():
     for fibers in ((1, 1), (1, 2), (2, 2)):
         Q = pc.Polypermutohedron(fibers)
         fan = pc.boolean_bergman_fan(pc.ProjectionMap(fibers))
-        assert pc.normal_fan_equals(Q, fan, trials=200, seed=3)
-        # doubled rays are no indicator vectors: cones are read by ray sums
+        assert pc.normal_fan_equals(Q, fan)
+        # doubled rays: the same cones, with rays that are no indicator vectors
         doubled = pc.Fan(fan.ambient_dim, [[2 * x for x in r] for r in fan.rays], fan.cones)
         assert doubled.subset_index is None
-        assert pc.normal_fan_equals(Q, doubled, trials=200, seed=3)
+        assert pc.normal_fan_equals(Q, doubled)
+
+
+def test_normal_fan_rejects_where_one_vertex_minimizes_both_sides_of_a_wall():
+    # with c_1 = 0 some maximal cones have one vertex each, but a vertex
+    # is shared across a wall: only the wall test rejects, as the sampled
+    # oracle does
+    Q = pc.Polypermutohedron((1, 1, 2), c=(0, 1, 2))
+    fan = pc.boolean_bergman_fan(Q.proj)
+    face = [minimizing_vertices(Q, embed(r)) for r in fan.rays]
+    assert all(reduce(and_, map(face.__getitem__, c)).bit_count() == 1
+               for c in fan.maximal_cones())
+    assert pc.fan.complete_fan_certificate(fan)
+    assert not pc.normal_fan_equals(Q, fan)
+    assert not sampled_normal_fan_equals(Q, fan, trials=200, seed=3)
 
 
 def increasing_weight_order(Q, ranks):
     """A wrong characterization: fibers in increasing weight order."""
     top = max(rank for _, rank in ranks)
-    return _minimizers_from_lowest(Q, tuple((i, top - rank) for i, rank in ranks))
+    return minimizers_from_lowest(Q, tuple((i, top - rank) for i, rank in ranks))
 
 
 def first_minimizer_per_fiber(Q, ranks):
@@ -265,7 +330,7 @@ def first_minimizer_per_fiber(Q, ranks):
     firsts = {}
     for i, rank in ranks:
         firsts.setdefault(Q.proj.fiber_of[i], (i, rank))
-    return _minimizers_from_lowest(Q, tuple(firsts.values()))
+    return minimizers_from_lowest(Q, tuple(firsts.values()))
 
 
 @pytest.mark.parametrize("wrong, fans", [
@@ -273,13 +338,15 @@ def first_minimizer_per_fiber(Q, ranks):
     (first_minimizer_per_fiber, [(2,), (1, 2), (2, 2), (1, 1, 2), (2, 2, 1)]),
 ])
 def test_normal_fan_rejects_a_wrong_characterization(monkeypatch, wrong, fans):
+    # the sampled oracle must notice a wrong Lowest-poset characterization
     cases = [(pc.Polypermutohedron(fibers), pc.boolean_bergman_fan(pc.ProjectionMap(fibers)))
              for fibers in fans]
     for Q, fan in cases:
-        assert pc.normal_fan_equals(Q, fan, trials=50, seed=3)
-    monkeypatch.setattr(polytope, "_minimizers_from_lowest", wrong)
+        assert sampled_normal_fan_equals(Q, fan, trials=50, seed=3)
+    monkeypatch.setattr(oracles, "minimizers_from_lowest", wrong)
     for Q, fan in cases:
-        assert not pc.normal_fan_equals(Q, fan, trials=50, seed=3), Q
+        assert not sampled_normal_fan_equals(Q, fan, trials=50, seed=3), Q
+        assert pc.normal_fan_equals(Q, fan), Q
 
 
 def test_normal_fan_differs_across_projections():
@@ -287,7 +354,7 @@ def test_normal_fan_differs_across_projections():
     # from a different fiber structure on the same ground set
     Q = pc.Polypermutohedron((1, 2))
     other = pc.boolean_bergman_fan(pc.ProjectionMap((2, 1)))
-    assert not pc.normal_fan_equals(Q, other, trials=200, seed=3)
+    assert not pc.normal_fan_equals(Q, other)
 
 
 def test_normal_fan_dimension_mismatch():
@@ -295,6 +362,8 @@ def test_normal_fan_dimension_mismatch():
     fan = pc.boolean_bergman_fan(pc.ProjectionMap((1, 1, 1)))
     with pytest.raises(ValueError):
         pc.normal_fan_equals(Q, fan)
+    with pytest.raises(ValueError):
+        sampled_normal_fan_equals(Q, fan)
 
 
 def nestohedron_support(members, w):
@@ -341,7 +410,7 @@ def reference_lowest_poset(proj, w):
 
 
 def reference_minimizers_from_lowest(Q, w):
-    """_minimizers_from_lowest as it was before it read `Q.vertex_of`: each
+    """minimizers_from_lowest as it was before it read `Q.vertex_of`: each
     minimizing transversal's vertex is built from its coefficients."""
     proj = Q.proj
     offset = 0
@@ -381,11 +450,11 @@ def test_rank_form_lowest_poset_and_vertex_table_match_the_references():
         points += [tuple(Fraction(rng.randrange(-3, 4), rng.randrange(1, 3)) for _ in range(m))
                    for _ in range(40)]
         points += [(0,) * m, (Fraction(1, 2),) * m]
-        posets = [_lowest_ranks(Q.proj, w) for w in points]
+        posets = [lowest_ranks(Q.proj, w) for w in points]
         references = [reference_lowest_poset(Q.proj, w) for w in points]
         for w, ranks, ref in zip(points, posets, references):
             assert lowest_poset(Q.proj, w) == ref, (fibers, w)
-            assert vertices_of(Q, _minimizers_from_lowest(Q, ranks)) == \
+            assert vertices_of(Q, minimizers_from_lowest(Q, ranks)) == \
                 reference_minimizers_from_lowest(Q, w)
         # the rank tuples are equal exactly when the posets are
         for i, (ranks1, ref1) in enumerate(zip(posets, references)):

@@ -287,10 +287,10 @@ def main(argv=None):
     parser.add_argument("--building-set", default=None,
                         help="path to a JSON list of flat masks, or 'maximal'")
     parser.add_argument("--seed", type=int, default=None,
-                        help="seed of verify-all's support-refinement samples")
+                        help="seed of verify-all's support-refinement fallback samples")
     parser.add_argument("--trials", type=int, default=1000,
-                        help="samples for verify-all's support-refinement section "
-                             "(values below 1000 count as 1000)")
+                        help="samples for verify-all's support-refinement fallback, drawn "
+                             "only when no exact certificate holds (below 1000 count as 1000)")
     parser.add_argument("--json-indent", type=int, default=None)
     parser.add_argument("--check", action="store_true",
                         help="run structural validators (fan)")

@@ -317,15 +317,22 @@ LADDER = [{"rank": boolean_table((2, 2))}, {"rank": [0, 2, 2, 4]},
     (["polyperm", "--verify-fan"], {"rank": boolean_table((2, 2, 1))},
      "82b33ef28427bb3a9b9ac0222b2acc3e9e80c71b1635fe5a4aa4ee23791369d1"),
     (["polyperm", "--verify-fan"], {"rank": boolean_table((1, 1, 1, 1, 1))},
-     "89b4142547afb11be37c6f10b8f2479d8189be02a6e1b002b4bb1e0a4294f7ee")])
+     "89b4142547afb11be37c6f10b8f2479d8189be02a6e1b002b4bb1e0a4294f7ee"),
+    (["verify-all", "--trials", "200", "--seed", "1"],
+     {"rank": boolean_table((2, 2, 1)), "building_set": [1, 2, 4, 7]},
+     "7a60628a51df722d1e9f989695a29474e887e99563fc8c87e4c158d95e632bc6"),
+    (["verify-all", "--trials", "200", "--seed", "1"],
+     {"rank": boolean_table((1, 1, 1, 1)), "building_set": [1, 2, 4, 8, 3, 12, 15]},
+     "40408c18ba35057977a227641a96123a3480d04816d53d208801fbb5d920b866")])
 def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
     # SHA-256 of stdout (default seed and indent), recorded before monomials
     # were packed into ints (U(4,5) and B(1,1,1,1,1) before the divisor
     # index and the zero-skipping determinants, the ladder's verify-all
     # before equal fans were compared without sampling, polyperm while the
-    # normal fan was still sampled); the chow report prints the basis
-    # exponents.  U(3,5), the last rung, exits 1 for its
-    # known `kahler` failure (ROADMAP item 1).
+    # normal fan was still sampled, B(2,2,1) and B(1,1,1,1) with coarser
+    # building sets while their support was still sampled); the chow
+    # report prints the basis exponents.  U(3,5), the last rung, exits 1
+    # for its known `kahler` failure (ROADMAP item 1).
     path = write_instance(tmp_path, data)
     code, out, _ = run(capsys, argv[:1] + ["--instance", path] + argv[1:])
     assert code == (1 if argv[0] == "verify-all" and data is LADDER[-1] else 0)
@@ -346,24 +353,35 @@ def test_polyperm_verify_fan_reads_neither_trials_nor_seed(tmp_path, capsys, dat
     assert reports[0]["report"]["normal_fan_matches"] is True
 
 
-def test_verify_all_samples_support_only_for_a_coarser_building_set(
-        tmp_path, capsys, monkeypatch):
+U34_BETWEEN = {"rank": U34, "building_set": [1, 2, 4, 8, 3, 6, 15]}
+
+
+def test_verify_all_samples_no_support_on_the_ladder(tmp_path, capsys, monkeypatch):
     # with the maximal building set the support section compares the fan
-    # with itself, exactly and without a sample; U(3,4) with its minimal
-    # building set samples inside the coarser fan
+    # with itself; with a coarser one the stellar-subdivision certificate
+    # decides it: neither draws a sample
     calls = []
     shipped = fan_module.in_support
     monkeypatch.setattr(fan_module, "in_support",
                         lambda fan, w: calls.append(w) or shipped(fan, w))
-    counts = []
-    for i, data in enumerate(LADDER):
-        calls.clear()
-        run(capsys, ["verify-all", "--instance", write_instance(tmp_path, data, "%d.json" % i),
-                     "--trials", "200", "--seed", "1"])
-        counts.append(len(calls))
-    coarser = LADDER.index({"rank": U34, "building_set": U34_MIN_BUILDING})
-    assert counts[coarser] > 0
-    assert counts[:coarser] + counts[coarser + 1:] == [0] * 6
+    for i, data in enumerate(LADDER + [U34_BETWEEN]):
+        _, out, _ = run(capsys, ["verify-all", "--trials", "200", "--seed", "1",
+                                 "--instance", write_instance(tmp_path, data, "%d.json" % i)])
+        assert json.loads(out)["report"]["sections"]["support-refinement"]["status"] == "pass"
+    assert calls == []
+
+
+def test_coarser_building_set_support_reads_neither_trials_nor_seed(tmp_path, capsys):
+    # the U(3,4)/G=singletons+E ladder op: --trials changes no byte and two
+    # seeds differ only in the echoed seed
+    path = write_instance(tmp_path, LADDER[3])
+    outs = [run(capsys, ["verify-all", "--instance", path] + flags)[1]
+            for flags in (["--trials", "1000"], ["--trials", "5000"], ["--seed", "3"], ["--seed", "11"])]
+    assert outs[0] == outs[1]
+    reports = [json.loads(out) for out in outs]
+    assert [report.pop("seed") for report in reports] == [0, 0, 3, 11]
+    assert reports[0] == reports[2] == reports[3]
+    assert reports[0]["pass"] is True
 
 
 def test_validate_is_fast_at_the_largest_accepted_ground_sets(tmp_path):

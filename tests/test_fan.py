@@ -8,7 +8,8 @@ import polychow as pc
 from polychow import linalg
 from polychow.bitsets import elements
 from polychow.fan import (_has_positive_circuit, complete_fan_certificate, integral,
-                          locate, pairwise_faces_by_circuits, primitive)
+                          locate, pairwise_faces_by_circuits, primitive, stellar_certificate,
+                          subset_vector)
 from conftest import (BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING,
                       boolean_table)
 from oracles import (as_polymatroid, cone_coordinates, find_cone, is_complete,
@@ -731,8 +732,10 @@ def test_random_integral_point_is_the_scaled_fraction_point():
 
 
 def reference_same_support(f1, f2, trials, seed, seen):
-    """same_support with Fraction samples, as it was before it drew in
-    integers; appends every point it tests to `seen`."""
+    """same_support's sampler with Fraction samples, as it was before it
+    drew in integers, without `stellar_certificate`, and with the count per
+    maximal cone divided by the number of maximal cones; appends every point
+    it tests to `seen`."""
 
     def member(fan, w):
         seen.append(w)
@@ -744,7 +747,7 @@ def reference_same_support(f1, f2, trials, seed, seen):
             return True
         for cone in f2.maximal_cones():
             rays = f2.cone_rays(cone)
-            for _ in range(max(1, trials // max(1, len(f2.cones)))):
+            for _ in range(max(1, trials // len(f2.maximal_cones()))):
                 coeffs = [Fraction(rng.randint(1, 50), rng.randint(1, 7))
                           for _ in rays]
                 w = tuple(sum(c * r[i] for c, r in zip(coeffs, rays))
@@ -804,8 +807,16 @@ def recorded_in_support(monkeypatch):
     return recorded
 
 
+def subdivided_at_a_non_indicator_ray():
+    """The positive quadrant, and the same quadrant cut along (1, 2): the
+    second refines the first with the same support, and its rays are no
+    indicator vectors, so only the sampler can accept the pair."""
+    quadrant = pc.Fan(2, [(1, 0), (0, 1)], face_closure([{0, 1}]))
+    return pc.Fan(2, [(1, 0), (0, 1), (1, 2)], face_closure([{0, 2}, {1, 2}])), quadrant
+
+
 def test_same_support_matches_the_fraction_sampler(monkeypatch):
-    pairs = support_pairs()
+    pairs = support_pairs() + [subdivided_at_a_non_indicator_ray()]
     pairs += without_a_maximal_cone({coarse for _, coarse in pairs})
     recorded = recorded_in_support(monkeypatch)
     verdicts = []
@@ -815,9 +826,11 @@ def test_same_support_matches_the_fraction_sampler(monkeypatch):
         got = pc.same_support(f1, f2, trials=1000, seed=0)
         assert got == reference_same_support(f1, f2, trials=1000, seed=0,
                                              seen=expected_points)
-        assert_positive_multiples(recorded, expected_points)
-        # only equal fans are decided without a sample
-        assert bool(recorded) == (f1 != f2)
+        # only equal fans and certified subdivisions are decided without a
+        # sample; otherwise the samples are the sampler's
+        assert bool(recorded) == (f1 != f2 and not stellar_certificate(f1, f2))
+        if recorded:
+            assert_positive_multiples(recorded, expected_points)
         verdicts.append((pc.refines(f1, f2), got))
     # both branches run, and the refining branch gives both verdicts
     assert set(verdicts) == {(True, True), (True, False), (False, False)}
@@ -844,3 +857,99 @@ def test_same_support_refining_branch_rejects_a_missing_cone():
         assert pc.refines(f1, f2)
         assert not pc.same_support(f1, f2)
         assert pc.same_support(f2, f2)
+
+
+# --- stellar-subdivision certificate ------------------------------------------
+
+
+def refining_support_pairs():
+    pairs = [(fine, coarse) for fine, coarse in support_pairs()
+             if fine != coarse and pc.refines(fine, coarse)]
+    assert len(pairs) == 4
+    return pairs
+
+
+def test_stellar_certificate_holds_on_the_refining_support_pairs():
+    # the chain-of-flats fans of the lifts of P3 and P4 against the fans of
+    # P3 and P4, and both maximal fans of U(3,4) against its minimal one
+    for fine, coarse in refining_support_pairs():
+        assert stellar_certificate(fine, coarse)
+        assert not stellar_certificate(coarse, fine)
+
+
+def test_stellar_certificate_rejects_a_fan_less_a_maximal_cone():
+    pairs = [(less, coarse) for fine, coarse in refining_support_pairs()
+             for less, _ in without_a_maximal_cone([fine])]
+    pairs += [(less, coarse) for fine, coarse in random_coarser_pairs()
+              for less, _ in without_a_maximal_cone([fine])]
+    assert len(pairs) > 50
+    for less, coarse in pairs:
+        assert not stellar_certificate(less, coarse)
+
+
+def test_stellar_certificate_rejects_overlapping_factors():
+    # the factors {0,1} and {1,2} of X = {0,1,2} overlap, so r_X is not their
+    # sum; the replay of the cones alone would match the fine fan, whose
+    # ray r_X lies outside the coarse support
+    r01, r12, r012 = (subset_vector(X, 4) for X in (0b011, 0b110, 0b111))
+    coarse = pc.Fan(3, [r01, r12], face_closure([{0, 1}]))
+    fine = pc.Fan(3, [r01, r12, r012], face_closure([{0, 2}, {1, 2}]))
+    assert coarse.subset_index is not None and fine.subset_index is not None
+    assert pc.in_support(fine, r012) and not pc.in_support(coarse, r012)
+    assert not stellar_certificate(fine, coarse)
+
+
+def test_stellar_certificate_needs_indicator_rays_shared_rays_and_face_closure():
+    # the quadrant cut at e_{0,1} passes; the same cut at (1, 2), a coarse
+    # fan given by its maximal cone alone, one with a ray e_2 the fine fan
+    # lacks, and one without e_1, which has no factors to be cut from, do not
+    fine, quadrant = subdivided_at_a_non_indicator_ray()
+    assert not stellar_certificate(fine, quadrant)
+    e0, e1, e2, e01 = (subset_vector(X, 3) for X in (0b001, 0b010, 0b100, 0b011))
+    coarse = pc.Fan(2, [e0, e1], face_closure([{0, 1}]))
+    fine = pc.Fan(2, [e0, e1, e01], face_closure([{0, 2}, {1, 2}]))
+    assert stellar_certificate(fine, coarse)
+    assert not stellar_certificate(fine, pc.Fan(2, [e0, e1], [{0, 1}]))
+    assert not stellar_certificate(fine, pc.Fan(2, [e0, e1, e2], face_closure([{0, 1}, {2}])))
+    assert not stellar_certificate(fine, pc.Fan(2, [e0, e01], face_closure([{0, 1}])))
+
+
+def K(n, k, r):
+    """The polymatroid on n elements with rank(S) = min(k|S|, r)."""
+    return [min(k * bin(S).count("1"), r) for S in range(1 << n)]
+
+
+# K(5, 1, r) is the uniform matroid U(r, 5)
+RANDOM_COARSER = [boolean_table((1, 1, 2)), boolean_table((2, 2, 1)),
+                  boolean_table((1, 1, 1, 1)), U34, K(5, 1, 3), K(5, 1, 4), K(4, 2, 5)]
+
+
+def random_coarser_pairs(per_table=5):
+    """(maximal fan, fan of G) for G = the singletons and E, the least
+    building set of each table here, and for seeded random G between it and
+    the maximal set: it plus each other flat with probability 1/2, kept
+    when it is a building set."""
+    rng = Random(27)
+    pairs = []
+    for table in RANDOM_COARSER:
+        P = pc.Polymatroid(table)
+        flats = {f for f in P.flats() if f}
+        least = {1 << i for i in range(P.n)} | {P.full_mask}
+        assert pc.is_geometric_building_set(P, least)[0]
+        seen = {frozenset(least)}
+        for _ in range(20 * per_table):
+            members = frozenset(least | {f for f in sorted(flats) if rng.random() < 0.5})
+            if len(seen) < per_table and members != flats \
+                    and pc.is_geometric_building_set(P, members)[0]:
+                seen.add(members)
+        assert len(seen) == per_table, table
+        pairs += [(pc.bergman_fan(P), pc.bergman_fan(P, pc.BuildingSet(P, G)))
+                  for G in sorted(seen, key=sorted)]
+    return pairs
+
+
+def test_stellar_certificate_holds_on_random_coarser_building_sets():
+    for fine, coarse in random_coarser_pairs():
+        assert pc.refines(fine, coarse) and fine != coarse
+        assert stellar_certificate(fine, coarse)
+        assert reference_same_support(fine, coarse, trials=200, seed=0, seen=[])

@@ -45,9 +45,6 @@ class BuildingSet(Immutable):
     def sorted_members(self):
         return sorted(self.members, key=canonical_key)
 
-    def __contains__(self, mask):
-        return mask in self.members
-
     def __len__(self):
         return len(self.members)
 
@@ -119,9 +116,11 @@ def is_geometric_building_set(base, members):
 
 def memoized_on(P, G, key, build):
     """build(G), with G None read as P's maximal building set, memoized on
-    G under `key` when G's base is P and built afresh otherwise."""
+    G under `key`; raises ValueError unless G's base is P."""
     G = maximal_building_set(P) if G is None else G
-    return memoized(G if G.base is P else None, key, lambda: build(G))
+    if G.base is not P:
+        raise ValueError("the building set belongs to another polymatroid")
+    return memoized(G, key, lambda: build(G))
 
 
 def lifted_building_set(P, G=None):
@@ -130,7 +129,7 @@ def lifted_building_set(P, G=None):
     Members are the preimages of the members of G together with the atoms
     of the lift, its rank-1 flats: the lift is loopless, so these are the
     closures of its singletons.  Returns (lift, BuildingSet on the lift),
-    memoized on G when G's base is P.
+    memoized on G.
     """
     def build(G):
         M = lift(P)

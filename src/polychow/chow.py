@@ -28,7 +28,7 @@ the lexicographic order of the exponent tuples, a product is a sum, and
 d divides m exactly when (m | guard) - d keeps every guard bit.  A sum
 of two monomials cannot carry out of a field: an overflow sets a guard
 bit, and the rings raise OverflowError on any monomial with one set.
-`GradedRing.exponents` unpacks a monomial into its exponent tuple, and
+`Codec.exponents` unpacks a monomial into its exponent tuple, and
 a `DivisorIndex` finds the first leading term dividing a monomial.
 """
 
@@ -96,10 +96,6 @@ def poly_pow(p, e):
     for _ in range(e):
         out = dict(p) if out is None else poly_mul(out, p)
     return out
-
-
-def leading_monomial(p):
-    return max(p)
 
 
 class DivisorIndex:
@@ -247,7 +243,7 @@ class GradedRing:
     `basis[d]` lists the degree-d standard monomials, largest first, grown
     as an order ideal up to degree r, which must be empty; `basis_index[d]`
     maps each to its position.  Monomials are packed by `codec` (a `Codec`
-    for nvars variables and rank r); `exponents` unpacks one.  `divisors`
+    for nvars variables and rank r), whose `exponents` unpacks one.  `divisors`
     is the `DivisorIndex` of the leading terms.  `nf` is the worklist
     reduction of the module-level `reduce_poly`.
     `coords` reads each monomial's normal form from a table private to the
@@ -278,10 +274,6 @@ class GradedRing:
 
     def var(self, flat):
         return {self.codec.units[self.var_index[flat]]: 1}
-
-    def exponents(self, m):
-        """The exponent tuple of the packed monomial m."""
-        return self.codec.exponents(m)
 
     def nf(self, poly):
         return reduce_poly(poly, self.groebner, self.divisors)
@@ -364,7 +356,7 @@ def _groebner(ground, building, r):
     overflow: each member of an antichain appears once, and g lies strictly
     above N, so every exponent is at most max(1, d) <= 2r - 1 <= cap.
     """
-    members = sorted(building.members, key=canonical_key)
+    members = building.sorted_members()
     nvars = len(members)
     limit = 2 * r - 1
     codec = Codec(nvars, r)
@@ -408,7 +400,7 @@ def _groebner(ground, building, r):
         if d:
             upper_sum = {mono_of((h,)): 1 for h in members if h & g == g}
             poly = poly_mul(poly, poly_pow(upper_sum, d))
-        assert leading_monomial(poly) == lt and poly[lt] == 1
+        assert max(poly) == lt and poly[lt] == 1
         generators.append((lt, poly))
     return members, generators
 
@@ -425,8 +417,7 @@ def dp_ring(P, G=None):
 
     for nested antichains {G_i} strictly below G, with b = rk(G) -
     rk(union of the G_i) >= 1.  The tests reduce its S-pairs to zero.
-    The ring, with its normal-form table, is memoized on G when G's base
-    is P.
+    The ring, with its normal-form table, is memoized on G.
     """
     def build(G):
         members, generators = _groebner(P, G, P.r)
@@ -441,7 +432,7 @@ def fy_ring(P, G=None):
     as `dp_ring`, run on the lift M and the lifted building set; the tests
     reduce its S-pairs to zero.  The linear relations are the d = 1 power
     relations at the atoms, so normal forms automatically eliminate atom
-    variables.  Like `dp_ring`, it is memoized on G when G's base is P.
+    variables.  Like `dp_ring`, it is memoized on G.
     """
     def build(G):
         M, lifted = lifted_building_set(P, G)
@@ -456,7 +447,7 @@ def nested_basis(P, G=None):
     exponents 1 <= a_i < rk(G_i) - rk(union of the smaller members)."""
     if G is None:
         G = maximal_building_set(P)
-    members = sorted(G.members, key=canonical_key)
+    members = G.sorted_members()
     index = {f: i for i, f in enumerate(members)}
     r = P.r
     per_degree = [set() for _ in range(r)]
@@ -491,10 +482,9 @@ def nested_basis(P, G=None):
 class ChowPair:
     """DP and FY presentations of the same Chow ring, with the variable
     substitution x_F -> y_{preimage(F)} and the degree normalization.
-    `_memo` holds the degree normalizer, the pairing matrices and the
-    Lefschetz matrices of `polychow.kahler`.  The DP ring and the
-    substitution are built on first use, once per pair: the Kahler checks
-    read only the FY ring."""
+    `_memo` holds the pairing matrices and the Lefschetz matrices of
+    `polychow.kahler`.  The DP ring and the substitution are built on first
+    use, once per pair: the Kahler checks read only the FY ring."""
 
     def __init__(self, P, G=None):
         self.P = P
@@ -550,8 +540,8 @@ class ChowPair:
         """The common coefficient c with NF(max-cone monomial) = c * mu.
 
         deg is fixed by giving every maximal cone's monomial degree one;
-        inconsistency across cones raises.  Memoized on G when G's base is
-        P, so the pairs of one invocation share it, and else on the pair.
+        inconsistency across cones raises.  Memoized on G, so the pairs of
+        one invocation share it.
         """
         def build():
             fy = self.fy
@@ -567,7 +557,7 @@ class ChowPair:
             if values[0] == 0:
                 raise AssertionError("maximal cone monomial vanishes")
             return values[0]
-        return memoized(self.G if self.G.base is self.P else self, "degree_normalizer", build)
+        return memoized(self.G, "degree_normalizer", build)
 
 
 def phi_iso_check(pair):

@@ -20,7 +20,7 @@ from math import lcm
 from . import linalg
 from .building import BuildingSet
 from .chow import pairing_det, pairing_matrix, poly_mul
-from .fan import bergman_fan, nested_set_fan, primitive, subset_vector, walls
+from .fan import bergman_fan, nested_set_fan, subset_vector, walls
 from .polymatroid import ProjectionMap, boolean_polymatroid, memoized
 
 
@@ -78,8 +78,7 @@ def nestohedron_class(pair):
     m = pair.proj.m
     values = [None] * len(ambient.rays)
     for g, v in values_by_member.items():
-        ray = primitive(subset_vector(g, m))
-        values[ambient.ray_index[ray]] = v
+        values[ambient.ray_index[subset_vector(g, m)]] = v
     if any(v is None for v in values):
         raise AssertionError("ambient fan has a ray outside the building set")
     if not is_strictly_convex(ambient, values):

@@ -20,11 +20,9 @@ class PolymatroidError(ValueError):
 
 
 def memoized(owner, key, build):
-    """owner._memo[key], set to build() on first use; with owner None,
-    build() afresh.  Memos hang off objects one CLI invocation builds, so
-    they live exactly as long as that invocation's P and G."""
-    if owner is None:
-        return build()
+    """owner._memo[key], set to build() on first use.  Memos hang off
+    objects one CLI invocation builds, so they live exactly as long as that
+    invocation's P and G."""
     memo = owner._memo
     if key not in memo:
         memo[key] = build()
@@ -158,7 +156,7 @@ class ProjectionMap(Immutable):
     contiguous block of `fiber_sizes[i]` indices.
     """
 
-    __slots__ = ("fiber_sizes", "n", "m", "fiber_masks", "fiber_of")
+    __slots__ = ("fiber_sizes", "n", "m", "fiber_masks")
 
     def __init__(self, fiber_sizes):
         sizes = tuple(int(s) for s in fiber_sizes)
@@ -168,14 +166,11 @@ class ProjectionMap(Immutable):
         self.n = len(sizes)
         self.m = sum(sizes)
         masks = []
-        owner = []
         start = 0
-        for i, s in enumerate(sizes):
+        for s in sizes:
             masks.append(((1 << s) - 1) << start)
-            owner.extend([i] * s)
             start += s
         self.fiber_masks = tuple(masks)
-        self.fiber_of = tuple(owner)
 
     def preimage(self, A_mask):
         """Mask in E~ of pi^{-1}(A)."""

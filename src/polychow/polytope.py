@@ -22,14 +22,13 @@ from .polymatroid import Immutable, ProjectionMap, memoized
 
 
 class Polypermutohedron(Immutable):
-    """Vertex set of Q(pi; c_1, ..., c_n) and the vertex of each transversal.
+    """Vertex set of Q(pi; c_1, ..., c_n), distinct and sorted.
 
-    Vertex sets are bitsets over positions in `vertices`; `vertex_of` maps
-    each transversal seq to its vertex's position.  `columns` holds the
-    coordinates by column, packed once into 64-bit lanes in `_memo`.
+    Vertex sets are bitsets over positions in `vertices`.  `columns` holds
+    the coordinates by column, packed once into 64-bit lanes in `_memo`.
     """
 
-    __slots__ = ("proj", "c", "vertices", "columns", "vertex_of", "_memo")
+    __slots__ = ("proj", "c", "vertices", "columns", "_memo")
 
     def __init__(self, proj, c=None):
         if not isinstance(proj, ProjectionMap):
@@ -42,20 +41,14 @@ class Polypermutohedron(Immutable):
         self.proj = proj
         self.c = c
         fibers = [tuple(elements(mask)) for mask in proj.fiber_masks]
-        vertex_of = {}
+        vertices = set()
         for choice in product(*fibers):
             for seq in permutations(choice):
                 v = [0] * proj.m
                 for cj, s in zip(c, seq):
                     v[s] = cj
-                vertex_of[seq] = tuple(v)
-        vertices = []                # distinct and sorted; vertex_of then maps to positions
-        for seq in sorted(vertex_of, key=vertex_of.__getitem__):
-            if vertices[-1:] != [vertex_of[seq]]:
-                vertices.append(vertex_of[seq])
-            vertex_of[seq] = len(vertices) - 1
-        self.vertices = tuple(vertices)
-        self.vertex_of = vertex_of
+                vertices.add(tuple(v))
+        self.vertices = tuple(sorted(vertices))
         self.columns = tuple(zip(*self.vertices))
         self._memo = {}
 

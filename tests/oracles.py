@@ -1,10 +1,11 @@
 """Reference oracles that only the tests call.
 
 Each one gives an independent route to something `polychow` computes:
-polymatroid constructions, the minimal flats of a ground, Lowest posets
-and the sampled normal-fan check built on them, a sampled completeness
-test, cone queries by a scan and rational coordinates, refinement and
-unimodularity over all cones,
+polymatroid constructions, the minimal flats of a ground, the fiber of
+each lifted element, the vertex of each transversal, Lowest posets and the
+sampled normal-fan check built on them, a sampled completeness test,
+primitive vectors, cone queries by a scan, relative interiors and rational
+coordinates, refinement and unimodularity over all cones,
 exact rational degrees, the classes of the Kahler tests, the ray-variable
 presentation of the Chow ring, and Bareiss elimination that updates every
 row at every step.
@@ -12,7 +13,8 @@ row at every step.
 
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, permutations, product
+from math import gcd
 from operator import and_, mul, or_
 from random import Random
 
@@ -55,6 +57,11 @@ def flat_atoms(ground):
     return {f for f in flats if not any(g != f and g & f == g for g in flats)}
 
 
+def fiber_of(proj):
+    """The fiber index of each element of E~, in order."""
+    return tuple(i for i, s in enumerate(proj.fiber_sizes) for _ in range(s))
+
+
 def lowest_ranks(proj, w):
     """w's Lowest poset: its per-fiber weight minimizers, in increasing
     order, each paired with its dense weight rank, the number of distinct
@@ -67,7 +74,7 @@ def lowest_ranks(proj, w):
         lows.append(min(w[start:start + s]))
         start += s
     rank = {x: k for k, x in enumerate(sorted(set(lows)))}
-    return tuple((i, rank[lows[f]]) for i, f in enumerate(proj.fiber_of) if w[i] == lows[f])
+    return tuple((i, rank[lows[f]]) for i, f in enumerate(fiber_of(proj)) if w[i] == lows[f])
 
 
 def lowest_poset(proj, w):
@@ -82,12 +89,29 @@ def lowest_poset(proj, w):
 # --- polypermutohedra -----------------------------------------------------------
 
 
+def vertex_of(Q):
+    """Each of the n! * prod(s_i) transversals seq, one element per fiber in
+    position order, mapped to the position in `Q.vertices` of its vertex
+    c_1 e_{seq[0]} + ... + c_n e_{seq[n-1]}; memoized on Q."""
+    def build():
+        position = {v: k for k, v in enumerate(Q.vertices)}
+        out = {}
+        for choice in product(*(tuple(elements(f)) for f in Q.proj.fiber_masks)):
+            for seq in permutations(choice):
+                v = [0] * Q.proj.m
+                for cj, s in zip(Q.c, seq):
+                    v[s] = cj
+                out[seq] = position[tuple(v)]
+        return out
+    return memoized(Q, "vertex_of", build)
+
+
 def position_masks(Q):
     """masks[i, a, b]: the vertices with a transversal that puts element i
     at a position in [a, b), as a bitset."""
     n = Q.proj.n
     at = [[0] * n for _ in range(Q.proj.m)]
-    for seq, k in Q.vertex_of.items():
+    for seq, k in vertex_of(Q).items():
         for j, i in enumerate(seq):
             at[i][j] |= 1 << k
     return {(i, a, b): reduce(or_, row[a:b]) for i, row in enumerate(at)
@@ -107,13 +131,13 @@ def minimizers_from_lowest(Q, ranks):
     starts from every vertex, so n = 0 gives the one empty vertex.
     """
     masks = memoized(Q, "position_masks", lambda: position_masks(Q))
-    fiber_of = Q.proj.fiber_of
-    fiber_rank = {fiber_of[i]: rank for i, rank in ranks}
+    fiber = fiber_of(Q.proj)
+    fiber_rank = {fiber[i]: rank for i, rank in ranks}
     order = sorted(fiber_rank.values(), reverse=True)
     either = dict.fromkeys(fiber_rank, 0)   # fiber -> OR over its minimizers
     for i, rank in ranks:
         a = order.index(rank)
-        either[fiber_of[i]] |= masks[i, a, a + order.count(rank)]
+        either[fiber[i]] |= masks[i, a, a + order.count(rank)]
     return reduce(and_, either.values(), (1 << len(Q.vertices)) - 1)
 
 
@@ -161,6 +185,19 @@ def sampled_normal_fan_equals(Q, fan, trials=1000, seed=0):
 # --- fans ---------------------------------------------------------------------
 
 
+def primitive(v):
+    """v divided by the gcd of its entries (v itself when that is 0 or 1)."""
+    g = reduce(gcd, v, 0)
+    return tuple(v) if g <= 1 else tuple(x // g for x in v)
+
+
+def in_relative_interior(fan, cone, w):
+    """Whether w lies in the relative interior of the cone: in the cone
+    (`cone_contains`), with every coordinate in its ray basis positive."""
+    W, _ = integral(w)
+    return cone_contains(fan, cone, W) and min(_numerators(_locator(fan, cone), W), default=1) > 0
+
+
 def cone_coordinates(fan, cone, w):
     """Exact coordinates (Fractions) of w in the ray basis of a simplicial
     cone, or None if w is outside the cone's span.  Uses the cone's cached
@@ -182,10 +219,10 @@ def find_cone(fan, w):
         return zero if zero in fan.cones else None
     W, _ = integral(w)
     cone = locate(fan, W)
-    if cone and cone_contains(fan, cone, W, strict=True):
+    if cone and in_relative_interior(fan, cone, W):
         return cone
     for cone in fan.cones:
-        if cone and cone_contains(fan, cone, W, strict=True):
+        if cone and in_relative_interior(fan, cone, W):
             return cone
     return None
 
@@ -198,7 +235,7 @@ def is_complete(fan, trials=200, seed=0):
     for _ in range(trials):
         w = random_integral_point(rng, fan.ambient_dim)
         hits = sum(1 for cone in fan.cones
-                   if (cone and cone_contains(fan, cone, w, strict=True))
+                   if (cone and in_relative_interior(fan, cone, w))
                    or (not cone and all(x == 0 for x in w)))
         if hits != 1:
             return False

@@ -167,7 +167,7 @@ def test_criterion_07_groebner_basis_agreement():
     cases.append((U, pc.BuildingSet(U, U34_MIN_BUILDING)))
     for P, G in cases:
         ring = pc.dp_ring(P, G)
-        basis = tuple(tuple(map(ring.exponents, b)) for b in ring.basis)
+        basis = tuple(tuple(map(ring.codec.exponents, b)) for b in ring.basis)
         if tuple(tuple(sorted(b, reverse=True)) for b in basis) != pc.nested_basis(P, G):
             ok = False
         h = ring.hilbert()

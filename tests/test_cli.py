@@ -16,6 +16,7 @@ from polychow.cli import main, polyperm_costs
 from polychow.lift import MultisymMatroid
 from polychow.fan import _chains
 from conftest import BOOLEAN_FIBERS, P2, P3, U34, U34_MIN_BUILDING, boolean_table
+from oracles import vertex_of
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -189,7 +190,7 @@ def test_polyperm_costs_count_the_loops(fibers):
     fiber_free = [S for S in range(1 << proj.m)
                   if not any(S & fm == fm for fm in proj.fiber_masks)]
     chains = _chains(range(1, (1 << proj.n) - 1))
-    assert polyperm_costs(list(fibers)) == (len(Q.vertex_of),
+    assert polyperm_costs(list(fibers)) == (len(vertex_of(Q)),
                                             len(chains) * len(fiber_free))
 
 
@@ -291,6 +292,13 @@ LADDER = [{"rank": boolean_table((2, 2))}, {"rank": [0, 2, 2, 4]},
           {"rank": [min(bin(S).count("1"), 3) for S in range(32)]}]
 
 
+# K(3,2,4), rank(S) = min(2|S|, 4): a polymatroid that is not a matroid,
+# with a lift that is not free
+K324 = [min(2 * bin(S).count("1"), 4) for S in range(8)]
+# B(1,1,2) at c = (0, 1, 2): 12 transversals give 10 vertices
+B112_C0 = {"rank": boolean_table((1, 1, 2)), "c": [0, 1, 2]}
+
+
 @pytest.mark.parametrize("argv, data, digest", [
     (["chow", "--iso-check"], {"rank": boolean_table((2, 2, 2))},
      "88750d3e240229372f0b130434b25d16bc5e65c2c77f3df3270f7626fda6b7ce"),
@@ -323,19 +331,26 @@ LADDER = [{"rank": boolean_table((2, 2))}, {"rank": [0, 2, 2, 4]},
      "7a60628a51df722d1e9f989695a29474e887e99563fc8c87e4c158d95e632bc6"),
     (["verify-all", "--trials", "200", "--seed", "1"],
      {"rank": boolean_table((1, 1, 1, 1)), "building_set": [1, 2, 4, 8, 3, 12, 15]},
-     "40408c18ba35057977a227641a96123a3480d04816d53d208801fbb5d920b866")])
+     "40408c18ba35057977a227641a96123a3480d04816d53d208801fbb5d920b866"),
+    (["verify-all", "--trials", "200", "--seed", "1"], {"rank": K324},
+     "bfbde2af64021ccc74f56b82c5a9610c5427bf5012109ecd06ccf1c75585ba67"),
+    (["polyperm", "--verify-fan"], B112_C0,
+     "c931736f6694dd53feab7e926b37ca48033a6ee336d0044a949795e7a525a990")])
 def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
     # SHA-256 of stdout (default seed and indent), recorded before monomials
     # were packed into ints (U(4,5) and B(1,1,1,1,1) before the divisor
     # index and the zero-skipping determinants, the ladder's verify-all
     # before equal fans were compared without sampling, polyperm while the
     # normal fan was still sampled, B(2,2,1) and B(1,1,1,1) with coarser
-    # building sets while their support was still sampled); the chow
-    # report prints the basis exponents.  U(3,5), the last rung, exits 1
-    # for its known `kahler` failure (ROADMAP item 1).
+    # building sets while their support was still sampled, and K(3,2,4) and
+    # B(1,1,2) at c = (0, 1, 2) while the polytope kept a vertex per
+    # transversal); the chow report prints the basis exponents.  U(3,5),
+    # the last rung, exits 1 for its known `kahler` failure (ROADMAP
+    # item 1), and B(1,1,2) at c_1 = 0 because its transversals share
+    # vertices, so its normal fan is not the Boolean fan.
     path = write_instance(tmp_path, data)
     code, out, _ = run(capsys, argv[:1] + ["--instance", path] + argv[1:])
-    assert code == (1 if argv[0] == "verify-all" and data is LADDER[-1] else 0)
+    assert code == (1 if data is LADDER[-1] or data is B112_C0 else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
 from random import Random
 
@@ -8,12 +9,12 @@ import polychow as pc
 from polychow import linalg
 from polychow.bitsets import elements
 from polychow.fan import (_has_positive_circuit, complete_fan_certificate, integral,
-                          locate, pairwise_faces_by_circuits, primitive, stellar_certificate,
+                          locate, pairwise_faces_by_circuits, stellar_certificate,
                           subset_vector)
 from conftest import (BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING,
                       boolean_table)
-from oracles import (as_polymatroid, cone_coordinates, find_cone, is_complete,
-                     reference_is_unimodular, reference_refines)
+from oracles import (as_polymatroid, cone_coordinates, find_cone, in_relative_interior,
+                     is_complete, primitive, reference_is_unimodular, reference_refines)
 
 
 def random_point(rng, dim, spread=10_000):
@@ -405,8 +406,8 @@ def test_cone_contains_matches_fraction_solve():
             for w in probe_points(rng, fan, cone):
                 coords = cone_coordinates(fan, cone, w)
                 assert coords == reference_cone_coordinates(fan, cone, w)
-                for strict in (False, True):
-                    got = pc.cone_contains(fan, cone, w, strict=strict)
+                for strict, test in ((False, pc.cone_contains), (True, in_relative_interior)):
+                    got = test(fan, cone, w)
                     assert got == reference_cone_contains(fan, cone, w, strict=strict)
                     outcomes.add((strict, got, coords is None))
     # both verdicts occur, strict and not, in span and out of it
@@ -720,6 +721,15 @@ def test_refines_matches_scan():
 # --- integer sampling ----------------------------------------------------------
 
 
+def test_indicator_vectors_are_primitive():
+    # so the fans take subset_vector as the primitive ray; E~ gives zero
+    for m in range(1, 8):
+        for S in range(1, 1 << m):
+            v = subset_vector(S, m)
+            assert primitive(v) == v
+            assert any(v) == (S != (1 << m) - 1), (S, m)
+
+
 def test_random_integral_point_is_the_scaled_fraction_point():
     for seed in range(300):
         for dim in range(1, 7):
@@ -877,14 +887,28 @@ def test_stellar_certificate_holds_on_the_refining_support_pairs():
         assert not stellar_certificate(coarse, fine)
 
 
-def test_stellar_certificate_rejects_a_fan_less_a_maximal_cone():
+@cache
+def fans_less_a_maximal_cone():
+    """(fine fan less one maximal cone, coarse fan) for every refining
+    support pair and every random coarser building set; built once."""
     pairs = [(less, coarse) for fine, coarse in refining_support_pairs()
              for less, _ in without_a_maximal_cone([fine])]
     pairs += [(less, coarse) for fine, coarse in random_coarser_pairs()
               for less, _ in without_a_maximal_cone([fine])]
-    assert len(pairs) > 50
-    for less, coarse in pairs:
+    assert len(pairs) > 100
+    return pairs
+
+
+def test_stellar_certificate_rejects_a_fan_less_a_maximal_cone():
+    for less, coarse in fans_less_a_maximal_cone():
         assert not stellar_certificate(less, coarse)
+
+
+def test_same_support_rejects_a_fan_less_a_maximal_cone_at_few_trials():
+    # 200 trials count as 1000: with one sample per coarse maximal cone
+    # (K(4,2,5) has over 130) the sampler used to miss the lost cone
+    for less, coarse in fans_less_a_maximal_cone():
+        assert not pc.same_support(less, coarse, trials=200, seed=0)
 
 
 def test_stellar_certificate_rejects_overlapping_factors():

@@ -1,5 +1,7 @@
 import ast
 import sys
+from collections import Counter
+from importlib import import_module
 from pathlib import Path
 
 import pytest
@@ -44,3 +46,44 @@ def test_every_module_level_definition_is_referenced_elsewhere_in_src():
     # ROADMAP item 4 plans to compare verify-all's fan with this third
     # construction; until then only the tests call it
     assert unreferenced == {"maximal_bergman_fan_direct"}, sorted(unreferenced)
+
+
+def is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def referenced_names(node):
+    """Every Name id and attribute name in the tree under node."""
+    return Counter(getattr(sub, "id", None) or getattr(sub, "attr", None)
+                   for sub in ast.walk(node) if isinstance(sub, (ast.Name, ast.Attribute)))
+
+
+def overrides_outside_src(cls, name):
+    """Whether a base class from outside polychow defines the method, which
+    its own code then calls (argparse calls `ArgumentParser.error`)."""
+    return any(name in vars(base) for base in cls.__mro__[1:]
+               if not base.__module__.startswith("polychow"))
+
+
+def test_every_slot_is_read_and_every_method_is_referenced_in_src():
+    # an attribute or method that only the tests read belongs in the tests
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    referenced = sum(map(referenced_names, trees.values()), Counter())
+    unread, unreferenced = [], []
+    for module, tree in trees.items():
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for node in cls.body:
+                if isinstance(node, ast.Assign) and any(
+                        getattr(target, "id", None) == "__slots__" for target in node.targets):
+                    unread += ["%s.%s" % (cls.name, slot.value) for slot in node.value.elts
+                               if slot.value not in read]
+                elif isinstance(node, ast.FunctionDef) and not is_dunder(node.name) \
+                        and not overrides_outside_src(
+                            getattr(import_module("polychow." + module), cls.name), node.name):
+                    # a recursive call inside the method itself does not count
+                    if referenced[node.name] == referenced_names(node)[node.name]:
+                        unreferenced.append("%s.%s" % (cls.name, node.name))
+    assert unread == [], unread
+    assert unreferenced == [], unreferenced

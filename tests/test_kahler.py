@@ -7,7 +7,7 @@ import pytest
 import polychow as pc
 from polychow import kahler as kahler_module, linalg
 from polychow.chow import GradedRing, poly_mul, poly_pow
-from polychow.fan import primitive, subset_vector
+from polychow.fan import subset_vector
 from polychow.kahler import (_hodge_riemann_form, _lefschetz_power, ambient_complete_fan,
                              nestohedron_class, nestohedron_values)
 from conftest import BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING, boolean_table
@@ -207,10 +207,10 @@ def test_ambient_fan_is_built_apart_when_the_lift_is_not_free():
 def test_sigma_cone_class_p1():
     pair = pair_of(P1)
     dp_poly, fy_poly = sigma_cone_class(pair, 1)
-    assert {pair.dp.exponents(m): c for m, c in dp_poly.items()} == {(1,): -1}
+    assert {pair.dp.codec.exponents(m): c for m, c in dp_poly.items()} == {(1,): -1}
     full_idx = pair.fy.var_index[pair.M.full_mask]
     key = tuple(1 if i == full_idx else 0 for i in range(pair.fy.nvars))
-    assert {pair.fy.exponents(m): c for m, c in fy_poly.items()} == {key: -1}
+    assert {pair.fy.codec.exponents(m): c for m, c in fy_poly.items()} == {key: -1}
 
 
 def test_sigma_cone_class_p2():
@@ -248,7 +248,7 @@ def perturbed_classes():
             for g, v in nestohedron_values(pair).items()}
         values = [None] * len(ambient.rays)
         for g, v in values_by_member.items():
-            values[ambient.ray_index[primitive(subset_vector(g, m))]] = v
+            values[ambient.ray_index[subset_vector(g, m)]] = v
         ell = {}
         for g, v in values_by_member.items():
             for mono, c in pair.fy.var(g).items():

@@ -140,7 +140,6 @@ def test_projection_map():
     assert proj.fiber_masks == (0b001, 0b110)
     assert proj.preimage(0b10) == 0b110
     assert proj.image(0b100) == 0b10
-    assert proj.fiber_of[2] == 1
     with pytest.raises(Exception):
         pc.ProjectionMap((0, 1))
 

@@ -101,14 +101,14 @@ def reference_minimizing_vertices(Q, w):
             brute = {v}
         elif value == best:
             brute.add(v)
-    fiber_of = Q.proj.fiber_of
+    fiber_of = oracles.fiber_of(Q.proj)
     start_mins = {}
     offset = 0
     for i, s in enumerate(Q.proj.fiber_sizes):
         start_mins[i] = min(w[e] for e in range(offset, offset + s))
         offset += s
     predicate = set()
-    for seq, k in Q.vertex_of.items():
+    for seq, k in oracles.vertex_of(Q).items():
         if any(w[s] != start_mins[fiber_of[s]] for s in seq):
             continue
         if all(w[a] >= w[b] for a, b in zip(seq, seq[1:])):
@@ -138,7 +138,7 @@ def test_minimizing_vertices_matches_the_reference_scan():
         # c starting at 0 makes transversals share vertices
         for c in (None, tuple(range(0, 3 * n, 3))):
             Q = pc.Polypermutohedron(fibers, c=c)
-            shared += len(Q.vertices) < len(Q.vertex_of)
+            shared += len(Q.vertices) < len(oracles.vertex_of(Q))
             points = [tuple(Fraction(rng.randrange(-30, 31), rng.randrange(1, 5))
                             for _ in range(m)) for _ in range(10)]
             points += [tuple(rng.randrange(-1, 2) for _ in range(m)) for _ in range(10)]
@@ -160,14 +160,15 @@ def enumerated_minimizers(Q, ranks):
     """minimizers_from_lowest as it was before the position masks: every
     minimizing transversal enumerated (per-fiber minima, fibers in weakly
     decreasing weight rank with all tie orders), its vertex read from
-    `Q.vertex_of`."""
+    `oracles.vertex_of(Q)`."""
+    fiber_of, vertex_of = oracles.fiber_of(Q.proj), oracles.vertex_of(Q)
     levels = {}                      # rank -> fiber -> its minimizers
     for i, rank in ranks:
-        levels.setdefault(rank, {}).setdefault(Q.proj.fiber_of[i], []).append(i)
+        levels.setdefault(rank, {}).setdefault(fiber_of[i], []).append(i)
     bits = 0
     for arrangement in product(*(permutations(levels[rank].values())
                                  for rank in sorted(levels, reverse=True))):
-        for k in map(Q.vertex_of.__getitem__, product(*chain.from_iterable(arrangement))):
+        for k in map(vertex_of.__getitem__, product(*chain.from_iterable(arrangement))):
             bits |= 1 << k
     return bits
 
@@ -178,6 +179,7 @@ def test_position_masks_match_the_enumeration():
     for fibers in all_partitions_m6() + [()]:
         n, m = len(fibers), sum(fibers)
         # c starting at 0 gives vertices several transversals
+        fiber_of = oracles.fiber_of(pc.ProjectionMap(fibers))
         for c in (None, tuple(range(0, 3 * n, 3))):
             Q = pc.Polypermutohedron(fibers, c=c)
             # tie-heavy points first: ties within and across fibers
@@ -189,7 +191,7 @@ def test_position_masks_match_the_enumeration():
                 bits = minimizers_from_lowest(Q, ranks)
                 assert bits == enumerated_minimizers(Q, ranks) == minimizing_vertices(Q, w), \
                     (fibers, c, w)
-                fiber_ranks = {(Q.proj.fiber_of[i], r) for i, r in ranks}
+                fiber_ranks = {(fiber_of[i], r) for i, r in ranks}
                 shared_blocks += len(fiber_ranks) > len({r for _, r in fiber_ranks})
                 several += bits.bit_count() > 1
     # n = 0 has its one empty vertex
@@ -327,9 +329,9 @@ def increasing_weight_order(Q, ranks):
 
 def first_minimizer_per_fiber(Q, ranks):
     """A wrong characterization: only the first minimizer of each fiber."""
-    firsts = {}
+    firsts, fiber_of = {}, oracles.fiber_of(Q.proj)
     for i, rank in ranks:
-        firsts.setdefault(Q.proj.fiber_of[i], (i, rank))
+        firsts.setdefault(fiber_of[i], (i, rank))
     return minimizers_from_lowest(Q, tuple(firsts.values()))
 
 
@@ -410,8 +412,9 @@ def reference_lowest_poset(proj, w):
 
 
 def reference_minimizers_from_lowest(Q, w):
-    """minimizers_from_lowest as it was before it read `Q.vertex_of`: each
-    minimizing transversal's vertex is built from its coefficients."""
+    """minimizers_from_lowest as it was before it read the vertex of each
+    transversal from a table: each minimizing transversal's vertex is built
+    from its coefficients."""
     proj = Q.proj
     offset = 0
     argmins, keys = [], []

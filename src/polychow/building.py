@@ -35,6 +35,8 @@ class BuildingSet(Immutable):
         for m in members:
             if m == 0:
                 raise BuildingSetError("building set members must be nonempty")
+            if m < 0 or m & ~base.full_mask:
+                raise BuildingSetError("member %d is not a subset of the ground set" % m)
             if base.closure(m) != m:
                 raise BuildingSetError("member %d is not a flat" % m)
         if validate:

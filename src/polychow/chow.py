@@ -655,4 +655,4 @@ def pairing_det(pair, k, ring="dp"):
         return 0
     k = min(k, pair.fy.top - k)
     return memoized(pair, ("pairing det", k, ring),
-                    lambda: int(linalg.det(pairing_matrix(pair, k, ring))))
+                    lambda: linalg.det(pairing_matrix(pair, k, ring)))

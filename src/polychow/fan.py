@@ -17,7 +17,6 @@ from operator import and_, mul
 from random import Random
 
 from . import linalg
-from .linalg import integral
 from .bitsets import canonical_key, elements, nonempty_subsets
 from .building import _max_members_below, lifted_building_set, memoized_on, nested_complex
 from .lift import lift
@@ -242,21 +241,21 @@ def _numerators(loc, W):
 
 
 def cone_contains(fan, cone, w):
-    """Whether w lies in the cone: an integer sign test on adj * W followed
-    by the exact span test, each left at the first coordinate that fails."""
-    W, _ = integral(w)
+    """Whether the integer point w lies in the cone: a sign test on adj * w
+    followed by the exact span test, each left at the first coordinate
+    that fails."""
     rows, adj, det, rest = _locator(fan, cone)
-    Wr = [W[i] for i in rows]
+    Wr = [w[i] for i in rows]
     num = []
     for row in adj:
         num.append(sum(map(mul, row, Wr)))
         if num[-1] < 0:
             return False
-    return all(sum(map(mul, num, col)) == det * W[i] for i, col in rest)
+    return all(sum(map(mul, num, col)) == det * w[i] for i, col in rest)
 
 
 def locate(fan, W):
-    """The cone read off the level sets of the rational point W, or None when
+    """The cone read off the level sets of the point W, or None when
     the fan has no `subset_index` or the candidate is not one of its cones.
     Callers confirm it with `cone_contains` and scan when that fails.
 
@@ -321,21 +320,19 @@ def refines(fine, coarse):
 
 
 def in_support(fan, w):
-    """Whether w lies in some cone: the located cone is tried first, then
-    every cone.  `cone_contains` scales w to integers for the located
-    cone, and w is scaled once before the scan."""
+    """Whether the integer point w lies in some cone: the located cone is
+    tried first, then every cone."""
     cone = locate(fan, w)
     if cone is not None and cone_contains(fan, cone, w):
         return True
-    W, _ = integral(w)
-    return any(cone_contains(fan, cone, W) for cone in fan.cones)
+    return any(cone_contains(fan, cone, w) for cone in fan.cones)
 
 
 def random_integral_point(rng, dim, spread=10_000):
     """A random rational point, coordinate i being a_i / b_i with
     a_i = randint(-spread, spread) and b_i = randint(1, 97) drawn in that
-    order, returned as `integral` returns it: scaled by the least common
-    denominator of the reduced fractions."""
+    order, scaled to integers by the least common denominator of the
+    a_i / b_i in lowest terms, which moves no point across a cone boundary."""
     pairs = [(rng.randint(-spread, spread), rng.randint(1, 97)) for _ in range(dim)]
     q = lcm(*(b // gcd(a, b) for a, b in pairs))
     return tuple(a * q // b for a, b in pairs)
@@ -454,18 +451,18 @@ def is_face_closed(fan):
 
 def _has_positive_circuit(A):
     """True iff A z = 0 for some z >= 0, z != 0.  With the t columns of
-    K = integer_kernel(A) spanning the kernel, such a z is K lam, lam != 0,
+    K = kernel_basis(A) spanning the kernel, such a z is K lam, lam != 0,
     so it exists iff the cone {lam : K lam >= 0}, pointed since K has full
     column rank, has an extreme ray (Schrijver, "Theory of Linear and
     Integer Programming", 8.8).  Each extreme ray is spanned by the kernel
     L of some t - 1 rows K_S of rank t - 1, so K L >= 0 or K L <= 0.  At
     t = 1, S is empty and K L is the one kernel vector."""
-    K = linalg.integer_kernel(A, len(A[0]))
+    K = linalg.kernel_basis(A, len(A[0]))
     if not K:
         return False
     rows = list(zip(*K))
     for S in combinations(rows, len(K) - 1):
-        line = linalg.integer_kernel(S, len(K))
+        line = linalg.kernel_basis(S, len(K))
         if len(line) == 1:
             z = [sum(map(mul, row, line[0])) for row in rows]
             if min(z) >= 0 or max(z) <= 0:
@@ -549,7 +546,7 @@ def pairwise_faces_by_circuits(fan):
     for a, b in combinations(fan.maximal_cones(), 2):
         C = a & b
         if C not in faces:
-            N = linalg.integer_kernel(fan.cone_rays(C), fan.ambient_dim)
+            N = linalg.kernel_basis(fan.cone_rays(C), fan.ambient_dim)
             faces[C] = [[sum(map(mul, row, r)) for row in N] for r in fan.rays]
         U = [faces[C][i] for i in sorted(a - b)]
         V = [[-x for x in faces[C][i]] for i in sorted(b - a)]

@@ -15,8 +15,6 @@ products are the matrices of powers of ell because normal forms are linear,
 as the generator set is a Groebner basis (the tests reduce every S-pair).
 """
 
-from math import lcm
-
 from . import linalg
 from .building import BuildingSet
 from .chow import pairing_det, pairing_matrix, poly_mul
@@ -91,7 +89,8 @@ def is_strictly_convex(fan, values):
     on a complete simplicial unimodular fan: at a wall tau between maximal
     cones with opposite rays u, u' the relation u + u' = sum(a_v * v) over
     rays v of tau must satisfy values[u] + values[u'] > sum(a_v * values[v]),
-    compared in integers scaled by the lcm of the denominators of the a_v.
+    compared as q * (values[u] + values[u']) > sum(x_v * values[v]) for the
+    fraction-free solution (x, q) of the relation, a_v = x_v / q, q > 0.
     """
     if len(values) != len(fan.rays):
         raise ValueError("one value per ray required")
@@ -106,12 +105,11 @@ def is_strictly_convex(fan, values):
         tau = sorted(tau)
         target = [a + b for a, b in zip(fan.rays[u], fan.rays[u2])]
         cols = [[fan.rays[v][i] for v in tau] for i in range(d)]
-        coeffs = linalg.solve(cols, target) if tau else []
-        if coeffs is None:
+        solution = linalg.solve(cols, target) if tau else ([], 1)
+        if solution is None:
             raise ValueError("wall relation is not supported on the wall; fan is not unimodular")
-        scale = lcm(*(a.denominator for a in coeffs))
-        if scale * (values[u] + values[u2]) <= sum(
-                a.numerator * (scale // a.denominator) * values[v] for a, v in zip(coeffs, tau)):
+        x, q = solution
+        if q * (values[u] + values[u2]) <= sum(a * values[v] for a, v in zip(x, tau)):
             return False
     return True
 
@@ -166,7 +164,7 @@ def _hodge_riemann_form(pair, ell, k):
     form = [[sign * x for x in col]
             for col in zip(*linalg.mat_mul(pairing_matrix(pair, k, ring="fy"), power))]
     matrix = linalg.mat_mul(_lefschetz_step(pair, ell, r - 1 - k), power) if k else []
-    kernel = linalg.kernel_basis(matrix) if matrix else linalg.identity(len(fy.basis[k]))
+    kernel = linalg.kernel_basis(matrix, len(fy.basis[k]))
     columns = [list(col) for col in zip(*kernel)]
     return form, kernel, linalg.mat_mul(kernel, linalg.mat_mul(form, columns))
 

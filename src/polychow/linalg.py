@@ -1,11 +1,12 @@
-"""Exact linear algebra over the integers and rationals.
+"""Exact linear algebra over the integers.
 
-Everything here works on plain lists of lists whose entries are ints or
-`fractions.Fraction`.  No floating point is used anywhere.  Elimination
-is fraction-free (Bareiss) on integers: rational input is first scaled
-row by row to integers with `integral_rows`, which changes no rank, kernel
-or solution set.  `rank`, `integer_kernel`, `kernel_basis` and `solve` run
-the Gauss-Jordan elimination `integer_rref`; `det` and
+Everything here works on plain lists of lists of ints; no floating point
+or rational is used anywhere.  Elimination is fraction-free (Bareiss,
+"Sylvester's identity and multistep integer-preserving Gaussian
+elimination", 1968): every entry it produces is a minor of the input, so
+every division is exact.  The entries must be ints, as the `//` of a
+Bareiss step would floor a rational silently.  `rank`, `kernel_basis` and
+`solve` run the Gauss-Jordan elimination `integer_rref`; `det` and
 `is_positive_definite` each run their own forward Bareiss pass, `det` with
 row swaps and `is_positive_definite` without pivoting.
 
@@ -17,33 +18,7 @@ minors either way, so every output is unchanged; on the sparse 0/+-1
 matrices of the Chow layer most rows take one of the two short cuts.
 """
 
-from fractions import Fraction
-from math import lcm
 from operator import mul
-
-
-def integral(w):
-    """(W, q) with q > 0 the least common denominator of the entries of w
-    and W = q*w as a tuple of ints.  A positive scaling moves no point
-    across a cone boundary and changes no argmin over w."""
-    if all(type(x) is int for x in w):
-        return tuple(w), 1
-    q = lcm(*(x.denominator for x in w))
-    return tuple(x.numerator * (q // x.denominator) for x in w), q
-
-
-def integral_rows(rows):
-    """(M, q): each row scaled to integers by `integral`, and q the product
-    of the scales, so that det(rows) = det(M) / q.  An integer matrix is
-    copied as it is."""
-    if all(type(x) is int for row in rows for x in row):
-        return [list(row) for row in rows], 1
-    M, q = [], 1
-    for row in rows:
-        W, s = integral(row)
-        M.append(list(W))
-        q *= s
-    return M, q
 
 
 def mat_mul(A, B):
@@ -104,9 +79,15 @@ def integer_rref(rows, width=None):
     return M, pivots, prev
 
 
-def integer_kernel(rows, ncols):
+def rank(rows):
+    return len(integer_rref(rows)[1])
+
+
+def kernel_basis(rows, ncols):
     """Integer basis of the right kernel {v : A v = 0} of an integer matrix
-    with `ncols` columns; the identity when A has no rows."""
+    with `ncols` columns, the identity when A has no rows: one vector per
+    free column f, with d at f, zero at the other free columns and the
+    pivot entries that make it a kernel vector."""
     M, pivots, d = integer_rref(rows)
     basis = []
     for f in range(ncols):
@@ -120,36 +101,24 @@ def integer_kernel(rows, ncols):
     return basis
 
 
-def rank(rows):
-    return len(integer_rref(integral_rows(rows)[0])[1])
-
-
-def kernel_basis(rows):
-    """Basis of the right kernel {v : A v = 0}: one integer vector per free
-    column f, with d != 0 at f, zero at the other free columns and the
-    pivot entries that make it a kernel vector."""
-    if not rows:
-        return []
-    return integer_kernel(integral_rows(rows)[0], len(rows[0]))
-
-
 def solve(rows, b):
-    """One exact solution of A x = b (Fractions, zero at the free columns),
-    or None if inconsistent.
+    """The fraction-free solution (x, d) of A x = b: d > 0 and A x = d b,
+    with x zero at the free columns; None if the system is inconsistent.
 
-    When the columns of A are linearly independent the solution is unique.
+    When the columns of A are linearly independent, x / d is the unique
+    solution.
     """
     if not rows:
-        return [] if all(x == 0 for x in b) else None
+        return ([], 1) if all(x == 0 for x in b) else None
     ncols = len(rows[0])
-    aug = integral_rows([list(row) + [bb] for row, bb in zip(rows, b)])[0]
-    M, pivots, d = integer_rref(aug)
+    M, pivots, d = integer_rref([list(row) + [bb] for row, bb in zip(rows, b)])
     if ncols in pivots:
         return None
-    x = [Fraction(0)] * ncols
+    sign = -1 if d < 0 else 1
+    x = [0] * ncols
     for s, p in enumerate(pivots):
-        x[p] = Fraction(M[s][ncols], d)
-    return x
+        x[p] = sign * M[s][ncols]
+    return x, sign * d
 
 
 def _require_square(rows):
@@ -160,15 +129,12 @@ def _require_square(rows):
 
 
 def det(rows):
-    """Determinant of a square matrix, exact; ValueError if it is not square.
-
-    Rational input is scaled to integers by `integral_rows`; the integer
-    matrix goes through fraction-free Bareiss elimination with row swaps.
-    """
+    """Determinant of a square integer matrix by fraction-free Bareiss
+    elimination with row swaps; ValueError if it is not square."""
     n = _require_square(rows)
     if n == 0:
         return 1
-    A, scale = integral_rows(rows)
+    A = list(rows)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -183,14 +149,13 @@ def det(rows):
         for i in range(k + 1, n):
             A[i] = _bareiss_row(A[i], pivot_row, k, a, prev)
         prev = a
-    result = Fraction(sign * A[n - 1][n - 1], scale)
-    return int(result) if result.denominator == 1 else result
+    return sign * A[n - 1][n - 1]
 
 
 def smith_normal_form(rows):
     """Diagonal d_1 | d_2 | ... (nonnegative) of the Smith normal form of an
     integer matrix, found by unimodular row and column operations."""
-    D = [list(map(int, row)) for row in rows]
+    D = [list(row) for row in rows]
     n = len(D)
     m = len(D[0]) if D else 0
     t = 0
@@ -236,15 +201,14 @@ def smith_normal_form(rows):
 def is_positive_definite(G):
     """Sylvester's criterion, read off one Bareiss pass without pivoting:
     the pivot at step k is the (k+1)-th leading principal minor, and the
-    pass stops at the first that is not positive.  Rows are scaled to
-    integers by `integral_rows`, which keeps the sign of every minor.
-    Raises ValueError on a non-square or non-symmetric input."""
+    pass stops at the first that is not positive.  Raises ValueError on a
+    non-square or non-symmetric input."""
     n = _require_square(G)
     for i in range(n):
         for j in range(i + 1, n):
             if G[i][j] != G[j][i]:
                 raise ValueError("matrix is not symmetric")
-    A, prev = integral_rows(G)[0], 1
+    A, prev = list(G), 1
     for k in range(n):
         a = A[k][k]
         if a <= 0:

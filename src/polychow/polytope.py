@@ -17,7 +17,6 @@ from operator import and_, mul
 
 from .bitsets import elements
 from .fan import complete_fan_certificate, walls
-from .linalg import integral
 from .polymatroid import Immutable, ProjectionMap, memoized
 
 
@@ -63,19 +62,19 @@ def embed(w_quotient):
 
 
 def minimizing_vertices(Q, w):
-    """Brute-force argmin of <w, .> over the vertices, as a bitset over
-    positions in `Q.vertices`: <w, v> is computed for every vertex v.
+    """Brute-force argmin of <w, .> over the vertices for an integer point
+    w, as a bitset over positions in `Q.vertices`: <w, v> is computed for
+    every vertex v.
 
-    Every vertex has coordinate sum s = c_1 + ... + c_n, so shifting
-    W = `integral(w)` to x = W - min(W) keeps the argmin and puts every
-    <x, v> in [0, max(x) s].  Packing each column into one int with a
-    64-bit lane per vertex, no lane carries into the next while
-    max(x) s < 2^64: sum(x_i * column_i) then holds every <x, v> exactly,
-    read back as machine words.  Otherwise <x, v> is summed vertex by vertex.
+    Every vertex has coordinate sum s = c_1 + ... + c_n, so shifting w to
+    x = w - min(w) keeps the argmin and puts every <x, v> in [0, max(x) s].
+    Packing each column into one int with a 64-bit lane per vertex, no
+    lane carries into the next while max(x) s < 2^64: sum(x_i * column_i)
+    then holds every <x, v> exactly, read back as machine words.
+    Otherwise <x, v> is summed vertex by vertex.
     """
-    W, _ = integral(w)
-    low = min(W, default=0)
-    x = [a - low for a in W]
+    low = min(w, default=0)
+    x = [a - low for a in w]
     if max([1, *x]) * sum(Q.c) < 2**64:    # the 1 keeps each c_j in a lane
         lanes = memoized(Q, "lanes", lambda: [
             int.from_bytes(b"".join(a.to_bytes(8, sys.byteorder) for a in column), sys.byteorder)

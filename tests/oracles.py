@@ -8,13 +8,16 @@ primitive vectors, cone queries by a scan, relative interiors and rational
 coordinates, refinement and unimodularity over all cones,
 exact rational degrees, the classes of the Kahler tests, the ray-variable
 presentation of the Chow ring, and Bareiss elimination that updates every
-row at every step.
+row at every step.  `polychow` computes in integers only, so rational
+points and matrices are scaled to integers here (`integral`,
+`integral_rows`) before they reach it, or reduced over the rationals
+(`fraction_rref`, `fraction_solve`) as a reference.
 """
 
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, permutations, product
-from math import gcd
+from math import gcd, lcm
 from operator import and_, mul, or_
 from random import Random
 
@@ -23,9 +26,67 @@ from polychow import linalg
 from polychow.bitsets import elements
 from polychow.chow import Codec, DivisorIndex, _standard_monomials
 from polychow.fan import _locator, _numerators, cone_contains, locate, random_integral_point
-from polychow.linalg import integral
 from polychow.polymatroid import memoized
 from polychow.polytope import embed, minimizing_vertices
+
+# --- rational input: scaled to integers, or reduced over Q -------------------
+
+
+def integral(w):
+    """(W, q) with q > 0 the least common denominator of the entries of w
+    and W = q*w as a tuple of ints.  A positive scaling moves no point
+    across a cone boundary and changes no argmin over w."""
+    if all(type(x) is int for x in w):
+        return tuple(w), 1
+    q = lcm(*(x.denominator for x in w))
+    return tuple(x.numerator * (q // x.denominator) for x in w), q
+
+
+def integral_rows(rows):
+    """(M, q): each row scaled to integers by `integral`, and q the product
+    of the scales, so that det(rows) = det(M) / q.  An integer matrix is
+    copied as it is."""
+    if all(type(x) is int for row in rows for x in row):
+        return [list(row) for row in rows], 1
+    M, q = [], 1
+    for row in rows:
+        W, s = integral(row)
+        M.append(list(W))
+        q *= s
+    return M, q
+
+
+def fraction_rref(rows):
+    """Reference reduced row echelon form over the rationals, by textbook
+    Gauss-Jordan elimination.  Returns (R, pivot_columns)."""
+    A = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for c in range(len(A[0]) if A else 0):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
+        if pivot is None:
+            continue
+        A[r], A[pivot] = A[pivot], A[r]
+        A[r] = [x / A[r][c] for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c] != 0:
+                A[i] = [a - A[i][c] * b for a, b in zip(A[i], A[r])]
+        pivots.append(c)
+    return A, pivots
+
+
+def fraction_solve(rows, b):
+    """One rational solution of A x = b, zero at the free columns of
+    `fraction_rref`, or None if the system is inconsistent."""
+    R, pivots = fraction_rref([list(row) + [x] for row, x in zip(rows, b)])
+    ncols = len(rows[0])
+    if ncols in pivots:
+        return None
+    x = [Fraction(0)] * ncols
+    for r, p in enumerate(pivots):
+        x[p] = R[r][ncols]
+    return x
+
 
 # --- polymatroids and their flats ---------------------------------------------
 
@@ -448,7 +509,7 @@ def reference_det(rows):
     n = len(rows)
     if n == 0:
         return 1
-    A, scale = linalg.integral_rows(rows)
+    A, scale = integral_rows(rows)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -471,7 +532,7 @@ def reference_is_positive_definite(G):
     """Sylvester's criterion from one full Bareiss pass without pivoting,
     for a square symmetric matrix."""
     n = len(G)
-    A, prev = linalg.integral_rows(G)[0], 1
+    A, prev = integral_rows(G)[0], 1
     for k in range(n):
         a = A[k][k]
         if a <= 0:

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import polychow as pc
-from polychow import chow as chow_module, fan as fan_module, kahler as kahler_module
+from polychow import (chow as chow_module, cli as cli_module, fan as fan_module,
+                      kahler as kahler_module)
 from polychow.cli import main, polyperm_costs
 from polychow.lift import MultisymMatroid
 from polychow.fan import _chains
@@ -273,6 +274,34 @@ def test_kahler_command(tmp_path, capsys):
     assert verdicts and all(verdicts.values())
 
 
+@pytest.mark.parametrize("member", [99, -1])
+def test_building_set_members_outside_the_ground_set_are_refused(tmp_path, capsys, member):
+    # 99 was read past the end of the rank table (an IndexError traceback),
+    # and -1 as its last entry
+    path = write_instance(tmp_path, {"rank": [0, 1, 1, 2], "building_set": [1, 2, 3, member]})
+    code, out, err = run(capsys, ["fan", "--instance", path])
+    assert code == 1 and out == ""
+    assert json.loads(err) == {
+        "error": "invalid building set: member %d is not a subset of the ground set" % member}
+
+
+def test_verify_all_reports_a_support_refinement_error_as_its_failure(
+        tmp_path, capsys, monkeypatch):
+    # support-refinement is one entry of verify-all's plan, so an error in
+    # it fails that section like any other instead of escaping as a traceback
+    def refuse(*args, **kwargs):
+        raise ValueError("ambient dimension mismatch")
+
+    monkeypatch.setattr(cli_module, "same_support", refuse)
+    path = write_instance(tmp_path, {"rank": P2})
+    code, out, _ = run(capsys, ["verify-all", "--instance", path])
+    assert code == 1
+    sections = json.loads(out)["report"]["sections"]
+    assert sections.pop("support-refinement") == {
+        "status": "fail", "report": {"error": "ambient dimension mismatch"}}
+    assert {section["status"] for section in sections.values()} == {"pass"}
+
+
 def test_kahler_without_ambient_fan_exits_2(tmp_path, capsys):
     # the lifted members of U(3,4)'s maximal building set are no building
     # set of the Boolean lattice, so no ambient fan is built: a JSON error
@@ -295,6 +324,11 @@ LADDER = [{"rank": boolean_table((2, 2))}, {"rank": [0, 2, 2, 4]},
 # K(3,2,4), rank(S) = min(2|S|, 4): a polymatroid that is not a matroid,
 # with a lift that is not free
 K324 = [min(2 * bin(S).count("1"), 4) for S in range(8)]
+# Two more polymatroids that are not matroids, with lifts that are not
+# free: U(1,3) + U(2,3), a sum of matroid rank functions, and the
+# truncation min(B(2,2,1), 4)
+U13_PLUS_U23 = [min(bin(S).count("1"), 1) + min(bin(S).count("1"), 2) for S in range(8)]
+B221_TRUNCATED = [min(x, 4) for x in boolean_table((2, 2, 1))]
 # B(1,1,2) at c = (0, 1, 2): 12 transversals give 10 vertices
 B112_C0 = {"rank": boolean_table((1, 1, 2)), "c": [0, 1, 2]}
 
@@ -335,23 +369,76 @@ B112_C0 = {"rank": boolean_table((1, 1, 2)), "c": [0, 1, 2]}
     (["verify-all", "--trials", "200", "--seed", "1"], {"rank": K324},
      "bfbde2af64021ccc74f56b82c5a9610c5427bf5012109ecd06ccf1c75585ba67"),
     (["polyperm", "--verify-fan"], B112_C0,
-     "c931736f6694dd53feab7e926b37ca48033a6ee336d0044a949795e7a525a990")])
+     "c931736f6694dd53feab7e926b37ca48033a6ee336d0044a949795e7a525a990"),
+    (["verify-all", "--trials", "200", "--seed", "1"], {"rank": U13_PLUS_U23},
+     "38eeea1338d4c41374233684c793b63b987f2f5973a77ba46257e535d7449763"),
+    (["verify-all", "--trials", "200", "--seed", "1"], {"rank": B221_TRUNCATED},
+     "8f5118872e64194517a58feb41e6768f4a0778eacff150ff99c533e4417a1a98")])
 def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
     # SHA-256 of stdout (default seed and indent), recorded before monomials
     # were packed into ints (U(4,5) and B(1,1,1,1,1) before the divisor
     # index and the zero-skipping determinants, the ladder's verify-all
     # before equal fans were compared without sampling, polyperm while the
     # normal fan was still sampled, B(2,2,1) and B(1,1,1,1) with coarser
-    # building sets while their support was still sampled, and K(3,2,4) and
+    # building sets while their support was still sampled, K(3,2,4) and
     # B(1,1,2) at c = (0, 1, 2) while the polytope kept a vertex per
-    # transversal); the chow report prints the basis exponents.  U(3,5),
-    # the last rung, exits 1 for its known `kahler` failure (ROADMAP
+    # transversal, and U(1,3) + U(2,3) and min(B(2,2,1), 4) while linalg
+    # still took rationals); the chow report prints the basis exponents.
+    # U(3,5), the last rung, exits 1 for its known `kahler` failure (ROADMAP
     # item 1), and B(1,1,2) at c_1 = 0 because its transversals share
     # vertices, so its normal fan is not the Boolean fan.
     path = write_instance(tmp_path, data)
     code, out, _ = run(capsys, argv[:1] + ["--instance", path] + argv[1:])
     assert code == (1 if data is LADDER[-1] or data is B112_C0 else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def matrix_entries(rows, width=None):
+    return [x for row in rows for x in row]
+
+
+# The functions of `src` that eliminate or compare integer vectors, each
+# with the entries of its matrix or point arguments.  On a Fraction the
+# `//` of a Bareiss step floors silently, so every entry must be an int.
+INTEGER_INPUTS = {
+    ("linalg", "integer_rref"): matrix_entries,
+    ("linalg", "rank"): matrix_entries,
+    ("linalg", "kernel_basis"): lambda rows, ncols: matrix_entries(rows),
+    ("linalg", "solve"): lambda rows, b: matrix_entries(rows) + list(b),
+    ("linalg", "det"): matrix_entries,
+    ("linalg", "smith_normal_form"): matrix_entries,
+    ("linalg", "is_positive_definite"): matrix_entries,
+    ("fan", "cone_contains"): lambda fan, cone, w: list(w),
+    ("polytope", "minimizing_vertices"): lambda Q, w: list(w),
+}
+
+
+def test_src_computes_in_integers_only(tmp_path, capsys, monkeypatch):
+    types = {key: Counter() for key in INTEGER_INPUTS}
+    modules = [m for name, m in list(sys.modules.items())
+               if name == "polychow" or name.startswith("polychow.")]
+    for (module, name), entries in INTEGER_INPUTS.items():
+        original = getattr(sys.modules["polychow." + module], name)
+
+        def recording(*args, _original=original, _entries=entries,
+                      _types=types[module, name], **kwargs):
+            _types.update(map(type, _entries(*args, **kwargs)))
+            return _original(*args, **kwargs)
+
+        for m in modules:
+            for key, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, key, recording)
+    B222 = {"rank": boolean_table((2, 2, 2))}
+    runs = [(["verify-all", "--trials", "200", "--seed", "1"], data)
+            for data in LADDER + [{"rank": K324}]]
+    runs += [(["chow", "--iso-check"], B222), (["kahler"], B222)]
+    for argv, data in runs:
+        path = write_instance(tmp_path, data)
+        run(capsys, argv[:1] + ["--instance", path] + argv[1:])
+    # every function is reached, and only with ints (no bool, no Fraction)
+    assert {key: set(seen) for key, seen in types.items()} \
+        == {key: {int} for key in INTEGER_INPUTS}
 
 
 @pytest.mark.parametrize("data", [LADDER[5], LADDER[-1]], ids=["B(2,2,1)", "U(3,5)"])

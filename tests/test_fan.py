@@ -8,13 +8,13 @@ import pytest
 import polychow as pc
 from polychow import linalg
 from polychow.bitsets import elements
-from polychow.fan import (_has_positive_circuit, complete_fan_certificate, integral,
-                          locate, pairwise_faces_by_circuits, stellar_certificate,
-                          subset_vector)
+from polychow.fan import (_has_positive_circuit, complete_fan_certificate, locate,
+                          pairwise_faces_by_circuits, stellar_certificate, subset_vector)
 from conftest import (BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING,
                       boolean_table)
-from oracles import (as_polymatroid, cone_coordinates, find_cone, in_relative_interior,
-                     is_complete, primitive, reference_is_unimodular, reference_refines)
+from oracles import (as_polymatroid, cone_coordinates, find_cone, fraction_solve,
+                     in_relative_interior, integral, is_complete, primitive,
+                     reference_is_unimodular, reference_refines)
 
 
 def random_point(rng, dim, spread=10_000):
@@ -195,8 +195,7 @@ def reference_cone_coordinates(fan, cone, w):
     rays = fan.cone_rays(cone)
     if not rays:
         return [] if all(x == 0 for x in w) else None
-    cols = [[Fraction(r[i]) for r in rays] for i in range(fan.ambient_dim)]
-    return linalg.solve(cols, [Fraction(x) for x in w])
+    return fraction_solve([[r[i] for r in rays] for i in range(fan.ambient_dim)], w)
 
 
 def reference_cone_contains(fan, cone, w, strict=False):
@@ -212,14 +211,14 @@ def extreme_rays_nonneg_kernel(A):
     out = []
     for size in range(1, min(ncols, linalg.rank(A) + 1) + 1):
         for J in combinations(range(ncols), size):
-            basis = linalg.kernel_basis([[row[j] for j in J] for row in A])
+            basis = linalg.kernel_basis([[row[j] for j in J] for row in A], size)
             if len(basis) != 1:
                 continue
             v = basis[0]
             if all(x < 0 for x in v):
                 v = [-x for x in v]
             if all(x > 0 for x in v):
-                z = [Fraction(0)] * ncols
+                z = [0] * ncols
                 for j, x in zip(J, v):
                     z[j] = x
                 out.append(z)
@@ -303,7 +302,7 @@ def support_enumeration_has_positive_circuit(A, split):
     for size in range(2, rank + 2):
         for i in range(1, size):
             for I, J in product(combinations(left, i), combinations(right, size - i)):
-                kernel = linalg.integer_kernel([[row[j] for j in I + J] for row in A], size)
+                kernel = linalg.kernel_basis([[row[j] for j in I + J] for row in A], size)
                 if len(kernel) == 1 and (all(x > 0 for x in kernel[0])
                                          or all(x < 0 for x in kernel[0])):
                     return True
@@ -406,8 +405,10 @@ def test_cone_contains_matches_fraction_solve():
             for w in probe_points(rng, fan, cone):
                 coords = cone_coordinates(fan, cone, w)
                 assert coords == reference_cone_coordinates(fan, cone, w)
+                # cone_contains takes integers: a positive multiple of w
+                # lies in the same cones
                 for strict, test in ((False, pc.cone_contains), (True, in_relative_interior)):
-                    got = test(fan, cone, w)
+                    got = test(fan, cone, integral(w)[0])
                     assert got == reference_cone_contains(fan, cone, w, strict=strict)
                     outcomes.add((strict, got, coords is None))
     # both verdicts occur, strict and not, in span and out of it
@@ -569,7 +570,7 @@ def test_locate_matches_scans_on_fixture_fans():
                 # and no cone outside the support
                 assert locate(fan, integral(w)[0]) == found
                 assert find_cone(fan, w) == found
-                assert pc.in_support(fan, w) == scan_in_support(fan, w)
+                assert pc.in_support(fan, integral(w)[0]) == scan_in_support(fan, w)
 
 
 def level_set_locate(fan, W):
@@ -646,9 +647,7 @@ def test_bitmask_locate_matches_the_set_reference():
             for w in probe_points(rng, fan, cone):
                 W = integral(w)[0]
                 expected = set_locate(fan, W)
-                # in_support passes its point unscaled: a positive multiple
-                # has the same level sets
-                assert locate(fan, W) == locate(fan, w) == expected, (fan, w)
+                assert locate(fan, W) == expected, (fan, w)
                 checked += 1
                 located += expected is not None
     assert indexed >= 20 and located > 1000 and checked - located > 1000
@@ -677,7 +676,7 @@ def test_unconfirmed_candidates_fall_back_to_the_scan():
             if located is not None and not reference_cone_contains(fan, located, w):
                 unconfirmed += 1
             assert find_cone(fan, w) == scan_find_cone(fan, w)
-            assert pc.in_support(fan, w) == scan_in_support(fan, w)
+            assert pc.in_support(fan, integral(w)[0]) == scan_in_support(fan, w)
     # a candidate that is a cone not holding the point must not decide
     assert unconfirmed >= 10
 
@@ -692,7 +691,7 @@ def test_scan_path_without_a_subset_index():
         for cone in fan.cones:
             for w in probe_points(rng, fan, cone):
                 assert locate(fan, integral(w)[0]) is None
-                got = pc.in_support(fan, w)
+                got = pc.in_support(fan, integral(w)[0])
                 assert got == scan_in_support(fan, w)
                 found = find_cone(fan, w)
                 assert (found is None) == (scan_find_cone(fan, w) is None)
@@ -749,7 +748,7 @@ def reference_same_support(f1, f2, trials, seed, seen):
 
     def member(fan, w):
         seen.append(w)
-        return pc.in_support(fan, w)
+        return pc.in_support(fan, integral(w)[0])
 
     rng = Random(seed)
     if pc.refines(f1, f2):

@@ -21,17 +21,28 @@ def test_module_uses_every_name_it_imports(path):
     assert imported <= used, sorted(imported - used)
 
 
+def absolute_imports(path):
+    """The modules that `path` imports by absolute name."""
+    tree = ast.parse(path.read_text())
+    names = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names}
+    return names | {node.module for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level == 0}
+
+
 @pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"], ids=lambda p: p.name)
 def test_module_imports_only_the_standard_library(path):
     # polychow has no third-party runtime dependencies
-    tree = ast.parse(path.read_text())
-    outside = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
-               for alias in node.names}
-    outside |= {node.module for node in ast.walk(tree)
-                if isinstance(node, ast.ImportFrom) and node.level == 0}
-    outside = {name for name in outside
+    outside = {name for name in absolute_imports(path)
                if name.split(".")[0] not in sys.stdlib_module_names | {"polychow"}}
     assert not outside, sorted(outside)
+
+
+def test_no_module_imports_fractions():
+    # polychow computes in integers only: on a Fraction the `//` of a
+    # Bareiss step in linalg floors silently
+    assert [path.name for path in MODULES + [PACKAGE / "__init__.py"]
+            if "fractions" in absolute_imports(path)] == []
 
 
 def test_every_module_level_definition_is_referenced_elsewhere_in_src():

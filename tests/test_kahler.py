@@ -1,4 +1,3 @@
-from fractions import Fraction
 from random import Random
 from types import SimpleNamespace
 
@@ -237,14 +236,15 @@ def test_beta_identity_matroids():
 
 def perturbed_classes():
     """Small positive rational perturbations of the nestohedron ray values
-    on P3: (pair, ambient fan, ray values, degree-1 class)."""
+    on P3, scaled by 1000 to integers (a positive scaling keeps strict
+    convexity, HL and HR): (pair, ambient fan, ray values, degree-1 class)."""
     rng = Random(5)
     pair = pair_of(P3)
     ambient = nestohedron_class(pair)[0]
     m = pair.proj.m
     for _ in range(5):
         values_by_member = {
-            g: v + Fraction(rng.randrange(0, 10), 1000)
+            g: 1000 * v + rng.randrange(0, 10)
             for g, v in nestohedron_values(pair).items()}
         values = [None] * len(ambient.rays)
         for g, v in values_by_member.items():
@@ -296,13 +296,13 @@ def reference_hodge_riemann_form(pair, ell, k):
     sign = -1 if k % 2 else 1
     form = [[sign * deg_fy(pair, poly_mul(factor, poly_mul({m1: 1}, {m2: 1})))
              for m2 in basis] for m1 in basis]
-    identity = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+    identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
     if k == 0:
         kernel = identity    # the target degree r vanishes
     else:
         matrix = reference_multiplication_matrix(
             pair, fy.nf(poly_pow(ell, r - 2 * k)), k, r - k)
-        kernel = linalg.kernel_basis(matrix) if matrix else identity
+        kernel = linalg.kernel_basis(matrix, dim) if matrix else identity
     gram = [[sum(u[i] * form[i][j] * v[j] for i in range(dim) for j in range(dim))
              for v in kernel] for u in kernel]
     return form, kernel, gram

@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from random import Random
 
 import pytest
@@ -8,36 +8,15 @@ import pytest
 import polychow as pc
 from polychow import linalg
 from conftest import boolean_table
-from oracles import reference_det, reference_integer_rref, reference_is_positive_definite
+from oracles import (fraction_rref, fraction_solve, integral_rows, reference_det,
+                     reference_integer_rref, reference_is_positive_definite)
 from test_kahler import FIXTURES as KAHLER_FIXTURES
 
 
-def F(x):
-    return Fraction(x)
-
-
-def rref(rows):
-    """Reference reduced row echelon form over the rationals, by textbook
-    Gauss-Jordan elimination.  Returns (R, pivot_columns)."""
-    A = [[Fraction(x) for x in row] for row in rows]
-    pivots = []
-    for c in range(len(A[0]) if A else 0):
-        r = len(pivots)
-        pivot = next((i for i in range(r, len(A)) if A[i][c] != 0), None)
-        if pivot is None:
-            continue
-        A[r], A[pivot] = A[pivot], A[r]
-        A[r] = [x / A[r][c] for x in A[r]]
-        for i in range(len(A)):
-            if i != r and A[i][c] != 0:
-                A[i] = [a - A[i][c] * b for a, b in zip(A[i], A[r])]
-        pivots.append(c)
-    return A, pivots
-
-
 def reference_kernel(rows):
-    """One rational kernel vector per free column f of `rref`, with 1 at f."""
-    R, pivots = rref(rows)
+    """One rational kernel vector per free column f of `fraction_rref`, with 1
+    at f."""
+    R, pivots = fraction_rref(rows)
     ncols = len(rows[0])
     basis = []
     for f in (c for c in range(ncols) if c not in pivots):
@@ -46,17 +25,6 @@ def reference_kernel(rows):
             v[p] = -R[r][f]
         basis.append(v)
     return basis
-
-
-def reference_solve(rows, b):
-    R, pivots = rref([list(row) + [x] for row, x in zip(rows, b)])
-    ncols = len(rows[0])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, p in enumerate(pivots):
-        x[p] = R[r][ncols]
-    return x
 
 
 def random_low_rank(rng, entry):
@@ -77,14 +45,14 @@ def test_rank():
 
 
 def test_kernel_zero_matrix():
-    basis = linalg.kernel_basis([[0, 0, 0]])
+    basis = linalg.kernel_basis([[0, 0, 0]], 3)
     assert len(basis) == 3
     for i, v in enumerate(basis):
         assert v[i] == 1
 
 
 def test_kernel_one_relation():
-    basis = linalg.kernel_basis([[1, 1]])
+    basis = linalg.kernel_basis([[1, 1]], 2)
     assert len(basis) == 1
     v = basis[0]
     assert v[0] + v[1] == 0 and v[0] != 0
@@ -92,23 +60,26 @@ def test_kernel_one_relation():
 
 def test_kernel_vectors_annihilate():
     A = [[1, 2, 3], [4, 5, 6]]
-    for v in linalg.kernel_basis(A):
+    for v in linalg.kernel_basis(A, 3):
         for row in A:
             assert sum(a * x for a, x in zip(row, v)) == 0
 
 
 def test_solve():
-    assert linalg.solve([[2, 0], [0, 3]], [4, 9]) == [F(2), F(3)]
+    # the fraction-free pair (x, d): d > 0 and A x = d b
+    x, d = linalg.solve([[2, 0], [0, 3]], [4, 9])
+    assert d > 0 and x == [2 * d, 3 * d]
+    assert linalg.solve([[-2]], [1]) == ([-1], 2)
     assert linalg.solve([[1, 0], [1, 0]], [1, 2]) is None
     # underdetermined but consistent
-    sol = linalg.solve([[1, 1]], [2])
-    assert sol is not None and sol[0] + sol[1] == 2
+    x, d = linalg.solve([[1, 1]], [2])
+    assert d > 0 and x[0] + x[1] == 2 * d
+    assert linalg.solve([], []) == ([], 1)
 
 
 def test_det():
     assert linalg.det([[2, 0], [0, 3]]) == 6
     assert linalg.det([[1, 2], [2, 4]]) == 0
-    assert linalg.det([[Fraction(1, 2), 0], [0, Fraction(1, 3)]]) == Fraction(1, 6)
     assert linalg.det([[0, 1], [1, 0]]) == -1
     for rows in ([[1, 2, 3], [4, 5, 6]], [[1, 2], [3, 4], [5, 6]], [[1, 2], [3]]):
         with pytest.raises(ValueError):
@@ -161,13 +132,16 @@ def test_positive_definite_matches_a_determinant_per_minor():
         n = rng.randint(1, 6)
         B = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
         # B^T B is positive semidefinite; a random diagonal shift moves it
-        # across the boundary, and Fraction entries take the scaled path
+        # across the boundary.  Fraction entries are scaled to integers by a
+        # common denominator, which keeps the sign of every minor
         G = [[sum(B[k][i] * B[k][j] for k in range(n)) + (rng.randint(-4, 2) if i == j else 0)
               for j in range(n)] for i in range(n)]
         if rng.random() < 0.5:
             q = [[rng.randint(1, 7) for _ in range(n)] for _ in range(n)]
             G = [[Fraction(G[i][j], q[min(i, j)][max(i, j)]) for j in range(n)]
                  for i in range(n)]
+            scale = lcm(*(x.denominator for row in G for x in row))
+            G = [[int(x * scale) for x in row] for row in G]
         expected = all(linalg.det([row[:k] for row in G[:k]]) > 0 for k in range(1, n + 1))
         assert linalg.is_positive_definite(G) == expected, G
         verdicts.append(expected)
@@ -185,17 +159,17 @@ def test_integer_rref_and_kernel_match_fraction_rref():
         A = random_low_rank(rng, lambda: rng.randint(-2, 2))
         m = len(A[0])
         M, pivots, d = linalg.integer_rref(A)
-        ref, ref_pivots = rref(A)
+        ref, ref_pivots = fraction_rref(A)
         assert pivots == ref_pivots
         assert [[Fraction(x, d) for x in row] for row in M[:len(pivots)]] \
             == ref[:len(pivots)]
         assert all(x == 0 for row in M[len(pivots):] for x in row)
-        kernel = linalg.integer_kernel(A, m)
+        kernel = linalg.kernel_basis(A, m)
         assert len(kernel) == m - len(pivots)
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A for v in kernel)
         if kernel:
             assert linalg.rank(kernel) == len(kernel)
-    assert linalg.integer_kernel([], 2) == [[1, 0], [0, 1]]
+    assert linalg.kernel_basis([], 2) == [[1, 0], [0, 1]]
 
 
 @pytest.mark.parametrize("entry", ["int", "fraction"])
@@ -211,10 +185,13 @@ def test_rank_kernel_solve_match_fraction_reference(entry):
     for _ in range(300):
         A = random_low_rank(rng, draw)
         n, m = len(A), len(A[0])
-        _, pivots = rref(A)
-        assert linalg.rank(A) == len(pivots)
+        _, pivots = fraction_rref(A)
+        # rational rows are scaled to integers, which keeps the rank, the
+        # kernel and the solution set
+        M = integral_rows(A)[0]
+        assert linalg.rank(M) == len(pivots)
         # each kernel vector is a nonzero multiple of the reference vector
-        kernel = linalg.kernel_basis(A)
+        kernel = linalg.kernel_basis(M, m)
         reference = reference_kernel(A)
         assert len(kernel) == len(reference)
         for v, u in zip(kernel, reference):
@@ -225,13 +202,17 @@ def test_rank_kernel_solve_match_fraction_reference(entry):
         x0 = [draw() for _ in range(m)]
         for b in ([sum((a * x for a, x in zip(row, x0)), 0) for row in A],
                   [draw() for _ in range(n)]):
-            x = linalg.solve(A, b)
-            assert x == reference_solve(A, b)
-            if x is None:
+            aug = integral_rows([list(row) + [bb] for row, bb in zip(A, b)])[0]
+            solution = linalg.solve([row[:m] for row in aug], [row[m] for row in aug])
+            reference = fraction_solve(A, b)
+            if solution is None:
+                assert reference is None
                 inconsistent += 1
             else:
-                assert all(isinstance(c, Fraction) for c in x)
-                assert [sum(a * c for a, c in zip(row, x)) for row in A] == b
+                x, d = solution
+                assert d > 0 and all(isinstance(c, int) for c in x)
+                assert [Fraction(c, d) for c in x] == reference
+                assert [sum(a * c for a, c in zip(row, x)) for row in A] == [d * bb for bb in b]
                 underdetermined += len(pivots) < m
     assert inconsistent and underdetermined
 

@@ -12,7 +12,8 @@ from polychow.bitsets import elements
 from polychow.polytope import embed, minimizing_vertices
 import oracles
 from conftest import BOOLEAN_FIBERS, all_partitions_m6
-from oracles import lowest_poset, lowest_ranks, minimizers_from_lowest, sampled_normal_fan_equals
+from oracles import (integral, lowest_poset, lowest_ranks, minimizers_from_lowest,
+                     sampled_normal_fan_equals)
 
 
 def test_vertices_two_singleton_fibers():
@@ -81,7 +82,9 @@ def test_minimizer_predicate_matches_brute_force():
         for _ in range(100):
             w = tuple(Fraction(rng.randrange(-30, 31), rng.randrange(1, 5))
                       for _ in range(m))
-            bits = minimizing_vertices(Q, w)
+            # minimizing_vertices takes integers: a positive multiple of w
+            # has the same argmin
+            bits = minimizing_vertices(Q, integral(w)[0])
             assert minimizers_from_lowest(Q, lowest_ranks(Q.proj, w)) == bits
             brute = vertices_of(Q, bits)
             assert reference_minimizing_vertices(Q, w) == (brute, brute)
@@ -144,7 +147,7 @@ def test_minimizing_vertices_matches_the_reference_scan():
             points += [tuple(rng.randrange(-1, 2) for _ in range(m)) for _ in range(10)]
             points += [(0,) * m, (2,) * m, (-7,) * m, (Fraction(1, 3),) * m]
             for w in points:
-                bits = minimizing_vertices(Q, w)
+                bits = minimizing_vertices(Q, integral(w)[0])
                 got = vertices_of(Q, bits)
                 assert (got, got) == reference_minimizing_vertices(Q, w), (fibers, c, w)
                 assert got == column_sum_minimizing_vertices(Q, w), (fibers, c, w)
@@ -189,8 +192,8 @@ def test_position_masks_match_the_enumeration():
             for w in points:
                 ranks = lowest_ranks(Q.proj, w)
                 bits = minimizers_from_lowest(Q, ranks)
-                assert bits == enumerated_minimizers(Q, ranks) == minimizing_vertices(Q, w), \
-                    (fibers, c, w)
+                assert bits == enumerated_minimizers(Q, ranks) \
+                    == minimizing_vertices(Q, integral(w)[0]), (fibers, c, w)
                 fiber_ranks = {(fiber_of[i], r) for i, r in ranks}
                 shared_blocks += len(fiber_ranks) > len({r for _, r in fiber_ranks})
                 several += bits.bit_count() > 1

@@ -21,7 +21,7 @@ from .chow import ChowPair, nested_basis, pairing_det, phi_iso_check
 from .fan import bergman_fan, boolean_bergman_fan, same_support, validate_fan
 from .kahler import kahler_package_report
 from .lift import geometric_flat_lattice, lift
-from .polymatroid import MAX_GROUND, Polymatroid, PolymatroidError, ProjectionMap
+from .polymatroid import MAX_GROUND, Polymatroid, PolymatroidError, ProjectionMap, memoized
 from .polytope import Polypermutohedron, normal_fan_equals
 
 MAX_GROUND_HEAVY = 8  # bounds P.n for HEAVY_COMMANDS
@@ -184,26 +184,46 @@ def cmd_fan(P, G, args):
               "maximal_cones": len(fan.maximal_cones())}
     ok = True
     if args.check:
-        checks = validate_fan(fan, expected_max_dim=P.r - 1)
+        # the Boolean fan is built only under verify-all's polyperm guard
+        ambient = normal_fan(P, args) if args.command == "verify-all" else None
+        checks = validate_fan(fan, expected_max_dim=P.r - 1, ambient=ambient)
         report["checks"] = checks
         ok = all(checks.values())
     return report, ok
 
 
+def polypermutohedron(P, args):
+    """Q(pi; c) on P's fibers at the instance's c, memoized on P."""
+    def build():
+        proj = ProjectionMap([P.rank(1 << i) for i in range(P.n)])
+        c = args.instance_data.get("c")
+        try:
+            return Polypermutohedron(proj, None if c is None else integer_list(c, "c"))
+        except ValueError as exc:
+            raise CliError("invalid c: %s" % exc)
+
+    return memoized(P, "polypermutohedron", build)
+
+
+def normal_fan(P, args):
+    """The Boolean fan of P's fibers if it is the normal fan of Q, else None;
+    memoized on P, so verify-all's fan section reads the polyperm verdict."""
+    def build():
+        Q = polypermutohedron(P, args)
+        fan = boolean_bergman_fan(Q.proj)
+        return fan if normal_fan_equals(Q, fan) else None
+
+    return memoized(P, "normal fan", build)
+
+
 def cmd_polyperm(P, G, args):
-    proj = ProjectionMap([P.rank(1 << i) for i in range(P.n)])
-    c = args.instance_data.get("c")
-    try:
-        Q = Polypermutohedron(proj, None if c is None else integer_list(c, "c"))
-    except ValueError as exc:
-        raise CliError("invalid c: %s" % exc)
-    report = {"fiber_sizes": list(proj.fiber_sizes),
+    Q = polypermutohedron(P, args)
+    report = {"fiber_sizes": list(Q.proj.fiber_sizes),
               "c": list(Q.c),
               "vertices": [list(v) for v in Q.vertices]}
     ok = True
     if args.verify_fan:
-        fan = boolean_bergman_fan(proj)
-        ok = normal_fan_equals(Q, fan)
+        ok = normal_fan(P, args) is not None
         report["normal_fan_matches"] = ok
     return report, ok
 

@@ -186,23 +186,36 @@ def maximal_bergman_fan_direct(P):
 
 def boolean_bergman_fan(proj):
     """The complete fan of a Boolean polymatroid: chains of proper nonempty
-    subsets of E plus a subset S of E~ containing no fiber."""
+    subsets of E plus a subset S of E~ containing no fiber.  The rays, one
+    table sorted by vector, are the preimages of proper nonempty subsets of
+    E and the singletons of fibers of two or more elements.  A chain grows
+    by the proper nonempty submasks of its top's complement, so each chain,
+    and each S (a proper submask per fiber), is built once as ray indices."""
     if not isinstance(proj, ProjectionMap):
         proj = ProjectionMap(proj)
     n, m = proj.n, proj.m
     full = (1 << n) - 1
-    proper = [a for a in range(1, full)]
-    fiber_free = [S for S in range(1 << m)
-                  if not any(S & fm == fm for fm in proj.fiber_masks)]
-    fiber_rays = {F: subset_vector(proj.preimage(F), m) for F in proper}
-    element_rays = [subset_vector(1 << e, m) for e in range(m)]
-    ray_sets = set()
-    for chain in _chains(proper):
-        for S in fiber_free:
-            rays = {fiber_rays[F] for F in chain}
-            rays.update(element_rays[e] for e in elements(S))
-            ray_sets.add(frozenset(rays))
-    return _fan_from_ray_sets(m - 1, ray_sets)
+    subsets = [proj.preimage(F) for F in range(1, full)]
+    subsets += [1 << e for fm in proj.fiber_masks if fm & fm - 1 for e in elements(fm)]
+    table = sorted((subset_vector(T, m), T) for T in subsets)
+    index = {T: i for i, (_, T) in enumerate(table)}
+    chains = []
+
+    def extend(chain, top):
+        chains.append(chain)
+        rest = sub = full & ~top
+        while sub:
+            if sub != rest:          # top | rest is E itself
+                extend(chain + (index[subsets[(top | sub) - 1]],), top | sub)
+            sub = (sub - 1) & rest
+
+    extend((), 0)
+    free = [()]
+    for fm in proj.fiber_masks:
+        parts = [()] + [tuple(index[1 << e] for e in elements(S))
+                        for S in nonempty_subsets(fm) if S != fm]
+        free = [a + b for a in free for b in parts]
+    return Fan(m - 1, [r for r, _ in table], [frozenset(c + S) for c in chains for S in free])
 
 
 def _locator(fan, cone):
@@ -555,15 +568,23 @@ def pairwise_faces_by_circuits(fan):
     return True
 
 
-def pairwise_intersections_are_faces(fan):
+def pairwise_intersections_are_faces(fan, ambient=None):
     """Exact check that any two maximal cones meet in the cone over their
     common rays.  For a face-closed simplicial collection this implies the
     property for all pairs of cones.
 
-    A True verdict comes from `complete_fan_certificate` when it holds,
-    otherwise from the search of `pairwise_faces_by_circuits`, which also
+    True when `ambient`, certified to be a simplicial fan (a normal fan
+    that `polytope.normal_fan_equals` accepted), has each maximal cone, as
+    a set of ray vectors, among its cones: faces of the cones of a fan meet
+    in a common face.
+    Otherwise a True verdict comes from `complete_fan_certificate` when it
+    holds, else from the search of `pairwise_faces_by_circuits`, which also
     gives every False verdict.
     """
+    if ambient is not None and all(
+            frozenset(map(ambient.ray_index.get, fan.cone_rays(c))) in ambient.cones
+            for c in fan.maximal_cones()):
+        return True
     return complete_fan_certificate(fan) or pairwise_faces_by_circuits(fan)
 
 
@@ -589,12 +610,12 @@ def balancing_check(fan):
     return True
 
 
-def validate_fan(fan, expected_max_dim=None):
+def validate_fan(fan, expected_max_dim=None, ambient=None):
     """Run the structural validators; returns a dict of named booleans."""
     report = {
         "unimodular": is_unimodular(fan),
         "face_closed": is_face_closed(fan),
-        "pairwise_faces": pairwise_intersections_are_faces(fan),
+        "pairwise_faces": pairwise_intersections_are_faces(fan, ambient),
         "balanced": balancing_check(fan),
     }
     if expected_max_dim is not None:

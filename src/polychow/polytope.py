@@ -15,8 +15,9 @@ from functools import reduce
 from itertools import permutations, product
 from operator import and_, mul
 
+from . import linalg
 from .bitsets import elements
-from .fan import complete_fan_certificate, walls
+from .fan import walls
 from .polymatroid import Immutable, ProjectionMap, memoized
 
 
@@ -90,35 +91,42 @@ def minimizing_vertices(Q, w):
 def normal_fan_equals(Q, fan):
     """Decide whether `fan` is the inner normal fan of Q (mod all-ones) by an
     exact certificate.  For d = `fan.ambient_dim` >= 1 it requires
-      (a) `complete_fan_certificate(fan)`;
+      (0) a maximal cone, and d rays of nonzero `det` in each;
+      (i) every wall, a maximal cone less one ray, in exactly two of them;
       (b) for each maximal cone sigma, exactly one vertex v_sigma in the AND
           over its rays r of face[r], the argmin of r (`minimizing_vertices`,
           one call per ray);
       (c) at each wall with opposite rays u of sigma and u' of sigma',
           v_sigma & face[u'] == 0 and v_sigma' & face[u] == 0.
-    These decide it.  With h = min <v, .> over the vertices, concave, and
-    w = sum a_r r inside sigma, <v_sigma, w> = sum a_r h(r) <= h(w), so
-    v_sigma minimizes w, and only it, since any minimizer of w minimizes
-    every r; so h is linear on each sigma and both sides of a wall agree on
-    its rays.  (c) is the strict wall inequality <v_sigma, u'> > h(u'), so
-    h is strictly concave across every wall of the complete fan (a) and
-    the normal cone of v_sigma is exactly sigma (Cox-Little-Schenck,
-    "Toric varieties", 2011, ch. 6); every vertex's open normal cone meets
-    some sigma's interior, so every vertex is some v_sigma.  Conversely a
-    true normal fan is complete and simplicial, and its ray sums lie on no
-    other cone's boundary, so (a) holds; v_sigma alone has sigma in its
-    normal cone, so (b) holds; and a ray outside sigma is minimized by no
-    v_sigma, so (c) holds.  At d = 0 (B(1)) the fan must be the one cone
-    {} and Q one vertex.
+    Proof, with N(v) the normal cone of v and h = min <v, .> concave:
+    1. For w = sum a_r r inside sigma, <v_sigma, w> = sum a_r h(r) <= h(w),
+       and a minimizer of w minimizes every r; so by (b) sigma lies in
+       N(v_sigma), and only v_sigma minimizes on the interior of sigma.
+    2. If sigma' lay on the same side of their wall, the interiors would
+       overlap and v_sigma = v_sigma', which (c) forbids.
+    3. If N(v_sigma) held more than sigma, a generic segment from inside
+       sigma to a point of N(v_sigma) outside it would leave sigma through
+       a facet into the interior of sigma' ((i), 2), where only v_sigma' !=
+       v_sigma minimizes; so N(v_sigma) = sigma.
+    4. Across each facet of a normal cone lies the adjacent vertex's cone,
+       and the vertex-edge graph is connected, so every vertex is some
+       v_sigma (Cox-Little-Schenck, "Toric varieties", 2011, ch. 6).
+    A true normal fan is complete and simplicial, so (0) and (i) hold;
+    v_sigma alone has sigma in its normal cone, so (b) holds; and a ray
+    outside sigma is minimized by no v_sigma, so (c) holds.  At d = 0 (B(1))
+    the fan must be the one cone {} and Q one vertex.
     """
-    if fan.ambient_dim != Q.proj.m - 1:
+    d = fan.ambient_dim
+    if d != Q.proj.m - 1:
         raise ValueError("ambient dimension mismatch")
-    if fan.ambient_dim == 0:
+    if d == 0:
         return fan.cones == {frozenset()} and len(Q.vertices) == 1
-    if not complete_fan_certificate(fan):
+    maxes = fan.maximal_cones()
+    sides = walls(maxes).values()
+    if not maxes or any(len(pair) != 2 for pair in sides) or any(
+            len(c) != d or not linalg.det(fan.cone_rays(c)) for c in maxes):
         return False
     face = [minimizing_vertices(Q, embed(r)) for r in fan.rays]
-    vertex = {c: reduce(and_, map(face.__getitem__, c)) for c in fan.maximal_cones()}
+    vertex = {c: reduce(and_, map(face.__getitem__, c)) for c in maxes}
     return all(v.bit_count() == 1 for v in vertex.values()) and not any(
-        vertex[c] & face[u2] or vertex[c2] & face[u]
-        for (c, u), (c2, u2) in walls(fan.maximal_cones()).values())
+        vertex[c] & face[u2] or vertex[c2] & face[u] for (c, u), (c2, u2) in sides)

@@ -373,7 +373,9 @@ B112_C0 = {"rank": boolean_table((1, 1, 2)), "c": [0, 1, 2]}
     (["verify-all", "--trials", "200", "--seed", "1"], {"rank": U13_PLUS_U23},
      "38eeea1338d4c41374233684c793b63b987f2f5973a77ba46257e535d7449763"),
     (["verify-all", "--trials", "200", "--seed", "1"], {"rank": B221_TRUNCATED},
-     "8f5118872e64194517a58feb41e6768f4a0778eacff150ff99c533e4417a1a98")])
+     "8f5118872e64194517a58feb41e6768f4a0778eacff150ff99c533e4417a1a98"),
+    (["verify-all", "--trials", "200", "--seed", "1"], B112_C0,
+     "b793ae7a6938ca336a72183d67c6843bfdcb94b91886d7f0d9e099c0263db19e")])
 def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
     # SHA-256 of stdout (default seed and indent), recorded before monomials
     # were packed into ints (U(4,5) and B(1,1,1,1,1) before the divisor
@@ -383,7 +385,9 @@ def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
     # building sets while their support was still sampled, K(3,2,4) and
     # B(1,1,2) at c = (0, 1, 2) while the polytope kept a vertex per
     # transversal, and U(1,3) + U(2,3) and min(B(2,2,1), 4) while linalg
-    # still took rationals); the chow report prints the basis exponents.
+    # still took rationals, and B(1,1,2) at c = (0, 1, 2) under verify-all
+    # before the fan section read the polyperm section's normal fan); the
+    # chow report prints the basis exponents.
     # U(3,5), the last rung, exits 1 for its known `kahler` failure (ROADMAP
     # item 1), and B(1,1,2) at c_1 = 0 because its transversals share
     # vertices, so its normal fan is not the Boolean fan.
@@ -567,3 +571,68 @@ def test_verify_all_builds_the_ambient_fan_apart_when_the_lift_is_not_free(
     # fan is built apart from the Bergman fan of G; the support-refinement
     # section adds the Bergman fan of the maximal building set
     assert calls == {"lift": 1, "nested_set_fan": 3, "groebner": 2}
+
+
+def count_fan_certificates(tmp_path, capsys, monkeypatch, data):
+    """verify-all on `data`: its exit code, fan section and the calls of the
+    Boolean fan, the normal-fan check, the complete-fan certificate and the
+    circuit search."""
+    calls = Counter()
+
+    def counted(module, name):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args: calls.update([name]) or fn(*args))
+
+    counted(cli_module, "boolean_bergman_fan")
+    counted(cli_module, "normal_fan_equals")
+    counted(fan_module, "complete_fan_certificate")
+    counted(fan_module, "pairwise_faces_by_circuits")
+    path = write_instance(tmp_path, data)
+    code, out, _ = run(capsys, ["verify-all", "--trials", "200", "--seed", "1", "--instance", path])
+    return code, json.loads(out)["report"]["sections"]["fan"], calls
+
+
+def test_verify_all_reads_pairwise_faces_from_the_certified_normal_fan(
+        tmp_path, capsys, monkeypatch):
+    # U(3,5): each chain-of-flats cone is a cone of the braid fan that the
+    # polyperm section certifies, so neither the 190-pair circuit search nor
+    # a complete-fan certificate runs, and that fan is built and checked once
+    code, fan, calls = count_fan_certificates(tmp_path, capsys, monkeypatch, LADDER[-1])
+    assert code == 1 and fan["status"] == "pass"
+    assert calls == {"boolean_bergman_fan": 1, "normal_fan_equals": 1}
+
+
+@pytest.mark.parametrize("data, fallback", [
+    (LADDER[3], {"complete_fan_certificate": 1, "pairwise_faces_by_circuits": 1}),
+    ({"rank": boolean_table((2, 2, 1)), "building_set": [1, 2, 4, 7]},
+     {"complete_fan_certificate": 1}),
+    (B112_C0, {"complete_fan_certificate": 1})],
+    ids=["U(3,4)/G=singletons+E", "B(2,2,1)/G=[1,2,4,7]", "B(1,1,2)/c=(0,1,2)"])
+def test_verify_all_falls_back_where_the_normal_fan_does_not_decide(
+        tmp_path, capsys, monkeypatch, data, fallback):
+    # coarser building sets have cones outside the Boolean fan; at
+    # c = (0, 1, 2) the Boolean fan is not the normal fan of Q
+    code, fan, calls = count_fan_certificates(tmp_path, capsys, monkeypatch, data)
+    assert code == (1 if data is B112_C0 else 0) and fan["status"] == "pass"
+    assert calls == {"boolean_bergman_fan": 1, "normal_fan_equals": 1, **fallback}
+
+
+def test_standalone_fan_check_never_builds_the_boolean_fan(tmp_path, capsys, monkeypatch):
+    # MAX_FAN_LOOPS bounds the Boolean fan only for polyperm and verify-all
+    monkeypatch.setattr(cli_module, "boolean_bergman_fan", None)
+    path = write_instance(tmp_path, LADDER[-1])
+    for flags in ([], ["--verify-fan"]):
+        code, out, _ = run(capsys, ["fan", "--check", "--instance", path] + flags)
+        assert code == 0 and json.loads(out)["report"]["checks"]["pairwise_faces"] is True
+
+
+def test_verify_all_refuses_an_invalid_c_as_before(tmp_path, capsys):
+    # the fan section may build Q before the polyperm section does; the
+    # exit code and stderr are those recorded before it could
+    path = write_instance(tmp_path, {"rank": boolean_table((1, 1)), "c": [2, 1]})
+    code, out, err = run(capsys, ["verify-all", "--trials", "200", "--seed", "1",
+                                  "--instance", path])
+    assert (code, out) == (2, "")
+    assert err == ('{"error": "invalid c: c must be a strictly increasing nonnegative '
+                   'sequence of length n"}\n')

@@ -8,10 +8,10 @@ import pytest
 import polychow as pc
 from polychow import linalg
 from polychow.bitsets import elements
-from polychow.fan import (_has_positive_circuit, complete_fan_certificate, locate,
+from polychow.fan import (_chains, _has_positive_circuit, complete_fan_certificate, locate,
                           pairwise_faces_by_circuits, stellar_certificate, subset_vector)
 from conftest import (BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING,
-                      boolean_table)
+                      all_partitions_m6, boolean_table)
 from oracles import (as_polymatroid, cone_coordinates, find_cone, fraction_solve,
                      in_relative_interior, integral, is_complete, primitive,
                      reference_is_unimodular, reference_refines)
@@ -68,6 +68,32 @@ def test_boolean_third_route():
         P = pc.boolean_polymatroid(proj)
         assert pc.bergman_fan(P) == pc.boolean_bergman_fan(proj)
         assert pc.boolean_bergman_fan(proj) == pc.maximal_bergman_fan_direct(P)
+
+
+def chain_boolean_bergman_fan(proj):
+    """`boolean_bergman_fan` as it was: every chain of proper nonempty
+    subsets of E times every fiber-free S, as frozensets of ray vectors."""
+    n, m = proj.n, proj.m
+    proper = range(1, (1 << n) - 1)
+    fiber_free = [S for S in range(1 << m)
+                  if not any(S & fm == fm for fm in proj.fiber_masks)]
+    fiber_rays = {F: subset_vector(proj.preimage(F), m) for F in proper}
+    element_rays = [subset_vector(1 << e, m) for e in range(m)]
+    ray_sets = {frozenset({fiber_rays[F] for F in chain} | {element_rays[e] for e in elements(S)})
+                for chain in _chains(proper) for S in fiber_free}
+    rays = sorted({r for s in ray_sets for r in s})
+    index = {r: i for i, r in enumerate(rays)}
+    return pc.Fan(m - 1, rays, [{index[r] for r in s} for s in ray_sets])
+
+
+def test_boolean_fan_matches_the_chain_reference():
+    shapes = all_partitions_m6()
+    assert len(shapes) == 29 and (1,) in shapes
+    for fibers in shapes + [f[::-1] for f in shapes if f != f[::-1]]:
+        proj = pc.ProjectionMap(fibers)
+        new, old = pc.boolean_bergman_fan(proj), chain_boolean_bergman_fan(proj)
+        assert (new.ambient_dim, new.rays, new.cones) == (old.ambient_dim, old.rays, old.cones)
+    assert pc.boolean_bergman_fan(pc.ProjectionMap((1,))).rays == ()
 
 
 def test_validators_on_fixture_fans():
@@ -284,6 +310,35 @@ def test_pairwise_faces_matches_extreme_ray_reference():
         assert new == pairwise_faces_by_circuits(fan), fan.cones
         verdicts.append(new)
     assert verdicts.count(False) >= 40 and verdicts.count(True) >= 40
+
+
+def test_ambient_route_agrees_with_the_circuit_search(monkeypatch):
+    # each fixture fan, and each less one maximal cone, against the
+    # certified Boolean fan of its polymatroid's fibers, as verify-all
+    # passes it; a maximal building set gives ambient cones, U(3,4)'s
+    # coarser one does not
+    fallbacks = []
+    shipped = complete_fan_certificate
+    monkeypatch.setattr(pc.fan, "complete_fan_certificate",
+                        lambda fan: fallbacks.append(fan) or shipped(fan))
+    instances = [(t, None) for t in (P1, P2, P3, P4, U34)] + [(U34, U34_MIN_BUILDING)]
+    instances += [(boolean_table(f), None) for f in BOOLEAN_FIBERS]
+    for table, members in instances:
+        P, fan = fan_of(table, members)
+        proj = pc.lift(P).proj
+        ambient = pc.boolean_bergman_fan(proj)
+        assert pc.normal_fan_equals(pc.Polypermutohedron(proj), ambient)
+        for f in [fan] + [less for less, _ in without_a_maximal_cone([fan])]:
+            fallbacks.clear()
+            verdict = pc.pairwise_intersections_are_faces(f, ambient)
+            assert verdict == pairwise_faces_by_circuits(f), (table, members)
+            assert fallbacks == ([] if members is None else [f])
+    # collections on random rays against the braid fan of their dimension
+    braid = {d: pc.boolean_bergman_fan(pc.ProjectionMap((1,) * (d + 1))) for d in (2, 3, 4)}
+    collections = random_collections()
+    verdicts = [pc.pairwise_intersections_are_faces(f, braid[f.ambient_dim]) for f in collections]
+    assert verdicts == [pairwise_faces_by_circuits(f) for f in collections]
+    assert False in verdicts
 
 
 def support_enumeration_has_positive_circuit(A, split):

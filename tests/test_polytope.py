@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 import polychow as pc
-from polychow import polytope
+from polychow import linalg, polytope
 from polychow.bitsets import elements
 from polychow.polytope import embed, minimizing_vertices
 import oracles
@@ -267,7 +267,9 @@ def drop_one_maximal_cone(fan):
     return pc.Fan(fan.ambient_dim, fan.rays, fan.cones - {maxes[len(maxes) // 2]})
 
 
-def test_certificate_matches_the_sampled_oracle():
+def certificate_cases():
+    """(Q, fan) pairs: every Boolean fan with m <= 6 at five c, doubled rays,
+    a missing maximal cone, the fans of other fiber shapes, and d = 0."""
     partitions = all_partitions_m6()
     assert len(partitions) == 29
     rng = Random(41)
@@ -290,13 +292,88 @@ def test_certificate_matches_the_sampled_oracle():
     # B(1): d = 0, one vertex and the one empty cone
     cases += [(pc.Polypermutohedron((1,)), pc.boolean_bergman_fan(pc.ProjectionMap((1,)))),
               (pc.Polypermutohedron((1,)), pc.Fan(0, [], []))]
+    return cases
+
+
+def test_certificate_matches_the_sampled_oracle():
     verdicts = []
-    for Q, fan in cases:
+    for Q, fan in certificate_cases():
         verdict = pc.normal_fan_equals(Q, fan)
         assert verdict == sampled_normal_fan_equals(Q, fan, trials=200, seed=3), (Q, fan)
         verdicts.append(verdict)
     assert verdicts[-2:] == [True, False]
     assert 0 < sum(verdicts) < len(verdicts)
+
+
+def complete_fan_reference(Q, fan):
+    """`normal_fan_equals` as it was with condition (a), the wall certificate
+    `complete_fan_certificate`, in place of (0) and (i)."""
+    if fan.ambient_dim != Q.proj.m - 1:
+        raise ValueError("ambient dimension mismatch")
+    if fan.ambient_dim == 0:
+        return fan.cones == {frozenset()} and len(Q.vertices) == 1
+    if not pc.fan.complete_fan_certificate(fan):
+        return False
+    face = [minimizing_vertices(Q, embed(r)) for r in fan.rays]
+    vertex = {c: reduce(and_, map(face.__getitem__, c)) for c in fan.maximal_cones()}
+    return all(v.bit_count() == 1 for v in vertex.values()) and not any(
+        vertex[c] & face[u2] or vertex[c2] & face[u]
+        for (c, u), (c2, u2) in pc.fan.walls(fan.maximal_cones()).values())
+
+
+def dependent_maximal_cone(fan):
+    """The fan with the third ray of its first maximal cone moved to the sum
+    of the other two: that cone's d rays are dependent, and every wall still
+    lies in exactly two maximal cones."""
+    a, b, c = sorted(min(fan.maximal_cones(), key=sorted))
+    rays = list(fan.rays)
+    rays[c] = tuple(map(sum, zip(rays[a], rays[b])))
+    return pc.Fan(fan.ambient_dim, rays, fan.cones)
+
+
+def refused_collections():
+    """(Q, collection) pairs that no normal fan matches: no cone at all, rays
+    only, a line (two opposite rays, whose one wall, the zero cone, lies in
+    both), d dependent rays in a maximal cone, and a wall in three maximal
+    cones."""
+    Q = pc.Polypermutohedron((1, 1, 1))
+    hexagon = pc.boolean_bergman_fan(Q.proj)
+    n = len(hexagon.rays)
+    chord = next(frozenset({0, k}) for k in range(n)
+                 if frozenset({0, k}) not in hexagon.cones
+                 and linalg.det([hexagon.rays[0], hexagon.rays[k]]))
+    Q4 = pc.Polypermutohedron((1, 1, 1, 1))
+    return {"empty": (Q, pc.Fan(2, [], [])),
+            "rays only": (Q, pc.Fan(2, hexagon.rays, [set()] + [{i} for i in range(n)])),
+            "line": (Q, pc.Fan(2, [(1, 0), (-1, 0)], [set(), {0}, {1}])),
+            "dependent": (Q4, dependent_maximal_cone(pc.boolean_bergman_fan(Q4.proj))),
+            "three cones": (Q, pc.Fan(2, hexagon.rays, hexagon.cones | {chord}))}
+
+
+def test_certificate_matches_the_complete_fan_reference():
+    refused = refused_collections()
+    three = refused["three cones"][1]
+    assert any(len(sides) == 3 for sides in pc.fan.walls(three.maximal_cones()).values())
+    for name, (Q, fan) in refused.items():
+        assert not complete_fan_reference(Q, fan), name
+        assert not pc.normal_fan_equals(Q, fan), name
+    cases = certificate_cases()
+    verdicts = [pc.normal_fan_equals(Q, fan) for Q, fan in cases]
+    assert verdicts == [complete_fan_reference(Q, fan) for Q, fan in cases]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_dependent_maximal_cone_is_refused_before_any_argmin(monkeypatch):
+    # (i) holds on this collection, so only the determinant test of (0)
+    # refuses it before the argmins
+    Q, fan = refused_collections()["dependent"]
+    assert all(len(sides) == 2 for sides in pc.fan.walls(fan.maximal_cones()).values())
+    calls = []
+    shipped = polytope.minimizing_vertices
+    monkeypatch.setattr(polytope, "minimizing_vertices",
+                        lambda Q, w: calls.append(w) or shipped(Q, w))
+    assert not pc.normal_fan_equals(Q, fan)
+    assert calls == []
 
 
 def test_normal_fan_equality():

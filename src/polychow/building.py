@@ -144,7 +144,8 @@ def lifted_building_set(P, G=None):
 
 def nested_complex(building, exclude=None):
     """All nested sets, as a tuple of frozensets of member masks, in a
-    deterministic order (by size, then by sorted members).
+    deterministic order: by size, then by the tuple of members in
+    `sorted_members` order, which the search of `_nested_sets` builds.
 
     `exclude` drops one member (used to omit the full ground set when
     building fans).  The tuple is memoized on the building set, one per
@@ -177,7 +178,7 @@ def _nested_sets(building, exclude):
     def extend(current, antichains, start):
         if len(out) > DEFAULT_NESTED_CAP:
             raise BuildingSetError("nested complex larger than cap %d" % DEFAULT_NESTED_CAP)
-        out.append(frozenset(current))
+        out.append(tuple(current))
         for i in range(start, len(members)):
             g, comp = members[i], comparable[i]
             grown = [(1 << i, g)]
@@ -192,5 +193,8 @@ def _nested_sets(building, exclude):
                 current.pop()
 
     extend([], [], 0)
-    out.sort(key=lambda s: (len(s), sorted(s, key=canonical_key)))
+    out.sort(key=lambda N: (len(N), N))
+    # `extend` holds `out` in a reference cycle until the next collection:
+    # let it hold the frozensets the result shares, not a copy as tuples
+    out[:] = map(frozenset, out)
     return tuple(out)

@@ -55,7 +55,6 @@ class Codec:
     def __init__(self, nvars, r):
         width = (2 * r).bit_length() + 1
         self.nvars = nvars
-        self.width = width
         self.cap = (1 << (width - 1)) - 1          # the largest exponent
         self.shifts = tuple(width * (nvars - 1 - i) for i in range(nvars))
         self.units = tuple(1 << s for s in self.shifts)
@@ -65,7 +64,8 @@ class Codec:
 
     def exponents(self, m):
         self.check(m)
-        return tuple(m >> s & self.field for s in self.shifts)
+        field = self.field
+        return tuple([m >> s & field for s in self.shifts])
 
     def check(self, m):
         if m & self.guard:
@@ -452,11 +452,10 @@ def nested_basis(P, G=None):
     r = P.r
     per_degree = [set() for _ in range(r)]
     for N in nested_complex(G):
-        flats = sorted(N, key=canonical_key)
-        ranges = []
-        for g in flats:
+        ranges = []                  # one per member, in N's iteration order
+        for g in N:
             union_below = 0
-            for f in flats:
+            for f in N:
                 if f & g == f and f != g:
                     union_below |= f
             hi = P.rank(g) - P.rank(union_below)  # exclusive bound
@@ -468,7 +467,7 @@ def nested_basis(P, G=None):
             continue
         for choice in product(*ranges):
             exps = [0] * len(members)
-            for g, a in zip(flats, choice):
+            for g, a in zip(N, choice):
                 exps[index[g]] = a
             degree = sum(choice)
             if degree < r:
@@ -503,31 +502,19 @@ class ChowPair:
     def _translate(self):
         return [self.fy.var_index[self.proj.preimage(f)] for f in self.dp.var_flats]
 
-    @cached_property
-    def _fields(self):
-        """Per DP variable, keyed by the bit length of its field's guard
-        bit: the field's shift and the FY unit of the variable's image."""
-        codec, units = self.dp.codec, self.fy.codec.units
-        return {s + codec.width: (s, units[t]) for s, t in zip(codec.shifts, self._translate)}
-
     def phi(self, poly):
         """Transport a DP polynomial to the FY variables.  A monomial's image
-        is the sum, over its support, of each exponent times the FY unit of
-        its variable's image; the substitution is injective, so no two
-        fields meet and no field overflows.  Each image is computed once per
-        pair."""
-        codec, images = self.dp.codec, self._images
+        is the sum of each DP exponent times the FY unit of its variable's
+        image; the substitution is injective, so no two images share a
+        field, and an exponent fits its DP field, so it fits the FY one
+        (both rings have rank r).  Each image is computed once per pair."""
+        exponents, units, images = self.dp.codec.exponents, self.fy.codec.units, self._images
         out = {}
         for m, c in poly.items():
             key = images.get(m)
             if key is None:
-                support, key = codec.support(codec.check(m)), 0
-                while support:
-                    top = support.bit_length()
-                    support ^= 1 << (top - 1)
-                    shift, unit = self._fields[top]
-                    key += (m >> shift & codec.field) * unit
-                images[m] = key
+                pairs = zip(exponents(m), self._translate)
+                key = images[m] = sum(e * units[t] for e, t in pairs if e)
             out[key] = out.get(key, 0) + c
         return out
 

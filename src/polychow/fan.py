@@ -114,21 +114,16 @@ class Fan(Immutable):
             self.ambient_dim, len(self.rays), len(self.cones))
 
 
-def _fan_from_ray_sets(ambient_dim, ray_sets):
-    rays = sorted({r for s in ray_sets for r in s})
-    index = {r: i for i, r in enumerate(rays)}
-    cones = {frozenset(index[r] for r in s) for s in ray_sets}
-    return Fan(ambient_dim, rays, cones)
-
-
 def nested_set_fan(building, full_mask, m):
-    """Cones spanned by indicator vectors of nested sets not containing E~.
-    An indicator vector's entries are all 0 and 1 or all 0 and -1, so it
-    is primitive, and zero only for E~."""
-    ray = {g: subset_vector(g, m) for g in building.members}
-    ray_sets = [frozenset(ray[g] for g in N)
-                for N in nested_complex(building, exclude=full_mask)]
-    return _fan_from_ray_sets(m - 1, ray_sets)
+    """Cones spanned by indicator vectors of nested sets not containing E~,
+    as sets of indices into the rays of the members, sorted by vector.
+    Every other member is a nested set alone, and its indicator vector has
+    entries all 0 and 1 or all 0 and -1, so it is primitive, nonzero and
+    distinct from every other member's."""
+    table = sorted((subset_vector(g, m), g) for g in building.members if g != full_mask)
+    index = {g: i for i, (_, g) in enumerate(table)}
+    return Fan(m - 1, [r for r, _ in table],
+               [{index[g] for g in N} for N in nested_complex(building, exclude=full_mask)])
 
 
 def bergman_fan(P, G=None):
@@ -178,10 +173,12 @@ def maximal_bergman_fan_direct(P):
             if any(P.rank(F | proj.image(T)) <= P.rank(F) + T.bit_count()
                    for F in flats_with_empty for T in nonempty_subsets(S & ~proj.preimage(F))):
                 continue
-            rays = {subset_vector(proj.preimage(F), m) for F in chain}
-            rays.update(subset_vector(1 << e, m) for e in elements(S))
-            ray_sets.add(frozenset(rays))
-    return _fan_from_ray_sets(m - 1, ray_sets)
+            cone = {subset_vector(proj.preimage(F), m) for F in chain}
+            cone.update(subset_vector(1 << e, m) for e in elements(S))
+            ray_sets.add(frozenset(cone))
+    rays = sorted({r for s in ray_sets for r in s})
+    index = {r: i for i, r in enumerate(rays)}
+    return Fan(m - 1, rays, [{index[r] for r in s} for s in ray_sets])
 
 
 def boolean_bergman_fan(proj):
@@ -454,12 +451,12 @@ def is_unimodular(fan):
 
 
 def is_face_closed(fan):
-    """Faces of a simplicial cone are the subsets of its rays."""
+    """Every face of every cone is a cone.  The faces of a simplicial cone
+    are the subsets of its rays, the empty one included, and each is
+    reached from the cone by dropping one ray at a time; so by induction on
+    size it suffices that every cone less any one ray is a cone."""
     cones = fan.cones
-    return all(frozenset(sub) in cones
-               for c in cones
-               for k in range(len(c))
-               for sub in combinations(sorted(c), k))
+    return all(c - {i} in cones for c in cones for i in c)
 
 
 def _has_positive_circuit(A):

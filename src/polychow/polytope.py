@@ -15,7 +15,6 @@ from functools import reduce
 from itertools import permutations, product
 from operator import and_, mul
 
-from . import linalg
 from .bitsets import elements
 from .fan import walls
 from .polymatroid import Immutable, ProjectionMap, memoized
@@ -91,7 +90,7 @@ def minimizing_vertices(Q, w):
 def normal_fan_equals(Q, fan):
     """Decide whether `fan` is the inner normal fan of Q (mod all-ones) by an
     exact certificate.  For d = `fan.ambient_dim` >= 1 it requires
-      (0) a maximal cone, and d rays of nonzero `det` in each;
+      (0) a maximal cone, each with d rays;
       (i) every wall, a maximal cone less one ray, in exactly two of them;
       (b) for each maximal cone sigma, exactly one vertex v_sigma in the AND
           over its rays r of face[r], the argmin of r (`minimizing_vertices`,
@@ -99,16 +98,23 @@ def normal_fan_equals(Q, fan):
       (c) at each wall with opposite rays u of sigma and u' of sigma',
           v_sigma & face[u'] == 0 and v_sigma' & face[u] == 0.
     Proof, with N(v) the normal cone of v and h = min <v, .> concave:
-    1. For w = sum a_r r inside sigma, <v_sigma, w> = sum a_r h(r) <= h(w),
-       and a minimizer of w minimizes every r; so by (b) sigma lies in
-       N(v_sigma), and only v_sigma minimizes on the interior of sigma.
-    2. If sigma' lay on the same side of their wall, the interiors would
+    1. For w = sum a_r r, all a_r >= 0, over the rays of sigma, <v_sigma, w>
+       = sum a_r h(r) <= h(w), and if all a_r > 0 a minimizer of w minimizes
+       every r; so by (b) sigma lies in N(v_sigma), and only v_sigma
+       minimizes such a w.
+    2. If a ray u of sigma lay in the span of the others, the ray sum w of
+       the wall sigma - u, plus a small multiple of that relation, would put
+       every ray of sigma at a positive coefficient, so only v_sigma would
+       minimize w (1).  The other cone sigma' at that wall (i) holds w, so
+       v_sigma' = v_sigma minimizes u, which (c) forbids; so its rays are
+       independent.
+    3. If sigma' lay on the same side of their wall, the interiors would
        overlap and v_sigma = v_sigma', which (c) forbids.
-    3. If N(v_sigma) held more than sigma, a generic segment from inside
+    4. If N(v_sigma) held more than sigma, a generic segment from inside
        sigma to a point of N(v_sigma) outside it would leave sigma through
-       a facet into the interior of sigma' ((i), 2), where only v_sigma' !=
+       a facet into the interior of sigma' ((i), 3), where only v_sigma' !=
        v_sigma minimizes; so N(v_sigma) = sigma.
-    4. Across each facet of a normal cone lies the adjacent vertex's cone,
+    5. Across each facet of a normal cone lies the adjacent vertex's cone,
        and the vertex-edge graph is connected, so every vertex is some
        v_sigma (Cox-Little-Schenck, "Toric varieties", 2011, ch. 6).
     A true normal fan is complete and simplicial, so (0) and (i) hold;
@@ -123,8 +129,7 @@ def normal_fan_equals(Q, fan):
         return fan.cones == {frozenset()} and len(Q.vertices) == 1
     maxes = fan.maximal_cones()
     sides = walls(maxes).values()
-    if not maxes or any(len(pair) != 2 for pair in sides) or any(
-            len(c) != d or not linalg.det(fan.cone_rays(c)) for c in maxes):
+    if not maxes or any(len(c) != d for c in maxes) or any(len(pair) != 2 for pair in sides):
         return False
     face = [minimizing_vertices(Q, embed(r)) for r in fan.rays]
     vertex = {c: reduce(and_, map(face.__getitem__, c)) for c in maxes}

@@ -412,3 +412,24 @@ def test_counting_check_matches_pairwise_on_random_families(table):
 def test_antichain_kernel_matches_reference_walk_on_random_families(table):
     for P, base, members in random_families(table):
         assert_kernel_matches_reference(base, pc.BuildingSet(base, members, validate=False), P.r)
+
+
+def canonical_key_order(complex_):
+    """The order `nested_complex` had before it kept its search's order: by
+    size, then by the members sorted by `canonical_key` in each set."""
+    return tuple(sorted(complex_, key=lambda N: (len(N), sorted(N, key=canonical_key))))
+
+
+def test_nested_complex_order_matches_the_canonical_key_reference():
+    buildings = [building for table, members in KERNEL_FIXTURES
+                 for _, building, _ in fixture_building_sets(table, members)]
+    buildings += [pc.BuildingSet(base, members, validate=False)
+                  for table in RANDOM_FAMILY_TABLES[-3:]
+                  for _, base, members in list(random_families(table))[::10]]
+    for building in buildings:
+        for exclude in (None, building.base.full_mask):
+            complex_ = pc.nested_complex(building, exclude)
+            assert complex_ == canonical_key_order(complex_)
+    # the order is not the order of a plain sort of the member masks
+    assert any(sorted(map(sorted, pc.nested_complex(b))) != list(map(sorted, pc.nested_complex(b)))
+               for b in buildings)

@@ -863,3 +863,46 @@ def test_overflowing_product_raises():
     with pytest.raises(OverflowError):
         reduce_poly({x0 + ring.codec.cap * x1: 1}, [(x0, {x0: 1, x1: 1})],
                     DivisorIndex(ring.codec, [x0]))
+
+
+def guard_bit_phi(pair, poly):
+    """`ChowPair.phi` as it was: a monomial's image summed over its support,
+    each field found by the bit length of its guard bit."""
+    codec, units = pair.dp.codec, pair.fy.codec.units
+    width = codec.field.bit_length()
+    fields = {s + width: (s, units[t]) for s, t in zip(codec.shifts, pair._translate)}
+    out = {}
+    for m, c in poly.items():
+        support, key = codec.support(codec.check(m)), 0
+        while support:
+            top = support.bit_length()
+            support ^= 1 << (top - 1)
+            shift, unit = fields[top]
+            key += (m >> shift & codec.field) * unit
+        out[key] = out.get(key, 0) + c
+    return out
+
+
+# the fixtures of tests/test_kahler.py
+KAHLER_FIXTURES = ((P1, None), (P2, None), (P3, None), (P4, None), (U34, U34_MIN_BUILDING))
+
+
+def test_phi_matches_the_guard_bit_reference():
+    seen = powers = 0
+    for table, members in PAIRING_FIXTURES + list(KERNEL_FIXTURES + KAHLER_FIXTURES):
+        pair = pair_of(table, members)
+        dp = pair.dp
+        monomials = {m for layer in dp.basis for m in layer}
+        monomials.update(m for _, g in dp.groebner for m in g)
+        for m in sorted(monomials):
+            assert pair.phi({m: 3}) == guard_bit_phi(pair, {m: 3}), (table, m)
+        for _, g in dp.groebner:
+            assert pair.phi(g) == guard_bit_phi(pair, g)
+        seen += len(monomials)
+        powers += sum(max(dp.codec.exponents(m)) > 1 for m in monomials)
+        # a set guard bit raises on both routes
+        overflowed = dp.codec.units[-1] * (dp.codec.cap + 1)
+        for phi in (pair.phi, lambda poly: guard_bit_phi(pair, poly)):
+            with pytest.raises(OverflowError):
+                phi({overflowed: 1})
+    assert seen > 300 and powers > 100

@@ -1002,13 +1002,13 @@ RANDOM_COARSER = [boolean_table((1, 1, 2)), boolean_table((2, 2, 1)),
                   boolean_table((1, 1, 1, 1)), U34, K(5, 1, 3), K(5, 1, 4), K(4, 2, 5)]
 
 
-def random_coarser_pairs(per_table=5):
-    """(maximal fan, fan of G) for G = the singletons and E, the least
-    building set of each table here, and for seeded random G between it and
-    the maximal set: it plus each other flat with probability 1/2, kept
-    when it is a building set."""
+def random_coarser_sets(per_table=5):
+    """(P, G) for G = the singletons and E, the least building set of each
+    table here, and for seeded random G between it and the maximal set: it
+    plus each other flat with probability 1/2, kept when it is a building
+    set."""
     rng = Random(27)
-    pairs = []
+    sets = []
     for table in RANDOM_COARSER:
         P = pc.Polymatroid(table)
         flats = {f for f in P.flats() if f}
@@ -1021,9 +1021,13 @@ def random_coarser_pairs(per_table=5):
                     and pc.is_geometric_building_set(P, members)[0]:
                 seen.add(members)
         assert len(seen) == per_table, table
-        pairs += [(pc.bergman_fan(P), pc.bergman_fan(P, pc.BuildingSet(P, G)))
-                  for G in sorted(seen, key=sorted)]
-    return pairs
+        sets += [(P, pc.BuildingSet(P, G)) for G in sorted(seen, key=sorted)]
+    return sets
+
+
+def random_coarser_pairs(per_table=5):
+    """(maximal fan, fan of G) for each G of `random_coarser_sets`."""
+    return [(pc.bergman_fan(P), pc.bergman_fan(P, G)) for P, G in random_coarser_sets(per_table)]
 
 
 def test_stellar_certificate_holds_on_random_coarser_building_sets():
@@ -1031,3 +1035,75 @@ def test_stellar_certificate_holds_on_random_coarser_building_sets():
         assert pc.refines(fine, coarse) and fine != coarse
         assert stellar_certificate(fine, coarse)
         assert reference_same_support(fine, coarse, trials=200, seed=0, seen=[])
+
+
+# --- references for the fan builders and validators as they were -----------
+
+
+def all_subsets_face_closed(fan):
+    """`is_face_closed` as it was: every proper subset of every cone's rays
+    is a cone."""
+    cones = fan.cones
+    return all(frozenset(sub) in cones for c in cones for k in range(len(c))
+               for sub in combinations(sorted(c), k))
+
+
+def test_face_closure_by_facets_matches_the_all_subsets_reference():
+    fans = fixture_fans() + nested_set_fixture_fans() + random_collections()[::6]
+    refused = {"two levels down": 0, "empty cone": 0}
+    for fan in fans:
+        assert pc.is_face_closed(fan) is all_subsets_face_closed(fan) is True
+        maxes = fan.maximal_cones()
+        # each cone removed alone: only a maximal one leaves the rest closed
+        for c in fan.cones:
+            less = pc.Fan(fan.ambient_dim, fan.rays, fan.cones - {c})
+            verdict = pc.is_face_closed(less)
+            assert verdict is all_subsets_face_closed(less) is (c in maxes), (fan, sorted(c))
+            if not verdict:
+                refused["two levels down"] += len(c) + 2 <= max(map(len, maxes))
+                refused["empty cone"] += not c
+    assert refused["two levels down"] > 100 and refused["empty cone"] == len(fans)
+
+
+def ray_set_nested_set_fan(building, full_mask, m):
+    """`nested_set_fan` as it was: each nested set as a set of ray vectors,
+    then one ray table sorted by vector and the cones as index sets."""
+    ray = {g: subset_vector(g, m) for g in building.members}
+    ray_sets = [frozenset(ray[g] for g in N)
+                for N in pc.nested_complex(building, exclude=full_mask)]
+    rays = sorted({r for s in ray_sets for r in s})
+    index = {r: i for i, r in enumerate(rays)}
+    return pc.Fan(m - 1, rays, {frozenset(index[r] for r in s) for s in ray_sets})
+
+
+def nested_set_fan_cases():
+    """(building set, E~, m) for the lifted building sets of the fixture
+    tables, B(1), U(3,4)'s least G and the coarse G of
+    `random_coarser_sets`, and for their lifted members over the Boolean
+    base where those form a building set there, as the ambient Kahler fan
+    takes them."""
+    sets = [(pc.Polymatroid(t), None) for t in (P1, P2, P3, P4, U34, boolean_table((1,)))]
+    sets += [(pc.Polymatroid(boolean_table(f)), None) for f in BOOLEAN_FIBERS]
+    u34 = pc.Polymatroid(U34)
+    sets.append((u34, pc.BuildingSet(u34, U34_MIN_BUILDING)))
+    sets += random_coarser_sets(per_table=2)
+    cases = []
+    for P, G in sets:
+        M, lifted = pc.lifted_building_set(P, G)
+        cases.append((lifted, M.full_mask, M.m))
+        base = pc.boolean_polymatroid(pc.ProjectionMap((1,) * M.m))
+        if pc.is_geometric_building_set(base, lifted.members)[0]:
+            cases.append((pc.BuildingSet(base, lifted.members), base.full_mask, M.m))
+    return cases
+
+
+def test_nested_set_fan_matches_the_ray_set_reference():
+    cases = nested_set_fan_cases()
+    boolean_base = 0
+    for building, full_mask, m in cases:
+        fan = pc.nested_set_fan(building, full_mask, m)
+        reference = ray_set_nested_set_fan(building, full_mask, m)
+        assert (fan.ambient_dim, fan.rays, fan.cones) == \
+            (reference.ambient_dim, reference.rays, reference.cones), building
+        boolean_base += building.base.n == m
+    assert boolean_base > 5 and any(m == 1 for _, _, m in cases)

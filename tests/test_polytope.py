@@ -363,15 +363,44 @@ def test_certificate_matches_the_complete_fan_reference():
     assert 0 < sum(verdicts) < len(verdicts)
 
 
-def test_dependent_maximal_cone_is_refused_before_any_argmin(monkeypatch):
-    # (i) holds on this collection, so only the determinant test of (0)
-    # refuses it before the argmins
+def det_certificate_reference(Q, fan):
+    """`normal_fan_equals` as it was with the determinant test in (0): d rays
+    of nonzero `det` in each maximal cone."""
+    d = fan.ambient_dim
+    if d != Q.proj.m - 1:
+        raise ValueError("ambient dimension mismatch")
+    if d == 0:
+        return fan.cones == {frozenset()} and len(Q.vertices) == 1
+    maxes = fan.maximal_cones()
+    sides = pc.fan.walls(maxes).values()
+    if not maxes or any(len(pair) != 2 for pair in sides) or any(
+            len(c) != d or not linalg.det(fan.cone_rays(c)) for c in maxes):
+        return False
+    face = [minimizing_vertices(Q, embed(r)) for r in fan.rays]
+    vertex = {c: reduce(and_, map(face.__getitem__, c)) for c in maxes}
+    return all(v.bit_count() == 1 for v in vertex.values()) and not any(
+        vertex[c] & face[u2] or vertex[c2] & face[u] for (c, u), (c2, u2) in sides)
+
+
+def test_certificate_matches_the_det_reference():
+    for name, (Q, fan) in refused_collections().items():
+        assert not det_certificate_reference(Q, fan), name
+        assert not pc.normal_fan_equals(Q, fan), name
+    cases = certificate_cases()
+    verdicts = [pc.normal_fan_equals(Q, fan) for Q, fan in cases]
+    assert verdicts == [det_certificate_reference(Q, fan) for Q, fan in cases]
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_dependent_maximal_cone_is_refused_without_a_determinant(monkeypatch):
+    # (i) holds on this collection and no determinant is taken: (b) or (c)
+    # refuses it, as the independence step of the proof says
     Q, fan = refused_collections()["dependent"]
     assert all(len(sides) == 2 for sides in pc.fan.walls(fan.maximal_cones()).values())
+    assert not linalg.det(fan.cone_rays(min(fan.maximal_cones(), key=sorted)))
     calls = []
-    shipped = polytope.minimizing_vertices
-    monkeypatch.setattr(polytope, "minimizing_vertices",
-                        lambda Q, w: calls.append(w) or shipped(Q, w))
+    shipped = linalg.det
+    monkeypatch.setattr(linalg, "det", lambda rows: calls.append(rows) or shipped(rows))
     assert not pc.normal_fan_equals(Q, fan)
     assert calls == []
 

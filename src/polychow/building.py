@@ -193,8 +193,6 @@ def _nested_sets(building, exclude):
                 current.pop()
 
     extend([], [], 0)
+    del extend                   # the closure refers to itself: break the cycle
     out.sort(key=lambda N: (len(N), N))
-    # `extend` holds `out` in a reference cycle until the next collection:
-    # let it hold the frozensets the result shares, not a copy as tuples
-    out[:] = map(frozenset, out)
-    return tuple(out)
+    return tuple(map(frozenset, out))

@@ -8,10 +8,9 @@ consequences (standard-monomial bases, Hilbert functions, the variable
 substitution between the two presentations, Poincare duality).
 
 The standard monomials are grown degree by degree as an order ideal (the
-monomials no leading term divides are closed under division).  `nf`
-computes a normal form in one pass over a sorted worklist of the
-polynomial's terms, largest first; basis coordinates (`coords`) are summed
-from a per-ring table of monomial normal forms, each reduced once.
+monomials no leading term divides are closed under division).  Each ring
+keeps one table of monomial normal forms, each reduced once; a normal form
+(`reduce_poly`) and basis coordinates (`coords`) are summed from its entries.
 
 Monomial order: lexicographic.  Variables are indexed by flats sorted by
 (size, numeric value), so smaller flats come first and are *larger* in the
@@ -32,13 +31,12 @@ bit, and the rings raise OverflowError on any monomial with one set.
 a `DivisorIndex` finds the first leading term dividing a monomial.
 """
 
-from bisect import insort
 from functools import cache, cached_property
 from itertools import product
 from sys import maxsize
 
 from . import linalg
-from .bitsets import canonical_key, elements
+from .bitsets import elements
 from .building import (comparability_masks, lifted_building_set,
                        maximal_building_set, memoized_on, nested_complex)
 from .polymatroid import memoized
@@ -78,7 +76,7 @@ class Codec:
 
 def poly_mul(p, q):
     """Product over packed monomials: keys add, and a ring raises on an
-    overflowed key when it reads it (`nf`, `coords`, `exponents`)."""
+    overflowed key when it reads it (`reduce_poly`, `coords`, `exponents`)."""
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -148,48 +146,6 @@ class DivisorIndex:
         return None if best == maxsize else best
 
 
-def reduce_poly(p, groebner, divisors):
-    """Normal form against a list of (leading_monomial, polynomial) pairs,
-    whose leading monomials `divisors` (a `DivisorIndex`) indexes.
-
-    All leading coefficients are 1, so integer inputs stay integral.  The
-    terms of p are sorted once into a worklist and taken largest first; each
-    is reduced by the first generator whose leading monomial divides it.
-    Reducing a term adds only smaller terms, which are inserted in order,
-    so a term found irreducible is final and the reductions happen in the
-    same order as rescanning p for its largest reducible term after every
-    step.
-    """
-    guard = divisors.guard
-    p = dict(p)
-    work = sorted(p)
-    if any(m & guard for m in work):
-        raise OverflowError("a monomial has a guard bit set")
-    while work:
-        m = work.pop()
-        c = p.get(m)
-        if c is None:            # cancelled after it was queued
-            continue
-        i = divisors.first(m)
-        if i is None:
-            continue
-        lt, g = groebner[i]
-        shift = m - lt
-        for gm, gc in g.items():
-            key = gm + shift
-            if key & guard:
-                raise OverflowError("a monomial exponent overflows its field")
-            old = p.get(key)
-            v = (old or 0) - c * gc
-            if v:
-                p[key] = v
-                if old is None:
-                    insort(work, key)
-            else:
-                p.pop(key, None)
-    return p
-
-
 def _minimalize(candidates, codec):
     """Keep one generator per minimal leading monomial, in (degree, monomial)
     order; each candidate (flats, g, d) has degree len(flats) + d.
@@ -244,10 +200,9 @@ class GradedRing:
     as an order ideal up to degree r, which must be empty; `basis_index[d]`
     maps each to its position.  Monomials are packed by `codec` (a `Codec`
     for nvars variables and rank r), whose `exponents` unpacks one.  `divisors`
-    is the `DivisorIndex` of the leading terms.  `nf` is the worklist
-    reduction of the module-level `reduce_poly`.
-    `coords` reads each monomial's normal form from a table private to the
-    ring, filled on first use and kept for the ring's lifetime.
+    is the `DivisorIndex` of the leading terms.  `reduce_poly` and `coords`
+    read each monomial's normal form from a table private to the ring,
+    filled on first use and kept for the ring's lifetime.
     """
 
     def __init__(self, kind, var_flats, r, groebner):
@@ -275,14 +230,12 @@ class GradedRing:
     def var(self, flat):
         return {self.codec.units[self.var_index[flat]]: 1}
 
-    def nf(self, poly):
-        return reduce_poly(poly, self.groebner, self.divisors)
-
     def _monomial_nf(self, m):
         """Table entry of m: {m: 1} if m is standard, else -sum(c * entry(t * m / lt))
         over the terms c * t != lt of the first generator whose leading term lt
-        divides m.  Reduction by a fixed generator per monomial is linear, so
-        summed entries equal `reduce_poly`'s normal form as dicts."""
+        divides m.  Reduction by a fixed generator per monomial is linear, so a
+        normal form is the sum of its terms' entries.  A monomial with a guard
+        bit set, given or reached by a reduction step, raises OverflowError."""
         table = self._table
         entry = table.get(m)
         if entry is None:
@@ -329,6 +282,16 @@ class GradedRing:
     def __repr__(self):
         return "GradedRing(%s, %d vars, hilbert=%r)" % (
             self.kind, self.nvars, self.hilbert())
+
+
+def reduce_poly(ring, p):
+    """Normal form of p in `ring`: the sum of c * entry(m) over the terms
+    c * m of p, read from the ring's monomial table, without zero terms."""
+    out = {}
+    for m, c in p.items():
+        for k, v in ring._monomial_nf(m).items():
+            out[k] = out.get(k, 0) + c * v
+    return {k: v for k, v in out.items() if v}
 
 
 # --- the Groebner generator of both presentations ----------------------------
@@ -394,6 +357,7 @@ def _groebner(ground, building, r):
                        unions + [h] + [u | h for u in unions], i + 1)
 
     extend((), 0, (1 << nvars) - 1, 0, [], 0)
+    del extend                   # the closure refers to itself: break the cycle
     generators = []
     for lt, (flats, g, d) in _minimalize(candidates, codec):
         poly = {mono_of(flats): 1}
@@ -519,8 +483,9 @@ class ChowPair:
         return out
 
     def maximal_nested_monomials(self):
-        """Square-free FY monomials of the maximal cones of the fan."""
-        return [sorted(N, key=canonical_key) for N in nested_complex(
+        """Square-free FY monomials of the maximal cones of the fan, packed."""
+        units, index = self.fy.codec.units, self.fy.var_index
+        return [sum(units[index[f]] for f in N) for N in nested_complex(
             self.lifted, exclude=self.M.full_mask) if len(N) == self.P.r - 1]
 
     def degree_normalizer(self):
@@ -534,9 +499,7 @@ class ChowPair:
             fy = self.fy
             if len(fy.basis[fy.top]) != 1:
                 raise AssertionError("top graded piece does not have rank 1")
-            units, index = fy.codec.units, fy.var_index
-            values = [fy.coords({sum(units[index[f]] for f in N): 1}, fy.top)[0]
-                      for N in self.maximal_nested_monomials()]
+            values = [fy.coords({m: 1}, fy.top)[0] for m in self.maximal_nested_monomials()]
             if not values:
                 raise AssertionError("no maximal nested sets")
             if any(v != values[0] for v in values):
@@ -564,7 +527,7 @@ def phi_iso_check(pair):
     """
     dp, fy = pair.dp, pair.fy
     for _, g in dp.groebner:
-        if fy.nf(pair.phi(g)):
+        if reduce_poly(fy, pair.phi(g)):
             return False
     images, columns = [], []
     for d in range(dp.r):

@@ -149,6 +149,7 @@ def _chains(items):
                 extend(chain + (g,), idx + 1)
 
     extend((), 0)
+    del extend                   # the closure refers to itself: break the cycle
     return out
 
 
@@ -207,6 +208,7 @@ def boolean_bergman_fan(proj):
             sub = (sub - 1) & rest
 
     extend((), 0)
+    del extend                   # the closure refers to itself: break the cycle
     free = [()]
     for fm in proj.fiber_masks:
         parts = [()] + [tuple(index[1 << e] for e in elements(S))

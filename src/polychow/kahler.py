@@ -7,12 +7,13 @@ on the complete ambient fan (the nested-set fan of the lifted building set
 over the Boolean ground), and inherited by the Bergman fan, a subfan.
 
 Hard Lefschetz and Hodge-Riemann are then verified by exact linear algebra
-over the standard-monomial bases of the FY presentation, from the one-step
-Lefschetz matrices L_d of multiplication by ell from degree d to d + 1
-(columns nf(ell * b) for the degree-d basis monomials b; integral when ell
-is, as every Groebner generator is monic), memoized on the pair.  Their
-products are the matrices of powers of ell because normal forms are linear,
-as the generator set is a Groebner basis (the tests reduce every S-pair).
+over the standard-monomial bases of the FY presentation, from the matrices
+of multiplication by powers ell^p from degree k to k + p, each built once
+per pair, class, k and p and shared by both checks.  The power p = 1 is the
+one-step matrix L_k (columns nf(ell * b) for the degree-k basis monomials b;
+integral when ell is, as every Groebner generator is monic), and the power
+p > 1 is L_{k+p-1} times the power p - 1: normal forms are linear, as the
+generator set is a Groebner basis (the tests reduce every S-pair).
 """
 
 from . import linalg
@@ -105,7 +106,7 @@ def is_strictly_convex(fan, values):
         tau = sorted(tau)
         target = [a + b for a, b in zip(fan.rays[u], fan.rays[u2])]
         cols = [[fan.rays[v][i] for v in tau] for i in range(d)]
-        solution = linalg.solve(cols, target) if tau else ([], 1)
+        solution = linalg.solve(cols, target)
         if solution is None:
             raise ValueError("wall relation is not supported on the wall; fan is not unimodular")
         x, q = solution
@@ -114,30 +115,26 @@ def is_strictly_convex(fan, values):
     return True
 
 
-def _lefschetz_step(pair, ell, d):
-    """The one-step Lefschetz matrix L_d of multiplication by ell from degree
-    d to degree d + 1, memoized on the pair: column j holds the coordinates
-    of nf(ell * b_j) for the j-th degree-d standard monomial b_j."""
-    def build():
-        fy = pair.fy
-        cols = [fy.coords(poly_mul(ell, {b: 1}), d + 1) for b in fy.basis[d]]
-        return tuple(zip(*cols))
-    return memoized(pair, ("lefschetz", tuple(sorted(ell.items())), d), build)
-
-
 def _lefschetz_power(pair, ell, k, p):
-    """Matrix of multiplication by ell^p from degree k to degree k + p, as
-    the product L_{k+p-1} ... L_k of one-step matrices."""
-    power = linalg.identity(len(pair.fy.basis[k]))
-    for d in range(k, k + p):
-        power = linalg.mat_mul(_lefschetz_step(pair, ell, d), power)
-    return power
+    """Matrix of multiplication by ell^p from degree k to degree k + p, as a
+    list of rows, memoized on the pair: the identity for p = 0; for p = 1,
+    column j holds the coordinates of nf(ell * b_j) for the j-th degree-k
+    standard monomial b_j; for p > 1, L_{k+p-1} times the power p - 1."""
+    def build():
+        if p > 1:
+            return linalg.mat_mul(_lefschetz_power(pair, ell, k + p - 1, 1),
+                                  _lefschetz_power(pair, ell, k, p - 1))
+        fy = pair.fy
+        if p == 0:
+            return linalg.identity(len(fy.basis[k]))
+        cols = [fy.coords(poly_mul(ell, {b: 1}), k + 1) for b in fy.basis[k]]
+        return [list(row) for row in zip(*cols)]
+    return memoized(pair, ("lefschetz", tuple(sorted(ell.items())), k, p), build)
 
 
 def hard_lefschetz_check(pair, ell, k):
-    """Multiplication by ell^(r-2k-1) from degree k to degree r-1-k, the
-    product L_{r-2-k} ... L_k of one-step Lefschetz matrices, must be a
-    square invertible rational matrix."""
+    """Multiplication by ell^(r-2k-1) from degree k to degree r-1-k (see
+    `_lefschetz_power`) must be a square invertible matrix."""
     fy = pair.fy
     r = fy.r
     if not 0 <= 2 * k < r:
@@ -152,9 +149,10 @@ def _hodge_riemann_form(pair, ell, k):
     """The degree-k Hodge-Riemann form, a basis of the primitive classes
     (one vector per row) and the form's Gram matrix on them.
 
-    With P the Lefschetz product L_{r-2-k} ... L_k and Q the degree-k
+    With P the matrix of ell^(r-2k-1) from degree k and Q the degree-k
     Poincare pairing matrix, the form is (-1)^k (Q P)^T, and the primitive
-    classes are the kernel of L_{r-1-k} P; for k = 0 the target degree r
+    classes are the kernel of the matrix of ell^(r-2k) from degree k, the
+    next power (see `_lefschetz_power`); for k = 0 the target degree r
     vanishes and every class is primitive.
     """
     fy = pair.fy
@@ -163,7 +161,7 @@ def _hodge_riemann_form(pair, ell, k):
     sign = -1 if k % 2 else 1
     form = [[sign * x for x in col]
             for col in zip(*linalg.mat_mul(pairing_matrix(pair, k, ring="fy"), power))]
-    matrix = linalg.mat_mul(_lefschetz_step(pair, ell, r - 1 - k), power) if k else []
+    matrix = _lefschetz_power(pair, ell, k, r - 2 * k) if k else []
     kernel = linalg.kernel_basis(matrix, len(fy.basis[k]))
     columns = [list(col) for col in zip(*kernel)]
     return form, kernel, linalg.mat_mul(kernel, linalg.mat_mul(form, columns))

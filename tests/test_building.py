@@ -1,3 +1,4 @@
+import gc
 from functools import cache, reduce
 from itertools import product
 from operator import or_
@@ -9,6 +10,7 @@ import polychow as pc
 from polychow.bitsets import canonical_key
 from polychow.building import _max_members_below, _nested_sets
 from polychow.chow import Codec, _groebner, poly_mul, poly_pow
+from polychow.fan import _chains, boolean_bergman_fan
 from conftest import (P1, P2, P3, P4, U34, U34_MIN_BUILDING, B111_MIN_BUILDING,
                       boolean_table)
 from oracles import degree, flat_atoms, pack
@@ -433,3 +435,25 @@ def test_nested_complex_order_matches_the_canonical_key_reference():
     # the order is not the order of a plain sort of the member masks
     assert any(sorted(map(sorted, pc.nested_complex(b))) != list(map(sorted, pc.nested_complex(b)))
                for b in buildings)
+
+
+def test_recursive_searches_leave_no_cyclic_garbage():
+    # each self-recursive search drops its closure before it returns, so one
+    # call on B(2,2,2)'s lifted building set (its flats for the chains)
+    # leaves nothing for the cycle collector
+    P = pc.Polymatroid(boolean_table((2, 2, 2)))
+    M, lifted = pc.lifted_building_set(P)
+    searches = {"_nested_sets": lambda: _nested_sets(lifted, M.full_mask),
+                "_groebner": lambda: _groebner(M, lifted, P.r),
+                "boolean_bergman_fan": lambda: boolean_bergman_fan(M.proj),
+                "_chains": lambda: _chains(M.flats())}
+    left = {}
+    gc.collect()
+    gc.disable()
+    try:
+        for name, search in searches.items():
+            search()
+            left[name] = gc.collect()
+    finally:
+        gc.enable()
+    assert left == dict.fromkeys(searches, 0)

@@ -136,7 +136,7 @@ def test_generators_reduce_to_zero():
         for ring in (pair.dp, pair.fy):
             for lt, g in ring.groebner:
                 assert max(g) == lt
-                assert ring.nf(g) == {}
+                assert reduce_poly(ring, g) == {}
 
 
 def test_dp_reduction_examples():
@@ -146,20 +146,18 @@ def test_dp_reduction_examples():
     dp = pair.dp
     x0 = dp.var(1)
     xE = dp.var(3)
-    nf0 = dp.nf(x0)
-    nfE = dp.nf(xE)
     # both normal forms live in the one-dimensional degree-1 piece
     assert len(dp.basis[1]) == 1
     assert dp.coords(x0, 1) is not None
     # squarefree product with the full set vanishes
-    assert dp.nf(poly_mul(x0, xE)) == {} or deg_dp(pair, poly_mul(x0, xE)) == 0
+    assert reduce_poly(dp, poly_mul(x0, xE)) == {} or deg_dp(pair, poly_mul(x0, xE)) == 0
 
 
 def test_dp_p3_square_is_standard():
     pair = pair_of(P3)
     dp = pair.dp
     xE = dp.var(3)
-    sq = dp.nf(poly_mul(xE, xE))
+    sq = reduce_poly(dp, poly_mul(xE, xE))
     assert sq  # x_E^2 does not vanish; the top piece is 1-dimensional
     assert deg_dp(pair, poly_mul(xE, xE)) != 0
 
@@ -201,11 +199,9 @@ def test_degree_one_on_every_maximal_cone():
     for table in (P1, P2, P3, U34):
         pair = pair_of(table)
         fy = pair.fy
-        for N in pair.maximal_nested_monomials():
-            poly = {0: 1}             # the unit, every exponent 0
-            for f in N:
-                poly = poly_mul(poly, fy.var(f))
-            assert deg_fy(pair, poly) == 1
+        for m in pair.maximal_nested_monomials():
+            assert degree(fy.codec, m) == pair.P.r - 1
+            assert deg_fy(pair, {m: 1}) == 1
 
 
 def test_pairing_matrices_unimodular():
@@ -378,11 +374,21 @@ def rescan_reduce_poly(p, groebner):
                 p.pop(key, None)
 
 
-def kernel_rings():
+def kernel_pairs():
     for table, members in KERNEL_FIXTURES:
-        pair = pair_of(table, members)
+        yield pair_of(table, members)
+
+
+def kernel_rings():
+    for pair in kernel_pairs():
         yield pair.dp
         yield pair.fy
+
+
+def rescan_nf(ring, p):
+    """`rescan_reduce_poly` against the ring's generators, packed back."""
+    gb = unpacked_groebner(ring, ring.groebner)
+    return {pack(ring.codec, m): c for m, c in rescan_reduce_poly(unpacked(ring, p), gb).items()}
 
 
 def power_relation_probes(ring):
@@ -404,27 +410,29 @@ def power_relation_probes(ring):
                 yield {pack(ring.codec, probe): 1}
 
 
+def basis_products(ring):
+    return [poly_mul({m1: 1}, {m2: 1})
+            for d1 in range(ring.r) for d2 in range(d1, ring.r - d1)
+            for m1 in ring.basis[d1] for m2 in ring.basis[d2]]
+
+
 def test_reduce_poly_matches_rescan_reference():
-    # identical dicts down to insertion order, also against a generator
-    # subset that is not a Groebner basis, and through the ring's own nf;
-    # the reference runs on exponent tuples
-    probes = 0
-    for ring in kernel_rings():
-        gb = ring.groebner
-        inputs = [poly_mul({m1: 1}, {m2: 1})
-                  for d1 in range(ring.r) for d2 in range(d1, ring.r - d1)
-                  for m1 in ring.basis[d1] for m2 in ring.basis[d2]]
-        edge = list(power_relation_probes(ring))
-        probes += len(edge)
-        for p in inputs + list(s_polynomials(ring)) + edge:
-            for basis in (gb, gb[::2]):
-                expected = list(rescan_reduce_poly(
-                    unpacked(ring, p), unpacked_groebner(ring, basis)).items())
-                got = reduce_poly(p, basis, DivisorIndex(ring.codec, [lt for lt, _ in basis]))
-                assert list(unpacked(ring, got).items()) == expected
-                if basis is gb:
-                    assert list(unpacked(ring, ring.nf(p)).items()) == expected
-    assert probes == 658
+    # the table normal form equals the rescan reference over exponent
+    # tuples as dicts, on products of basis elements, S-polynomials,
+    # power-relation probes and, in FY, the images of the DP generators
+    probes = images = 0
+    for pair in kernel_pairs():
+        for ring in (pair.dp, pair.fy):
+            edge = list(power_relation_probes(ring))
+            probes += len(edge)
+            inputs = basis_products(ring) + list(s_polynomials(ring)) + edge
+            if ring is pair.fy:
+                phis = [pair.phi(g) for _, g in pair.dp.groebner]
+                images += len(phis)
+                inputs += phis
+            for p in inputs:
+                assert reduce_poly(ring, p) == rescan_nf(ring, p)
+    assert probes == 658 and images > 0
 
 
 def test_spair_confluence_spot_check():
@@ -433,75 +441,64 @@ def test_spair_confluence_spot_check():
     # the degrees the rings compute in)
     for ring in kernel_rings():
         for s in s_polynomials(ring):
-            assert reduce_poly(s, ring.groebner, ring.divisors) == {}
+            assert reduce_poly(ring, s) == {}
 
 
-def table_nf(ring, p):
-    """Normal form summed from the ring's table entries."""
-    out = {}
-    for m, c in p.items():
-        for k, v in ring._monomial_nf(m).items():
-            out[k] = out.get(k, 0) + c * v
-    return {k: v for k, v in out.items() if v}
-
-
-def nf_coords(ring, p, degree):
-    """Reference coordinates: the worklist normal form read off the basis."""
+def nf_coords(ring, nf, degree):
+    """Reference coordinates: a normal form read off the basis."""
     index = ring.basis_index[degree] if degree < ring.r else {}
     vec = [0] * len(index)
-    for m, c in ring.nf(p).items():
+    for m, c in nf.items():
         vec[index[m]] = c
     return vec
 
 
 def test_table_matches_reduce_poly():
-    # table-built normal forms and coordinates against the worklist
-    # reduction, on products of basis elements, Lefschetz inputs ell * b
-    # (degrees 1..r) and power-relation probes below degree r
+    # table normal forms and coordinates against the rescan reference, on
+    # products of basis elements, Lefschetz inputs ell * b (degrees 1..r)
+    # and power-relation probes below degree r
     for ring in kernel_rings():
         ell = {ring.codec.units[i]: i + 1 for i in range(ring.nvars)}
-        inputs = [poly_mul({m1: 1}, {m2: 1})
-                  for d1 in range(ring.r) for d2 in range(d1, ring.r - d1)
-                  for m1 in ring.basis[d1] for m2 in ring.basis[d2]]
+        inputs = basis_products(ring)
         inputs += [poly_mul(ell, {b: 1}) for d in range(ring.r) for b in ring.basis[d]]
         inputs += [p for p in power_relation_probes(ring)
                    if degree(ring.codec, next(iter(p))) < ring.r]
         for p in inputs:
             d = degree(ring.codec, next(iter(p)))
-            assert table_nf(ring, p) == ring.nf(p)
-            assert ring.coords(p, d) == nf_coords(ring, p, d)
+            expected = rescan_nf(ring, p)
+            assert reduce_poly(ring, p) == expected
+            assert ring.coords(p, d) == nf_coords(ring, expected, d)
         # a non-homogeneous input whose normal form is homogeneous: terms of
         # degree 2 that cancel only after reduction, and a degree-r
         # monomial, which reduces to zero
         if ring.r >= 3:
             b = ring.basis[1][0]
             lb = poly_mul(ell, {b: 1})
-            p = poly_add(poly_add({b: 1}, lb), poly_scale(ring.nf(lb), -1))
+            p = poly_add(poly_add({b: 1}, lb), poly_scale(rescan_nf(ring, lb), -1))
             p[pack(ring.codec, (ring.r,) + (0,) * (ring.nvars - 1))] = 5
-            assert ring.nf(p) == {b: 1} == table_nf(ring, p)
-            assert ring.coords(p, 1) == nf_coords(ring, p, 1)
+            assert reduce_poly(ring, p) == {b: 1} == rescan_nf(ring, p)
+            assert ring.coords(p, 1) == nf_coords(ring, {b: 1}, 1)
 
 
 def nf_phi_iso_check(pair):
-    """Reference isomorphism check: the product stage compares worklist
-    normal forms as dicts, phi of the DP product against the product of
-    the images."""
+    """Reference isomorphism check: the product stage compares normal forms
+    as dicts, phi of the DP product against the product of the images."""
     dp, fy = pair.dp, pair.fy
     for _, g in dp.groebner:
-        if fy.nf(pair.phi(g)):
+        if reduce_poly(fy, pair.phi(g)):
             return False
     for d in range(dp.r):
         if len(dp.basis[d]) != len(fy.basis[d]):
             return False
-        cols = [nf_coords(fy, pair.phi({m: 1}), d) for m in dp.basis[d]]
+        cols = [nf_coords(fy, reduce_poly(fy, pair.phi({m: 1})), d) for m in dp.basis[d]]
         if cols and (len(cols[0]) != len(cols) or linalg.det(cols) == 0):
             return False
     for d1 in range(dp.r):
         for d2 in range(d1, dp.r - d1):
             for m1 in dp.basis[d1]:
                 for m2 in dp.basis[d2]:
-                    image = fy.nf(pair.phi(dp.nf(poly_mul({m1: 1}, {m2: 1}))))
-                    direct = fy.nf(poly_mul(pair.phi({m1: 1}), pair.phi({m2: 1})))
+                    image = reduce_poly(fy, pair.phi(reduce_poly(dp, poly_mul({m1: 1}, {m2: 1}))))
+                    direct = reduce_poly(fy, poly_mul(pair.phi({m1: 1}), pair.phi({m2: 1})))
                     if image != direct:
                         return False
     return True
@@ -705,9 +702,9 @@ def reference_rings():
 
 
 def test_packed_kernels_match_tuple_references():
-    # standard monomials, first divisors and normal forms (down to insertion
-    # order) of the packed kernels unpack to those of the tuple references,
-    # on products of basis elements, S-polynomials and power-relation probes
+    # standard monomials, first divisors and normal forms (as dicts) of the
+    # packed kernels unpack to those of the tuple references, on products of
+    # basis elements, S-polynomials and power-relation probes
     probes = 0
     for ring in reference_rings():
         leads = [ring.codec.exponents(lt) for lt, _ in ring.groebner]
@@ -720,12 +717,8 @@ def test_packed_kernels_match_tuple_references():
         for p in edge:
             (m,) = p
             assert ring.divisors.first(m) == tuple_first_divisor(ring.codec.exponents(m), leads)
-        inputs = [poly_mul({m1: 1}, {m2: 1})
-                  for d1 in range(ring.r) for d2 in range(d1, ring.r - d1)
-                  for m1 in ring.basis[d1] for m2 in ring.basis[d2]]
-        for p in inputs + list(s_polynomials(ring)) + edge:
-            expected = tuple_reduce_poly(unpacked(ring, p), gb)
-            assert list(unpacked(ring, ring.nf(p)).items()) == list(expected.items())
+        for p in basis_products(ring) + list(s_polynomials(ring)) + edge:
+            assert unpacked(ring, reduce_poly(ring, p)) == tuple_reduce_poly(unpacked(ring, p), gb)
     # 658 on the kernel fixtures, 430 on P4 and B(2,2,2)
     assert probes == 658 + 430
 
@@ -851,18 +844,21 @@ def test_overflowing_product_raises():
                 pack(codec, tuple(codec.cap + 1 if j == i else 0 for j in range(nvars)))
             assert codec.exponents(codec.check((full - unit) + unit))[i] == codec.cap
     # the rings raise on a monomial past the capacity instead of reading a
-    # wrong one: nf, coords and exponents, and a reduction step that
-    # overflows a field
+    # wrong one: reduce_poly, coords and exponents on a guard-bit input, and
+    # a reduction step whose product overflows a field (x0 -> -x1 on
+    # x0 x1^cap, in a ring of rank 1, whose standard monomials need no check)
     ring = pair_of(P3).dp
     x = ring.var(ring.var_flats[1])
     big = poly_mul(poly_pow(x, ring.codec.cap), x)
-    for read in (ring.nf, lambda p: ring.coords(p, 2), lambda p: ring.codec.exponents(*p)):
+    for read in (lambda p: reduce_poly(ring, p), lambda p: ring.coords(p, 2),
+                 lambda p: ring.codec.exponents(*p)):
         with pytest.raises(OverflowError):
             read(big)
-    x0, x1 = ring.codec.units[:2]
+    codec = Codec(2, 1)
+    x0, x1 = codec.units
+    ring = GradedRing("dp", [1, 2], 1, [(x0, {x0: 1, x1: 1})])
     with pytest.raises(OverflowError):
-        reduce_poly({x0 + ring.codec.cap * x1: 1}, [(x0, {x0: 1, x1: 1})],
-                    DivisorIndex(ring.codec, [x0]))
+        reduce_poly(ring, {x0 + codec.cap * x1: 1})
 
 
 def guard_bit_phi(pair, poly):

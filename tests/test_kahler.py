@@ -5,7 +5,7 @@ import pytest
 
 import polychow as pc
 from polychow import kahler as kahler_module, linalg
-from polychow.chow import GradedRing, poly_mul, poly_pow
+from polychow.chow import GradedRing, poly_mul, poly_pow, reduce_poly
 from polychow.fan import subset_vector
 from polychow.kahler import (_hodge_riemann_form, _lefschetz_power, ambient_complete_fan,
                              nestohedron_class, nestohedron_values)
@@ -229,9 +229,9 @@ def test_beta_identity_matroids():
     for table in (U34, [0, 1, 1, 2], [0, 1, 1, 2, 1, 2, 2, 3]):
         pair = pair_of(table)
         fy = pair.fy
-        corank = fy.nf(beta_class_corank_form(pair))
+        corank = reduce_poly(fy, beta_class_corank_form(pair))
         for i in range(pair.M.proj.m):
-            assert fy.nf(beta_class(pair, i)) == corank
+            assert reduce_poly(fy, beta_class(pair, i)) == corank
 
 
 def perturbed_classes():
@@ -279,7 +279,7 @@ def reference_lefschetz_matrix(pair, ell, k):
     """Multiplication by nf(ell^(r-2k-1)) from degree k to degree r-1-k."""
     fy = pair.fy
     power = fy.r - 2 * k - 1
-    factor = fy.nf(poly_pow(ell, power)) if power else {0: 1}
+    factor = reduce_poly(fy, poly_pow(ell, power)) if power else {0: 1}
     return reference_multiplication_matrix(pair, factor, k, fy.r - 1 - k)
 
 
@@ -292,7 +292,7 @@ def reference_hodge_riemann_form(pair, ell, k):
     basis = fy.basis[k]
     dim = len(basis)
     power = r - 2 * k - 1
-    factor = fy.nf(poly_pow(ell, power)) if power else {0: 1}
+    factor = reduce_poly(fy, poly_pow(ell, power)) if power else {0: 1}
     sign = -1 if k % 2 else 1
     form = [[sign * deg_fy(pair, poly_mul(factor, poly_mul({m1: 1}, {m2: 1})))
              for m2 in basis] for m1 in basis]
@@ -301,7 +301,7 @@ def reference_hodge_riemann_form(pair, ell, k):
         kernel = identity    # the target degree r vanishes
     else:
         matrix = reference_multiplication_matrix(
-            pair, fy.nf(poly_pow(ell, r - 2 * k)), k, r - k)
+            pair, reduce_poly(fy, poly_pow(ell, r - 2 * k)), k, r - k)
         kernel = linalg.kernel_basis(matrix, dim) if matrix else identity
     gram = [[sum(u[i] * form[i][j] * v[j] for i in range(dim) for j in range(dim))
              for v in kernel] for u in kernel]
@@ -358,8 +358,11 @@ def test_report_matches_per_degree_checks():
 
 
 def test_lefschetz_steps_are_built_once_per_pair_and_class(monkeypatch):
-    # the report on B(2,2,2) multiplies ell by each basis monomial of
-    # degrees 0..r-2 once: one build of each L_d, 5 in all
+    # the report on B(2,2,2) (r = 6) multiplies ell by each basis monomial of
+    # degrees 0..r-2 once: one build of each one-step matrix, 47 products.
+    # Its powers (k, p) are those of hard Lefschetz, p = r-2k-1, those of
+    # the Hodge-Riemann kernels, p = r-2k for k >= 1, the shorter powers
+    # they are built from, and the one-step matrices L_d = (d, 1)
     pair = pair_of(boolean_table((2, 2, 2)))
     products = []
     real_mul = kahler_module.poly_mul
@@ -367,8 +370,32 @@ def test_lefschetz_steps_are_built_once_per_pair_and_class(monkeypatch):
                         lambda p, q: products.append(q) or real_mul(p, q))
     assert all(pc.kahler_package_report(pair).values())
     r = pair.fy.r
-    assert len(products) == sum(len(pair.fy.basis[d]) for d in range(r - 1))
-    assert len({key for key in pair._memo if key[0] == "lefschetz"}) == r - 1
+    assert len(products) == sum(len(pair.fy.basis[d]) for d in range(r - 1)) == 47
+    powers = {key[2:] for key in pair._memo if key[0] == "lefschetz"}
+    assert powers == ({(0, p) for p in range(1, 6)} | {(1, p) for p in range(1, 5)}
+                      | {(2, 1), (2, 2), (3, 1), (4, 1)})
+
+
+def test_each_lefschetz_power_is_built_once_per_report(monkeypatch):
+    # a report multiplies matrices once for each power p > 1 it builds, and
+    # three times per degree k for the Hodge-Riemann form and Gram matrix;
+    # a second report on the same pair builds no power again
+    results = []
+    real_mul = linalg.mat_mul
+    monkeypatch.setattr(linalg, "mat_mul",
+                        lambda A, B: results.append(real_mul(A, B)) or results[-1])
+    for table in (P3, P4, boolean_table((1, 1, 2)), boolean_table((2, 2, 2))):
+        pair = pair_of(table)
+        results.clear()
+        assert all(pc.kahler_package_report(pair).values())
+        built = [power for key, power in pair._memo.items()
+                 if key[0] == "lefschetz" and key[3] > 1]
+        degrees = (pair.fy.r + 1) // 2
+        assert len(results) == len(built) + 3 * degrees
+        assert all(sum(x is power for x in results) == 1 for power in built)
+        results.clear()
+        assert all(pc.kahler_package_report(pair).values())
+        assert len(results) == 3 * degrees
 
 
 def test_second_check_reads_no_coordinates(monkeypatch):

@@ -116,30 +116,21 @@ def is_geometric_building_set(base, members):
     return True, None
 
 
-def memoized_on(P, G, key, build):
-    """build(G), with G None read as P's maximal building set, memoized on
-    G under `key`; raises ValueError unless G's base is P."""
-    G = maximal_building_set(P) if G is None else G
-    if G.base is not P:
-        raise ValueError("the building set belongs to another polymatroid")
-    return memoized(G, key, lambda: build(G))
-
-
-def lifted_building_set(P, G=None):
-    """The induced building set on the minimal lift.
+def lifted_building_set(G):
+    """The induced building set on the minimal lift of G.base, memoized
+    on G; its base is the lift.
 
     Members are the preimages of the members of G together with the atoms
     of the lift, its rank-1 flats: the lift is loopless, so these are the
-    closures of its singletons.  Returns (lift, BuildingSet on the lift),
-    memoized on G.
+    closures of its singletons.
     """
-    def build(G):
-        M = lift(P)
+    def build():
+        M = lift(G.base)
         members = {M.proj.preimage(g) for g in G.members}
-        members.update(M.closure(1 << e) for e in range(M.m))
-        return M, BuildingSet(M, members, validate=False)
+        members.update(M.closure(1 << e) for e in range(M.n))
+        return BuildingSet(M, members, validate=False)
 
-    return memoized_on(P, G, "lifted", build)
+    return memoized(G, "lifted", build)
 
 
 def nested_complex(building, exclude=None):

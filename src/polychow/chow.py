@@ -1,11 +1,12 @@
 """Chow rings of polymatroids in two presentations, with Groebner reduction.
 
 One generator, `_groebner`, builds the Feichtner-Yuzvinsky Groebner basis
-for both presentations: on (P, G) for DP and on the lift (M, lifted G) for
-FY.  No completion is performed; the tests reduce every S-pair below degree
-2r-1 to zero on both presentations, and the engine verifies structural
-consequences (standard-monomial bases, Hilbert functions, the variable
-substitution between the two presentations, Poincare duality).
+for both presentations: on G for DP and on the lifted building set, whose
+base is the lift M, for FY.  No completion is performed; the tests reduce
+every S-pair below degree 2r-1 to zero on both presentations, and the
+engine verifies structural consequences (standard-monomial bases, Hilbert
+functions, the variable substitution between the two presentations,
+Poincare duality).
 
 The standard monomials are grown degree by degree as an order ideal (the
 monomials no leading term divides are closed under division).  Each ring
@@ -37,8 +38,7 @@ from sys import maxsize
 
 from . import linalg
 from .bitsets import elements
-from .building import (comparability_masks, lifted_building_set,
-                       maximal_building_set, memoized_on, nested_complex)
+from .building import comparability_masks, lifted_building_set, nested_complex
 from .polymatroid import memoized
 
 # --- packed monomials and polynomials (monomial -> coefficient) -------------
@@ -297,8 +297,8 @@ def reduce_poly(ring, p):
 # --- the Groebner generator of both presentations ----------------------------
 
 
-def _groebner(ground, building, r):
-    """Sorted members of a building set on `ground` (P or its lift M) and
+def _groebner(building):
+    """Sorted members of a building set on its `base` (P or its lift M) and
     the minimalized Groebner generators of its Chow ring, after
     Feichtner-Yuzvinsky, "Chow rings of toric varieties defined by atomic
     lattices": the square-free monomials of non-nested antichains (the
@@ -308,7 +308,8 @@ def _groebner(ground, building, r):
 
     for nested antichains N strictly below a member G, with
     d = rk(G) - rk(union N) >= 1.  Generators whose total degree would
-    exceed 2r-1 are omitted; `GradedRing` asserts nothing survives in
+    exceed 2r-1 are omitted, r being the rank of the base (the lift has the
+    rank of P, by submodularity); `GradedRing` asserts nothing survives in
     degrees >= r, and the tests reduce every S-pair in that range to 0.
 
     Candidates are grown from the nested antichains only, one member at a
@@ -319,8 +320,10 @@ def _groebner(ground, building, r):
     overflow: each member of an antichain appears once, and g lies strictly
     above N, so every exponent is at most max(1, d) <= 2r - 1 <= cap.
     """
+    ground = building.base
     members = building.sorted_members()
     nvars = len(members)
+    r = ground.r
     limit = 2 * r - 1
     codec = Codec(nvars, r)
     unit = dict(zip(members, codec.units))
@@ -372,10 +375,10 @@ def _groebner(ground, building, r):
 # --- the two presentations ---------------------------------------------------
 
 
-def dp_ring(P, G=None):
-    """DP(P, G): variables x_F for F in G.  The one Groebner generator
-    `_groebner`, which also serves `fy_ring`, runs on (P, G) itself; its
-    power relations read
+def dp_ring(G):
+    """DP(P, G) for P = G.base: variables x_F for F in G.  The one Groebner
+    generator `_groebner`, which also serves `fy_ring`, runs on G itself;
+    its power relations read
 
         x_{G_1} ... x_{G_k} (sum over H >= G of x_H)^b
 
@@ -383,34 +386,32 @@ def dp_ring(P, G=None):
     rk(union of the G_i) >= 1.  The tests reduce its S-pairs to zero.
     The ring, with its normal-form table, is memoized on G.
     """
-    def build(G):
-        members, generators = _groebner(P, G, P.r)
-        return GradedRing("dp", members, P.r, generators)
+    def build():
+        members, generators = _groebner(G)
+        return GradedRing("dp", members, G.base.r, generators)
 
-    return memoized_on(P, G, "dp", build)
+    return memoized(G, "dp", build)
 
 
-def fy_ring(P, G=None):
+def fy_ring(G):
     """A(Sigma_{P,G}) in the presentation with variables y_G for G in the
     lifted building set, with the Groebner basis of the same `_groebner`
-    as `dp_ring`, run on the lift M and the lifted building set; the tests
-    reduce its S-pairs to zero.  The linear relations are the d = 1 power
-    relations at the atoms, so normal forms automatically eliminate atom
-    variables.  Like `dp_ring`, it is memoized on G.
+    as `dp_ring`, run on the lifted building set; the tests reduce its
+    S-pairs to zero.  The linear relations are the d = 1 power relations
+    at the atoms, so normal forms automatically eliminate atom variables.
+    Like `dp_ring`, it is memoized on G.
     """
-    def build(G):
-        M, lifted = lifted_building_set(P, G)
-        members, generators = _groebner(M, lifted, P.r)
-        return GradedRing("fy", members, P.r, generators)
+    def build():
+        members, generators = _groebner(lifted_building_set(G))
+        return GradedRing("fy", members, G.base.r, generators)
 
-    return memoized_on(P, G, "fy", build)
+    return memoized(G, "fy", build)
 
 
-def nested_basis(P, G=None):
+def nested_basis(G):
     """The monomial basis enumerated independently from nested sets of G:
     exponents 1 <= a_i < rk(G_i) - rk(union of the smaller members)."""
-    if G is None:
-        G = maximal_building_set(P)
+    P = G.base
     members = G.sorted_members()
     index = {f: i for i, f in enumerate(members)}
     r = P.r
@@ -443,24 +444,25 @@ def nested_basis(P, G=None):
 
 
 class ChowPair:
-    """DP and FY presentations of the same Chow ring, with the variable
-    substitution x_F -> y_{preimage(F)} and the degree normalization.
+    """DP and FY presentations of the Chow ring of (G.base, G), with the
+    variable substitution x_F -> y_{preimage(F)} and the degree normalization.
     `_memo` holds the pairing matrices and the Lefschetz matrices of
     `polychow.kahler`.  The DP ring and the substitution are built on first
     use, once per pair: the Kahler checks read only the FY ring."""
 
-    def __init__(self, P, G=None):
-        self.P = P
-        self.G = G if G is not None else maximal_building_set(P)
-        self.fy = fy_ring(P, self.G)
-        self.M, self.lifted = lifted_building_set(P, self.G)
+    def __init__(self, G):
+        self.G = G
+        self.P = G.base
+        self.fy = fy_ring(G)
+        self.lifted = lifted_building_set(G)
+        self.M = self.lifted.base
         self.proj = self.M.proj
         self._memo = {}
         self._images = {}
 
     @cached_property
     def dp(self):
-        return dp_ring(self.P, self.G)
+        return dp_ring(self.G)
 
     @cached_property
     def _translate(self):

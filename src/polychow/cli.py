@@ -29,6 +29,7 @@ MAX_POLYPERM_VERTICES = 362_880  # 9!: `polyperm` takes 1.4 s on a 2-vCPU VM
 MAX_FAN_LOOPS = 47_293  # Fubini(7): B(1^7) `polyperm --verify-fan` takes 1.7 s there
 
 # The commands that read the building set G; they enumerate nested sets.
+# Their handlers take G, the others the polymatroid P.
 HEAVY_COMMANDS = ("nested-complex", "fan", "chow", "kahler", "verify-all")
 
 
@@ -57,7 +58,7 @@ def load_instance(path):
     except json.JSONDecodeError as exc:
         raise CliError("malformed JSON at line %d column %d: %s"
                        % (exc.lineno, exc.colno, exc.msg))
-    if not isinstance(data, dict) or ("rank" not in data and "rank_table" not in data):
+    if not isinstance(data, dict) or "rank" not in data:
         raise CliError("instance must be an object with a rank field")
     return data
 
@@ -75,7 +76,7 @@ def integer_list(value, what):
 
 
 def build_polymatroid(data):
-    table = integer_list(data.get("rank", data.get("rank_table")), "rank")
+    table = integer_list(data["rank"], "rank")
     try:
         return Polymatroid(table)
     except PolymatroidError as exc:
@@ -135,26 +136,26 @@ def guard(P, command, verify_fan):
                            % (loops, MAX_FAN_LOOPS, command))
 
 
-def cmd_validate(P, G, args):
+def cmd_validate(P, args):
     return {"valid": True, "rank": P.r, "ground_size": P.n}, True
 
 
-def cmd_flats(P, G, args):
+def cmd_flats(P, args):
     flats = P.flats()
     return {"flats": list(flats), "count": len(flats),
             "ranks": [P.rank(f) for f in flats]}, True
 
 
-def cmd_lift_rank(P, G, args):
+def cmd_lift_rank(P, args):
     M = lift(P)
     report = {"fiber_sizes": list(M.proj.fiber_sizes),
-              "ground_size": M.m, "rank": M.r}
-    if M.m <= 12:
-        report["ranks"] = [M.rank(S) for S in range(1 << M.m)]
+              "ground_size": M.n, "rank": M.r}
+    if M.n <= 12:
+        report["ranks"] = [M.rank(S) for S in range(1 << M.n)]
     return report, True
 
 
-def cmd_geometric_flats(P, G, args):
+def cmd_geometric_flats(P, args):
     """The preimage map of `geometric_flat_lattice` keeps and reflects
     inclusion, so it is a lattice isomorphism when it keeps joins.  The
     join of mapping[f] and mapping[g] is the closure of the preimage of
@@ -167,7 +168,7 @@ def cmd_geometric_flats(P, G, args):
             "isomorphic": iso}, iso
 
 
-def cmd_nested_complex(P, G, args):
+def cmd_nested_complex(G, args):
     complexes = nested_complex(G)
     by_size = {}
     for N in complexes:
@@ -176,8 +177,8 @@ def cmd_nested_complex(P, G, args):
             "by_size": [by_size.get(k, 0) for k in range(max(by_size) + 1)]}, True
 
 
-def cmd_fan(P, G, args):
-    fan = bergman_fan(P, G)
+def cmd_fan(G, args):
+    fan = bergman_fan(G)
     report = {"rays": [list(r) for r in fan.rays],
               "cones": sorted(sorted(c) for c in fan.cones),
               "max_dim": fan.max_dim,
@@ -185,8 +186,8 @@ def cmd_fan(P, G, args):
     ok = True
     if args.check:
         # the Boolean fan is built only under verify-all's polyperm guard
-        ambient = normal_fan(P, args) if args.command == "verify-all" else None
-        checks = validate_fan(fan, expected_max_dim=P.r - 1, ambient=ambient)
+        ambient = normal_fan(G.base, args) if args.command == "verify-all" else None
+        checks = validate_fan(fan, expected_max_dim=G.base.r - 1, ambient=ambient)
         report["checks"] = checks
         ok = all(checks.values())
     return report, ok
@@ -216,7 +217,7 @@ def normal_fan(P, args):
     return memoized(P, "normal fan", build)
 
 
-def cmd_polyperm(P, G, args):
+def cmd_polyperm(P, args):
     Q = polypermutohedron(P, args)
     report = {"fiber_sizes": list(Q.proj.fiber_sizes),
               "c": list(Q.c),
@@ -228,13 +229,13 @@ def cmd_polyperm(P, G, args):
     return report, ok
 
 
-def cmd_chow(P, G, args):
-    pair = ChowPair(P, G)
+def cmd_chow(G, args):
+    pair = ChowPair(G)
     hilbert_dp = pair.dp.hilbert()
     hilbert_fy = pair.fy.hilbert()
     basis = tuple(tuple(map(pair.dp.codec.exponents, b)) for b in pair.dp.basis)
-    basis_matches = basis == nested_basis(P, G)
-    dets = [pairing_det(pair, k) for k in range(P.r)]
+    basis_matches = basis == nested_basis(G)
+    dets = [pairing_det(pair, k) for k in range(pair.P.r)]
     pairing_ok = all(d in (1, -1) for d in dets)
     report = {"hilbert": list(hilbert_dp), "hilbert_fy": list(hilbert_fy),
               "basis": [[list(mono) for mono in degree] for degree in basis],
@@ -250,33 +251,33 @@ def cmd_chow(P, G, args):
     return report, ok
 
 
-def cmd_kahler(P, G, args):
-    pair = ChowPair(P, G)
-    report = kahler_package_report(pair)
-    return {"rank": P.r, "verdicts": report}, all(report.values())
+def cmd_kahler(G, args):
+    report = kahler_package_report(ChowPair(G))
+    return {"rank": G.base.r, "verdicts": report}, all(report.values())
 
 
-def support_refinement(P, G, args):
-    fine = bergman_fan(P, maximal_building_set(P))
-    ok = same_support(fine, bergman_fan(P, G), trials=args.trials, seed=args.seed)
+def support_refinement(G, args):
+    fine = bergman_fan(maximal_building_set(G.base))
+    ok = same_support(fine, bergman_fan(G), trials=args.trials, seed=args.seed)
     return {"equal_support": ok}, ok
 
 
-def cmd_verify_all(P, G, args):
+def cmd_verify_all(G, args):
     full = argparse.Namespace(**vars(args))
     full.check = True
     full.iso_check = True
     full.verify_fan = True
     sections = {}
     passed = True
-    plan = [("validate", cmd_validate), ("geometric-flats", cmd_geometric_flats),
-            ("nested-complex", cmd_nested_complex), ("fan", cmd_fan),
-            ("polyperm", cmd_polyperm), ("chow", cmd_chow), ("kahler", cmd_kahler),
-            ("support-refinement", support_refinement)]
-    for name, func in plan:
+    P = G.base
+    plan = [("validate", cmd_validate, P), ("geometric-flats", cmd_geometric_flats, P),
+            ("nested-complex", cmd_nested_complex, G), ("fan", cmd_fan, G),
+            ("polyperm", cmd_polyperm, P), ("chow", cmd_chow, G), ("kahler", cmd_kahler, G),
+            ("support-refinement", support_refinement, G)]
+    for name, func, subject in plan:
         try:
-            report, ok = func(P, G, full)
-        except (AssertionError, ValueError, BuildingSetError) as exc:
+            report, ok = func(subject, full)
+        except (AssertionError, ValueError) as exc:
             report, ok = {"error": str(exc)}, False
         sections[name] = {"status": "pass" if ok else "fail", "report": report}
         passed = passed and ok
@@ -326,14 +327,14 @@ def main(argv=None):
         data = load_instance(args.instance)
         P = build_polymatroid(data)
         guard(P, args.command, args.verify_fan)
-        G = (resolve_building_set(P, data, args.building_set)
-             if args.command in HEAVY_COMMANDS else None)
+        subject = (resolve_building_set(P, data, args.building_set)
+                   if args.command in HEAVY_COMMANDS else P)
         if args.seed is None:
             args.seed = data.get("seed", 0)
             if not is_integer(args.seed):
                 raise CliError("seed must be an integer")
         args.instance_data = data
-        report, ok = HANDLERS[args.command](P, G, args)
+        report, ok = HANDLERS[args.command](subject, args)
     except CliError as exc:
         print(json.dumps({"error": str(exc)}, sort_keys=True), file=sys.stderr)
         return exc.code

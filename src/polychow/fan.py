@@ -18,7 +18,7 @@ from random import Random
 
 from . import linalg
 from .bitsets import canonical_key, elements, nonempty_subsets
-from .building import _max_members_below, lifted_building_set, memoized_on, nested_complex
+from .building import _max_members_below, lifted_building_set, nested_complex
 from .lift import lift
 from .polymatroid import Immutable, ProjectionMap, memoized
 
@@ -114,26 +114,23 @@ class Fan(Immutable):
             self.ambient_dim, len(self.rays), len(self.cones))
 
 
-def nested_set_fan(building, full_mask, m):
-    """Cones spanned by indicator vectors of nested sets not containing E~,
-    as sets of indices into the rays of the members, sorted by vector.
-    Every other member is a nested set alone, and its indicator vector has
-    entries all 0 and 1 or all 0 and -1, so it is primitive, nonzero and
-    distinct from every other member's."""
-    table = sorted((subset_vector(g, m), g) for g in building.members if g != full_mask)
+def nested_set_fan(building):
+    """Cones spanned by indicator vectors of nested sets not containing the
+    full ground set E~ of `building.base`, as sets of indices into the rays
+    of the members, sorted by vector.  Every other member is a nested set
+    alone, and its indicator vector has entries all 0 and 1 or all 0 and
+    -1, so it is primitive, nonzero and distinct from every other member's."""
+    full, m = building.base.full_mask, building.base.n
+    table = sorted((subset_vector(g, m), g) for g in building.members if g != full)
     index = {g: i for i, (_, g) in enumerate(table)}
     return Fan(m - 1, [r for r, _ in table],
-               [{index[g] for g in N} for N in nested_complex(building, exclude=full_mask)])
+               [{index[g] for g in N} for N in nested_complex(building, exclude=full)])
 
 
-def bergman_fan(P, G=None):
-    """The Bergman fan of (P, G) via nested sets of the lifted building set,
-    memoized on G, so its callers share the cone locators cached on it."""
-    def build(G):
-        M, lifted = lifted_building_set(P, G)
-        return nested_set_fan(lifted, M.full_mask, M.m)
-
-    return memoized_on(P, G, "fan", build)
+def bergman_fan(G):
+    """The Bergman fan of (G.base, G) via nested sets of the lifted building
+    set, memoized on G, so its callers share the cone locators cached on it."""
+    return memoized(G, "fan", lambda: nested_set_fan(lifted_building_set(G)))
 
 
 def _chains(items):

@@ -38,10 +38,9 @@ def ambient_complete_fan(pair):
     singletons of E~ form a building set of the Boolean lattice on E~."""
     m = pair.proj.m
     if pair.M.rank(pair.M.full_mask) == m:
-        return bergman_fan(pair.P, pair.G)
+        return bergman_fan(pair.G)
     base = boolean_polymatroid(ProjectionMap((1,) * m))
-    building = BuildingSet(base, pair.lifted.members, validate=True)
-    return nested_set_fan(building, base.full_mask, m)
+    return nested_set_fan(BuildingSet(base, pair.lifted.members, validate=True))
 
 
 def nestohedron_values(pair):

@@ -38,10 +38,6 @@ class MultisymMatroid(Ground):
     def n(self):
         return self.proj.m
 
-    @property
-    def m(self):
-        return self.proj.m
-
     def rank(self, S_mask):
         memo = self._memo
         cached = memo.get(S_mask)
@@ -66,7 +62,7 @@ class MultisymMatroid(Ground):
             while frontier:
                 nxt = []
                 for f in frontier:
-                    for e in range(self.m):
+                    for e in range(self.n):
                         bit = 1 << e
                         if not f & bit:
                             g = self.closure(f | bit)

@@ -37,6 +37,14 @@ def all_partitions_m6():
     return out
 
 
+def building_of(table, members=None):
+    """The building set with the given members of the polymatroid with the
+    given rank table; its maximal building set when members is None."""
+    import polychow as pc
+    P = pc.Polymatroid(table)
+    return pc.maximal_building_set(P) if members is None else pc.BuildingSet(P, members)
+
+
 def boolean_table(fibers):
     import polychow as pc
     return list(pc.boolean_polymatroid(pc.ProjectionMap(fibers)).rank_table)

@@ -109,7 +109,7 @@ def direct_sum(P, Q):
 
 def as_polymatroid(M):
     """A lift as an explicit rank table (small ground sets only)."""
-    return pc.Polymatroid([M.rank(S) for S in range(1 << M.m)], validate=False)
+    return pc.Polymatroid([M.rank(S) for S in range(1 << M.n)], validate=False)
 
 
 def flat_atoms(ground):

@@ -16,7 +16,7 @@ from polychow.cli import main as cli_main
 from polychow.kahler import nestohedron_class
 from conftest import (P1, P2, P3, P4, U34, U34_MIN_BUILDING,
                       B111_MIN_BUILDING, all_partitions_m6, boolean_table,
-                      small_family)
+                      building_of, small_family)
 from oracles import as_polymatroid, deg_fy, zring_hilbert
 
 
@@ -64,7 +64,7 @@ def test_criterion_01_lift_correctness():
             ok = False
             break
         for S in range(full + 1):
-            for e in range(M.m):
+            for e in range(M.n):
                 if not S >> e & 1 and ranks[S | 1 << e] - ranks[S] not in (0, 1):
                     ok = False
         for a in range(full + 1):
@@ -105,12 +105,12 @@ def test_criterion_02_lattice_isomorphism():
 def test_criterion_03_fan_cross_construction():
     ok = True
     for P in fixture_polymatroids():
-        if pc.bergman_fan(P) != pc.maximal_bergman_fan_direct(P):
+        if pc.bergman_fan(pc.maximal_building_set(P)) != pc.maximal_bergman_fan_direct(P):
             ok = False
     for fibers in BOOLEAN_FIBERS_M6:
         proj = pc.ProjectionMap(fibers)
         B = pc.boolean_polymatroid(proj)
-        if pc.bergman_fan(B) != pc.boolean_bergman_fan(proj):
+        if pc.bergman_fan(pc.maximal_building_set(B)) != pc.boolean_bergman_fan(proj):
             ok = False
     verdict(3, "Bergman fan constructions agree cone for cone", ok)
 
@@ -131,7 +131,7 @@ def test_criterion_04_polytope_duality():
 def test_criterion_05_fan_structure():
     ok = True
     for P in fixture_polymatroids():
-        fan = pc.bergman_fan(P)
+        fan = pc.bergman_fan(pc.maximal_building_set(P))
         if fan.max_dim != P.r - 1:
             ok = False
         if not pc.is_unimodular(fan) or not pc.is_face_closed(fan):
@@ -145,13 +145,9 @@ def test_criterion_05_fan_structure():
 
 def test_criterion_06_support_refinement():
     ok = True
-    cases = [(pc.Polymatroid(t), None) for t in FIXTURES]
-    U = pc.Polymatroid(U34)
-    cases.append((U, pc.BuildingSet(U, U34_MIN_BUILDING)))
-    for P, G in cases:
-        M = pc.lift(P)
-        fine = pc.maximal_bergman_fan_direct(as_polymatroid(M))
-        coarse = pc.bergman_fan(P, G)
+    for G in [building_of(t) for t in FIXTURES] + [building_of(U34, U34_MIN_BUILDING)]:
+        fine = pc.maximal_bergman_fan_direct(as_polymatroid(pc.lift(G.base)))
+        coarse = pc.bergman_fan(G)
         if not pc.refines(fine, coarse):
             ok = False
         if not pc.same_support(fine, coarse, trials=1000, seed=0):
@@ -161,21 +157,18 @@ def test_criterion_06_support_refinement():
 
 def test_criterion_07_groebner_basis_agreement():
     ok = True
-    cases = [(pc.Polymatroid(t), None) for t in FIXTURES]
-    U = pc.Polymatroid(U34)
-    cases.append((U, pc.BuildingSet(U, U34_MIN_BUILDING)))
-    for P, G in cases:
-        ring = pc.dp_ring(P, G)
+    for G in [building_of(t) for t in FIXTURES] + [building_of(U34, U34_MIN_BUILDING)]:
+        ring = pc.dp_ring(G)
         basis = tuple(tuple(map(ring.codec.exponents, b)) for b in ring.basis)
-        if tuple(tuple(sorted(b, reverse=True)) for b in basis) != pc.nested_basis(P, G):
+        if tuple(tuple(sorted(b, reverse=True)) for b in basis) != pc.nested_basis(G):
             ok = False
         h = ring.hilbert()
-        if h != pc.fy_ring(P, G).hilbert() or h != h[::-1]:
+        if h != pc.fy_ring(G).hilbert() or h != h[::-1]:
             ok = False
     expected = {tuple(P1): (1, 1), tuple(P3): (1, 3, 1), tuple(U34): (1, 7, 1)}
     for table, h in expected.items():
         P = pc.Polymatroid(list(table))
-        if pc.dp_ring(P).hilbert() != h:
+        if pc.dp_ring(pc.maximal_building_set(P)).hilbert() != h:
             ok = False
         if zring_hilbert(P) != h:
             ok = False
@@ -188,7 +181,7 @@ def test_criterion_08_presentation_isomorphism():
              (P1, P2, P3, boolean_table((1, 1)), boolean_table((1, 2)),
               boolean_table((1, 1, 1)), boolean_table((1, 1, 2)))]
     for P in small:
-        if not pc.phi_iso_check(pc.ChowPair(P)):
+        if not pc.phi_iso_check(pc.ChowPair(pc.maximal_building_set(P))):
             ok = False
     # strictly smaller building sets, where they exist at this scale
     seconds = [(boolean_table((1, 1, 1)), B111_MIN_BUILDING),
@@ -196,7 +189,7 @@ def test_criterion_08_presentation_isomorphism():
                (U34, U34_MIN_BUILDING)]
     for table, members in seconds:
         P = pc.Polymatroid(table)
-        pair = pc.ChowPair(P, pc.BuildingSet(P, members))
+        pair = pc.ChowPair(pc.BuildingSet(P, members))
         if len(pair.G.members) >= len(pc.maximal_building_set(P).members):
             ok = False
         if not pc.phi_iso_check(pair):
@@ -208,9 +201,8 @@ def test_criterion_09_poincare_duality():
     ok = True
     cases = [(t, None) for t in FIXTURES] + [(U34, U34_MIN_BUILDING)]
     for table, members in cases:
-        P = pc.Polymatroid(table)
-        G = None if members is None else pc.BuildingSet(P, members)
-        pair = pc.ChowPair(P, G)
+        pair = pc.ChowPair(building_of(table, members))
+        P = pair.P
         for k in range(P.r):
             for ring in ("dp", "fy"):
                 matrix = pc.pairing_matrix(pair, k, ring=ring)
@@ -228,9 +220,8 @@ def test_criterion_10_kahler_package():
     cases = [(P1, None), (P2, None), (P3, None), (P4, None),
              (U34, U34_MIN_BUILDING), (boolean_table((1, 1, 2)), None)]
     for table, members in cases:
-        P = pc.Polymatroid(table)
-        G = None if members is None else pc.BuildingSet(P, members)
-        pair = pc.ChowPair(P, G)
+        pair = pc.ChowPair(building_of(table, members))
+        P = pair.P
         try:
             ambient, values, ell = nestohedron_class(pair)
         except AssertionError:

@@ -12,7 +12,7 @@ from polychow.building import _max_members_below, _nested_sets
 from polychow.chow import Codec, _groebner, poly_mul, poly_pow
 from polychow.fan import _chains, boolean_bergman_fan
 from conftest import (P1, P2, P3, P4, U34, U34_MIN_BUILDING, B111_MIN_BUILDING,
-                      boolean_table)
+                      boolean_table, building_of)
 from oracles import degree, flat_atoms, pack
 
 
@@ -144,7 +144,7 @@ def reference_groebner(ground, building, r):
 def assert_kernel_matches_reference(ground, building, r):
     for exclude in (None, ground.full_mask):
         assert _nested_sets(building, exclude) == reference_nested_sets(building, exclude)
-    assert _groebner(ground, building, r) == reference_groebner(ground, building, r)
+    assert _groebner(building) == reference_groebner(ground, building, r)
 
 
 def test_maximal_building_set_is_geometric():
@@ -198,8 +198,8 @@ def test_building_set_requires_full_and_flats():
 
 
 def test_lifted_building_set_p2():
-    P = pc.Polymatroid(P2)
-    M, Gt = pc.lifted_building_set(P)
+    Gt = pc.lifted_building_set(building_of(P2))
+    M = Gt.base
     # preimages of {0} and E, plus the three singleton atoms
     assert Gt.members == {0b001, 0b111, 0b010, 0b100}
     ok, cert = pc.is_geometric_building_set(M, Gt.members)
@@ -207,8 +207,7 @@ def test_lifted_building_set_p2():
 
 
 def test_lifted_building_set_p1():
-    P = pc.Polymatroid(P1)
-    M, Gt = pc.lifted_building_set(P)
+    Gt = pc.lifted_building_set(building_of(P1))
     assert Gt.members == {0b01, 0b10, 0b11}
 
 
@@ -236,8 +235,7 @@ def test_is_nested_chains_and_pairs():
 
 
 def test_nested_complex_counts():
-    P = pc.Polymatroid(P1)
-    M, Gt = pc.lifted_building_set(P)
+    Gt = pc.lifted_building_set(building_of(P1))
     complexes = pc.nested_complex(Gt)
     # empty set, three singletons, two nested pairs {atom, full}
     assert len(complexes) == 6
@@ -247,8 +245,7 @@ def test_nested_complex_counts():
 
 
 def test_nested_complex_is_a_simplicial_complex():
-    P = pc.Polymatroid(P3)
-    M, Gt = pc.lifted_building_set(P)
+    Gt = pc.lifted_building_set(building_of(P3))
     complexes = set(pc.nested_complex(Gt))
     for N in complexes:
         for g in N:
@@ -256,8 +253,8 @@ def test_nested_complex_is_a_simplicial_complex():
 
 
 def test_nested_complex_exclude():
-    P = pc.Polymatroid(P1)
-    M, Gt = pc.lifted_building_set(P)
+    Gt = pc.lifted_building_set(building_of(P1))
+    M = Gt.base
     complexes = pc.nested_complex(Gt, exclude=M.full_mask)
     assert all(M.full_mask not in N for N in complexes)
     assert len(complexes) == 3
@@ -276,14 +273,14 @@ def test_geometric_flats_of_unions_round_trip():
     # every lifted member is either an atom or a full preimage
     for table in (P2, P3):
         P = pc.Polymatroid(table)
-        M, Gt = pc.lifted_building_set(P)
+        Gt = pc.lifted_building_set(pc.maximal_building_set(P))
+        M = Gt.base
         for g in Gt.members:
             assert bin(g).count("1") == 1 or M.proj.preimage(M.proj.image(g)) == g
 
 
 def test_nested_sets_have_nested_subsets():
-    P = pc.Polymatroid(P2)
-    M, Gt = pc.lifted_building_set(P)
+    Gt = pc.lifted_building_set(building_of(P2))
     for N in pc.nested_complex(Gt):
         assert is_nested(Gt, N)
 
@@ -298,8 +295,8 @@ def fixture_building_sets(table, members):
     """(ground, building set, r) for G on P and for its lift on M."""
     P = pc.Polymatroid(table)
     G = pc.maximal_building_set(P) if members is None else pc.BuildingSet(P, members)
-    M, lifted = pc.lifted_building_set(P, G)
-    return [(P, G, P.r), (M, lifted, P.r)]
+    lifted = pc.lifted_building_set(G)
+    return [(P, G, P.r), (lifted.base, lifted, P.r)]
 
 
 @pytest.mark.parametrize("table,members", KERNEL_FIXTURES)
@@ -442,9 +439,10 @@ def test_recursive_searches_leave_no_cyclic_garbage():
     # call on B(2,2,2)'s lifted building set (its flats for the chains)
     # leaves nothing for the cycle collector
     P = pc.Polymatroid(boolean_table((2, 2, 2)))
-    M, lifted = pc.lifted_building_set(P)
+    lifted = pc.lifted_building_set(pc.maximal_building_set(P))
+    M = lifted.base
     searches = {"_nested_sets": lambda: _nested_sets(lifted, M.full_mask),
-                "_groebner": lambda: _groebner(M, lifted, P.r),
+                "_groebner": lambda: _groebner(lifted),
                 "boolean_bergman_fan": lambda: boolean_bergman_fan(M.proj),
                 "_chains": lambda: _chains(M.flats())}
     left = {}

@@ -9,7 +9,8 @@ from polychow import linalg
 from polychow.bitsets import canonical_key
 from polychow.chow import (Codec, DivisorIndex, GradedRing, _standard_monomials,
                            pairing_det, poly_mul, poly_pow, reduce_poly)
-from conftest import P1, P2, P3, P4, U34, U34_MIN_BUILDING, boolean_table, small_family
+from conftest import (P1, P2, P3, P4, U34, U34_MIN_BUILDING, boolean_table, building_of,
+                      small_family)
 from oracles import deg_dp, deg_fy, degree, pack, poly_add, poly_scale, zring_hilbert
 
 
@@ -105,9 +106,7 @@ def unpacked_basis(ring):
 
 
 def pair_of(table, members=None):
-    P = pc.Polymatroid(table)
-    G = None if members is None else pc.BuildingSet(P, members)
-    return pc.ChowPair(P, G)
+    return pc.ChowPair(building_of(table, members))
 
 
 def test_hilbert_fixtures():
@@ -165,17 +164,15 @@ def test_dp_p3_square_is_standard():
 def test_nested_basis_matches_standard_monomials():
     for table, members in ((P1, None), (P2, None), (P3, None),
                            (U34, None), (U34, U34_MIN_BUILDING)):
-        P = pc.Polymatroid(table)
-        G = None if members is None else pc.BuildingSet(P, members)
-        ring = pc.dp_ring(P, G)
-        assert tuple(tuple(sorted(b, reverse=True)) for b in unpacked_basis(ring)) \
-            == pc.nested_basis(P, G)
+        G = building_of(table, members)
+        assert tuple(tuple(sorted(b, reverse=True)) for b in unpacked_basis(pc.dp_ring(G))) \
+            == pc.nested_basis(G)
 
 
 def test_zring_agrees_with_fy_on_maximal_building_set():
     for table in (P1, P2, P3):
         P = pc.Polymatroid(table)
-        assert zring_hilbert(P) == pc.fy_ring(P).hilbert()
+        assert zring_hilbert(P) == pc.fy_ring(pc.maximal_building_set(P)).hilbert()
 
 
 def test_degree_normalizer_signs():
@@ -271,23 +268,27 @@ def read_every_pairing(pair):
 
 def test_degree_normalizer_is_shared_by_the_pairs_of_one_g(monkeypatch):
     calls = count_normalizer_builds(monkeypatch)
-    P = pc.Polymatroid(P3)
-    G = pc.maximal_building_set(P)
-    first, second = pc.ChowPair(P, G), pc.ChowPair(P, G)
+    G = building_of(P3)
+    first, second = pc.ChowPair(G), pc.ChowPair(G)
     read_every_pairing(first)
     read_every_pairing(second)
     assert calls == [first]
 
 
-def test_a_building_set_of_another_polymatroid_is_refused():
-    # everything built from (P, G) is memoized on G, so G must belong to P,
-    # even when another P has the same rank table
-    P = pc.Polymatroid(P3)
-    G = pc.maximal_building_set(pc.Polymatroid(P3))
-    for build in (pc.ChowPair, pc.bergman_fan, pc.dp_ring, pc.fy_ring, pc.lifted_building_set):
-        with pytest.raises(ValueError, match="another polymatroid"):
-            build(P, G)
-    assert not G._memo
+def test_g_keyed_builders_read_p_and_the_lift_off_g():
+    # everything built from (P, G) is read off G and memoized on it, so two
+    # polymatroids with one rank table keep separate memos
+    P, Q = pc.Polymatroid(P3), pc.Polymatroid(P3)
+    assert P == Q and P is not Q
+    G, H = pc.maximal_building_set(P), pc.maximal_building_set(Q)
+    assert G.base is P and H.base is Q
+    assert pc.lifted_building_set(G).base is pc.lift(P)
+    assert pc.lifted_building_set(H).base is pc.lift(Q) is not pc.lift(P)
+    pair = pc.ChowPair(G)
+    assert pair.P is P and pair.M is pc.lift(P) and pair.lifted is pc.lifted_building_set(G)
+    for build in (pc.bergman_fan, pc.dp_ring, pc.fy_ring, pc.lifted_building_set):
+        assert build(G) is build(G) is not build(H)
+    assert pc.ChowPair(H).fy is not pair.fy
 
 
 def test_phi_iso_check_fixtures():
@@ -299,7 +300,7 @@ def test_phi_iso_check_fixtures():
 def test_phi_iso_check_second_building_set_b111():
     P = pc.Polymatroid(boolean_table((1, 1, 1)))
     G = pc.BuildingSet(P, [1, 2, 4, 7])
-    assert pc.phi_iso_check(pc.ChowPair(P, G))
+    assert pc.phi_iso_check(pc.ChowPair(G))
 
 
 def test_phi_preserves_degrees():
@@ -627,7 +628,7 @@ def test_dp_generators_match_subset_scan_reference():
     P = pc.Polymatroid(boolean_table((2, 2, 2, 2)))
     cases.append((P, pc.BuildingSet(P, [1, 2, 4, 8, 15])))
     for P, G in cases:
-        assert packed_ring_lists(pc.dp_ring(P, G)) == as_lists(scan_dp_groebner(P, G))
+        assert packed_ring_lists(pc.dp_ring(G)) == as_lists(scan_dp_groebner(P, G))
 
 
 def test_standard_monomials_match_brute_force_filter():
@@ -648,7 +649,7 @@ def test_standard_monomials_match_brute_force_filter():
 def test_rank_six_b222_maximal_building_set():
     pair = pair_of(boolean_table((2, 2, 2)))
     assert pair.dp.hilbert() == pair.fy.hilbert() == (1, 7, 16, 16, 7, 1)
-    assert unpacked_basis(pair.dp) == pc.nested_basis(pair.P, pair.G)
+    assert unpacked_basis(pair.dp) == pc.nested_basis(pair.G)
     assert pc.phi_iso_check(pair)
     report = pc.kahler_package_report(pair)
     assert report and all(v is True for v in report.values())

@@ -65,6 +65,14 @@ def test_missing_rank_field(tmp_path, capsys):
     assert code == 2
 
 
+def test_a_rank_table_field_alone_is_refused(tmp_path, capsys):
+    # the rank table is read from `rank` only
+    path = write_instance(tmp_path, {"n": 2, "rank_table": P2})
+    code, out, err = run(capsys, ["validate", "--instance", path])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "instance must be an object with a rank field"}
+
+
 def test_flats_and_lift_rank(tmp_path, capsys):
     path = write_instance(tmp_path, {"n": 2, "rank": P2})
     code, out, _ = run(capsys, ["flats", "--instance", path])

@@ -11,7 +11,7 @@ from polychow.bitsets import elements
 from polychow.fan import (_chains, _has_positive_circuit, complete_fan_certificate, locate,
                           pairwise_faces_by_circuits, stellar_certificate, subset_vector)
 from conftest import (BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING,
-                      all_partitions_m6, boolean_table)
+                      all_partitions_m6, boolean_table, building_of)
 from oracles import (as_polymatroid, cone_coordinates, find_cone, fraction_solve,
                      in_relative_interior, integral, is_complete, primitive,
                      reference_is_unimodular, reference_refines)
@@ -25,9 +25,8 @@ def random_point(rng, dim, spread=10_000):
 
 
 def fan_of(table, members=None):
-    P = pc.Polymatroid(table)
-    G = None if members is None else pc.BuildingSet(P, members)
-    return P, pc.bergman_fan(P, G)
+    G = building_of(table, members)
+    return G.base, pc.bergman_fan(G)
 
 
 def test_p1_fan_is_a_line():
@@ -59,14 +58,14 @@ def test_p3_fan_shape():
 def test_cross_construction_maximal():
     for table in (P1, P2, P3, U34):
         P = pc.Polymatroid(table)
-        assert pc.bergman_fan(P) == pc.maximal_bergman_fan_direct(P)
+        assert pc.bergman_fan(pc.maximal_building_set(P)) == pc.maximal_bergman_fan_direct(P)
 
 
 def test_boolean_third_route():
     for fibers in ((1, 1), (2,), (1, 2), (1, 1, 1), (2, 2)):
         proj = pc.ProjectionMap(fibers)
         P = pc.boolean_polymatroid(proj)
-        assert pc.bergman_fan(P) == pc.boolean_bergman_fan(proj)
+        assert pc.bergman_fan(pc.maximal_building_set(P)) == pc.boolean_bergman_fan(proj)
         assert pc.boolean_bergman_fan(proj) == pc.maximal_bergman_fan_direct(P)
 
 
@@ -176,8 +175,8 @@ def test_cone_coordinates_roundtrip():
 
 def test_refinement_of_coarser_building_set():
     P = pc.Polymatroid(U34)
-    fine = pc.bergman_fan(P)
-    coarse = pc.bergman_fan(P, pc.BuildingSet(P, U34_MIN_BUILDING))
+    fine = pc.bergman_fan(pc.maximal_building_set(P))
+    coarse = pc.bergman_fan(pc.BuildingSet(P, U34_MIN_BUILDING))
     assert len(fine.rays) == 10   # 4 singleton flats + 6 pair flats
     assert len(coarse.rays) == 4  # the singleton flats; E gives no ray
     assert pc.refines(fine, coarse)
@@ -186,7 +185,7 @@ def test_refinement_of_coarser_building_set():
 
 def test_lift_fan_refined_by_boolean_fan_support_differs():
     P = pc.Polymatroid(P3)
-    lifted = pc.bergman_fan(P)
+    lifted = pc.bergman_fan(pc.maximal_building_set(P))
     boolean = pc.boolean_bergman_fan(pc.ProjectionMap((2, 2)))
     # the boolean fan is complete; the lift fan is a proper subfan support
     assert not pc.same_support(boolean, lifted, trials=200)
@@ -199,18 +198,17 @@ def test_sigma_p3_refines_u34_fan():
     # set refines the fan of U_{3,4} with its minimal building set: both
     # have the same support (all of the tropical linear space)
     P3p = pc.Polymatroid(P3)
-    fine = pc.bergman_fan(P3p)
+    fine = pc.bergman_fan(pc.maximal_building_set(P3p))
     U = pc.Polymatroid(U34)
-    coarse = pc.bergman_fan(U, pc.BuildingSet(U, U34_MIN_BUILDING))
+    coarse = pc.bergman_fan(pc.BuildingSet(U, U34_MIN_BUILDING))
     assert len(fine.rays) == 6
     assert pc.same_support(fine, coarse, trials=500)
 
 
 def test_nested_set_fan_matches_bergman():
     P = pc.Polymatroid(P2)
-    M, Gt = pc.lifted_building_set(P)
-    fan = pc.nested_set_fan(Gt, M.full_mask, M.m)
-    assert fan == pc.bergman_fan(P)
+    G = pc.maximal_building_set(P)
+    assert pc.nested_set_fan(pc.lifted_building_set(G)) == pc.bergman_fan(G)
 
 
 # --- references: Fraction solves and extreme-ray enumeration ------------------
@@ -269,9 +267,9 @@ def reference_pairwise_faces(fan):
 
 
 def fixture_fans():
-    fans = [pc.bergman_fan(pc.Polymatroid(t)) for t in (P1, P2, P3, P4, U34)]
+    fans = [pc.bergman_fan(building_of(t)) for t in (P1, P2, P3, P4, U34)]
     fans.append(fan_of(U34, U34_MIN_BUILDING)[1])
-    fans += [pc.bergman_fan(pc.Polymatroid(boolean_table(f))) for f in BOOLEAN_FIBERS]
+    fans += [pc.bergman_fan(building_of(boolean_table(f))) for f in BOOLEAN_FIBERS]
     return fans
 
 
@@ -591,7 +589,7 @@ def scan_refines(fine, coarse):
 
 def nested_set_fixture_fans():
     """Fans whose rays are subset vectors and whose cones are nested sets."""
-    fans = [pc.bergman_fan(pc.Polymatroid(t)) for t in (P1, P2, P3, P4, U34)]
+    fans = [pc.bergman_fan(building_of(t)) for t in (P1, P2, P3, P4, U34)]
     fans.append(fan_of(U34, U34_MIN_BUILDING)[1])
     fans += [pc.maximal_bergman_fan_direct(pc.Polymatroid(t)) for t in (P2, P3, U34)]
     fans += [pc.boolean_bergman_fan(pc.ProjectionMap(f)) for f in ((1, 2), (2, 2), (1, 1, 2))]
@@ -906,7 +904,8 @@ def test_same_support_of_equal_fans_samples_nothing(monkeypatch):
     pairs = [(f, f) for pair in support_pairs() for f in pair]
     for table in (P1, P2, P3, P4, U34):
         P = pc.Polymatroid(table)
-        pairs.append((pc.bergman_fan(P), pc.maximal_bergman_fan_direct(P)))
+        pairs.append((pc.bergman_fan(pc.maximal_building_set(P)),
+                      pc.maximal_bergman_fan_direct(P)))
     recorded = recorded_in_support(monkeypatch)
     for f1, f2 in pairs:
         assert f1 == f2
@@ -1027,7 +1026,8 @@ def random_coarser_sets(per_table=5):
 
 def random_coarser_pairs(per_table=5):
     """(maximal fan, fan of G) for each G of `random_coarser_sets`."""
-    return [(pc.bergman_fan(P), pc.bergman_fan(P, G)) for P, G in random_coarser_sets(per_table)]
+    return [(pc.bergman_fan(pc.maximal_building_set(P)), pc.bergman_fan(G))
+            for P, G in random_coarser_sets(per_table)]
 
 
 def test_stellar_certificate_holds_on_random_coarser_building_sets():
@@ -1077,33 +1077,31 @@ def ray_set_nested_set_fan(building, full_mask, m):
 
 
 def nested_set_fan_cases():
-    """(building set, E~, m) for the lifted building sets of the fixture
-    tables, B(1), U(3,4)'s least G and the coarse G of
-    `random_coarser_sets`, and for their lifted members over the Boolean
-    base where those form a building set there, as the ambient Kahler fan
-    takes them."""
-    sets = [(pc.Polymatroid(t), None) for t in (P1, P2, P3, P4, U34, boolean_table((1,)))]
-    sets += [(pc.Polymatroid(boolean_table(f)), None) for f in BOOLEAN_FIBERS]
-    u34 = pc.Polymatroid(U34)
-    sets.append((u34, pc.BuildingSet(u34, U34_MIN_BUILDING)))
-    sets += random_coarser_sets(per_table=2)
+    """The lifted building sets of the fixture tables, B(1), U(3,4)'s least G
+    and the coarse G of `random_coarser_sets`, and their lifted members over
+    the Boolean base where those form a building set there, as the ambient
+    Kahler fan takes them."""
+    sets = [building_of(t) for t in (P1, P2, P3, P4, U34, boolean_table((1,)))]
+    sets += [building_of(boolean_table(f)) for f in BOOLEAN_FIBERS]
+    sets.append(building_of(U34, U34_MIN_BUILDING))
+    sets += [G for _, G in random_coarser_sets(per_table=2)]
     cases = []
-    for P, G in sets:
-        M, lifted = pc.lifted_building_set(P, G)
-        cases.append((lifted, M.full_mask, M.m))
-        base = pc.boolean_polymatroid(pc.ProjectionMap((1,) * M.m))
+    for G in sets:
+        lifted = pc.lifted_building_set(G)
+        cases.append(lifted)
+        base = pc.boolean_polymatroid(pc.ProjectionMap((1,) * lifted.base.n))
         if pc.is_geometric_building_set(base, lifted.members)[0]:
-            cases.append((pc.BuildingSet(base, lifted.members), base.full_mask, M.m))
+            cases.append(pc.BuildingSet(base, lifted.members))
     return cases
 
 
 def test_nested_set_fan_matches_the_ray_set_reference():
     cases = nested_set_fan_cases()
     boolean_base = 0
-    for building, full_mask, m in cases:
-        fan = pc.nested_set_fan(building, full_mask, m)
-        reference = ray_set_nested_set_fan(building, full_mask, m)
+    for building in cases:
+        fan = pc.nested_set_fan(building)
+        reference = ray_set_nested_set_fan(building, building.base.full_mask, building.base.n)
         assert (fan.ambient_dim, fan.rays, fan.cones) == \
             (reference.ambient_dim, reference.rays, reference.cones), building
-        boolean_base += building.base.n == m
-    assert boolean_base > 5 and any(m == 1 for _, _, m in cases)
+        boolean_base += isinstance(building.base, pc.Polymatroid)
+    assert boolean_base > 5 and any(building.base.n == 1 for building in cases)

@@ -98,3 +98,14 @@ def test_every_slot_is_read_and_every_method_is_referenced_in_src():
                         unreferenced.append("%s.%s" % (cls.name, node.name))
     assert unread == [], unread
     assert unreferenced == [], unreferenced
+
+
+def test_all_names_exactly_the_names_the_package_imports():
+    # a removed or renamed name cannot stay behind in one of the two lists
+    import polychow
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(set(imported)) == len(imported)
+    assert sorted(polychow.__all__) == sorted(imported)
+    assert all(hasattr(polychow, name) for name in polychow.__all__)

@@ -9,7 +9,8 @@ from polychow.chow import GradedRing, poly_mul, poly_pow, reduce_poly
 from polychow.fan import subset_vector
 from polychow.kahler import (_hodge_riemann_form, _lefschetz_power, ambient_complete_fan,
                              nestohedron_class, nestohedron_values)
-from conftest import BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING, boolean_table
+from conftest import (BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING, boolean_table,
+                      building_of)
 from oracles import (beta_class, beta_class_corank_form, deg_fy, poly_add, poly_scale,
                      sigma_cone_class)
 from test_fan import refused_complete_collections
@@ -17,9 +18,7 @@ from test_polytope import nestohedron_support
 
 
 def pair_of(table, members=None):
-    P = pc.Polymatroid(table)
-    G = None if members is None else pc.BuildingSet(P, members)
-    return pc.ChowPair(P, G)
+    return pc.ChowPair(building_of(table, members))
 
 
 FIXTURES = ((P1, None), (P2, None), (P3, None), (P4, None),
@@ -81,7 +80,7 @@ def test_negated_class_is_not_strictly_convex():
 
 def test_strict_convexity_requires_complete_fan():
     pair = pair_of(P3)
-    fan = pc.bergman_fan(pair.P)   # not complete
+    fan = pc.bergman_fan(pair.G)   # not complete
     with pytest.raises(ValueError):
         pc.is_strictly_convex(fan, [0] * len(fan.rays))
 
@@ -161,9 +160,8 @@ def test_ambient_fan_raises_for_nonboolean_lifted_set():
 def boolean_base_ambient_fan(pair):
     """The ambient fan by the Boolean-base route: the lifted members as a
     validated building set of the Boolean lattice, and its nested-set fan."""
-    m = pair.proj.m
-    base = pc.boolean_polymatroid(pc.ProjectionMap((1,) * m))
-    return pc.nested_set_fan(pc.BuildingSet(base, pair.lifted.members), base.full_mask, m)
+    base = pc.boolean_polymatroid(pc.ProjectionMap((1,) * pair.proj.m))
+    return pc.nested_set_fan(pc.BuildingSet(base, pair.lifted.members))
 
 
 @pytest.mark.parametrize("table", [boolean_table((2, 2)), P4, boolean_table((1, 1, 2)),
@@ -171,7 +169,7 @@ def boolean_base_ambient_fan(pair):
 def test_free_lift_ambient_fan_is_the_bergman_fan(table):
     pair = pair_of(table)
     ambient = ambient_complete_fan(pair)
-    assert ambient is pc.bergman_fan(pair.P, pair.G)
+    assert ambient is pc.bergman_fan(pair.G)
     reference = boolean_base_ambient_fan(pair)
     assert (ambient.rays, ambient.cones) == (reference.rays, reference.cones)
 
@@ -184,21 +182,22 @@ def test_free_lift_lifted_sets_are_boolean_building_sets(fibers):
     proj = pc.ProjectionMap(fibers)
     P = pc.boolean_polymatroid(proj)
     minimal = [1 << i for i in range(P.n)] + [P.full_mask]
-    buildings = [None, pc.BuildingSet(P, minimal)]
+    buildings = [pc.maximal_building_set(P), pc.BuildingSet(P, minimal)]
     if P.n >= 3:
         buildings.append(pc.BuildingSet(P, minimal + [0b11]))
     base = pc.boolean_polymatroid(pc.ProjectionMap((1,) * proj.m))
     for G in buildings:
-        M, lifted = pc.lifted_building_set(P, G)
-        assert M.rank(M.full_mask) == M.m
+        lifted = pc.lifted_building_set(G)
+        M = lifted.base
+        assert M.rank(M.full_mask) == M.n
         assert pc.is_geometric_building_set(base, lifted.members) == (True, None)
 
 
 def test_ambient_fan_is_built_apart_when_the_lift_is_not_free():
     pair = pair_of(U34, U34_MIN_BUILDING)
     ambient = ambient_complete_fan(pair)
-    assert ambient is not pc.bergman_fan(pair.P, pair.G)
-    assert ambient != pc.bergman_fan(pair.P, pair.G)
+    assert ambient is not pc.bergman_fan(pair.G)
+    assert ambient != pc.bergman_fan(pair.G)
     reference = boolean_base_ambient_fan(pair)
     assert (ambient.rays, ambient.cones) == (reference.rays, reference.cones)
 

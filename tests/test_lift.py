@@ -5,7 +5,7 @@ from oracles import as_polymatroid, direct_sum, restriction
 
 def lift_table(P):
     M = pc.lift(P)
-    return [M.rank(S) for S in range(1 << M.m)]
+    return [M.rank(S) for S in range(1 << M.n)]
 
 
 def test_lift_of_p2_is_u23():
@@ -63,7 +63,7 @@ def test_matroid_axioms_of_lift():
         full = M.full_mask
         assert M.rank(0) == 0
         for S in range(full + 1):
-            for e in range(M.m):
+            for e in range(M.n):
                 if not S >> e & 1:
                     step = M.rank(S | 1 << e) - M.rank(S)
                     assert step in (0, 1)
@@ -138,7 +138,7 @@ def test_lift_commutes_with_restriction():
     for F in P.flats():
         sub_lift = pc.lift(restriction(P, F))
         pre = M.proj.preimage(F)
-        els = [i for i in range(M.m) if pre >> i & 1]
+        els = [i for i in range(M.n) if pre >> i & 1]
         for S in range(1 << len(els)):
             big = 0
             for j, e in enumerate(els):

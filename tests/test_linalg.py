@@ -7,7 +7,7 @@ import pytest
 
 import polychow as pc
 from polychow import linalg
-from conftest import boolean_table
+from conftest import boolean_table, building_of
 from oracles import (fraction_rref, fraction_solve, integral_rows, reference_det,
                      reference_integer_rref, reference_is_positive_definite)
 from test_kahler import FIXTURES as KAHLER_FIXTURES
@@ -271,10 +271,9 @@ def test_bareiss_kernels_match_references_on_chow_matrices(monkeypatch):
         monkeypatch.setattr(linalg, name, recording(name, getattr(linalg, name)))
     for table, members in KAHLER_FIXTURES + ((boolean_table((1, 1, 2)), None),
                                              (boolean_table((2, 2, 2)), None)):
-        P = pc.Polymatroid(table)
-        pair = pc.ChowPair(P, None if members is None else pc.BuildingSet(P, members))
+        pair = pc.ChowPair(building_of(table, members))
         assert pc.phi_iso_check(pair)
-        assert all(pc.chow.pairing_det(pair, k) in (1, -1) for k in range(P.r))
+        assert all(pc.chow.pairing_det(pair, k) in (1, -1) for k in range(pair.P.r))
         assert all(pc.kahler_package_report(pair).values())
     monkeypatch.undo()
     references = {"integer_rref": reference_integer_rref, "det": reference_det,

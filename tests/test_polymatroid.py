@@ -148,10 +148,11 @@ def value_objects():
     """One instance of each value class, with an attribute it sets."""
     P = pc.Polymatroid(P3)
     proj = pc.ProjectionMap((1, 2))
-    pair = pc.ChowPair(pc.Polymatroid(P1))
+    pair = pc.ChowPair(pc.maximal_building_set(pc.Polymatroid(P1)))
     return [
         (P, "n"), (proj, "m"), (pc.lift(P), "base"),
-        (pc.maximal_building_set(P), "members"), (pc.bergman_fan(P), "rays"),
+        (pc.maximal_building_set(P), "members"),
+        (pc.bergman_fan(pc.maximal_building_set(P)), "rays"),
         (pc.nestohedron_class(pair)[0], "rays"), (pc.Polypermutohedron(proj), "vertices"),
     ]
 
@@ -168,7 +169,7 @@ def test_immutability():
     P = pc.Polymatroid(P3)
     G = pc.maximal_building_set(P)
     assert pc.lift(P) is pc.lift(P)
-    assert pc.bergman_fan(P, G) is pc.bergman_fan(P, G)
+    assert pc.bergman_fan(G) is pc.bergman_fan(G)
 
 
 def reference_validation_error(table):

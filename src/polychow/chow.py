@@ -32,7 +32,7 @@ bit, and the rings raise OverflowError on any monomial with one set.
 a `DivisorIndex` finds the first leading term dividing a monomial.
 """
 
-from functools import cache, cached_property
+from functools import cache
 from itertools import product
 from sys import maxsize
 
@@ -446,9 +446,9 @@ def nested_basis(G):
 class ChowPair:
     """DP and FY presentations of the Chow ring of (G.base, G), with the
     variable substitution x_F -> y_{preimage(F)} and the degree normalization.
-    `_memo` holds the pairing matrices and the Lefschetz matrices of
-    `polychow.kahler`.  The DP ring and the substitution are built on first
-    use, once per pair: the Kahler checks read only the FY ring."""
+    `_memo` holds the pairing matrices, the Lefschetz matrices of
+    `polychow.kahler` and the substitution, built on first use like the DP
+    ring (memoized on G): the Kahler checks read only the FY ring."""
 
     def __init__(self, G):
         self.G = G
@@ -458,29 +458,32 @@ class ChowPair:
         self.M = self.lifted.base
         self.proj = self.M.proj
         self._memo = {}
-        self._images = {}
 
-    @cached_property
+    @property
     def dp(self):
         return dp_ring(self.G)
-
-    @cached_property
-    def _translate(self):
-        return [self.fy.var_index[self.proj.preimage(f)] for f in self.dp.var_flats]
 
     def phi(self, poly):
         """Transport a DP polynomial to the FY variables.  A monomial's image
         is the sum of each DP exponent times the FY unit of its variable's
         image; the substitution is injective, so no two images share a
         field, and an exponent fits its DP field, so it fits the FY one
-        (both rings have rank r).  Each image is computed once per pair."""
-        exponents, units, images = self.dp.codec.exponents, self.fy.codec.units, self._images
+        (both rings have rank r).  `_memo` keeps the DP `exponents` with
+        those units ("translation") and each image, once per pair ("images")."""
+        memo = self._memo
+        translation = memo.get("translation")
+        if translation is None:
+            dp, fy = self.dp, self.fy
+            memo["images"] = {}
+            translation = memo["translation"] = (dp.codec.exponents, [
+                fy.codec.units[fy.var_index[self.proj.preimage(f)]] for f in dp.var_flats])
+        exponents, units = translation
+        images = memo["images"]
         out = {}
         for m, c in poly.items():
             key = images.get(m)
             if key is None:
-                pairs = zip(exponents(m), self._translate)
-                key = images[m] = sum(e * units[t] for e, t in pairs if e)
+                key = images[m] = sum(e * unit for e, unit in zip(exponents(m), units) if e)
             out[key] = out.get(key, 0) + c
         return out
 

@@ -2,13 +2,14 @@
 
 Instance files look like
 
-    {"n": 2, "rank": [0, 2, 2, 3], "building_set": [1, 2, 3],
-     "c": [1, 2], "seed": 0}
+    {"rank": [0, 2, 2, 3], "building_set": [1, 2, 3], "c": [1, 2], "seed": 0}
 
 where the rank table lists ranks of the 2^n subsets in numeric mask
-order.  The building set (list of flat masks) defaults to all nonempty
-flats; command line flags override file values.  Exit code 0 means every
-requested check passed.
+order, so its length gives the ground-set size n.  The building set (a
+list of flat masks, or "maximal") defaults to all nonempty flats; a path
+to a JSON list of masks comes only from --building-set.  Command line
+flags override file values.  Exit code 0 means every requested check
+passed.
 """
 
 import argparse
@@ -21,7 +22,7 @@ from .chow import ChowPair, nested_basis, pairing_det, phi_iso_check
 from .fan import bergman_fan, boolean_bergman_fan, same_support, validate_fan
 from .kahler import kahler_package_report
 from .lift import geometric_flat_lattice, lift
-from .polymatroid import MAX_GROUND, Polymatroid, PolymatroidError, ProjectionMap, memoized
+from .polymatroid import MAX_GROUND, Polymatroid, PolymatroidError, memoized
 from .polytope import Polypermutohedron, normal_fan_equals
 
 MAX_GROUND_HEAVY = 8  # bounds P.n for HEAVY_COMMANDS
@@ -85,14 +86,12 @@ def build_polymatroid(data):
 
 
 def resolve_building_set(P, data, flag):
-    source = flag
-    if source is None:
-        source = "maximal" if "building_set" not in data else data["building_set"]
+    source = data.get("building_set", "maximal") if flag is None else flag
     if source == "maximal":
         return maximal_building_set(P)
-    if isinstance(source, str):
+    if flag is not None:
         try:
-            with open(source) as fh:
+            with open(flag) as fh:
                 source = json.load(fh)
         except OSError as exc:
             raise CliError("cannot read building set: %s" % exc)
@@ -196,10 +195,9 @@ def cmd_fan(G, args):
 def polypermutohedron(P, args):
     """Q(pi; c) on P's fibers at the instance's c, memoized on P."""
     def build():
-        proj = ProjectionMap([P.rank(1 << i) for i in range(P.n)])
         c = args.instance_data.get("c")
         try:
-            return Polypermutohedron(proj, None if c is None else integer_list(c, "c"))
+            return Polypermutohedron(lift(P).proj, None if c is None else integer_list(c, "c"))
         except ValueError as exc:
             raise CliError("invalid c: %s" % exc)
 

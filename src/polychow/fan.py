@@ -20,7 +20,7 @@ from . import linalg
 from .bitsets import canonical_key, elements, nonempty_subsets
 from .building import _max_members_below, lifted_building_set, nested_complex
 from .lift import lift
-from .polymatroid import Immutable, ProjectionMap, memoized
+from .polymatroid import Immutable, memoized
 
 
 def subset_vector(S_mask, m):
@@ -43,31 +43,18 @@ def subset_mask(ray):
 class Fan(Immutable):
     """A simplicial fan given by a ray table and cones as ray-index sets.
 
-    `locators` caches, per cone, the integer data `cone_contains` and
-    `complete_fan_certificate` use; it is filled the first time a cone is
-    tested.
-    `subset_index` is None unless every ray is a `subset_vector`; then it
-    holds two tuples of bitsets over ray indices, for `locate`: per element
-    of E~ the rays whose subsets contain it, and per ray the rays whose
-    subsets strictly contain its subset.  `_memo` holds `maximal_cones`
-    and `cone_masks`.
+    `_memo` maps each cone tested so far to its `_locator`, and string keys
+    to what derives from the fan alone: `maximal_cones`, `cone_masks`,
+    `subset_index` and `walls`.
     """
 
-    __slots__ = ("ambient_dim", "rays", "ray_index", "cones", "locators", "subset_index", "_memo")
+    __slots__ = ("ambient_dim", "rays", "ray_index", "cones", "_memo")
 
     def __init__(self, ambient_dim, rays, cones):
         self.ambient_dim = ambient_dim
         self.rays = tuple(tuple(r) for r in rays)
         self.ray_index = {r: i for i, r in enumerate(self.rays)}
         self.cones = frozenset(frozenset(c) for c in cones)
-        self.locators = {}
-        masks = [subset_mask(r) for r in self.rays]
-        index = None if None in masks else (
-            tuple(sum(1 << j for j, T in enumerate(masks) if T >> e & 1)
-                  for e in range(ambient_dim + 1)),
-            tuple(sum(1 << j for j, U in enumerate(masks) if U != T and U & T == T)
-                  for T in masks))
-        self.subset_index = index
         self._memo = {}
 
     def cone_rays(self, cone):
@@ -96,6 +83,33 @@ class Fan(Immutable):
         """Each cone keyed by its bitset of ray indices; memoized."""
         return memoized(self, "cone_masks", lambda: {
             sum(1 << i for i in c): c for c in self.cones})
+
+    def subset_index(self):
+        """None unless every ray is a `subset_vector`; then two tuples of
+        bitsets over ray indices, for `locate`: per element of E~ the rays
+        whose subsets contain it, and per ray the rays whose subsets strictly
+        contain its subset.  Memoized."""
+        def build():
+            masks = [subset_mask(r) for r in self.rays]
+            return None if None in masks else (
+                tuple(sum(1 << j for j, T in enumerate(masks) if T >> e & 1)
+                      for e in range(self.ambient_dim + 1)),
+                tuple(sum(1 << j for j, U in enumerate(masks) if U != T and U & T == T)
+                      for T in masks))
+
+        return memoized(self, "subset_index", build)
+
+    def walls(self):
+        """Each wall, a maximal cone less one ray u, mapped to its (cone, u)
+        pairs in the order of `maximal_cones`; memoized."""
+        def build():
+            table = {}
+            for c in self.maximal_cones():
+                for u in c:
+                    table.setdefault(c - {u}, []).append((c, u))
+            return table
+
+        return memoized(self, "walls", build)
 
     def cones_as_ray_sets(self):
         """Canonical form for cross-construction comparison."""
@@ -129,7 +143,8 @@ def nested_set_fan(building):
 
 def bergman_fan(G):
     """The Bergman fan of (G.base, G) via nested sets of the lifted building
-    set, memoized on G, so its callers share the cone locators cached on it."""
+    set, memoized on G, so its callers share the cone locators and wall
+    table memoized on it."""
     return memoized(G, "fan", lambda: nested_set_fan(lifted_building_set(G)))
 
 
@@ -186,8 +201,6 @@ def boolean_bergman_fan(proj):
     E and the singletons of fibers of two or more elements.  A chain grows
     by the proper nonempty submasks of its top's complement, so each chain,
     and each S (a proper submask per fiber), is built once as ray indices."""
-    if not isinstance(proj, ProjectionMap):
-        proj = ProjectionMap(proj)
     n, m = proj.n, proj.m
     full = (1 << n) - 1
     subsets = [proj.preimage(F) for F in range(1, full)]
@@ -215,7 +228,8 @@ def boolean_bergman_fan(proj):
 
 
 def _locator(fan, cone):
-    """Integer data that locate points in a simplicial cone, cached on the fan.
+    """Integer data that locate points in a simplicial cone, memoized in the
+    fan's `_memo` under the cone itself.
 
     Returns (rows, adj, det, rest).  The k x k submatrix B of the ray
     matrix (rays as columns) on the coordinates `rows` is invertible,
@@ -223,7 +237,7 @@ def _locator(fan, cone):
     of det B folded in).  `rest` pairs every other coordinate i with the
     i-th entries of the rays.  Raises ValueError if the rays are dependent.
     """
-    loc = fan.locators.get(cone)
+    loc = fan._memo.get(cone)
     if loc is not None:
         return loc
     rays = fan.cone_rays(cone)
@@ -238,7 +252,7 @@ def _locator(fan, cone):
     adj = tuple(tuple(sign * M[s][d + t] for s in range(k)) for t in range(k))
     rest = tuple((i, tuple(r[i] for r in rays)) for i in range(d) if i not in rows)
     loc = (tuple(rows), adj, sign * det, rest)
-    fan.locators[cone] = loc
+    fan._memo[cone] = loc
     return loc
 
 
@@ -284,7 +298,7 @@ def locate(fan, W):
     increasing order, the rays that meet one first at a level are those
     whose minimum is that level's value.
     """
-    index = fan.subset_index
+    index = fan.subset_index()
     if index is None:
         return None
     contain, supersets = index
@@ -351,13 +365,13 @@ def stellar_certificate(fine, coarse):
     """True when `fine` is certified to come from `coarse` by stellar
     subdivisions, so that both have the same support; False decides nothing.
 
-    `fine` needs a `subset_index` and every ray of `coarse`, whose cones
-    must be face-closed.  K starts as the cones of `coarse`, V as its ray
-    subsets.  Each other ray subset X of `fine`, largest first (ties by
-    mask), has as factors F the maximal members of V inside X and needs
-    r_X = sum of r_Y over Y in F (F partitions X) and F in K.  Then
-    K <- {t in K : F not in t} + {t + X : t in K, F not in t, t + F in K}
-    and X joins V.  At the end K must be the cones of `fine`.
+    Every ray of `fine` must be a `subset_vector`, and among them every ray
+    of `coarse`, whose cones must be face-closed.  K starts as the cones of
+    `coarse`, V as its ray subsets.  Each other ray subset X of `fine`,
+    largest first (ties by mask), has as factors F the maximal members of V
+    inside X and needs r_X = sum of r_Y over Y in F (F partitions X) and F
+    in K.  Then K <- {t in K : F not in t} + {t + X : t in K, F not in t,
+    t + F in K} and X joins V.  At the end K must be the cones of `fine`.
 
     Why: r_X is in the relative interior of cone(F), so t + X lies in the
     old cone t + F; and a cone s of K containing F is the union of the new
@@ -369,12 +383,12 @@ def stellar_certificate(fine, coarse):
     why the replay succeeds for building sets G inside G'.
     """
     index = [fine.ray_index.get(r) for r in coarse.rays]
-    if fine.subset_index is None or None in index:
+    at = {subset_mask(r): i for i, r in enumerate(fine.rays)}
+    if None in index or None in at:
         return False
     K = {sum(1 << index[i] for i in c) for c in coarse.cones}
     if not all(t ^ 1 << i in K for t in K for i in elements(t)):
         return False
-    at = {subset_mask(r): i for i, r in enumerate(fine.rays)}
     present = {subset_mask(r) for r in coarse.rays}
     for X in sorted(at.keys() - present, key=lambda T: (-T.bit_count(), T)):
         factors = [at[Y] for Y in _max_members_below(present, X)]
@@ -479,16 +493,6 @@ def _has_positive_circuit(A):
     return False
 
 
-def walls(maxes):
-    """Each wall, a cone of `maxes` less one ray u, mapped to its (cone, u)
-    pairs in the order of `maxes`."""
-    table = {}
-    for c in maxes:
-        for u in c:
-            table.setdefault(c - {u}, []).append((c, u))
-    return table
-
-
 def complete_fan_certificate(fan):
     """True when the maximal cones are certified to form a complete fan, so
     that any two meet in the cone over their common rays; False decides
@@ -522,7 +526,7 @@ def complete_fan_certificate(fan):
         locators = [_locator(fan, c) for c in maxes]
     except ValueError:
         return False
-    for sides in walls(maxes).values():
+    for sides in fan.walls().values():
         if len(sides) != 2:
             return False
         (c, u), (_, v) = sides
@@ -593,7 +597,7 @@ def balancing_check(fan):
     d = len(next(iter(maxes)))
     if any(len(c) != d for c in maxes):
         raise ValueError("fan is not pure")
-    for tau, sides in walls(maxes).items():
+    for tau, sides in fan.walls().items():
         if tau not in fan.cones:
             continue
         total = [sum(col) for col in zip(*(fan.rays[u] for _, u in sides))]
@@ -606,14 +610,12 @@ def balancing_check(fan):
     return True
 
 
-def validate_fan(fan, expected_max_dim=None, ambient=None):
+def validate_fan(fan, expected_max_dim, ambient=None):
     """Run the structural validators; returns a dict of named booleans."""
-    report = {
+    return {
         "unimodular": is_unimodular(fan),
         "face_closed": is_face_closed(fan),
         "pairwise_faces": pairwise_intersections_are_faces(fan, ambient),
         "balanced": balancing_check(fan),
+        "max_dim": fan.max_dim == expected_max_dim,
     }
-    if expected_max_dim is not None:
-        report["max_dim"] = fan.max_dim == expected_max_dim
-    return report

@@ -19,7 +19,7 @@ generator set is a Groebner basis (the tests reduce every S-pair).
 from . import linalg
 from .building import BuildingSet
 from .chow import pairing_det, pairing_matrix, poly_mul
-from .fan import bergman_fan, nested_set_fan, subset_vector, walls
+from .fan import bergman_fan, nested_set_fan, subset_vector
 from .polymatroid import ProjectionMap, boolean_polymatroid, memoized
 
 
@@ -98,7 +98,7 @@ def is_strictly_convex(fan, values):
     maxes = fan.maximal_cones()
     if any(len(c) != d for c in maxes):
         raise ValueError("fan is not complete (a maximal cone is not full-dimensional)")
-    for tau, sides in walls(maxes).items():
+    for tau, sides in fan.walls().items():
         if len(sides) != 2:
             raise ValueError("fan is not complete (wall not shared by two cones)")
         (_, u), (_, u2) = sides

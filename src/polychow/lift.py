@@ -74,19 +74,10 @@ class MultisymMatroid(Ground):
 
         return memoized(self, "flats", bfs)
 
-    def geometric_part(self, S_mask):
-        """Union of the fibers entirely contained in S."""
-        out = 0
-        for fm in self.proj.fiber_masks:
-            if S_mask & fm == fm:
-                out |= fm
-        return out
-
-    def is_geometric(self, S_mask):
-        return self.geometric_part(S_mask) == S_mask
-
     def geometric_flats(self):
-        return tuple(f for f in self.flats() if self.is_geometric(f))
+        """The flats that are unions of fibers."""
+        fibers = self.proj.fiber_masks
+        return tuple(f for f in self.flats() if all(f & fm in (0, fm) for fm in fibers))
 
     def __repr__(self):
         return "MultisymMatroid(base=%r, fibers=%r)" % (self.base, self.proj.fiber_sizes)

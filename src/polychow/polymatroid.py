@@ -193,7 +193,5 @@ class ProjectionMap(Immutable):
 
 def boolean_polymatroid(proj):
     """The Boolean polymatroid B(pi): rank of A is the size of its preimage."""
-    if not isinstance(proj, ProjectionMap):
-        proj = ProjectionMap(proj)
     table = [proj.preimage(a).bit_count() for a in range(1 << proj.n)]
     return Polymatroid(table, validate=False)

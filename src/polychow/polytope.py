@@ -16,8 +16,7 @@ from itertools import permutations, product
 from operator import and_, mul
 
 from .bitsets import elements
-from .fan import walls
-from .polymatroid import Immutable, ProjectionMap, memoized
+from .polymatroid import Immutable, memoized
 
 
 class Polypermutohedron(Immutable):
@@ -30,8 +29,6 @@ class Polypermutohedron(Immutable):
     __slots__ = ("proj", "c", "vertices", "columns", "_memo")
 
     def __init__(self, proj, c=None):
-        if not isinstance(proj, ProjectionMap):
-            proj = ProjectionMap(proj)
         if c is None:
             c = tuple(range(1, proj.n + 1))
         c = tuple(int(x) for x in c)
@@ -54,11 +51,6 @@ class Polypermutohedron(Immutable):
     def __repr__(self):
         return "Polypermutohedron(fibers=%r, c=%r, %d vertices)" % (
             self.proj.fiber_sizes, self.c, len(self.vertices))
-
-
-def embed(w_quotient):
-    """Lift a quotient representative (m-1 coordinates) to R^m, last = 0."""
-    return tuple(w_quotient) + (0,)
 
 
 def minimizing_vertices(Q, w):
@@ -128,10 +120,10 @@ def normal_fan_equals(Q, fan):
     if d == 0:
         return fan.cones == {frozenset()} and len(Q.vertices) == 1
     maxes = fan.maximal_cones()
-    sides = walls(maxes).values()
+    sides = fan.walls().values()
     if not maxes or any(len(c) != d for c in maxes) or any(len(pair) != 2 for pair in sides):
         return False
-    face = [minimizing_vertices(Q, embed(r)) for r in fan.rays]
+    face = [minimizing_vertices(Q, r + (0,)) for r in fan.rays]   # in R^m, last coordinate 0
     vertex = {c: reduce(and_, map(face.__getitem__, c)) for c in maxes}
     return all(v.bit_count() == 1 for v in vertex.values()) and not any(
         vertex[c] & face[u2] or vertex[c2] & face[u] for (c, u), (c2, u2) in sides)

@@ -27,7 +27,7 @@ from polychow.bitsets import elements
 from polychow.chow import Codec, DivisorIndex, _standard_monomials
 from polychow.fan import _locator, _numerators, cone_contains, locate, random_integral_point
 from polychow.polymatroid import memoized
-from polychow.polytope import embed, minimizing_vertices
+from polychow.polytope import minimizing_vertices
 
 # --- rational input: scaled to integers, or reduced over Q -------------------
 
@@ -202,6 +202,11 @@ def minimizers_from_lowest(Q, ranks):
     return reduce(and_, either.values(), (1 << len(Q.vertices)) - 1)
 
 
+def embed(w_quotient):
+    """Lift a quotient representative (m-1 coordinates) to R^m, last = 0."""
+    return tuple(w_quotient) + (0,)
+
+
 def sampled_normal_fan_equals(Q, fan, trials=1000, seed=0):
     """`normal_fan_equals` by Lowest-poset classification plus sampling, as
     it was before the face-and-wall certificate.
@@ -210,7 +215,7 @@ def sampled_normal_fan_equals(Q, fan, trials=1000, seed=0):
     its Lowest poset; representatives of distinct cones must disagree, and
     distinct cones must select distinct minimizing vertex sets, read off
     their Lowest posets by `minimizers_from_lowest`.  With a
-    `fan.subset_index`, a cone's representative counts, per element, the
+    `fan.subset_index()`, a cone's representative counts, per element, the
     ray subsets holding it: its lifted ray sum plus a multiple of (1, ..., 1).
     Sampling part: random rational points, drawn as integers by
     `random_integral_point`, must land in the classification (so the fan
@@ -220,7 +225,8 @@ def sampled_normal_fan_equals(Q, fan, trials=1000, seed=0):
     proj = Q.proj
     if fan.ambient_dim != proj.m - 1:
         raise ValueError("ambient dimension mismatch")
-    contain = fan.subset_index and fan.subset_index[0]
+    index = fan.subset_index()
+    contain = index and index[0]
     minimizers = {}                  # Lowest poset's ranks -> vertex set
     for bits, cone in fan.cone_masks().items():
         if contain:

@@ -116,6 +116,12 @@ def test_hilbert_fixtures():
     assert pair_of(U34, U34_MIN_BUILDING).dp.hilbert() == (1, 1, 1)
 
 
+def test_chow_pair_reads_the_dp_ring_memoized_on_g():
+    pair = pair_of(P3)
+    assert pair.dp is pc.dp_ring(pair.G)
+    assert pc.ChowPair(pair.G).dp is pair.dp
+
+
 def test_hilbert_symmetry():
     for table in (P1, P2, P3, P4 := [0, 2, 2, 4], U34):
         pair = pair_of(table)
@@ -524,8 +530,9 @@ def last_variable_doubled(pair):
 
 def variables_swapped(pair, i, j):
     """The pair with the images of DP variables i and j exchanged."""
-    t = pair._translate
-    t[i], t[j] = t[j], t[i]
+    pair.phi({})                     # builds the translation
+    units = pair._memo["translation"][1]
+    units[i], units[j] = units[j], units[i]
     return pair
 
 
@@ -867,7 +874,8 @@ def guard_bit_phi(pair, poly):
     each field found by the bit length of its guard bit."""
     codec, units = pair.dp.codec, pair.fy.codec.units
     width = codec.field.bit_length()
-    fields = {s + width: (s, units[t]) for s, t in zip(codec.shifts, pair._translate)}
+    translate = [pair.fy.var_index[pair.proj.preimage(f)] for f in pair.dp.var_flats]
+    fields = {s + width: (s, units[t]) for s, t in zip(codec.shifts, translate)}
     out = {}
     for m, c in poly.items():
         support, key = codec.support(codec.check(m)), 0

@@ -110,6 +110,21 @@ def test_building_set_flag(tmp_path, capsys):
     assert json.loads(out)["report"]["hilbert"] == [1, 7, 1]
 
 
+def test_instance_building_set_path_is_refused(tmp_path, capsys, monkeypatch):
+    # a path comes only from --building-set; the instance field is a list
+    # of masks or "maximal"
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "building.json").write_text(json.dumps(U34_MIN_BUILDING))
+    for path in ("building.json", str(tmp_path / "building.json")):
+        inst = write_instance(tmp_path, {"rank": U34, "building_set": path})
+        code, out, err = run(capsys, ["chow", "--instance", inst])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "building set masks must be a list of integers"}
+    inst = write_instance(tmp_path, {"rank": U34, "building_set": "maximal"})
+    code, out, _ = run(capsys, ["chow", "--instance", inst])
+    assert code == 0 and json.loads(out)["report"]["hilbert"] == [1, 7, 1]
+
+
 def test_invalid_building_set(tmp_path, capsys):
     inst = write_instance(tmp_path, {"n": 2, "rank": P2,
                                      "building_set": [3]})

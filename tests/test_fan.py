@@ -615,7 +615,7 @@ def subset_vector_fans_missing_rays():
 def test_locate_matches_scans_on_fixture_fans():
     rng = Random(5)
     for fan in nested_set_fixture_fans():
-        assert fan.subset_index is not None
+        assert fan.subset_index() is not None
         for cone in sorted(fan.cones, key=sorted):
             for w in probe_points(rng, fan, cone):
                 found = scan_find_cone(fan, w)
@@ -672,7 +672,7 @@ def test_locate_matches_the_level_set_reference():
 def set_locate(fan, W):
     """locate as it was before the ray bitmask: the cone gathered as a set
     of ray indices, level by level, and looked up in `fan.cones`."""
-    index = fan.subset_index
+    index = fan.subset_index()
     if index is None:
         return None
     contain, supersets = index
@@ -695,7 +695,7 @@ def test_bitmask_locate_matches_the_set_reference():
     fans += random_collections()
     indexed = checked = located = 0
     for fan in fans:
-        indexed += fan.subset_index is not None
+        indexed += fan.subset_index() is not None
         for cone in sorted(fan.cones, key=sorted):
             for w in probe_points(rng, fan, cone):
                 W = integral(w)[0]
@@ -721,7 +721,7 @@ def test_unconfirmed_candidates_fall_back_to_the_scan():
     rng = Random(8)
     unconfirmed = 0
     for fan in subset_vector_fans_missing_rays():
-        assert fan.subset_index is not None
+        assert fan.subset_index() is not None
         points = [w for cone in fan.cones for w in probe_points(rng, fan, cone)]
         points += [random_point(rng, fan.ambient_dim, spread=5) for _ in range(40)]
         for w in points:
@@ -740,7 +740,7 @@ def test_scan_path_without_a_subset_index():
     assert len(fans) >= 10
     verdicts = set()
     for fan in fans:
-        assert fan.subset_index is None
+        assert fan.subset_index() is None
         for cone in fan.cones:
             for w in probe_points(rng, fan, cone):
                 assert locate(fan, integral(w)[0]) is None
@@ -971,7 +971,7 @@ def test_stellar_certificate_rejects_overlapping_factors():
     r01, r12, r012 = (subset_vector(X, 4) for X in (0b011, 0b110, 0b111))
     coarse = pc.Fan(3, [r01, r12], face_closure([{0, 1}]))
     fine = pc.Fan(3, [r01, r12, r012], face_closure([{0, 2}, {1, 2}]))
-    assert coarse.subset_index is not None and fine.subset_index is not None
+    assert coarse.subset_index() is not None and fine.subset_index() is not None
     assert pc.in_support(fine, r012) and not pc.in_support(coarse, r012)
     assert not stellar_certificate(fine, coarse)
 

@@ -45,6 +45,16 @@ def test_no_module_imports_fractions():
             if "fractions" in absolute_imports(path)] == []
 
 
+def test_no_module_imports_cached_property():
+    # `polymatroid.memoized` is the one memo mechanism: each structure keeps
+    # what derives from it in its own `_memo`; this catches the name
+    # imported from functools and `functools.cached_property` alike
+    assert [path.name for path in MODULES + [PACKAGE / "__init__.py"]
+            if any(getattr(node, "name", None) == "cached_property"
+                   or getattr(node, "attr", None) == "cached_property"
+                   for node in ast.walk(ast.parse(path.read_text())))] == []
+
+
 def test_every_module_level_definition_is_referenced_elsewhere_in_src():
     # a function or class that only the tests reach belongs in the tests
     nodes = [node for path in MODULES for node in ast.parse(path.read_text()).body]
@@ -54,7 +64,7 @@ def test_every_module_level_definition_is_referenced_elsewhere_in_src():
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not any(node.name in used for other, used in zip(nodes, names)
                                 if other is not node)}
-    # ROADMAP item 4 plans to compare verify-all's fan with this third
+    # ROADMAP item 2 plans to compare verify-all's fan with this third
     # construction; until then only the tests call it
     assert unreferenced == {"maximal_bergman_fan_direct"}, sorted(unreferenced)
 

@@ -110,6 +110,19 @@ def test_rank_one_has_no_walls_and_passes():
                       "hodge_riemann_k0": True}
 
 
+def test_balancing_and_strict_convexity_share_one_wall_table():
+    # maximal G on a Boolean P: the lift is free, so the memoized Bergman fan
+    # is its own ambient fan, and both checks read the wall table built once
+    G = pc.maximal_building_set(pc.boolean_polymatroid(pc.ProjectionMap((2, 1))))
+    fan = pc.bergman_fan(G)
+    assert "walls" not in fan._memo
+    assert pc.balancing_check(fan)
+    table = fan._memo["walls"]
+    ambient, values, _ = nestohedron_class(pc.ChowPair(G))
+    assert ambient is fan and pc.is_strictly_convex(fan, values)
+    assert fan._memo["walls"] is table
+
+
 def test_top_self_intersection_is_positive():
     for table, members in FIXTURES:
         pair = pair_of(table, members)

@@ -85,18 +85,28 @@ def test_closure_examples():
     M = pc.lift(pc.Polymatroid(P2))
     assert M.closure(0) == 0
     assert M.closure(0b011) == M.full_mask   # fiber-0 element + one fiber-1 element
-    geoms = [S for S in range(8) if M.is_geometric(S)]
+    geoms = [S for S in range(8) if geometric_part(M, S) == S]
     for S in geoms:
-        assert M.is_geometric(M.closure(S))
+        C = M.closure(S)
+        assert geometric_part(M, C) == C
+
+
+def geometric_part(M, S_mask):
+    """Union of the fibers entirely contained in S."""
+    return sum(fm for fm in M.proj.fiber_masks if S_mask & fm == fm)
 
 
 def test_geometric_part():
     M = pc.lift(pc.Polymatroid(P2))
-    assert M.geometric_part(M.full_mask) == M.full_mask
-    assert M.geometric_part(0b010) == 0      # half of the 2-fiber drops out
+    assert geometric_part(M, M.full_mask) == M.full_mask
+    assert geometric_part(M, 0b010) == 0      # half of the 2-fiber drops out
     for A in range(4):
         pre = M.proj.preimage(A)
-        assert M.geometric_part(pre) == pre
+        assert geometric_part(M, pre) == pre
+    # the geometric flats are the flats equal to their geometric part
+    for table in (P2, P3, P4):
+        M = pc.lift(pc.Polymatroid(table))
+        assert M.geometric_flats() == tuple(F for F in M.flats() if geometric_part(M, F) == F)
 
 
 def test_geometric_flat_lattice():
@@ -119,7 +129,7 @@ def test_geometric_flats_of_p2():
 def test_flat_rank_geometric_identity():
     M = pc.lift(pc.Polymatroid(P3))
     for F in M.flats():
-        geo = M.geometric_part(F)
+        geo = geometric_part(M, F)
         assert M.rank(F) == M.rank(geo) + bin(F & ~geo).count("1")
 
 

@@ -9,35 +9,35 @@ import pytest
 import polychow as pc
 from polychow import linalg, polytope
 from polychow.bitsets import elements
-from polychow.polytope import embed, minimizing_vertices
+from polychow.polytope import minimizing_vertices
 import oracles
 from conftest import BOOLEAN_FIBERS, all_partitions_m6
-from oracles import (integral, lowest_poset, lowest_ranks, minimizers_from_lowest,
+from oracles import (embed, integral, lowest_poset, lowest_ranks, minimizers_from_lowest,
                      sampled_normal_fan_equals)
 
 
 def test_vertices_two_singleton_fibers():
-    Q = pc.Polypermutohedron((1, 1), c=(1, 2))
+    Q = pc.Polypermutohedron(pc.ProjectionMap((1, 1)), c=(1, 2))
     assert set(Q.vertices) == {(1, 2), (2, 1)}
 
 
 def test_vertices_single_fiber_of_size_two():
-    Q = pc.Polypermutohedron((2,), c=(1,))
+    Q = pc.Polypermutohedron(pc.ProjectionMap((2,)), c=(1,))
     assert set(Q.vertices) == {(1, 0), (0, 1)}
 
 
 def test_vertices_mixed_fibers():
-    Q = pc.Polypermutohedron((1, 2), c=(1, 2))
+    Q = pc.Polypermutohedron(pc.ProjectionMap((1, 2)), c=(1, 2))
     assert set(Q.vertices) == {(1, 2, 0), (1, 0, 2), (2, 1, 0), (2, 0, 1)}
 
 
 def test_c_must_be_strictly_increasing():
     with pytest.raises(ValueError):
-        pc.Polypermutohedron((1, 1), c=(2, 1))
+        pc.Polypermutohedron(pc.ProjectionMap((1, 1)), c=(2, 1))
     with pytest.raises(ValueError):
-        pc.Polypermutohedron((1, 1), c=(1, 1))
+        pc.Polypermutohedron(pc.ProjectionMap((1, 1)), c=(1, 1))
     with pytest.raises(ValueError):
-        pc.Polypermutohedron((1, 1), c=(1,))
+        pc.Polypermutohedron(pc.ProjectionMap((1, 1)), c=(1,))
 
 
 def test_lowest_poset_examples():
@@ -67,7 +67,7 @@ def vertices_of(Q, bits):
 def test_minimizer_decreasing_orientation():
     # weights (0, 1, 2) with c = (1, 2, 3): the largest coefficient goes
     # to the lowest weight, so the unique minimizer is (3, 2, 1)
-    Q = pc.Polypermutohedron((1, 1, 1), c=(1, 2, 3))
+    Q = pc.Polypermutohedron(pc.ProjectionMap((1, 1, 1)), c=(1, 2, 3))
     w = (0, 1, 2)
     assert vertices_of(Q, minimizing_vertices(Q, w)) == {(3, 2, 1)}
     assert vertices_of(Q, minimizers_from_lowest(Q, lowest_ranks(Q.proj, w))) == {(3, 2, 1)}
@@ -77,7 +77,7 @@ def test_minimizer_decreasing_orientation():
 def test_minimizer_predicate_matches_brute_force():
     rng = Random(11)
     for fibers in BOOLEAN_FIBERS:
-        Q = pc.Polypermutohedron(fibers)
+        Q = pc.Polypermutohedron(pc.ProjectionMap(fibers))
         m = sum(fibers)
         for _ in range(100):
             w = tuple(Fraction(rng.randrange(-30, 31), rng.randrange(1, 5))
@@ -140,7 +140,7 @@ def test_minimizing_vertices_matches_the_reference_scan():
         n, m = len(fibers), sum(fibers)
         # c starting at 0 makes transversals share vertices
         for c in (None, tuple(range(0, 3 * n, 3))):
-            Q = pc.Polypermutohedron(fibers, c=c)
+            Q = pc.Polypermutohedron(pc.ProjectionMap(fibers), c=c)
             shared += len(Q.vertices) < len(oracles.vertex_of(Q))
             points = [tuple(Fraction(rng.randrange(-30, 31), rng.randrange(1, 5))
                             for _ in range(m)) for _ in range(10)]
@@ -184,7 +184,7 @@ def test_position_masks_match_the_enumeration():
         # c starting at 0 gives vertices several transversals
         fiber_of = oracles.fiber_of(pc.ProjectionMap(fibers))
         for c in (None, tuple(range(0, 3 * n, 3))):
-            Q = pc.Polypermutohedron(fibers, c=c)
+            Q = pc.Polypermutohedron(pc.ProjectionMap(fibers), c=c)
             # tie-heavy points first: ties within and across fibers
             points = [tuple(rng.randrange(-1, 2) for _ in range(m)) for _ in range(16)]
             points += [tuple(rng.randrange(-20, 21) for _ in range(m)) for _ in range(4)]
@@ -198,7 +198,7 @@ def test_position_masks_match_the_enumeration():
                 shared_blocks += len(fiber_ranks) > len({r for _, r in fiber_ranks})
                 several += bits.bit_count() > 1
     # n = 0 has its one empty vertex
-    assert minimizers_from_lowest(pc.Polypermutohedron(()), ()) == 1
+    assert minimizers_from_lowest(pc.Polypermutohedron(pc.ProjectionMap(())), ()) == 1
     # rank blocks held by several fibers, and several minimizers, are common
     assert shared_blocks > 500 and several > 500
 
@@ -210,10 +210,10 @@ def test_packed_lanes_on_both_sides_of_the_lane_bound():
     rng = Random(23)
     cases = []
     # one fiber of size two: the vertex (0, 1) takes the value max(x) * 1
-    Q = pc.Polypermutohedron((2,), c=(1,))
+    Q = pc.Polypermutohedron(pc.ProjectionMap((2,)), c=(1,))
     cases += [(Q, (0, 2**64 - 1)), (Q, (0, 2**64)), (Q, (5, 2**64 + 4))]
     for fibers, c in (((1, 1, 2), (1, 4, 10)), ((2, 2, 1), (0, 2, 3)), ((1, 1, 1, 1), (1, 2, 3, 9))):
-        Q = pc.Polypermutohedron(fibers, c=c)
+        Q = pc.Polypermutohedron(pc.ProjectionMap(fibers), c=c)
         total, m = sum(c), Q.proj.m
         for top in ((2**64 - 1) // total, 2**64 // total + 1, 2**64 - 1):
             for _ in range(20):
@@ -222,13 +222,13 @@ def test_packed_lanes_on_both_sides_of_the_lane_bound():
                 x[rng.randrange(m)] = 0
                 low = rng.randrange(-2**70, 2**70)
                 cases.append((Q, tuple(a + low for a in x)))
-    Q = pc.Polypermutohedron((1, 2, 1), c=(1, 2, 2**64))
+    Q = pc.Polypermutohedron(pc.ProjectionMap((1, 2, 1)), c=(1, 2, 2**64))
     cases += [(Q, w) for w in ((0,) * 4, (1, 0, 0, 0), (0, 3, 1, 2), (2, 2, 1, 1))]
     for Q, w in cases:
         assert vertices_of(Q, minimizing_vertices(Q, w)) == \
             column_sum_minimizing_vertices(Q, w), (Q, w)
     # the exact bound itself: the single lane at 2^64 - 1, then one past it
-    Q = pc.Polypermutohedron((2,), c=(1,))
+    Q = pc.Polypermutohedron(pc.ProjectionMap((2,)), c=(1,))
     assert vertices_of(Q, minimizing_vertices(Q, (2**64 - 1, 0))) == {(0, 1)}
     assert vertices_of(Q, minimizing_vertices(Q, (0, 2**64))) == {(1, 0)}
 
@@ -243,8 +243,8 @@ def test_one_argmin_per_ray(monkeypatch):
 
     monkeypatch.setattr(polytope, "minimizing_vertices", counting)
     for fibers in ((1, 1), (1, 2), (2, 2), (1, 1, 2), (1, 1, 1, 1)):
-        Q = pc.Polypermutohedron(fibers)
-        fan = pc.boolean_bergman_fan(pc.ProjectionMap(fibers))
+        Q = pc.Polypermutohedron(pc.ProjectionMap(fibers))
+        fan = pc.boolean_bergman_fan(Q.proj)
         calls.clear()
         assert pc.normal_fan_equals(Q, fan)
         assert calls == [embed(r) for r in fan.rays], fibers
@@ -280,18 +280,19 @@ def certificate_cases():
         for c in [None] + other_weights(len(fibers), rng):
             cases.append((pc.Polypermutohedron(proj, c=c), fan))
     for fibers in ((1, 1), (1, 2), (2, 2), (1, 1, 2)):
-        Q = pc.Polypermutohedron(fibers)
-        fan = pc.boolean_bergman_fan(pc.ProjectionMap(fibers))
+        Q = pc.Polypermutohedron(pc.ProjectionMap(fibers))
+        fan = pc.boolean_bergman_fan(Q.proj)
         # doubled rays are no indicator vectors: the oracle reads ray sums
         doubled = pc.Fan(fan.ambient_dim, [[2 * x for x in r] for r in fan.rays], fan.cones)
         cases += [(Q, doubled), (Q, drop_one_maximal_cone(fan))]
     # the fan of another fiber structure on the same ground set
     shapes = [(1, 2), (2, 1)] + [f for f in partitions if sum(f) <= 4]
-    cases += [(pc.Polypermutohedron(a), pc.boolean_bergman_fan(pc.ProjectionMap(b)))
+    cases += [(pc.Polypermutohedron(pc.ProjectionMap(a)),
+               pc.boolean_bergman_fan(pc.ProjectionMap(b)))
               for a in shapes for b in shapes if a != b and sum(a) == sum(b)]
     # B(1): d = 0, one vertex and the one empty cone
-    cases += [(pc.Polypermutohedron((1,)), pc.boolean_bergman_fan(pc.ProjectionMap((1,)))),
-              (pc.Polypermutohedron((1,)), pc.Fan(0, [], []))]
+    point = pc.Polypermutohedron(pc.ProjectionMap((1,)))
+    cases += [(point, pc.boolean_bergman_fan(point.proj)), (point, pc.Fan(0, [], []))]
     return cases
 
 
@@ -318,7 +319,7 @@ def complete_fan_reference(Q, fan):
     vertex = {c: reduce(and_, map(face.__getitem__, c)) for c in fan.maximal_cones()}
     return all(v.bit_count() == 1 for v in vertex.values()) and not any(
         vertex[c] & face[u2] or vertex[c2] & face[u]
-        for (c, u), (c2, u2) in pc.fan.walls(fan.maximal_cones()).values())
+        for (c, u), (c2, u2) in fan.walls().values())
 
 
 def dependent_maximal_cone(fan):
@@ -336,13 +337,13 @@ def refused_collections():
     only, a line (two opposite rays, whose one wall, the zero cone, lies in
     both), d dependent rays in a maximal cone, and a wall in three maximal
     cones."""
-    Q = pc.Polypermutohedron((1, 1, 1))
+    Q = pc.Polypermutohedron(pc.ProjectionMap((1, 1, 1)))
     hexagon = pc.boolean_bergman_fan(Q.proj)
     n = len(hexagon.rays)
     chord = next(frozenset({0, k}) for k in range(n)
                  if frozenset({0, k}) not in hexagon.cones
                  and linalg.det([hexagon.rays[0], hexagon.rays[k]]))
-    Q4 = pc.Polypermutohedron((1, 1, 1, 1))
+    Q4 = pc.Polypermutohedron(pc.ProjectionMap((1, 1, 1, 1)))
     return {"empty": (Q, pc.Fan(2, [], [])),
             "rays only": (Q, pc.Fan(2, hexagon.rays, [set()] + [{i} for i in range(n)])),
             "line": (Q, pc.Fan(2, [(1, 0), (-1, 0)], [set(), {0}, {1}])),
@@ -353,7 +354,7 @@ def refused_collections():
 def test_certificate_matches_the_complete_fan_reference():
     refused = refused_collections()
     three = refused["three cones"][1]
-    assert any(len(sides) == 3 for sides in pc.fan.walls(three.maximal_cones()).values())
+    assert any(len(sides) == 3 for sides in three.walls().values())
     for name, (Q, fan) in refused.items():
         assert not complete_fan_reference(Q, fan), name
         assert not pc.normal_fan_equals(Q, fan), name
@@ -372,7 +373,7 @@ def det_certificate_reference(Q, fan):
     if d == 0:
         return fan.cones == {frozenset()} and len(Q.vertices) == 1
     maxes = fan.maximal_cones()
-    sides = pc.fan.walls(maxes).values()
+    sides = fan.walls().values()
     if not maxes or any(len(pair) != 2 for pair in sides) or any(
             len(c) != d or not linalg.det(fan.cone_rays(c)) for c in maxes):
         return False
@@ -396,7 +397,7 @@ def test_dependent_maximal_cone_is_refused_without_a_determinant(monkeypatch):
     # (i) holds on this collection and no determinant is taken: (b) or (c)
     # refuses it, as the independence step of the proof says
     Q, fan = refused_collections()["dependent"]
-    assert all(len(sides) == 2 for sides in pc.fan.walls(fan.maximal_cones()).values())
+    assert all(len(sides) == 2 for sides in fan.walls().values())
     assert not linalg.det(fan.cone_rays(min(fan.maximal_cones(), key=sorted)))
     calls = []
     shipped = linalg.det
@@ -407,20 +408,30 @@ def test_dependent_maximal_cone_is_refused_without_a_determinant(monkeypatch):
 
 def test_normal_fan_equality():
     for fibers in ((1, 1), (1, 2), (2, 2)):
-        Q = pc.Polypermutohedron(fibers)
-        fan = pc.boolean_bergman_fan(pc.ProjectionMap(fibers))
+        Q = pc.Polypermutohedron(pc.ProjectionMap(fibers))
+        fan = pc.boolean_bergman_fan(Q.proj)
         assert pc.normal_fan_equals(Q, fan)
         # doubled rays: the same cones, with rays that are no indicator vectors
         doubled = pc.Fan(fan.ambient_dim, [[2 * x for x in r] for r in fan.rays], fan.cones)
-        assert doubled.subset_index is None
+        assert doubled.subset_index() is None
         assert pc.normal_fan_equals(Q, doubled)
+
+
+def test_validators_and_the_normal_fan_check_build_no_subset_index():
+    # only `locate` and `stellar_certificate` read ray subsets
+    for fibers in ((1, 2), (1, 1, 1)):
+        Q = pc.Polypermutohedron(pc.ProjectionMap(fibers))
+        fan = pc.boolean_bergman_fan(Q.proj)
+        assert all(pc.validate_fan(fan, expected_max_dim=fan.ambient_dim).values())
+        assert pc.normal_fan_equals(Q, fan)
+        assert "subset_index" not in fan._memo
 
 
 def test_normal_fan_rejects_where_one_vertex_minimizes_both_sides_of_a_wall():
     # with c_1 = 0 some maximal cones have one vertex each, but a vertex
     # is shared across a wall: only the wall test rejects, as the sampled
     # oracle does
-    Q = pc.Polypermutohedron((1, 1, 2), c=(0, 1, 2))
+    Q = pc.Polypermutohedron(pc.ProjectionMap((1, 1, 2)), c=(0, 1, 2))
     fan = pc.boolean_bergman_fan(Q.proj)
     face = [minimizing_vertices(Q, embed(r)) for r in fan.rays]
     assert all(reduce(and_, map(face.__getitem__, c)).bit_count() == 1
@@ -450,8 +461,8 @@ def first_minimizer_per_fiber(Q, ranks):
 ])
 def test_normal_fan_rejects_a_wrong_characterization(monkeypatch, wrong, fans):
     # the sampled oracle must notice a wrong Lowest-poset characterization
-    cases = [(pc.Polypermutohedron(fibers), pc.boolean_bergman_fan(pc.ProjectionMap(fibers)))
-             for fibers in fans]
+    polytopes = [pc.Polypermutohedron(pc.ProjectionMap(fibers)) for fibers in fans]
+    cases = [(Q, pc.boolean_bergman_fan(Q.proj)) for Q in polytopes]
     for Q, fan in cases:
         assert sampled_normal_fan_equals(Q, fan, trials=50, seed=3)
     monkeypatch.setattr(oracles, "minimizers_from_lowest", wrong)
@@ -463,13 +474,13 @@ def test_normal_fan_rejects_a_wrong_characterization(monkeypatch, wrong, fans):
 def test_normal_fan_differs_across_projections():
     # the fan of one projection is not the normal fan of a polytope built
     # from a different fiber structure on the same ground set
-    Q = pc.Polypermutohedron((1, 2))
+    Q = pc.Polypermutohedron(pc.ProjectionMap((1, 2)))
     other = pc.boolean_bergman_fan(pc.ProjectionMap((2, 1)))
     assert not pc.normal_fan_equals(Q, other)
 
 
 def test_normal_fan_dimension_mismatch():
-    Q = pc.Polypermutohedron((1, 1))
+    Q = pc.Polypermutohedron(pc.ProjectionMap((1, 1)))
     fan = pc.boolean_bergman_fan(pc.ProjectionMap((1, 1, 1)))
     with pytest.raises(ValueError):
         pc.normal_fan_equals(Q, fan)
@@ -504,6 +515,8 @@ def test_nestohedron_support_additive_in_members():
 
 
 def test_embed():
+    # the oracles' lift of a quotient point; `normal_fan_equals` appends the
+    # same 0 to each ray itself
     assert embed((1, 2)) == (1, 2, 0)
 
 
@@ -555,7 +568,7 @@ def test_rank_form_lowest_poset_and_vertex_table_match_the_references():
     rng = Random(19)
     equal_pairs = unequal_pairs = 0
     for fibers in BOOLEAN_FIBERS + [(1, 1, 1, 1, 1)]:
-        Q = pc.Polypermutohedron(fibers)
+        Q = pc.Polypermutohedron(pc.ProjectionMap(fibers))
         m = Q.proj.m
         # few distinct values, so ties within and across fibers are common
         points = [tuple(rng.randrange(-2, 3) for _ in range(m)) for _ in range(40)]

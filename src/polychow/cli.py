@@ -48,17 +48,21 @@ class ArgumentParser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def load_instance(path):
+def read_json(path, what):
+    """The JSON value in the file at `path`; `what` names the file in the
+    error when it cannot be read."""
     try:
         with open(path) as fh:
-            text = fh.read()
+            return json.load(fh)
     except OSError as exc:
-        raise CliError("cannot read instance: %s" % exc)
-    try:
-        data = json.loads(text)
+        raise CliError("cannot read %s: %s" % (what, exc))
     except json.JSONDecodeError as exc:
         raise CliError("malformed JSON at line %d column %d: %s"
                        % (exc.lineno, exc.colno, exc.msg))
+
+
+def load_instance(path):
+    data = read_json(path, "instance")
     if not isinstance(data, dict) or "rank" not in data:
         raise CliError("instance must be an object with a rank field")
     return data
@@ -90,14 +94,7 @@ def resolve_building_set(P, data, flag):
     if source == "maximal":
         return maximal_building_set(P)
     if flag is not None:
-        try:
-            with open(flag) as fh:
-                source = json.load(fh)
-        except OSError as exc:
-            raise CliError("cannot read building set: %s" % exc)
-        except json.JSONDecodeError as exc:
-            raise CliError("malformed JSON at line %d column %d: %s"
-                           % (exc.lineno, exc.colno, exc.msg))
+        source = read_json(flag, "building set")
     integer_list(source, "building set masks")
     try:
         return BuildingSet(P, source)
@@ -155,14 +152,7 @@ def cmd_lift_rank(P, args):
 
 
 def cmd_geometric_flats(P, args):
-    """The preimage map of `geometric_flat_lattice` keeps and reflects
-    inclusion, so it is a lattice isomorphism when it keeps joins.  The
-    join of mapping[f] and mapping[g] is the closure of the preimage of
-    f | g, so it is checked once per distinct union."""
-    M = lift(P)
-    flats, geo, mapping = geometric_flat_lattice(M)
-    iso = all(M.closure(M.proj.preimage(u)) == mapping[P.closure(u)]
-              for u in {f | g for f in flats for g in flats})
+    flats, geo, _, iso = geometric_flat_lattice(lift(P))
     return {"base_flats": len(flats), "geometric_flats": list(geo),
             "isomorphic": iso}, iso
 

@@ -8,6 +8,9 @@ Its rank is a minimum over subsets of the *base* ground set:
 which makes it cheap to evaluate even though the lifted ground set is
 larger.  The product of fiber symmetric groups is never materialized:
 orbits of subsets depend only on per-fiber counts.
+
+Its geometric flats, the flats that are unions of fibers, are decided
+from the covers of P's flats, never by enumerating the lift's lattice.
 """
 
 from .bitsets import canonical_key
@@ -19,8 +22,7 @@ class MultisymMatroid(Ground):
 
     A `Ground` like `Polymatroid`, so the building-set and fan machinery
     can treat both uniformly.  `_memo` maps each mask met so far to its
-    rank, and string keys to derived structures (its flats and maximal
-    building set).
+    rank; only a direct call of `flats()` on a lift fills its "flats" key.
     """
 
     __slots__ = ("base", "proj", "_memo")
@@ -53,32 +55,6 @@ class MultisymMatroid(Ground):
         memo[S_mask] = best
         return best
 
-    def flats(self):
-        """All flats of the lift, enumerated by closure BFS; memoized."""
-        def bfs():
-            bottom = self.closure(0)
-            seen = {bottom}
-            frontier = [bottom]
-            while frontier:
-                nxt = []
-                for f in frontier:
-                    for e in range(self.n):
-                        bit = 1 << e
-                        if not f & bit:
-                            g = self.closure(f | bit)
-                            if g not in seen:
-                                seen.add(g)
-                                nxt.append(g)
-                frontier = nxt
-            return tuple(sorted(seen, key=canonical_key))
-
-        return memoized(self, "flats", bfs)
-
-    def geometric_flats(self):
-        """The flats that are unions of fibers."""
-        fibers = self.proj.fiber_masks
-        return tuple(f for f in self.flats() if all(f & fm in (0, fm) for fm in fibers))
-
     def __repr__(self):
         return "MultisymMatroid(base=%r, fibers=%r)" % (self.base, self.proj.fiber_sizes)
 
@@ -86,26 +62,27 @@ class MultisymMatroid(Ground):
 def lift(P):
     """The unique minimal multisymmetric lift of a loopless polymatroid,
     built once per P and memoized on it, so every caller shares its rank
-    memo and flats."""
+    memo."""
     return memoized(P, "lift", lambda: MultisymMatroid(P))
 
 
 def geometric_flat_lattice(M):
-    """Geometric flats of the lift together with the base-lattice bijection.
+    """(flats of P = M.base, geometric flats of the lift M sorted by
+    `canonical_key`, the map F -> preimage(F), whether it is a lattice
+    isomorphism onto them).
 
-    Returns (flats_of_P, geometric_flats_of_M, mapping F -> preimage(F)).
-    Raises if some preimage of a base flat fails to be a flat of M, which
-    would indicate an implementation bug.
+    It is one when cl_M(pre(A)) = pre(cl_P(A)) for every A; checking A
+    empty and each cover F + i of a flat F (i not in F) suffices: by
+    induction on A = B + i with F = cl_P(B), cl(cl(X) | Y) = cl(X | Y) on
+    both sides turns cl_M(pre(A)) = pre(cl_P(A)) into the checked cover,
+    or into pre(F) = pre(F) when i is in F.  Then every union of fibers is
+    exactly one preimage pre(A), closed iff A is a flat, and joins are
+    kept, so the geometric flats are the preimages of P's flats.
     """
-    base_flats = M.base.flats()
-    mapping = {}
-    for F in base_flats:
-        pre = M.proj.preimage(F)
-        if not M.is_flat(pre):
-            raise AssertionError(
-                "preimage of base flat %d is not a flat of the lift" % F)
-        mapping[F] = pre
-    geo = M.geometric_flats()
-    if sorted(mapping.values()) != sorted(geo):
-        raise AssertionError("geometric flats do not match base flat preimages")
-    return base_flats, geo, mapping
+    P, pre = M.base, M.proj.preimage
+    flats = P.flats()
+    mapping = {F: pre(F) for F in flats}
+    isomorphic = M.closure(0) == pre(P.closure(0)) and all(
+        M.closure(mapping[F] | fiber) == pre(P.closure(F | 1 << i))
+        for F in flats for i, fiber in enumerate(M.proj.fiber_masks) if not F >> i & 1)
+    return flats, tuple(sorted(mapping.values(), key=canonical_key)), mapping, isomorphic

@@ -20,9 +20,9 @@ class PolymatroidError(ValueError):
 
 
 def memoized(owner, key, build):
-    """owner._memo[key], set to build() on first use.  Memos hang off
-    objects one CLI invocation builds, so they live exactly as long as that
-    invocation's P and G."""
+    """owner._memo[key], set to build() on first use.  Memos hang off the
+    P and G one CLI invocation builds; P's memo holds its lift and maximal
+    building set, whose `base` is P, so the cycle collector frees them."""
     memo = owner._memo
     if key not in memo:
         memo[key] = build()
@@ -43,7 +43,8 @@ class Immutable:
 
 class Ground(Immutable):
     """The rank, closure and flats surface shared by a polymatroid and its
-    lift: a subclass supplies `n`, `rank(mask)` and `flats()`."""
+    lift, one enumeration of flats for both: a subclass supplies `n`,
+    `rank(mask)` and a `_memo` dict, and redefines none of these methods."""
 
     __slots__ = ()
 
@@ -73,6 +74,12 @@ class Ground(Immutable):
 
     def is_flat(self, mask):
         return self.closure(mask) == mask
+
+    def flats(self):
+        """All flats, sorted by (size, numeric value): a test of each of
+        the 2^n subsets, memoized."""
+        return memoized(self, "flats", lambda: tuple(sorted(
+            (m for m in range(1 << self.n) if self.is_flat(m)), key=canonical_key)))
 
 
 class Polymatroid(Ground):
@@ -131,11 +138,6 @@ class Polymatroid(Ground):
 
     def rank(self, mask):
         return self.rank_table[mask]
-
-    def flats(self):
-        """All flats, sorted by (size, numeric value); memoized on P."""
-        return memoized(self, "flats", lambda: tuple(sorted(
-            (m for m in range(1 << self.n) if self.is_flat(m)), key=canonical_key)))
 
     def __eq__(self, other):
         return isinstance(other, Polymatroid) and self.rank_table == other.rank_table

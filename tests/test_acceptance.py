@@ -88,8 +88,11 @@ def test_criterion_02_lattice_isomorphism():
     ok = True
     for P in small_family():
         M = pc.lift(P)
-        flats, geo, mapping = pc.geometric_flat_lattice(M)
-        if sorted(mapping.values()) != sorted(geo):
+        flats, geo, mapping, isomorphic = pc.geometric_flat_lattice(M)
+        # the flats of the whole lift that are unions of fibers
+        fibers = M.proj.fiber_masks
+        if not isomorphic or geo != tuple(
+                F for F in M.flats() if all(F & fm in (0, fm) for fm in fibers)):
             ok = False
         for f in flats:
             for g in flats:

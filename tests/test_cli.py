@@ -59,6 +59,15 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     assert "line 2" in err and "column" in err
 
 
+def test_malformed_building_set_reports_position(tmp_path, capsys):
+    inst = write_instance(tmp_path, {"rank": U34})
+    bset = tmp_path / "building.json"
+    bset.write_text("[1, 2,\n 4, 8,, 15]")
+    code, out, err = run(capsys, ["chow", "--instance", inst, "--building-set", str(bset)])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "malformed JSON at line 2 column 7: Expecting value"}
+
+
 def test_missing_rank_field(tmp_path, capsys):
     path = write_instance(tmp_path, {"n": 2})
     code, out, err = run(capsys, ["validate", "--instance", str(path)])
@@ -352,6 +361,9 @@ K324 = [min(2 * bin(S).count("1"), 4) for S in range(8)]
 # truncation min(B(2,2,1), 4)
 U13_PLUS_U23 = [min(bin(S).count("1"), 1) + min(bin(S).count("1"), 2) for S in range(8)]
 B221_TRUNCATED = [min(x, 4) for x in boolean_table((2, 2, 1))]
+# K(4,2,5) and K(6,2,7), rank(S) = min(2|S|, r): lifts on 8 and 12 elements
+K425 = [min(2 * bin(S).count("1"), 5) for S in range(16)]
+K627 = [min(2 * bin(S).count("1"), 7) for S in range(64)]
 # B(1,1,2) at c = (0, 1, 2): 12 transversals give 10 vertices
 B112_C0 = {"rank": boolean_table((1, 1, 2)), "c": [0, 1, 2]}
 
@@ -398,7 +410,11 @@ B112_C0 = {"rank": boolean_table((1, 1, 2)), "c": [0, 1, 2]}
     (["verify-all", "--trials", "200", "--seed", "1"], {"rank": B221_TRUNCATED},
      "8f5118872e64194517a58feb41e6768f4a0778eacff150ff99c533e4417a1a98"),
     (["verify-all", "--trials", "200", "--seed", "1"], B112_C0,
-     "b793ae7a6938ca336a72183d67c6843bfdcb94b91886d7f0d9e099c0263db19e")])
+     "b793ae7a6938ca336a72183d67c6843bfdcb94b91886d7f0d9e099c0263db19e"),
+    (["geometric-flats"], {"rank": K425},
+     "04e4ad11554ebe90d950ce2c3828ea2bf2c1799530ea2b7b52626fd792144ff8"),
+    (["geometric-flats"], {"rank": K627},
+     "266f33da286443316c3326e2d3e0e0e439491ba755481c208bb19227ac8df82e")])
 def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
     # SHA-256 of stdout (default seed and indent), recorded before monomials
     # were packed into ints (U(4,5) and B(1,1,1,1,1) before the divisor
@@ -408,9 +424,10 @@ def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
     # building sets while their support was still sampled, K(3,2,4) and
     # B(1,1,2) at c = (0, 1, 2) while the polytope kept a vertex per
     # transversal, and U(1,3) + U(2,3) and min(B(2,2,1), 4) while linalg
-    # still took rationals, and B(1,1,2) at c = (0, 1, 2) under verify-all
-    # before the fan section read the polyperm section's normal fan); the
-    # chow report prints the basis exponents.
+    # still took rationals, B(1,1,2) at c = (0, 1, 2) under verify-all
+    # before the fan section read the polyperm section's normal fan, and
+    # K(4,2,5) and K(6,2,7) `geometric-flats` while it searched the lift's
+    # whole lattice); the chow report prints the basis exponents.
     # U(3,5), the last rung, exits 1 for its known `kahler` failure (ROADMAP
     # item 1), and B(1,1,2) at c_1 = 0 because its transversals share
     # vertices, so its normal fan is not the Boolean fan.
@@ -554,6 +571,46 @@ def test_memos_never_outlive_an_invocation(tmp_path, capsys):
     for i in order + order[::-1] + [len(LADDER), len(LADDER) + 1]:
         _, out, _ = run(capsys, ops[i][0] + ["--instance", paths[i]])
         assert out == fresh[i], ops[i]
+
+
+@pytest.mark.parametrize("r", [2, 4])
+def test_a_broken_lift_reports_no_isomorphism(tmp_path, capsys, monkeypatch, r):
+    # U(3,5) is its own lift; its rank memo seeded with U(r,5) ranks breaks
+    # the isomorphism.  U(4,5) keeps every preimage of a flat of U(3,5)
+    # closed (at most 2 elements, or all 5), so only the covers show it: a
+    # pair and a third element close to that triple, not to the whole set
+    lifts = []
+
+    def seeded(P):
+        M = pc.lift(P)
+        M._memo.update({S: min(S.bit_count(), r) for S in range(1 << M.n)})
+        lifts.append(M)
+        return M
+
+    monkeypatch.setattr(cli_module, "lift", seeded)
+    path = write_instance(tmp_path, LADDER[-1])
+    code, out, err = run(capsys, ["geometric-flats", "--instance", path])
+    assert (code, err) == (1, "")
+    assert json.loads(out)["report"]["isomorphic"] is False
+    M = lifts[-1]
+    assert all(M.is_flat(M.proj.preimage(F)) for F in M.base.flats()) == (r == 4)
+
+
+def test_no_cli_path_enumerates_the_lift_flats(tmp_path, capsys, monkeypatch):
+    # the isomorphism is decided from the covers of P's flats, so neither
+    # command fills the lift's "flats" memo
+    built = []
+
+    def build(data, _original=cli_module.build_polymatroid):
+        built.append(_original(data))
+        return built[-1]
+
+    monkeypatch.setattr(cli_module, "build_polymatroid", build)
+    for data in (LADDER[-1], {"rank": K324}, {"rank": boolean_table((1, 1, 2))}):
+        path = write_instance(tmp_path, data)
+        for argv in (["verify-all", "--trials", "200"], ["geometric-flats"]):
+            run(capsys, argv[:1] + ["--instance", path] + argv[1:])
+            assert "flats" not in built[-1]._memo["lift"]._memo, (data, argv)
 
 
 def count_verify_all_builds(tmp_path, capsys, monkeypatch, data):

@@ -55,6 +55,17 @@ def test_no_module_imports_cached_property():
                    for node in ast.walk(ast.parse(path.read_text())))] == []
 
 
+def test_no_ground_subclass_redefines_a_ground_method():
+    # `polymatroid.Ground` holds the one closure, flat test and enumeration
+    # of flats for every ground set; a subclass supplies `n` and `rank` only
+    from polychow.polymatroid import Ground
+    methods = {name for name in vars(Ground) if not is_dunder(name)}
+    subclasses = {cls for path in MODULES for cls in vars(import_module("polychow." + path.stem))
+                  .values() if isinstance(cls, type) and issubclass(cls, Ground)}
+    assert sorted("%s.%s" % (cls.__name__, name) for cls in subclasses - {Ground}
+                  for name in methods & set(vars(cls))) == []
+
+
 def test_every_module_level_definition_is_referenced_elsewhere_in_src():
     # a function or class that only the tests reach belongs in the tests
     nodes = [node for path in MODULES for node in ast.parse(path.read_text()).body]

@@ -1,5 +1,5 @@
 import polychow as pc
-from conftest import P2, P3, P4, U34, boolean_table
+from conftest import P2, P3, P4, U34, boolean_table, small_family
 from oracles import as_polymatroid, direct_sum, restriction
 
 
@@ -106,15 +106,16 @@ def test_geometric_part():
     # the geometric flats are the flats equal to their geometric part
     for table in (P2, P3, P4):
         M = pc.lift(pc.Polymatroid(table))
-        assert M.geometric_flats() == tuple(F for F in M.flats() if geometric_part(M, F) == F)
+        assert pc.geometric_flat_lattice(M)[1] == tuple(
+            F for F in M.flats() if geometric_part(M, F) == F)
 
 
 def test_geometric_flat_lattice():
     for table in (P2, P3, P4, boolean_table((1, 2))):
         P = pc.Polymatroid(table)
         M = pc.lift(P)
-        flats, geo, mapping = pc.geometric_flat_lattice(M)
-        assert flats == P.flats() and sorted(mapping.values()) == sorted(geo)
+        flats, geo, mapping, isomorphic = pc.geometric_flat_lattice(M)
+        assert isomorphic and flats == P.flats() and sorted(mapping.values()) == sorted(geo)
         for f in flats:
             for g in flats:
                 assert (f & g == f) == (mapping[f] & mapping[g] == mapping[f])
@@ -124,6 +125,28 @@ def test_geometric_flat_lattice():
 def test_geometric_flats_of_p2():
     M = pc.lift(pc.Polymatroid(P2))
     assert pc.geometric_flat_lattice(M)[1] == (0, 0b001, 0b111)
+
+
+def closure_commutes_with_preimage(M):
+    """The literal isomorphism test: cl_M(pre(A)) = pre(cl_P(A)) at all 2^n
+    subsets A of the base ground set."""
+    P, pre = M.base, M.proj.preimage
+    return all(M.closure(pre(A)) == pre(P.closure(A)) for A in range(1 << P.n))
+
+
+def test_cover_verdict_equals_the_all_subsets_check():
+    # on each genuine lift, and on the same lift truncated to rank r - 1
+    # (a matroid whose closure no longer commutes with the preimage)
+    verdicts = []
+    for P in small_family():
+        M = pc.lift(P)
+        truncated = pc.lift(pc.Polymatroid(P.rank_table))
+        truncated._memo.update({S: min(M.rank(S), M.r - 1) for S in range(1 << M.n)})
+        for lifted in (M, truncated):
+            isomorphic = pc.geometric_flat_lattice(lifted)[3]
+            assert isomorphic == closure_commutes_with_preimage(lifted), (P.rank_table, lifted)
+            verdicts.append(isomorphic)
+    assert True in verdicts and False in verdicts
 
 
 def test_flat_rank_geometric_identity():

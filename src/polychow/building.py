@@ -126,7 +126,7 @@ def lifted_building_set(G):
     """
     def build():
         M = lift(G.base)
-        members = {M.proj.preimage(g) for g in G.members}
+        members = {M.proj.preimages[g] for g in G.members}
         members.update(M.closure(1 << e) for e in range(M.n))
         return BuildingSet(M, members, validate=False)
 

@@ -476,7 +476,7 @@ class ChowPair:
             dp, fy = self.dp, self.fy
             memo["images"] = {}
             translation = memo["translation"] = (dp.codec.exponents, [
-                fy.codec.units[fy.var_index[self.proj.preimage(f)]] for f in dp.var_flats])
+                fy.codec.units[fy.var_index[self.proj.preimages[f]]] for f in dp.var_flats])
         exponents, units = translation
         images = memo["images"]
         out = {}
@@ -513,6 +513,17 @@ class ChowPair:
                 raise AssertionError("maximal cone monomial vanishes")
             return values[0]
         return memoized(self.G, "degree_normalizer", build)
+
+    def degree(self, m):
+        """deg of the top-degree FY monomial m, its normal-form coefficient
+        over `degree_normalizer()`, in one table memoized on G."""
+        table = memoized(self.G, "degree", dict)
+        if m not in table:
+            value, rest = divmod(self.fy.coords({m: 1}, self.fy.top)[0], self.degree_normalizer())
+            if rest:
+                raise AssertionError("non-integral pairing value")
+            table[m] = value
+        return table[m]
 
 
 def phi_iso_check(pair):
@@ -569,7 +580,8 @@ def pairing_matrix(pair, k, ring="dp"):
     It is computed once per (k, ring) and memoized on the pair; rows are
     tuples, so no caller can change the shared matrix.  deg(m1 m2) depends
     only on m1 + m2, so for 2k > r-1 it is the transpose of the matrix for
-    r-1-k, and each value is computed once per product monomial and ring.
+    r-1-k.  Values come from `pair.degree`, one table per G; a DP product's
+    value is the degree of its image under phi, summed term by term.
     """
     R = pair.dp if ring == "dp" else pair.fy
     top = R.top
@@ -577,26 +589,13 @@ def pairing_matrix(pair, k, ring="dp"):
         return memoized(pair, ("pairing", k, ring),
                         lambda: tuple(zip(*pairing_matrix(pair, top - k, ring))))
 
-    def build():
-        values = memoized(pair, ("top values", ring), dict)
-        normalizer = None
-        out = []
-        for m1 in R.basis[k]:
-            row = []
-            for m2 in R.basis[top - k]:
-                m = m1 + m2
-                value = values.get(m)
-                if value is None:
-                    coord = pair.fy.coords(pair.phi({m: 1}) if ring == "dp" else {m: 1}, top)[0]
-                    normalizer = normalizer or pair.degree_normalizer()
-                    value, rest = divmod(coord, normalizer)
-                    if rest:
-                        raise AssertionError("non-integral pairing value")
-                    values[m] = value
-                row.append(value)
-            out.append(tuple(row))
-        return tuple(out)
-    return memoized(pair, ("pairing", k, ring), build)
+    def value(m):
+        if ring == "fy":
+            return pair.degree(m)
+        return sum(c * pair.degree(key) for key, c in pair.phi({m: 1}).items())
+
+    return memoized(pair, ("pairing", k, ring), lambda: tuple(
+        tuple(value(m1 + m2) for m2 in R.basis[top - k]) for m1 in R.basis[k]))
 
 
 def pairing_det(pair, k, ring="dp"):

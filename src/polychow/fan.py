@@ -184,9 +184,9 @@ def maximal_bergman_fan_direct(P):
         flats_with_empty = (0,) + chain
         for S in range(1 << m):
             if any(P.rank(F | proj.image(T)) <= P.rank(F) + T.bit_count()
-                   for F in flats_with_empty for T in nonempty_subsets(S & ~proj.preimage(F))):
+                   for F in flats_with_empty for T in nonempty_subsets(S & ~proj.preimages[F])):
                 continue
-            cone = {subset_vector(proj.preimage(F), m) for F in chain}
+            cone = {subset_vector(proj.preimages[F], m) for F in chain}
             cone.update(subset_vector(1 << e, m) for e in elements(S))
             ray_sets.add(frozenset(cone))
     rays = sorted({r for s in ray_sets for r in s})
@@ -203,7 +203,7 @@ def boolean_bergman_fan(proj):
     and each S (a proper submask per fiber), is built once as ray indices."""
     n, m = proj.n, proj.m
     full = (1 << n) - 1
-    subsets = [proj.preimage(F) for F in range(1, full)]
+    subsets = list(proj.preimages[1:full])
     subsets += [1 << e for fm in proj.fiber_masks if fm & fm - 1 for e in elements(fm)]
     table = sorted((subset_vector(T, m), T) for T in subsets)
     index = {T: i for i, (_, T) in enumerate(table)}

@@ -5,15 +5,16 @@ Its rank is a minimum over subsets of the *base* ground set:
 
     rk(S) = min over A of  rk_P(A) + |S \\ preimage(A)|
 
-which makes it cheap to evaluate even though the lifted ground set is
-larger.  The product of fiber symmetric groups is never materialized:
-orbits of subsets depend only on per-fiber counts.
+taken over the subsets A of pi(S) alone, one of which attains it, and read
+off the projection's preimage table, so it stays cheap.  The product of fiber
+symmetric groups is never materialized: orbits of subsets depend only on
+per-fiber counts.
 
 Its geometric flats, the flats that are unions of fibers, are decided
 from the covers of P's flats, never by enumerating the lift's lattice.
 """
 
-from .bitsets import canonical_key
+from .bitsets import canonical_key, nonempty_subsets
 from .polymatroid import MAX_GROUND, Ground, PolymatroidError, ProjectionMap, memoized
 
 
@@ -41,15 +42,17 @@ class MultisymMatroid(Ground):
         return self.proj.m
 
     def rank(self, S_mask):
+        """The module's min formula over the subsets A of pi(S) only, memoized
+        per mask.  For any A, A' = A & pi(S) has rk_P(A') <= rk_P(A) and
+        S \\ pre(A') = S \\ pre(A), as pi(e) is in pi(S) for each e in S."""
         memo = self._memo
         cached = memo.get(S_mask)
         if cached is not None:
             return cached
-        base = self.base
-        preimage = self.proj.preimage
+        rank_table, preimages = self.base.rank_table, self.proj.preimages
         best = S_mask.bit_count()  # A = empty
-        for A in range(1, 1 << base.n):
-            value = base.rank_table[A] + (S_mask & ~preimage(A)).bit_count()
+        for A in nonempty_subsets(self.proj.image(S_mask)):
+            value = rank_table[A] + (S_mask & ~preimages[A]).bit_count()
             if value < best:
                 best = value
         memo[S_mask] = best
@@ -79,10 +82,10 @@ def geometric_flat_lattice(M):
     exactly one preimage pre(A), closed iff A is a flat, and joins are
     kept, so the geometric flats are the preimages of P's flats.
     """
-    P, pre = M.base, M.proj.preimage
+    P, pre = M.base, M.proj.preimages
     flats = P.flats()
-    mapping = {F: pre(F) for F in flats}
-    isomorphic = M.closure(0) == pre(P.closure(0)) and all(
-        M.closure(mapping[F] | fiber) == pre(P.closure(F | 1 << i))
-        for F in flats for i, fiber in enumerate(M.proj.fiber_masks) if not F >> i & 1)
+    mapping = {F: pre[F] for F in flats}
+    isomorphic = M.closure(0) == pre[P.closure(0)] and all(
+        M.closure(pre[F | 1 << i]) == pre[P.closure(F | 1 << i)]
+        for F in flats for i in range(P.n) if not F >> i & 1)
     return flats, tuple(sorted(mapping.values(), key=canonical_key)), mapping, isomorphic

@@ -5,7 +5,7 @@ integer function on subsets.  We additionally require looplessness (every
 singleton has positive rank) throughout.
 """
 
-from .bitsets import canonical_key, elements
+from .bitsets import canonical_key
 
 MAX_GROUND = 16  # bounds the base ground set here, the lifted one in lift and cli
 
@@ -155,10 +155,11 @@ class ProjectionMap(Immutable):
     """A surjection pi: E~ -> E with fibers of prescribed sizes.
 
     Elements of E~ = {0, ..., m-1} are grouped so that fiber i occupies a
-    contiguous block of `fiber_sizes[i]` indices.
+    contiguous block of `fiber_sizes[i]` indices.  `preimages[A]` is the
+    mask of pi^{-1}(A) for every mask A of E, built once, fiber by fiber.
     """
 
-    __slots__ = ("fiber_sizes", "n", "m", "fiber_masks")
+    __slots__ = ("fiber_sizes", "n", "m", "fiber_masks", "preimages")
 
     def __init__(self, fiber_sizes):
         sizes = tuple(int(s) for s in fiber_sizes)
@@ -167,19 +168,13 @@ class ProjectionMap(Immutable):
         self.fiber_sizes = sizes
         self.n = len(sizes)
         self.m = sum(sizes)
-        masks = []
-        start = 0
+        table, start = [0], 0
         for s in sizes:
-            masks.append(((1 << s) - 1) << start)
+            fm = ((1 << s) - 1) << start
+            table += [t | fm for t in table]
             start += s
-        self.fiber_masks = tuple(masks)
-
-    def preimage(self, A_mask):
-        """Mask in E~ of pi^{-1}(A)."""
-        out = 0
-        for i in elements(A_mask):
-            out |= self.fiber_masks[i]
-        return out
+        self.preimages = tuple(table)
+        self.fiber_masks = tuple(table[1 << i] for i in range(self.n))
 
     def image(self, S_mask):
         """Mask in E of pi(S)."""
@@ -195,5 +190,5 @@ class ProjectionMap(Immutable):
 
 def boolean_polymatroid(proj):
     """The Boolean polymatroid B(pi): rank of A is the size of its preimage."""
-    table = [proj.preimage(a).bit_count() for a in range(1 << proj.n)]
+    table = [pre.bit_count() for pre in proj.preimages]
     return Polymatroid(table, validate=False)

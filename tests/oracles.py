@@ -1,8 +1,9 @@
 """Reference oracles that only the tests call.
 
 Each one gives an independent route to something `polychow` computes:
-polymatroid constructions, the minimal flats of a ground, the fiber of
-each lifted element, the vertex of each transversal, Lowest posets and the
+polymatroid constructions, the lift's preimages and ranks by their
+definitions, the minimal flats of a ground, the fiber of each lifted
+element, the vertex of each transversal, Lowest posets and the
 sampled normal-fan check built on them, a sampled completeness test,
 primitive vectors, cone queries by a scan, relative interiors and rational
 coordinates, refinement and unimodularity over all cones,
@@ -110,6 +111,24 @@ def direct_sum(P, Q):
 def as_polymatroid(M):
     """A lift as an explicit rank table (small ground sets only)."""
     return pc.Polymatroid([M.rank(S) for S in range(1 << M.n)], validate=False)
+
+
+def bitwise_preimage(proj, A):
+    """pi^{-1}(A) as the union of the fiber masks of the elements of A,
+    one bit of A at a time."""
+    out = 0
+    for i in range(proj.n):
+        if A >> i & 1:
+            out |= proj.fiber_masks[i]
+    return out
+
+
+def literal_lift_rank(M, S):
+    """rk_M(S) by its definition: the minimum over all 2^n subsets A of the
+    base ground set of rk_P(A) + |S minus pi^{-1}(A)|."""
+    P = M.base
+    return min(P.rank(A) + bin(S & ~bitwise_preimage(M.proj, A)).count("1")
+               for A in range(1 << P.n))
 
 
 def flat_atoms(ground):
@@ -434,7 +453,7 @@ def zring_hilbert(P):
             gens.append({units[a] + units[b]: 1})
     flats_with_empty = [0] + proper
     for F in flats_with_empty:
-        pre = proj.preimage(F)
+        pre = proj.preimages[F]
         outside = [i for i in range(m) if not pre >> i & 1]
         for size in range(1, min(len(outside), 2 * r) + 1):
             for T in combinations(outside, size):
@@ -452,7 +471,7 @@ def zring_hilbert(P):
     for i in range(m):
         e = [0] * nvars
         for idx, F in enumerate(proper):
-            if proj.preimage(F) >> i & 1:
+            if proj.preimages[F] >> i & 1:
                 e[idx] += 1
         e[len(proper) + i] += 1
         lin.append(e)

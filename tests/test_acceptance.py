@@ -73,7 +73,7 @@ def test_criterion_01_lift_correctness():
                     ok = False
         # rank identity on fiber-stable sets
         for A in range(1 << P.n):
-            if ranks[M.proj.preimage(A)] != P.rank(A):
+            if ranks[M.proj.preimages[A]] != P.rank(A):
                 ok = False
         # minimality: every fiber is independent
         for fm in M.proj.fiber_masks:

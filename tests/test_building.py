@@ -217,7 +217,7 @@ def test_lifted_building_set_is_geometric():
     for table, members in KERNEL_FIXTURES + [(U12, None), (U36, None)]:
         (_, G, _), (M, Gt, _) = fixture_building_sets(table, members)
         # the atoms of the lift, closures of singletons, are its minimal nonempty flats
-        assert Gt.members == {M.proj.preimage(g) for g in G.members} | flat_atoms(M)
+        assert Gt.members == {M.proj.preimages[g] for g in G.members} | flat_atoms(M)
         ok, cert = pc.is_geometric_building_set(M, Gt.members)
         assert ok, table
 
@@ -276,7 +276,7 @@ def test_geometric_flats_of_unions_round_trip():
         Gt = pc.lifted_building_set(pc.maximal_building_set(P))
         M = Gt.base
         for g in Gt.members:
-            assert bin(g).count("1") == 1 or M.proj.preimage(M.proj.image(g)) == g
+            assert bin(g).count("1") == 1 or M.proj.preimages[M.proj.image(g)] == g
 
 
 def test_nested_sets_have_nested_subsets():

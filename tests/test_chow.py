@@ -281,6 +281,23 @@ def test_degree_normalizer_is_shared_by_the_pairs_of_one_g(monkeypatch):
     assert calls == [first]
 
 
+def test_both_rings_read_one_degree_table_per_g():
+    # both rings' pairings read the degrees of FY monomials from one table
+    # memoized on G: on these rings every FY product the FY pairings need
+    # already occurs in the phi image of a DP product, so once one pair has
+    # read the DP pairings a second pair of the same G adds no degree
+    for table in (U34, boolean_table((2, 2)), boolean_table((2, 2, 2))):
+        G = pc.maximal_building_set(pc.Polymatroid(table))
+        first = pc.ChowPair(G)
+        for k in range(first.P.r):
+            pc.pairing_matrix(first, k, "dp")
+        degrees = dict(G._memo["degree"])
+        second = pc.ChowPair(G)
+        for k in range(second.P.r):
+            pc.pairing_matrix(second, k, "fy")
+        assert G._memo["degree"] == degrees and degrees, table
+
+
 def test_g_keyed_builders_read_p_and_the_lift_off_g():
     # everything built from (P, G) is read off G and memoized on it, so two
     # polymatroids with one rank table keep separate memos
@@ -874,7 +891,7 @@ def guard_bit_phi(pair, poly):
     each field found by the bit length of its guard bit."""
     codec, units = pair.dp.codec, pair.fy.codec.units
     width = codec.field.bit_length()
-    translate = [pair.fy.var_index[pair.proj.preimage(f)] for f in pair.dp.var_flats]
+    translate = [pair.fy.var_index[pair.proj.preimages[f]] for f in pair.dp.var_flats]
     fields = {s + width: (s, units[t]) for s, t in zip(codec.shifts, translate)}
     out = {}
     for m, c in poly.items():

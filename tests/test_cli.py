@@ -414,7 +414,13 @@ B112_C0 = {"rank": boolean_table((1, 1, 2)), "c": [0, 1, 2]}
     (["geometric-flats"], {"rank": K425},
      "04e4ad11554ebe90d950ce2c3828ea2bf2c1799530ea2b7b52626fd792144ff8"),
     (["geometric-flats"], {"rank": K627},
-     "266f33da286443316c3326e2d3e0e0e439491ba755481c208bb19227ac8df82e")])
+     "266f33da286443316c3326e2d3e0e0e439491ba755481c208bb19227ac8df82e"),
+    (["lift-rank"], {"rank": K425},
+     "9b4ed7f0683695b86a4ff0eed6fb6325241f169bf21e042eff7fc7efa8f05493"),
+    (["lift-rank"], {"rank": boolean_table((2, 2, 2))},
+     "3e9c846f415f74d2146d3ba2859433df1ce9828228d4dc1958a62a37074f5c9e"),
+    (["lift-rank"], {"rank": [min(bin(S).count("1"), 3) for S in range(32)]},
+     "915dce50cb2e9fd1aa4273b4386b6ac328c13abfcec604157cfe7b9f2f709e53")])
 def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
     # SHA-256 of stdout (default seed and indent), recorded before monomials
     # were packed into ints (U(4,5) and B(1,1,1,1,1) before the divisor
@@ -427,7 +433,10 @@ def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
     # still took rationals, B(1,1,2) at c = (0, 1, 2) under verify-all
     # before the fan section read the polyperm section's normal fan, and
     # K(4,2,5) and K(6,2,7) `geometric-flats` while it searched the lift's
-    # whole lattice); the chow report prints the basis exponents.
+    # whole lattice, and `lift-rank`, which prints every lifted rank for a
+    # lift of at most 12 elements, on K(4,2,5), B(2,2,2) and U(3,5) while each
+    # rank minimized over all subsets of the base ground set); the chow
+    # report prints the basis exponents.
     # U(3,5), the last rung, exits 1 for its known `kahler` failure (ROADMAP
     # item 1), and B(1,1,2) at c_1 = 0 because its transversals share
     # vertices, so its normal fan is not the Boolean fan.
@@ -593,7 +602,7 @@ def test_a_broken_lift_reports_no_isomorphism(tmp_path, capsys, monkeypatch, r):
     assert (code, err) == (1, "")
     assert json.loads(out)["report"]["isomorphic"] is False
     M = lifts[-1]
-    assert all(M.is_flat(M.proj.preimage(F)) for F in M.base.flats()) == (r == 4)
+    assert all(M.is_flat(M.proj.preimages[F]) for F in M.base.flats()) == (r == 4)
 
 
 def test_no_cli_path_enumerates_the_lift_flats(tmp_path, capsys, monkeypatch):

@@ -76,7 +76,7 @@ def chain_boolean_bergman_fan(proj):
     proper = range(1, (1 << n) - 1)
     fiber_free = [S for S in range(1 << m)
                   if not any(S & fm == fm for fm in proj.fiber_masks)]
-    fiber_rays = {F: subset_vector(proj.preimage(F), m) for F in proper}
+    fiber_rays = {F: subset_vector(proj.preimages[F], m) for F in proper}
     element_rays = [subset_vector(1 << e, m) for e in range(m)]
     ray_sets = {frozenset({fiber_rays[F] for F in chain} | {element_rays[e] for e in elements(S)})
                 for chain in _chains(proper) for S in fiber_free}

@@ -1,6 +1,6 @@
 import polychow as pc
 from conftest import P2, P3, P4, U34, boolean_table, small_family
-from oracles import as_polymatroid, direct_sum, restriction
+from oracles import as_polymatroid, direct_sum, literal_lift_rank, restriction
 
 
 def lift_table(P):
@@ -23,6 +23,20 @@ def test_lift_of_matroid_is_itself():
     assert lift_table(P) == list(U34)
 
 
+def test_rank_equals_the_minimum_over_all_subsets():
+    # the lift minimizes over the subsets of pi(S) only; the literal
+    # definition minimizes over every subset of the base ground set.  On a
+    # free lift such as B(2,2,1)'s, a set with one element per fiber has
+    # rank |S| from the A = empty term alone
+    tables = [P.rank_table for P in small_family()] + [
+        [min(2 * bin(S).count("1"), 5) for S in range(16)],
+        boolean_table((2, 2, 1)), [min(bin(S).count("1"), 3) for S in range(32)]]
+    for table in tables:
+        M = pc.lift(pc.Polymatroid(table))
+        for S in range(1 << M.n):
+            assert M.rank(S) == literal_lift_rank(M, S), (table, S)
+
+
 def test_lift_rank_examples():
     M = pc.lift(pc.Polymatroid(P2))
     assert M.rank(0) == 0
@@ -35,7 +49,7 @@ def test_gamma_stable_rank_identity():
         P = pc.Polymatroid(table)
         M = pc.lift(P)
         for A in range(1 << P.n):
-            assert M.rank(M.proj.preimage(A)) == P.rank(A)
+            assert M.rank(M.proj.preimages[A]) == P.rank(A)
 
 
 def test_gamma_invariance_of_rank():
@@ -101,7 +115,7 @@ def test_geometric_part():
     assert geometric_part(M, M.full_mask) == M.full_mask
     assert geometric_part(M, 0b010) == 0      # half of the 2-fiber drops out
     for A in range(4):
-        pre = M.proj.preimage(A)
+        pre = M.proj.preimages[A]
         assert geometric_part(M, pre) == pre
     # the geometric flats are the flats equal to their geometric part
     for table in (P2, P3, P4):
@@ -130,8 +144,8 @@ def test_geometric_flats_of_p2():
 def closure_commutes_with_preimage(M):
     """The literal isomorphism test: cl_M(pre(A)) = pre(cl_P(A)) at all 2^n
     subsets A of the base ground set."""
-    P, pre = M.base, M.proj.preimage
-    return all(M.closure(pre(A)) == pre(P.closure(A)) for A in range(1 << P.n))
+    P, pre = M.base, M.proj.preimages
+    return all(M.closure(pre[A]) == pre[P.closure(A)] for A in range(1 << P.n))
 
 
 def test_cover_verdict_equals_the_all_subsets_check():
@@ -170,7 +184,7 @@ def test_lift_commutes_with_restriction():
     M = pc.lift(P)
     for F in P.flats():
         sub_lift = pc.lift(restriction(P, F))
-        pre = M.proj.preimage(F)
+        pre = M.proj.preimages[F]
         els = [i for i in range(M.n) if pre >> i & 1]
         for S in range(1 << len(els)):
             big = 0
@@ -188,6 +202,6 @@ def test_lift_uniqueness_from_stable_ranks():
     for S in range(16):
         best = None
         for A in range(4):
-            value = P.rank(A) + bin(S & ~M.proj.preimage(A)).count("1")
+            value = P.rank(A) + bin(S & ~M.proj.preimages[A]).count("1")
             best = value if best is None else min(best, value)
         assert M.rank(S) == best

@@ -5,7 +5,7 @@ import pytest
 
 import polychow as pc
 from conftest import P1, P2, P3, P4, U34, boolean_table
-from oracles import direct_sum, restriction
+from oracles import bitwise_preimage, direct_sum, restriction
 
 
 def test_valid_tables():
@@ -138,10 +138,18 @@ def test_projection_map():
     proj = pc.ProjectionMap((1, 2))
     assert proj.n == 2 and proj.m == 3
     assert proj.fiber_masks == (0b001, 0b110)
-    assert proj.preimage(0b10) == 0b110
+    assert proj.preimages[0b10] == 0b110
     assert proj.image(0b100) == 0b10
     with pytest.raises(Exception):
         pc.ProjectionMap((0, 1))
+
+
+def test_preimage_table_is_the_union_of_fibers():
+    for sizes in ((1,), (2, 1), (3, 1, 2), (2, 2, 2), (1,) * 6):
+        proj = pc.ProjectionMap(sizes)
+        assert len(proj.preimages) == 1 << len(sizes)
+        assert all(proj.preimages[A] == bitwise_preimage(proj, A)
+                   for A in range(1 << len(sizes))), sizes
 
 
 def value_objects():

@@ -578,16 +578,12 @@ def pairing_matrix(pair, k, ring="dp"):
     """Integer matrix of (a, b) -> deg(ab) between degrees k and r-1-k.
 
     It is computed once per (k, ring) and memoized on the pair; rows are
-    tuples, so no caller can change the shared matrix.  deg(m1 m2) depends
-    only on m1 + m2, so for 2k > r-1 it is the transpose of the matrix for
-    r-1-k.  Values come from `pair.degree`, one table per G; a DP product's
-    value is the degree of its image under phi, summed term by term.
+    tuples, so no caller can change the shared matrix.  Values come from
+    `pair.degree`, one table per G; a DP product's value is the degree of
+    its image under phi, summed term by term.
     """
     R = pair.dp if ring == "dp" else pair.fy
     top = R.top
-    if 2 * k > top:
-        return memoized(pair, ("pairing", k, ring),
-                        lambda: tuple(zip(*pairing_matrix(pair, top - k, ring))))
 
     def value(m):
         if ring == "fy":
@@ -599,14 +595,15 @@ def pairing_matrix(pair, k, ring="dp"):
 
 
 def pairing_det(pair, k, ring="dp"):
-    """Determinant of `pairing_matrix(pair, k, ring)`, or 0 when the matrix
-    is not square (1 with no rows); a square matrix and its mirror for
-    r-1-k share one determinant, memoized on the pair."""
+    """Determinant of `pairing_matrix(pair, k', ring)` with k' = min(k, r-1-k),
+    or 0 when that matrix is not square (1 with no rows), memoized on the
+    pair.  deg(m1 m2) depends only on m1 + m2, so the matrix for r-1-k is
+    the transpose of the one for k: both are square or neither, with one
+    determinant, and only the matrix for k' is read."""
+    k = min(k, pair.fy.top - k)
     matrix = pairing_matrix(pair, k, ring)
     if not matrix:
         return 1
     if len(matrix) != len(matrix[0]):
         return 0
-    k = min(k, pair.fy.top - k)
-    return memoized(pair, ("pairing det", k, ring),
-                    lambda: linalg.det(pairing_matrix(pair, k, ring)))
+    return memoized(pair, ("pairing det", k, ring), lambda: linalg.det(matrix))

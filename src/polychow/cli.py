@@ -116,6 +116,8 @@ def polyperm_costs(sizes):
 def guard(P, command, verify_fan):
     sizes = [P.rank(1 << i) for i in range(P.n)]
     m = sum(sizes)
+    if P.n == 0 and command in HEAVY_COMMANDS + ("polyperm",):
+        raise CliError("%s needs a nonempty ground set" % command)
     if m > MAX_GROUND:
         raise CliError("lifted ground set size %d exceeds the limit %d"
                        % (m, MAX_GROUND))

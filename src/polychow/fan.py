@@ -12,7 +12,6 @@ pairwise-faces check use integer arithmetic only.
 
 from functools import reduce
 from itertools import combinations
-from math import gcd, lcm
 from operator import and_, mul
 from random import Random
 
@@ -351,16 +350,6 @@ def in_support(fan, w):
     return any(cone_contains(fan, cone, w) for cone in fan.cones)
 
 
-def random_integral_point(rng, dim, spread=10_000):
-    """A random rational point, coordinate i being a_i / b_i with
-    a_i = randint(-spread, spread) and b_i = randint(1, 97) drawn in that
-    order, scaled to integers by the least common denominator of the
-    a_i / b_i in lowest terms, which moves no point across a cone boundary."""
-    pairs = [(rng.randint(-spread, spread), rng.randint(1, 97)) for _ in range(dim)]
-    q = lcm(*(b // gcd(a, b) for a, b in pairs))
-    return tuple(a * q // b for a, b in pairs)
-
-
 def stellar_certificate(fine, coarse):
     """True when `fine` is certified to come from `coarse` by stellar
     subdivisions, so that both have the same support; False decides nothing.
@@ -403,39 +392,29 @@ def stellar_certificate(fine, coarse):
 
 
 def same_support(f1, f2, trials=1000, seed=0):
-    """Exact containment in the refining direction when available, plus
-    randomized point-membership agreement, on integer points.  Fewer than
-    1000 trials count as 1000: fewer let a fan missing a maximal cone pass.
-
-    When f1 refines f2, equal fans (`Fan.__eq__`) and fans passing
-    `stellar_certificate(f1, f2)` have equal supports and are accepted
-    without sampling.  Otherwise the reverse containment is sampled inside
-    f2: max(1, trials // k) points per maximal cone, with k maximal cones.
-    A sample inside a cone of f2 is the sum of (a/b) r over its rays r,
-    with a = randint(1, 50) and b = randint(1, 7) drawn ray by ray as in
-    `random_integral_point`.  It is drawn as 420 times that point
-    (420 = lcm(1, ..., 7)), a positive multiple that `in_support` cannot
-    tell apart from it.  When f1 does not refine f2, `trials` random
-    points must lie in both supports or in neither."""
-    if f1.ambient_dim != f2.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
+    """Whether f1 refines f2 with the same support.  False, with no sample,
+    when `refines(f1, f2)` is False; True for equal fans (`Fan.__eq__`) and
+    fans passing `stellar_certificate(f1, f2)`.  Otherwise the reverse
+    containment is sampled inside f2 on integer points: max(1, trials // k)
+    points per maximal cone, with k maximal cones.  Fewer than 1000 trials
+    count as 1000: fewer let a fan missing a maximal cone pass.  A sample
+    inside a cone of f2 is the sum of (a/b) r over its rays r, with
+    a = randint(1, 50) and b = randint(1, 7) drawn ray by ray.  It is drawn
+    as 420 times that point (420 = lcm(1, ..., 7)), a positive multiple
+    that `in_support` cannot tell apart from it."""
+    if not refines(f1, f2):
+        return False
+    if f1 == f2 or stellar_certificate(f1, f2):
+        return True
     rng = Random(seed)
     trials = max(trials, 1000)
-    if refines(f1, f2):
-        if f1 == f2 or stellar_certificate(f1, f2):
-            return True
-        for cone in f2.maximal_cones():
-            columns = list(zip(*f2.cone_rays(cone))) or [()] * f2.ambient_dim
-            for _ in range(max(1, trials // len(f2.maximal_cones()))):
-                coefficients = [rng.randint(1, 50) * (420 // rng.randint(1, 7)) for _ in cone]
-                w = [sum(map(mul, coefficients, col)) for col in columns]
-                if not in_support(f1, w):
-                    return False
-        return True
-    for _ in range(trials):
-        w = random_integral_point(rng, f1.ambient_dim)
-        if in_support(f1, w) != in_support(f2, w):
-            return False
+    for cone in f2.maximal_cones():
+        columns = list(zip(*f2.cone_rays(cone))) or [()] * f2.ambient_dim
+        for _ in range(max(1, trials // len(f2.maximal_cones()))):
+            coefficients = [rng.randint(1, 50) * (420 // rng.randint(1, 7)) for _ in cone]
+            w = [sum(map(mul, coefficients, col)) for col in columns]
+            if not in_support(f1, w):
+                return False
     return True
 
 

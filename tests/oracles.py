@@ -11,8 +11,9 @@ exact rational degrees, the classes of the Kahler tests, the ray-variable
 presentation of the Chow ring, and Bareiss elimination that updates every
 row at every step.  `polychow` computes in integers only, so rational
 points and matrices are scaled to integers here (`integral`,
-`integral_rows`) before they reach it, or reduced over the rationals
-(`fraction_rref`, `fraction_solve`) as a reference.
+`integral_rows`, `random_integral_point`) before they reach it, or
+reduced over the rationals (`fraction_rref`, `fraction_solve`) as a
+reference.
 """
 
 from fractions import Fraction
@@ -26,7 +27,7 @@ import polychow as pc
 from polychow import linalg
 from polychow.bitsets import elements
 from polychow.chow import Codec, DivisorIndex, _standard_monomials
-from polychow.fan import _locator, _numerators, cone_contains, locate, random_integral_point
+from polychow.fan import _locator, _numerators, cone_contains, locate
 from polychow.polymatroid import memoized
 from polychow.polytope import minimizing_vertices
 
@@ -55,6 +56,16 @@ def integral_rows(rows):
         M.append(list(W))
         q *= s
     return M, q
+
+
+def random_integral_point(rng, dim, spread=10_000):
+    """A random rational point, coordinate i being a_i / b_i with
+    a_i = randint(-spread, spread) and b_i = randint(1, 97) drawn in that
+    order, scaled to integers by the least common denominator of the
+    a_i / b_i in lowest terms, which moves no point across a cone boundary."""
+    pairs = [(rng.randint(-spread, spread), rng.randint(1, 97)) for _ in range(dim)]
+    q = lcm(*(b // gcd(a, b) for a, b in pairs))
+    return tuple(a * q // b for a, b in pairs)
 
 
 def fraction_rref(rows):

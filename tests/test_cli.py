@@ -143,13 +143,13 @@ def test_invalid_building_set(tmp_path, capsys):
 
 
 def test_only_commands_that_read_g_resolve_it(tmp_path, capsys):
-    # rank 0 has no maximal building set; mask 1 alone is not one of P3
-    for data, code in (({"rank": [0]}, 2), ({"rank": P3, "building_set": [1]}, 1)):
-        inst = write_instance(tmp_path, data)
-        for command in ("validate", "flats", "lift-rank", "geometric-flats", "polyperm"):
-            assert run(capsys, [command, "--instance", inst])[0] == 0, (data, command)
-        got, out, err = run(capsys, ["nested-complex", "--instance", inst])
-        assert got == code and "building set" in err
+    # mask 1 alone is not a building set of P3; rank 0, whose ground set is
+    # empty, is test_empty_ground_set_answers_or_exits_2's
+    inst = write_instance(tmp_path, {"rank": P3, "building_set": [1]})
+    for command in ("validate", "flats", "lift-rank", "geometric-flats", "polyperm"):
+        assert run(capsys, [command, "--instance", inst])[0] == 0, command
+    got, out, err = run(capsys, ["nested-complex", "--instance", inst])
+    assert got == 1 and "building set" in err
 
 
 def test_heavy_guard(tmp_path, capsys):
@@ -253,6 +253,24 @@ def test_lift_size_guard(tmp_path, capsys):
     code, out, err = run(capsys, ["validate", "--instance", path])
     assert code == 2
     assert "exceeds" in err
+
+
+def test_empty_ground_set_answers_or_exits_2(tmp_path, capsys):
+    # polyperm --verify-fan printed "normal_fan_matches": false and exited 1
+    # from a Boolean fan of ambient dimension -1; no command may report a
+    # fail there
+    path = write_instance(tmp_path, {"rank": [0]})
+    answered = []
+    for command in COMMANDS:
+        code, out, err = run(capsys, [command, "--instance", path, "--verify-fan"])
+        if command in cli_module.HEAVY_COMMANDS + ("polyperm",):
+            assert code == 2 and out == "", command
+            assert json.loads(err) == {"error": "%s needs a nonempty ground set" % command}
+        else:
+            assert code == 0 and json.loads(out)["pass"] is True, command
+            answered.append(command)
+        assert '"pass": false' not in out
+    assert answered == ["validate", "flats", "lift-rank", "geometric-flats"]
 
 
 def test_verify_all_p2(tmp_path, capsys):

@@ -14,7 +14,7 @@ from conftest import (BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING,
                       all_partitions_m6, boolean_table, building_of)
 from oracles import (as_polymatroid, cone_coordinates, find_cone, fraction_solve,
                      in_relative_interior, integral, is_complete, primitive,
-                     reference_is_unimodular, reference_refines)
+                     random_integral_point, reference_is_unimodular, reference_refines)
 
 
 def random_point(rng, dim, spread=10_000):
@@ -787,7 +787,7 @@ def test_random_integral_point_is_the_scaled_fraction_point():
         for dim in range(1, 7):
             for spread in (10_000, 3):
                 ours, theirs = Random(seed), Random(seed)
-                got = pc.fan.random_integral_point(ours, dim, spread)
+                got = random_integral_point(ours, dim, spread)
                 assert got == integral(random_point(theirs, dim, spread))[0]
                 assert all(type(x) is int for x in got)
                 assert ours.getstate() == theirs.getstate()
@@ -797,30 +797,21 @@ def reference_same_support(f1, f2, trials, seed, seen):
     """same_support's sampler with Fraction samples, as it was before it
     drew in integers, without `stellar_certificate`, and with the count per
     maximal cone divided by the number of maximal cones; appends every point
-    it tests to `seen`."""
-
-    def member(fan, w):
-        seen.append(w)
-        return pc.in_support(fan, integral(w)[0])
-
-    rng = Random(seed)
-    if pc.refines(f1, f2):
-        if f1 == f2:
-            return True
-        for cone in f2.maximal_cones():
-            rays = f2.cone_rays(cone)
-            for _ in range(max(1, trials // len(f2.maximal_cones()))):
-                coeffs = [Fraction(rng.randint(1, 50), rng.randint(1, 7))
-                          for _ in rays]
-                w = tuple(sum(c * r[i] for c, r in zip(coeffs, rays))
-                          for i in range(f2.ambient_dim))
-                if not member(f1, w):
-                    return False
+    it tests to `seen`.  A pair that does not refine is rejected unsampled."""
+    if not pc.refines(f1, f2):
+        return False
+    if f1 == f2:
         return True
-    for _ in range(trials):
-        w = random_point(rng, f1.ambient_dim)
-        if member(f1, w) != member(f2, w):
-            return False
+    rng = Random(seed)
+    for cone in f2.maximal_cones():
+        rays = f2.cone_rays(cone)
+        for _ in range(max(1, trials // len(f2.maximal_cones()))):
+            coeffs = [Fraction(rng.randint(1, 50), rng.randint(1, 7)) for _ in rays]
+            w = tuple(sum(c * r[i] for c, r in zip(coeffs, rays))
+                      for i in range(f2.ambient_dim))
+            seen.append(w)
+            if not pc.in_support(f1, integral(w)[0]):
+                return False
     return True
 
 
@@ -888,14 +879,31 @@ def test_same_support_matches_the_fraction_sampler(monkeypatch):
         got = pc.same_support(f1, f2, trials=1000, seed=0)
         assert got == reference_same_support(f1, f2, trials=1000, seed=0,
                                              seen=expected_points)
-        # only equal fans and certified subdivisions are decided without a
-        # sample; otherwise the samples are the sampler's
-        assert bool(recorded) == (f1 != f2 and not stellar_certificate(f1, f2))
+        # only a refinement that is neither equal nor a certified subdivision
+        # is sampled, and then the samples are the sampler's
+        assert bool(recorded) == (pc.refines(f1, f2) and f1 != f2
+                                  and not stellar_certificate(f1, f2))
         if recorded:
             assert_positive_multiples(recorded, expected_points)
         verdicts.append((pc.refines(f1, f2), got))
-    # both branches run, and the refining branch gives both verdicts
+    # pairs that do not refine are rejected, and refinements get both verdicts
     assert set(verdicts) == {(True, True), (True, False), (False, False)}
+
+
+def test_same_support_rejects_a_pair_that_does_not_refine_without_sampling(monkeypatch):
+    # the Boolean (2,2) fan against P3's fan, whose support it strictly
+    # contains, and the quadrant against its cut along (1, 2), with the same
+    # support: the sampler used to draw points anywhere in space for both,
+    # and accepted the second
+    pairs = [(f1, f2) for f1, f2 in support_pairs() if not pc.refines(f1, f2)]
+    fine, quadrant = subdivided_at_a_non_indicator_ray()
+    pairs.append((quadrant, fine))
+    assert len(pairs) == 2 and not any(pc.refines(f1, f2) for f1, f2 in pairs)
+    recorded = recorded_in_support(monkeypatch)
+    for f1, f2 in pairs:
+        for trials in (1000, 100_000):
+            assert not pc.same_support(f1, f2, trials=trials, seed=0)
+    assert recorded == []
 
 
 def test_same_support_of_equal_fans_samples_nothing(monkeypatch):

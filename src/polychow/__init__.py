@@ -4,8 +4,7 @@ from .building import (BuildingSet, BuildingSetError, is_geometric_building_set,
                        lifted_building_set, maximal_building_set, nested_complex)
 from .chow import ChowPair, nested_basis, dp_ring, fy_ring, pairing_matrix, phi_iso_check
 from .fan import (Fan, balancing_check, bergman_fan, boolean_bergman_fan,
-                  cone_contains, in_support, is_face_closed, is_unimodular,
-                  maximal_bergman_fan_direct, nested_set_fan,
+                  cone_contains, in_support, is_face_closed, is_unimodular, nested_set_fan,
                   pairwise_intersections_are_faces, refines, same_support,
                   validate_fan)
 from .kahler import (ambient_complete_fan, hard_lefschetz_check, hodge_riemann_check,
@@ -26,7 +25,7 @@ __all__ = [
     "hodge_riemann_check", "in_support", "is_face_closed",
     "is_geometric_building_set",
     "is_strictly_convex", "is_unimodular", "kahler_package_report",
-    "lift", "lifted_building_set", "maximal_bergman_fan_direct",
+    "lift", "lifted_building_set",
     "maximal_building_set", "minimizing_vertices", "nested_complex",
     "nested_set_fan", "nestohedron_class", "normal_fan_equals",
     "pairing_matrix",

@@ -248,7 +248,7 @@ def cmd_kahler(G, args):
 
 def support_refinement(G, args):
     fine = bergman_fan(maximal_building_set(G.base))
-    ok = same_support(fine, bergman_fan(G), trials=args.trials, seed=args.seed)
+    ok = same_support(fine, bergman_fan(G))
     return {"equal_support": ok}, ok
 
 
@@ -268,9 +268,11 @@ def cmd_verify_all(G, args):
         try:
             report, ok = func(subject, full)
         except (AssertionError, ValueError) as exc:
-            report, ok = {"error": str(exc)}, False
-        sections[name] = {"status": "pass" if ok else "fail", "report": report}
-        passed = passed and ok
+            # an error of the tooling refutes nothing
+            report, ok = {"reason": str(exc)}, None
+        status = "undecided" if ok is None else "pass" if ok else "fail"
+        sections[name] = {"status": status, "report": report}
+        passed = passed and status == "pass"
     return {"sections": sections, "all_pass": passed}, passed
 
 
@@ -297,10 +299,9 @@ def main(argv=None):
     parser.add_argument("--building-set", default=None,
                         help="path to a JSON list of flat masks, or 'maximal'")
     parser.add_argument("--seed", type=int, default=None,
-                        help="seed of verify-all's support-refinement fallback samples")
+                        help="echoed in the output; changes no verdict")
     parser.add_argument("--trials", type=int, default=1000,
-                        help="samples for verify-all's support-refinement fallback, drawn "
-                             "only when no exact certificate holds (below 1000 count as 1000)")
+                        help="must be at least 1; changes no verdict")
     parser.add_argument("--json-indent", type=int, default=None)
     parser.add_argument("--check", action="store_true",
                         help="run structural validators (fan)")

@@ -13,12 +13,10 @@ pairwise-faces check use integer arithmetic only.
 from functools import reduce
 from itertools import combinations
 from operator import and_, mul
-from random import Random
 
 from . import linalg
-from .bitsets import canonical_key, elements, nonempty_subsets
+from .bitsets import elements, nonempty_subsets
 from .building import _max_members_below, lifted_building_set, nested_complex
-from .lift import lift
 from .polymatroid import Immutable, memoized
 
 
@@ -147,52 +145,6 @@ def bergman_fan(G):
     return memoized(G, "fan", lambda: nested_set_fan(lifted_building_set(G)))
 
 
-def _chains(items):
-    """All chains (as tuples, increasing) in a poset of masks under inclusion."""
-    out = [()]
-    items = sorted(items, key=canonical_key)
-
-    def extend(chain, start):
-        for idx in range(start, len(items)):
-            g = items[idx]
-            if not chain or (chain[-1] & g == chain[-1] and chain[-1] != g):
-                out.append(chain + (g,))
-                extend(chain + (g,), idx + 1)
-
-    extend((), 0)
-    del extend                   # the closure refers to itself: break the cycle
-    return out
-
-
-def maximal_bergman_fan_direct(P):
-    """The Bergman fan of P with the maximal building set, built directly
-    from chains of flats plus a subset S subject to the rank inequality.
-
-    The empty flat participates in the chain, so for every flat F in the
-    chain (including the empty set) and every nonempty T contained in
-    S minus preimage(F) the inequality rk(F + pi(T)) > rk(F) + |T| must
-    hold.
-    """
-    M = lift(P)
-    proj = M.proj
-    m = proj.m
-    full = P.full_mask
-    proper_flats = [f for f in P.flats() if f != 0 and f != full]
-    ray_sets = set()
-    for chain in _chains(proper_flats):
-        flats_with_empty = (0,) + chain
-        for S in range(1 << m):
-            if any(P.rank(F | proj.image(T)) <= P.rank(F) + T.bit_count()
-                   for F in flats_with_empty for T in nonempty_subsets(S & ~proj.preimages[F])):
-                continue
-            cone = {subset_vector(proj.preimages[F], m) for F in chain}
-            cone.update(subset_vector(1 << e, m) for e in elements(S))
-            ray_sets.add(frozenset(cone))
-    rays = sorted({r for s in ray_sets for r in s})
-    index = {r: i for i, r in enumerate(rays)}
-    return Fan(m - 1, rays, [{index[r] for r in s} for s in ray_sets])
-
-
 def boolean_bergman_fan(proj):
     """The complete fan of a Boolean polymatroid: chains of proper nonempty
     subsets of E plus a subset S of E~ containing no fiber.  The rays, one
@@ -318,36 +270,26 @@ def locate(fan, W):
     return fan.cone_masks().get(cone)
 
 
-def refines(fine, coarse):
-    """True iff every cone of `fine` lies inside some cone of `coarse`.
+def in_support(fan, *points):
+    """Whether one cone holds every integer point given (with one point, the
+    support question).  The cone located at the points' sum is tried first,
+    then every maximal cone, largest first: every cone is a ray subset, so
+    a face, of a maximal cone, and lies inside it."""
+    centre = tuple(map(sum, zip(*points))) if points else (0,) * fan.ambient_dim
+    located = locate(fan, centre)
+    if located is not None and all(cone_contains(fan, located, w) for w in points):
+        return True
+    return any(all(cone_contains(fan, c, w) for w in points)
+               for c in sorted(fan.maximal_cones(), key=len, reverse=True))
 
-    Every cone is a ray subset, so a face, of a maximal cone, and lies
-    inside it; so this holds exactly when every maximal cone of `fine`
-    lies inside a maximal cone of `coarse`.  The coarse cone located at a
-    fine cone's ray sum is tried first, then every maximal coarse cone,
-    largest first."""
+
+def refines(fine, coarse):
+    """True iff every cone of `fine` lies inside some cone of `coarse`, that
+    is, iff the rays of each maximal cone of `fine` lie in one cone of
+    `coarse`: every cone is a face of a maximal cone, and cones are convex."""
     if fine.ambient_dim != coarse.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    coarse_cones = sorted(coarse.maximal_cones(), key=len, reverse=True)
-    for cone in fine.maximal_cones():
-        rays = fine.cone_rays(cone)
-        centre = tuple(map(sum, zip(*rays))) if rays else (0,) * fine.ambient_dim
-        located = locate(coarse, centre)
-        if located is not None and all(cone_contains(coarse, located, r) for r in rays):
-            continue
-        if not any(all(cone_contains(coarse, c, r) for r in rays)
-                   for c in coarse_cones):
-            return False
-    return True
-
-
-def in_support(fan, w):
-    """Whether the integer point w lies in some cone: the located cone is
-    tried first, then every cone."""
-    cone = locate(fan, w)
-    if cone is not None and cone_contains(fan, cone, w):
-        return True
-    return any(cone_contains(fan, cone, w) for cone in fan.cones)
+    return all(in_support(coarse, *fine.cone_rays(c)) for c in fine.maximal_cones())
 
 
 def stellar_certificate(fine, coarse):
@@ -391,31 +333,15 @@ def stellar_certificate(fine, coarse):
     return K == fine.cone_masks().keys()
 
 
-def same_support(f1, f2, trials=1000, seed=0):
-    """Whether f1 refines f2 with the same support.  False, with no sample,
-    when `refines(f1, f2)` is False; True for equal fans (`Fan.__eq__`) and
-    fans passing `stellar_certificate(f1, f2)`.  Otherwise the reverse
-    containment is sampled inside f2 on integer points: max(1, trials // k)
-    points per maximal cone, with k maximal cones.  Fewer than 1000 trials
-    count as 1000: fewer let a fan missing a maximal cone pass.  A sample
-    inside a cone of f2 is the sum of (a/b) r over its rays r, with
-    a = randint(1, 50) and b = randint(1, 7) drawn ray by ray.  It is drawn
-    as 420 times that point (420 = lcm(1, ..., 7)), a positive multiple
-    that `in_support` cannot tell apart from it."""
+def same_support(f1, f2):
+    """Whether f1 refines f2 with the same support: False when
+    `refines(f1, f2)` is False, True for equal fans (`Fan.__eq__`) and fans
+    passing `stellar_certificate(f1, f2)`, and None (undecided) otherwise."""
     if not refines(f1, f2):
         return False
     if f1 == f2 or stellar_certificate(f1, f2):
         return True
-    rng = Random(seed)
-    trials = max(trials, 1000)
-    for cone in f2.maximal_cones():
-        columns = list(zip(*f2.cone_rays(cone))) or [()] * f2.ambient_dim
-        for _ in range(max(1, trials // len(f2.maximal_cones()))):
-            coefficients = [rng.randint(1, 50) * (420 // rng.randint(1, 7)) for _ in cone]
-            w = [sum(map(mul, coefficients, col)) for col in columns]
-            if not in_support(f1, w):
-                return False
-    return True
+    return None
 
 
 # --- structural validators ---------------------------------------------------

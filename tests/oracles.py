@@ -6,7 +6,8 @@ definitions, the minimal flats of a ground, the fiber of each lifted
 element, the vertex of each transversal, Lowest posets and the
 sampled normal-fan check built on them, a sampled completeness test,
 primitive vectors, cone queries by a scan, relative interiors and rational
-coordinates, refinement and unimodularity over all cones,
+coordinates, refinement and unimodularity over all cones, equal supports
+by sampling, the Bergman fan from chains of flats,
 exact rational degrees, the classes of the Kahler tests, the ray-variable
 presentation of the Chow ring, and Bareiss elimination that updates every
 row at every step.  `polychow` computes in integers only, so rational
@@ -25,9 +26,9 @@ from random import Random
 
 import polychow as pc
 from polychow import linalg
-from polychow.bitsets import elements
+from polychow.bitsets import canonical_key, elements, nonempty_subsets
 from polychow.chow import Codec, DivisorIndex, _standard_monomials
-from polychow.fan import _locator, _numerators, cone_contains, locate
+from polychow.fan import _locator, _numerators, cone_contains, locate, subset_vector
 from polychow.polymatroid import memoized
 from polychow.polytope import minimizing_vertices
 
@@ -356,6 +357,73 @@ def reference_refines(fine, coarse):
                    for c in coarse_cones):
             return False
     return True
+
+
+def sampled_same_support(f1, f2, trials=1000, seed=0):
+    """`same_support` by sampling, as `polychow` decided the pairs that
+    neither equality nor its certificate settled: False unless
+    `refines(f1, f2)`; then max(1, trials // k) points in each of the k
+    maximal cones of f2 must lie in the support of f1.  A point of a cone is
+    the sum of (a/b) r over its rays r, with a = randint(1, 50) and
+    b = randint(1, 7) drawn ray by ray, scaled to integers by 420 =
+    lcm(1, ..., 7)."""
+    if not pc.refines(f1, f2):
+        return False
+    rng = Random(seed)
+    maxes = f2.maximal_cones()
+    for cone in maxes:
+        columns = list(zip(*f2.cone_rays(cone))) or [()] * f2.ambient_dim
+        for _ in range(max(1, trials // len(maxes))):
+            coefficients = [rng.randint(1, 50) * (420 // rng.randint(1, 7)) for _ in cone]
+            if not pc.in_support(f1, [sum(map(mul, coefficients, col)) for col in columns]):
+                return False
+    return True
+
+
+def chains(items):
+    """All chains (as tuples, increasing) in a poset of masks under inclusion."""
+    out = [()]
+    items = sorted(items, key=canonical_key)
+
+    def extend(chain, start):
+        for idx in range(start, len(items)):
+            g = items[idx]
+            if not chain or (chain[-1] & g == chain[-1] and chain[-1] != g):
+                out.append(chain + (g,))
+                extend(chain + (g,), idx + 1)
+
+    extend((), 0)
+    del extend                   # the closure refers to itself: break the cycle
+    return out
+
+
+def maximal_bergman_fan_direct(P):
+    """The Bergman fan of P with the maximal building set, built directly
+    from chains of flats plus a subset S subject to the rank inequality: a
+    third construction beside `bergman_fan` and `boolean_bergman_fan`.
+
+    The empty flat participates in the chain, so for every flat F in the
+    chain (including the empty set) and every nonempty T contained in
+    S minus preimage(F) the inequality rk(F + pi(T)) > rk(F) + |T| must
+    hold.
+    """
+    proj = pc.lift(P).proj
+    m = proj.m
+    full = P.full_mask
+    proper_flats = [f for f in P.flats() if f != 0 and f != full]
+    ray_sets = set()
+    for chain in chains(proper_flats):
+        flats_with_empty = (0,) + chain
+        for S in range(1 << m):
+            if any(P.rank(F | proj.image(T)) <= P.rank(F) + T.bit_count()
+                   for F in flats_with_empty for T in nonempty_subsets(S & ~proj.preimages[F])):
+                continue
+            cone = {subset_vector(proj.preimages[F], m) for F in chain}
+            cone.update(subset_vector(1 << e, m) for e in elements(S))
+            ray_sets.add(frozenset(cone))
+    rays = sorted({r for s in ray_sets for r in s})
+    index = {r: i for i, r in enumerate(rays)}
+    return pc.Fan(m - 1, rays, [{index[r] for r in s} for s in ray_sets])
 
 
 def reference_is_unimodular(fan):

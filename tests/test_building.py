@@ -10,10 +10,10 @@ import polychow as pc
 from polychow.bitsets import canonical_key
 from polychow.building import _max_members_below, _nested_sets
 from polychow.chow import Codec, _groebner, poly_mul, poly_pow
-from polychow.fan import _chains, boolean_bergman_fan
+from polychow.fan import boolean_bergman_fan
 from conftest import (P1, P2, P3, P4, U34, U34_MIN_BUILDING, B111_MIN_BUILDING,
                       boolean_table, building_of)
-from oracles import degree, flat_atoms, pack
+from oracles import chains, degree, flat_atoms, pack
 
 
 # --- the subset-by-subset nested-set tests, kept as references --------------
@@ -444,7 +444,7 @@ def test_recursive_searches_leave_no_cyclic_garbage():
     searches = {"_nested_sets": lambda: _nested_sets(lifted, M.full_mask),
                 "_groebner": lambda: _groebner(lifted),
                 "boolean_bergman_fan": lambda: boolean_bergman_fan(M.proj),
-                "_chains": lambda: _chains(M.flats())}
+                "chains": lambda: chains(M.flats())}
     left = {}
     gc.collect()
     gc.disable()

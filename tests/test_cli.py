@@ -15,9 +15,8 @@ from polychow import (chow as chow_module, cli as cli_module, fan as fan_module,
                       kahler as kahler_module)
 from polychow.cli import main, polyperm_costs
 from polychow.lift import MultisymMatroid
-from polychow.fan import _chains
 from conftest import BOOLEAN_FIBERS, P2, P3, U34, U34_MIN_BUILDING, boolean_table
-from oracles import vertex_of
+from oracles import chains, vertex_of
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -222,9 +221,9 @@ def test_polyperm_costs_count_the_loops(fibers):
     Q = pc.Polypermutohedron(proj)
     fiber_free = [S for S in range(1 << proj.m)
                   if not any(S & fm == fm for fm in proj.fiber_masks)]
-    chains = _chains(range(1, (1 << proj.n) - 1))
     assert polyperm_costs(list(fibers)) == (len(vertex_of(Q)),
-                                            len(chains) * len(fiber_free))
+                                            len(chains(range(1, (1 << proj.n) - 1)))
+                                            * len(fiber_free))
 
 
 def cap_address_space():
@@ -335,10 +334,11 @@ def test_building_set_members_outside_the_ground_set_are_refused(tmp_path, capsy
         "error": "invalid building set: member %d is not a subset of the ground set" % member}
 
 
-def test_verify_all_reports_a_support_refinement_error_as_its_failure(
+def test_verify_all_reports_a_support_refinement_error_as_undecided(
         tmp_path, capsys, monkeypatch):
     # support-refinement is one entry of verify-all's plan, so an error in
-    # it fails that section like any other instead of escaping as a traceback
+    # it leaves that section undecided like any other instead of escaping as
+    # a traceback; an error refutes nothing, so it is never `fail`
     def refuse(*args, **kwargs):
         raise ValueError("ambient dimension mismatch")
 
@@ -348,7 +348,7 @@ def test_verify_all_reports_a_support_refinement_error_as_its_failure(
     assert code == 1
     sections = json.loads(out)["report"]["sections"]
     assert sections.pop("support-refinement") == {
-        "status": "fail", "report": {"error": "ambient dimension mismatch"}}
+        "status": "undecided", "report": {"reason": "ambient dimension mismatch"}}
     assert {section["status"] for section in sections.values()} == {"pass"}
 
 
@@ -406,7 +406,7 @@ B112_C0 = {"rank": boolean_table((1, 1, 2)), "c": [0, 1, 2]}
     "3e4faf8c59939a9d9d6d99b2bbe5c69b8c06081242758f10cf0df31194ad1516",
     "b014b9dcb3cf60bcae494f716bac479eb72319930753296428c2c65d3f9a983a",
     "01e6ef3a91b660ad5c8b0a48d05acb0638b4c5a635948b510255e9e273ee70cb",
-    "6e153ecf20cf5080fabfcf2f74d711624906a266db4c1e8bb3f418b024906e9d"])] + [
+    "ff7baf303362a8747803cd1c9943e2287e53150472f08b0c989c0f63549c3415"])] + [
     (["polyperm", "--verify-fan"], {"rank": boolean_table((1,))},
      "61bf1aa32289f0a52c2ac99196fbac40972667a340d84a8b923c8fe155ead7fb"),
     (["polyperm", "--verify-fan"], {"rank": boolean_table((2, 2, 1))},
@@ -455,13 +455,34 @@ def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
     # lift of at most 12 elements, on K(4,2,5), B(2,2,2) and U(3,5) while each
     # rank minimized over all subsets of the base ground set); the chow
     # report prints the basis exponents.
-    # U(3,5), the last rung, exits 1 for its known `kahler` failure (ROADMAP
-    # item 1), and B(1,1,2) at c_1 = 0 because its transversals share
-    # vertices, so its normal fan is not the Boolean fan.
+    # U(3,5), the last rung, was re-recorded when its `kahler` section became
+    # `undecided` instead of `fail`, the one change in its JSON; it exits 1
+    # because no Kahler verdict is reached there (ROADMAP item 1), and
+    # B(1,1,2) at c_1 = 0 because its transversals share vertices, so its
+    # normal fan is not the Boolean fan.
     path = write_instance(tmp_path, data)
     code, out, _ = run(capsys, argv[:1] + ["--instance", path] + argv[1:])
     assert code == (1 if data is LADDER[-1] or data is B112_C0 else 0)
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("data, flat", [({"rank": [0, 1, 1, 1]}, 1), ({"rank": K425}, 63)],
+                         ids=["U(1,2)", "K(4,2,5)"])
+def test_verify_all_leaves_kahler_undecided_without_an_ambient_fan(
+        tmp_path, capsys, data, flat):
+    # the lifted members are no building set of the Boolean lattice, so no
+    # Kahler verdict is reached (ROADMAP item 1): `undecided`, exit 1, and
+    # no section prints `fail`
+    path = write_instance(tmp_path, data)
+    code, out, _ = run(capsys, ["verify-all", "--instance", path])
+    assert code == 1 and '"fail"' not in out
+    report = json.loads(out)
+    assert report["pass"] is False and report["report"]["all_pass"] is False
+    sections = report["report"]["sections"]
+    assert sections.pop("kahler") == {
+        "status": "undecided",
+        "report": {"reason": "building set condition fails at flat %d" % flat}}
+    assert {section["status"] for section in sections.values()} == {"pass"}
 
 
 def matrix_entries(rows, width=None):
@@ -529,19 +550,15 @@ def test_polyperm_verify_fan_reads_neither_trials_nor_seed(tmp_path, capsys, dat
 U34_BETWEEN = {"rank": U34, "building_set": [1, 2, 4, 8, 3, 6, 15]}
 
 
-def test_verify_all_samples_no_support_on_the_ladder(tmp_path, capsys, monkeypatch):
+def test_verify_all_passes_the_support_section_on_the_ladder(tmp_path, capsys):
     # with the maximal building set the support section compares the fan
     # with itself; with a coarser one the stellar-subdivision certificate
-    # decides it: neither draws a sample
-    calls = []
-    shipped = fan_module.in_support
-    monkeypatch.setattr(fan_module, "in_support",
-                        lambda fan, w: calls.append(w) or shipped(fan, w))
+    # decides it
     for i, data in enumerate(LADDER + [U34_BETWEEN]):
         _, out, _ = run(capsys, ["verify-all", "--trials", "200", "--seed", "1",
                                  "--instance", write_instance(tmp_path, data, "%d.json" % i)])
-        assert json.loads(out)["report"]["sections"]["support-refinement"]["status"] == "pass"
-    assert calls == []
+        assert json.loads(out)["report"]["sections"]["support-refinement"] == {
+            "status": "pass", "report": {"equal_support": True}}
 
 
 def test_coarser_building_set_support_reads_neither_trials_nor_seed(tmp_path, capsys):

@@ -8,13 +8,14 @@ import pytest
 import polychow as pc
 from polychow import linalg
 from polychow.bitsets import elements
-from polychow.fan import (_chains, _has_positive_circuit, complete_fan_certificate, locate,
+from polychow.fan import (_has_positive_circuit, complete_fan_certificate, locate,
                           pairwise_faces_by_circuits, stellar_certificate, subset_vector)
 from conftest import (BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING,
                       all_partitions_m6, boolean_table, building_of)
-from oracles import (as_polymatroid, cone_coordinates, find_cone, fraction_solve,
-                     in_relative_interior, integral, is_complete, primitive,
-                     random_integral_point, reference_is_unimodular, reference_refines)
+from oracles import (as_polymatroid, chains, cone_coordinates, find_cone, fraction_solve,
+                     in_relative_interior, integral, is_complete, maximal_bergman_fan_direct,
+                     primitive, random_integral_point, reference_is_unimodular,
+                     reference_refines, sampled_same_support)
 
 
 def random_point(rng, dim, spread=10_000):
@@ -58,7 +59,7 @@ def test_p3_fan_shape():
 def test_cross_construction_maximal():
     for table in (P1, P2, P3, U34):
         P = pc.Polymatroid(table)
-        assert pc.bergman_fan(pc.maximal_building_set(P)) == pc.maximal_bergman_fan_direct(P)
+        assert pc.bergman_fan(pc.maximal_building_set(P)) == maximal_bergman_fan_direct(P)
 
 
 def test_boolean_third_route():
@@ -66,7 +67,7 @@ def test_boolean_third_route():
         proj = pc.ProjectionMap(fibers)
         P = pc.boolean_polymatroid(proj)
         assert pc.bergman_fan(pc.maximal_building_set(P)) == pc.boolean_bergman_fan(proj)
-        assert pc.boolean_bergman_fan(proj) == pc.maximal_bergman_fan_direct(P)
+        assert pc.boolean_bergman_fan(proj) == maximal_bergman_fan_direct(P)
 
 
 def chain_boolean_bergman_fan(proj):
@@ -79,7 +80,7 @@ def chain_boolean_bergman_fan(proj):
     fiber_rays = {F: subset_vector(proj.preimages[F], m) for F in proper}
     element_rays = [subset_vector(1 << e, m) for e in range(m)]
     ray_sets = {frozenset({fiber_rays[F] for F in chain} | {element_rays[e] for e in elements(S)})
-                for chain in _chains(proper) for S in fiber_free}
+                for chain in chains(proper) for S in fiber_free}
     rays = sorted({r for s in ray_sets for r in s})
     index = {r: i for i, r in enumerate(rays)}
     return pc.Fan(m - 1, rays, [{index[r] for r in s} for s in ray_sets])
@@ -180,7 +181,7 @@ def test_refinement_of_coarser_building_set():
     assert len(fine.rays) == 10   # 4 singleton flats + 6 pair flats
     assert len(coarse.rays) == 4  # the singleton flats; E gives no ray
     assert pc.refines(fine, coarse)
-    assert pc.same_support(fine, coarse, trials=500)
+    assert pc.same_support(fine, coarse) is True
 
 
 def test_lift_fan_refined_by_boolean_fan_support_differs():
@@ -188,7 +189,7 @@ def test_lift_fan_refined_by_boolean_fan_support_differs():
     lifted = pc.bergman_fan(pc.maximal_building_set(P))
     boolean = pc.boolean_bergman_fan(pc.ProjectionMap((2, 2)))
     # the boolean fan is complete; the lift fan is a proper subfan support
-    assert not pc.same_support(boolean, lifted, trials=200)
+    assert pc.same_support(boolean, lifted) is False
     assert is_complete(boolean)
     assert not is_complete(lifted)
 
@@ -202,7 +203,7 @@ def test_sigma_p3_refines_u34_fan():
     U = pc.Polymatroid(U34)
     coarse = pc.bergman_fan(pc.BuildingSet(U, U34_MIN_BUILDING))
     assert len(fine.rays) == 6
-    assert pc.same_support(fine, coarse, trials=500)
+    assert pc.same_support(fine, coarse) is True
 
 
 def test_nested_set_fan_matches_bergman():
@@ -591,7 +592,7 @@ def nested_set_fixture_fans():
     """Fans whose rays are subset vectors and whose cones are nested sets."""
     fans = [pc.bergman_fan(building_of(t)) for t in (P1, P2, P3, P4, U34)]
     fans.append(fan_of(U34, U34_MIN_BUILDING)[1])
-    fans += [pc.maximal_bergman_fan_direct(pc.Polymatroid(t)) for t in (P2, P3, U34)]
+    fans += [maximal_bergman_fan_direct(pc.Polymatroid(t)) for t in (P2, P3, U34)]
     fans += [pc.boolean_bergman_fan(pc.ProjectionMap(f)) for f in ((1, 2), (2, 2), (1, 1, 2))]
     return fans
 
@@ -793,28 +794,6 @@ def test_random_integral_point_is_the_scaled_fraction_point():
                 assert ours.getstate() == theirs.getstate()
 
 
-def reference_same_support(f1, f2, trials, seed, seen):
-    """same_support's sampler with Fraction samples, as it was before it
-    drew in integers, without `stellar_certificate`, and with the count per
-    maximal cone divided by the number of maximal cones; appends every point
-    it tests to `seen`.  A pair that does not refine is rejected unsampled."""
-    if not pc.refines(f1, f2):
-        return False
-    if f1 == f2:
-        return True
-    rng = Random(seed)
-    for cone in f2.maximal_cones():
-        rays = f2.cone_rays(cone)
-        for _ in range(max(1, trials // len(f2.maximal_cones()))):
-            coeffs = [Fraction(rng.randint(1, 50), rng.randint(1, 7)) for _ in rays]
-            w = tuple(sum(c * r[i] for c, r in zip(coeffs, rays))
-                      for i in range(f2.ambient_dim))
-            seen.append(w)
-            if not pc.in_support(f1, integral(w)[0]):
-                return False
-    return True
-
-
 def support_pairs():
     """Criterion 6's (fine, coarse) pairs, U(3,4) with its maximal and its
     minimal building set, and a pair whose first fan does not refine the
@@ -822,7 +801,7 @@ def support_pairs():
     pairs = []
     for table, members in [(t, None) for t in (P1, P2, P3, P4, U34)] + [(U34, U34_MIN_BUILDING)]:
         P, coarse = fan_of(table, members)
-        pairs.append((pc.maximal_bergman_fan_direct(as_polymatroid(pc.lift(P))), coarse))
+        pairs.append((maximal_bergman_fan_direct(as_polymatroid(pc.lift(P))), coarse))
     pairs.append((fan_of(U34)[1], fan_of(U34, U34_MIN_BUILDING)[1]))
     pairs.append((pc.boolean_bergman_fan(pc.ProjectionMap((2, 2))), fan_of(P3)[1]))
     return pairs
@@ -839,95 +818,67 @@ def without_a_maximal_cone(fans):
     return out
 
 
-def assert_positive_multiples(points, references):
-    assert len(points) == len(references)
-    for w, ref in zip(points, references):
-        assert all(type(x) is int for x in w)
-        k = next((Fraction(x) / y for x, y in zip(w, ref) if y), 1)
-        assert k > 0 and all(x == k * y for x, y in zip(w, ref))
-
-
-def recorded_in_support(monkeypatch):
-    """The points `same_support` passes to `in_support`, recorded in a list."""
-    recorded = []
-    shipped = pc.fan.in_support
-
-    def recording(fan, w):
-        recorded.append(tuple(w))
-        return shipped(fan, w)
-
-    monkeypatch.setattr(pc.fan, "in_support", recording)
-    return recorded
-
-
 def subdivided_at_a_non_indicator_ray():
     """The positive quadrant, and the same quadrant cut along (1, 2): the
     second refines the first with the same support, and its rays are no
-    indicator vectors, so only the sampler can accept the pair."""
+    indicator vectors, so `stellar_certificate` cannot accept the pair."""
     quadrant = pc.Fan(2, [(1, 0), (0, 1)], face_closure([{0, 1}]))
     return pc.Fan(2, [(1, 0), (0, 1), (1, 2)], face_closure([{0, 2}, {1, 2}])), quadrant
 
 
-def test_same_support_matches_the_fraction_sampler(monkeypatch):
-    pairs = support_pairs() + [subdivided_at_a_non_indicator_ray()]
+def test_same_support_matches_the_fraction_sampler():
+    # wherever same_support decides, the sampler of the oracles agrees; the
+    # pairs it leaves undecided here are fans less a maximal cone, which the
+    # sampler refutes, and the quadrant cut along (1, 2), which it accepts
+    pairs = support_pairs()
     pairs += without_a_maximal_cone({coarse for _, coarse in pairs})
-    recorded = recorded_in_support(monkeypatch)
     verdicts = []
     for f1, f2 in pairs:
-        recorded.clear()
-        expected_points = []
-        got = pc.same_support(f1, f2, trials=1000, seed=0)
-        assert got == reference_same_support(f1, f2, trials=1000, seed=0,
-                                             seen=expected_points)
-        # only a refinement that is neither equal nor a certified subdivision
-        # is sampled, and then the samples are the sampler's
-        assert bool(recorded) == (pc.refines(f1, f2) and f1 != f2
-                                  and not stellar_certificate(f1, f2))
-        if recorded:
-            assert_positive_multiples(recorded, expected_points)
-        verdicts.append((pc.refines(f1, f2), got))
-    # pairs that do not refine are rejected, and refinements get both verdicts
-    assert set(verdicts) == {(True, True), (True, False), (False, False)}
+        got = pc.same_support(f1, f2)
+        sampled = sampled_same_support(f1, f2)
+        assert got is None or got == sampled, (f1, f2)
+        verdicts.append((pc.refines(f1, f2), got, sampled))
+    assert set(verdicts) == {(True, True, True), (False, False, False), (True, None, False)}
+    fine, quadrant = subdivided_at_a_non_indicator_ray()
+    assert pc.same_support(fine, quadrant) is None and sampled_same_support(fine, quadrant)
 
 
-def test_same_support_rejects_a_pair_that_does_not_refine_without_sampling(monkeypatch):
+def test_same_support_rejects_a_pair_that_does_not_refine_without_sampling():
     # the Boolean (2,2) fan against P3's fan, whose support it strictly
     # contains, and the quadrant against its cut along (1, 2), with the same
-    # support: the sampler used to draw points anywhere in space for both,
-    # and accepted the second
+    # support: a sampler that drew points anywhere in space accepted the
+    # second, and `refines` rejects both
     pairs = [(f1, f2) for f1, f2 in support_pairs() if not pc.refines(f1, f2)]
     fine, quadrant = subdivided_at_a_non_indicator_ray()
     pairs.append((quadrant, fine))
     assert len(pairs) == 2 and not any(pc.refines(f1, f2) for f1, f2 in pairs)
-    recorded = recorded_in_support(monkeypatch)
     for f1, f2 in pairs:
-        for trials in (1000, 100_000):
-            assert not pc.same_support(f1, f2, trials=trials, seed=0)
-    assert recorded == []
+        assert pc.same_support(f1, f2) is False
 
 
-def test_same_support_of_equal_fans_samples_nothing(monkeypatch):
+def test_same_support_of_equal_fans_samples_nothing():
     # every support-pair fan with itself, and the nested-set fan of the
-    # maximal building set with the equal fan built from chains of flats
+    # maximal building set with the equal fan built from chains of flats:
+    # equality decides each pair, both ways round
     pairs = [(f, f) for pair in support_pairs() for f in pair]
     for table in (P1, P2, P3, P4, U34):
         P = pc.Polymatroid(table)
         pairs.append((pc.bergman_fan(pc.maximal_building_set(P)),
-                      pc.maximal_bergman_fan_direct(P)))
-    recorded = recorded_in_support(monkeypatch)
+                      maximal_bergman_fan_direct(P)))
     for f1, f2 in pairs:
         assert f1 == f2
-        assert pc.same_support(f1, f2, trials=1000, seed=0)
-        assert pc.same_support(f2, f1, trials=1000, seed=0)
-    assert recorded == []
+        assert pc.same_support(f1, f2) is True
+        assert pc.same_support(f2, f1) is True
     assert sum(f1 is not f2 for f1, f2 in pairs) == 5
 
 
 def test_same_support_refining_branch_rejects_a_missing_cone():
+    # a fan less a maximal cone refines the whole fan, and no certificate
+    # accepts it, so it is left undecided, never accepted
     for f1, f2 in without_a_maximal_cone([fan_of(P3)[1], fan_of(U34, U34_MIN_BUILDING)[1]]):
         assert pc.refines(f1, f2)
-        assert not pc.same_support(f1, f2)
-        assert pc.same_support(f2, f2)
+        assert pc.same_support(f1, f2) is None
+        assert pc.same_support(f2, f2) is True
 
 
 # --- stellar-subdivision certificate ------------------------------------------
@@ -965,11 +916,13 @@ def test_stellar_certificate_rejects_a_fan_less_a_maximal_cone():
         assert not stellar_certificate(less, coarse)
 
 
-def test_same_support_rejects_a_fan_less_a_maximal_cone_at_few_trials():
-    # 200 trials count as 1000: with one sample per coarse maximal cone
-    # (K(4,2,5) has over 130) the sampler used to miss the lost cone
+def test_same_support_never_accepts_a_fan_less_a_maximal_cone():
+    # such a fan refines the whole one, and only the certificate could
+    # accept it: the pair is undecided, and the sampler refutes it
     for less, coarse in fans_less_a_maximal_cone():
-        assert not pc.same_support(less, coarse, trials=200, seed=0)
+        assert pc.refines(less, coarse)
+        assert pc.same_support(less, coarse) is None
+        assert not sampled_same_support(less, coarse)
 
 
 def test_stellar_certificate_rejects_overlapping_factors():
@@ -1042,7 +995,8 @@ def test_stellar_certificate_holds_on_random_coarser_building_sets():
     for fine, coarse in random_coarser_pairs():
         assert pc.refines(fine, coarse) and fine != coarse
         assert stellar_certificate(fine, coarse)
-        assert reference_same_support(fine, coarse, trials=200, seed=0, seen=[])
+        assert pc.same_support(fine, coarse) is True
+        assert sampled_same_support(fine, coarse, trials=200)
 
 
 # --- references for the fan builders and validators as they were -----------

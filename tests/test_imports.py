@@ -45,6 +45,13 @@ def test_no_module_imports_fractions():
             if "fractions" in absolute_imports(path)] == []
 
 
+def test_no_module_imports_random():
+    # every verdict is decided exactly, so no run draws a random number;
+    # the samplers that check the certificates live in tests/oracles.py
+    assert [path.name for path in MODULES + [PACKAGE / "__init__.py"]
+            if "random" in absolute_imports(path)] == []
+
+
 def test_no_module_imports_cached_property():
     # `polymatroid.memoized` is the one memo mechanism: each structure keeps
     # what derives from it in its own `_memo`; this catches the name
@@ -75,9 +82,7 @@ def test_every_module_level_definition_is_referenced_elsewhere_in_src():
                     if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                     and not any(node.name in used for other, used in zip(nodes, names)
                                 if other is not node)}
-    # ROADMAP item 2 plans to compare verify-all's fan with this third
-    # construction; until then only the tests call it
-    assert unreferenced == {"maximal_bergman_fan_direct"}, sorted(unreferenced)
+    assert unreferenced == set(), sorted(unreferenced)
 
 
 def is_dunder(name):

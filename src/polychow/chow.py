@@ -32,8 +32,9 @@ bit, and the rings raise OverflowError on any monomial with one set.
 a `DivisorIndex` finds the first leading term dividing a monomial.
 """
 
-from functools import cache
+from functools import cache, reduce
 from itertools import product
+from operator import or_
 from sys import maxsize
 
 from . import linalg
@@ -419,10 +420,7 @@ def nested_basis(G):
     for N in nested_complex(G):
         ranges = []                  # one per member, in N's iteration order
         for g in N:
-            union_below = 0
-            for f in N:
-                if f & g == f and f != g:
-                    union_below |= f
+            union_below = reduce(or_, (f for f in N if f & g == f and f != g), 0)
             hi = P.rank(g) - P.rank(union_below)  # exclusive bound
             if hi <= 1:
                 ranges = None

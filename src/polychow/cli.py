@@ -15,6 +15,8 @@ passed.
 import argparse
 import json
 import sys
+from collections import Counter
+from contextlib import suppress
 from math import comb, factorial, prod
 
 from .building import BuildingSet, BuildingSetError, maximal_building_set, nested_complex
@@ -113,9 +115,21 @@ def polyperm_costs(sizes):
     return factorial(n) * prod(sizes), fubini * prod((1 << s) - 1 for s in sizes)
 
 
+def polyperm_refusal(P, command, fan=True):
+    """Why building Q(pi; c), and with `fan` its Boolean fan, costs too much
+    for `command`, or None: `guard` refuses on it, `cmd_fan` routes by it."""
+    vertices, loops = polyperm_costs([P.rank(1 << i) for i in range(P.n)])
+    if vertices > MAX_POLYPERM_VERTICES:
+        return ("polypermutohedron vertex count %d exceeds the limit %d"
+                % (vertices, MAX_POLYPERM_VERTICES))
+    if fan and loops > MAX_FAN_LOOPS:
+        return ("Boolean fan loop count %d exceeds the limit %d for %s"
+                % (loops, MAX_FAN_LOOPS, command))
+    return None
+
+
 def guard(P, command, verify_fan):
-    sizes = [P.rank(1 << i) for i in range(P.n)]
-    m = sum(sizes)
+    m = sum(P.rank(1 << i) for i in range(P.n))
     if P.n == 0 and command in HEAVY_COMMANDS + ("polyperm",):
         raise CliError("%s needs a nonempty ground set" % command)
     if m > MAX_GROUND:
@@ -124,14 +138,9 @@ def guard(P, command, verify_fan):
     if command in HEAVY_COMMANDS and P.n > MAX_GROUND_HEAVY:
         raise CliError("ground set size %d exceeds the limit %d for %s"
                        % (P.n, MAX_GROUND_HEAVY, command))
-    if command in ("polyperm", "verify-all"):
-        vertices, loops = polyperm_costs(sizes)
-        if vertices > MAX_POLYPERM_VERTICES:
-            raise CliError("polypermutohedron vertex count %d exceeds the limit %d"
-                           % (vertices, MAX_POLYPERM_VERTICES))
-        if (verify_fan or command == "verify-all") and loops > MAX_FAN_LOOPS:
-            raise CliError("Boolean fan loop count %d exceeds the limit %d for %s"
-                           % (loops, MAX_FAN_LOOPS, command))
+    if command in ("polyperm", "verify-all") and (
+            refusal := polyperm_refusal(P, command, verify_fan or command == "verify-all")):
+        raise CliError(refusal)
 
 
 def cmd_validate(P, args):
@@ -161,11 +170,9 @@ def cmd_geometric_flats(P, args):
 
 def cmd_nested_complex(G, args):
     complexes = nested_complex(G)
-    by_size = {}
-    for N in complexes:
-        by_size[len(N)] = by_size.get(len(N), 0) + 1
+    by_size = Counter(map(len, complexes))
     return {"members": len(G), "nested_sets": len(complexes),
-            "by_size": [by_size.get(k, 0) for k in range(max(by_size) + 1)]}, True
+            "by_size": [by_size[k] for k in range(max(by_size) + 1)]}, True
 
 
 def cmd_fan(G, args):
@@ -176,8 +183,10 @@ def cmd_fan(G, args):
               "maximal_cones": len(fan.maximal_cones())}
     ok = True
     if args.check:
-        # the Boolean fan is built only under verify-all's polyperm guard
-        ambient = normal_fan(G.base, args) if args.command == "verify-all" else None
+        ambient = None  # the certified Boolean fan, if the limits admit it and c is valid
+        if polyperm_refusal(G.base, "fan") is None:
+            with suppress(CliError):
+                ambient = normal_fan(G.base, args)
         checks = validate_fan(fan, expected_max_dim=G.base.r - 1, ambient=ambient)
         report["checks"] = checks
         ok = all(checks.values())
@@ -253,16 +262,15 @@ def support_refinement(G, args):
 
 
 def cmd_verify_all(G, args):
-    full = argparse.Namespace(**vars(args))
-    full.check = True
-    full.iso_check = True
-    full.verify_fan = True
+    full = argparse.Namespace(**{**vars(args), "check": True, "iso_check": True,
+                                 "verify_fan": True})
     sections = {}
     passed = True
     P = G.base
+    # polyperm runs before fan, so an invalid c exits 2 before fan ignores it
     plan = [("validate", cmd_validate, P), ("geometric-flats", cmd_geometric_flats, P),
-            ("nested-complex", cmd_nested_complex, G), ("fan", cmd_fan, G),
-            ("polyperm", cmd_polyperm, P), ("chow", cmd_chow, G), ("kahler", cmd_kahler, G),
+            ("nested-complex", cmd_nested_complex, G), ("polyperm", cmd_polyperm, P),
+            ("fan", cmd_fan, G), ("chow", cmd_chow, G), ("kahler", cmd_kahler, G),
             ("support-refinement", support_refinement, G)]
     for name, func, subject in plan:
         try:

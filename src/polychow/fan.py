@@ -62,17 +62,18 @@ class Fan(Immutable):
         return max((len(c) for c in self.cones), default=0)
 
     def maximal_cones(self):
-        """The cones in no other cone, in the order of `cones`; memoized.  A cone
-        is maximal iff the AND of its rays' bitsets of cone positions is its bit."""
+        """The cones in no other cone, in the order of `cones`; memoized.  Taken
+        largest first, a cone is maximal iff no maximal cone found so far holds
+        it, that is, iff the AND of its rays' bitsets of those cones is 0."""
         def build():
-            cones = list(self.cones)
-            holders = [0] * len(self.rays)
-            for k, c in enumerate(cones):
-                for i in c:
-                    holders[i] |= 1 << k
-            everything = (1 << len(cones)) - 1
-            return tuple(c for k, c in enumerate(cones)
-                         if reduce(and_, map(holders.__getitem__, c), everything) == 1 << k)
+            holders, found = [0] * len(self.rays), []
+            for c in sorted(self.cones, key=len, reverse=True):
+                if not reduce(and_, map(holders.__getitem__, c), (1 << len(found)) - 1):
+                    for i in c:
+                        holders[i] |= 1 << len(found)
+                    found.append(c)
+            kept = set(found)
+            return tuple(c for c in self.cones if c in kept)
 
         return memoized(self, "maximal_cones", build)
 
@@ -359,11 +360,8 @@ def is_unimodular(fan):
     drop also fails."""
     for cone in fan.maximal_cones():
         rays = fan.cone_rays(cone)
-        if not rays:
-            continue
-        if len(rays) > fan.ambient_dim:
-            return False
-        if any(d != 1 for d in linalg.smith_normal_form(rays)):
+        if rays and (len(rays) > fan.ambient_dim
+                     or any(d != 1 for d in linalg.smith_normal_form(rays))):
             return False
     return True
 

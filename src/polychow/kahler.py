@@ -18,7 +18,7 @@ generator set is a Groebner basis (the tests reduce every S-pair).
 
 from . import linalg
 from .building import BuildingSet
-from .chow import pairing_det, pairing_matrix, poly_mul
+from .chow import pairing_det, pairing_matrix, poly_mul, reduce_poly
 from .fan import bergman_fan, nested_set_fan, subset_vector
 from .polymatroid import ProjectionMap, boolean_polymatroid, memoized
 
@@ -58,13 +58,8 @@ def nestohedron_values(pair):
     full = pair.M.full_mask
     total = len(members)
     drop = pair.proj.m - 1
-    out = {}
-    for g in members:
-        if g == full:
-            continue
-        count = sum(1 for h in members if h & g == h)
-        out[g] = (total if g >> drop & 1 else 0) - count
-    return out
+    return {g: (total if g >> drop & 1 else 0) - sum(1 for h in members if h & g == h)
+            for g in members if g != full}
 
 
 def nestohedron_class(pair):
@@ -177,7 +172,7 @@ def hodge_riemann_check(pair, ell, k):
 def kahler_package_report(pair):
     """Poincare pairing, Hard Lefschetz, and Hodge-Riemann for the
     nestohedron class and every admissible k, as a dict of named verdicts."""
-    ell = nestohedron_class(pair)[2]
+    ell = reduce_poly(pair.fy, nestohedron_class(pair)[2])  # exact: nf is linear
     r = pair.fy.r
     report = {}
     for k in range((r + 1) // 2):

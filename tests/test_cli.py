@@ -584,6 +584,17 @@ def test_validate_is_fast_at_the_largest_accepted_ground_sets(tmp_path):
                          capture_output=True, text=True, timeout=8,
                          env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=cap_address_space)
     assert out.returncode == 0 and json.loads(out.stdout)["report"]["valid"] is True
+    # a refusal ran the pairwise scan to name its witness, about 10 s at
+    # n = 14; the local test stops at its first failure
+    table = [min(bin(S).count("1"), 12) for S in range(1 << 14)]
+    table[-1] = 13
+    path = write_instance(tmp_path, {"rank": table})
+    out = subprocess.run([sys.executable, "-m", "polychow.cli", "validate",
+                          "--instance", path],
+                         capture_output=True, text=True, timeout=2,
+                         env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=cap_address_space)
+    assert (out.returncode, out.stdout) == (1, "")
+    assert json.loads(out.stderr)["error"].startswith("invalid polymatroid (submodularity")
 
 
 def test_fan_check_is_fast_on_a_fan_that_is_not_complete(tmp_path):
@@ -742,13 +753,74 @@ def test_verify_all_falls_back_where_the_normal_fan_does_not_decide(
     assert calls == {"boolean_bergman_fan": 1, "normal_fan_equals": 1, **fallback}
 
 
-def test_standalone_fan_check_never_builds_the_boolean_fan(tmp_path, capsys, monkeypatch):
-    # MAX_FAN_LOOPS bounds the Boolean fan only for polyperm and verify-all
-    monkeypatch.setattr(cli_module, "boolean_bergman_fan", None)
-    path = write_instance(tmp_path, LADDER[-1])
+def count_boolean_fans(monkeypatch):
+    """The Boolean fans the CLI builds from now on, one entry each."""
+    builds = []
+    real = cli_module.boolean_bergman_fan
+    monkeypatch.setattr(cli_module, "boolean_bergman_fan",
+                        lambda proj: builds.append(proj) or real(proj))
+    return builds
+
+
+def test_standalone_fan_check_builds_the_boolean_fan_when_the_limits_admit_it(
+        tmp_path, capsys, monkeypatch):
+    # B(2,2) needs 27 Boolean fan loops: at the limit 26 fan --check builds
+    # no Boolean fan and decides pairwise faces without it, to the same bytes
+    builds = count_boolean_fans(monkeypatch)
+    path = write_instance(tmp_path, LADDER[0])
     for flags in ([], ["--verify-fan"]):
-        code, out, _ = run(capsys, ["fan", "--check", "--instance", path] + flags)
-        assert code == 0 and json.loads(out)["report"]["checks"]["pairwise_faces"] is True
+        admitted = run(capsys, ["fan", "--check", "--instance", path] + flags)
+        assert admitted[0] == 0 and len(builds) == 1
+        builds.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(cli_module, "MAX_FAN_LOOPS", 26)
+            assert run(capsys, ["fan", "--check", "--instance", path] + flags) == admitted
+        assert builds == []
+
+
+# U(4,6), rank(S) = min(|S|, 4): its fan is not complete, so without the
+# Boolean fan the circuit search decides
+U46 = [min(bin(S).count("1"), 4) for S in range(64)]
+
+
+@pytest.mark.parametrize("data", LADDER + [{"rank": K425}, {"rank": U46}],
+                         ids=["B(2,2)", "P(2,2;r=4)", "B(1,1,2)", "U(3,4)/G=singletons+E",
+                              "B(1,1,1,1)", "B(2,2,1)", "U(3,5)", "K(4,2,5)", "U(4,6)"])
+def test_fan_check_prints_the_same_bytes_without_the_boolean_fan(
+        tmp_path, capsys, monkeypatch, data):
+    # the certified ambient, the complete-fan certificate and the circuit
+    # search are exact, so the route the cost predicate picks changes no byte
+    builds = count_boolean_fans(monkeypatch)
+    path = write_instance(tmp_path, data)
+    admitted = run(capsys, ["fan", "--check", "--instance", path])
+    assert admitted[0] == 0 and len(builds) == 1
+    monkeypatch.setattr(cli_module, "polyperm_refusal", lambda *args: "refused")
+    assert run(capsys, ["fan", "--check", "--instance", path]) == admitted
+    assert len(builds) == 1
+
+
+def test_fan_check_is_fast_where_the_boolean_fan_decides(tmp_path):
+    # K(4,2,7) (1,944 transversals, 6,075 Boolean fan loops) ran the circuit
+    # search for over a minute; its cones all lie in the certified Boolean fan
+    table = [min(2 * bin(S).count("1"), 7) for S in range(1 << 4)]
+    path = write_instance(tmp_path, {"rank": table})
+    out = subprocess.run([sys.executable, "-m", "polychow.cli", "fan", "--check",
+                          "--instance", path],
+                         capture_output=True, text=True, timeout=5,
+                         env=dict(os.environ, PYTHONPATH=SRC), preexec_fn=cap_address_space)
+    assert out.returncode == 0 and json.loads(out.stdout)["report"]["checks"]["pairwise_faces"]
+
+
+def test_fan_check_ignores_an_invalid_c(tmp_path, capsys):
+    # c = (2, 1) is refused by polyperm and verify-all; fan --check falls
+    # back and prints what it prints without c, as before
+    outs = []
+    for data in ({"rank": boolean_table((1, 1)), "c": [2, 1]}, {"rank": boolean_table((1, 1))}):
+        path = write_instance(tmp_path, data)
+        outs.append(run(capsys, ["fan", "--check", "--instance", path]))
+    assert outs[0] == outs[1] and outs[0][0] == 0 and outs[0][2] == ""
+    assert hashlib.sha256(outs[0][1].encode()).hexdigest() == (
+        "7fa09c85cc9f3c3018d7c69a513df6faf952bb9130b4f58ac7be424798f5826b")
 
 
 def test_verify_all_refuses_an_invalid_c_as_before(tmp_path, capsys):

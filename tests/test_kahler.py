@@ -338,6 +338,21 @@ def test_lefschetz_matrices_match_power_reference():
                 == reference_hodge_riemann_form(pair, ell, k)
 
 
+def test_lefschetz_powers_read_the_class_modulo_the_ideal():
+    # kahler_package_report multiplies by the class's FY normal form: the
+    # matrices equal those of the raw class, as normal forms are linear
+    for table, members in FIXTURES + ((boolean_table((1, 1, 2)), None),
+                                      (boolean_table((2, 2, 2)), None)):
+        pair = pair_of(table, members)
+        raw = nestohedron_class(pair)[2]
+        reduced = reduce_poly(pair.fy, raw)
+        assert reduced != raw
+        r = pair.fy.r
+        for k in range(r):
+            for p in range(r - k):
+                assert _lefschetz_power(pair, raw, k, p) == _lefschetz_power(pair, reduced, k, p)
+
+
 def test_hard_lefschetz_fails_for_zero_class():
     # a positive power of the zero class is the zero map; at the middle
     # degree of P3 the power is ell^0 = 1

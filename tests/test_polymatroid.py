@@ -180,10 +180,9 @@ def test_immutability():
     assert pc.bergman_fan(G) is pc.bergman_fan(G)
 
 
-def reference_validation_error(table):
-    """Polymatroid._validate as it was, with the O(4^n) pairwise scan for
-    submodularity always run: (axiom, witness, message) of the first
-    failure, or None."""
+def first_failure_but_submodularity(table):
+    """(axiom, witness, message) of the first failure of an axiom other
+    than submodularity, in Polymatroid._validate's order, or None."""
     n = len(table).bit_length() - 1
     if table[0] != 0:
         return "normalization", (0,), "rank of the empty set is %d, expected 0" % table[0]
@@ -197,8 +196,37 @@ def reference_validation_error(table):
     for i in range(n):
         if table[1 << i] < 1:
             return "looplessness", (1 << i,), "element %d is a loop" % i
+    return None
+
+
+def reference_validation_error(table):
+    """Polymatroid._validate written out: (axiom, witness, message) of the
+    first failure, or None.  Submodularity is the local test r(A+i) +
+    r(A+j) >= r(A+i+j) + r(A) over A, then i < j outside A, and its first
+    failure is named by the witness (A+i, A+j)."""
+    failure = first_failure_but_submodularity(table)
+    if failure:
+        return failure
+    n = len(table).bit_length() - 1
     for a in range(1 << n):
-        for b in range(a + 1, 1 << n):
+        for i in range(n):
+            for j in range(i + 1, n):
+                A, B = a | 1 << i, a | 1 << j
+                if a not in (A, B) and table[A | B] + table[a] > table[A] + table[B]:
+                    return "submodularity", (A, B), "submodularity fails at A=%d, B=%d" % (A, B)
+    return None
+
+
+def pairwise_validation_error(table):
+    """The oracle: the axioms checked as above, but submodularity by the
+    O(4^n) scan over all pairs (A, B), which validation used until the
+    local test named its own witness."""
+    failure = first_failure_but_submodularity(table)
+    if failure:
+        return failure
+    size = len(table)
+    for a in range(size):
+        for b in range(a + 1, size):
             if table[a | b] + table[a & b] > table[a] + table[b]:
                 return "submodularity", (a, b), "submodularity fails at A=%d, B=%d" % (a, b)
     return None
@@ -229,5 +257,14 @@ def test_validation_matches_the_pairwise_reference():
         except pc.PolymatroidError as exc:
             got = (exc.axiom, exc.witness, str(exc))
         assert got == reference_validation_error(table), table
+        # the pairwise scan refuses the same tables on the same axiom, and
+        # each local witness (A, B) breaks submodularity as a pair
+        oracle = pairwise_validation_error(table)
+        assert (got and got[0]) == (oracle and oracle[0]), table
+        if got and got[0] == "submodularity":
+            A, B = got[1]
+            assert table[A | B] + table[A & B] > table[A] + table[B]
+            outcomes["other pair than the oracle's"] += oracle != got
         outcomes[got and got[0]] += 1
     assert outcomes["submodularity"] > 100 and outcomes[None] > 20, outcomes
+    assert outcomes["other pair than the oracle's"] > 0, outcomes

@@ -461,29 +461,31 @@ class ChowPair:
     def dp(self):
         return dp_ring(self.G)
 
-    def phi(self, poly):
-        """Transport a DP polynomial to the FY variables.  A monomial's image
-        is the sum of each DP exponent times the FY unit of its variable's
-        image; the substitution is injective, so no two images share a
-        field, and an exponent fits its DP field, so it fits the FY one
-        (both rings have rank r).  `_memo` keeps the DP `exponents` with
-        those units ("translation") and each image, once per pair ("images")."""
+    def image(self, m):
+        """The FY monomial of the packed DP monomial m: the sum of each DP
+        exponent times the FY unit of its variable's image.  The
+        substitution is injective, so no two images share a field, and an
+        exponent fits its DP field, so it fits the FY one (both rings have
+        rank r).  `_memo` keeps the DP `exponents` with those units
+        ("translation") and each image ("images"), once per pair."""
         memo = self._memo
-        translation = memo.get("translation")
-        if translation is None:
+        images = memo.get("images")
+        if images is None:
             dp, fy = self.dp, self.fy
-            memo["images"] = {}
-            translation = memo["translation"] = (dp.codec.exponents, [
+            images = memo["images"] = {}
+            memo["translation"] = (dp.codec.exponents, [
                 fy.codec.units[fy.var_index[self.proj.preimages[f]]] for f in dp.var_flats])
-        exponents, units = translation
-        images = memo["images"]
-        out = {}
-        for m, c in poly.items():
-            key = images.get(m)
-            if key is None:
-                key = images[m] = sum(e * unit for e, unit in zip(exponents(m), units) if e)
-            out[key] = out.get(key, 0) + c
-        return out
+        key = images.get(m)
+        if key is None:
+            exponents, units = memo["translation"]
+            key = images[m] = sum(e * unit for e, unit in zip(exponents(m), units) if e)
+        return key
+
+    def phi(self, poly):
+        """The linear extension of `image` to a DP polynomial: distinct DP
+        variables go to distinct FY variables, so `image` is injective on
+        monomials and no two terms merge."""
+        return {self.image(m): c for m, c in poly.items()}
 
     def maximal_nested_monomials(self):
         """Square-free FY monomials of the maximal cones of the fan, packed."""
@@ -525,50 +527,33 @@ class ChowPair:
 
 
 def phi_iso_check(pair):
-    """Verify that x_F -> y_{preimage(F)} is a graded ring isomorphism.
+    """Decide whether x_F -> y_{preimage(F)} is a graded ring isomorphism.
 
-    Checks: every DP Groebner generator maps into the FY ideal; the DP
-    basis maps to a basis degree by degree; products of basis elements
-    have matching structure constants on both sides, compared as
-    coordinates: the sum of the FY columns over the nonzero DP
-    coordinates of m1 m2 against the FY coordinates of phi(m1) phi(m2).
+    True exactly when both hold: (a) the image of every DP generator
+    reduces to 0 in FY; (b) in each degree d < r, the FY coordinates of
+    the images of the DP standard monomials form a square matrix of
+    nonzero determinant (over Q).  They suffice:
 
-    Each DP basis monomial is transported once.  The DP side depends only
-    on m1 + m2 and the fixed columns, so it is computed once per product
-    monomial; the FY side is computed for every pair, since a phi that is
-    not multiplicative can send two pairs with one product to different
-    FY products.
+    phi adds exponent vectors, so it is a ring homomorphism of the
+    polynomial rings.  A reduction to 0 certifies ideal membership whether
+    or not the generators form a Groebner basis, so (a) gives phi(I_DP) in
+    I_FY and a graded homomorphism from DP to FY.  DP's standard monomials
+    span DP_d, and FY's form a basis of FY_d, of dimension h_d, because
+    its generators form a Groebner basis (as `coords`, the Hilbert
+    functions and the pairings assume).  So (b) makes the map onto FY_d
+    from a space of dimension at most h_d: it is bijective in every
+    degree, and a bijective ring homomorphism preserves the structure
+    constants, which therefore need no check of their own.
     """
     dp, fy = pair.dp, pair.fy
-    for _, g in dp.groebner:
-        if reduce_poly(fy, pair.phi(g)):
-            return False
-    images, columns = [], []
+    if any(reduce_poly(fy, pair.phi(g)) for _, g in dp.groebner):
+        return False
     for d in range(dp.r):
         if len(dp.basis[d]) != len(fy.basis[d]):
             return False
-        images.append([pair.phi({m: 1}) for m in dp.basis[d]])
-        cols = [fy.coords(image, d) for image in images[d]]
-        if cols and (len(cols[0]) != len(cols) or linalg.det(cols) == 0):
+        cols = [fy.coords(pair.phi({m: 1}), d) for m in dp.basis[d]]
+        if cols and linalg.det(cols) == 0:
             return False
-        columns.append(cols)
-    transported = {}
-    for d1 in range(dp.r):
-        for d2 in range(d1, dp.r - d1):
-            d = d1 + d2
-            cols = columns[d]
-            for m1, image1 in zip(dp.basis[d1], images[d1]):
-                for m2, image2 in zip(dp.basis[d2], images[d2]):
-                    m = m1 + m2
-                    image = transported.get(m)
-                    if image is None:
-                        image = [0] * len(cols)
-                        for x, col in zip(dp.coords({m: 1}, d), cols):
-                            if x:
-                                image = [a + x * y for a, y in zip(image, col)]
-                        transported[m] = image
-                    if image != fy.coords(poly_mul(image1, image2), d):
-                        return False
     return True
 
 
@@ -578,16 +563,12 @@ def pairing_matrix(pair, k, ring="dp"):
     It is computed once per (k, ring) and memoized on the pair; rows are
     tuples, so no caller can change the shared matrix.  Values come from
     `pair.degree`, one table per G; a DP product's value is the degree of
-    its image under phi, summed term by term.
+    its `pair.image`.
     """
     R = pair.dp if ring == "dp" else pair.fy
     top = R.top
 
-    def value(m):
-        if ring == "fy":
-            return pair.degree(m)
-        return sum(c * pair.degree(key) for key, c in pair.phi({m: 1}).items())
-
+    value = pair.degree if ring == "fy" else lambda m: pair.degree(pair.image(m))
     return memoized(pair, ("pairing", k, ring), lambda: tuple(
         tuple(value(m1 + m2) for m2 in R.basis[top - k]) for m1 in R.basis[k]))
 

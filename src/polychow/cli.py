@@ -56,11 +56,13 @@ def read_json(path, what):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError("cannot read %s: %s" % (what, exc))
     except json.JSONDecodeError as exc:
         raise CliError("malformed JSON at line %d column %d: %s"
                        % (exc.lineno, exc.colno, exc.msg))
+    except RecursionError:
+        raise CliError("cannot read %s: JSON nested too deeply" % what)
 
 
 def load_instance(path):

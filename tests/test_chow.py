@@ -9,8 +9,8 @@ from polychow import linalg
 from polychow.bitsets import canonical_key
 from polychow.chow import (Codec, DivisorIndex, GradedRing, _standard_monomials,
                            pairing_det, poly_mul, poly_pow, reduce_poly)
-from conftest import (P1, P2, P3, P4, U34, U34_MIN_BUILDING, boolean_table, building_of,
-                      small_family)
+from conftest import (P1, P2, P3, P4, U34, U34_MIN_BUILDING, B111_MIN_BUILDING, boolean_table,
+                      building_of, small_family)
 from oracles import deg_dp, deg_fy, degree, pack, poly_add, poly_scale, zring_hilbert
 
 
@@ -547,15 +547,44 @@ def last_variable_doubled(pair):
 
 def variables_swapped(pair, i, j):
     """The pair with the images of DP variables i and j exchanged."""
-    pair.phi({})                     # builds the translation
+    pair.image(0)                    # builds the translation
     units = pair._memo["translation"][1]
     units[i], units[j] = units[j], units[i]
     return pair
 
 
+def generator_dropped(pair, i):
+    """The pair whose DP ring lacks the i-th generator, or None when the
+    truncated generator set then leaves standard monomials in degree r."""
+    dp = pair.dp
+    try:
+        pair.G._memo["dp"] = GradedRing("dp", dp.var_flats, dp.r,
+                                        dp.groebner[:i] + dp.groebner[i + 1:])
+    except AssertionError:
+        return None
+    return pair
+
+
+K425 = [min(2 * bin(S).count("1"), 5) for S in range(16)]
+# the pairs of acceptance criterion 8
+CRITERION_8 = [(t, None) for t in (P1, P2, P3, boolean_table((1, 1)), boolean_table((1, 2)),
+                                   boolean_table((1, 1, 1)), boolean_table((1, 1, 2)))] + [
+    (boolean_table((1, 1, 1)), B111_MIN_BUILDING), (boolean_table((1, 1, 2)), [1, 2, 4, 7]),
+    (U34, U34_MIN_BUILDING)]
+ISO_CASES = KERNEL_FIXTURES + ((boolean_table((2, 2, 2)), None), (K425, None)) + tuple(CRITERION_8)
+
+
+def multiplicative_on_basis(pair):
+    """Whether phi of each product of two DP basis monomials is the product
+    of their images."""
+    dp = pair.dp
+    return all(pair.phi({m1 + m2: 1}) == poly_mul(pair.phi({m1: 1}), pair.phi({m2: 1}))
+               for d1 in range(dp.r) for d2 in range(d1, dp.r - d1)
+               for m1 in dp.basis[d1] for m2 in dp.basis[d2])
+
+
 def test_phi_iso_check_matches_nf_reference():
-    cases = KERNEL_FIXTURES + ((boolean_table((2, 2, 2)), None),)
-    for table, members in cases:
+    for table, members in ISO_CASES:
         pair = pair_of(table, members)
         assert pc.phi_iso_check(pair) is nf_phi_iso_check(pair) is True
     rejected = [
@@ -563,21 +592,40 @@ def test_phi_iso_check_matches_nf_reference():
         variables_swapped(pair_of(P3), 0, 2),
         # degree one sent to zero: the DP basis no longer maps to a basis
         degree_scaled(pair_of(P3), lambda d: 0 if d == 1 else 1),
-        # the top degree doubled: phi is linear and bijective in each degree
-        # and sends the ideal into the ideal, but is not multiplicative
+    ]
+    # a DP generator of degree < r missing: its leading term becomes
+    # standard, so some degree has more DP basis monomials than FY ones
+    for table in (P3, boolean_table((2, 2, 2))):
+        dp = pair_of(table).dp
+        dropped = [generator_dropped(pair_of(table), i) for i, (lt, _) in enumerate(dp.groebner)
+                   if degree(dp.codec, lt) < dp.r]
+        assert any(dropped)
+        rejected += filter(None, dropped)
+    for pair in rejected:
+        assert pc.phi_iso_check(pair) is nf_phi_iso_check(pair) is False
+
+
+def test_phi_is_multiplicative_on_basis_products():
+    # phi_iso_check relies on phi being a ring homomorphism and checks no
+    # products; these mutants are linear, bijective in each degree and send
+    # the ideal into the ideal, but are not multiplicative, so only the
+    # product stage of the reference check rejects them
+    for table, members in ISO_CASES:
+        assert multiplicative_on_basis(pair_of(table, members)), (table, members)
+    mutants = [
+        # the top degree doubled
         degree_scaled(pair_of(P3), lambda d: 2 if d == 2 else 1),
         degree_scaled(pair_of(boolean_table((2, 2, 2))), lambda d: 2 if d == 5 else 1),
         # a middle degree doubled, where the FY columns are dense
         degree_scaled(pair_of(boolean_table((2, 2, 2))), lambda d: 2 if d == 3 else 1),
-        # x_E doubled in degree one only: the generators, the columns and
-        # the first pair of each product monomial all agree, so only a later
-        # pair with the same product shows it; a check that computed the FY
-        # side once per product monomial would accept these
+        # x_E doubled in degree one only: the generators and the columns
+        # agree, and only products with another monomial show it
         last_variable_doubled(pair_of(P3)),
         last_variable_doubled(pair_of(boolean_table((2, 2, 2)))),
     ]
-    for pair in rejected:
-        assert pc.phi_iso_check(pair) is nf_phi_iso_check(pair) is False
+    for pair in mutants:
+        assert not multiplicative_on_basis(pair)
+        assert nf_phi_iso_check(pair) is False
 
 
 def scan_dp_groebner(P, G):
@@ -761,8 +809,9 @@ def first_divisor_scan(m, leads, guard):
 def test_divisor_index_matches_scan(monkeypatch):
     # every first-divisor query made while building the rings of the
     # kernel fixtures and B(1,1,1,1,1) (generator minimalization, standard
-    # monomials) and while reducing in them (isomorphism check, pairings)
-    # gets the position that a scan of the leads listed so far returns
+    # monomials) and while reducing in them (isomorphism check, pairings,
+    # products of basis monomials) gets the position that a scan of the
+    # leads listed so far returns
     listed, queries = {}, []
     add, first = DivisorIndex.add, DivisorIndex.first
 
@@ -782,6 +831,9 @@ def test_divisor_index_matches_scan(monkeypatch):
         assert pc.phi_iso_check(pair)
         assert all(pairing_det(pair, k, ring) in (1, -1)
                    for k in range(pair.P.r) for ring in ("dp", "fy"))
+        for ring in (pair.dp, pair.fy):
+            for p in basis_products(ring):
+                reduce_poly(ring, p)
     monkeypatch.undo()
     found = 0
     for index, m, size, i in queries:

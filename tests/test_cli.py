@@ -67,6 +67,25 @@ def test_malformed_building_set_reports_position(tmp_path, capsys):
     assert json.loads(err) == {"error": "malformed JSON at line 2 column 7: Expecting value"}
 
 
+@pytest.mark.parametrize("content, reason", [
+    (b"\xff", None),                               # not UTF-8
+    (b"[" * 100000 + b"]" * 100000, "JSON nested too deeply")],
+    ids=["undecodable", "deeply-nested"])
+@pytest.mark.parametrize("what", ["instance", "building set"])
+def test_unreadable_json_is_a_usage_error(tmp_path, capsys, content, reason, what):
+    # exit 2 with one JSON line on stderr, as for a file that cannot be
+    # opened, not a traceback and exit 1, which means a failed check
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = ["chow", "--instance", str(bad)] if what == "instance" else [
+        "chow", "--instance", write_instance(tmp_path, {"rank": U34}), "--building-set", str(bad)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "") and err.count("\n") == 1
+    message = json.loads(err)["error"]
+    assert message.startswith("cannot read %s: " % what)
+    assert reason is None or message.endswith(reason)
+
+
 def test_missing_rank_field(tmp_path, capsys):
     path = write_instance(tmp_path, {"n": 2})
     code, out, err = run(capsys, ["validate", "--instance", str(path)])
@@ -438,7 +457,9 @@ B112_C0 = {"rank": boolean_table((1, 1, 2)), "c": [0, 1, 2]}
     (["lift-rank"], {"rank": boolean_table((2, 2, 2))},
      "3e9c846f415f74d2146d3ba2859433df1ce9828228d4dc1958a62a37074f5c9e"),
     (["lift-rank"], {"rank": [min(bin(S).count("1"), 3) for S in range(32)]},
-     "915dce50cb2e9fd1aa4273b4386b6ac328c13abfcec604157cfe7b9f2f709e53")])
+     "915dce50cb2e9fd1aa4273b4386b6ac328c13abfcec604157cfe7b9f2f709e53"),
+    (["chow", "--iso-check"], {"rank": K425},
+     "017c61c9f37788f2b66f1b6b8278a7e9e9945cd6cf3304570aa8787e942a758c")])
 def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
     # SHA-256 of stdout (default seed and indent), recorded before monomials
     # were packed into ints (U(4,5) and B(1,1,1,1,1) before the divisor
@@ -453,8 +474,9 @@ def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
     # K(4,2,5) and K(6,2,7) `geometric-flats` while it searched the lift's
     # whole lattice, and `lift-rank`, which prints every lifted rank for a
     # lift of at most 12 elements, on K(4,2,5), B(2,2,2) and U(3,5) while each
-    # rank minimized over all subsets of the base ground set); the chow
-    # report prints the basis exponents.
+    # rank minimized over all subsets of the base ground set, and K(4,2,5)
+    # `chow --iso-check` while the isomorphism check still compared the
+    # structure constants); the chow report prints the basis exponents.
     # U(3,5), the last rung, was re-recorded when its `kahler` section became
     # `undecided` instead of `fail`, the one change in its JSON; it exits 1
     # because no Kahler verdict is reached there (ROADMAP item 1), and
@@ -824,8 +846,8 @@ def test_fan_check_ignores_an_invalid_c(tmp_path, capsys):
 
 
 def test_verify_all_refuses_an_invalid_c_as_before(tmp_path, capsys):
-    # the fan section may build Q before the polyperm section does; the
-    # exit code and stderr are those recorded before it could
+    # verify-all runs the polyperm section first, so Q is built and c
+    # refused there; the exit code and stderr are those recorded before
     path = write_instance(tmp_path, {"rank": boolean_table((1, 1)), "c": [2, 1]})
     code, out, err = run(capsys, ["verify-all", "--trials", "200", "--seed", "1",
                                   "--instance", path])

@@ -54,7 +54,7 @@ def read_json(path, what):
     """The JSON value in the file at `path`; `what` names the file in the
     error when it cannot be read."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError("cannot read %s: %s" % (what, exc))

@@ -86,6 +86,26 @@ def test_unreadable_json_is_a_usage_error(tmp_path, capsys, content, reason, wha
     assert reason is None or message.endswith(reason)
 
 
+def test_json_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # under an ASCII locale, without UTF-8 mode, a UTF-8 instance still
+    # loads and a file that is not UTF-8 is still a usage error
+    env = dict(os.environ, PYTHONPATH=SRC, LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0")
+    good = tmp_path / "good.json"
+    good.write_bytes(json.dumps({"rank": U34, "note": "café"},
+                                ensure_ascii=False).encode("utf-8"))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff")
+    codes = []
+    for path in (good, bad):
+        out = subprocess.run([sys.executable, "-m", "polychow.cli", "validate",
+                              "--instance", str(path)],
+                             capture_output=True, text=True, timeout=60, env=env)
+        codes.append(out.returncode)
+    assert codes == [0, 2]
+    assert json.loads(out.stderr)["error"].startswith("cannot read instance: ")
+
+
 def test_missing_rank_field(tmp_path, capsys):
     path = write_instance(tmp_path, {"n": 2})
     code, out, err = run(capsys, ["validate", "--instance", str(path)])

@@ -444,9 +444,9 @@ def nested_basis(G):
 class ChowPair:
     """DP and FY presentations of the Chow ring of (G.base, G), with the
     variable substitution x_F -> y_{preimage(F)} and the degree normalization.
-    `_memo` holds the pairing matrices, the Lefschetz matrices of
-    `polychow.kahler` and the substitution, built on first use like the DP
-    ring (memoized on G): the Kahler checks read only the FY ring."""
+    A view of G: its translation, degree and pairing tables and the
+    Lefschetz matrices of `polychow.kahler` are memoized on G, like both
+    rings, so every pair of one G shares them."""
 
     def __init__(self, G):
         self.G = G
@@ -455,31 +455,25 @@ class ChowPair:
         self.lifted = lifted_building_set(G)
         self.M = self.lifted.base
         self.proj = self.M.proj
-        self._memo = {}
 
     @property
     def dp(self):
         return dp_ring(self.G)
 
     def image(self, m):
-        """The FY monomial of the packed DP monomial m: the sum of each DP
-        exponent times the FY unit of its variable's image.  The
-        substitution is injective, so no two images share a field, and an
-        exponent fits its DP field, so it fits the FY one (both rings have
-        rank r).  `_memo` keeps the DP `exponents` with those units
-        ("translation") and each image ("images"), once per pair."""
-        memo = self._memo
-        images = memo.get("images")
-        if images is None:
+        """The FY monomial of the packed DP monomial m: each DP exponent
+        times the FY unit of its variable's image, from one table on G.
+        image(m1 + m2) = image(m1) + image(m2) when every exponent of
+        m1 + m2 is at most 2r - 1, as in pairing products and generators:
+        both codecs have rank r, so no field carries below their cap of
+        at least 2r, and the substitution is injective on variables, so
+        each DP field moves to an FY field of its own."""
+        def build():
             dp, fy = self.dp, self.fy
-            images = memo["images"] = {}
-            memo["translation"] = (dp.codec.exponents, [
-                fy.codec.units[fy.var_index[self.proj.preimages[f]]] for f in dp.var_flats])
-        key = images.get(m)
-        if key is None:
-            exponents, units = memo["translation"]
-            key = images[m] = sum(e * unit for e, unit in zip(exponents(m), units) if e)
-        return key
+            return dp.codec.exponents, [
+                fy.codec.units[fy.var_index[self.proj.preimages[f]]] for f in dp.var_flats]
+        exponents, units = memoized(self.G, "translation", build)
+        return sum(e * unit for e, unit in zip(exponents(m), units) if e)
 
     def phi(self, poly):
         """The linear extension of `image` to a DP polynomial: distinct DP
@@ -551,33 +545,32 @@ def phi_iso_check(pair):
     for d in range(dp.r):
         if len(dp.basis[d]) != len(fy.basis[d]):
             return False
-        cols = [fy.coords(pair.phi({m: 1}), d) for m in dp.basis[d]]
+        cols = [fy.coords({pair.image(m): 1}, d) for m in dp.basis[d]]
         if cols and linalg.det(cols) == 0:
             return False
     return True
 
 
 def pairing_matrix(pair, k, ring="dp"):
-    """Integer matrix of (a, b) -> deg(ab) between degrees k and r-1-k.
-
-    It is computed once per (k, ring) and memoized on the pair; rows are
-    tuples, so no caller can change the shared matrix.  Values come from
-    `pair.degree`, one table per G; a DP product's value is the degree of
-    its `pair.image`.
-    """
+    """Integer matrix of (a, b) -> deg(ab) between degrees k and r-1-k,
+    memoized on G as a tuple of tuples, so no caller can change it.  Its
+    rows and columns are FY monomials: the FY basis, or the images of the
+    DP basis, as the image of a DP product is the sum of the images
+    (`ChowPair.image`); so entry (i, j) is `pair.degree(a_i + b_j)`."""
     R = pair.dp if ring == "dp" else pair.fy
-    top = R.top
 
-    value = pair.degree if ring == "fy" else lambda m: pair.degree(pair.image(m))
-    return memoized(pair, ("pairing", k, ring), lambda: tuple(
-        tuple(value(m1 + m2) for m2 in R.basis[top - k]) for m1 in R.basis[k]))
+    def build():
+        a, b = (R.basis[d] if ring == "fy" else [pair.image(m) for m in R.basis[d]]
+                for d in (k, R.top - k))
+        return tuple(tuple(pair.degree(x + y) for y in b) for x in a)
+    return memoized(pair.G, ("pairing", k, ring), build)
 
 
 def pairing_det(pair, k, ring="dp"):
     """Determinant of `pairing_matrix(pair, k', ring)` with k' = min(k, r-1-k),
-    or 0 when that matrix is not square (1 with no rows), memoized on the
-    pair.  deg(m1 m2) depends only on m1 + m2, so the matrix for r-1-k is
-    the transpose of the one for k: both are square or neither, with one
+    or 0 when that matrix is not square (1 with no rows), memoized on G.
+    deg(m1 m2) depends only on m1 + m2, so the matrix for r-1-k is the
+    transpose of the one for k: both are square or neither, with one
     determinant, and only the matrix for k' is read."""
     k = min(k, pair.fy.top - k)
     matrix = pairing_matrix(pair, k, ring)
@@ -585,4 +578,4 @@ def pairing_det(pair, k, ring="dp"):
         return 1
     if len(matrix) != len(matrix[0]):
         return 0
-    return memoized(pair, ("pairing det", k, ring), lambda: linalg.det(matrix))
+    return memoized(pair.G, ("pairing det", k, ring), lambda: linalg.det(matrix))

@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 from collections import Counter
-from contextlib import suppress
 from math import comb, factorial, prod
 
 from .building import BuildingSet, BuildingSetError, maximal_building_set, nested_complex
@@ -25,7 +24,7 @@ from .fan import bergman_fan, boolean_bergman_fan, same_support, validate_fan
 from .kahler import kahler_package_report
 from .lift import geometric_flat_lattice, lift
 from .polymatroid import MAX_GROUND, Polymatroid, PolymatroidError, memoized
-from .polytope import Polypermutohedron, normal_fan_equals
+from .polytope import Polypermutohedron, normal_fan_equals, weights
 
 MAX_GROUND_HEAVY = 8  # bounds P.n for HEAVY_COMMANDS
 MAX_POLYPERM_VERTICES = 362_880  # 9!: `polyperm` takes 1.4 s on a 2-vCPU VM
@@ -185,26 +184,29 @@ def cmd_fan(G, args):
               "maximal_cones": len(fan.maximal_cones())}
     ok = True
     if args.check:
-        ambient = None  # the certified Boolean fan, if the limits admit it and c is valid
-        if polyperm_refusal(G.base, "fan") is None:
-            with suppress(CliError):
-                ambient = normal_fan(G.base, args)
+        polyperm_weights(G.base, args)  # an invalid c exits 2 at any size
+        # the certified Boolean fan as the ambient, where the polyperm limits admit Q
+        ambient = None if polyperm_refusal(G.base, "fan") else normal_fan(G.base, args)
         checks = validate_fan(fan, expected_max_dim=G.base.r - 1, ambient=ambient)
         report["checks"] = checks
         ok = all(checks.values())
     return report, ok
 
 
+def polyperm_weights(P, args):
+    """The instance's c, checked without building Q: `polyperm`, `fan --check`
+    and `verify-all` read it here, so each exits 2 on an invalid c."""
+    c = args.instance_data.get("c")
+    try:
+        return weights(P.n, None if c is None else integer_list(c, "c"))
+    except ValueError as exc:
+        raise CliError("invalid c: %s" % exc)
+
+
 def polypermutohedron(P, args):
     """Q(pi; c) on P's fibers at the instance's c, memoized on P."""
-    def build():
-        c = args.instance_data.get("c")
-        try:
-            return Polypermutohedron(lift(P).proj, None if c is None else integer_list(c, "c"))
-        except ValueError as exc:
-            raise CliError("invalid c: %s" % exc)
-
-    return memoized(P, "polypermutohedron", build)
+    return memoized(P, "polypermutohedron",
+                    lambda: Polypermutohedron(lift(P).proj, polyperm_weights(P, args)))
 
 
 def normal_fan(P, args):
@@ -269,7 +271,7 @@ def cmd_verify_all(G, args):
     sections = {}
     passed = True
     P = G.base
-    # polyperm runs before fan, so an invalid c exits 2 before fan ignores it
+    # polyperm and fan read c alike (polyperm_weights): an invalid c exits 2
     plan = [("validate", cmd_validate, P), ("geometric-flats", cmd_geometric_flats, P),
             ("nested-complex", cmd_nested_complex, G), ("polyperm", cmd_polyperm, P),
             ("fan", cmd_fan, G), ("chow", cmd_chow, G), ("kahler", cmd_kahler, G),

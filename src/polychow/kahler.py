@@ -9,7 +9,7 @@ over the Boolean ground), and inherited by the Bergman fan, a subfan.
 Hard Lefschetz and Hodge-Riemann are then verified by exact linear algebra
 over the standard-monomial bases of the FY presentation, from the matrices
 of multiplication by powers ell^p from degree k to k + p, each built once
-per pair, class, k and p and shared by both checks.  The power p = 1 is the
+per G, class, k and p and shared by both checks.  The power p = 1 is the
 one-step matrix L_k (columns nf(ell * b) for the degree-k basis monomials b;
 integral when ell is, as every Groebner generator is monic), and the power
 p > 1 is L_{k+p-1} times the power p - 1: normal forms are linear, as the
@@ -111,7 +111,7 @@ def is_strictly_convex(fan, values):
 
 def _lefschetz_power(pair, ell, k, p):
     """Matrix of multiplication by ell^p from degree k to degree k + p, as a
-    list of rows, memoized on the pair: the identity for p = 0; for p = 1,
+    list of rows, memoized on G: the identity for p = 0; for p = 1,
     column j holds the coordinates of nf(ell * b_j) for the j-th degree-k
     standard monomial b_j; for p > 1, L_{k+p-1} times the power p - 1."""
     def build():
@@ -123,7 +123,7 @@ def _lefschetz_power(pair, ell, k, p):
             return linalg.identity(len(fy.basis[k]))
         cols = [fy.coords(poly_mul(ell, {b: 1}), k + 1) for b in fy.basis[k]]
         return [list(row) for row in zip(*cols)]
-    return memoized(pair, ("lefschetz", tuple(sorted(ell.items())), k, p), build)
+    return memoized(pair.G, ("lefschetz", tuple(sorted(ell.items())), k, p), build)
 
 
 def hard_lefschetz_check(pair, ell, k):

@@ -19,6 +19,15 @@ from .bitsets import elements
 from .polymatroid import Immutable, memoized
 
 
+def weights(n, c=None):
+    """c as a tuple of ints, (1, ..., n) by default; ValueError unless it is
+    a strictly increasing nonnegative sequence of length n."""
+    c = tuple(range(1, n + 1)) if c is None else tuple(int(x) for x in c)
+    if len(c) != n or any(a >= b for a, b in zip(c, c[1:])) or (c and c[0] < 0):
+        raise ValueError("c must be a strictly increasing nonnegative sequence of length n")
+    return c
+
+
 class Polypermutohedron(Immutable):
     """Vertex set of Q(pi; c_1, ..., c_n), distinct and sorted.
 
@@ -29,13 +38,8 @@ class Polypermutohedron(Immutable):
     __slots__ = ("proj", "c", "vertices", "columns", "_memo")
 
     def __init__(self, proj, c=None):
-        if c is None:
-            c = tuple(range(1, proj.n + 1))
-        c = tuple(int(x) for x in c)
-        if len(c) != proj.n or any(a >= b for a, b in zip(c, c[1:])) or (c and c[0] < 0):
-            raise ValueError("c must be a strictly increasing nonnegative sequence of length n")
         self.proj = proj
-        self.c = c
+        self.c = c = weights(proj.n, c)
         fibers = [tuple(elements(mask)) for mask in proj.fiber_masks]
         vertices = set()
         for choice in product(*fibers):

@@ -548,8 +548,18 @@ def last_variable_doubled(pair):
 def variables_swapped(pair, i, j):
     """The pair with the images of DP variables i and j exchanged."""
     pair.image(0)                    # builds the translation
-    units = pair._memo["translation"][1]
+    units = pair.G._memo["translation"][1]
     units[i], units[j] = units[j], units[i]
+    return pair
+
+
+def basis_image_repeated(pair, d):
+    """The pair whose `image` sends the first degree-d DP basis monomial to
+    the image of the second and every other monomial as before, so that
+    the images of the DP basis repeat a column."""
+    first, second = pair.dp.basis[d][:2]
+    image = pair.image
+    pair.image = lambda m: image(second if m == first else m)
     return pair
 
 
@@ -590,9 +600,13 @@ def test_phi_iso_check_matches_nf_reference():
     rejected = [
         # images of two variables exchanged: a generator leaves the FY ideal
         variables_swapped(pair_of(P3), 0, 2),
-        # degree one sent to zero: the DP basis no longer maps to a basis
-        degree_scaled(pair_of(P3), lambda d: 0 if d == 1 else 1),
+        # two degree-one images equal: the DP basis no longer maps to a basis
+        basis_image_repeated(pair_of(P3), 1),
     ]
+    # P3's variables are terms of no DP generator, so the generators keep
+    # their images and only the basis stage rejects that pair
+    pair = rejected[-1]
+    assert not any(reduce_poly(pair.fy, pair.phi(g)) for _, g in pair.dp.groebner)
     # a DP generator of degree < r missing: its leading term becomes
     # standard, so some degree has more DP basis monomials than FY ones
     for table in (P3, boolean_table((2, 2, 2))):
@@ -626,6 +640,37 @@ def test_phi_is_multiplicative_on_basis_products():
     for pair in mutants:
         assert not multiplicative_on_basis(pair)
         assert nf_phi_iso_check(pair) is False
+
+
+def test_pairing_matrices_match_the_phi_reference():
+    # both presentations read deg(a_i + b_j) over FY monomials, the DP rows
+    # and columns being images; the reference sends each DP product m1 + m2
+    # through phi and reads its degree from its FY coordinates
+    for table, members in ISO_CASES:
+        pair = pair_of(table, members)
+        for ring in ("dp", "fy"):
+            for k in range(pair.P.r):
+                assert pc.pairing_matrix(pair, k, ring) == reference_pairing_matrix(
+                    pair, k, ring), (table, members, ring, k)
+
+
+def test_image_is_additive_on_basis_monomials():
+    for table, members in ISO_CASES:
+        pair = pair_of(table, members)
+        basis = [m for layer in pair.dp.basis for m in layer]
+        for m1 in basis:
+            for m2 in basis:
+                assert pair.image(m1 + m2) == pair.image(m1) + pair.image(m2), (table, m1, m2)
+
+
+def test_pairs_of_one_g_share_the_pairing_matrices():
+    G = building_of(boolean_table((2, 2, 2)))
+    first, second = pc.ChowPair(G), pc.ChowPair(G)
+    assert not hasattr(first, "_memo")
+    for ring in ("dp", "fy"):
+        for k in range(G.base.r):
+            assert pc.pairing_matrix(first, k, ring) is pc.pairing_matrix(second, k, ring)
+            assert pairing_det(first, k, ring) == pairing_det(second, k, ring)
 
 
 def scan_dp_groebner(P, G):

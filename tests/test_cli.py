@@ -420,6 +420,7 @@ U13_PLUS_U23 = [min(bin(S).count("1"), 1) + min(bin(S).count("1"), 2) for S in r
 B221_TRUNCATED = [min(x, 4) for x in boolean_table((2, 2, 1))]
 # K(4,2,5) and K(6,2,7), rank(S) = min(2|S|, r): lifts on 8 and 12 elements
 K425 = [min(2 * bin(S).count("1"), 5) for S in range(16)]
+K426 = [min(2 * bin(S).count("1"), 6) for S in range(16)]
 K627 = [min(2 * bin(S).count("1"), 7) for S in range(64)]
 # B(1,1,2) at c = (0, 1, 2): 12 transversals give 10 vertices
 B112_C0 = {"rank": boolean_table((1, 1, 2)), "c": [0, 1, 2]}
@@ -479,7 +480,9 @@ B112_C0 = {"rank": boolean_table((1, 1, 2)), "c": [0, 1, 2]}
     (["lift-rank"], {"rank": [min(bin(S).count("1"), 3) for S in range(32)]},
      "915dce50cb2e9fd1aa4273b4386b6ac328c13abfcec604157cfe7b9f2f709e53"),
     (["chow", "--iso-check"], {"rank": K425},
-     "017c61c9f37788f2b66f1b6b8278a7e9e9945cd6cf3304570aa8787e942a758c")])
+     "017c61c9f37788f2b66f1b6b8278a7e9e9945cd6cf3304570aa8787e942a758c"),
+    (["chow", "--iso-check"], {"rank": K426},
+     "1dc2932259febb9ffd4821c21d4bd2367375e5ffe1cdecf486849a734ac8bdf6")])
 def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
     # SHA-256 of stdout (default seed and indent), recorded before monomials
     # were packed into ints (U(4,5) and B(1,1,1,1,1) before the divisor
@@ -496,7 +499,9 @@ def test_golden_stdout_bytes(tmp_path, capsys, argv, data, digest):
     # lift of at most 12 elements, on K(4,2,5), B(2,2,2) and U(3,5) while each
     # rank minimized over all subsets of the base ground set, and K(4,2,5)
     # `chow --iso-check` while the isomorphism check still compared the
-    # structure constants); the chow report prints the basis exponents.
+    # structure constants, and K(4,2,6) `chow --iso-check` while each pair
+    # kept the image of every DP monomial); the chow report prints the
+    # basis exponents.
     # U(3,5), the last rung, was re-recorded when its `kahler` section became
     # `undecided` instead of `fail`, the one change in its JSON; it exits 1
     # because no Kahler verdict is reached there (ROADMAP item 1), and
@@ -853,16 +858,26 @@ def test_fan_check_is_fast_where_the_boolean_fan_decides(tmp_path):
     assert out.returncode == 0 and json.loads(out.stdout)["report"]["checks"]["pairwise_faces"]
 
 
-def test_fan_check_ignores_an_invalid_c(tmp_path, capsys):
-    # c = (2, 1) is refused by polyperm and verify-all; fan --check falls
-    # back and prints what it prints without c, as before
-    outs = []
-    for data in ({"rank": boolean_table((1, 1)), "c": [2, 1]}, {"rank": boolean_table((1, 1))}):
-        path = write_instance(tmp_path, data)
-        outs.append(run(capsys, ["fan", "--check", "--instance", path]))
-    assert outs[0] == outs[1] and outs[0][0] == 0 and outs[0][2] == ""
-    assert hashlib.sha256(outs[0][1].encode()).hexdigest() == (
+INVALID_C = ('{"error": "invalid c: c must be a strictly increasing nonnegative '
+             'sequence of length n"}\n')
+
+
+def test_fan_check_refuses_an_invalid_c_at_any_size(tmp_path, capsys, monkeypatch):
+    # fan --check reads c as polyperm and verify-all do, and exits 2 with
+    # their error whether or not the polyperm limits admit Q; fan without
+    # --check reads no c and prints what it prints without c
+    invalid = write_instance(tmp_path, {"rank": boolean_table((1, 1)), "c": [2, 1]}, "c.json")
+    valid = write_instance(tmp_path, {"rank": boolean_table((1, 1))})
+    for command in (["polyperm"], ["fan", "--check"]):
+        assert run(capsys, command + ["--instance", invalid]) == (2, "", INVALID_C)
+    assert run(capsys, ["fan", "--instance", invalid]) == run(capsys, ["fan", "--instance", valid])
+    code, out, err = run(capsys, ["fan", "--check", "--instance", valid])
+    assert code == 0 and err == "" and hashlib.sha256(out.encode()).hexdigest() == (
         "7fa09c85cc9f3c3018d7c69a513df6faf952bb9130b4f58ac7be424798f5826b")
+    builds = count_boolean_fans(monkeypatch)
+    monkeypatch.setattr(cli_module, "polyperm_refusal", lambda *args: "refused")
+    assert run(capsys, ["fan", "--check", "--instance", invalid]) == (2, "", INVALID_C)
+    assert run(capsys, ["fan", "--check", "--instance", valid])[0] == 0 and builds == []
 
 
 def test_verify_all_refuses_an_invalid_c_as_before(tmp_path, capsys):
@@ -871,6 +886,4 @@ def test_verify_all_refuses_an_invalid_c_as_before(tmp_path, capsys):
     path = write_instance(tmp_path, {"rank": boolean_table((1, 1)), "c": [2, 1]})
     code, out, err = run(capsys, ["verify-all", "--trials", "200", "--seed", "1",
                                   "--instance", path])
-    assert (code, out) == (2, "")
-    assert err == ('{"error": "invalid c: c must be a strictly increasing nonnegative '
-                   'sequence of length n"}\n')
+    assert (code, out, err) == (2, "", INVALID_C)

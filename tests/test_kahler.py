@@ -398,7 +398,7 @@ def test_lefschetz_steps_are_built_once_per_pair_and_class(monkeypatch):
     assert all(pc.kahler_package_report(pair).values())
     r = pair.fy.r
     assert len(products) == sum(len(pair.fy.basis[d]) for d in range(r - 1)) == 47
-    powers = {key[2:] for key in pair._memo if key[0] == "lefschetz"}
+    powers = {key[2:] for key in pair.G._memo if key[0] == "lefschetz"}
     assert powers == ({(0, p) for p in range(1, 6)} | {(1, p) for p in range(1, 5)}
                       | {(2, 1), (2, 2), (3, 1), (4, 1)})
 
@@ -406,7 +406,7 @@ def test_lefschetz_steps_are_built_once_per_pair_and_class(monkeypatch):
 def test_each_lefschetz_power_is_built_once_per_report(monkeypatch):
     # a report multiplies matrices once for each power p > 1 it builds, and
     # three times per degree k for the Hodge-Riemann form and Gram matrix;
-    # a second report on the same pair builds no power again
+    # a second report on the same G, through a second pair, builds no power again
     results = []
     real_mul = linalg.mat_mul
     monkeypatch.setattr(linalg, "mat_mul",
@@ -415,14 +415,23 @@ def test_each_lefschetz_power_is_built_once_per_report(monkeypatch):
         pair = pair_of(table)
         results.clear()
         assert all(pc.kahler_package_report(pair).values())
-        built = [power for key, power in pair._memo.items()
+        built = [power for key, power in pair.G._memo.items()
                  if key[0] == "lefschetz" and key[3] > 1]
         degrees = (pair.fy.r + 1) // 2
         assert len(results) == len(built) + 3 * degrees
         assert all(sum(x is power for x in results) == 1 for power in built)
         results.clear()
-        assert all(pc.kahler_package_report(pair).values())
+        assert all(pc.kahler_package_report(pc.ChowPair(pair.G)).values())
         assert len(results) == 3 * degrees
+
+
+def test_pairs_of_one_g_share_the_lefschetz_powers():
+    G = building_of(boolean_table((2, 2, 2)))
+    first, second = pc.ChowPair(G), pc.ChowPair(G)
+    ell = reduce_poly(first.fy, nestohedron_class(first)[2])
+    for k in range(first.fy.r - 1):
+        for p in range(first.fy.r - k):
+            assert _lefschetz_power(first, ell, k, p) is _lefschetz_power(second, ell, k, p)
 
 
 def test_second_check_reads_no_coordinates(monkeypatch):

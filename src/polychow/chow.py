@@ -11,7 +11,8 @@ Poincare duality).
 The standard monomials are grown degree by degree as an order ideal (the
 monomials no leading term divides are closed under division).  Each ring
 keeps one table of monomial normal forms, each reduced once; a normal form
-(`reduce_poly`) and basis coordinates (`coords`) are summed from its entries.
+(`reduce_poly`) is summed from its entries, and basis coordinates (`coords`)
+are read from that normal form.
 
 Monomial order: lexicographic.  Variables are indexed by flats sorted by
 (size, numeric value), so smaller flats come first and are *larger* in the
@@ -77,7 +78,7 @@ class Codec:
 
 def poly_mul(p, q):
     """Product over packed monomials: keys add, and a ring raises on an
-    overflowed key when it reads it (`reduce_poly`, `coords`, `exponents`)."""
+    overflowed key when it reads it (`reduce_poly`, `exponents`)."""
     out = {}
     for m1, c1 in p.items():
         for m2, c2 in q.items():
@@ -201,9 +202,9 @@ class GradedRing:
     as an order ideal up to degree r, which must be empty; `basis_index[d]`
     maps each to its position.  Monomials are packed by `codec` (a `Codec`
     for nvars variables and rank r), whose `exponents` unpacks one.  `divisors`
-    is the `DivisorIndex` of the leading terms.  `reduce_poly` and `coords`
-    read each monomial's normal form from a table private to the ring,
-    filled on first use and kept for the ring's lifetime.
+    is the `DivisorIndex` of the leading terms.  `reduce_poly`, which
+    `coords` reads, takes each monomial's normal form from a table private
+    to the ring, filled on first use and kept for the ring's lifetime.
     """
 
     def __init__(self, kind, var_flats, r, groebner):
@@ -258,23 +259,16 @@ class GradedRing:
         return entry
 
     def coords(self, poly, degree):
-        """Coefficient vector of a normal form over the degree basis, with
-        the normal form's own coefficients (integers for integral input),
-        summed from the table entries of poly's monomials."""
+        """Coefficient vector of `reduce_poly(self, poly)` over the degree
+        basis, with the normal form's own coefficients (integers for
+        integral input); ValueError if a term lies outside that basis."""
         index = self.basis_index[degree] if 0 <= degree < self.r else {}
         vec = [0] * len(index)
-        stray = {}
-        table = self._table
-        for m, c in poly.items():
-            entry = table.get(m)
-            for k, v in (self._monomial_nf(m) if entry is None else entry).items():
-                i = index.get(k)
-                if i is None:
-                    stray[k] = stray.get(k, 0) + c * v
-                else:
-                    vec[i] += c * v
-        if any(stray.values()):
-            raise ValueError("element is not homogeneous of degree %d" % degree)
+        for k, v in reduce_poly(self, poly).items():
+            i = index.get(k)
+            if i is None:
+                raise ValueError("element is not homogeneous of degree %d" % degree)
+            vec[i] = v
         return vec
 
     def hilbert(self):

@@ -88,6 +88,8 @@ def build_polymatroid(data):
     try:
         return Polymatroid(table)
     except PolymatroidError as exc:
+        if exc.axiom == "size":              # a library limit, not an axiom
+            raise CliError(str(exc))
         raise CliError("invalid polymatroid (%s axiom, witness %r): %s"
                        % (exc.axiom, exc.witness, exc), code=1)
 

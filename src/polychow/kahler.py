@@ -16,6 +16,8 @@ p > 1 is L_{k+p-1} times the power p - 1: normal forms are linear, as the
 generator set is a Groebner basis (the tests reduce every S-pair).
 """
 
+from operator import mul
+
 from . import linalg
 from .building import BuildingSet
 from .chow import pairing_det, pairing_matrix, poly_mul, reduce_poly
@@ -81,30 +83,29 @@ def nestohedron_class(pair):
 
 def is_strictly_convex(fan, values):
     """Wall-by-wall strict convexity of ray values (indexed like fan.rays)
-    on a complete simplicial unimodular fan: at a wall tau between maximal
-    cones with opposite rays u, u' the relation u + u' = sum(a_v * v) over
-    rays v of tau must satisfy values[u] + values[u'] > sum(a_v * values[v]),
-    compared as q * (values[u] + values[u']) > sum(x_v * values[v]) for the
-    fraction-free solution (x, q) of the relation, a_v = x_v / q, q > 0.
+    on a complete simplicial fan (Cox-Little-Schenck, "Toric varieties",
+    ch. 6).  On each maximal cone sigma the values are those of the linear
+    form x / q, for the fraction-free solution (x, q), q > 0, of <x, v> =
+    q * values[v] over sigma's rays v; at a wall of sigma, with u' the
+    other cone's opposite ray, it requires q * values[u'] > <x, u'>.  When
+    u + u' = sum(a_v * v) over the wall's rays v (u opposite in sigma),
+    this reads values[u] + values[u'] > sum(a_v * values[v]), from either
+    side.  A maximal cone that no linear form fits raises ValueError.
     """
     if len(values) != len(fan.rays):
         raise ValueError("one value per ray required")
-    d = fan.ambient_dim
     maxes = fan.maximal_cones()
-    if any(len(c) != d for c in maxes):
+    if any(len(c) != fan.ambient_dim for c in maxes):
         raise ValueError("fan is not complete (a maximal cone is not full-dimensional)")
-    for tau, sides in fan.walls().items():
-        if len(sides) != 2:
-            raise ValueError("fan is not complete (wall not shared by two cones)")
-        (_, u), (_, u2) = sides
-        tau = sorted(tau)
-        target = [a + b for a, b in zip(fan.rays[u], fan.rays[u2])]
-        cols = [[fan.rays[v][i] for v in tau] for i in range(d)]
-        solution = linalg.solve(cols, target)
-        if solution is None:
-            raise ValueError("wall relation is not supported on the wall; fan is not unimodular")
-        x, q = solution
-        if q * (values[u] + values[u2]) <= sum(a * values[v] for a, v in zip(x, tau)):
+    walls = fan.walls().values()
+    if any(len(sides) != 2 for sides in walls):
+        raise ValueError("fan is not complete (wall not shared by two cones)")
+    forms = {c: linalg.solve(fan.cone_rays(c), [values[v] for v in sorted(c)]) for c in maxes}
+    if None in forms.values():
+        raise ValueError("a maximal cone has dependent rays; fan is not simplicial")
+    for (c, _), (_, u2) in walls:
+        x, q = forms[c]
+        if q * values[u2] <= sum(map(mul, x, fan.rays[u2])):
             return False
     return True
 

@@ -98,7 +98,8 @@ class Polymatroid(Ground):
         self.rank_table = rank_table
         self._memo = {}
         if self.n > MAX_GROUND:
-            raise PolymatroidError("size", None, "ground set larger than %d" % MAX_GROUND)
+            raise PolymatroidError("size", None, "ground set size %d exceeds the limit %d"
+                                   % (self.n, MAX_GROUND))
         if validate:
             self._validate()
 

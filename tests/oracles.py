@@ -6,8 +6,8 @@ definitions, the minimal flats of a ground, the fiber of each lifted
 element, the vertex of each transversal, Lowest posets and the
 sampled normal-fan check built on them, a sampled completeness test,
 primitive vectors, cone queries by a scan, relative interiors and rational
-coordinates, refinement and unimodularity over all cones, equal supports
-by sampling, the Bergman fan from chains of flats,
+coordinates, refinement and unimodularity over all cones, strict
+convexity from wall relations, equal supports by sampling, the Bergman fan from chains of flats,
 exact rational degrees, the classes of the Kahler tests, the ray-variable
 presentation of the Chow ring, and Bareiss elimination that updates every
 row at every step.  `polychow` computes in integers only, so rational
@@ -436,6 +436,34 @@ def reference_is_unimodular(fan):
         if len(rays) > fan.ambient_dim:
             return False
         if any(d != 1 for d in linalg.smith_normal_form(rays)):
+            return False
+    return True
+
+
+def reference_is_strictly_convex(fan, values):
+    """`is_strictly_convex` as it was before it read one linear form per
+    maximal cone: on a complete simplicial unimodular fan, at a wall tau
+    between maximal cones with opposite rays u, u' the relation u + u' =
+    sum(a_v * v) over rays v of tau must satisfy values[u] + values[u'] >
+    sum(a_v * values[v]), compared as q * (values[u] + values[u']) >
+    sum(x_v * values[v]) for the fraction-free solution (x, q) of the
+    relation; ValueError where the relation is not supported on the wall."""
+    if len(values) != len(fan.rays):
+        raise ValueError("one value per ray required")
+    d = fan.ambient_dim
+    if any(len(c) != d for c in fan.maximal_cones()):
+        raise ValueError("fan is not complete (a maximal cone is not full-dimensional)")
+    for tau, sides in fan.walls().items():
+        if len(sides) != 2:
+            raise ValueError("fan is not complete (wall not shared by two cones)")
+        (_, u), (_, u2) = sides
+        tau = sorted(tau)
+        target = [a + b for a, b in zip(fan.rays[u], fan.rays[u2])]
+        solution = linalg.solve([[fan.rays[v][i] for v in tau] for i in range(d)], target)
+        if solution is None:
+            raise ValueError("wall relation is not supported on the wall; fan is not unimodular")
+        x, q = solution
+        if q * (values[u] + values[u2]) <= sum(a * values[v] for a, v in zip(x, tau)):
             return False
     return True
 

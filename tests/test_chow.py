@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 import polychow as pc
-from polychow import linalg
+from polychow import chow as chow_module, linalg
 from polychow.bitsets import canonical_key
 from polychow.chow import (Codec, DivisorIndex, GradedRing, _standard_monomials,
                            pairing_det, poly_mul, poly_pow, reduce_poly)
@@ -364,6 +364,28 @@ def test_coords_requires_homogeneous_basis_element():
     pair = pair_of(P3)
     with pytest.raises(ValueError):
         pair.dp.coords({0: 1}, 1)
+
+
+def test_coords_and_degree_read_reduce_poly(monkeypatch):
+    # every normal-form read goes through the module's reduce_poly, the
+    # function the per-layer trace times: coords, and degree through it
+    calls = []
+
+    def counted(ring, p):
+        calls.append(p)
+        return reduce_poly(ring, p)
+
+    monkeypatch.setattr(chow_module, "reduce_poly", counted)
+    pair = pair_of(U34)
+    fy = pair.fy
+    b = fy.basis[1][0]
+    assert fy.coords({b: 1}, 1) == [1] + [0] * (len(fy.basis[1]) - 1)
+    assert calls == [{b: 1}]
+    pair.degree_normalizer()
+    m = fy.basis[fy.top][0]
+    del calls[:]
+    pair.degree(m)
+    assert calls == [{m: 1}]
 
 
 KERNEL_FIXTURES = ((P1, None), (P2, None), (P3, None), (U34, None),

@@ -293,6 +293,15 @@ def test_lift_size_guard(tmp_path, capsys):
     assert "exceeds" in err
 
 
+def test_ground_set_size_guard(tmp_path, capsys):
+    # a rank table on 17 elements is over a library limit, not an invalid
+    # polymatroid: exit 2, as for the lifted ground set above, not 1
+    path = write_instance(tmp_path, {"rank": [0] * (1 << 17)})
+    code, out, err = run(capsys, ["validate", "--instance", path])
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": "ground set size 17 exceeds the limit 16"}
+
+
 def test_empty_ground_set_answers_or_exits_2(tmp_path, capsys):
     # polyperm --verify-fan printed "normal_fan_matches": false and exited 1
     # from a Boolean fan of ambient dimension -1; no command may report a

@@ -12,8 +12,8 @@ from polychow.kahler import (_hodge_riemann_form, _lefschetz_power, ambient_comp
 from conftest import (BOOLEAN_FIBERS, P1, P2, P3, P4, U34, U34_MIN_BUILDING, boolean_table,
                       building_of)
 from oracles import (beta_class, beta_class_corank_form, deg_fy, poly_add, poly_scale,
-                     sigma_cone_class)
-from test_fan import refused_complete_collections
+                     reference_is_strictly_convex, sigma_cone_class)
+from test_fan import face_closure, refused_complete_collections
 from test_polytope import nestohedron_support
 
 
@@ -98,6 +98,41 @@ def test_strict_convexity_refuses_a_wall_in_three_cones():
     # the wall (1,0), in three, and (1,1), in one, can refuse
     with pytest.raises(ValueError, match="wall not shared by two cones"):
         pc.is_strictly_convex(fan, [1] * len(fan.rays))
+
+
+def test_strict_convexity_matches_the_wall_relation_reference():
+    # one linear form per maximal cone decides as the wall relations do on
+    # the unimodular ambient fans: the classes, their perturbations and the
+    # zero and negated controls
+    cases = []
+    for table, members in FIXTURES + ((boolean_table((1, 1, 2)), None),
+                                      (boolean_table((2, 2, 2)), None)):
+        fan, values, _ = nestohedron_class(pair_of(table, members))
+        cases += [(fan, values), (fan, [0] * len(values)), (fan, [-v for v in values])]
+    cases += [(fan, values) for _, fan, values, _ in perturbed_classes()]
+    verdicts = [pc.is_strictly_convex(fan, values) for fan, values in cases]
+    assert verdicts == [reference_is_strictly_convex(fan, values) for fan, values in cases]
+    assert set(verdicts) == {True, False}
+
+
+def test_strict_convexity_needs_no_unimodular_fan():
+    # rays (1,0), (1,2), (-1,-1) of R^2: the cone of the first two has
+    # determinant 2, and (1,2) + (-1,-1) = (0,1) leaves the wall (1,0), so
+    # the wall relations refuse; the value 1 on every ray is the gauge of
+    # the triangle on the rays, which is convex, and its negation is not
+    fan = pc.Fan(2, [(1, 0), (1, 2), (-1, -1)], face_closure([{0, 1}, {1, 2}, {2, 0}]))
+    with pytest.raises(ValueError, match="not unimodular"):
+        reference_is_strictly_convex(fan, [1, 1, 1])
+    assert pc.is_strictly_convex(fan, [1, 1, 1])
+    assert not pc.is_strictly_convex(fan, [-1, -1, -1])
+
+
+def test_strict_convexity_refuses_a_maximal_cone_with_dependent_rays():
+    # cone((1,0), (-1,0)) has two rays but is a line; every wall lies in
+    # two cones, but no linear form takes the value 1 on both of its rays
+    fan = pc.Fan(2, [(1, 0), (0, 1), (-1, 0)], face_closure([{0, 1}, {1, 2}, {2, 0}]))
+    with pytest.raises(ValueError, match="dependent rays"):
+        pc.is_strictly_convex(fan, [1, 1, 1])
 
 
 def test_rank_one_has_no_walls_and_passes():
